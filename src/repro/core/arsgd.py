@@ -95,7 +95,8 @@ def _ring_allreduce_entry(
 def _hier_allreduce_entry(
     rt: Runtime,
     slot: WorkerSlot,
-    ring: list[int],
+    group: list[int],
+    leaders: list[int],
     entry_label: str,
     ranges: tuple[tuple[int, int], ...],
     vec: np.ndarray | None,
@@ -112,21 +113,13 @@ def _hier_allreduce_entry(
     global sum. Triggers ``done`` with the summed vector (``None`` in
     timing mode), exactly like the flat ring entry.
 
-    Groups and leaders are re-derived here, per collective, from the
-    ``ring`` the worker was (re)spawned with — so after a membership
-    change (including a mid-collective leader crash: the fault
-    controller kills and respawns every protocol process) the shrunk
-    ring re-elects leaders and rebuilds the leader ring/tree with no
-    recovery protocol of its own.
+    ``group`` (this worker's machine group) and ``leaders`` are derived
+    by ``spawn_workers`` from the ring the worker was (re)spawned with —
+    so after a membership change (including a mid-collective leader
+    crash: the fault controller kills and respawns every protocol
+    process) the shrunk ring re-elects leaders and rebuilds the leader
+    ring/tree with no recovery protocol of its own.
     """
-    world = len(ring)
-    if world == 1:
-        done.trigger(vec, engine=rt.engine)
-        return
-        yield  # pragma: no cover
-    groups = machine_groups(ring, lambda w: rt.workers[w].machine)
-    group = next(g for g in groups if slot.wid in g)
-    leaders = elect_leaders(groups)
     bpp = rt.sharding.bytes_per_param
     entry_bytes = max(num_elements * bpp, 1)
     k_up = f"hier:{entry_label}:u"
@@ -321,7 +314,9 @@ def _allgather_dense(
     return rows or None
 
 
-def _arsgd_worker(rt: Runtime, slot: WorkerSlot, ring: list[int]) -> Generator[Any, Any, None]:
+def _arsgd_worker(
+    rt: Runtime, slot: WorkerSlot, ring: list[int], group: list[int], leaders: list[int]
+) -> Generator[Any, Any, None]:
     tracer = rt.tracer
     entries = rt.comm_plan.entries
     dgc_on = rt.dgc_config is not None
@@ -408,7 +403,7 @@ def _arsgd_worker(rt: Runtime, slot: WorkerSlot, ring: list[int]) -> Generator[A
                     )
                 else:
                     collective_gen = _hier_allreduce_entry(
-                        rt, slot, ring, entry.label, ranges, vec,
+                        rt, slot, group, leaders, entry.label, ranges, vec,
                         entry.num_elements, done, scheme,
                     )
                 rt.spawn(
@@ -457,9 +452,14 @@ class ARSGD(TrainingAlgorithm):
         # The ring is rebuilt over the survivors in wid order; with all
         # workers live it is identical to the original 0..N−1 ring.
         ring = sorted(wids)
+        # The hierarchical geometry is a pure map of this ring view:
+        # derive it once per (re)spawn, not per worker per collective.
+        groups = machine_groups(ring, lambda w: runtime.workers[w].machine)
+        leaders = elect_leaders(groups)
+        group_of = {wid: group for group in groups for wid in group}
         for wid in ring:
             runtime.spawn(
-                _arsgd_worker(runtime, runtime.workers[wid], ring),
+                _arsgd_worker(runtime, runtime.workers[wid], ring, group_of[wid], leaders),
                 name=f"arsgd-w{wid}",
                 owner=wid,
             )

@@ -16,6 +16,7 @@ Two execution modes (DESIGN.md §3):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -533,11 +534,13 @@ class DistributedRunner:
                 rng=np.random.default_rng(cfg.seed + 2),
                 drop_remainder=True,
             )
-            # All replicas start from identical parameters: same seed.
-            for wid in range(cfg.num_workers):
-                models.append(build_model(cfg.model_name, seed=cfg.seed, **cfg.model_kwargs))
-            self._eval_model = build_model(cfg.model_name, seed=cfg.seed, **cfg.model_kwargs)
+            # All replicas start from identical parameters: drawn once,
+            # loaded into the others.
+            models.append(build_model(cfg.model_name, seed=cfg.seed, **cfg.model_kwargs))
             init_params = models[0].get_flat_parameters()
+            replica = partial(build_model, cfg.model_name, params=init_params, **cfg.model_kwargs)
+            models.extend(replica() for _ in range(1, cfg.num_workers))
+            self._eval_model = replica()
             decay_mask = weight_decay_mask(models[0])
             profile = mini_profile_from_model(models[0], name=cfg.model_name)
             dataset_size = sum(len(s) for s in shards)
@@ -703,7 +706,7 @@ class DistributedRunner:
         correct = 0
         x, y = self._test_data.x, self._test_data.y
         for start in range(0, len(self._test_data), 512):
-            out = self._eval_model.forward(x[start : start + 512])
+            out = self._eval_model.predict(x[start : start + 512])
             correct += int((out.argmax(axis=1) == y[start : start + 512]).sum())
         accuracy = correct / len(self._test_data)
         losses = [

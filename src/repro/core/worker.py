@@ -71,7 +71,7 @@ class LocalComputation:
         self.model.zero_grad()
         out = self.model.forward(x)
         loss_value = self.loss.forward(out, y)
-        self.model.backward(self.loss.backward())
+        self.model.backward_params(self.loss.backward())
         self.last_loss = loss_value
         if self.ema_loss != self.ema_loss:  # NaN — first observation
             self.ema_loss = loss_value

@@ -17,13 +17,14 @@ class ReLU(Module):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        self._mask = x > 0 if self._retain else None
+        # fmax, not maximum: a NaN input maps to 0, as ``where(x > 0, x, 0)`` did.
+        return np.fmax(x, 0.0)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before forward")
-        return np.where(self._mask, grad_out, 0.0)
+        return grad_out * self._mask
 
 
 class LeakyReLU(Module):
@@ -37,8 +38,9 @@ class LeakyReLU(Module):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, self.negative_slope * x)
+        mask = x > 0
+        self._mask = mask if self._retain else None
+        return np.where(mask, x, self.negative_slope * x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -59,7 +61,7 @@ class Sigmoid(Module):
         out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
         expx = np.exp(x[~pos])
         out[~pos] = expx / (1.0 + expx)
-        self._out = out
+        self._out = out if self._retain else None
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -74,8 +76,9 @@ class Tanh(Module):
         self._out: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = np.tanh(x)
-        return self._out
+        out = np.tanh(x)
+        self._out = out if self._retain else None
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._out is None:
@@ -98,8 +101,9 @@ class Softmax(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         shifted = x - np.max(x, axis=-1, keepdims=True)
         exps = np.exp(shifted)
-        self._out = exps / np.sum(exps, axis=-1, keepdims=True)
-        return self._out
+        out = exps / np.sum(exps, axis=-1, keepdims=True)
+        self._out = out if self._retain else None
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._out is None:

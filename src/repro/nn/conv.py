@@ -1,9 +1,18 @@
-"""Convolution and pooling layers (NCHW layout, im2col-based).
+"""Convolution and pooling layers.
 
-The forward/backward passes are fully vectorised: convolution is a
-single GEMM over an im2col patch matrix, as the guides recommend for
-numpy HPC code, and the col2im scatter uses ``np.add.at`` only on the
-padded buffer (one call per backward pass).
+Shapes are ``(N, C, H, W)`` throughout; *memory* is channel-major with
+the batch innermost: a ``Conv2d`` output is the ``(N, C, H, W)``-shaped
+transpose view of a contiguous ``(C, H, W, N)`` buffer. That is the
+order the next layer's patch gather (whole ``W x N`` runs per copy),
+batch norm's per-channel rows and the element-wise layers read fastest.
+Inputs of any strides are accepted.
+
+Everything is built on two primitives in that layout: :func:`_windows`
+(whose reshape is the one strided copy that gathers a
+``(C*kh*kw, oh*ow*N)`` patch matrix) and its adjoint :func:`_scatter`.
+Convolution forward is a gather and a GEMM; so is its data gradient at
+stride 1 (a convolution with the flipped kernel); only strided layers
+scatter.
 """
 
 from __future__ import annotations
@@ -30,6 +39,52 @@ def _out_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
+def _rows(x: np.ndarray) -> np.ndarray:
+    """``(N, C, H, W)``-shaped ``x`` as ``(C, H*W*N)`` rows — a view when
+    ``x`` is channel-major."""
+    return x.transpose(1, 2, 3, 0).reshape(x.shape[1], -1)
+
+
+def _images(rows: np.ndarray, c: int, h: int, w: int, n: int) -> np.ndarray:
+    """Inverse of :func:`_rows`: the ``(N, C, H, W)``-shaped view."""
+    return rows.reshape(c, h, w, n).transpose(3, 0, 1, 2)
+
+
+def _windows(x: np.ndarray, kh: int, kw: int, stride: int, ph: int, pw: int) -> np.ndarray:
+    """Every sliding window of an ``(N, C, H, W)``-shaped ``x`` of any
+    strides, as a ``(C, kh, kw, oh, ow, N)`` view of a zero-padded
+    channel-major buffer. Reshaping it is the one strided copy that
+    gathers a patch matrix; ``(ow, N)`` runs are contiguous at stride 1."""
+    n, c, h, w = x.shape
+    oh = _out_size(h, kh, stride, ph)
+    ow = _out_size(w, kw, stride, pw)
+    if ph or pw:
+        buf = np.zeros((c, h + 2 * ph, w + 2 * pw, n))
+        buf[:, ph : ph + h, pw : pw + w, :] = x.transpose(1, 2, 3, 0)
+    else:  # no copy when x is already channel-major
+        buf = np.ascontiguousarray(x.transpose(1, 2, 3, 0), dtype=np.float64)
+    sc, sh, sw, sn = buf.strides
+    # np.ndarray(...) is as_strided without its 20 us Python wrapper.
+    strides = (sc, sh, sw, sh * stride, sw * stride, sn)
+    return np.ndarray((c, kh, kw, oh, ow, n), np.float64, buf, 0, strides)
+
+
+def _scatter(
+    patches: np.ndarray, x_shape: tuple[int, int, int, int], stride: int, padding: int
+) -> np.ndarray:
+    """Adjoint of :func:`_windows`: add every entry of a
+    ``(C, kh, kw, oh, ow, N)`` array onto the input position its window
+    entry was read from. Returns channel-major memory."""
+    n, c, h, w = x_shape
+    _, kh, kw, oh, ow, _ = patches.shape
+    padded = np.zeros((c, h + 2 * padding, w + 2 * padding, n))
+    for i in range(kh):
+        rows = slice(i, i + stride * oh, stride)
+        for j in range(kw):
+            padded[:, rows, j : j + stride * ow : stride] += patches[:, i, j]
+    return padded[:, padding : padding + h, padding : padding + w].transpose(3, 0, 1, 2)
+
+
 def im2col(
     x: np.ndarray, kernel: tuple[int, int], stride: int, padding: int
 ) -> tuple[np.ndarray, tuple[int, int]]:
@@ -45,22 +100,10 @@ def im2col(
     cols, (out_h, out_w):
         ``cols`` has shape ``(N * out_h * out_w, C * kh * kw)``.
     """
-    n, c, h, w = x.shape
-    kh, kw = kernel
-    out_h = _out_size(h, kh, stride, padding)
-    out_w = _out_size(w, kw, stride, padding)
-    if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    # Strided view: (N, C, out_h, out_w, kh, kw)
-    sn, sc, sh, sw = x.strides
-    view = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, out_h, out_w, kh, kw),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
-    )
-    cols = view.transpose(0, 2, 3, 1, 4, 5).reshape(n * out_h * out_w, c * kh * kw)
-    return np.ascontiguousarray(cols), (out_h, out_w)
+    windows = _windows(x, *kernel, stride, padding, padding)
+    c, kh, kw, out_h, out_w, n = windows.shape
+    cols = windows.transpose(5, 3, 4, 0, 1, 2).reshape(n * out_h * out_w, c * kh * kw)
+    return cols, (out_h, out_w)
 
 
 def col2im(
@@ -72,20 +115,10 @@ def col2im(
 ) -> np.ndarray:
     """Inverse of :func:`im2col`: scatter-add patch gradients back."""
     n, c, h, w = x_shape
-    kh, kw = kernel
-    out_h = _out_size(h, kh, stride, padding)
-    out_w = _out_size(w, kw, stride, padding)
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    cols6 = cols.reshape(n, out_h, out_w, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-    # Accumulate each kernel offset as one vectorised slice-add.
-    for i in range(kh):
-        i_max = i + stride * out_h
-        for j in range(kw):
-            j_max = j + stride * out_w
-            padded[:, :, i:i_max:stride, j:j_max:stride] += cols6[:, :, :, :, i, j]
-    if padding > 0:
-        return padded[:, :, padding : padding + h, padding : padding + w]
-    return padded
+    out_h = _out_size(h, kernel[0], stride, padding)
+    out_w = _out_size(w, kernel[1], stride, padding)
+    patches = cols.reshape(n, out_h, out_w, c, *kernel).transpose(3, 4, 5, 1, 2, 0)
+    return _scatter(patches, x_shape, stride, padding)
 
 
 class Conv2d(Module):
@@ -119,110 +152,111 @@ class Conv2d(Module):
         self.padding = padding
         self.weight = Parameter(weight_init(rng, (out_channels, in_channels, kh, kw)))
         self.bias = Parameter(np.zeros(out_channels), weight_decay=False) if bias else None
-        self._cols: np.ndarray | None = None
+        self._patches: np.ndarray | None = None
         self._x_shape: tuple[int, int, int, int] | None = None
-        self._out_hw: tuple[int, int] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4:
             raise ValueError(f"Conv2d expects (N, C, H, W); got shape {x.shape}")
         if x.shape[1] != self.in_channels:
             raise ValueError(f"expected {self.in_channels} input channels, got {x.shape[1]}")
-        n = x.shape[0]
-        cols, (out_h, out_w) = im2col(x, self.kernel_size, self.stride, self.padding)
-        self._cols = cols
+        kh, kw = self.kernel_size
+        windows = _windows(x, kh, kw, self.stride, self.padding, self.padding)
+        patches = windows.reshape(self.in_channels * kh * kw, -1)  # the gather: one copy
+        self._patches = patches if self._retain else None
         self._x_shape = x.shape
-        self._out_hw = (out_h, out_w)
-        w2d = self.weight.value.reshape(self.out_channels, -1)  # (C_out, C*kh*kw)
-        out = cols @ w2d.T  # (N*out_h*out_w, C_out)
+        out = self.weight.value.reshape(self.out_channels, -1) @ patches
         if self.bias is not None:
-            out += self.bias.value
-        return out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
+            out += self.bias.value[:, None]
+        return _images(out, self.out_channels, *windows.shape[3:])
+
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        if self._patches is None or self._x_shape is None:
+            raise RuntimeError("backward called before forward")
+        g2d = _rows(grad_out)
+        self.weight.grad += (g2d @ self._patches.T).reshape(self.weight.shape)
+        if self.bias is not None:
+            self.bias.grad += g2d.sum(axis=1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cols is None or self._x_shape is None or self._out_hw is None:
-            raise RuntimeError("backward called before forward")
-        n = self._x_shape[0]
-        out_h, out_w = self._out_hw
-        g2d = grad_out.transpose(0, 2, 3, 1).reshape(n * out_h * out_w, self.out_channels)
-        self.weight.grad += (g2d.T @ self._cols).reshape(self.weight.shape)
-        if self.bias is not None:
-            self.bias.grad += g2d.sum(axis=0)
-        grad_cols = g2d @ self.weight.value.reshape(self.out_channels, -1)
-        return col2im(grad_cols, self._x_shape, self.kernel_size, self.stride, self.padding)
+        self.backward_params(grad_out)
+        n, c, h, w = self._x_shape
+        kh, kw = self.kernel_size
+        pad = self.padding
+        weight = self.weight.value
+        if self.stride == 1 and pad < min(kh, kw):
+            # A convolution of grad_out with the flipped kernel: gather + GEMM.
+            flipped = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+            g_patches = _windows(grad_out, kh, kw, 1, kh - 1 - pad, kw - 1 - pad)
+            return _images(flipped @ g_patches.reshape(flipped.shape[1], -1), c, h, w, n)
+        grad_patches = weight.reshape(self.out_channels, -1).T @ _rows(grad_out)
+        grad_patches = grad_patches.reshape(c, kh, kw, *grad_out.shape[2:], n)
+        return _scatter(grad_patches, self._x_shape, self.stride, pad)
 
 
-class MaxPool2d(Module):
+class _Pool2d(Module):
+    """Pooling geometry: the ``k*k`` entries of every window as the
+    rows of a ``(k*k, C*oh*ow*N)`` matrix, via the convolution's windows."""
+
+    def __init__(self, kernel_size: int, *, stride: int | None = None, padding: int = 0) -> None:
+        super().__init__()
+        if kernel_size <= 0:
+            raise ValueError("kernel_size must be positive")
+        self.kernel_size = kernel_size
+        self.stride = stride if stride is not None else kernel_size
+        self.padding = padding
+        self._x_shape: tuple[int, int, int, int] | None = None
+        self._out_shape: tuple[int, int, int, int] | None = None  # channel-major
+
+    def _entries(self, x: np.ndarray) -> np.ndarray:
+        k = self.kernel_size
+        windows = _windows(x, k, k, self.stride, self.padding, self.padding)
+        self._x_shape = x.shape
+        self._out_shape = (windows.shape[0], *windows.shape[3:])
+        return windows.transpose(1, 2, 0, 3, 4, 5).reshape(k * k, -1)
+
+    def _unpool(self, grad_entries: np.ndarray) -> np.ndarray:
+        k = self.kernel_size
+        patches = grad_entries.reshape(k, k, *self._out_shape).transpose(2, 0, 1, 3, 4, 5)
+        return _scatter(patches, self._x_shape, self.stride, self.padding)
+
+
+class MaxPool2d(_Pool2d):
     """Max pooling with kernel == window, arbitrary stride."""
 
     def __init__(self, kernel_size: int, *, stride: int | None = None, padding: int = 0) -> None:
-        super().__init__()
-        if kernel_size <= 0:
-            raise ValueError("kernel_size must be positive")
-        self.kernel_size = kernel_size
-        self.stride = stride if stride is not None else kernel_size
-        self.padding = padding
-        self._x_shape: tuple[int, int, int, int] | None = None
-        self._argmax: np.ndarray | None = None
-        self._out_hw: tuple[int, int] | None = None
+        super().__init__(kernel_size, stride=stride, padding=padding)
+        self._winner: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
-        k = self.kernel_size
-        # Treat channels as part of the batch so im2col keeps patches per-channel.
-        cols, (out_h, out_w) = im2col(
-            x.reshape(n * c, 1, h, w), (k, k), self.stride, self.padding
-        )
-        # cols: (N*C*out_h*out_w, k*k)
-        self._argmax = np.argmax(cols, axis=1)
-        self._x_shape = x.shape
-        self._out_hw = (out_h, out_w)
-        out = cols[np.arange(cols.shape[0]), self._argmax]
-        return out.reshape(n, c, out_h, out_w)
+        entries = self._entries(x)
+        out = entries.max(axis=0)
+        self._winner = None
+        if self._retain:
+            # One-hot of the first maximal entry per window (ndarray.argmax
+            # semantics, without its ~20 ns per element).
+            hits = entries == out
+            self._winner = hits & (hits.cumsum(axis=0) == 1)
+        return _images(out, *self._out_shape)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x_shape is None or self._argmax is None or self._out_hw is None:
+        if self._winner is None:
             raise RuntimeError("backward called before forward")
-        n, c, h, w = self._x_shape
-        k = self.kernel_size
-        rows = grad_out.reshape(-1)
-        grad_cols = np.zeros((rows.size, k * k), dtype=np.float64)
-        grad_cols[np.arange(rows.size), self._argmax] = rows
-        grad_x = col2im(grad_cols, (n * c, 1, h, w), (k, k), self.stride, self.padding)
-        return grad_x.reshape(n, c, h, w)
+        return self._unpool(self._winner * _rows(grad_out).reshape(-1))
 
 
-class AvgPool2d(Module):
+class AvgPool2d(_Pool2d):
     """Average pooling."""
 
-    def __init__(self, kernel_size: int, *, stride: int | None = None, padding: int = 0) -> None:
-        super().__init__()
-        if kernel_size <= 0:
-            raise ValueError("kernel_size must be positive")
-        self.kernel_size = kernel_size
-        self.stride = stride if stride is not None else kernel_size
-        self.padding = padding
-        self._x_shape: tuple[int, int, int, int] | None = None
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
-        k = self.kernel_size
-        cols, (out_h, out_w) = im2col(
-            x.reshape(n * c, 1, h, w), (k, k), self.stride, self.padding
-        )
-        self._x_shape = x.shape
-        self._out_hw = (out_h, out_w)
-        return cols.mean(axis=1).reshape(n, c, out_h, out_w)
+        return _images(self._entries(x).mean(axis=0), *self._out_shape)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._x_shape is None:
             raise RuntimeError("backward called before forward")
-        n, c, h, w = self._x_shape
-        k = self.kernel_size
-        rows = grad_out.reshape(-1)
-        grad_cols = np.repeat(rows[:, None] / (k * k), k * k, axis=1)
-        grad_x = col2im(grad_cols, (n * c, 1, h, w), (k, k), self.stride, self.padding)
-        return grad_x.reshape(n, c, h, w)
+        k2 = self.kernel_size**2
+        row = _rows(grad_out).reshape(-1) / k2
+        return self._unpool(np.broadcast_to(row, (k2, row.size)))
 
 
 class GlobalAvgPool2d(Module):
@@ -240,4 +274,6 @@ class GlobalAvgPool2d(Module):
         if self._x_shape is None:
             raise RuntimeError("backward called before forward")
         n, c, h, w = self._x_shape
-        return np.broadcast_to(grad_out[:, :, None, None] / (h * w), (n, c, h, w)).copy()
+        grad = np.empty((c, h, w, n))  # channel-major, like every other 4-D gradient
+        grad[...] = (grad_out.T / (h * w))[:, None, None, :]
+        return grad.transpose(3, 0, 1, 2)

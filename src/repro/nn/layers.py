@@ -55,7 +55,7 @@ class Dense(Module):
             raise ValueError(f"Dense expects (batch, features); got shape {x.shape}")
         if x.shape[1] != self.in_features:
             raise ValueError(f"expected {self.in_features} features, got {x.shape[1]}")
-        self._x = x
+        self._x = x if self._retain else None
         out = x @ self.weight.value
         if self.bias is not None:
             out = out + self.bias.value
@@ -103,8 +103,9 @@ class Dropout(Module):
             self._mask = None
             return x
         keep = 1.0 - self.p
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
+        mask = (self._rng.random(x.shape) < keep) / keep
+        self._mask = mask if self._retain else None
+        return x * mask
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:

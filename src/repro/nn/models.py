@@ -100,12 +100,13 @@ class ResidualBlock(Module):
         return grad_main + grad_skip
 
 
-class MiniResNet(Module):
+class MiniResNet(Sequential):
     """Small residual CNN — the compute-intensive model family.
 
     Structure: stem conv → ``len(stage_channels)`` stages of
     ``blocks_per_stage`` residual blocks (stride-2 downsample at each
-    stage boundary after the first) → global average pool → classifier.
+    stage boundary after the first) → global average pool → classifier,
+    chained in ``layers`` under their attribute names.
     """
 
     def __init__(
@@ -135,21 +136,10 @@ class MiniResNet(Module):
         self.blocks = Sequential(*blocks)
         self.pool = GlobalAvgPool2d()
         self.fc = Dense(prev, num_classes, rng=rng)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = self.stem_relu.forward(self.stem_bn.forward(self.stem.forward(x)))
-        x = self.blocks.forward(x)
-        x = self.pool.forward(x)
-        return self.fc.forward(x)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        grad = self.fc.backward(grad_out)
-        grad = self.pool.backward(grad)
-        grad = self.blocks.backward(grad)
-        return self.stem.backward(self.stem_bn.backward(self.stem_relu.backward(grad)))
+        self.layers = [self.stem, self.stem_bn, self.stem_relu, self.blocks, self.pool, self.fc]
 
 
-class MiniVGG(Module):
+class MiniVGG(Sequential):
     """Small VGG-style CNN — the communication-intensive model family.
 
     The classifier head deliberately dominates the parameter count
@@ -189,32 +179,33 @@ class MiniVGG(Module):
         self.fc1 = Dense(flat_dim, fc_width, rng=rng)
         self.fc_relu = ReLU()
         self.fc2 = Dense(fc_width, num_classes, rng=rng)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = self.features.forward(x)
-        x = self.flatten.forward(x)
-        x = self.fc_relu.forward(self.fc1.forward(x))
-        return self.fc2.forward(x)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        grad = self.fc2.backward(grad_out)
-        grad = self.fc1.backward(self.fc_relu.backward(grad))
-        grad = self.flatten.backward(grad)
-        return self.features.backward(grad)
+        self.layers = [self.features, self.flatten, self.fc1, self.fc_relu, self.fc2]
 
 
-def build_model(name: str, *, seed: int = 0, **kwargs) -> Module:
-    """Factory used by experiment configs: every worker calls this with
-    the same seed and therefore constructs bit-identical initial
-    parameters (the paper broadcasts worker 0's initial model)."""
-    rng = np.random.default_rng(seed)
+class _Undrawn:
+    """Stands in for the generator of a replica whose weights are loaded."""
+
+    @staticmethod
+    def normal(loc: float, scale: float, size: tuple[int, ...]) -> np.ndarray:
+        return np.zeros(size)
+
+
+def build_model(name: str, *, seed: int = 0, params: np.ndarray | None = None, **kwargs) -> Module:
+    """Factory used by experiment configs: the same seed constructs
+    bit-identical initial parameters. Further replicas of a built model
+    pass its flat ``params`` instead and draw nothing (the paper
+    broadcasts worker 0's initial model)."""
+    rng = np.random.default_rng(seed) if params is None else _Undrawn()
     name = name.lower()
     if name == "mlp":
-        defaults = dict(in_features=32, hidden=(64, 64), num_classes=10)
-        defaults.update(kwargs)
-        return MLP(rng=rng, **defaults)
-    if name in ("miniresnet", "resnet"):
-        return MiniResNet(rng=rng, **kwargs)
-    if name in ("minivgg", "vgg"):
-        return MiniVGG(rng=rng, **kwargs)
-    raise ValueError(f"unknown model {name!r}; expected mlp/miniresnet/minivgg")
+        kwargs = dict(in_features=32, hidden=(64, 64), num_classes=10) | kwargs
+        model: Module = MLP(rng=rng, **kwargs)
+    elif name in ("miniresnet", "resnet"):
+        model = MiniResNet(rng=rng, **kwargs)
+    elif name in ("minivgg", "vgg"):
+        model = MiniVGG(rng=rng, **kwargs)
+    else:
+        raise ValueError(f"unknown model {name!r}; expected mlp/miniresnet/minivgg")
+    if params is not None:
+        model.set_flat_parameters(params)
+    return model

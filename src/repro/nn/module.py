@@ -5,9 +5,12 @@ as flat float64 vectors (exactly what goes on the wire in the paper's
 MPI implementation), so ``Module`` exposes
 :meth:`Module.get_flat_parameters` / :meth:`Module.set_flat_parameters`
 / :meth:`Module.get_flat_gradients` alongside the usual structured
-views. Layer boundaries within the flat vector are described by
-:meth:`Module.parameter_layout`, which the layer-wise parameter-sharding
-optimization consumes.
+views. The flat vectors are the storage: on first use a module tree is
+packed into one value and one gradient buffer of which every
+``Parameter.value`` / ``.grad`` is a view, so each flat accessor is one
+vector operation. Layer boundaries within the flat vector are described
+by :meth:`Module.parameter_layout`, which the layer-wise
+parameter-sharding optimization consumes.
 """
 
 from __future__ import annotations
@@ -82,30 +85,42 @@ class Module:
     respect to its input.
     """
 
+    #: False only inside :meth:`predict`: layers then keep nothing for
+    #: a backward pass.
+    _retain = True
+
     def __init__(self) -> None:
         self._parameters: dict[str, Parameter] = {}
         self._children: dict[str, "Module"] = {}
         self.training: bool = True
+        # (values, grads): the flat buffers every ``Parameter.value`` /
+        # ``.grad`` below this module is a view of, once packed.
+        self._arena: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- registration ------------------------------------------------
     def register_parameter(self, name: str, param: Parameter) -> Parameter:
+        self._check_unpacked()
         param.name = name
         self._parameters[name] = param
         return param
 
     def register_child(self, name: str, module: "Module") -> "Module":
+        self._check_unpacked()
         self._children[name] = module
         return module
 
     def __setattr__(self, name: str, value: object) -> None:
         if isinstance(value, Parameter):
             self.__dict__.setdefault("_parameters", {})
-            value.name = name
-            self._parameters[name] = value
+            self.register_parameter(name, value)
         elif isinstance(value, Module):
             self.__dict__.setdefault("_children", {})
-            self._children[name] = value
+            self.register_child(name, value)
         object.__setattr__(self, name, value)
+
+    def _check_unpacked(self) -> None:
+        if self.__dict__.get("_arena") is not None:
+            raise RuntimeError("parameters are packed: register before the first flat access")
 
     # -- traversal ----------------------------------------------------
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Parameter]]:
@@ -137,8 +152,7 @@ class Module:
         return self
 
     def zero_grad(self) -> None:
-        for param in self.parameters():
-            param.zero_grad()
+        self._flat()[1].fill(0.0)
 
     # -- forward/backward ----------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -146,6 +160,25 @@ class Module:
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        """``backward`` for a module fed with data rather than another
+        layer's output: parameter gradients only, the input gradient
+        nobody reads is not computed."""
+        self.backward(grad_out)
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Forward pass of a model that will not be back-propagated:
+        no layer keeps anything for ``backward``. Train/eval mode is
+        unchanged (batch norm still follows ``training``)."""
+        modules = list(self.modules())
+        for module in modules:
+            module._retain = False
+        try:
+            return self.forward(x)
+        finally:
+            for module in modules:
+                module._retain = True
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
@@ -167,42 +200,52 @@ class Module:
             offset += param.size
         return layout
 
+    def _flat(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(values, grads)`` arena, packed on first use."""
+        if self._arena is None:
+            total = self.num_parameters()
+            self._pack(np.empty(total), np.empty(total), 0)
+        return self._arena
+
+    def _pack(self, values: np.ndarray, grads: np.ndarray, start: int) -> int:
+        """Move this subtree's parameters into ``values``/``grads`` from
+        ``start`` on, in ``named_parameters`` order, and rebind each
+        ``Parameter.value``/``.grad`` to its view. Every module of the
+        subtree gets its own slice as arena, so flat access to a child
+        stays coherent with its parent. Returns the end offset."""
+        stop = start
+        for param in self._parameters.values():
+            begin, stop = stop, stop + param.size
+            for flat, name in ((values, "value"), (grads, "grad")):
+                view = flat[begin:stop].reshape(param.shape)
+                view[...] = getattr(param, name)
+                setattr(param, name, view)
+        for child in self._children.values():
+            stop = child._pack(values, grads, stop)
+        self._arena = (values[start:stop], grads[start:stop])
+        return stop
+
+    @staticmethod
+    def _load(buffer: np.ndarray, flat: np.ndarray) -> None:
+        flat = np.asarray(flat, dtype=np.float64)
+        if flat.size != buffer.size:
+            raise ValueError(f"flat vector has {flat.size} elements, model needs {buffer.size}")
+        buffer[...] = flat.reshape(-1)
+
     def get_flat_parameters(self) -> np.ndarray:
-        """Concatenate all parameters into one float64 vector (a copy)."""
-        params = self.parameters()
-        if not params:
-            return np.zeros(0, dtype=np.float64)
-        return np.concatenate([p.value.ravel() for p in params])
+        """All parameters as one float64 vector (a copy)."""
+        return self._flat()[0].copy()
 
     def set_flat_parameters(self, flat: np.ndarray) -> None:
         """Load parameter values from a flat vector produced by
         :meth:`get_flat_parameters` on an identically-shaped module."""
-        flat = np.asarray(flat, dtype=np.float64)
-        expected = self.num_parameters()
-        if flat.size != expected:
-            raise ValueError(f"flat vector has {flat.size} elements, model needs {expected}")
-        offset = 0
-        for param in self.parameters():
-            chunk = flat[offset : offset + param.size]
-            param.value[...] = chunk.reshape(param.shape)
-            offset += param.size
+        self._load(self._flat()[0], flat)
 
     def get_flat_gradients(self) -> np.ndarray:
-        params = self.parameters()
-        if not params:
-            return np.zeros(0, dtype=np.float64)
-        return np.concatenate([p.grad.ravel() for p in params])
+        return self._flat()[1].copy()
 
     def set_flat_gradients(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        expected = self.num_parameters()
-        if flat.size != expected:
-            raise ValueError(f"flat vector has {flat.size} elements, model needs {expected}")
-        offset = 0
-        for param in self.parameters():
-            chunk = flat[offset : offset + param.size]
-            param.grad[...] = chunk.reshape(param.shape)
-            offset += param.size
+        self._load(self._flat()[1], flat)
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """Copy of every named parameter (useful for checkpoint tests)."""
@@ -232,9 +275,8 @@ class Sequential(Module):
             self.register_child(f"layer{i}", layer)
 
     def append(self, layer: Module) -> "Sequential":
-        index = len(self.layers)
+        self.register_child(f"layer{len(self.layers)}", layer)
         self.layers.append(layer)
-        self.register_child(f"layer{index}", layer)
         return self
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -246,6 +288,12 @@ class Sequential(Module):
         for layer in reversed(self.layers):
             grad_out = layer.backward(grad_out)
         return grad_out
+
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        for layer in reversed(self.layers[1:]):
+            grad_out = layer.backward(grad_out)
+        if self.layers:
+            self.layers[0].backward_params(grad_out)
 
     def __len__(self) -> int:
         return len(self.layers)

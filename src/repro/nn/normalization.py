@@ -33,68 +33,73 @@ class _BatchNormBase(Module):
         self.running_var = np.ones(num_features)
         self._cache: tuple | None = None
 
-    def _axes(self, x: np.ndarray) -> tuple[int, ...]:
+    def _rows(self, x: np.ndarray) -> np.ndarray:
+        """``x`` as a ``(features, samples)`` matrix (a view when ``x``
+        is channel-major)."""
         raise NotImplementedError
 
-    def _reshape(self, v: np.ndarray, ndim: int) -> np.ndarray:
+    def _unrows(self, rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+        """Inverse of :meth:`_rows`, as a view."""
         raise NotImplementedError
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        axes = self._axes(x)
+        rows = self._rows(x)
         if self.training:
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            count = rows.shape[1]
+            mean = rows.sum(axis=1) / count
+            x_hat = rows - mean[:, None]
+            var = np.einsum("ij,ij->i", x_hat, x_hat) / count
             m = self.momentum
             self.running_mean = m * self.running_mean + (1 - m) * mean
             self.running_var = m * self.running_var + (1 - m) * var
         else:
-            mean = self.running_mean
             var = self.running_var
-        mean_b = self._reshape(mean, x.ndim)
-        var_b = self._reshape(var, x.ndim)
-        inv_std = 1.0 / np.sqrt(var_b + self.eps)
-        x_hat = (x - mean_b) * inv_std
-        if self.training:
-            count = int(np.prod([x.shape[a] for a in axes]))
-            self._cache = (x_hat, inv_std, count)
-        out = self._reshape(self.gamma.value, x.ndim) * x_hat + self._reshape(
-            self.beta.value, x.ndim
-        )
-        return out
+            x_hat = rows - self.running_mean[:, None]
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        x_hat *= inv_std[:, None]
+        self._cache = (x_hat, inv_std) if self.training and self._retain else None
+        out = x_hat * self.gamma.value[:, None]
+        out += self.beta.value[:, None]
+        return self._unrows(out, x.shape)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward (in training mode)")
-        x_hat, inv_std, count = self._cache
-        axes = self._axes(grad_out)
-        self.gamma.grad += (grad_out * x_hat).sum(axis=axes)
-        self.beta.grad += grad_out.sum(axis=axes)
-        gamma_b = self._reshape(self.gamma.value, grad_out.ndim)
-        g = grad_out * gamma_b
-        g_sum = self._reshape(g.sum(axis=axes), grad_out.ndim)
-        gx_sum = self._reshape((g * x_hat).sum(axis=axes), grad_out.ndim)
-        return inv_std / count * (count * g - g_sum - x_hat * gx_sum)
+        x_hat, inv_std = self._cache
+        g = self._rows(grad_out)
+        count = g.shape[1]
+        g_xhat = np.einsum("ij,ij->i", g, x_hat)
+        g_sum = g.sum(axis=1)
+        self.gamma.grad += g_xhat
+        self.beta.grad += g_sum
+        # gamma*inv_std * (g - mean(g) - x_hat*mean(g*x_hat)), built in place.
+        grad = x_hat * (-g_xhat / count)[:, None]
+        grad += g
+        grad -= (g_sum / count)[:, None]
+        grad *= (self.gamma.value * inv_std)[:, None]
+        return self._unrows(grad, grad_out.shape)
 
 
 class BatchNorm1d(_BatchNormBase):
     """Batch norm over ``(batch,)`` for inputs of shape ``(N, F)``."""
 
-    def _axes(self, x: np.ndarray) -> tuple[int, ...]:
+    def _rows(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2:
             raise ValueError(f"BatchNorm1d expects (N, F); got shape {x.shape}")
-        return (0,)
+        return x.T
 
-    def _reshape(self, v: np.ndarray, ndim: int) -> np.ndarray:
-        return v.reshape(1, -1)
+    def _unrows(self, rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+        return rows.T
 
 
 class BatchNorm2d(_BatchNormBase):
     """Batch norm over ``(batch, H, W)`` for inputs of shape ``(N, C, H, W)``."""
 
-    def _axes(self, x: np.ndarray) -> tuple[int, ...]:
+    def _rows(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4:
             raise ValueError(f"BatchNorm2d expects (N, C, H, W); got shape {x.shape}")
-        return (0, 2, 3)
+        return x.transpose(1, 2, 3, 0).reshape(x.shape[1], -1)
 
-    def _reshape(self, v: np.ndarray, ndim: int) -> np.ndarray:
-        return v.reshape(1, -1, 1, 1)
+    def _unrows(self, rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+        n, c, h, w = shape
+        return rows.reshape(c, h, w, n).transpose(3, 0, 1, 2)

@@ -2,7 +2,8 @@
 
 Two views of the same momentum-SGD update are provided:
 
-* :class:`SGD` operates on a :class:`~repro.nn.module.Module` in place
+* :class:`SGD` operates on a :class:`~repro.nn.module.Module` in place,
+  as whole-vector operations on the module's flat parameter arena
   (used by each worker's local computation stage);
 * :class:`FlatSGD` operates on flat parameter/gradient vectors (used by
   parameter servers, which in the paper hold only the raw tensors and
@@ -69,28 +70,30 @@ class SGD(Optimizer):
             raise ValueError("weight_decay must be non-negative")
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.value) for p in module.parameters()]
+        self._velocity = np.zeros_like(module._flat()[0])
+        self._decay_mask = weight_decay_mask(module) if weight_decay else None
 
     def step(self, lr: float) -> None:
         if lr < 0:
             raise ValueError("learning rate must be non-negative")
-        for param, vel in zip(self.module.parameters(), self._velocity):
-            grad = param.grad
-            if self.weight_decay and param.weight_decay:
-                grad = grad + self.weight_decay * param.value
-            vel *= self.momentum
-            vel += grad
-            param.value -= lr * vel
+        values, grads = self.module._flat()
+        vel = self._velocity
+        vel *= self.momentum
+        if self._decay_mask is None:
+            vel += grads
+        else:  # biases / batch-norm scales decay by 0
+            decayed = self.weight_decay * values
+            decayed *= self._decay_mask
+            decayed += grads
+            vel += decayed
+        values -= lr * vel
 
     def velocity_flat(self) -> np.ndarray:
-        """Flat copy of the momentum buffers (used by DGC tests)."""
-        if not self._velocity:
-            return np.zeros(0, dtype=np.float64)
-        return np.concatenate([v.ravel() for v in self._velocity])
+        """Flat copy of the momentum buffer (used by DGC tests)."""
+        return self._velocity.copy()
 
     def reset_velocity(self) -> None:
-        for vel in self._velocity:
-            vel.fill(0.0)
+        self._velocity.fill(0.0)
 
 
 class FlatSGD:

@@ -1,0 +1,121 @@
+"""Full-mode runs on the CNNs: replicas start from one draw, evaluation
+retains nothing, and the seed-0 ledger cell still trains."""
+
+import gc
+import math
+import tracemalloc
+
+import numpy as np
+
+from repro.core.runner import DistributedRunner, RunConfig
+from repro.nn import build_model
+from repro.sim.cluster import paper_cluster
+
+
+def conv_config(model_name: str, algorithm: str = "bsp", **overrides) -> RunConfig:
+    """One ``conv_train`` ledger cell (benchmarks/ledger/workloads.py)."""
+    defaults = dict(
+        algorithm=algorithm,
+        mode="full",
+        cluster=paper_cluster(bandwidth_gbps=56.0, machines=2, gpus_per_machine=4),
+        num_workers=8,
+        batch_size=16,
+        model_name=model_name,
+        dataset_name="synthetic_images",
+        dataset_kwargs={"num_samples": 2000},
+        epochs=1.0,
+        compute_time_override=0.05,
+        seed=0,
+    )
+    defaults.update(overrides)
+    return RunConfig(**defaults)
+
+
+def arrays_held(module) -> list[np.ndarray]:
+    """Every array a module's own attributes reference, tuples included."""
+    held = []
+    for value in vars(module).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                held.append(item)
+    return held
+
+
+class TestInitialParameters:
+    def test_replicas_and_eval_model_equal_one_seeded_draw(self):
+        cfg = conv_config("miniresnet", seed=4)
+        runner = DistributedRunner(cfg)
+        drawn = build_model("miniresnet", seed=4).get_flat_parameters()
+        assert np.any(drawn != 0.0)
+        for slot in runner.runtime.workers:
+            assert np.array_equal(slot.comp.get_params(), drawn)
+        assert np.array_equal(runner._eval_model.get_flat_parameters(), drawn)
+        assert np.array_equal(runner.runtime.init_params, drawn)
+
+    def test_replicas_do_not_share_storage(self):
+        runner = DistributedRunner(conv_config("minivgg"))
+        first, second = (slot.comp.model for slot in runner.runtime.workers[:2])
+        first.set_flat_parameters(np.zeros(first.num_parameters()))
+        assert np.any(second.get_flat_parameters() != 0.0)
+
+
+class TestEvaluationKeepsNothing:
+    def test_no_layer_holds_more_than_its_parameters(self):
+        runner = DistributedRunner(conv_config("miniresnet"))
+        assert len(runner._test_data) == 400
+        runner._evaluate(0.0)
+        assert len(runner._history.test_accuracy) == 1
+        for module in runner._eval_model.modules():
+            own = sum(p.size for p in module._parameters.values())
+            for array in arrays_held(module):
+                assert array.size <= max(own, module.num_parameters()), type(module).__name__
+
+    def test_training_replicas_still_keep_their_caches(self):
+        runner = DistributedRunner(conv_config("miniresnet"))
+        comp = runner.runtime.workers[0].comp
+        comp.gradient()
+        assert comp.model.stem._patches is not None  # backward needs them
+
+    def test_evaluate_retains_no_memory(self):
+        runner = DistributedRunner(conv_config("miniresnet"))
+        runner._evaluate(0.0)  # first call creates the history
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            runner._evaluate(0.5)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 1e6, "evaluation left arrays behind"
+        # Transient: one layer's 400-sample patch matrix (14.7 MB) and
+        # its neighbours — not all six at once (~90 MB).
+        assert peak - before < 40e6
+
+    def test_memory_peak_does_not_grow_cell_over_cell(self):
+        cfg = conv_config("miniresnet", epochs=0.25)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for _ in range(4):
+                gc.collect()
+                tracemalloc.reset_peak()
+                DistributedRunner(cfg).run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        # The first cell also pays one-off imports and caches.
+        assert max(peaks[1:]) <= 1.1 * peaks[1], peaks
+
+
+class TestNumericsPin:
+    def test_seed0_bsp_minivgg_cell_trains(self):
+        """The ``bsp/minivgg/n8`` cell of the ledger's ``conv_train``
+        workload: its reference accuracy is 0.63 (reference.json), and
+        the ledger accepts +-0.03."""
+        history = DistributedRunner(conv_config("minivgg")).run()
+        assert abs(history.final_test_accuracy - 0.63) <= 0.03
+        losses = [loss for loss in history.train_loss if not math.isnan(loss)]
+        assert len(losses) >= 2 and all(math.isfinite(loss) for loss in losses)
+        assert losses[-1] < losses[0]
+        assert history.final_test_accuracy > history.test_accuracy[0]
