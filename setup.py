@@ -17,6 +17,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.23", "scipy>=1.9", "networkx>=2.8"],
+    install_requires=["numpy>=1.23", "networkx>=2.8"],
     entry_points={"console_scripts": ["repro=repro.cli:main"]},
 )

@@ -226,6 +226,15 @@ class Node:
         for box in self._mailboxes.values():
             box.clear()
 
+    def drop_receivers(self) -> None:
+        """Forget blocked receivers; buffered messages stay.
+
+        The end-of-run counterpart of :meth:`flush`: the processes are
+        gone, what they never consumed is still there to inspect.
+        """
+        for box in self._mailboxes.values():
+            box._getters.clear()
+
 
 def heartbeat_loop(
     node: Node,

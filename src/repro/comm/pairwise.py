@@ -10,13 +10,20 @@ therefore acyclic in the direction of blocking.
 
 :func:`verify_deadlock_free` states that argument as a checkable
 property with :mod:`networkx`: orienting every possible wait edge from
-active to passive yields a DAG (in fact a 2-layer DAG).
+active to passive yields a DAG (in fact a 2-layer DAG). No run builds
+the graph — AD-PSGD splits its live set positionally — so networkx is
+imported inside the two graph helpers and stays off every production
+import path.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 __all__ = [
     "bipartite_split",
@@ -42,6 +49,8 @@ def bipartite_split(world: int) -> tuple[list[int], list[int]]:
 
 def build_exchange_graph(world: int) -> nx.Graph:
     """Complete bipartite exchange graph between active and passive sets."""
+    import networkx as nx
+
     active, passive = bipartite_split(world)
     graph = nx.Graph()
     graph.add_nodes_from(active, role="active")
@@ -57,6 +66,8 @@ def verify_deadlock_free(graph: nx.Graph) -> bool:
     all edges active→passive must give a DAG. Graphs with an edge inside
     one role class (or mislabeled nodes) fail.
     """
+    import networkx as nx
+
     directed = nx.DiGraph()
     directed.add_nodes_from(graph.nodes)
     for u, v in graph.edges:

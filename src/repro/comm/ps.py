@@ -16,6 +16,7 @@ module provides the shared state and the serve loop.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Any, Generator
 
 import numpy as np
@@ -71,7 +72,10 @@ class PSShard(Node):
         weight_decay: float = 1e-4,
     ) -> None:
         super().__init__(ctx, node_id, machine, name=f"ps{assignment.shard_id}")
-        self.runtime = runtime
+        # Weak: the runtime owns its shards (``Runtime.ps_nodes``); a
+        # strong back-reference would tie every shard, and through the
+        # workers every replica, into a cycle only the collector frees.
+        self.runtime: "Runtime" = weakref.proxy(runtime)
         self.assignment = assignment
         self.shard_id = assignment.shard_id
         self.params: np.ndarray | None = None

@@ -15,8 +15,9 @@ Two execution modes (DESIGN.md §3):
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -54,7 +55,15 @@ from repro.sim.trace import PhaseTracer
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.base import TrainingAlgorithm
 
-__all__ = ["RunConfig", "SampleClock", "Runtime", "DistributedRunner", "execute_run"]
+__all__ = [
+    "RunConfig",
+    "SampleClock",
+    "Runtime",
+    "DistributedRunner",
+    "execute_run",
+    "timing_profile",
+    "timing_plans",
+]
 
 DATASETS = {
     "gaussian_blobs": make_gaussian_blobs,
@@ -66,6 +75,29 @@ PROFILES = {
     "resnet50": resnet50_profile,
     "vgg16": vgg16_profile,
 }
+
+
+@lru_cache(maxsize=None)
+def timing_profile(profile_name: str) -> ModelProfile:
+    """The one full-size profile object per model name."""
+    return PROFILES[profile_name]()
+
+
+@lru_cache(maxsize=64)
+def timing_plans(
+    profile_name: str, num_shards: int, strategy: str, wait_free: bool
+) -> tuple[ModelProfile, ShardingPlan, CommPlan]:
+    """The interned ``(profile, sharding plan, comm plan)`` of a timing run.
+
+    All three are frozen dataclasses and pure functions of the key, so
+    every run and every analytic prediction with equal keys shares the
+    same objects instead of rebuilding the full-size profile and its
+    plans — and the engine's and the predictor's inputs cannot drift
+    apart: there is one constructor.
+    """
+    profile = timing_profile(profile_name)
+    sharding = make_sharding_plan(profile, num_shards, strategy=strategy)
+    return profile, sharding, make_comm_plan(profile, sharding, wait_free=wait_free)
 
 
 @dataclass
@@ -519,6 +551,7 @@ class DistributedRunner:
     def _build(self) -> None:
         cfg = self.config
         full = cfg.mode == "full"
+        num_shards = cfg.num_ps_shards if self.algorithm.info.centralized else 1
 
         init_params: np.ndarray | None = None
         decay_mask: np.ndarray | None = None
@@ -544,18 +577,18 @@ class DistributedRunner:
             decay_mask = weight_decay_mask(models[0])
             profile = mini_profile_from_model(models[0], name=cfg.model_name)
             dataset_size = sum(len(s) for s in shards)
+            sharding = make_sharding_plan(
+                profile, num_shards, strategy=cfg.sharding_strategy
+            )
+            comm_plan = make_comm_plan(profile, sharding, wait_free=cfg.wait_free_bp)
         else:
-            profile = PROFILES[cfg.profile_name]()
+            profile, sharding, comm_plan = timing_plans(
+                cfg.profile_name, num_shards, cfg.sharding_strategy, cfg.wait_free_bp
+            )
             # One collective "round" of batches counts as an epoch for
             # the progress clock (drives only DGC warm-up here).
             dataset_size = cfg.batch_size * cfg.num_workers
 
-        sharding = make_sharding_plan(
-            profile,
-            cfg.num_ps_shards if self.algorithm.info.centralized else 1,
-            strategy=cfg.sharding_strategy,
-        )
-        comm_plan = make_comm_plan(profile, sharding, wait_free=cfg.wait_free_bp)
         compute_model = ComputeModel(
             profile,
             cfg.batch_size,
@@ -646,7 +679,7 @@ class DistributedRunner:
             self.fault_controller = FaultController(
                 self.runtime, self.algorithm, cfg.faults
             )
-            self.runtime.faults = self.fault_controller
+            self.runtime.faults = weakref.proxy(self.fault_controller)
         self.robust_runtime = None
         if cfg.robust is not None:
             from repro.robust.runtime import RobustRuntime
@@ -654,7 +687,7 @@ class DistributedRunner:
             self.robust_runtime = RobustRuntime(
                 self.runtime, self.algorithm, cfg.robust
             )
-            self.runtime.robust = self.robust_runtime
+            self.runtime.robust = weakref.proxy(self.robust_runtime)
         self.algorithm.setup(self.runtime)
         if self.fault_controller is not None:
             self.fault_controller.start()
@@ -721,6 +754,27 @@ class DistributedRunner:
 
     # -- execution -------------------------------------------------------------
     def run(self, *, max_events: int = 50_000_000) -> TrainingHistory | ThroughputResult:
+        """Run to completion, assemble the result, release the run."""
+        try:
+            return self._run(max_events)
+        finally:
+            self._release()
+
+    def _release(self) -> None:
+        """Drop what the finished (or failed) run built and nobody reads
+        again, so that dropping the runner frees replicas, mailboxes
+        and spans by reference count alone (DESIGN §10).
+
+        Worker and shard state, buffered mailbox items, port statistics,
+        engine counters, the observer and the fault/robust summaries
+        stay readable.
+        """
+        self.engine.release()
+        self.runtime._iteration_callback = None
+        for node in self.runtime.nodes_by_id.values():
+            node.drop_receivers()
+
+    def _run(self, max_events: int) -> TrainingHistory | ThroughputResult:
         horizon = (
             self.config.faults.max_virtual_time
             if self.config.faults is not None

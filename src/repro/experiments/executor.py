@@ -42,6 +42,7 @@ plug in here:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -78,6 +79,14 @@ DEFAULT_CACHE_DIR = Path.home() / ".cache" / "repro"
 # -- fingerprinting -----------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _fingerprint_fields(cls: type) -> tuple[tuple[str, bool], ...]:
+    """``(name, omit_if_none)`` per field of a config dataclass type."""
+    return tuple(
+        (f.name, f.metadata.get("fingerprint") == "omit-if-none") for f in fields(cls)
+    )
+
+
 def _canonical(obj):
     """Recursively reduce a config value to canonical JSON-able form.
 
@@ -98,17 +107,12 @@ def _canonical(obj):
         # Fields marked "omit-if-none" vanish from the document when
         # unset, so adding such a field to a config dataclass does not
         # invalidate every previously pinned fingerprint.
-        return {
-            "__dataclass__": type(obj).__name__,
-            "fields": {
-                f.name: _canonical(getattr(obj, f.name))
-                for f in fields(obj)
-                if not (
-                    f.metadata.get("fingerprint") == "omit-if-none"
-                    and getattr(obj, f.name) is None
-                )
-            },
-        }
+        document = {}
+        for name, omit_if_none in _fingerprint_fields(type(obj)):
+            value = getattr(obj, name)
+            if not (omit_if_none and value is None):
+                document[name] = _canonical(value)
+        return {"__dataclass__": type(obj).__name__, "fields": document}
     if isinstance(obj, dict):
         return {
             "__dict__": [

@@ -23,6 +23,7 @@ communication-time model).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.nn.module import Module
 
@@ -65,11 +66,13 @@ class ModelProfile:
     input_hw: int = 224
     bytes_per_param: int = 4  # float32 on the wire, as in TF 1.x
 
-    @property
+    # Cached: profiles are frozen and shared between runs (interned
+    # with their plans), and every build and prediction reads these.
+    @cached_property
     def total_params(self) -> int:
         return sum(layer.params for layer in self.layers)
 
-    @property
+    @cached_property
     def total_flops(self) -> int:
         """Forward FLOPs per image."""
         return sum(layer.flops for layer in self.layers)

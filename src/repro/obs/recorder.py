@@ -75,11 +75,28 @@ class FaultEventRecord:
     detail: str = ""
 
 
+def _hook(method: str, *dimensions: str) -> property:
+    """``RunObserver.<method>`` bound, when one of the recording
+    ``dimensions`` it serves is on; None otherwise.
+
+    Resolved on access, not stored: an observer keeping its own bound
+    methods as attributes would be a reference cycle, freed only by the
+    collector. Sites read a hook once, at construction.
+    """
+
+    def resolve(self: "RunObserver"):
+        if any(getattr(self, dimension) for dimension in dimensions):
+            return getattr(self, method)
+        return None
+
+    return property(resolve)
+
+
 class RunObserver:
     """Collects every observable signal of one simulated run.
 
     Hook dispatch is specialized at construction: for every hot-path
-    hook there is a ``*_hook`` attribute that is the bound method when
+    hook there is a ``*_hook`` property that is the bound method when
     the relevant recording dimension is on and ``None`` when it is off.
     Instrumented sites cache the hook once and guard with ``is not
     None`` — an observer that is attached but recording nothing
@@ -115,20 +132,16 @@ class RunObserver:
         if self._metrics:
             self._msg_count_inc = self.registry.counter("comm.messages").inc
             self._msg_bytes_inc = self.registry.counter("comm.bytes").inc
-        # Pre-bound fast/slow selection (the specialization contract
-        # described in the class docstring).
-        metrics, events = self._metrics, self._events
-        self.link_sample_hook = self.link_sample if metrics else None
-        self.on_message_hook = self.on_message if (metrics or events) else None
-        self.process_started_hook = self.process_started if events else None
-        self.process_finished_hook = self.process_finished if events else None
-        self.compute_draw_hook = self.compute_draw if metrics else None
-        self.ps_inbox_sample_hook = self.ps_inbox_sample if metrics else None
-        self.staleness_sample_hook = self.staleness_sample if metrics else None
-        self.grad_bytes_hook = self.grad_bytes if metrics else None
-        self.iteration_sample_hook = (
-            self.iteration_sample if (metrics or events) else None
-        )
+
+    link_sample_hook = _hook("link_sample", "_metrics")
+    on_message_hook = _hook("on_message", "_metrics", "_events")
+    process_started_hook = _hook("process_started", "_events")
+    process_finished_hook = _hook("process_finished", "_events")
+    compute_draw_hook = _hook("compute_draw", "_metrics")
+    ps_inbox_sample_hook = _hook("ps_inbox_sample", "_metrics")
+    staleness_sample_hook = _hook("staleness_sample", "_metrics")
+    grad_bytes_hook = _hook("grad_bytes", "_metrics")
+    iteration_sample_hook = _hook("iteration_sample", "_metrics", "_events")
 
     # -- engine ---------------------------------------------------------
     def process_started(self, process: "Process", now: float) -> None:

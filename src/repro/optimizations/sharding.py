@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +42,7 @@ class ShardAssignment:
     layer_indices: tuple[int, ...]
     ranges: tuple[tuple[int, int], ...]
 
-    @property
+    @cached_property
     def num_elements(self) -> int:
         return sum(stop - start for start, stop in self.ranges)
 

@@ -32,16 +32,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from repro.comm.hierarchical import DEFAULT_TREE_ARITY
-from repro.core.runner import PROFILES, RunConfig
+from repro.core.runner import RunConfig, timing_plans
 from repro.nn.zoo import ModelProfile
-from repro.optimizations.sharding import ShardingPlan, make_sharding_plan
-from repro.optimizations.waitfree import CommPlan, make_comm_plan
+from repro.optimizations.sharding import ShardingPlan
+from repro.optimizations.waitfree import CommPlan
 from repro.perf.dag import IterationDag
 
 __all__ = [
@@ -197,17 +196,6 @@ class ModelInputs:
         return float(self.Bm[lo:hi].sum())
 
 
-@lru_cache(maxsize=64)
-def _plans(profile_name: str, num_shards: int, strategy: str, wait_free: bool):
-    """Sharding + comm plans are pure functions of these four keys and
-    dominate build_inputs at S ≈ 2,500; cache them so repeated
-    predictions (curves, sweeps) stay well under the 10 ms budget."""
-    profile = PROFILES[profile_name]()
-    sharding = make_sharding_plan(profile, num_shards, strategy=strategy)
-    plan = make_comm_plan(profile, sharding, wait_free=wait_free)
-    return sharding, plan
-
-
 def build_inputs(cfg: RunConfig) -> ModelInputs:
     if cfg.mode != "timing":
         raise ValueError("analytic models support timing mode only")
@@ -220,18 +208,17 @@ def build_inputs(cfg: RunConfig) -> ModelInputs:
             "(dgc/robust/faults need the discrete-event engine)"
         )
 
-    profile = PROFILES[cfg.profile_name]()
     centralized = algo in _CENTRALIZED
     num_shards = cfg.num_ps_shards if centralized else 1
-    sharding, plan = _plans(cfg.profile_name, num_shards, cfg.sharding_strategy, cfg.wait_free_bp)
+    profile, sharding, plan = timing_plans(
+        cfg.profile_name, num_shards, cfg.sharding_strategy, cfg.wait_free_bp
+    )
 
     cluster = cfg.cluster
     N = cfg.num_workers
     g_cfg = cluster.machine.gpus
     L = (N + g_cfg - 1) // g_cfg
-    gm = np.zeros(cluster.machines, dtype=np.int64)
-    for m in range(L):
-        gm[m] = min(g_cfg, N - m * g_cfg)
+    gm = np.clip(N - g_cfg * np.arange(cluster.machines), 0, g_cfg)
 
     rng = np.random.default_rng(cfg.seed + 3)
     speeds = 1.0 - rng.uniform(0.0, cfg.speed_spread, size=N)

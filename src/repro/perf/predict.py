@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from repro.core.history import ThroughputResult
-from repro.core.runner import RunConfig, execute_run
+from repro.core.runner import RunConfig, execute_run, timing_profile
 from repro.perf.models import PerfEstimate, estimate_iteration
 
 __all__ = ["Prediction", "predict_run", "prediction_to_result", "cross_validate", "CrossValidation"]
@@ -62,9 +62,7 @@ class Prediction:
 
 def ideal_single_worker_throughput(config: RunConfig) -> float:
     """images/s of one jitter-free full-speed worker (fig-2 baseline)."""
-    from repro.core.runner import PROFILES
-
-    profile = PROFILES[config.profile_name]()
+    profile = timing_profile(config.profile_name)
     if config.compute_time_override is not None:
         base = config.compute_time_override
     else:

@@ -138,23 +138,44 @@ class AllOf:
         self.signals = list(signals)
 
     def _subscribe(self, engine: "Engine", process: "Process") -> None:
-        token = process._token
         pending = [s for s in self.signals if not s.triggered]
-        remaining = len(pending)
-        if remaining == 0:
+        if not pending:
             engine._immediate(
-                process._resume, ([s.value for s in self.signals], token)
+                process._resume, ([s.value for s in self.signals], process._token)
             )
             return
-        state = {"remaining": remaining}
-
-        def on_one(_value: Any) -> None:
-            state["remaining"] -= 1
-            if state["remaining"] == 0:
-                process._resume([s.value for s in self.signals], token)
-
+        wait = _AllOfWait(self.signals, process, len(pending))
+        process._cancel_wait = wait.cancel
         for signal in pending:
-            signal._waiters.append((on_one, ()))
+            signal._waiters.append((wait.on_one, ()))
+
+
+class _AllOfWait:
+    """One process parked on an :class:`AllOf`: counts the pending
+    signals down and resumes the process at zero.
+
+    The pending signals hold this object as their waiter and it holds
+    the signals (for their values) — a cycle for as long as one of them
+    never fires, which :meth:`cancel` cuts when the wait is abandoned.
+    """
+
+    __slots__ = ("signals", "process", "token", "remaining")
+
+    def __init__(self, signals: list[Signal], process: "Process", remaining: int) -> None:
+        self.signals = signals
+        self.process = process
+        self.token = process._token
+        self.remaining = remaining
+
+    def on_one(self, _value: Any) -> None:
+        self.remaining -= 1
+        if self.remaining == 0:
+            self.process._resume([s.value for s in self.signals], self.token)
+
+    def cancel(self) -> None:
+        # A late trigger still counts down, and its stale token makes
+        # the resume a no-op.
+        self.signals = ()
 
 
 class Store:
@@ -310,8 +331,9 @@ class Process:
         self.alive = True
         self.error: BaseException | None = None
         self._token = 0
-        # Set by waitables that track blocked processes by identity
-        # (currently Barrier); invoked when the wait is abandoned.
+        # Set by waitables that hold the blocked process from their side
+        # (Barrier arrivals, AllOf countdowns); invoked when the wait is
+        # abandoned.
         self._cancel_wait: Callable[[], None] | None = None
 
     # Processes themselves are waitable: `yield other_process`.
@@ -347,7 +369,6 @@ class Process:
         try:
             self._gen.close()
         except BaseException as exc:  # noqa: BLE001 - a yield inside finally etc.
-            self.alive = False
             self.error = exc
             self._engine._on_process_error(self, exc)
             return
@@ -373,7 +394,6 @@ class Process:
             self._finish(stop.value)
             return
         except BaseException as exc:
-            self.alive = False
             self.error = exc
             self._engine._on_process_error(self, exc)
             return
@@ -394,7 +414,6 @@ class Process:
             self._finish(None)
             return
         except BaseException as err:
-            self.alive = False
             self.error = err
             self._engine._on_process_error(self, err)
             return
@@ -402,16 +421,17 @@ class Process:
 
     def _finish(self, value: Any) -> None:
         self.alive = False
-        obs_finished = self._engine._obs_proc_finished
+        engine = self._engine
+        del engine._live[self]
+        obs_finished = engine._obs_proc_finished
         if obs_finished is not None:
-            obs_finished(self, self._engine.now)
+            obs_finished(self, engine.now)
         if not self.done.triggered:
-            self.done.trigger(value, engine=self._engine)
+            self.done.trigger(value, engine=engine)
 
     def _subscribe_target(self, target: Any) -> None:
         subscribe = getattr(target, "_subscribe", None)
         if subscribe is None:
-            self.alive = False
             error = TypeError(
                 f"process {self.name!r} yielded non-waitable {target!r}; "
                 "yield Timeout/Get/Signal/Barrier.wait()/Process"
@@ -436,6 +456,10 @@ class Engine:
         self._stopped = False
         self._events_processed = 0
         self._errors: list[tuple[Process, BaseException]] = []
+        # Processes spawned and not yet finished, in spawn order (a dict
+        # as an ordered set): what release() closes and what a stalled
+        # run names.
+        self._live: dict[Process, None] = {}
         # Observability is opt-in: with no observer these stay None and
         # the run loop takes the exact uninstrumented path.
         self._observer = observer
@@ -476,6 +500,7 @@ class Engine:
     def spawn(self, gen: ProcessGen, name: str = "") -> Process:
         """Start a new process; it first runs at the current time."""
         process = Process(self, gen, name)
+        self._live[process] = None
         if self._obs_proc_started is not None:
             self._obs_proc_started(process, self.now)
         self._queue.push_lane(self.now, process._resume, (None, process._token))
@@ -489,6 +514,8 @@ class Engine:
 
     # -- error handling --------------------------------------------------
     def _on_process_error(self, process: Process, exc: BaseException) -> None:
+        process.alive = False
+        del self._live[process]
         self._errors.append((process, exc))
         self._stopped = True
 
@@ -540,15 +567,50 @@ class Engine:
                 if depth_series is not None and events % stride == 0:
                     depth_series.observe(now, float(queue._live))
                 if events >= max_events:
+                    names = [process.name for process in self._live]
+                    more = ", ..." if len(names) > 10 else ""
                     raise RuntimeError(
-                        f"exceeded max_events={max_events}; likely a livelock"
+                        f"exceeded max_events={max_events}; likely a livelock "
+                        f"({len(names)} live processes: {', '.join(names[:10])}{more})"
                     )
         finally:
             self._events_processed = events
         if self._errors:
-            process, exc = self._errors[0]
-            raise RuntimeError(f"process {process.name!r} failed at t={self.now:.6f}") from exc
+            # The cause is not bound to a local: its traceback reaches
+            # this frame, and the frame would reach it back.
+            name = self._errors[0][0].name
+            raise RuntimeError(
+                f"process {name!r} failed at t={self.now:.6f}"
+            ) from self._errors[0][1]
         return self.now
+
+    def release(self) -> None:
+        """End the simulation's life: close every suspended generator
+        and drop every pending event.
+
+        A parked process and the engine reference each other through
+        the generator's frame, the waitable it is parked on and the
+        queue's bound callbacks; closing the frames and emptying the
+        queue leaves nothing for the cycle collector. Clock, counters
+        and whatever stores still buffer stay readable; nothing can be
+        resumed afterwards.
+        """
+        live, self._live = self._live, {}
+        for process in live:
+            process.alive = False
+            process._invalidate_wait()
+            process._gen.close()
+        self._queue.clear()
+        for process, _ in self._errors:
+            # Its traceback holds the process's own ``_resume`` frame;
+            # the error raised by run() carries it as ``__cause__``.
+            process.error = None
+        self._errors.clear()
+
+    @property
+    def live_processes(self) -> list[Process]:
+        """Processes spawned and not yet finished, in spawn order."""
+        return list(self._live)
 
     @property
     def events_processed(self) -> int:

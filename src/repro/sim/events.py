@@ -158,6 +158,12 @@ class EventQueue:
         event._queue = None
         return event
 
+    def clear(self) -> None:
+        """Drop every pending event; ``high_water`` stays."""
+        self._heap.clear()
+        self._lane.clear()
+        self._live = 0
+
     def peek_time(self) -> float | None:
         heap = self._heap
         while heap and heap[0][2] is None:

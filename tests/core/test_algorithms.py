@@ -1,9 +1,17 @@
 """Per-algorithm behavioural tests (full and timing modes)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.comm.pairwise import (
+    bipartite_split,
+    build_exchange_graph,
+    verify_deadlock_free,
+)
 from repro.core.runner import DistributedRunner
+from repro.experiments.config import timing_config
 from repro.sim.cluster import paper_cluster
 
 from tests.conftest import small_full_config, small_timing_config
@@ -214,3 +222,34 @@ class TestADPSGD:
         )
         history = DistributedRunner(cfg).run()
         assert history.total_iterations > 0
+
+    @pytest.mark.parametrize("world", [1, 2, 7, 8])
+    def test_spawned_roles_are_the_bipartite_split(self, world):
+        """With every worker live, ``spawn_workers``' positional split
+        is the paper's evens-active / odds-passive split whose
+        deadlock-freedom ``comm/pairwise.py`` states."""
+        cfg = small_timing_config(
+            "ad-psgd",
+            num_workers=world,
+            cluster=paper_cluster(machines=2, gpus_per_machine=4),
+        )
+        names = [p.name for p in DistributedRunner(cfg).engine.live_processes]
+        serving = [w for w in range(world) if f"adpsgd-serve-w{w}" in names]
+        initiating = [w for w in range(world) if f"adpsgd-comm-w{w}" in names]
+        active, passive = bipartite_split(world)
+        assert serving == passive
+        assert initiating == (active if passive else [])
+        assert verify_deadlock_free(build_exchange_graph(world))
+
+    def test_build_at_n1024_allocates_no_exchange_graph(self):
+        """The (N/2)²-edge graph is a checkable statement, not a runtime
+        structure: building it cost 0.5 s and a 76 MB peak here."""
+        cfg = timing_config("ad-psgd", num_workers=1024)
+        tracemalloc.start()
+        try:
+            runner = DistributedRunner(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(runner.engine.live_processes) == 2 * 1024
+        assert peak < 10e6

@@ -15,8 +15,10 @@ from __future__ import annotations
 import random
 import time
 
+import numpy as np
 import pytest
 
+from repro.core.runner import DistributedRunner
 from repro.experiments.config import timing_config
 from repro.experiments.scalability import scale_worker_counts
 from repro.perf import (
@@ -26,6 +28,7 @@ from repro.perf import (
     predict_run,
     prediction_to_result,
 )
+from repro.perf.models import build_inputs
 
 TOLERANCE = 0.10
 
@@ -135,3 +138,27 @@ def test_expected_max_lognormal_properties():
     assert expected_max_lognormal(np.ones(64), 0.0) == pytest.approx(1.0, rel=1e-6)
     # the barrier is never shorter than the slowest mean
     assert expected_max_lognormal(np.array([1.0, 3.0]), 0.05) >= 3.0
+
+
+@pytest.mark.parametrize("num_workers", [1, 3, 4, 9, 24, 10_000])
+def test_workers_per_machine_matches_the_loop(num_workers: int):
+    """``build_inputs`` fills ``gm`` with array arithmetic; the loop it
+    replaced is the reference."""
+    cfg = timing_config("ar-sgd", num_workers=num_workers)
+    mi = build_inputs(cfg)
+    g = cfg.cluster.machine.gpus
+    reference = np.zeros(cfg.cluster.machines, dtype=np.int64)
+    for m in range(mi.L):
+        reference[m] = min(g, num_workers - m * g)
+    assert mi.gm.dtype == reference.dtype
+    assert np.array_equal(mi.gm, reference)
+    assert mi.gm.sum() == num_workers and mi.g == reference.max()
+
+
+def test_prediction_and_engine_read_the_same_plan_objects():
+    cfg = fig2_config("bsp", 8, 10.0)
+    mi = build_inputs(cfg)
+    runtime = DistributedRunner(cfg).runtime
+    assert mi.profile is runtime.profile
+    assert mi.sharding is runtime.sharding
+    assert mi.plan is runtime.comm_plan
