@@ -171,7 +171,7 @@ class Node:
             dst.machine,
             nbytes,
             self._deliver,
-            (None, msg, ctx.epoch, dst, trace_worker),
+            (None, msg, ctx.epoch, dst, trace_worker, True),
             oob=oob,
         )
 
@@ -182,8 +182,15 @@ class Node:
         epoch: int,
         dst: "Node",
         trace_worker: int | None,
+        tail: bool = False,
     ) -> None:
-        """Land ``msg`` in the destination mailbox (delivery callback)."""
+        """Land ``msg`` in the destination mailbox (delivery callback).
+
+        ``tail`` is set on the :meth:`send_nowait` path, where this
+        callback is the whole event and the put its last act (see
+        :meth:`Store.put`). On the :meth:`send` path it is one waiter of
+        a delivery Signal that may have more, so the put is not a tail.
+        """
         ctx = self.ctx
         if ctx.epoch != epoch:
             ctx.dropped_messages += 1
@@ -203,7 +210,7 @@ class Node:
                 src_node=self.node_id,
                 dst_node=dst.node_id,
             )
-        dst.mailbox(msg.kind).put(msg)
+        dst.mailbox(msg.kind).put(msg, tail)
 
     def recv(self, kind: str) -> Get:
         """Yieldable: next message of ``kind`` (FIFO)."""

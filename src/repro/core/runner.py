@@ -512,10 +512,12 @@ class DistributedRunner:
         # An observed run collects phase spans when it will export trace
         # events (they are the trace's backbone); an armed-but-idle
         # observer leaves the tracer off. Result objects still honour
-        # config.trace.
+        # config.trace. Individual spans are the observer's to read
+        # (Perfetto export, span DAG); a plain run keeps only totals.
         tracer = PhaseTracer(
             enabled=config.trace
-            or (self.observer is not None and self.observer.config.trace_events)
+            or (self.observer is not None and self.observer.config.trace_events),
+            keep_spans=self.observer is not None,
         )
         self.network = Network(self.engine, config.cluster, observer=self.observer)
         self.ctx = CommContext(

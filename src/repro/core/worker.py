@@ -67,7 +67,11 @@ class LocalComputation:
     def gradient(self) -> np.ndarray:
         """Compute the mini-batch gradient; returns the flat vector."""
         x, y = self.loader.next_batch()
-        self.model.train()
+        # The replica is this object's own (evaluation runs on a separate
+        # model), so it leaves train mode only if a caller put it in
+        # eval(); train() walks every module, too much to pay per step.
+        if not self.model.training:
+            self.model.train()
         self.model.zero_grad()
         out = self.model.forward(x)
         loss_value = self.loss.forward(out, y)

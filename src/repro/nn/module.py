@@ -110,12 +110,15 @@ class Module:
         return module
 
     def __setattr__(self, name: str, value: object) -> None:
-        if isinstance(value, Parameter):
-            self.__dict__.setdefault("_parameters", {})
-            self.register_parameter(name, value)
-        elif isinstance(value, Module):
-            self.__dict__.setdefault("_children", {})
-            self.register_child(name, value)
+        # One check for the common case: nearly every write is a layer's
+        # per-forward cache (``self._x = ...``), not a registration.
+        if isinstance(value, (Parameter, Module)):
+            if isinstance(value, Parameter):
+                self.__dict__.setdefault("_parameters", {})
+                self.register_parameter(name, value)
+            else:
+                self.__dict__.setdefault("_children", {})
+                self.register_child(name, value)
         object.__setattr__(self, name, value)
 
     def _check_unpacked(self) -> None:

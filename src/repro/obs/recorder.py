@@ -353,4 +353,4 @@ class RunObserver:
                     port.utilization(horizon)
                 )
         if tracer is not None:
-            self.registry.counter("trace.spans").inc(len(tracer.spans))
+            self.registry.counter("trace.spans").inc(tracer.span_count)

@@ -15,10 +15,14 @@ waitable primitives:
 * another :class:`Process` — block until it finishes, resuming with
   its return value.
 
-All wake-ups go through the event queue (never reentrant calls), and
-ties are FIFO-ordered, so runs are deterministic given fixed seeds.
-This mirrors the structure of SimPy but is self-contained, dependency
-free, and only ~250 lines — small enough to property-test exhaustively.
+Wake-ups are ordered by the event queue's ``(time, seq)`` and ties are
+FIFO, so runs are deterministic given fixed seeds. One wake-up does not
+pass through the queue: a mailbox deposit that ends a delivery event
+resumes its waiting getter in place when nothing else is due at that
+instant (:meth:`Store.put`, :meth:`Engine._idle_now`) — the zero-delay
+event it replaces would have been popped next, so the order is the
+queue's own (DESIGN §8). This mirrors the structure of SimPy but is
+self-contained and dependency free.
 
 Hot-path discipline (see ``sim/events.py``): wake-ups are scheduled as
 preallocated ``(fn, args)`` pairs, never closures, and zero-delay
@@ -192,11 +196,22 @@ class Store:
         self._items: deque[Any] = deque()
         self._getters: deque[tuple["Process", int]] = deque()
 
-    def put(self, item: Any) -> None:
+    def put(self, item: Any, tail: bool = False) -> None:
+        """Deposit ``item``, waking the first live getter.
+
+        ``tail`` is the caller's promise that this call is the last
+        thing the current *event* does (a delivery callback, not code
+        inside a running generator). The zero-delay wake-up is then the
+        next event executed exactly when nothing else is due now, and
+        in that case — only then — the getter resumes in place.
+        """
         while self._getters:
             process, token = self._getters.popleft()
             if process.alive and token == process._token:
-                self._engine._immediate(self._deliver, (process, token, item))
+                if tail and self._engine._idle_now():
+                    process._resume(item, token)
+                else:
+                    self._engine._immediate(self._deliver, (process, token, item))
                 return
         self._items.append(item)
 
@@ -397,7 +412,12 @@ class Process:
             self.error = exc
             self._engine._on_process_error(self, exc)
             return
-        self._subscribe_target(target)
+        try:
+            subscribe = target._subscribe
+        except AttributeError:
+            self._subscribe_target(target)  # reports the non-waitable
+            return
+        subscribe(self._engine, self)
 
     def _throw(self, exc: BaseException, token: int) -> None:
         if not self.alive or token != self._token:
@@ -497,6 +517,22 @@ class Engine:
         """Schedule ``fn(*args)`` at the current time on the FIFO lane."""
         self._queue.push_lane(self.now, fn, args)
 
+    def _idle_now(self) -> bool:
+        """Whether no pending event is due at the current instant.
+
+        When this holds inside a running event, a zero-delay event
+        pushed now would be popped next — lane empty, every heap entry
+        strictly later — so running its callback at the end of the
+        current event *is* the queue order. A cancelled heap head at
+        ``now`` reads as "something is due": the caller falls back to
+        the lane, which is always right.
+        """
+        queue = self._queue
+        if queue._lane:
+            return False
+        heap = queue._heap
+        return not heap or heap[0][0] > self.now
+
     def spawn(self, gen: ProcessGen, name: str = "") -> Process:
         """Start a new process; it first runs at the current time."""
         process = Process(self, gen, name)
@@ -541,25 +577,28 @@ class Engine:
         events = self._events_processed
         try:
             while not self._stopped:
-                while heap and heap[0][2] is None:  # skip cancelled
-                    heappop(heap)
-                if lane:
-                    head = lane[0]
-                    if heap and heap[0] < head:
-                        head = heap[0]
-                        from_lane = False
-                    else:
-                        from_lane = True
-                elif heap:
-                    head = heap[0]
+                if heap:
+                    entry = heap[0]
+                    if entry[2] is None:  # cancelled
+                        heappop(heap)
+                        continue
                     from_lane = False
+                    if lane and lane[0] < entry:
+                        entry = lane[0]
+                        from_lane = True
+                elif lane:
+                    entry = lane[0]
+                    from_lane = True
                 else:
                     break
-                now = head[0]
+                now = entry[0]
                 if until is not None and now > until:
                     self.now = until
                     break
-                entry = lane.popleft() if from_lane else heappop(heap)
+                if from_lane:
+                    lane.popleft()
+                else:
+                    heappop(heap)
                 queue._live -= 1
                 self.now = now
                 entry[2](*entry[3])

@@ -15,9 +15,11 @@ domain:
 * ``_lane`` — a FIFO deque for *zero-delay* events. The engine only
   pushes here with ``time == now``, and ``now`` never decreases, so
   the lane is sorted by construction and push/pop are O(1) instead of
-  O(log n). Roughly half of all scheduled events in a typical run are
-  zero-delay wake-ups (process resumes, store deliveries, signal
-  triggers), which is what makes the lane worth its merge check.
+  O(log n). Between a thirtieth and a fifth of a run's events are
+  zero-delay wake-ups (process starts, signal and barrier releases,
+  store deliveries that tie with another event; a quarter to a third
+  before mailbox deposits learnt to resume an idle-instant getter in
+  place, DESIGN §8), which is what makes the lane worth its merge check.
 
 The consumer must merge the two by comparing head ``(time, seq)``
 pairs — a heap event pushed earlier at the same timestamp has a

@@ -83,8 +83,9 @@ class Port:
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        start = max(now, self.free_at)
-        duration = self.service_time(nbytes)
+        free_at = self.free_at
+        start = free_at if free_at > now else now
+        duration = nbytes / self.rate
         end = start + duration
         self.free_at = end
         self.busy_time += duration

@@ -41,25 +41,39 @@ class Span(NamedTuple):
         return self.end - self.start
 
 
+def _unknown_phase(phase: str) -> ValueError:
+    # A typo'd phase would silently skew the Fig 3 fractions (it lands
+    # in the breakdown but not the canonical denominators).
+    return ValueError(f"unknown phase {phase!r}; expected one of {PHASES}")
+
+
 class PhaseTracer:
-    """Collects phase spans; one per run."""
+    """Accumulates phase time as spans finish; one per run.
 
-    def __init__(self, enabled: bool = True) -> None:
+    Every finished span is added to its phase's total and to its
+    ``(worker, phase)`` total at recording time, in recording order —
+    the additions a pass over the span list would perform, so the
+    totals are bit-equal to that sum. The :class:`Span` list itself is
+    only for readers of individual spans (Perfetto export, the span
+    DAG): with ``keep_spans=False`` nothing per span is retained and a
+    run's tracer is O(workers), not O(messages).
+    """
+
+    def __init__(self, enabled: bool = True, *, keep_spans: bool = True) -> None:
         self.enabled = enabled
+        self.keep_spans = keep_spans
         self.spans: list[Span] = []
+        #: Spans recorded, kept or not.
+        self.span_count = 0
         self._open: dict[tuple[int, str], float] = {}
-
-    @staticmethod
-    def _check_phase(phase: str) -> None:
-        # A typo'd phase would silently skew the Fig 3 fractions (it
-        # lands in the breakdown but not the canonical denominators).
-        if phase not in PHASES:
-            raise ValueError(f"unknown phase {phase!r}; expected one of {PHASES}")
+        self._totals: dict[str, float] = {phase: 0.0 for phase in PHASES}
+        self._worker_totals: dict[tuple[int, str], float] = {}
 
     def begin(self, worker: int, phase: str, now: float) -> None:
         if not self.enabled:
             return
-        self._check_phase(phase)
+        if phase not in PHASES:
+            raise _unknown_phase(phase)
         key = (worker, phase)
         if key in self._open:
             raise RuntimeError(f"span {key} already open")
@@ -68,14 +82,15 @@ class PhaseTracer:
     def end(self, worker: int, phase: str, now: float) -> None:
         if not self.enabled:
             return
-        self._check_phase(phase)
+        if phase not in PHASES:
+            raise _unknown_phase(phase)
         key = (worker, phase)
         start = self._open.pop(key, None)
         if start is None:
             raise RuntimeError(f"span {key} was never opened")
         if now < start:
             raise RuntimeError(f"span {key} ends before it starts")
-        self.spans.append(Span(worker=worker, phase=phase, start=start, end=now))
+        self.record(worker, phase, start, now)
 
     def flush_open(self, now: float, *, worker: int | None = None) -> None:
         """Close dangling spans at ``now`` (crashed-worker cleanup).
@@ -90,38 +105,38 @@ class PhaseTracer:
         for key in [k for k in self._open if worker is None or k[0] == worker]:
             start = self._open.pop(key)
             if now > start:
-                self.spans.append(
-                    Span(worker=key[0], phase=key[1], start=start, end=now)
-                )
+                self.record(key[0], key[1], start, now)
 
     def record(self, worker: int, phase: str, start: float, end: float) -> None:
-        """Record a complete span directly (used for wire-time spans
-        whose boundaries are known analytically)."""
+        """Record a complete span (directly for wire-time spans, whose
+        boundaries are known analytically; every other span ends here
+        too). Called once per traced message: one call deep."""
         if not self.enabled:
             return
-        self._check_phase(phase)
+        if phase not in PHASES:
+            raise _unknown_phase(phase)
         if end < start:
             raise RuntimeError("span ends before it starts")
-        # Positional construction: this is called once per traced
-        # message and NamedTuple kwargs cost roughly 2× positional.
-        self.spans.append(Span(worker, phase, start, end))
+        duration = end - start
+        self._totals[phase] += duration
+        key = (worker, phase)
+        by_worker = self._worker_totals
+        by_worker[key] = by_worker.get(key, 0.0) + duration
+        self.span_count += 1
+        if self.keep_spans:
+            self.spans.append(Span(worker, phase, start, end))
 
     def total(self, phase: str, *, worker: int | None = None) -> float:
-        return sum(
-            s.duration
-            for s in self.spans
-            if s.phase == phase and (worker is None or s.worker == worker)
-        )
+        if worker is None:
+            return self._totals.get(phase, 0.0)
+        return self._worker_totals.get((worker, phase), 0.0)
 
     def breakdown(self, *, worker: int | None = None) -> dict[str, float]:
         """Total duration per phase (seconds)."""
-        out = {phase: 0.0 for phase in PHASES}
-        for span in self.spans:
-            if worker is not None and span.worker != worker:
-                continue
-            out.setdefault(span.phase, 0.0)
-            out[span.phase] += span.duration
-        return out
+        if worker is None:
+            return dict(self._totals)
+        totals = self._worker_totals
+        return {phase: totals.get((worker, phase), 0.0) for phase in PHASES}
 
     def fractions(self, *, worker: int | None = None) -> dict[str, float]:
         """Phase totals normalised to sum to 1 (excluding ``agg_wait``,

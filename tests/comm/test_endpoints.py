@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.comm.endpoints import CommContext, Node
+from repro.comm.messages import Message
 from repro.sim.cluster import paper_cluster
 from repro.sim.engine import Engine
 from repro.sim.network import Network
@@ -124,3 +125,27 @@ class TestNode:
         ctx = make_ctx(machines=2)
         with pytest.raises(ValueError):
             Node(ctx, 0, 5)
+
+
+class TestMessage:
+    def test_keyword_and_positional_construction_agree(self):
+        by_keyword = Message(
+            src=1, dst=2, kind="grad", nbytes=40, payload="p", meta={"it": 3},
+            send_time=0.5, recv_time=0.75,
+        )
+        by_position = Message(1, 2, "grad", 40, "p", {"it": 3}, 0.5, 0.75)
+        assert by_keyword == by_position
+        assert by_position.kind == "grad" and by_position.recv_time == 0.75
+
+    def test_defaults(self):
+        first, second = Message(0, 1, "x", 0), Message(0, 1, "x", 0)
+        assert first.payload is None
+        assert (first.send_time, first.recv_time) == (0.0, 0.0)
+        first.meta["k"] = 1  # each message gets its own dict
+        assert second.meta == {}
+
+    def test_negative_nbytes_rejected(self):
+        with pytest.raises(ValueError, match="nbytes"):
+            Message(0, 1, "x", -1)
+        with pytest.raises(ValueError, match="nbytes"):
+            Message(src=0, dst=1, kind="x", nbytes=-8)

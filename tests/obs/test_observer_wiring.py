@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.runner import DistributedRunner
 from repro.obs import ObsConfig
+from repro.obs.recorder import RunObserver
+from repro.sim.trace import PhaseTracer
 
 from tests.conftest import small_full_config, small_timing_config
 
@@ -134,3 +136,15 @@ class TestFullModeWiring:
         obs = runner.observer
         assert len(obs.registry) == 0
         assert obs.messages  # trace events still collected
+
+
+class TestSpanCount:
+    @pytest.mark.parametrize("keep_spans", [True, False])
+    def test_trace_spans_counts_recorded_spans_kept_or_not(self, keep_spans):
+        tracer = PhaseTracer(keep_spans=keep_spans)
+        tracer.record(0, "comm", 0.0, 1.0)
+        tracer.begin(1, "compute", 0.0)
+        tracer.end(1, "compute", 2.0)
+        observer = RunObserver()
+        observer.finalize(tracer=tracer)
+        assert observer.registry.counter("trace.spans").value == 2

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import AllOf, Engine, Get, Signal, Timeout
+from repro.sim.engine import AllOf, Engine, Get, Interrupt, Signal, Timeout
 
 
 class TestTimeout:
@@ -300,3 +300,157 @@ class TestRunControl:
             return trace
 
         assert make_trace() == make_trace()
+
+
+class TestTailDelivery:
+    """``Store.put(item, tail=True)`` — the last act of a delivery event —
+    resumes the getter in place exactly when the zero-delay wake-up would
+    have been the next event anyway. Every scenario runs twice, once
+    with the predicate forced false (the lane-only engine this one
+    replaced), and must log the same order."""
+
+    @staticmethod
+    def scenario(build, *, lane_only):
+        eng = Engine()
+        if lane_only:
+            eng._idle_now = lambda: False
+        log = []
+        build(eng, log)
+        eng.run()
+        return log, eng.events_processed
+
+    @staticmethod
+    def getter(eng, store, log, name):
+        def body():
+            item = yield Get(store)
+            log.append((name, item, eng.now))
+
+        return eng.spawn(body(), name)
+
+    @staticmethod
+    def deliver(store, item, log):
+        log.append(("deliver", item))
+        store.put(item, True)
+
+    def both(self, build):
+        tail = self.scenario(build, lane_only=False)
+        lane = self.scenario(build, lane_only=True)
+        assert tail[0] == lane[0]
+        return tail[0], lane[1] - tail[1]
+
+    def test_idle_instant_resumes_in_place(self):
+        def build(eng, log):
+            store = eng.store()
+            self.getter(eng, store, log, "g")
+            eng._at(1.0, self.deliver, (store, "a", log))
+
+        log, saved = self.both(build)
+        assert log == [("deliver", "a"), ("g", "a", 1.0)]
+        assert saved == 1
+
+    def test_two_deliveries_at_one_instant_take_the_lane(self):
+        def build(eng, log):
+            first, second = eng.store(), eng.store()
+            self.getter(eng, first, log, "g1")
+            self.getter(eng, second, log, "g2")
+            eng._at(1.0, self.deliver, (first, "a", log))
+            eng._at(1.0, self.deliver, (second, "b", log))
+
+        log, saved = self.both(build)
+        # Both deposits land before either getter runs: the first sees
+        # the second delivery due now, the second sees the first's
+        # wake-up on the lane.
+        assert log == [
+            ("deliver", "a"), ("deliver", "b"), ("g1", "a", 1.0), ("g2", "b", 1.0),
+        ]
+        assert saved == 0
+
+    def test_heap_event_due_now_runs_before_the_getter(self):
+        def build(eng, log):
+            store = eng.store()
+            self.getter(eng, store, log, "g")
+
+            def timer():
+                yield Timeout(1.0)
+                log.append(("timer", eng.now))
+
+            eng._at(1.0, self.deliver, (store, "a", log))
+            eng.spawn(timer())  # its wake-up at t=1 is pushed after the delivery
+
+        log, saved = self.both(build)
+        assert log == [("deliver", "a"), ("timer", 1.0), ("g", "a", 1.0)]
+        assert saved == 0
+
+    def test_non_empty_lane_runs_before_the_getter(self):
+        def build(eng, log):
+            store = eng.store()
+            self.getter(eng, store, log, "g")
+
+            def fill_lane():
+                eng._immediate(log.append, ("lane",))
+
+            eng._at(1.0, fill_lane, ())
+            eng._at(1.0, self.deliver, (store, "a", log))
+
+        log, saved = self.both(build)
+        assert log == [("deliver", "a"), "lane", ("g", "a", 1.0)]
+        assert saved == 0
+
+    def test_put_inside_a_generator_is_never_a_tail(self):
+        def build(eng, log):
+            store = eng.store()
+            self.getter(eng, store, log, "g")
+
+            def producer():
+                yield Timeout(1.0)
+                store.put("a")
+                log.append("after put")
+
+            eng.spawn(producer())
+
+        log, saved = self.both(build)
+        assert log == ["after put", ("g", "a", 1.0)]
+        assert saved == 0
+
+    def test_getter_killed_before_delivery_leaves_item_buffered(self):
+        def build(eng, log):
+            store = eng.store()
+            victim = self.getter(eng, store, log, "victim")
+            eng._at(0.5, victim.kill, ())
+            eng._at(1.0, self.deliver, (store, "a", log))
+            eng._at(2.0, lambda: log.append(("buffered", len(store))), ())
+
+        log, saved = self.both(build)
+        assert log == [("deliver", "a"), ("buffered", 1)]
+        assert saved == 0
+
+    def test_getter_killed_between_put_and_wakeup_requeues_item(self):
+        def build(eng, log):
+            store = eng.store()
+            victim = self.getter(eng, store, log, "victim")
+            eng._at(1.0, self.deliver, (store, "a", log))
+            eng._at(1.0, victim.kill, ())  # due now: the put takes the lane
+            eng._at(2.0, lambda: self.getter(eng, store, log, "heir"), ())
+
+        log, _ = self.both(build)
+        assert log == [("deliver", "a"), ("heir", "a", 2.0)]
+
+    def test_getter_interrupted_at_the_delivery_instant(self):
+        def build(eng, log):
+            store = eng.store()
+
+            def body():
+                try:
+                    item = yield Get(store)
+                    log.append(("got", item))
+                except Interrupt as stop:
+                    log.append(("interrupted", stop.cause, len(store)))
+
+            waiter = eng.spawn(body())
+            eng._at(1.0, waiter.interrupt, ("go",))
+            eng._at(1.0, self.deliver, (store, "a", log))
+
+        log, _ = self.both(build)
+        # The interrupt voided the wait before the deposit: the stale
+        # getter is skipped and the item stays in the mailbox.
+        assert log == [("deliver", "a"), ("interrupted", "go", 1)]

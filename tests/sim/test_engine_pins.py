@@ -54,14 +54,14 @@ DETECTION = dict(
 # in only one mode pins to an exact expectation, not a relation.
 PINS = {
     "bsp": {
-        "plain": ("8cb73bc89a813f567c6866c603eb337c968f52ea0b8efc6d7b49824670d1d462", 327),
-        "obs": ("8cb73bc89a813f567c6866c603eb337c968f52ea0b8efc6d7b49824670d1d462", 327),
-        "faults": ("452eb0bc15fd2c2d2b7d14766bcc6eb473a12ae34edf2cd284d0b546499d41fb", 359),
+        "plain": ("8cb73bc89a813f567c6866c603eb337c968f52ea0b8efc6d7b49824670d1d462", 225),
+        "obs": ("8cb73bc89a813f567c6866c603eb337c968f52ea0b8efc6d7b49824670d1d462", 225),
+        "faults": ("452eb0bc15fd2c2d2b7d14766bcc6eb473a12ae34edf2cd284d0b546499d41fb", 257),
     },
     "asp": {
-        "plain": ("9e73fd708dde10a0e98cc5cee228b982b51c5e5ce5de2cad0a20f560aebbded1", 368),
-        "obs": ("9e73fd708dde10a0e98cc5cee228b982b51c5e5ce5de2cad0a20f560aebbded1", 368),
-        "faults": ("1c53e313fa145a88a756f8a76b3f6a6f0692cd67d1ea7ae305bd5021c70f6376", 393),
+        "plain": ("9e73fd708dde10a0e98cc5cee228b982b51c5e5ce5de2cad0a20f560aebbded1", 280),
+        "obs": ("9e73fd708dde10a0e98cc5cee228b982b51c5e5ce5de2cad0a20f560aebbded1", 280),
+        "faults": ("1c53e313fa145a88a756f8a76b3f6a6f0692cd67d1ea7ae305bd5021c70f6376", 305),
     },
     "ssp": {
         "plain": ("64db72ce3388c5342a16e58aa59cc4b97a7e11b534d8e593d5beb43ad370358c", 350),
@@ -74,9 +74,9 @@ PINS = {
         "faults": ("49b6581a2d6253ee001b0857f06fc4bcb98f0cd9fae91814426c189e235ec27c", 81),
     },
     "ar-sgd": {
-        "plain": ("8ec3b3aed46fd71ab48654ab264ed93496e7ea0fc2fb856965c65c99963dc639", 2094),
-        "obs": ("8ec3b3aed46fd71ab48654ab264ed93496e7ea0fc2fb856965c65c99963dc639", 2094),
-        "faults": ("64ee7de5c8fe01939bb2aadcb4f3649506fb446cf7842d41ee3898cf60c761aa", 2116),
+        "plain": ("8ec3b3aed46fd71ab48654ab264ed93496e7ea0fc2fb856965c65c99963dc639", 1447),
+        "obs": ("8ec3b3aed46fd71ab48654ab264ed93496e7ea0fc2fb856965c65c99963dc639", 1447),
+        "faults": ("64ee7de5c8fe01939bb2aadcb4f3649506fb446cf7842d41ee3898cf60c761aa", 1469),
     },
     "gosgd": {
         "plain": ("0e73c5e175c748b9f6e11cccf6d74736ebd764357fa31f907aede95fff0fe0e1", 63),
@@ -84,9 +84,9 @@ PINS = {
         "faults": ("4968e1b7897f34172b914b2ab110a177005b6072b22c0b6483905a50b6dcb8c0", 79),
     },
     "ad-psgd": {
-        "plain": ("23f8959d4d24bebdeb21adf77196383a0379bf84abbe1c19c1b19d722a5f590e", 224),
-        "obs": ("23f8959d4d24bebdeb21adf77196383a0379bf84abbe1c19c1b19d722a5f590e", 224),
-        "faults": ("8334a4f56aed89ec1e8c9d32d6fc02e137e2d7eb088dbc8562927292d21c3432", 240),
+        "plain": ("23f8959d4d24bebdeb21adf77196383a0379bf84abbe1c19c1b19d722a5f590e", 181),
+        "obs": ("23f8959d4d24bebdeb21adf77196383a0379bf84abbe1c19c1b19d722a5f590e", 181),
+        "faults": ("8334a4f56aed89ec1e8c9d32d6fc02e137e2d7eb088dbc8562927292d21c3432", 197),
     },
 }
 

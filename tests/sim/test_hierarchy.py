@@ -238,19 +238,19 @@ def rack_config(algorithm: str, collective: str | None = None) -> RunConfig:
 RACK_PINS = {
     ("bsp", None): (
         "b807c880418f09644f0b07eba2a6eedcb4253197ea1807844bbc6ffa7d64e51c",
-        5200,
+        3827,
     ),
     ("ar-sgd", "ring"): (
         "3f9fa2baa3673f863ed69035610cbec28f106287299d87d004fd47d09d39ebe6",
-        24948,
+        17894,
     ),
     ("ar-sgd", "tree"): (
         "08e2c2754d38416944e8ebad2dde6cc7c9f0cac7fbe4372aeb520c21e7f3cd1e",
-        1313,
+        1126,
     ),
     ("ar-sgd", "hring"): (
         "7aad7796fc3a15da43efc65a5a6aa7ce5430797681b00860889a6701abebd276",
-        2937,
+        2590,
     ),
 }
 

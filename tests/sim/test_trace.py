@@ -1,8 +1,10 @@
 """Tests for phase tracing."""
 
+import random
+
 import pytest
 
-from repro.sim.trace import PhaseTracer, Span
+from repro.sim.trace import PHASES, PhaseTracer, Span
 
 
 class TestPhaseTracer:
@@ -91,3 +93,72 @@ class TestPhaseValidation:
         t.end(0, "not-a-phase", 1.0)
         t.record(0, "also-wrong", 0.0, 1.0)
         assert t.spans == []
+
+
+class TestTotals:
+    """Totals are accumulated as spans finish: bit for bit the in-order
+    sum a pass over the span list performs, whether the list is kept."""
+
+    @staticmethod
+    def recorded(keep_spans):
+        rng = random.Random(7)
+        tracer = PhaseTracer(keep_spans=keep_spans)
+        now = 0.0
+        for step in range(400):
+            worker = rng.randrange(4)
+            # Magnitudes six decades apart: float addition order shows.
+            length = rng.random() * 10.0 ** rng.randint(-6, 0)
+            if step % 3:
+                tracer.record(worker, rng.choice(["comm", "agg_wait"]), now, now + length)
+            else:
+                phase = rng.choice(["compute", "global_agg"])
+                tracer.begin(worker, phase, now)
+                if step % 50 == 0:  # a crash: the span is cut short
+                    tracer.flush_open(now + 0.5 * length, worker=worker)
+                else:
+                    tracer.end(worker, phase, now + length)
+            now += 0.1 * length
+        tracer.begin(0, "local_agg", now)
+        tracer.begin(1, "local_agg", now)
+        tracer.flush_open(now)  # zero-length: dropped
+        tracer.begin(2, "local_agg", now)
+        tracer.flush_open(now + 1.0)
+        return tracer
+
+    def test_totals_equal_the_in_order_sum_of_spans(self):
+        tracer = self.recorded(keep_spans=True)
+        by_phase = {phase: 0.0 for phase in PHASES}
+        by_worker = {}
+        for span in tracer.spans:
+            by_phase[span.phase] += span.duration
+            key = (span.worker, span.phase)
+            by_worker[key] = by_worker.get(key, 0.0) + span.duration
+        assert tracer.breakdown() == by_phase
+        assert tracer.span_count == len(tracer.spans)
+        for worker in range(4):
+            expected = {phase: by_worker.get((worker, phase), 0.0) for phase in PHASES}
+            assert tracer.breakdown(worker=worker) == expected
+            for phase in PHASES:
+                assert tracer.total(phase, worker=worker) == expected[phase]
+        for phase in PHASES:
+            assert tracer.total(phase) == by_phase[phase]
+
+    def test_same_totals_without_the_span_list(self):
+        kept = self.recorded(keep_spans=True)
+        dropped = self.recorded(keep_spans=False)
+        assert dropped.spans == []
+        assert dropped.span_count == kept.span_count > 0
+        assert dropped.breakdown() == kept.breakdown()
+        assert dropped.fractions() == kept.fractions()
+        for worker in range(4):
+            assert dropped.breakdown(worker=worker) == kept.breakdown(worker=worker)
+
+    def test_flush_open_truncates_into_the_totals(self):
+        tracer = PhaseTracer(keep_spans=False)
+        tracer.begin(3, "compute", 1.0)
+        tracer.flush_open(1.0)  # nothing elapsed: no span
+        assert tracer.span_count == 0
+        tracer.begin(3, "compute", 1.0)
+        tracer.flush_open(1.75, worker=3)
+        assert tracer.total("compute", worker=3) == 0.75
+        assert tracer.span_count == 1

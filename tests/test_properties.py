@@ -5,18 +5,20 @@ the network FIFO model, and the flat-parameter views.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.comm.collectives import chunk_slices, ring_allreduce_plan
+from repro.comm.endpoints import CommContext, Node
 from repro.comm.gossip import GossipState, gossip_merge, gossip_send_share
 from repro.nn import MLP
 from repro.nn.zoo import LayerProfile, ModelProfile
 from repro.optimizations.dgc import DGCCompressor, DGCConfig
 from repro.optimizations.sharding import make_sharding_plan
 from repro.optimizations.waitfree import make_comm_plan
+from repro.sim.cluster import hierarchical_cluster, paper_cluster
 from repro.sim.engine import Engine, Timeout
-from repro.sim.network import Port
+from repro.sim.network import Network, Port
 
 COMMON = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -69,6 +71,79 @@ def test_port_fifo_no_overlap(arrivals):
         assert start >= prev_end - 1e-12
         assert end == pytest.approx(start + nbytes / 1e6)
         prev_end = end
+
+
+_ACTIONS = st.one_of(
+    # Sleeps are the fabric's own latencies (intra-machine, NIC, spine)
+    # and most messages are empty, so timers expire at delivery instants.
+    st.tuples(st.just("sleep"), st.sampled_from([0.0, 1e-5, 5e-5, 1.5e-4])),
+    st.tuples(
+        st.just("send"),
+        st.integers(min_value=0, max_value=3),
+        st.sampled_from([0, 0, 4050]),
+        st.sampled_from("ab"),
+    ),
+    st.tuples(st.just("recv"), st.sampled_from("ab")),
+)
+
+
+@COMMON
+@given(
+    scripts=st.lists(st.lists(_ACTIONS, max_size=8), min_size=2, max_size=4),
+    racks=st.booleans(),
+)
+# The smallest tie: node1's timer expires at the instant node0's own
+# message lands, so an unconditional in-place resume would run node0
+# ahead of node1.
+@example(
+    scripts=[[("send", 0, 0, "a"), ("recv", "a")], [("sleep", 1e-05), ("send", 0, 0, "a")]],
+    racks=False,
+)
+def test_tail_delivery_is_the_lane_order(scripts, racks):
+    """Random process networks over ``Node.send_nowait`` send and receive
+    in the same global ``(time, process, message)`` order whether the getter
+    is resumed in place or (predicate forced false) through the zero-delay lane."""
+
+    def run(lane_only):
+        eng = Engine()
+        if lane_only:
+            eng._idle_now = lambda: False
+        spec = (
+            hierarchical_cluster(machines=4, machines_per_rack=2)
+            if racks
+            else paper_cluster(bandwidth_gbps=10, machines=2, gpus_per_machine=2)
+        )
+        net = Network(eng, spec)
+        ctx = CommContext(engine=eng, network=net, cluster=spec)
+        nodes = [Node(ctx, i, i % spec.machines) for i in range(len(scripts))]
+        trace = []
+
+        def body(node, script):
+            for action in script:
+                if action[0] == "sleep":
+                    yield Timeout(action[1])
+                elif action[0] == "send":
+                    dst = nodes[action[1] % len(nodes)]
+                    node.send_nowait(dst, action[3], nbytes=action[2])
+                    trace.append((eng.now, node.name, "sent", dst.name))
+                else:
+                    msg = yield node.recv(action[1])
+                    trace.append(
+                        (eng.now, node.name, msg.src, msg.kind, msg.nbytes, msg.send_time)
+                    )
+
+        for node, script in zip(nodes, scripts):
+            eng.spawn(body(node, script), node.name)
+        eng.run()
+        leftovers = [
+            (node.name, kind, len(box)) for node in nodes for kind, box in node._mailboxes.items()
+        ]
+        return (trace, eng.now, net.port_stats(), leftovers), eng.events_processed
+
+    tail, tail_events = run(lane_only=False)
+    lane, lane_events = run(lane_only=True)
+    assert tail == lane
+    assert tail_events <= lane_events
 
 
 # ---------------------------------------------------------------- sharding
