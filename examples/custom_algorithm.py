@@ -12,8 +12,10 @@ The example shows the full extension surface:
 
 * subclass :class:`~repro.core.base.TrainingAlgorithm`,
 * declare the Table-I-style classification via ``AlgorithmInfo``,
-* spawn worker processes that combine the provided building blocks
-  (``compute_iteration`` + ring messaging),
+* spawn worker processes from ``spawn_workers`` — through
+  ``runtime.spawn(..., owner=wid)``, like the in-tree algorithms — that
+  combine the provided building blocks (``compute_iteration`` + ring
+  messaging),
 * register with ``@register_algorithm`` and run through the standard
   :class:`~repro.core.runner.DistributedRunner`.
 
@@ -95,11 +97,12 @@ class LocalSGD(TrainingAlgorithm):
 
     def setup(self, runtime: Runtime) -> None:
         self.runtime = runtime
-        for slot in runtime.workers:
-            runtime.engine.spawn(
-                _local_sgd_worker(runtime, slot, self.period),
-                name=f"localsgd-w{slot.wid}",
-            )
+        self.spawn_workers(runtime, runtime.live_worker_ids())
+
+    def spawn_workers(self, runtime: Runtime, wids: list[int]) -> None:
+        for wid in wids:
+            worker = _local_sgd_worker(runtime, runtime.workers[wid], self.period)
+            runtime.spawn(worker, name=f"localsgd-w{wid}", owner=wid)
 
     def global_params(self) -> np.ndarray | None:
         return self._average_worker_params()

@@ -68,13 +68,14 @@ Completed runs are never re-executed (they are cache hits); output is
 bit-identical to an uninterrupted sweep. ``--resume`` refuses to
 start a *new* session (a typo that changes the grid fails loudly
 instead of silently starting over). ``--run-timeout``/``--retries``
-enable the hardened per-run policy: hung runs are killed at their
+enable the per-run policy: hung runs are killed at their
 deadline and retried with exponential backoff, and after the attempt
 budget a cell is reported as permanently failed instead of aborting
-the grid. During a durable sweep the first SIGINT/SIGTERM stops
-cleanly (journal flushed, resume command printed, exit 130); a second
-signal hard-exits. ``repro sweep list/show/resume`` manage sessions;
-``sweep show --trace-out`` exports the journal as a Perfetto trace.
+the grid. During any sweep the first SIGINT/SIGTERM stops cleanly
+(finished runs cached, journal flushed, how to resume printed, exit
+130); a second signal hard-exits. ``repro sweep list/show/resume``
+manage sessions; ``sweep show --trace-out`` exports the journal as a
+Perfetto trace.
 
 ``predict`` evaluates the closed-form iteration-time models of
 :mod:`repro.perf` — milliseconds per configuration at any N, including
@@ -737,7 +738,6 @@ def _run_train(args: argparse.Namespace) -> tuple[str, Any]:
     from repro.analysis.tables import format_table
     from repro.core.runner import DistributedRunner
     from repro.experiments.config import mini_accuracy_config
-    from repro.io import history_to_dict
 
     cfg = mini_accuracy_config(
         args.algorithm,
@@ -766,7 +766,7 @@ def _run_train(args: argparse.Namespace) -> tuple[str, Any]:
         title=f"{history.algorithm} — {args.workers} workers",
     )
     text += f"\nfinal accuracy: {history.final_test_accuracy:.4f}"
-    payload = history_to_dict(history)
+    payload = history.to_dict()
     if report is not None:
         from repro.analysis.ascii import attribution_report
 
@@ -992,7 +992,11 @@ def _run_analyze(args: argparse.Namespace) -> int:
 
 
 def _run_sweep_cmd(args: argparse.Namespace) -> int:
-    from repro.experiments.session import SweepSession, list_sessions
+    from repro.experiments.session import (
+        SweepSession,
+        describe_session,
+        list_sessions,
+    )
 
     if args.sweep_command == "list":
         sessions = list_sessions()
@@ -1003,17 +1007,7 @@ def _run_sweep_cmd(args: argparse.Namespace) -> int:
             print("no sweep sessions (run a sweep with --session to start one)")
             return 0
         for summary in sessions:
-            counts = summary["counts"]
-            bits = [f"{counts['done']}/{summary['runs']} done"]
-            for state in ("running", "pending", "failed", "abandoned"):
-                if counts[state]:
-                    bits.append(f"{counts[state]} {state}")
-            name = f" ({summary['name']})" if summary.get("name") else ""
-            status = "complete" if summary["completed"] else "resumable"
-            print(
-                f"{summary['session']}{name}  {summary.get('created') or '?':19s}  "
-                f"{', '.join(bits)} — {status}"
-            )
+            print(describe_session(summary, created=True))
         return 0
 
     try:
@@ -1101,8 +1095,8 @@ def _run_sweep_cmd(args: argparse.Namespace) -> int:
 
 
 def _interruptible_sweep(run: "Callable[[], Any]") -> int | None:
-    """Run a durable sweep body; on a clean interruption or preemption
-    print the resume command and return the exit code (None = ran to
+    """Run a sweep body; on a clean interruption or preemption
+    print how to resume and return the exit code (None = ran to
     completion — the caller renders its output)."""
     from repro.experiments.session import SweepInterrupted, SweepPreempted
 
@@ -1160,6 +1154,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _run_analyze(args)
     if args.command in ("run", "faults", "byzantine"):
         from repro.experiments.executor import SweepExecutor, set_default_executor
+        from repro.experiments.session import install_signal_guard
 
         durable = args.session is not None or args.resume
         executor = SweepExecutor(
@@ -1173,11 +1168,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             require_existing_session=args.resume,
         )
         set_default_executor(executor)
-        guard = None
-        if durable:
-            from repro.experiments.session import install_signal_guard
-
-            guard = install_signal_guard(executor)
+        guard = install_signal_guard(executor)
         outcome: dict[str, Any] = {}
 
         def _body() -> None:
@@ -1196,8 +1187,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             # --resume refused to start a fresh session for this grid.
             raise SystemExit(str(exc))
         finally:
-            if guard is not None:
-                guard.uninstall()
+            guard.uninstall()
         if rc is not None:
             return rc
         text, result = outcome["rendered"]

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.io import to_jsonable
+
 __all__ = ["TrainingHistory", "ThroughputResult"]
 
 _HISTORY_FIELDS = (
@@ -38,8 +40,6 @@ _THROUGHPUT_FIELDS = (
 
 
 def _jsonable_metadata(metadata: dict) -> dict:
-    from repro.io import to_jsonable  # local import, avoids cycle
-
     return {k: to_jsonable(v) for k, v in metadata.items() if k != "config"}
 
 

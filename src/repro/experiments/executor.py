@@ -14,22 +14,31 @@ turns those sweeps from serial for-loops into:
    ``cache_dir`` or ``$REPRO_CACHE_DIR``). A warm re-run of a sweep
    performs zero simulator runs. Corrupted or mismatched entries are
    discarded, never fatal.
-3. **Parallel fan-out** — cache misses are executed on a
-   ``concurrent.futures.ProcessPoolExecutor`` (``jobs`` workers,
-   default ``os.cpu_count()``). Results are collected in submission
-   (FIFO) order and every result — hit or miss, serial or parallel —
-   passes through the same JSON round-trip, so sweep output is
-   bit-identical regardless of ``jobs``.
+3. **One scheduling loop** — :meth:`SweepExecutor.map` runs every
+   cache miss through the same loop: at most ``jobs`` attempts in
+   flight on a ``concurrent.futures`` process pool (created only on a
+   miss), each result validated, written to the cache *when it
+   completes*, journaled and reported. With ``jobs == 1`` (or one
+   cell, or after repeated pool deaths) the loop drives an in-process
+   pool whose ``submit`` runs the call on the spot. Every result —
+   hit or miss, in-process or pooled — passes through the same JSON
+   round-trip and results align with submission order, so sweep output
+   is bit-identical regardless of ``jobs``.
 
 Identical configs submitted twice in one sweep are executed once and
 materialised per occurrence.
 
-Two orthogonal hardening layers (see :mod:`repro.experiments.session`)
-plug in here:
+What the loop does about a failing run is the caller's choice (see
+:mod:`repro.experiments.session`):
 
+* **Nothing attached** — one attempt per cell and a run's exception
+  propagates out of ``map()`` unchanged; the cells that had finished
+  are already in the cache. A stop request (first Ctrl-C under the
+  CLI's signal guard) raises :class:`SweepInterrupted`; a dead worker
+  pool is rebuilt, then abandoned for in-process execution.
 * **Durable sessions** (``durable=True`` or an explicit ``session=``) —
-  every ``map()`` call journals run lifecycles to an append-only JSONL
-  file keyed by the grid fingerprint, so a sweep killed at any instant
+  the loop also journals run lifecycles to an append-only JSONL file
+  keyed by the grid fingerprint, so a sweep killed at any instant
   resumes idempotently (``repro sweep resume``): ``done`` cells are
   served from the cache, in-flight/failed cells re-execute, output is
   bit-identical to an uninterrupted sweep.
@@ -48,20 +57,26 @@ import json
 import os
 import random
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields, is_dataclass
+from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro import __version__
 from repro.core.history import ThroughputResult, TrainingHistory
 from repro.core.runner import RunConfig, execute_run
+from repro.experiments.session import (
+    FailedRun,
+    RunPolicy,
+    SweepInterrupted,
+    SweepPreempted,
+    SweepSession,
+)
 from repro.io import atomic_write_text
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.experiments.session import RunPolicy, SweepSession
 
 __all__ = [
     "config_fingerprint",
@@ -203,6 +218,23 @@ class _Attempt:
         self.attempt = 1
         self.not_before = 0.0
         self.started = 0.0
+
+
+class _InlinePool:
+    """In-process stand-in for a process pool: ``submit`` runs the call
+    and returns a finished future, so the scheduling loop has one shape
+    whether runs execute here or in worker processes."""
+
+    def submit(self, fn, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # noqa: BLE001 — read back by the loop, as from a worker
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
+        pass
 
 
 def _describe(config: RunConfig) -> str:
@@ -376,8 +408,9 @@ class SweepExecutor:
     Parameters
     ----------
     jobs:
-        Worker processes for cache misses. ``None`` means
-        ``os.cpu_count()``; ``1`` executes in-process (no pool).
+        Runs in flight at once, on that many worker processes.
+        ``None`` means ``os.cpu_count()``; ``1`` executes in-process
+        (no pool) unless the policy sets a deadline.
     cache:
         Whether to consult/populate the on-disk run cache.
     cache_dir:
@@ -388,10 +421,11 @@ class SweepExecutor:
         sweep start and after each executed run (the CLI points this
         at stderr). Purely informational — never affects results.
     policy:
-        Optional :class:`~repro.experiments.session.RunPolicy`
-        enabling the hardened execution path (deadlines, bounded
-        retries with backoff, failed-cell degradation). ``None`` with
-        no session keeps the exact legacy path.
+        Optional :class:`~repro.experiments.session.RunPolicy`:
+        deadlines, bounded retries with backoff, failed-cell
+        degradation. ``None`` with no session means one attempt per
+        cell and a run's exception propagating out of ``map()``
+        unchanged; ``None`` with a session means ``RunPolicy()``.
     durable:
         Journal every ``map()`` call as a durable sweep session keyed
         by the grid fingerprint (created or resumed automatically).
@@ -431,7 +465,7 @@ class SweepExecutor:
         self.session_root = session_root
         self.session_name = session_name
         self.require_existing_session = require_existing_session
-        self.last_session: "SweepSession | None" = None
+        self.last_session: SweepSession | None = None
         self._stop_reason: str | None = None
         self._session_seq = 0
         self.last_stats = SweepStats()
@@ -440,8 +474,8 @@ class SweepExecutor:
         self.total_stats = SweepStats(jobs=self.jobs)
 
     def request_stop(self, reason: str) -> None:
-        """Ask the hardened path to stop at the next safe point (the
-        first stage of the SIGINT/SIGTERM guard). Sticky: later
+        """Ask the scheduling loop to stop at the next safe point
+        (the first stage of the SIGINT/SIGTERM guard). Sticky: later
         ``map()`` calls on this executor stop immediately too."""
         self._stop_reason = reason
 
@@ -453,7 +487,7 @@ class SweepExecutor:
         self,
         configs: Sequence[RunConfig],
         *,
-        session: "SweepSession | None" = None,
+        session: SweepSession | None = None,
     ) -> list:
         """Execute ``configs``; results align index-for-index.
 
@@ -461,8 +495,10 @@ class SweepExecutor:
         ``configs[i]`` no matter which worker finished first, so sweep
         outputs are bit-identical to serial execution — including
         across a crash/resume boundary when a session is attached.
-        Under a :class:`RunPolicy`, permanently failed cells come back
-        as :class:`~repro.experiments.session.FailedRun` placeholders.
+        Under a :class:`RunPolicy` or a session, permanently failed
+        cells come back as
+        :class:`~repro.experiments.session.FailedRun` placeholders;
+        with neither, the failing run's exception is raised as is.
         """
         t0 = time.perf_counter()
         configs = list(configs)
@@ -470,8 +506,6 @@ class SweepExecutor:
         stats = SweepStats(total=len(configs), jobs=self.jobs)
 
         if session is None and self.durable and configs:
-            from repro.experiments.session import SweepSession
-
             # One map() call = one grid = one session. Commands that
             # sweep several grids (e.g. faults: baseline + fault grid)
             # get numbered names so name-resolution stays unambiguous.
@@ -511,7 +545,6 @@ class SweepExecutor:
             stats.cache_hits = len(payloads)
 
         todo = [(fp, cfg) for fp, cfg in representative.items() if fp not in payloads]
-        stats.executed = len(todo)
         failures: dict[str, tuple[str, int]] = {}
         if session is not None:
             self._emit(f"session {session.id}: journal at {session.journal_path}")
@@ -530,33 +563,8 @@ class SweepExecutor:
                 f"(jobs={self.jobs})"
             )
         if todo:
-            if session is not None or self.policy is not None:
-                self._map_hardened(
-                    todo, session, stats, payloads, failures, cache, t0
-                )
-                stats.executed = len(todo) - sum(
-                    1 for fp, _ in todo if fp in failures
-                )
-            elif self.jobs == 1 or len(todo) == 1:
-                fresh = []
-                for i, (fp, cfg) in enumerate(todo):
-                    t_run = time.perf_counter()
-                    fresh.append(_execute_payload(cfg))
-                    self._emit(
-                        f"  [{i + 1}/{len(todo)}] {_describe(cfg)} "
-                        f"done in {time.perf_counter() - t_run:.1f}s"
-                    )
-                for (fp, _), payload in zip(todo, fresh):
-                    payloads[fp] = payload
-                    if cache is not None:
-                        cache.put(fp, payload)
-            else:
-                fresh = self._map_pool(todo, t0)
-                for (fp, _), payload in zip(todo, fresh):
-                    payloads[fp] = payload
-                    if cache is not None:
-                        cache.put(fp, payload)
-
+            self._schedule(todo, session, stats, payloads, failures, cache)
+        stats.executed = len(todo) - len(failures)
         stats.failed = len(failures)
         stats.quarantined = (
             cache.quarantined - quarantined_before if cache is not None else 0
@@ -568,8 +576,6 @@ class SweepExecutor:
         for cfg, fp in zip(configs, prints):
             payload = payloads.get(fp)
             if payload is None:
-                from repro.experiments.session import FailedRun
-
                 error, attempts = failures.get(fp, ("not executed", 0))
                 results.append(
                     FailedRun(
@@ -608,102 +614,46 @@ class SweepExecutor:
                 )
         return results
 
-    #: Pool rebuilds attempted after a BrokenProcessPool before falling
-    #: back to in-process serial execution.
-    POOL_RETRIES = 2
+    # -- the one execution loop -----------------------------------------
 
-    def _map_pool(
-        self, todo: list[tuple[str, RunConfig]], t0: float
-    ) -> list[dict]:
-        """Execute ``todo`` on a process pool, riding out pool crashes.
-
-        A ``BrokenProcessPool`` (a worker OOM-killed, a dead
-        interpreter) abandons every in-flight future, so the whole
-        remainder is retried on a fresh pool — results already
-        collected are kept. After :attr:`POOL_RETRIES` rebuilds the
-        remainder runs serially in-process: slower, but immune to
-        child-process mortality.
-        """
-        from concurrent.futures.process import BrokenProcessPool
-
-        fresh: list[dict] = []
-        remaining = list(todo)
-        for attempt in range(self.POOL_RETRIES + 1):
-            try:
-                # The pool is created only on a miss: warm-cache sweeps
-                # never spawn workers.
-                with ProcessPoolExecutor(
-                    max_workers=min(self.jobs, len(remaining))
-                ) as pool:
-                    futures = [
-                        pool.submit(_execute_payload, cfg) for _, cfg in remaining
-                    ]
-                    for (fp, cfg), future in zip(list(remaining), futures):
-                        fresh.append(future.result())
-                        remaining.pop(0)
-                        self._emit(
-                            f"  [{len(fresh)}/{len(todo)}] {_describe(cfg)} "
-                            f"done at +{time.perf_counter() - t0:.1f}s"
-                        )
-                return fresh
-            except BrokenProcessPool:
-                if attempt < self.POOL_RETRIES:
-                    self._emit(
-                        f"  worker pool died; retrying {len(remaining)} "
-                        f"remaining run(s) on a fresh pool "
-                        f"({attempt + 1}/{self.POOL_RETRIES})"
-                    )
-                else:
-                    self._emit(
-                        f"  worker pool died {self.POOL_RETRIES + 1} times; "
-                        f"running {len(remaining)} remaining run(s) serially"
-                    )
-        for fp, cfg in remaining:
-            t_run = time.perf_counter()
-            fresh.append(_execute_payload(cfg))
-            self._emit(
-                f"  [{len(fresh)}/{len(todo)}] {_describe(cfg)} "
-                f"done in {time.perf_counter() - t_run:.1f}s (serial fallback)"
-            )
-        return fresh
-
-    # -- hardened path (sessions and/or run policy) ---------------------
-
-    def _map_hardened(
+    def _schedule(
         self,
         todo: list[tuple[str, RunConfig]],
-        session: "SweepSession | None",
+        session: SweepSession | None,
         stats: SweepStats,
         payloads: dict[str, dict],
         failures: dict[str, tuple[str, int]],
         cache: RunCache | None,
-        t0: float,
     ) -> None:
-        """Execute ``todo`` under the per-run policy, journaling every
-        lifecycle transition into ``session`` (when attached).
+        """Run ``todo`` to completion: the loop behind every ``map()``.
 
-        Fills ``payloads`` (completed cells, also persisted to
-        ``cache``) and ``failures`` (permanently failed cells) in
-        place. Raises :class:`SweepInterrupted`/:class:`SweepPreempted`
-        after checkpointing the journal when a stop or preemption is
+        Keeps at most ``jobs`` attempts in flight (so a deadline clock
+        never charges queue time), and for each one that completes:
+        validate, bank in ``payloads`` and ``cache``, journal into
+        ``session`` (when attached), report progress. Failed attempts
+        are retried under the policy and exhausted cells land in
+        ``failures`` — or, with neither policy nor session, the run's
+        exception propagates unchanged. Raises
+        :class:`SweepInterrupted`/:class:`SweepPreempted` after
+        checkpointing the journal when a stop or preemption is
         requested; crash-killed invocations leave ``running`` records
         that resume abandons and re-queues.
         """
-        from concurrent.futures.process import BrokenProcessPool
-
-        from repro.experiments.session import (
-            RunPolicy,
-            SweepInterrupted,
-            SweepPreempted,
-        )
-
         policy = self.policy or RunPolicy()
-        rng = random.Random(session.id if session is not None else "repro-policy")
+        # Nobody asked for retries or degradation: drivers index their
+        # results, they must never meet a FailedRun they did not ask for.
+        strict = self.policy is None and session is None
         total = len(todo)
+        # Without workers a run cannot be killed at its deadline (it
+        # would be our own process), so a timeout always gets a pool.
+        in_process = (self.jobs == 1 or total == 1) and policy.timeout_s is None
+        rng = random.Random(session.id if session is not None else "repro-policy")
+        # Sorted by grid index at all times: submission is FIFO.
         queue = [_Attempt(i, fp, cfg) for i, (fp, cfg) in enumerate(todo)]
-        in_flight: dict = {}
-        pool: ProcessPoolExecutor | None = None
+        in_flight: dict[Future, _Attempt] = {}
+        pool: ProcessPoolExecutor | _InlinePool | None = None
         finished = 0
+        broken_streak = 0
 
         def journal(kind: str, **data) -> None:
             if session is not None:
@@ -723,7 +673,12 @@ class SweepExecutor:
             pool.shutdown(wait=False, cancel_futures=True)
             pool = None
 
-        def record_done(item: "_Attempt", payload: dict, duration: float) -> None:
+        def requeue(item: _Attempt, not_before: float = 0.0) -> None:
+            item.not_before = not_before
+            queue.append(item)
+            queue.sort(key=lambda i: i.index)
+
+        def record_done(item: _Attempt, payload: dict, duration: float) -> None:
             nonlocal finished
             finished += 1
             payloads[item.fp] = payload
@@ -736,10 +691,9 @@ class SweepExecutor:
                 + (f" (attempt {item.attempt})" if item.attempt > 1 else "")
             )
 
-        def charge_failure(item: "_Attempt", error: str, now: float) -> "_Attempt | None":
-            """Count one failed attempt; requeue with backoff or
-            classify as permanently failed. Returns the requeued
-            attempt, or None when the cell is exhausted."""
+        def charge_failure(item: _Attempt, error: str, now: float) -> None:
+            """Count one failed attempt: requeue the cell with backoff,
+            or classify it as permanently failed once exhausted."""
             nonlocal finished
             if item.attempt >= policy.max_attempts:
                 finished += 1
@@ -751,7 +705,7 @@ class SweepExecutor:
                     f"  [{finished}/{total}] {_describe(item.cfg)} FAILED "
                     f"permanently after {item.attempt} attempt(s): {error}"
                 )
-                return None
+                return
             delay = policy.backoff(item.attempt, rng)
             stats.retried += 1
             journal(
@@ -766,8 +720,7 @@ class SweepExecutor:
                 f"({error}); retrying in {delay:.2f}s"
             )
             item.attempt += 1
-            item.not_before = now + delay
-            return item
+            requeue(item, now + delay)
 
         def stop_reason() -> str | None:
             if self._stop_reason is not None:
@@ -798,51 +751,22 @@ class SweepExecutor:
                 journal("preempt")
                 abort("preempted by a higher-priority session", SweepPreempted)
 
-        def run_serially(items: list["_Attempt"]) -> None:
-            """In-process execution with retries (no deadline — a hung
-            run in our own process cannot be killed)."""
-            for item in sorted(items, key=lambda i: i.index):
-                while True:
-                    check_interrupts()
-                    now = time.monotonic()
-                    if item.not_before > now:
-                        time.sleep(item.not_before - now)
-                    journal(
-                        "run_start",
-                        fp=item.fp,
-                        attempt=item.attempt,
-                        label=_describe(item.cfg),
-                    )
-                    t_run = time.monotonic()
-                    try:
-                        payload = _execute_payload(item.cfg)
-                        _validate_payload(payload)
-                    except Exception as exc:  # noqa: BLE001 — classified below
-                        item = charge_failure(item, repr(exc), time.monotonic())
-                        if item is None:
-                            break
-                        continue
-                    record_done(item, payload, time.monotonic() - t_run)
-                    break
-
-        if (self.jobs == 1 or total == 1) and policy.timeout_s is None:
-            run_serially(queue)
-            return
-
-        broken_streak = 0
         try:
             while queue or in_flight:
                 check_interrupts()
                 now = time.monotonic()
-                # Submit every ready attempt, FIFO by grid index.
-                for item in sorted(queue, key=lambda i: i.index):
-                    if len(in_flight) >= self.jobs:
-                        break
-                    if item.not_before > now:
-                        continue
+                # One run at a time in-process: each is banked, and a
+                # stop honoured, before the next starts.
+                room = (1 if in_process else self.jobs) - len(in_flight)
+                ready = (item for item in queue if item.not_before <= now)
+                for item in list(islice(ready, room)):
                     if pool is None:
-                        pool = ProcessPoolExecutor(
-                            max_workers=max(1, min(self.jobs, total))
+                        # Created only on a miss: a warm-cache sweep
+                        # never spawns workers.
+                        pool = (
+                            _InlinePool()
+                            if in_process
+                            else ProcessPoolExecutor(max_workers=min(self.jobs, total))
                         )
                     queue.remove(item)
                     item.started = now
@@ -858,7 +782,7 @@ class SweepExecutor:
                     time.sleep(policy.poll_interval_s)
                     continue
                 done_set, _ = wait(
-                    list(in_flight),
+                    in_flight,
                     timeout=policy.poll_interval_s,
                     return_when=FIRST_COMPLETED,
                 )
@@ -872,31 +796,29 @@ class SweepExecutor:
                         # Pool-level mortality: no attempt charged —
                         # the victims simply re-run on a fresh pool.
                         pool_broke = True
-                        item.not_before = 0.0
-                        queue.append(item)
+                        requeue(item)
                         continue
                     except Exception as exc:  # noqa: BLE001 — classified below
-                        requeued = charge_failure(item, repr(exc), time.monotonic())
-                        if requeued is not None:
-                            queue.append(requeued)
+                        if strict:
+                            raise
+                        charge_failure(item, repr(exc), time.monotonic())
                         continue
                     broken_streak = 0
                     record_done(item, payload, time.monotonic() - item.started)
                 if pool_broke:
                     broken_streak += 1
-                    for item in list(in_flight.values()):
-                        item.not_before = 0.0
-                        queue.append(item)
+                    for item in in_flight.values():
+                        requeue(item)
                     in_flight.clear()
                     kill_pool()
                     journal("pool_recycled", reason="broken pool", streak=broken_streak)
                     if broken_streak > policy.pool_rebuilds:
+                        # Slower, but immune to child-process mortality.
+                        in_process = True
                         self._emit(
                             f"  worker pool died {broken_streak} time(s); "
                             f"running {len(queue)} remaining run(s) serially"
                         )
-                        remaining, queue = queue, []
-                        run_serially(remaining)
                     else:
                         self._emit(
                             f"  worker pool died; retrying {len(queue)} "
@@ -928,19 +850,16 @@ class SweepExecutor:
                                 f"  {_describe(item.cfg)} exceeded its "
                                 f"{policy.timeout_s:.1f}s deadline; killing worker"
                             )
-                            requeued = charge_failure(
+                            charge_failure(
                                 item, f"deadline ({policy.timeout_s:.1f}s) exceeded", now
                             )
-                            if requeued is not None:
-                                queue.append(requeued)
                         # Killing the pool takes innocent in-flight
                         # runs with it; they re-run without charge.
-                        for item in list(in_flight.values()):
+                        for item in in_flight.values():
                             journal(
                                 "run_requeued", fp=item.fp, reason="pool recycled"
                             )
-                            item.not_before = 0.0
-                            queue.append(item)
+                            requeue(item)
                         in_flight.clear()
                         kill_pool()
         finally:

@@ -36,9 +36,10 @@ made the simulated cluster:
   submitting work, checkpoint the journal, and raise
   :class:`SweepPreempted`; the session resumes later exactly like a
   crashed one.
-* **Signals** — :func:`install_signal_guard` gives CLI sweeps a
-  graceful SIGINT/SIGTERM: the first signal requests a clean stop
-  (journal flushed, resume command printed), the second hard-exits.
+* **Signals** — :func:`install_signal_guard` gives every CLI sweep,
+  durable or not, a graceful SIGINT/SIGTERM: the first signal requests
+  a clean stop (finished cells cached, journal flushed, resume command
+  printed), the second hard-exits.
 
 Session lifecycle events are counted in a
 :class:`~repro.obs.metrics.MetricsRegistry` (``session.*`` counters)
@@ -75,6 +76,7 @@ __all__ = [
     "SweepPreempted",
     "SweepSession",
     "decode_config",
+    "describe_session",
     "encode_config",
     "grid_fingerprint",
     "install_signal_guard",
@@ -327,30 +329,15 @@ def replay_journal(path: str | Path) -> tuple[list[dict], dict]:
     return records, recovery
 
 
-def _states_from_records(
-    fingerprints: Sequence[str], records: Sequence[dict]
-) -> tuple[dict[str, str], dict[str, int]]:
-    """Fold journal records into per-fingerprint (state, attempts)."""
-    states = {fp: "pending" for fp in fingerprints}
-    attempts = {fp: 0 for fp in fingerprints}
-    transitions = {
-        "run_start": "running",
-        "run_done": "done",
-        "run_retry": "pending",
-        "run_failed": "failed",
-        "run_abandoned": "abandoned",
-        "run_requeued": "pending",
-    }
-    for record in records:
-        state = transitions.get(record.get("ev"))
-        fp = record.get("fp")
-        if state is None or fp not in states:
-            continue
-        states[fp] = state
-        attempt = record.get("attempt")
-        if isinstance(attempt, int):
-            attempts[fp] = max(attempts[fp], attempt)
-    return states, attempts
+#: The run state each lifecycle record leaves its cell in.
+_TRANSITIONS = {
+    "run_start": "running",
+    "run_done": "done",
+    "run_retry": "pending",
+    "run_failed": "failed",
+    "run_abandoned": "abandoned",
+    "run_requeued": "pending",
+}
 
 
 class SweepSession:
@@ -434,6 +421,17 @@ class SweepSession:
         return session
 
     @classmethod
+    def load(cls, directory: Path) -> "SweepSession":
+        """The session in ``directory`` as its journal left it: read
+        only, nothing is appended."""
+        manifest = json.loads((directory / "grid.json").read_text())
+        session = cls(directory, manifest)
+        records, session.recovery = replay_journal(session.journal_path)
+        for record in records:
+            session._fold(record.get("ev"), record.get("fp"), record.get("attempt"))
+        return session
+
+    @classmethod
     def open(
         cls, key: str, *, root: str | Path | None = None
     ) -> "SweepSession":
@@ -443,16 +441,10 @@ class SweepSession:
         a dead driver (the run returns to ``pending``), and logs the
         resume — all before any new work is scheduled.
         """
-        directory = resolve_session(key, root=root)
-        manifest = json.loads((directory / "grid.json").read_text())
-        session = cls(directory, manifest)
-        records, session.recovery = replay_journal(session.journal_path)
-        states, attempts = _states_from_records(session.fingerprints, records)
-        session.attempts = attempts
-        session.states = states
-        abandoned = [fp for fp, state in states.items() if state == "running"]
+        session = cls.load(resolve_session(key, root=root))
+        abandoned = [fp for fp, state in session.states.items() if state == "running"]
         for fp in abandoned:
-            session.event("run_abandoned", fp=fp, attempt=attempts[fp])
+            session.event("run_abandoned", fp=fp, attempt=session.attempts[fp])
             session.states[fp] = "pending"
         counts = session.counts()
         session.event(
@@ -507,10 +499,11 @@ class SweepSession:
     def _journal_handle(self) -> Any:
         """The session's long-lived ``O_APPEND`` journal handle.
 
-        Same contract as :func:`repro.io.append_text` — each record is
-        a single flushed ``write()``, so a crash tears at most the
-        final line — but without a per-event open/close, which keeps
-        journaling overhead negligible against even sub-100ms runs.
+        Each record is a single flushed ``write()`` on an append-mode
+        handle, so a crash tears at most the final line — which replay
+        detects and drops. One handle for the session's life, not an
+        open/close per event, keeps journaling overhead negligible
+        against even sub-100ms runs.
         """
         if self._journal_fh is None or self._journal_fh.closed:
             self.journal_path.parent.mkdir(parents=True, exist_ok=True)
@@ -526,22 +519,18 @@ class SweepSession:
         if fsync:
             os.fsync(fh.fileno())
         self.registry.counter(f"session.{kind}").inc()
-        fp = data.get("fp")
-        if fp in self.states:
-            transitions = {
-                "run_start": "running",
-                "run_done": "done",
-                "run_retry": "pending",
-                "run_failed": "failed",
-                "run_abandoned": "abandoned",
-                "run_requeued": "pending",
-            }
-            state = transitions.get(kind)
-            if state is not None:
-                self.states[fp] = state
-            attempt = data.get("attempt")
-            if isinstance(attempt, int):
-                self.attempts[fp] = max(self.attempts.get(fp, 0), attempt)
+        self._fold(kind, data.get("fp"), data.get("attempt"))
+
+    def _fold(self, kind: Any, fp: Any, attempt: Any) -> None:
+        """Apply one record — just appended, or replayed from disk and
+        so of unchecked shape — to the run states."""
+        if fp not in self.states:
+            return
+        state = _TRANSITIONS.get(kind)
+        if state is not None:
+            self.states[fp] = state
+        if isinstance(attempt, int):
+            self.attempts[fp] = max(self.attempts[fp], attempt)
 
     def records(self) -> list[dict]:
         """All readable journal records (for ``sweep show`` / traces)."""
@@ -603,14 +592,7 @@ class SweepSession:
         }
 
     def summary(self) -> str:
-        counts = self.counts()
-        bits = [f"{counts['done']}/{len(self.fingerprints)} done"]
-        for state in ("running", "pending", "failed", "abandoned"):
-            if counts[state]:
-                bits.append(f"{counts[state]} {state}")
-        status = "complete" if self.completed else "resumable"
-        name = f" ({self.name})" if self.name else ""
-        return f"{self.id}{name}: {', '.join(bits)} — {status}"
+        return describe_session(self.to_dict())
 
     @property
     def resume_command(self) -> str:
@@ -618,6 +600,20 @@ class SweepSession:
 
 
 # -- session directory listing ------------------------------------------
+
+
+def describe_session(summary: dict, *, created: bool = False) -> str:
+    """One-line human form of a :meth:`SweepSession.to_dict` summary;
+    ``created`` adds the creation-time column of ``repro sweep list``."""
+    counts = summary["counts"]
+    bits = [f"{counts['done']}/{summary['runs']} done"]
+    for state in ("running", "pending", "failed", "abandoned"):
+        if counts[state]:
+            bits.append(f"{counts[state]} {state}")
+    status = "complete" if summary["completed"] else "resumable"
+    name = f" ({summary['name']})" if summary.get("name") else ""
+    middle = f"  {summary.get('created') or '?':19s}  " if created else ": "
+    return f"{summary['session']}{name}{middle}{', '.join(bits)} — {status}"
 
 
 def list_sessions(root: str | Path | None = None) -> list[dict]:
@@ -630,14 +626,9 @@ def list_sessions(root: str | Path | None = None) -> list[dict]:
         if not (directory / "grid.json").is_file():
             continue
         try:
-            manifest = json.loads((directory / "grid.json").read_text())
-            session = SweepSession(directory, manifest)
+            session = SweepSession.load(directory)
         except (ValueError, KeyError, TypeError):
             continue
-        records, session.recovery = replay_journal(session.journal_path)
-        session.states, session.attempts = _states_from_records(
-            session.fingerprints, records
-        )
         sessions.append(session.to_dict())
     sessions.sort(key=lambda s: (s.get("created") or "", s["session"]), reverse=True)
     return sessions
@@ -675,11 +666,11 @@ def resolve_session(key: str, *, root: str | Path | None = None) -> Path:
 
 
 class SignalGuard:
-    """Two-stage SIGINT/SIGTERM handling for durable sweeps.
+    """Two-stage SIGINT/SIGTERM handling for CLI sweeps.
 
-    First signal: ask the executor for a clean stop — the policy loop
-    finishes/abandons in-flight work, flushes the journal, and raises
-    :class:`SweepInterrupted` (the CLI prints the resume command).
+    First signal: ask the executor for a clean stop — its loop abandons
+    in-flight work, flushes the journal (when there is one), and raises
+    :class:`SweepInterrupted` (the CLI prints how to resume).
     Second signal: hard exit with the conventional ``128 + signum``.
     """
 

@@ -1,9 +1,10 @@
 """Result serialization: save/load experiment results as JSON.
 
-Every result type used by the experiment drivers round-trips through
-plain JSON so that runs can be archived, diffed against the paper's
-values, and re-rendered without re-running the simulation (the CLI's
-``--output`` flag uses this).
+Every result type used by the experiment drivers reduces to plain JSON
+so that runs can be archived, diffed against the paper's values, and
+re-rendered without re-running the simulation (the CLI's ``--output``
+flag uses this). The two primitive result types round-trip through
+their own ``to_dict``/``from_dict`` (:mod:`repro.core.history`).
 """
 
 from __future__ import annotations
@@ -18,18 +19,11 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.history import ThroughputResult, TrainingHistory
-
 __all__ = [
     "to_jsonable",
     "atomic_write_text",
-    "append_text",
     "save_json",
     "load_json",
-    "history_to_dict",
-    "history_from_dict",
-    "throughput_to_dict",
-    "throughput_from_dict",
 ]
 
 
@@ -95,26 +89,6 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     return path
 
 
-def append_text(path: str | Path, text: str, *, fsync: bool = False) -> Path:
-    """Append ``text`` to ``path`` (creating parents) in one write.
-
-    The contract the sweep journal relies on: each call is a single
-    ``write()`` on an ``O_APPEND`` descriptor, so concurrent appends
-    interleave at line granularity and a crash can tear at most the
-    final line — which journal replay detects and drops. ``fsync``
-    additionally forces the append to stable storage (used for the
-    records that must survive power loss, e.g. a signal-driven stop).
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        if fsync:
-            os.fsync(fh.fileno())
-    return path
-
-
 def save_json(obj: Any, path: str | Path) -> Path:
     """Serialise ``obj`` (any driver result) to ``path`` atomically.
 
@@ -128,54 +102,3 @@ def save_json(obj: Any, path: str | Path) -> Path:
 
 def load_json(path: str | Path) -> Any:
     return json.loads(Path(path).read_text())
-
-
-# -- typed round-trips for the two primitive result types ----------------
-
-_HISTORY_FIELDS = (
-    "algorithm",
-    "num_workers",
-    "epochs",
-    "times",
-    "test_accuracy",
-    "train_loss",
-    "total_iterations",
-    "total_virtual_time",
-)
-
-
-def history_to_dict(history: TrainingHistory) -> dict:
-    return {field: to_jsonable(getattr(history, field)) for field in _HISTORY_FIELDS}
-
-
-def history_from_dict(data: dict) -> TrainingHistory:
-    history = TrainingHistory()
-    for field in _HISTORY_FIELDS:
-        if field in data:
-            setattr(history, field, data[field])
-    return history
-
-
-_THROUGHPUT_FIELDS = (
-    "algorithm",
-    "num_workers",
-    "model",
-    "bandwidth_gbps",
-    "iterations_per_worker",
-    "batch_size",
-    "measured_time",
-    "measured_images",
-    "breakdown",
-)
-
-
-def throughput_to_dict(result: ThroughputResult) -> dict:
-    return {field: to_jsonable(getattr(result, field)) for field in _THROUGHPUT_FIELDS}
-
-
-def throughput_from_dict(data: dict) -> ThroughputResult:
-    result = ThroughputResult()
-    for field in _THROUGHPUT_FIELDS:
-        if field in data:
-            setattr(result, field, data[field])
-    return result

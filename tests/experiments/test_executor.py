@@ -12,10 +12,14 @@ The load-bearing properties:
 """
 
 import dataclasses
+import functools
 import json
+import multiprocessing
+import os
 
 import pytest
 
+import repro.experiments.executor as executor_module
 from repro.core.runner import RunConfig
 from repro.experiments.config import mini_accuracy_config, timing_config
 from repro.experiments.executor import (
@@ -27,6 +31,7 @@ from repro.experiments.executor import (
     set_default_executor,
 )
 from repro.experiments.scalability import run_fig2
+from repro.experiments.session import RunPolicy, SweepInterrupted
 from repro.io import to_jsonable
 from repro.optimizations.dgc import DGCConfig
 from repro.sim.costmodel import CommModel
@@ -47,6 +52,15 @@ def tiny_grid():
 def stable(results):
     """Stable serialization used for bit-identity comparisons."""
     return [json.dumps(to_jsonable(r), sort_keys=True) for r in results]
+
+
+_REAL_EXECUTE = executor_module._execute_payload
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_results():
+    """``tiny_grid()`` through the plain in-process loop, once."""
+    return tuple(SweepExecutor(jobs=1, cache=False).map(tiny_grid()))
 
 
 class TestFingerprint:
@@ -148,8 +162,6 @@ class TestRunCache:
     def test_cache_hit_spawns_no_worker_processes(self, tmp_path, monkeypatch):
         grid = tiny_grid()
         SweepExecutor(jobs=1, cache=True, cache_dir=tmp_path).map(grid)
-
-        import repro.experiments.executor as executor_module
 
         def _forbidden(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("pool spawned on a fully warm cache")
@@ -281,86 +293,182 @@ def test_runconfig_is_picklable_for_pools():
     assert config_fingerprint(clone) == config_fingerprint(cfg)
 
 
-class TestBrokenPoolRecovery:
-    """A dying worker pool must never kill a sweep: retry on a fresh
-    pool, then finish serially in-process."""
+class _FakePool:
+    """Runs submissions on the spot; a subclass says which futures
+    report a dead pool instead of a result."""
 
-    @staticmethod
-    def _install(monkeypatch, pool_cls):
-        import repro.experiments.executor as executor_module
+    instances = 0
 
-        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", pool_cls)
+    def __init__(self, *args, **kwargs):
+        type(self).instances += 1
+        self.generation = type(self).instances
+        self.submitted = 0
 
-    def test_serial_fallback_after_repeated_pool_death(self, monkeypatch):
+    def broken(self) -> bool:
+        raise NotImplementedError
+
+    def submit(self, fn, *args):
         from concurrent.futures import Future
         from concurrent.futures.process import BrokenProcessPool
 
-        class DeadPool:
-            def __init__(self, *args, **kwargs):
-                pass
+        future = Future()
+        self.submitted += 1
+        if self.broken():
+            future.set_exception(BrokenProcessPool("worker died"))
+        else:
+            future.set_result(fn(*args))
+        return future
 
-            def __enter__(self):
-                return self
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass
 
-            def __exit__(self, *exc):
-                return False
 
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_exception(BrokenProcessPool("worker died"))
-                return future
+class TestBrokenPoolRecovery:
+    """A dying worker pool must never kill a sweep: retry on a fresh
+    pool, then finish in-process — in the one scheduling loop."""
 
-        self._install(monkeypatch, DeadPool)
+    @staticmethod
+    def _install(monkeypatch, pool_cls):
+        """Swap the pool class in, and count the runs really executed."""
+        executed = []
+
+        def counting(cfg):
+            executed.append(config_fingerprint(cfg))
+            return _REAL_EXECUTE(cfg)
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", pool_cls)
+        monkeypatch.setattr(executor_module, "_execute_payload", counting)
+        return executed
+
+    def test_serial_fallback_after_repeated_pool_death(self, monkeypatch):
+        class DeadPool(_FakePool):
+            instances = 0
+
+            def broken(self):
+                return True
+
+        executed = self._install(monkeypatch, DeadPool)
         grid = tiny_grid()
         lines = []
         ex = SweepExecutor(jobs=4, cache=False, progress=lines.append)
         results = ex.map(grid)
-        assert stable(results) == stable(SweepExecutor(jobs=1, cache=False).map(grid))
-        assert sum("fresh pool" in line for line in lines) == 2
-        assert any("serially" in line for line in lines)
-        assert sum("serial fallback" in line for line in lines) == len(grid)
+        assert executed == [config_fingerprint(cfg) for cfg in grid]
+        assert stable(results) == stable(_reference_results())
+        # Two rebuilds, then the in-process pool: three dead pools in all.
+        assert DeadPool.instances == 3
+        assert [line for line in lines if "pool" in line] == [
+            "  worker pool died; retrying 4 run(s) on a fresh pool (1/2)",
+            "  worker pool died; retrying 4 run(s) on a fresh pool (2/2)",
+            "  worker pool died 3 time(s); running 4 remaining run(s) serially",
+        ]
+        done = [line for line in lines if "done in" in line]
+        assert [line.split("]")[0] for line in done] == [
+            "  [1/4", "  [2/4", "  [3/4", "  [4/4",
+        ]
+        # Pool deaths are nobody's fault: no attempt was charged.
+        assert not any("attempt" in line for line in lines)
+        assert ex.last_stats.retried == 0 and ex.last_stats.failed == 0
+        assert ex.last_stats.executed == len(grid)
 
     def test_retry_keeps_collected_results(self, monkeypatch):
-        from concurrent.futures import Future
-        from concurrent.futures.process import BrokenProcessPool
-
-        class FlakyPool:
+        class FlakyPool(_FakePool):
             instances = 0
 
-            def __init__(self, *args, **kwargs):
-                type(self).instances += 1
-                self._broken = type(self).instances == 1
-                self._submitted = 0
+            def broken(self):
+                # The first pool dies after delivering one result.
+                return self.generation == 1 and self.submitted > 1
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                self._submitted += 1
-                if self._broken and self._submitted > 1:
-                    future.set_exception(BrokenProcessPool("worker died"))
-                else:
-                    future.set_result(fn(*args))
-                return future
-
-        self._install(monkeypatch, FlakyPool)
+        executed = self._install(monkeypatch, FlakyPool)
         grid = tiny_grid()
         lines = []
         ex = SweepExecutor(jobs=4, cache=False, progress=lines.append)
         results = ex.map(grid)
         assert FlakyPool.instances == 2  # one death, one successful retry
-        assert stable(results) == stable(SweepExecutor(jobs=1, cache=False).map(grid))
-        retry_lines = [line for line in lines if "fresh pool" in line]
+        # The banked cell was not run again.
+        assert sorted(executed) == sorted(config_fingerprint(cfg) for cfg in grid)
+        assert stable(results) == stable(_reference_results())
         # One result was banked before the pool died: only the
-        # remaining three runs are retried.
-        assert retry_lines == [
-            "  worker pool died; retrying 3 remaining run(s) on a fresh pool (1/2)"
+        # remaining three runs are retried, none of them charged.
+        assert [line for line in lines if "pool" in line] == [
+            "  worker pool died; retrying 3 run(s) on a fresh pool (1/2)"
         ]
-        assert not any("serial fallback" in line for line in lines)
+        assert not any("serially" in line or "attempt" in line for line in lines)
+        assert ex.last_stats.retried == 0
+
+
+def _fail_marked_cell(config):
+    """Top-level (so a forked pool worker can unpickle it) stand-in for
+    ``_execute_payload``: the cell named by the environment raises."""
+    if os.environ.get("REPRO_TEST_FAILING_CELL") == config_fingerprint(config):
+        raise RuntimeError("flaky cell")
+    return _REAL_EXECUTE(config)
+
+
+class TestOneLoop:
+    """Every combination of jobs / policy / session runs the same loop
+    and differs only in what it does about a failing run."""
+
+    @pytest.mark.parametrize("durable", [False, True])
+    @pytest.mark.parametrize("policy", [None, RunPolicy(max_attempts=1)])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_path_gives_the_same_results(self, tmp_path, jobs, policy, durable):
+        grid = tiny_grid()
+        ex = SweepExecutor(
+            jobs=jobs,
+            cache=False,
+            policy=policy,
+            durable=durable,
+            session_root=tmp_path / "sessions",
+        )
+        results = ex.map(grid)
+        assert stable(results) == stable(_reference_results())
+        assert ex.last_stats.executed == len(grid)
+        assert (ex.last_session is not None) == durable
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_plain_sweep_banks_each_result_and_reraises(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        """No policy, no session: the run's own exception comes out of
+        map(), and what finished before it is already in the cache."""
+        if jobs > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool workers inherit the stand-in through fork")
+        grid = tiny_grid()
+        monkeypatch.setattr(executor_module, "_execute_payload", _fail_marked_cell)
+        monkeypatch.setenv("REPRO_TEST_FAILING_CELL", config_fingerprint(grid[2]))
+        ex = SweepExecutor(jobs=jobs, cache=True, cache_dir=tmp_path)
+        with pytest.raises(RuntimeError, match="flaky cell"):
+            ex.map(grid)
+        banked = len(list(tmp_path.glob("*.json")))
+        # Cell 2 is submitted only once a slot frees up, i.e. after at
+        # least one earlier cell was banked; in-process, after both.
+        assert banked >= 1 if jobs > 1 else banked == 2
+        monkeypatch.delenv("REPRO_TEST_FAILING_CELL")
+        again = SweepExecutor(jobs=jobs, cache=True, cache_dir=tmp_path)
+        results = again.map(grid)
+        assert again.last_stats.cache_hits == banked
+        assert again.last_stats.executed == len(grid) - banked
+        assert stable(results) == stable(_reference_results())
+
+    def test_plain_sweep_honours_request_stop(self, tmp_path):
+        grid = tiny_grid()
+        ex = SweepExecutor(jobs=1, cache=True, cache_dir=tmp_path)
+        seen = []
+
+        def stop_after_two(line):
+            seen.append(line)
+            if sum("done in" in s for s in seen) == 2:
+                ex.request_stop("enough")
+
+        ex.progress = stop_after_two
+        with pytest.raises(SweepInterrupted) as excinfo:
+            ex.map(grid)
+        assert excinfo.value.session_id is None
+        assert (excinfo.value.done, excinfo.value.remaining) == (2, 2)
+        assert "re-run the same command" in excinfo.value.resume_command
+        again = SweepExecutor(jobs=1, cache=True, cache_dir=tmp_path)
+        again.map(grid)
+        assert again.last_stats.cache_hits == 2
 
 
 class TestSweepTelemetry:

@@ -287,6 +287,31 @@ class TestDurableSweepCLI:
         assert "2/2 done" in out
         assert "session complete" in out
 
+    def test_plain_sweep_stops_cleanly_on_first_signal(self, capsys, monkeypatch):
+        """No --session: the guard is installed all the same, so the
+        first SIGINT is a clean exit 130, not a KeyboardInterrupt."""
+        import os
+        import signal
+
+        import repro.experiments.session as session_module
+
+        real_install = session_module.install_signal_guard
+        previous = signal.getsignal(signal.SIGINT)
+
+        def install_then_signal(executor):
+            guard = real_install(executor)
+            os.kill(os.getpid(), signal.SIGINT)
+            return guard
+
+        monkeypatch.setattr(
+            session_module, "install_signal_guard", install_then_signal
+        )
+        assert self._run() == 130
+        err = capsys.readouterr().err
+        assert "sweep interrupted" in err
+        assert "re-run the same command" in err
+        assert signal.getsignal(signal.SIGINT) is previous  # guard removed
+
     def test_sweep_resume_honours_manifest_cache_dir(self, capsys):
         assert self._run("--session", "t3") == 0
         manifest_files = list(

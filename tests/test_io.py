@@ -4,17 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.history import ThroughputResult, TrainingHistory
-from repro.io import (
-    append_text,
-    atomic_write_text,
-    history_from_dict,
-    history_to_dict,
-    load_json,
-    save_json,
-    throughput_from_dict,
-    throughput_to_dict,
-    to_jsonable,
-)
+from repro.io import atomic_write_text, load_json, save_json, to_jsonable
 
 
 class TestToJsonable:
@@ -91,24 +81,6 @@ class TestAtomicWrite:
         assert [p.name for p in tmp_path.iterdir()] == ["x.txt"]
 
 
-class TestAppendText:
-    def test_appends_in_order(self, tmp_path):
-        target = tmp_path / "j.jsonl"
-        append_text(target, "one\n")
-        append_text(target, "two\n")
-        assert target.read_text() == "one\ntwo\n"
-
-    def test_creates_parent_dirs(self, tmp_path):
-        path = append_text(tmp_path / "a" / "b" / "j.jsonl", "x\n")
-        assert path.read_text() == "x\n"
-
-    def test_fsync_variant_appends_identically(self, tmp_path):
-        target = tmp_path / "j.jsonl"
-        append_text(target, "plain\n")
-        append_text(target, "synced\n", fsync=True)
-        assert target.read_text() == "plain\nsynced\n"
-
-
 class TestHistoryRoundtrip:
     def test_roundtrip(self, tmp_path):
         history = TrainingHistory(algorithm="BSP", num_workers=8)
@@ -116,18 +88,20 @@ class TestHistoryRoundtrip:
         history.record(epoch=1, time=5.0, test_accuracy=0.6, train_loss=0.9)
         history.total_iterations = 100
         history.total_virtual_time = 5.0
-        path = save_json(history_to_dict(history), tmp_path / "h.json")
-        back = history_from_dict(load_json(path))
+        history.metadata["total_messages"] = 42
+        path = save_json(history.to_dict(), tmp_path / "h.json")
+        back = TrainingHistory.from_dict(load_json(path))
         assert back.algorithm == "BSP"
         assert back.final_test_accuracy == pytest.approx(0.6)
         assert back.times == [0.0, 5.0]
         assert back.total_iterations == 100
+        assert back.metadata == {"total_messages": 42}
 
-    def test_metadata_excluded(self):
+    def test_metadata_config_excluded(self):
         history = TrainingHistory()
         history.metadata["config"] = object()  # unserialisable by design
-        data = history_to_dict(history)
-        assert "metadata" not in data
+        history.metadata["faults"] = {"evictions": []}
+        assert history.to_dict()["metadata"] == {"faults": {"evictions": []}}
 
 
 class TestThroughputRoundtrip:
@@ -141,8 +115,8 @@ class TestThroughputRoundtrip:
             measured_images=1000,
             breakdown={"compute": 0.5, "comm": 0.5},
         )
-        path = save_json(throughput_to_dict(result), tmp_path / "t.json")
-        back = throughput_from_dict(load_json(path))
+        path = save_json(result.to_dict(), tmp_path / "t.json")
+        back = ThroughputResult.from_dict(load_json(path))
         assert back.throughput == pytest.approx(500.0)
         assert back.breakdown["comm"] == 0.5
         assert back.model == "vgg16"
