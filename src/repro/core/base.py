@@ -131,9 +131,11 @@ class TrainingAlgorithm:
         ]
         if not comps:
             return None
-        acc = comps[0].model.get_flat_parameters()
+        # Replica state, not ``comp.model``: the compute model is shared
+        # and holds whichever replica computed last.
+        acc = comps[0].params.copy()
         for comp in comps[1:]:
-            acc += comp.model.get_flat_parameters()
+            acc += comp.params
         acc /= len(comps)
         return acc
 

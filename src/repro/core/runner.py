@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -557,7 +557,6 @@ class DistributedRunner:
 
         init_params: np.ndarray | None = None
         decay_mask: np.ndarray | None = None
-        models = []
         if full:
             dataset = DATASETS[cfg.dataset_name](seed=cfg.seed, **cfg.dataset_kwargs)
             split_rng = np.random.default_rng(cfg.seed + 1)
@@ -569,15 +568,16 @@ class DistributedRunner:
                 rng=np.random.default_rng(cfg.seed + 2),
                 drop_remainder=True,
             )
-            # All replicas start from identical parameters: drawn once,
-            # loaded into the others.
-            models.append(build_model(cfg.model_name, seed=cfg.seed, **cfg.model_kwargs))
-            init_params = models[0].get_flat_parameters()
-            replica = partial(build_model, cfg.model_name, params=init_params, **cfg.model_kwargs)
-            models.extend(replica() for _ in range(1, cfg.num_workers))
-            self._eval_model = replica()
-            decay_mask = weight_decay_mask(models[0])
-            profile = mini_profile_from_model(models[0], name=cfg.model_name)
+            # One compute model per run: a replica is the flat vectors
+            # on its LocalComputation, each a copy of this seeded draw
+            # (DESIGN §3). Evaluation has a model of its own.
+            model = build_model(cfg.model_name, seed=cfg.seed, **cfg.model_kwargs)
+            init_params = model.get_flat_parameters()
+            self._eval_model = build_model(
+                cfg.model_name, params=init_params, **cfg.model_kwargs
+            )
+            decay_mask = weight_decay_mask(model)
+            profile = mini_profile_from_model(model, name=cfg.model_name)
             dataset_size = sum(len(s) for s in shards)
             sharding = make_sharding_plan(
                 profile, num_shards, strategy=cfg.sharding_strategy
@@ -649,11 +649,12 @@ class DistributedRunner:
                     rng=np.random.default_rng(cfg.seed * 1000 + 17 + wid),
                 )
                 comp = LocalComputation(
-                    models[wid],
+                    model,
                     loader,
                     SoftmaxCrossEntropy(),
                     momentum=cfg.momentum,
                     weight_decay=cfg.weight_decay,
+                    decay_mask=decay_mask,
                 )
             dgc = None
             if dgc_config is not None:
@@ -736,7 +737,7 @@ class DistributedRunner:
             )
         self._eval_model.set_flat_parameters(params)
         # Batch-norm models evaluate with batch statistics (running
-        # stats are per-worker local and not part of the flat vector).
+        # stats belong to the compute model, not to the flat vector).
         self._eval_model.train()
         correct = 0
         x, y = self._test_data.x, self._test_data.y

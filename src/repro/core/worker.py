@@ -25,7 +25,7 @@ import numpy as np
 from repro.data.loader import BatchLoader
 from repro.nn.losses import Loss
 from repro.nn.module import Module
-from repro.nn.optim import SGD
+from repro.nn.optim import FlatSGD, weight_decay_mask
 from repro.optimizations.dgc import DGCCompressor, SparseGradient
 from repro.optimizations.waitfree import CommPlanEntry
 from repro.sim.engine import AllOf, Get, Signal, Timeout
@@ -45,7 +45,16 @@ __all__ = [
 
 
 class LocalComputation:
-    """One worker's model replica, data shard, and local optimizer."""
+    """One worker's replica, data shard and loss.
+
+    The replica is two flat float64 vectors, :attr:`params` and the
+    momentum :attr:`velocity`; ``get_params``/``set_params``/
+    ``gradient``/``apply_gradient`` are its interface. ``model`` only
+    computes: a run builds one and every worker's ``LocalComputation``
+    shares it, loading its own ``params`` for the length of one
+    :meth:`gradient` call (DESIGN §3). Do not read replica state from
+    ``model`` — it holds whichever replica computed last.
+    """
 
     def __init__(
         self,
@@ -55,45 +64,73 @@ class LocalComputation:
         *,
         momentum: float = 0.9,
         weight_decay: float = 1e-4,
+        decay_mask: np.ndarray | None = None,
     ) -> None:
         self.model = model
         self.loader = loader
         self.loss = loss
-        self.optimizer = SGD(model, momentum=momentum, weight_decay=weight_decay)
+        self.params = model.get_flat_parameters()
+        if decay_mask is None and weight_decay:
+            decay_mask = weight_decay_mask(model)
+        self.optimizer = FlatSGD(
+            self.params.size,
+            momentum=momentum,
+            weight_decay=weight_decay,
+            decay_mask=decay_mask,
+        )
         self.last_loss: float = float("nan")
         self.ema_loss: float = float("nan")
         self._ema_beta = 0.95
 
+    @property
+    def velocity(self) -> np.ndarray:
+        """The replica's momentum buffer (the live vector, not a copy)."""
+        return self.optimizer.velocity
+
     def gradient(self) -> np.ndarray:
-        """Compute the mini-batch gradient; returns the flat vector."""
+        """Compute the mini-batch gradient at :attr:`params`; returns
+        the flat vector.
+
+        One Python call inside one simulated event: nothing yields
+        between loading the parameters and reading the gradient, so
+        replicas sharing ``model`` never interleave inside it.
+        """
         x, y = self.loader.next_batch()
-        # The replica is this object's own (evaluation runs on a separate
-        # model), so it leaves train mode only if a caller put it in
-        # eval(); train() walks every module, too much to pay per step.
-        if not self.model.training:
-            self.model.train()
-        self.model.zero_grad()
-        out = self.model.forward(x)
+        model = self.model
+        model.set_flat_parameters(self.params)
+        # Evaluation runs on a separate model, so this one leaves train
+        # mode only if a caller put it in eval(); train() walks every
+        # module, too much to pay per step.
+        if not model.training:
+            model.train()
+        model.zero_grad()
+        out = model.forward(x)
         loss_value = self.loss.forward(out, y)
-        self.model.backward_params(self.loss.backward())
+        model.backward_params(self.loss.backward())
         self.last_loss = loss_value
         if self.ema_loss != self.ema_loss:  # NaN — first observation
             self.ema_loss = loss_value
         else:
             self.ema_loss = self._ema_beta * self.ema_loss + (1 - self._ema_beta) * loss_value
-        return self.model.get_flat_gradients()
+        return model.get_flat_gradients()
 
     def apply_gradient(self, flat_grad: np.ndarray, lr: float) -> None:
-        """Apply a (possibly aggregated) flat gradient with the local
-        momentum-SGD optimizer."""
-        self.model.set_flat_gradients(flat_grad)
-        self.optimizer.step(lr)
+        """Apply a (possibly aggregated) flat gradient to the replica
+        with its momentum-SGD optimizer."""
+        if lr < 0:
+            raise ValueError("learning rate must be non-negative")
+        self.optimizer.step(self.params, flat_grad, lr)
+
+    def reset_velocity(self) -> None:
+        """Forget the momentum (restores and rollbacks: it points along
+        a trajectory the new parameters never followed)."""
+        self.optimizer.velocity.fill(0.0)
 
     def get_params(self) -> np.ndarray:
-        return self.model.get_flat_parameters()
+        return self.params.copy()
 
     def set_params(self, flat: np.ndarray) -> None:
-        self.model.set_flat_parameters(flat)
+        Module._load(self.params, flat)
 
 
 @dataclass

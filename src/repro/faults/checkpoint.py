@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.nn.optim import SGD
 from repro.optimizations.dgc import DGCCompressor
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -78,14 +77,11 @@ def capture_snapshot(rt: "Runtime", algorithm: "TrainingAlgorithm") -> Snapshot:
 
 def restore_snapshot(rt: "Runtime", slot: "WorkerSlot", snapshot: Snapshot) -> None:
     """Rebuild a worker slot from a snapshot (in place)."""
-    cfg = rt.config
     if slot.comp is not None and snapshot.params is not None:
-        slot.comp.set_params(snapshot.params.copy())
+        slot.comp.set_params(snapshot.params)
         # Fresh momentum: the old velocity points along a trajectory the
         # restored parameters never followed.
-        slot.comp.optimizer = SGD(
-            slot.comp.model, momentum=cfg.momentum, weight_decay=cfg.weight_decay
-        )
+        slot.comp.reset_velocity()
     if slot.dgc is not None:
         assert rt.dgc_config is not None
         slot.dgc = DGCCompressor(rt.total_elements, rt.dgc_config)

@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.nn.optim import SGD
 from repro.robust.aggregators import aggregate_rows
 from repro.robust.config import RobustConfig
 
@@ -237,15 +236,12 @@ class RobustRuntime:
         if params is None:
             return
         rt = self.rt
-        cfg = rt.config
         for wid in rt.live_worker_ids():
             slot = rt.workers[wid]
             if slot.comp is None:
                 continue
-            slot.comp.set_params(params.copy())
-            slot.comp.optimizer = SGD(
-                slot.comp.model, momentum=cfg.momentum, weight_decay=cfg.weight_decay
-            )
+            slot.comp.set_params(params)
+            slot.comp.reset_velocity()
             slot.comp.last_loss = float("nan")
             slot.comp.ema_loss = float("nan")
         for shard in rt.ps_nodes:

@@ -1,5 +1,6 @@
-"""Full-mode runs on the CNNs: replicas start from one draw, evaluation
-retains nothing, and the seed-0 ledger cell still trains."""
+"""Full-mode runs on the CNNs: replicas start from one draw and are flat
+vectors around one compute model, evaluation retains nothing, and the
+seed-0 ledger cell still trains."""
 
 import gc
 import math
@@ -53,10 +54,45 @@ class TestInitialParameters:
         assert np.array_equal(runner.runtime.init_params, drawn)
 
     def test_replicas_do_not_share_storage(self):
+        """A replica is its own flat vectors; the compute model is the
+        run's one, and no replica's state (DESIGN §3)."""
         runner = DistributedRunner(conv_config("minivgg"))
-        first, second = (slot.comp.model for slot in runner.runtime.workers[:2])
-        first.set_flat_parameters(np.zeros(first.num_parameters()))
-        assert np.any(second.get_flat_parameters() != 0.0)
+        first, second = (slot.comp for slot in runner.runtime.workers[:2])
+        before = second.get_params()
+        first.set_params(np.zeros(first.params.size))
+        assert np.all(first.get_params() == 0.0)
+        assert np.array_equal(second.get_params(), before) and np.any(before != 0.0)
+        assert not np.shares_memory(first.params, second.params)
+        assert not np.shares_memory(first.velocity, second.velocity)
+        assert len({id(s.comp.model) for s in runner.runtime.workers}) == 1
+        assert runner._eval_model is not first.model
+
+
+class TestMemoryScaling:
+    @staticmethod
+    def built_and_stepped(num_workers: int) -> int:
+        """Bytes a built runner holds once every worker has computed a
+        gradient (tracemalloc, relative to before the build)."""
+        cluster = paper_cluster(bandwidth_gbps=56.0, machines=4, gpus_per_machine=4)
+        cfg = conv_config("miniresnet", num_workers=num_workers, cluster=cluster)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            runner = DistributedRunner(cfg)
+            for slot in runner.runtime.workers:
+                slot.comp.gradient()
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_an_extra_worker_costs_its_flat_vectors_not_a_model(self):
+        """Parent: 2.249 MB per extra MiniResNet worker at batch 16
+        (activations + patch matrices per replica); now 0.084 MB =
+        params + velocity, 2 x 5 266 float64."""
+        self.built_and_stepped(4)  # one-off imports and caches
+        m4, m16 = self.built_and_stepped(4), self.built_and_stepped(16)
+        assert (m16 - m4) / 12 <= 0.25e6, (m4, m16)
 
 
 class TestEvaluationKeepsNothing:
@@ -70,7 +106,9 @@ class TestEvaluationKeepsNothing:
             for array in arrays_held(module):
                 assert array.size <= max(own, module.num_parameters()), type(module).__name__
 
-    def test_training_replicas_still_keep_their_caches(self):
+    def test_compute_model_keeps_caches_for_backward(self):
+        """Unlike the evaluation model: ``backward`` reads what
+        ``forward`` cached, so the compute model holds one set."""
         runner = DistributedRunner(conv_config("miniresnet"))
         comp = runner.runtime.workers[0].comp
         comp.gradient()
