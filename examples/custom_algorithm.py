@@ -12,12 +12,18 @@ The example shows the full extension surface:
 
 * subclass :class:`~repro.core.base.TrainingAlgorithm`,
 * declare the Table-I-style classification via ``AlgorithmInfo``,
-* spawn worker processes from ``spawn_workers`` — through
-  ``runtime.spawn(..., owner=wid)``, like the in-tree algorithms — that
-  combine the provided building blocks (``compute_iteration`` + ring
-  messaging),
+* give ``worker_factory`` — the base class spawns one process per live
+  worker from it (``runtime.spawn(..., owner=wid)``, like the in-tree
+  algorithms) and evaluates the average of the replicas — whose workers
+  combine the provided building blocks (``compute_iteration`` +
+  ``ring_allreduce``),
 * register with ``@register_algorithm`` and run through the standard
   :class:`~repro.core.runner.DistributedRunner`.
+
+The ring is the ``wids`` the workers were spawned with, not
+``config.num_workers``: after a crash the base class respawns the
+survivors over a shorter ring, and that is all the fault tolerance
+this algorithm needs.
 
 Usage::
 
@@ -26,44 +32,13 @@ Usage::
 
 import sys
 
-import numpy as np
-
-from repro.comm.collectives import chunk_slices, ring_allreduce_plan, ring_neighbors
 from repro.core.base import AlgorithmInfo, TrainingAlgorithm, register_algorithm
 from repro.core.runner import DistributedRunner, RunConfig, Runtime
-from repro.core.worker import WorkerSlot, compute_iteration
+from repro.core.worker import WorkerSlot, compute_iteration, ring_allreduce
 from repro.sim.cluster import paper_cluster
 
 
-def _ring_average_params(rt: Runtime, slot: WorkerSlot):
-    """Synchronously average all workers' parameters over the ring."""
-    world = rt.config.num_workers
-    vec = slot.comp.get_params() if slot.comp is not None else None
-    if world == 1:
-        return
-    _, right = ring_neighbors(slot.wid, world)
-    right_node = rt.workers[right].node
-    n = rt.total_elements
-    slices = chunk_slices(n, world)
-    buf = vec.copy() if vec is not None else None
-    bpp = rt.sharding.bytes_per_param
-    for step in ring_allreduce_plan(slot.wid, world):
-        send_slice = slices[step.send_chunk]
-        nbytes = max((send_slice.stop - send_slice.start) * bpp, 1)
-        payload = buf[send_slice].copy() if buf is not None else None
-        slot.node.send(right_node, "lsgd-ring", nbytes=nbytes, payload=payload)
-        msg = yield slot.node.recv("lsgd-ring")
-        if buf is not None and msg.payload is not None:
-            recv_slice = slices[step.recv_chunk]
-            if step.reduce:
-                buf[recv_slice] += msg.payload
-            else:
-                buf[recv_slice] = msg.payload
-    if slot.comp is not None and buf is not None:
-        slot.comp.set_params(buf / world)
-
-
-def _local_sgd_worker(rt: Runtime, slot: WorkerSlot, period: int):
+def _local_sgd_worker(rt: Runtime, slot: WorkerSlot, ring: list[int], period: int):
     local_iter = 0
     while not rt.stopping:
         grad = yield from compute_iteration(rt, slot)
@@ -73,7 +48,13 @@ def _local_sgd_worker(rt: Runtime, slot: WorkerSlot, period: int):
             slot.comp.apply_gradient(grad, rt.lr())
         local_iter += 1
         if local_iter % period == 0:
-            yield from _ring_average_params(rt, slot)
+            # Synchronously average the ring's parameters.
+            params = slot.comp.get_params() if slot.comp is not None else None
+            total = yield from ring_allreduce(
+                rt, slot, ring, "lsgd-ring", params, rt.total_elements
+            )
+            if total is not None:
+                slot.comp.set_params(total / len(ring))
         rt.on_iteration(slot)
 
 
@@ -95,17 +76,8 @@ class LocalSGD(TrainingAlgorithm):
         if self.period <= 0:
             raise ValueError("period must be positive")
 
-    def setup(self, runtime: Runtime) -> None:
-        self.runtime = runtime
-        self.spawn_workers(runtime, runtime.live_worker_ids())
-
-    def spawn_workers(self, runtime: Runtime, wids: list[int]) -> None:
-        for wid in wids:
-            worker = _local_sgd_worker(runtime, runtime.workers[wid], self.period)
-            runtime.spawn(worker, name=f"localsgd-w{wid}", owner=wid)
-
-    def global_params(self) -> np.ndarray | None:
-        return self._average_worker_params()
+    def worker_factory(self, runtime: Runtime, wids: list[int]):
+        return lambda slot: _local_sgd_worker(runtime, slot, wids, self.period)
 
 
 def main() -> None:

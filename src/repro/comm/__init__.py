@@ -17,8 +17,8 @@ Mirrors the paper's MPICH/TF-PS wire layer:
 * :mod:`repro.comm.gossip` — GoSGD's weighted asymmetric push-gossip
   exchange rule;
 * :mod:`repro.comm.pairwise` — AD-PSGD's bipartite active/passive
-  symmetric exchange with the deadlock-freedom argument checked via
-  :mod:`networkx`.
+  symmetric exchange with the deadlock-freedom argument stated as a
+  checkable property.
 """
 
 from repro.comm.messages import Message

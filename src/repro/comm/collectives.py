@@ -6,9 +6,9 @@ that is 2·(N−1) steps, each moving M/N bytes to the right neighbour —
 per-worker traffic ``2·M·(N−1)/N``, the bandwidth-optimal schedule.
 
 This module computes the *plan* (who sends which chunk when); the
-actual timed execution lives in the AR-SGD algorithm, which pumps the
-plan through :class:`~repro.comm.endpoints.Node` messages so that
-stragglers and link contention affect it emergently.
+timed execution is :func:`repro.core.worker.ring_allreduce`, which
+pumps the plan through :class:`~repro.comm.endpoints.Node` messages so
+that stragglers and link contention affect it emergently.
 """
 
 from __future__ import annotations

@@ -19,11 +19,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.recorder import RunObserver
 from repro.sim.cluster import ClusterSpec
 from repro.sim.costmodel import CommModel
-from repro.sim.engine import Engine, Get, Signal, Store, Timeout
+from repro.sim.engine import Engine, Get, Signal, Store
 from repro.sim.network import Network
 from repro.sim.trace import PhaseTracer
 
-__all__ = ["CommContext", "Node", "heartbeat_loop", "HEARTBEAT_BYTES"]
+__all__ = ["CommContext", "Node", "HEARTBEAT_BYTES"]
 
 #: Wire size of one heartbeat control message.
 HEARTBEAT_BYTES = 32
@@ -241,28 +241,3 @@ class Node:
         """
         for box in self._mailboxes.values():
             box._getters.clear()
-
-
-def heartbeat_loop(
-    node: Node,
-    monitor: Node,
-    worker: int,
-    interval: float,
-    runtime,
-):
-    """Process body: periodically announce liveness to ``monitor``.
-
-    Beats land as ordinary messages in ``monitor``'s ``"hb"`` mailbox.
-    The fault controller no longer uses this loop — its failure
-    detector runs beats as a callback chain on the engine's fast path
-    (see ``repro.faults.controller``) — but the generator form remains
-    the reference implementation and the building block for custom
-    monitors.
-    """
-    while not runtime.stopping:
-        yield Timeout(interval)
-        if runtime.stopping:
-            return
-        node.send_nowait(
-            monitor, "hb", nbytes=HEARTBEAT_BYTES, meta={"worker": worker}, oob=True
-        )

@@ -9,28 +9,19 @@ active→passive exchange edges, making the wait-for graph bipartite and
 therefore acyclic in the direction of blocking.
 
 :func:`verify_deadlock_free` states that argument as a checkable
-property with :mod:`networkx`: orienting every possible wait edge from
-active to passive yields a DAG (in fact a 2-layer DAG). No run builds
-the graph — AD-PSGD splits its live set positionally — so networkx is
-imported inside the two graph helpers and stays off every production
-import path.
+property: when every exchange edge joins the two classes, orienting it
+active→passive (the direction of blocking) gives a 2-layer DAG — no
+node has both an incoming and an outgoing edge, so no cycle exists. No
+run builds the graph; AD-PSGD splits its live set positionally.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import Iterable
 
-import numpy as np
+__all__ = ["bipartite_split", "build_exchange_graph", "verify_deadlock_free"]
 
-if TYPE_CHECKING:  # pragma: no cover
-    import networkx as nx
-
-__all__ = [
-    "bipartite_split",
-    "build_exchange_graph",
-    "verify_deadlock_free",
-    "choose_passive_peer",
-]
+Edge = tuple[int, int]
 
 
 def bipartite_split(world: int) -> tuple[list[int], list[int]]:
@@ -47,49 +38,28 @@ def bipartite_split(world: int) -> tuple[list[int], list[int]]:
     return active, passive
 
 
-def build_exchange_graph(world: int) -> nx.Graph:
-    """Complete bipartite exchange graph between active and passive sets."""
-    import networkx as nx
-
+def build_exchange_graph(world: int) -> tuple[list[int], list[int], list[Edge]]:
+    """``(active, passive, edges)`` of the complete bipartite exchange
+    graph between the active and passive sets."""
     active, passive = bipartite_split(world)
-    graph = nx.Graph()
-    graph.add_nodes_from(active, role="active")
-    graph.add_nodes_from(passive, role="passive")
-    graph.add_edges_from((a, p) for a in active for p in passive)
-    return graph
+    return active, passive, [(a, p) for a in active for p in passive]
 
 
-def verify_deadlock_free(graph: nx.Graph) -> bool:
-    """True iff the blocking-direction orientation of ``graph`` is acyclic.
+def verify_deadlock_free(
+    active: Iterable[int], passive: Iterable[int], edges: Iterable[Edge]
+) -> bool:
+    """True iff the blocking-direction orientation of ``edges`` is acyclic.
 
-    Every exchange blocks the active side on the passive side; orienting
-    all edges active→passive must give a DAG. Graphs with an edge inside
-    one role class (or mislabeled nodes) fail.
+    Every exchange blocks the active side on the passive side. If each
+    edge joins an active to a passive node, every wait points from the
+    first class into the second and nothing waits on an active node: a
+    2-layer DAG. An edge inside one class (or touching a node in neither,
+    or a node in both) could block peer on peer and fails the check.
     """
-    import networkx as nx
-
-    directed = nx.DiGraph()
-    directed.add_nodes_from(graph.nodes)
-    for u, v in graph.edges:
-        role_u = graph.nodes[u].get("role")
-        role_v = graph.nodes[v].get("role")
-        if role_u == role_v:
-            return False  # an intra-class edge could block peer-on-peer
-        if role_u == "active":
-            directed.add_edge(u, v)
-        else:
-            directed.add_edge(v, u)
-    return nx.is_directed_acyclic_graph(directed)
-
-
-def choose_passive_peer(
-    rank: int, graph: nx.Graph, rng: np.random.Generator
-) -> int | None:
-    """Uniformly choose a passive neighbour of active worker ``rank``.
-
-    Returns ``None`` when the worker has no neighbours (world of 1).
-    """
-    neighbors = sorted(graph.neighbors(rank))
-    if not neighbors:
-        return None
-    return int(neighbors[rng.integers(0, len(neighbors))])
+    active, passive = set(active), set(passive)
+    if active & passive:
+        return False
+    return all(
+        (u in active and v in passive) or (u in passive and v in active)
+        for u, v in edges
+    )

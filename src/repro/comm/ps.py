@@ -112,6 +112,9 @@ class PSShard(Node):
         # Robust asynchronous folds: latest complete gradient per
         # worker (the sliding window the rule is evaluated over).
         self._grad_window: dict[int, np.ndarray] = {}
+        # Per-sender fold: (entries seen, running sum) of every gradient
+        # set still incomplete (see collect_sender_entry).
+        self._partial: dict[int, tuple[int, np.ndarray | None]] = {}
         if init_params is not None:
             self.params = assignment.gather(init_params)
             mask = assignment.gather(decay_mask.astype(np.float64)).astype(bool) if (
@@ -153,21 +156,6 @@ class PSShard(Node):
         """
         return self.ctx.comm_model.agg_timeout(nbytes)
 
-    def dense_from_payload(self, payload: Any) -> np.ndarray | None:
-        """Normalise a request payload to a dense slice gradient.
-
-        Payloads are dense slices (plain send), ``(local_idx, values)``
-        sparse pairs (DGC), or ``None`` (timing mode).
-        """
-        if payload is None:
-            return None
-        if isinstance(payload, tuple):
-            local_idx, values = payload
-            dense = np.zeros(self.assignment.num_elements, dtype=np.float64)
-            dense[local_idx] = values
-            return dense
-        return np.asarray(payload, dtype=np.float64)
-
     def accumulate_entry(self, acc: np.ndarray | None, msg: Message) -> np.ndarray | None:
         """Add one gradient-entry message into a shard-slice accumulator.
 
@@ -187,6 +175,26 @@ class PSShard(Node):
             dense = np.asarray(msg.payload, dtype=np.float64)
             acc[offset : offset + dense.size] += dense
         return acc
+
+    def collect_sender_entry(
+        self, wid: int, msg: Message
+    ) -> tuple[bool, np.ndarray | None]:
+        """Count and sum one sender's gradient entries until its set for
+        this shard is complete.
+
+        Returns ``(complete, acc)``: ``acc`` is the summed slice gradient
+        once all :attr:`entries_per_sender` messages of worker ``wid``
+        have arrived (``None`` in timing mode). Call it *before* yielding:
+        the bookkeeping is shared by the concurrent serve lanes, which
+        must never observe a stale partial set.
+        """
+        count, acc = self._partial.pop(wid, (0, None))
+        acc = self.accumulate_entry(acc, msg)
+        count += 1
+        if count < self.entries_per_sender:
+            self._partial[wid] = (count, acc)
+            return False, None
+        return True, acc
 
     def apply_gradient(self, grad_slice: np.ndarray | None, lr: float) -> None:
         """One optimizer step on the shard's slice.
@@ -298,7 +306,6 @@ class PSShard(Node):
         base_meta = {"shard": self.shard_id}
         if meta:
             base_meta.update(meta)
-        trace_worker = base_meta.get("trace_worker")
         wid = base_meta.get("trace_worker")
         staleness_sample = self.runtime.obs_staleness_sample
         if staleness_sample is not None and wid is not None:
@@ -337,7 +344,7 @@ class PSShard(Node):
             nbytes=nbytes,
             payload=payload,
             meta=base_meta,
-            trace_worker=trace_worker,
+            trace_worker=wid,
         )
 
     # -- failure awareness ---------------------------------------------
@@ -345,11 +352,13 @@ class PSShard(Node):
         """Reconcile shard state with the new live worker set.
 
         Base behaviour prunes per-worker bookkeeping of evicted
-        workers; subclasses additionally drop round state (partial
-        aggregates, clock tables) so the next round starts clean over
-        the survivors. A rejoining worker re-enters with no delta-pull
-        version, so its first pull is effectively a full snapshot.
+        workers and voids the half-accumulated gradient sets of the old
+        epoch; subclasses additionally drop their round state (clock
+        tables) so the next round starts clean over the survivors. A
+        rejoining worker re-enters with no delta-pull version, so its
+        first pull is effectively a full snapshot.
         """
+        self._partial.clear()
         keep = set(live)
         self._worker_version = {
             w: v for w, v in self._worker_version.items() if w in keep

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-import numpy as np
-
 from repro.core.base import AlgorithmInfo, TrainingAlgorithm, register_algorithm
 from repro.core.runner import Runtime
 from repro.core.worker import WorkerSlot, compute_iteration
@@ -106,10 +104,6 @@ class ADPSGD(TrainingAlgorithm):
         hyperparameters=(),
     )
 
-    def setup(self, runtime: Runtime) -> None:
-        self.runtime = runtime
-        self.spawn_workers(runtime, runtime.live_worker_ids())
-
     def spawn_workers(self, runtime: Runtime, wids: list[int]) -> None:
         # Positional split of the live set: with all workers live this
         # is exactly bipartite_split's evens-active / odds-passive; after
@@ -146,6 +140,3 @@ class ADPSGD(TrainingAlgorithm):
             runtime.spawn(
                 _passive_comm(runtime, slot), name=f"adpsgd-serve-w{wid}", owner=wid
             )
-
-    def global_params(self) -> np.ndarray | None:
-        return self._average_worker_params()

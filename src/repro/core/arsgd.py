@@ -19,7 +19,7 @@ from typing import Any, Generator
 
 import numpy as np
 
-from repro.comm.collectives import chunk_slices, ring_allreduce_plan, ring_neighbors
+from repro.comm.collectives import ring_neighbors
 from repro.comm.hierarchical import (
     DEFAULT_TREE_ARITY,
     elect_leaders,
@@ -27,105 +27,46 @@ from repro.comm.hierarchical import (
     tree_children,
     tree_parent,
 )
-from repro.core.base import AlgorithmInfo, TrainingAlgorithm, register_algorithm
+from repro.core.base import AlgorithmInfo, TrainingAlgorithm, WorkerFactory, register_algorithm
 from repro.core.runner import Runtime
-from repro.core.worker import WorkerSlot, produce_gradient
+from repro.core.worker import WorkerSlot, produce_gradient, ring_allreduce, walk_plan
 from repro.optimizations.dgc import SparseGradient
+from repro.optimizations.sharding import gather_ranges, scatter_ranges
+from repro.optimizations.waitfree import CommPlanEntry
 from repro.sim.engine import AllOf, Get, Signal, Timeout
 
 __all__ = ["ARSGD"]
 
 
-def _ring_allreduce_entry(
-    rt: Runtime,
-    slot: WorkerSlot,
-    ring: list[int],
-    entry_label: str,
-    ranges: tuple[tuple[int, int], ...],
-    vec: np.ndarray | None,
-    num_elements: int,
-    done: Signal,
-) -> Generator[Any, Any, None]:
-    """Ring AllReduce of one entry's elements over the workers in
-    ``ring``; triggers ``done`` with the reduced (summed) vector, or
-    ``None`` in timing mode."""
-    world = len(ring)
-    rank = ring.index(slot.wid)
-    kind = f"ring:{entry_label}"
-    if world == 1:
-        done.trigger(vec, engine=rt.engine)
-        return
-        yield  # pragma: no cover
-    _, right = ring_neighbors(rank, world)
-    right_node = rt.workers[ring[right]].node
-    slices = chunk_slices(num_elements, world)
-    bpp = rt.sharding.bytes_per_param
-    sizes = [max((s.stop - s.start) * bpp, 1) for s in slices]
-    buf = vec.copy() if vec is not None else None
-    # 2·(N−1) yields per entry per iteration: hoist every per-step
-    # lookup out of the loop and reuse the waitables (a Get and the
-    # cached per-size reduce Timeouts are stateless between yields).
-    send = slot.node.send_nowait
-    wid = slot.wid
-    get_msg = Get(slot.node.mailbox(kind))
-    reduce_timeout = rt.ctx.comm_model.reduce_timeout
-    for step in ring_allreduce_plan(rank, world):
-        payload = buf[slices[step.send_chunk]].copy() if buf is not None else None
-        send(
-            right_node,
-            kind,
-            nbytes=sizes[step.send_chunk],
-            payload=payload,
-            trace_worker=wid,
-        )
-        msg = yield get_msg
-        if step.reduce:
-            # Reduction arithmetic on the received chunk (worker-side
-            # vector add, faster than the PS software path).
-            yield reduce_timeout(msg.nbytes)
-        if buf is not None and msg.payload is not None:
-            recv_slice = slices[step.recv_chunk]
-            if step.reduce:
-                buf[recv_slice] += msg.payload
-            else:
-                buf[recv_slice] = msg.payload
-    done.trigger(buf, engine=rt.engine)
-
-
-def _hier_allreduce_entry(
+def _hier_allreduce(
     rt: Runtime,
     slot: WorkerSlot,
     group: list[int],
     leaders: list[int],
     entry_label: str,
-    ranges: tuple[tuple[int, int], ...],
-    vec: np.ndarray | None,
+    buf: np.ndarray | None,
     num_elements: int,
-    done: Signal,
     scheme: str,
-) -> Generator[Any, Any, None]:
+) -> Generator[Any, Any, np.ndarray | None]:
     """Hierarchical AllReduce of one entry (``scheme``: "tree"/"hring").
 
     Three phases: (1) intra-machine reduce — each non-leader ships its
     entry vector to its machine leader over the bus; (2) inter-machine
     combine across the leaders — a ring allreduce ("hring") or a k-ary
     reduce+broadcast tree ("tree"); (3) intra-machine broadcast of the
-    global sum. Triggers ``done`` with the summed vector (``None`` in
-    timing mode), exactly like the flat ring entry.
+    global sum. Returns the summed vector (``None`` in timing mode),
+    exactly like the flat ring.
 
-    ``group`` (this worker's machine group) and ``leaders`` are derived
-    by ``spawn_workers`` from the ring the worker was (re)spawned with —
-    so after a membership change (including a mid-collective leader
-    crash: the fault controller kills and respawns every protocol
-    process) the shrunk ring re-elects leaders and rebuilds the leader
-    ring/tree with no recovery protocol of its own.
+    ``group`` (this worker's machine group) and ``leaders`` come from
+    ``worker_factory``, a pure map of the ring the worker was (re)spawned
+    with: a shrunk ring re-elects leaders and rebuilds the leader
+    ring/tree with no recovery protocol of its own (DESIGN §3).
     """
     bpp = rt.sharding.bytes_per_param
     entry_bytes = max(num_elements * bpp, 1)
     k_up = f"hier:{entry_label}:u"
     k_down = f"hier:{entry_label}:d"
     wid = slot.wid
-    buf = vec.copy() if vec is not None else None
     reduce_timeout = rt.ctx.comm_model.reduce_timeout
 
     if wid != group[0]:
@@ -135,13 +76,9 @@ def _hier_allreduce_entry(
             leader_node, k_up, nbytes=entry_bytes, payload=buf, trace_worker=wid
         )
         msg = yield Get(slot.node.mailbox(k_down))
-        done.trigger(
-            np.asarray(msg.payload, dtype=np.float64)
-            if msg.payload is not None
-            else None,
-            engine=rt.engine,
-        )
-        return
+        if msg.payload is None:
+            return None
+        return np.asarray(msg.payload, dtype=np.float64)
 
     # Machine leader: fold the colocated members' vectors.
     get_up = Get(slot.node.mailbox(k_up))
@@ -151,37 +88,14 @@ def _hier_allreduce_entry(
         if buf is not None and msg.payload is not None:
             buf += msg.payload
 
-    rank = leaders.index(wid)
     nleaders = len(leaders)
-    if nleaders > 1 and scheme == "hring":
-        # Ring allreduce across the machine leaders.
-        _, right = ring_neighbors(rank, nleaders)
-        right_node = rt.workers[leaders[right]].node
-        slices = chunk_slices(num_elements, nleaders)
-        sizes = [max((s.stop - s.start) * bpp, 1) for s in slices]
-        k_ring = f"hier:{entry_label}:r"
-        get_ring = Get(slot.node.mailbox(k_ring))
-        send = slot.node.send_nowait
-        for step in ring_allreduce_plan(rank, nleaders):
-            payload = buf[slices[step.send_chunk]].copy() if buf is not None else None
-            send(
-                right_node,
-                k_ring,
-                nbytes=sizes[step.send_chunk],
-                payload=payload,
-                trace_worker=wid,
-            )
-            msg = yield get_ring
-            if step.reduce:
-                yield reduce_timeout(msg.nbytes)
-            if buf is not None and msg.payload is not None:
-                recv_slice = slices[step.recv_chunk]
-                if step.reduce:
-                    buf[recv_slice] += msg.payload
-                else:
-                    buf[recv_slice] = msg.payload
+    if scheme == "hring":
+        buf = yield from ring_allreduce(
+            rt, slot, leaders, f"hier:{entry_label}:r", buf, num_elements
+        )
     elif nleaders > 1:
         # k-ary reduce tree over leader ranks, then broadcast down it.
+        rank = leaders.index(wid)
         children = tree_children(rank, nleaders, DEFAULT_TREE_ARITY)
         parent = tree_parent(rank, DEFAULT_TREE_ARITY)
         k_tree_up = f"hier:{entry_label}:tu"
@@ -221,7 +135,7 @@ def _hier_allreduce_entry(
             payload=buf.copy() if buf is not None else None,
             trace_worker=wid,
         )
-    done.trigger(buf, engine=rt.engine)
+    return buf
 
 
 def _allgather_sparse(
@@ -326,16 +240,10 @@ def _arsgd_worker(
     # allgather schedules regardless (RunConfig validation forbids
     # combining them with a hierarchical collective).
     scheme = rt.config.collective or "ring"
-    # Per-entry constants (offsets, ranges, process names) are fixed
-    # for the life of this worker; resolve them once, not per iteration.
+    # Per-entry constants (ranges, process names) are fixed for the
+    # life of this worker; resolve them once, not per iteration.
     entry_specs = [
-        (
-            entry,
-            entry.ready_offset,
-            rt.entry_ranges(entry),
-            f"ring-{entry.label}-w{slot.wid}",
-        )
-        for entry in entries
+        (rt.entry_ranges(entry), f"ring-{entry.label}-w{slot.wid}") for entry in entries
     ]
     while not rt.stopping:
         duration = rt.compute_model.iteration_time(slot.wid)
@@ -349,10 +257,12 @@ def _arsgd_worker(
             else None
         )
 
-        if robust is not None:
+        if robust is not None or dgc_on:
+            # Both allgathers need the whole gradient: a plain window.
             tracer.begin(slot.wid, "compute", rt.engine.now)
             yield Timeout(duration)
             tracer.end(slot.wid, "compute", rt.engine.now)
+        if robust is not None:
             tracer.begin(slot.wid, "global_agg", rt.engine.now)
             rows = yield from _allgather_dense(rt, slot, ring, grad)
             tracer.end(slot.wid, "global_agg", rt.engine.now)
@@ -361,9 +271,6 @@ def _arsgd_worker(
                 if agg is not None:
                     slot.comp.apply_gradient(agg, rt.lr_at_round(slot.iterations))
         elif dgc_on:
-            tracer.begin(slot.wid, "compute", rt.engine.now)
-            yield Timeout(duration)
-            tracer.end(slot.wid, "compute", rt.engine.now)
             sparse = None
             nbytes = 1
             if grad is not None:
@@ -380,54 +287,34 @@ def _arsgd_worker(
                     total / world, rt.lr_at_round(slot.iterations)
                 )
         else:
-            # One ring per comm-plan entry, launched at its readiness
-            # offset (all offsets are 1.0 without wait-free BP).
-            tracer.begin(slot.wid, "compute", rt.engine.now)
+            # One collective per comm-plan entry, launched at its
+            # readiness offset (all offsets are 1.0 without wait-free BP).
             signals: list[Signal] = []
-            entry_meta: list[tuple[tuple[tuple[int, int], ...], Signal]] = []
-            elapsed = 0.0
-            for entry, ready_offset, ranges, proc_name in entry_specs:
-                ready = ready_offset * duration
-                if ready > elapsed:
-                    yield Timeout(ready - elapsed)
-                    elapsed = ready
-                vec = (
-                    np.concatenate([grad[a:b] for a, b in ranges])
-                    if grad is not None
-                    else None
-                )
-                done = Signal()
+
+            def launch(idx: int, entry: CommPlanEntry) -> None:
+                ranges, proc_name = entry_specs[idx]
+                vec = gather_ranges(grad, ranges) if grad is not None else None
                 if scheme == "ring":
-                    collective_gen = _ring_allreduce_entry(
-                        rt, slot, ring, entry.label, ranges, vec, entry.num_elements, done
+                    collective = ring_allreduce(
+                        rt, slot, ring, f"ring:{entry.label}", vec, entry.num_elements
                     )
                 else:
-                    collective_gen = _hier_allreduce_entry(
-                        rt, slot, group, leaders, entry.label, ranges, vec,
-                        entry.num_elements, done, scheme,
+                    collective = _hier_allreduce(
+                        rt, slot, group, leaders, entry.label, vec,
+                        entry.num_elements, scheme,
                     )
-                rt.spawn(
-                    collective_gen,
-                    name=proc_name,
-                    owner=slot.wid,
-                )
-                signals.append(done)
-                entry_meta.append((ranges, done))
-            if elapsed < duration:
-                yield Timeout(duration - elapsed)
-            tracer.end(slot.wid, "compute", rt.engine.now)
+                # The process's ``done`` signal carries the reduced vector.
+                signals.append(rt.spawn(collective, name=proc_name, owner=slot.wid).done)
+
+            yield from walk_plan(rt, slot, duration, launch)
 
             tracer.begin(slot.wid, "global_agg", rt.engine.now)
             yield AllOf(signals)
             tracer.end(slot.wid, "global_agg", rt.engine.now)
             if slot.comp is not None and grad is not None:
                 agg = np.empty(rt.total_elements, dtype=np.float64)
-                for ranges, done in entry_meta:
-                    reduced = done.value
-                    offset = 0
-                    for a, b in ranges:
-                        agg[a:b] = reduced[offset : offset + (b - a)]
-                        offset += b - a
+                for (ranges, _), done in zip(entry_specs, signals):
+                    scatter_ranges(agg, ranges, done.value)
                 slot.comp.apply_gradient(
                     agg / world, rt.lr_at_round(slot.iterations)
                 )
@@ -444,25 +331,15 @@ class ARSGD(TrainingAlgorithm):
         hyperparameters=(),
     )
 
-    def setup(self, runtime: Runtime) -> None:
-        self.runtime = runtime
-        self.spawn_workers(runtime, runtime.live_worker_ids())
-
-    def spawn_workers(self, runtime: Runtime, wids: list[int]) -> None:
-        # The ring is rebuilt over the survivors in wid order; with all
-        # workers live it is identical to the original 0..N−1 ring.
-        ring = sorted(wids)
-        # The hierarchical geometry is a pure map of this ring view:
-        # derive it once per (re)spawn, not per worker per collective.
-        groups = machine_groups(ring, lambda w: runtime.workers[w].machine)
+    def worker_factory(self, runtime: Runtime, wids: list[int]) -> WorkerFactory:
+        # The ring is the survivors in wid order (with all workers live,
+        # the original 0..N−1 ring), and the hierarchical geometry is a
+        # pure map of that ring view: derived once per (re)spawn, not
+        # per worker per collective.
+        groups = machine_groups(wids, lambda w: runtime.workers[w].machine)
         leaders = elect_leaders(groups)
         group_of = {wid: group for group in groups for wid in group}
-        for wid in ring:
-            runtime.spawn(
-                _arsgd_worker(runtime, runtime.workers[wid], ring, group_of[wid], leaders),
-                name=f"arsgd-w{wid}",
-                owner=wid,
-            )
+        return lambda slot: _arsgd_worker(runtime, slot, wids, group_of[slot.wid], leaders)
 
     def on_membership_change(self, runtime: Runtime) -> None:
         # AR-SGD replicas are identical between rounds, so a restarted
@@ -473,8 +350,3 @@ class ARSGD(TrainingAlgorithm):
         for w in live:
             runtime.workers[w].iterations = sync
         super().on_membership_change(runtime)
-
-    def global_params(self) -> np.ndarray | None:
-        # All replicas are identical between rounds; the average is
-        # exact and robust mid-round.
-        return self._average_worker_params()

@@ -23,22 +23,34 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-import numpy as np
-
 from repro.comm.messages import Message
 from repro.comm.ps import PSShard
-from repro.core.base import AlgorithmInfo, TrainingAlgorithm, register_algorithm
+from repro.core.base import AlgorithmInfo, TrainingAlgorithm, WorkerFactory, register_algorithm
 from repro.core.runner import Runtime
 from repro.core.worker import (
     WorkerSlot,
     apply_reply_payload,
     collect_shard_replies,
-    compute_iteration,
     produce_gradient,
     send_gradient_plan,
 )
 
-__all__ = ["ASP", "ASPShard"]
+__all__ = ["ASP", "ASPShard", "asp_layerwise"]
+
+
+def asp_layerwise(rt: Runtime) -> bool:
+    """Whether this run's ASP applies and replies *per layer*.
+
+    Both ends of the protocol ask here — the shard to pick its reply
+    granularity, the worker to know how many replies to expect — so
+    they cannot disagree. Per-layer only for plain wait-free BP: DGC
+    payloads are already tiny, so the full-set + delta-pull path stays;
+    and a robust rule needs whole gradients to compare, so wait-free
+    ASP degrades to per-worker full-set application under it.
+    """
+    if rt.robust is not None and rt.robust.centralized_active:
+        return False
+    return rt.comm_plan.wait_free and rt.dgc_config is None
 
 
 class ASPShard(PSShard):
@@ -47,61 +59,29 @@ class ASPShard(PSShard):
 
     serve_concurrency = 2  # per-worker comm threads, capped at spare PS cores
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self._partial: dict[int, tuple[int, np.ndarray | None]] = {}
-
-    def on_membership_change(self, live: list[int]) -> None:
-        super().on_membership_change(live)
-        # Half-accumulated gradient sets from the old epoch are void.
-        self._partial.clear()
-
-    def _layerwise(self) -> bool:
-        # Per-layer apply/reply only for plain wait-free BP; DGC payloads
-        # are already tiny, so the full-set + delta-pull path stays. A
-        # robust rule also forces full-set folds: the rule needs whole
-        # gradients to compare, so wait-free ASP degrades to per-worker
-        # full-set application under robust aggregation.
-        rt = self.runtime
-        if rt.robust is not None and rt.robust.centralized_active:
-            return False
-        return rt.comm_plan.wait_free and rt.dgc_config is None
-
     def handle(self, msg: Message) -> Generator[Any, Any, None]:
         wid = msg.meta["worker"]
-        if self._layerwise():
+        if asp_layerwise(self.runtime):
             yield self.agg_delay(msg.nbytes)
             self.apply_entry_gradient(msg, self.runtime.fold_lr())
             self.reply_entry_params(
                 self.runtime.workers[wid].node, msg.meta["entry"], trace_worker=wid
             )
             return
-        # Shared state is updated *before* yielding so that concurrent
-        # serve lanes never observe a stale partial set.
-        count, acc = self._partial.pop(wid, (0, None))
-        acc = self.accumulate_entry(acc, msg)
-        count += 1
-        if count < self.entries_per_sender:
-            self._partial[wid] = (count, acc)
-            yield self.agg_delay(msg.nbytes)
-            return
+        complete, acc = self.collect_sender_entry(wid, msg)
         yield self.agg_delay(msg.nbytes)
-        self.fold_gradient(wid, acc)
-        self.reply_params(
-            self.runtime.workers[wid].node, meta={"trace_worker": wid}
-        )
+        if complete:
+            self.fold_gradient(wid, acc)
+            self.reply_params(
+                self.runtime.workers[wid].node, meta={"trace_worker": wid}
+            )
 
 
 def _asp_worker(rt: Runtime, slot: WorkerSlot) -> Generator[Any, Any, None]:
     tracer = rt.tracer
-    layerwise = (
-        rt.comm_plan.wait_free
-        and rt.dgc_config is None
-        and not (rt.robust is not None and rt.robust.centralized_active)
-    )
-    expected_replies = len(rt.comm_plan.entries) if layerwise else rt.sharding.num_shards
+    meta = {"op": "grad", "worker": slot.wid}
 
-    if layerwise:
+    if asp_layerwise(rt):
         # Wait-free pipeline: per-layer pulls of round k may stream in
         # while round k+1's *forward* pass runs (TF fetches each
         # layer's parameters independently, just before that layer's
@@ -134,36 +114,20 @@ def _asp_worker(rt: Runtime, slot: WorkerSlot) -> Generator[Any, Any, None]:
             duration = rt.compute_model.iteration_time(slot.wid)
             grad = produce_gradient(rt, slot)
             yield from send_gradient_plan(
-                rt,
-                slot,
-                grad,
-                kind="req",
-                meta={"op": "grad", "worker": slot.wid},
-                compute_duration=duration,
+                rt, slot, grad, kind="req", meta=meta, compute_duration=duration
             )
             outstanding += rt.comm_plan.total_bytes
             rt.on_iteration(slot)
         return
 
     while not rt.stopping:
-        if rt.comm_plan.wait_free:
-            duration = rt.compute_model.iteration_time(slot.wid)
-            grad = produce_gradient(rt, slot)
-            yield from send_gradient_plan(
-                rt,
-                slot,
-                grad,
-                kind="req",
-                meta={"op": "grad", "worker": slot.wid},
-                compute_duration=duration,
-            )
-        else:
-            grad = yield from compute_iteration(rt, slot)
-            yield from send_gradient_plan(
-                rt, slot, grad, kind="req", meta={"op": "grad", "worker": slot.wid}
-            )
+        duration = rt.compute_model.iteration_time(slot.wid)
+        grad = produce_gradient(rt, slot)
+        yield from send_gradient_plan(
+            rt, slot, grad, kind="req", meta=meta, compute_duration=duration
+        )
         tracer.begin(slot.wid, "global_agg", rt.engine.now)
-        flat = yield from collect_shard_replies(rt, slot, expected_replies)
+        flat = yield from collect_shard_replies(rt, slot, rt.sharding.num_shards)
         tracer.end(slot.wid, "global_agg", rt.engine.now)
         if slot.comp is not None and flat is not None:
             slot.comp.set_params(flat)
@@ -179,20 +143,9 @@ class ASP(TrainingAlgorithm):
         sends_gradients=True,
         hyperparameters=(),
     )
+    shard_class = ASPShard
+    # Momentum-free folds (see Runtime.fold_lr for the rationale).
+    shard_kwargs = {"momentum": 0.0}
 
-    def setup(self, runtime: Runtime) -> None:
-        self.runtime = runtime
-        # Momentum-free folds (see Runtime.fold_lr for the rationale).
-        runtime.create_ps_shards(ASPShard, momentum=0.0)
-        self.spawn_workers(runtime, runtime.live_worker_ids())
-
-    def spawn_workers(self, runtime: Runtime, wids: list[int]) -> None:
-        for wid in wids:
-            runtime.spawn(
-                _asp_worker(runtime, runtime.workers[wid]),
-                name=f"asp-w{wid}",
-                owner=wid,
-            )
-
-    def global_params(self) -> np.ndarray | None:
-        return self._ps_global_params()
+    def worker_factory(self, runtime: Runtime, wids: list[int]) -> WorkerFactory:
+        return lambda slot: _asp_worker(runtime, slot)

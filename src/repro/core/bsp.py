@@ -36,11 +36,14 @@ from repro.core.base import AlgorithmInfo, TrainingAlgorithm, register_algorithm
 from repro.core.runner import Runtime
 from repro.core.worker import (
     WorkerSlot,
-    apply_reply_payload,
+    collect_shard_replies,
     produce_gradient,
     send_gradient_plan,
+    walk_plan,
 )
-from repro.sim.engine import Get, Timeout
+from repro.optimizations.sharding import gather_ranges, scatter_ranges
+from repro.optimizations.waitfree import CommPlanEntry
+from repro.sim.engine import Get
 
 __all__ = ["BSP", "BSPShard", "aggregation_groups"]
 
@@ -211,40 +214,36 @@ def _rack_aggregator(
                 )
 
 
+def _entry_slice(
+    rt: Runtime, entry: CommPlanEntry, grad: np.ndarray | None
+) -> np.ndarray | None:
+    """One plan entry's slice of a flat gradient (``None`` in timing mode)."""
+    return gather_ranges(grad, rt.entry_ranges(entry)) if grad is not None else None
+
+
 def _peer_worker(
     rt: Runtime, slot: WorkerSlot, leader: WorkerSlot
 ) -> Generator[Any, Any, None]:
     """Non-leader: stream gradient entries to the leader, then wait for
     the leader's parameter broadcast."""
     tracer = rt.tracer
-    entries = rt.comm_plan.entries
     get_bcast = Get(slot.node.mailbox("bcast"))
     while not rt.stopping:
         duration = rt.compute_model.iteration_time(slot.wid)
         grad = produce_gradient(rt, slot)
-        tracer.begin(slot.wid, "compute", rt.engine.now)
-        elapsed = 0.0
-        for idx, entry in enumerate(entries):
-            ready = (entry.ready_offset if rt.comm_plan.wait_free else 1.0) * duration
-            if ready > elapsed:
-                yield Timeout(ready - elapsed)
-                elapsed = ready
+
+        def to_leader(idx: int, entry: CommPlanEntry) -> None:
             # Local aggregation happens on *raw dense* gradients (DGC,
             # if any, compresses the aggregate at the leader).
-            ranges = rt.entry_ranges(entry)
-            payload = (
-                np.concatenate([grad[a:b] for a, b in ranges]) if grad is not None else None
-            )
             slot.node.send_nowait(
                 leader.node,
                 "lagg",
                 nbytes=entry.nbytes,
-                payload=payload,
+                payload=_entry_slice(rt, entry, grad),
                 meta={"entry_idx": idx, "worker": slot.wid},
             )
-        if elapsed < duration:
-            yield Timeout(duration - elapsed)
-        tracer.end(slot.wid, "compute", rt.engine.now)
+
+        yield from walk_plan(rt, slot, duration, to_leader)
 
         tracer.begin(slot.wid, "local_agg", rt.engine.now)
         msg = yield get_bcast
@@ -259,33 +258,22 @@ def _leader_self_feed(
 ) -> Generator[Any, Any, None]:
     """Leader's own compute: posts its gradient entries into its own
     local-aggregation mailbox at their readiness offsets."""
-    tracer = rt.tracer
-    entries = rt.comm_plan.entries
-    tracer.begin(slot.wid, "compute", rt.engine.now)
-    elapsed = 0.0
     box = slot.node.mailbox("lagg")
-    for idx, entry in enumerate(entries):
-        ready = (entry.ready_offset if rt.comm_plan.wait_free else 1.0) * duration
-        if ready > elapsed:
-            yield Timeout(ready - elapsed)
-            elapsed = ready
-        ranges = rt.entry_ranges(entry)
-        payload = (
-            np.concatenate([grad[a:b] for a, b in ranges]) if grad is not None else None
-        )
+    node_id = slot.node.node_id
+
+    def to_self(idx: int, entry: CommPlanEntry) -> None:
         box.put(
             Message(
-                src=slot.node.node_id,
-                dst=slot.node.node_id,
+                src=node_id,
+                dst=node_id,
                 kind="lagg",
                 nbytes=entry.nbytes,
-                payload=payload,
+                payload=_entry_slice(rt, entry, grad),
                 meta={"entry_idx": idx, "worker": slot.wid},
             )
         )
-    if elapsed < duration:
-        yield Timeout(duration - elapsed)
-    tracer.end(slot.wid, "compute", rt.engine.now)
+
+    return walk_plan(rt, slot, duration, to_self)
 
 
 def _leader_worker(
@@ -305,7 +293,6 @@ def _leader_worker(
     group_size = len(peers) + 1
     dgc_on = rt.dgc_config is not None
     get_lagg = Get(slot.node.mailbox("lagg"))
-    get_reply = Get(slot.node.mailbox("reply"))
     active_shards = _active_shards(rt)
     while not rt.stopping:
         duration = rt.compute_model.iteration_time(slot.wid)
@@ -342,10 +329,7 @@ def _leader_worker(
                 if sums[idx] is not None:
                     sums[idx] /= group_size  # forward the group mean
                 if agg_grad is not None and sums[idx] is not None:
-                    offset = 0
-                    for a, b in rt.entry_ranges(entries[idx]):
-                        agg_grad[a:b] = sums[idx][offset : offset + (b - a)]
-                        offset += b - a
+                    scatter_ranges(agg_grad, rt.entry_ranges(entries[idx]), sums[idx])
                 if not dgc_on:
                     shard = (
                         agg_node
@@ -377,10 +361,7 @@ def _leader_worker(
             )
 
         tracer.begin(slot.wid, "global_agg", rt.engine.now)
-        flat = slot.comp.get_params() if slot.comp is not None else None
-        for _ in range(active_shards):
-            msg = yield get_reply
-            apply_reply_payload(rt, flat, msg)
+        flat = yield from collect_shard_replies(rt, slot, active_shards)
         tracer.end(slot.wid, "global_agg", rt.engine.now)
         if slot.comp is not None and flat is not None:
             slot.comp.set_params(flat)
@@ -433,13 +414,10 @@ class BSP(TrainingAlgorithm):
         )
 
     def spawn_workers(self, runtime: Runtime, wids: list[int]) -> None:
-        # Called at setup and again on every membership change with the
-        # survivor set: groups, rack aggregators, and shard fan-in are
-        # all rebuilt from ``wids``, so a crash anywhere in the PS tree
-        # (leader, whole machine, whole rack) re-parents the surviving
-        # leaders under fresh aggregators — the orphaned aggregator
-        # processes were killed with the rest of the protocol, and their
-        # epoch-stale traffic is dropped at delivery.
+        # Groups, rack aggregators and shard fan-in are all rebuilt from
+        # ``wids`` (DESIGN §3), so a crash anywhere in the PS tree —
+        # leader, whole machine, whole rack — re-parents the surviving
+        # leaders under fresh aggregators.
         groups = aggregation_groups(runtime, wids)
         agg_for_leader: dict[int, Node] = {}
         if runtime.config.ps_topology == "tree":
@@ -482,6 +460,3 @@ class BSP(TrainingAlgorithm):
                     name=f"bsp-peer-w{wid}",
                     owner=wid,
                 )
-
-    def global_params(self) -> np.ndarray | None:
-        return self._ps_global_params()

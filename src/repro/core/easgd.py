@@ -24,9 +24,9 @@ import numpy as np
 
 from repro.comm.messages import Message
 from repro.comm.ps import PSShard
-from repro.core.base import AlgorithmInfo, TrainingAlgorithm, register_algorithm
+from repro.core.base import AlgorithmInfo, TrainingAlgorithm, WorkerFactory, register_algorithm
 from repro.core.runner import Runtime
-from repro.core.worker import WorkerSlot, compute_iteration
+from repro.core.worker import WorkerSlot, collect_shard_replies, compute_iteration
 
 __all__ = ["EASGD", "EASGDShard"]
 
@@ -90,11 +90,7 @@ def _easgd_worker(rt: Runtime, slot: WorkerSlot, tau: int, alpha: float) -> Gene
                     meta={"op": "easgd", "worker": slot.wid, "alpha": alpha},
                     trace_worker=slot.wid,
                 )
-            flat = params.copy() if params is not None else None
-            for _ in range(rt.sharding.num_shards):
-                msg = yield slot.node.recv("reply")
-                if flat is not None and msg.payload is not None:
-                    rt.sharding.shards[msg.meta["shard"]].scatter(flat, msg.payload)
+            flat = yield from collect_shard_replies(rt, slot, rt.sharding.num_shards)
             tracer.end(slot.wid, "global_agg", rt.engine.now)
             if slot.comp is not None and flat is not None:
                 slot.comp.set_params(flat)
@@ -110,6 +106,7 @@ class EASGD(TrainingAlgorithm):
         sends_gradients=False,  # exchanges parameters → no wait-free BP / DGC
         hyperparameters=("tau", "alpha"),
     )
+    shard_class = EASGDShard
 
     def __init__(self, **hyperparams: Any) -> None:
         super().__init__(**hyperparams)
@@ -127,21 +124,11 @@ class EASGD(TrainingAlgorithm):
         return self._alpha if self._alpha is not None else 0.9 / num_workers
 
     def setup(self, runtime: Runtime) -> None:
-        self.runtime = runtime
         # α is fixed at setup from the configured worker count; an
         # eviction does not retune it (the center variable keeps its
         # elasticity, matching a real deployment's static config).
         self._alpha_resolved = self.alpha_for(runtime.config.num_workers)
-        runtime.create_ps_shards(EASGDShard)
-        self.spawn_workers(runtime, runtime.live_worker_ids())
+        super().setup(runtime)
 
-    def spawn_workers(self, runtime: Runtime, wids: list[int]) -> None:
-        for wid in wids:
-            runtime.spawn(
-                _easgd_worker(runtime, runtime.workers[wid], self.tau, self._alpha_resolved),
-                name=f"easgd-w{wid}",
-                owner=wid,
-            )
-
-    def global_params(self) -> np.ndarray | None:
-        return self._ps_global_params()
+    def worker_factory(self, runtime: Runtime, wids: list[int]) -> WorkerFactory:
+        return lambda slot: _easgd_worker(runtime, slot, self.tau, self._alpha_resolved)

@@ -21,10 +21,8 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-import numpy as np
-
 from repro.comm.gossip import GossipState, choose_gossip_peer, gossip_merge, gossip_send_share
-from repro.core.base import AlgorithmInfo, TrainingAlgorithm, register_algorithm
+from repro.core.base import AlgorithmInfo, TrainingAlgorithm, WorkerFactory, register_algorithm
 from repro.core.runner import Runtime
 from repro.core.worker import WorkerSlot, compute_iteration
 from repro.sim.engine import Signal
@@ -101,19 +99,14 @@ class GoSGD(TrainingAlgorithm):
         self._states: list[GossipState] = []
 
     def setup(self, runtime: Runtime) -> None:
-        self.runtime = runtime
         n = runtime.config.num_workers
         self._states = [GossipState(weight=1.0 / n) for _ in range(n)]
-        self.spawn_workers(runtime, runtime.live_worker_ids())
+        super().setup(runtime)
 
-    def spawn_workers(self, runtime: Runtime, wids: list[int]) -> None:
-        live = sorted(wids)
-        for wid in live:
-            runtime.spawn(
-                _gosgd_worker(runtime, runtime.workers[wid], self.p, self._states[wid], live),
-                name=f"gosgd-w{wid}",
-                owner=wid,
-            )
+    def worker_factory(self, runtime: Runtime, wids: list[int]) -> WorkerFactory:
+        return lambda slot: _gosgd_worker(
+            runtime, slot, self.p, self._states[slot.wid], wids
+        )
 
     def on_membership_change(self, runtime: Runtime) -> None:
         # Push-sum repair: weight held by dead workers (or flushed from
@@ -138,6 +131,3 @@ class GoSGD(TrainingAlgorithm):
                 box = slot.node.mailbox("gossip")
                 in_flight += sum(m.meta["weight"] for m in box._items)
         return live + in_flight
-
-    def global_params(self) -> np.ndarray | None:
-        return self._average_worker_params()

@@ -23,16 +23,13 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-import numpy as np
-
 from repro.comm.messages import Message
 from repro.comm.ps import PSShard
-from repro.core.base import AlgorithmInfo, TrainingAlgorithm, register_algorithm
+from repro.core.base import AlgorithmInfo, TrainingAlgorithm, WorkerFactory, register_algorithm
 from repro.core.runner import Runtime
 from repro.core.worker import (
     WorkerSlot,
     apply_reply_payload,
-    compute_iteration,
     produce_gradient,
     send_gradient_plan,
 )
@@ -50,7 +47,6 @@ class SSPShard(PSShard):
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        self._partial: dict[int, tuple[int, np.ndarray | None]] = {}
         self.clocks: dict[int, int] = {
             slot.wid: 0 for slot in self.runtime.workers
         }
@@ -69,7 +65,6 @@ class SSPShard(PSShard):
         # The staleness bound restarts over the survivors: respawned
         # workers all re-enter at clock 0, and an evicted straggler must
         # stop pinning min_clock (the deadlock this PR exists to fix).
-        self._partial.clear()
         self.clocks = {wid: 0 for wid in live}
         self._blocked = []
 
@@ -77,18 +72,12 @@ class SSPShard(PSShard):
         op = msg.meta["op"]
         wid = msg.meta["worker"]
         if op == "grad":
-            # State updates precede yields (concurrent serve lanes).
-            count, acc = self._partial.pop(wid, (0, None))
-            acc = self.accumulate_entry(acc, msg)
-            count += 1
-            if count < self.entries_per_sender:
-                self._partial[wid] = (count, acc)
-                yield self.agg_delay(msg.nbytes)
-                return
+            complete, acc = self.collect_sender_entry(wid, msg)
             yield self.agg_delay(msg.nbytes)
-            self.fold_gradient(wid, acc)
-            self.clocks[wid] = max(self.clocks[wid], msg.meta["clock"])
-            self._release_satisfied()
+            if complete:
+                self.fold_gradient(wid, acc)
+                self.clocks[wid] = max(self.clocks[wid], msg.meta["clock"])
+                self._release_satisfied()
         elif op == "fetch":
             clock = msg.meta["clock"]
             if clock - self.min_clock() <= self.staleness:
@@ -122,18 +111,12 @@ def _ssp_worker(rt: Runtime, slot: WorkerSlot) -> Generator[Any, Any, None]:
     known_min = 0
     while not rt.stopping:
         meta = {"op": "grad", "worker": slot.wid, "clock": clock + 1}
-        if rt.comm_plan.wait_free:
-            duration = rt.compute_model.iteration_time(slot.wid)
-            grad = produce_gradient(rt, slot)
-            yield from send_gradient_plan(
-                rt, slot, grad, kind="req", meta=meta, compute_duration=duration,
-                block_tx=True,
-            )
-        else:
-            grad = yield from compute_iteration(rt, slot)
-            yield from send_gradient_plan(
-                rt, slot, grad, kind="req", meta=meta, block_tx=True
-            )
+        duration = rt.compute_model.iteration_time(slot.wid)
+        grad = produce_gradient(rt, slot)
+        yield from send_gradient_plan(
+            rt, slot, grad, kind="req", meta=meta, compute_duration=duration,
+            block_tx=True,
+        )
         # Task (b): local update with the worker's own gradients,
         # executed in parallel with the send (paper §III-C). Local
         # steps apply a single gradient, so they use the per-gradient
@@ -178,6 +161,9 @@ class SSP(TrainingAlgorithm):
         sends_gradients=True,
         hyperparameters=("staleness",),
     )
+    shard_class = SSPShard
+    # Momentum-free folds (see Runtime.fold_lr for the rationale).
+    shard_kwargs = {"momentum": 0.0}
 
     def __init__(self, **hyperparams: Any) -> None:
         super().__init__(**hyperparams)
@@ -187,19 +173,8 @@ class SSP(TrainingAlgorithm):
         self.staleness = staleness
 
     def setup(self, runtime: Runtime) -> None:
-        self.runtime = runtime
         runtime.config.algorithm_params.setdefault("staleness", self.staleness)
-        # Momentum-free folds (see Runtime.fold_lr for the rationale).
-        runtime.create_ps_shards(SSPShard, momentum=0.0)
-        self.spawn_workers(runtime, runtime.live_worker_ids())
+        super().setup(runtime)
 
-    def spawn_workers(self, runtime: Runtime, wids: list[int]) -> None:
-        for wid in wids:
-            runtime.spawn(
-                _ssp_worker(runtime, runtime.workers[wid]),
-                name=f"ssp-w{wid}",
-                owner=wid,
-            )
-
-    def global_params(self) -> np.ndarray | None:
-        return self._ps_global_params()
+    def worker_factory(self, runtime: Runtime, wids: list[int]) -> WorkerFactory:
+        return lambda slot: _ssp_worker(runtime, slot)

@@ -1,32 +1,38 @@
-"""Per-worker local computation and the shared iteration helpers.
+"""Per-worker local computation and the protocol steps the algorithms share.
 
 Every algorithm's worker process is a generator built from the same
-three building blocks, so the *only* difference between algorithms is
-their aggregation semantics:
+blocks, so the *only* difference between algorithms is their
+aggregation semantics (the table of blocks, with what each guarantees
+under a membership change, is DESIGN §3):
 
 * :class:`LocalComputation` — the real numpy math (full mode):
   mini-batch gradient, local SGD step, parameter get/set;
-* :func:`compute_iteration` — the timed compute stage: traces the
-  ``compute`` span, samples the duration from the cost model, and (in
-  full mode) computes the actual gradient;
-* :func:`send_gradient_plan` — walks the iteration's
-  :class:`~repro.optimizations.waitfree.CommPlan`, sending each
-  gradient message at its readiness offset (this is where wait-free BP
-  and DGC plug in).
+* :func:`compute_iteration` — the timed compute stage of an algorithm
+  that sends nothing during it: the ``compute`` span, a duration
+  sampled from the cost model, and (in full mode) the actual gradient;
+* :func:`walk_plan` — the same window walked along the iteration's
+  :class:`~repro.optimizations.waitfree.CommPlan`, emitting each entry
+  at its readiness offset; :func:`send_gradient_plan` is the walk whose
+  emission is a PS send (this is where wait-free BP and DGC plug in);
+* :func:`ring_allreduce` — one worker's side of a ring AllReduce over
+  the live ring;
+* :func:`collect_shard_replies` — assemble the PS's replies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Callable, Generator
 
 import numpy as np
 
+from repro.comm.collectives import chunk_slices, ring_allreduce_plan, ring_neighbors
 from repro.data.loader import BatchLoader
 from repro.nn.losses import Loss
 from repro.nn.module import Module
 from repro.nn.optim import FlatSGD, weight_decay_mask
 from repro.optimizations.dgc import DGCCompressor, SparseGradient
+from repro.optimizations.sharding import gather_ranges, scatter_ranges
 from repro.optimizations.waitfree import CommPlanEntry
 from repro.sim.engine import AllOf, Get, Signal, Timeout
 
@@ -38,7 +44,9 @@ __all__ = [
     "LocalComputation",
     "WorkerSlot",
     "compute_iteration",
+    "walk_plan",
     "send_gradient_plan",
+    "ring_allreduce",
     "collect_shard_replies",
     "sparse_slice_for_ranges",
 ]
@@ -232,11 +240,37 @@ def _entry_payload_and_bytes(
             nbytes = max(1, int(round(total * entry.num_elements / max(rt.total_elements, 1))))
             payload = None
         return payload, nbytes
-    if grad is not None:
-        payload = np.concatenate([grad[start:stop] for start, stop in ranges])
-    else:
-        payload = None
+    payload = gather_ranges(grad, ranges) if grad is not None else None
     return payload, entry.nbytes
+
+
+def walk_plan(
+    rt: "Runtime",
+    slot: WorkerSlot,
+    duration: float,
+    emit: Callable[[int, CommPlanEntry], None],
+) -> Generator[Any, Any, None]:
+    """The compute window of one iteration, walked along the comm plan.
+
+    Holds the ``compute`` span for ``duration`` and calls
+    ``emit(index, entry)`` for every plan entry at the moment its
+    gradient is ready, the fraction ``entry.ready_offset`` of the way
+    into the window. A plan without wait-free BP has every offset at
+    1.0, so the same walk is the plain path: one Timeout, then every
+    entry.
+    """
+    tracer = rt.tracer
+    tracer.begin(slot.wid, "compute", rt.engine.now)
+    elapsed = 0.0
+    for idx, entry in enumerate(rt.comm_plan.entries):
+        ready = entry.ready_offset * duration
+        if ready > elapsed:
+            yield Timeout(ready - elapsed)
+            elapsed = ready
+        emit(idx, entry)
+    if elapsed < duration:
+        yield Timeout(duration - elapsed)
+    tracer.end(slot.wid, "compute", rt.engine.now)
 
 
 def send_gradient_plan(
@@ -251,70 +285,43 @@ def send_gradient_plan(
 ) -> Generator[Any, Any, None]:
     """Send this iteration's gradient messages according to the plan.
 
-    Without wait-free BP this is called *after* the compute stage and
-    all messages go out immediately. With wait-free BP it is called
-    *instead of* a plain compute stage: it interleaves the compute
-    Timeout with per-layer sends at their readiness offsets (the
-    caller passes ``compute_duration``; the gradient math happened up
-    front, only its timing is staggered).
+    With ``compute_duration`` this *is* the iteration's compute stage:
+    the messages leave along :func:`walk_plan` (the gradient math
+    happened up front, only its timing is staggered). Without it there
+    is no window and no span — everything goes out now (BSP's leader
+    shipping an already aggregated DGC gradient). ``block_tx`` gives
+    blocking-send semantics: the caller does not regain control until
+    its NIC has serialised every message.
     """
     if meta is None:
         meta = {}
+    node = slot.node
+    tx_signals: list[Signal] = []
     sparse: SparseGradient | None = None
-    if rt.dgc_config is not None and grad is not None:
+
+    def compress() -> SparseGradient:
         assert slot.dgc is not None
         # With DGC the PS applies plain sparse SGD, so weight decay is
         # folded into the gradient here (momentum is already handled by
         # the compressor's momentum correction).
         wd = rt.config.weight_decay
+        decayed = grad
         if wd and slot.comp is not None and rt.decay_mask is not None:
-            grad = grad + wd * np.where(rt.decay_mask, slot.comp.get_params(), 0.0)
-        sparse = slot.dgc.compress(grad, epoch=rt.sample_clock.epoch())
+            decayed = grad + wd * np.where(rt.decay_mask, slot.comp.get_params(), 0.0)
+        return slot.dgc.compress(decayed, epoch=rt.sample_clock.epoch())
 
-    tx_signals: list[Signal] = []
-    entries = rt.comm_plan.entries
+    compresses = rt.dgc_config is not None and grad is not None
+    if compresses and rt.comm_plan.wait_free:
+        # A wait-free plan ships slices of the compressed gradient while
+        # the window is still open, so DGC runs before it; a plain plan
+        # compresses at first emission, when the window has closed. The
+        # two read different epochs of the ratio warm-up.
+        sparse = compress()
 
-    if compute_duration is None:
-        for entry in entries:
-            payload, nbytes = _entry_payload_and_bytes(rt, slot, entry, grad, sparse)
-            if rt.obs_grad_bytes is not None:
-                rt.obs_grad_bytes(slot.wid, nbytes)
-            shard_node = rt.ps_nodes[entry.shard_id]
-            if block_tx:
-                tx = Signal()
-                tx_signals.append(tx)
-                slot.node.send(
-                    shard_node,
-                    kind,
-                    nbytes=nbytes,
-                    payload=payload,
-                    meta={**meta, "entry": entry.label},
-                    trace_worker=slot.wid,
-                    tx_done=tx,
-                )
-            else:
-                slot.node.send_nowait(
-                    shard_node,
-                    kind,
-                    nbytes=nbytes,
-                    payload=payload,
-                    meta={**meta, "entry": entry.label},
-                    trace_worker=slot.wid,
-                )
-        if tx_signals:
-            # Blocking-send semantics: the caller does not regain
-            # control until its NIC has serialised every message.
-            yield AllOf(tx_signals)
-        return
-
-    # Wait-free BP: walk the plan inside the compute window.
-    rt.tracer.begin(slot.wid, "compute", rt.engine.now)
-    elapsed = 0.0
-    for entry in entries:
-        ready = entry.ready_offset * compute_duration
-        if ready > elapsed:
-            yield Timeout(ready - elapsed)
-            elapsed = ready
+    def emit(_idx: int, entry: CommPlanEntry) -> None:
+        nonlocal sparse
+        if compresses and sparse is None:
+            sparse = compress()
         payload, nbytes = _entry_payload_and_bytes(rt, slot, entry, grad, sparse)
         if rt.obs_grad_bytes is not None:
             rt.obs_grad_bytes(slot.wid, nbytes)
@@ -322,7 +329,7 @@ def send_gradient_plan(
         if block_tx:
             tx = Signal()
             tx_signals.append(tx)
-            slot.node.send(
+            node.send(
                 shard_node,
                 kind,
                 nbytes=nbytes,
@@ -332,7 +339,7 @@ def send_gradient_plan(
                 tx_done=tx,
             )
         else:
-            slot.node.send_nowait(
+            node.send_nowait(
                 shard_node,
                 kind,
                 nbytes=nbytes,
@@ -340,11 +347,82 @@ def send_gradient_plan(
                 meta={**meta, "entry": entry.label},
                 trace_worker=slot.wid,
             )
-    if elapsed < compute_duration:
-        yield Timeout(compute_duration - elapsed)
-    rt.tracer.end(slot.wid, "compute", rt.engine.now)
+
+    if compute_duration is None:
+        for idx, entry in enumerate(rt.comm_plan.entries):
+            emit(idx, entry)
+    else:
+        yield from walk_plan(rt, slot, compute_duration, emit)
     if tx_signals:
         yield AllOf(tx_signals)
+
+
+def ring_allreduce(
+    rt: "Runtime",
+    slot: WorkerSlot,
+    ring: list[int],
+    kind: str,
+    buf: np.ndarray | None,
+    num_elements: int,
+) -> Generator[Any, Any, np.ndarray | None]:
+    """This worker's side of one ring AllReduce over the workers in
+    ``ring`` (the *live* ring the caller was spawned with).
+
+    The 2·(N−1)-step reduce-scatter + allgather schedule of
+    :func:`~repro.comm.collectives.ring_allreduce_plan`, pumped through
+    ``kind`` messages to the right-hand neighbour. Reduces ``buf`` in
+    place and returns it holding the sum over the ring (``None`` in
+    timing mode, where only the byte counts travel); a ring of one
+    sends nothing.
+    """
+    world = len(ring)
+    if world == 1:
+        return buf
+    rank = ring.index(slot.wid)
+    _, right = ring_neighbors(rank, world)
+    right_node = rt.workers[ring[right]].node
+    slices = chunk_slices(num_elements, world)
+    bpp = rt.sharding.bytes_per_param
+    sizes = [max((s.stop - s.start) * bpp, 1) for s in slices]
+    # 2·(N−1) yields per call: hoist every per-step lookup out of the
+    # loop and reuse the waitables (a Get and the cached per-size reduce
+    # Timeouts are stateless between yields).
+    send = slot.node.send_nowait
+    wid = slot.wid
+    get_msg = Get(slot.node.mailbox(kind))
+    reduce_timeout = rt.ctx.comm_model.reduce_timeout
+    # The left neighbour may run up to N−1 steps ahead, and on a flaky
+    # link a retransmission delivers its step s+1 before its step s.
+    # Chunks carry their step and the early ones wait here. Timing mode
+    # moves interchangeable byte counts: nothing to order, no tag.
+    ordered = buf is not None
+    early: dict[int, Any] = {}
+    for step in ring_allreduce_plan(rank, world):
+        send(
+            right_node,
+            kind,
+            nbytes=sizes[step.send_chunk],
+            payload=buf[slices[step.send_chunk]].copy() if ordered else None,
+            meta={"step": step.step} if ordered else None,
+            trace_worker=wid,
+        )
+        msg = early.pop(step.step, None) if early else None
+        while msg is None:
+            msg = yield get_msg
+            if ordered and msg.meta["step"] != step.step:
+                early[msg.meta["step"]] = msg
+                msg = None
+        if step.reduce:
+            # Reduction arithmetic on the received chunk (worker-side
+            # vector add, faster than the PS software path).
+            yield reduce_timeout(msg.nbytes)
+        if ordered:
+            recv_slice = slices[step.recv_chunk]
+            if step.reduce:
+                buf[recv_slice] += msg.payload
+            else:
+                buf[recv_slice] = msg.payload
+    return buf
 
 
 def apply_reply_payload(rt: "Runtime", flat: np.ndarray | None, msg: Any) -> None:
@@ -362,11 +440,11 @@ def apply_reply_payload(rt: "Runtime", flat: np.ndarray | None, msg: Any) -> Non
         shard.scatter_sparse(flat, local_idx, values)
     elif "entry" in msg.meta:
         # Per-layer reply (wait-free pull): write the entry's ranges.
-        vec = np.asarray(payload, dtype=np.float64)
-        offset = 0
-        for a, b in rt._entry_ranges[(msg.meta["shard"], msg.meta["entry"])]:
-            flat[a:b] = vec[offset : offset + (b - a)]
-            offset += b - a
+        scatter_ranges(
+            flat,
+            rt._entry_ranges[(msg.meta["shard"], msg.meta["entry"])],
+            np.asarray(payload, dtype=np.float64),
+        )
     else:
         shard.scatter(flat, payload)
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 
+from repro.core.base import is_centralized
 from repro.core.runner import RunConfig
 from repro.faults.config import FaultConfig
 from repro.optimizations.dgc import DGCConfig
@@ -140,7 +141,7 @@ def mini_accuracy_config(
         if algorithm_params is None
         else dict(algorithm_params)
     )
-    centralized = key in ("bsp", "asp", "ssp", "easgd")
+    centralized = is_centralized(key)
     defaults = dict(
         algorithm=algorithm,
         algorithm_params=params,
@@ -211,7 +212,7 @@ def timing_config(
         machines=machines,
         gpus_per_machine=min(4, num_workers),
     )
-    centralized = key in ("bsp", "asp", "ssp", "easgd")
+    centralized = is_centralized(key)
     if num_ps_shards is None:
         num_ps_shards = max(1, num_workers // 4) if centralized else 1
     params = (

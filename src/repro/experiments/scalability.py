@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from repro.analysis.breakdown import breakdown_table, normalize_breakdown
 from repro.analysis.scalability import ideal_single_worker_throughput
 from repro.analysis.tables import format_table
+from repro.core.base import is_centralized
 from repro.core.history import ThroughputResult
 from repro.core.runner import PROFILES
 from repro.experiments.config import timing_config
@@ -50,9 +51,8 @@ def scale_worker_counts(max_workers: int) -> tuple[int, ...]:
 
 
 def _supports(algo: str, what: str) -> bool:
-    centralized = algo in ("bsp", "asp", "ssp", "easgd")
     if what == "sharding":
-        return centralized
+        return is_centralized(algo)
     # Wait-free BP overlap: the paper's AR-SGD uses standard (blocking)
     # MPICH AllReduce, so per-layer overlap applies to the PS-based
     # gradient senders only.

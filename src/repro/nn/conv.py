@@ -24,7 +24,7 @@ import numpy as np
 from repro.nn import initializers
 from repro.nn.module import Module, Parameter
 
-__all__ = ["Conv2d", "MaxPool2d", "AvgPool2d", "GlobalAvgPool2d", "im2col", "col2im"]
+__all__ = ["Conv2d", "MaxPool2d", "AvgPool2d", "GlobalAvgPool2d"]
 
 Initializer = Callable[[np.random.Generator, tuple[int, ...]], np.ndarray]
 
@@ -83,42 +83,6 @@ def _scatter(
         for j in range(kw):
             padded[:, rows, j : j + stride * ow : stride] += patches[:, i, j]
     return padded[:, padding : padding + h, padding : padding + w].transpose(3, 0, 1, 2)
-
-
-def im2col(
-    x: np.ndarray, kernel: tuple[int, int], stride: int, padding: int
-) -> tuple[np.ndarray, tuple[int, int]]:
-    """Extract sliding patches.
-
-    Parameters
-    ----------
-    x:
-        Input of shape ``(N, C, H, W)``.
-
-    Returns
-    -------
-    cols, (out_h, out_w):
-        ``cols`` has shape ``(N * out_h * out_w, C * kh * kw)``.
-    """
-    windows = _windows(x, *kernel, stride, padding, padding)
-    c, kh, kw, out_h, out_w, n = windows.shape
-    cols = windows.transpose(5, 3, 4, 0, 1, 2).reshape(n * out_h * out_w, c * kh * kw)
-    return cols, (out_h, out_w)
-
-
-def col2im(
-    cols: np.ndarray,
-    x_shape: tuple[int, int, int, int],
-    kernel: tuple[int, int],
-    stride: int,
-    padding: int,
-) -> np.ndarray:
-    """Inverse of :func:`im2col`: scatter-add patch gradients back."""
-    n, c, h, w = x_shape
-    out_h = _out_size(h, kernel[0], stride, padding)
-    out_w = _out_size(w, kernel[1], stride, padding)
-    patches = cols.reshape(n, out_h, out_w, c, *kernel).transpose(3, 4, 5, 1, 2, 0)
-    return _scatter(patches, x_shape, stride, padding)
 
 
 class Conv2d(Module):

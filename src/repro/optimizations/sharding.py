@@ -27,7 +27,33 @@ import numpy as np
 
 from repro.nn.zoo import ModelProfile
 
-__all__ = ["ShardAssignment", "ShardingPlan", "make_sharding_plan"]
+__all__ = [
+    "ShardAssignment",
+    "ShardingPlan",
+    "make_sharding_plan",
+    "gather_ranges",
+    "scatter_ranges",
+]
+
+Ranges = tuple[tuple[int, int], ...]
+
+
+def gather_ranges(flat: np.ndarray, ranges: Ranges) -> np.ndarray:
+    """The elements of ``flat`` inside ``ranges``, concatenated in order
+    into a new vector (a shard's slice, a comm-plan entry's payload)."""
+    if not ranges:
+        return np.zeros(0, dtype=flat.dtype)
+    return np.concatenate([flat[start:stop] for start, stop in ranges])
+
+
+def scatter_ranges(flat: np.ndarray, ranges: Ranges, values: np.ndarray) -> None:
+    """Inverse of :func:`gather_ranges`: write ``values`` back into
+    ``flat`` at ``ranges``."""
+    offset = 0
+    for start, stop in ranges:
+        n = stop - start
+        flat[start:stop] = values[offset : offset + n]
+        offset += n
 
 
 @dataclass(frozen=True)
@@ -40,7 +66,7 @@ class ShardAssignment:
 
     shard_id: int
     layer_indices: tuple[int, ...]
-    ranges: tuple[tuple[int, int], ...]
+    ranges: Ranges
 
     @cached_property
     def num_elements(self) -> int:
@@ -48,19 +74,13 @@ class ShardAssignment:
 
     def gather(self, flat: np.ndarray) -> np.ndarray:
         """Extract this shard's elements from a full flat vector."""
-        if not self.ranges:
-            return np.zeros(0, dtype=flat.dtype)
-        return np.concatenate([flat[start:stop] for start, stop in self.ranges])
+        return gather_ranges(flat, self.ranges)
 
     def scatter(self, flat: np.ndarray, values: np.ndarray) -> None:
         """Write this shard's elements back into a full flat vector."""
         if values.size != self.num_elements:
             raise ValueError("values size mismatch with shard ranges")
-        offset = 0
-        for start, stop in self.ranges:
-            n = stop - start
-            flat[start:stop] = values[offset : offset + n]
-            offset += n
+        scatter_ranges(flat, self.ranges, values)
 
     def global_indices(self) -> np.ndarray:
         """Flat-vector index of every element of the gathered slice."""

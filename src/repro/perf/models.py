@@ -37,6 +37,7 @@ from typing import Callable
 import numpy as np
 
 from repro.comm.hierarchical import DEFAULT_TREE_ARITY
+from repro.core.base import is_centralized
 from repro.core.runner import RunConfig, timing_plans
 from repro.nn.zoo import ModelProfile
 from repro.optimizations.sharding import ShardingPlan
@@ -52,7 +53,6 @@ __all__ = [
     "SUPPORTED_ALGORITHMS",
 ]
 
-_CENTRALIZED = ("bsp", "asp", "ssp", "easgd")
 SUPPORTED_ALGORITHMS = ("bsp", "asp", "ssp", "easgd", "ar-sgd", "gosgd", "ad-psgd")
 
 
@@ -208,7 +208,7 @@ def build_inputs(cfg: RunConfig) -> ModelInputs:
             "(dgc/robust/faults need the discrete-event engine)"
         )
 
-    centralized = algo in _CENTRALIZED
+    centralized = is_centralized(algo)
     num_shards = cfg.num_ps_shards if centralized else 1
     profile, sharding, plan = timing_plans(
         cfg.profile_name, num_shards, cfg.sharding_strategy, cfg.wait_free_bp
@@ -234,9 +234,7 @@ def build_inputs(cfg: RunConfig) -> ModelInputs:
 
     entries = plan.entries
     entry_bytes = np.array([e.nbytes for e in entries], dtype=float)
-    entry_offset = np.array(
-        [e.ready_offset if plan.wait_free else 1.0 for e in entries], dtype=float
-    )
+    entry_offset = np.array([e.ready_offset for e in entries], dtype=float)
     entry_shard = np.array([e.shard_id for e in entries], dtype=np.int64)
     B = np.array(sharding.shard_bytes(), dtype=float)
     shard_machine = np.arange(num_shards, dtype=np.int64) % cluster.machines

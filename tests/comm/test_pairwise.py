@@ -1,13 +1,10 @@
 """Tests for the AD-PSGD bipartite exchange topology."""
 
-import networkx as nx
-import numpy as np
 import pytest
 
 from repro.comm.pairwise import (
     bipartite_split,
     build_exchange_graph,
-    choose_passive_peer,
     verify_deadlock_free,
 )
 
@@ -36,47 +33,36 @@ class TestBipartiteSplit:
 
 class TestExchangeGraph:
     def test_complete_bipartite(self):
-        g = build_exchange_graph(6)
-        assert g.number_of_edges() == 9  # 3 × 3
+        _, _, edges = build_exchange_graph(6)
+        assert len(edges) == len(set(edges)) == 9  # 3 × 3
 
     def test_is_bipartite(self):
-        g = build_exchange_graph(24)
-        assert nx.is_bipartite(g)
+        active, passive, edges = build_exchange_graph(24)
+        assert sorted(active + passive) == list(range(24))
+        assert all(a in active and p in passive for a, p in edges)
 
     def test_every_active_has_peers(self):
-        g = build_exchange_graph(8)
-        for node, data in g.nodes(data=True):
-            if data["role"] == "active":
-                assert g.degree(node) > 0
+        active, _, edges = build_exchange_graph(8)
+        for node in active:
+            assert any(a == node for a, _ in edges)
 
 
 class TestDeadlockFreedom:
     @pytest.mark.parametrize("world", [2, 3, 8, 24])
     def test_paper_topology_is_deadlock_free(self, world):
-        assert verify_deadlock_free(build_exchange_graph(world))
+        assert verify_deadlock_free(*build_exchange_graph(world))
+
+    def test_every_world_up_to_24_is_deadlock_free(self):
+        assert all(verify_deadlock_free(*build_exchange_graph(w)) for w in range(1, 25))
 
     def test_intra_class_edge_detected(self):
         """The three-worker cycle from §IV-C: A→B→C→A requires an edge
         inside one role class, which the checker rejects."""
-        g = build_exchange_graph(4)
-        g.add_edge(0, 2)  # active-active edge
-        assert not verify_deadlock_free(g)
+        active, passive, edges = build_exchange_graph(4)
+        assert not verify_deadlock_free(active, passive, edges + [(0, 2)])  # active-active
+        assert not verify_deadlock_free(active, passive, edges + [(3, 1)])  # passive-passive
 
-
-class TestPeerChoice:
-    def test_only_neighbors_chosen(self):
-        g = build_exchange_graph(8)
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            peer = choose_passive_peer(0, g, rng)
-            assert peer in list(g.neighbors(0))
-
-    def test_no_neighbors_returns_none(self):
-        g = build_exchange_graph(1)
-        assert choose_passive_peer(0, g, np.random.default_rng(0)) is None
-
-    def test_deterministic_given_rng(self):
-        g = build_exchange_graph(8)
-        a = [choose_passive_peer(0, g, np.random.default_rng(5)) for _ in range(3)]
-        b = [choose_passive_peer(0, g, np.random.default_rng(5)) for _ in range(3)]
-        assert a == b
+    def test_mislabeled_nodes_detected(self):
+        active, passive, edges = build_exchange_graph(4)
+        assert not verify_deadlock_free(active, passive, edges + [(0, 9)])  # in neither class
+        assert not verify_deadlock_free(active + [1], passive, edges)  # in both

@@ -239,7 +239,7 @@ class TestADPSGD:
         active, passive = bipartite_split(world)
         assert serving == passive
         assert initiating == (active if passive else [])
-        assert verify_deadlock_free(build_exchange_graph(world))
+        assert verify_deadlock_free(*build_exchange_graph(world))
 
     def test_build_at_n1024_allocates_no_exchange_graph(self):
         """The (N/2)²-edge graph is a checkable statement, not a runtime

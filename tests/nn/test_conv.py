@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import AvgPool2d, Conv2d, GlobalAvgPool2d, MaxPool2d
-from repro.nn.conv import col2im, im2col
+from repro.nn.conv import _scatter, _windows
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.module import Sequential
 from repro.nn.layers import Flatten, Dense
@@ -13,36 +13,38 @@ from tests.nn.util import check_input_gradient, check_model_gradients
 
 
 class TestIm2col:
+    """The two patch primitives every conv/pool kernel is built on:
+    ``_windows`` gathers, ``_scatter`` is its adjoint."""
+
     def test_known_patch_extraction(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-        cols, (oh, ow) = im2col(x, (2, 2), stride=2, padding=0)
-        assert (oh, ow) == (2, 2)
-        assert cols.shape == (4, 4)
-        assert np.array_equal(cols[0], [0, 1, 4, 5])
-        assert np.array_equal(cols[3], [10, 11, 14, 15])
+        windows = _windows(x, 2, 2, 2, 0, 0)
+        assert windows.shape == (1, 2, 2, 2, 2, 1)  # (C, kh, kw, oh, ow, N)
+        assert np.array_equal(windows[0, :, :, 0, 0, 0].ravel(), [0, 1, 4, 5])
+        assert np.array_equal(windows[0, :, :, 1, 1, 0].ravel(), [10, 11, 14, 15])
 
     def test_padding_expands_output(self):
         x = np.ones((1, 1, 3, 3))
-        cols, (oh, ow) = im2col(x, (3, 3), stride=1, padding=1)
-        assert (oh, ow) == (3, 3)
+        windows = _windows(x, 3, 3, 1, 1, 1)
+        assert windows.shape[3:5] == (3, 3)
         # Corner patch has 4 real values, 5 zeros.
-        assert cols[0].sum() == 4
+        assert windows[0, :, :, 0, 0, 0].sum() == 4
 
     def test_col2im_adjoint_of_im2col(self):
-        """col2im must be the exact adjoint: <im2col(x), y> == <x, col2im(y)>."""
+        """_scatter must be the exact adjoint: <windows(x), y> == <x, scatter(y)>."""
         rng = np.random.default_rng(0)
         x = rng.normal(size=(2, 3, 5, 5))
-        cols, _ = im2col(x, (3, 3), stride=2, padding=1)
-        y = rng.normal(size=cols.shape)
-        lhs = float(np.sum(cols * y))
-        back = col2im(y, x.shape, (3, 3), stride=2, padding=1)
+        windows = _windows(x, 3, 3, 2, 1, 1)
+        y = rng.normal(size=windows.shape)
+        lhs = float(np.sum(windows * y))
+        back = _scatter(y, x.shape, stride=2, padding=1)
         rhs = float(np.sum(x * back))
         assert np.isclose(lhs, rhs)
 
     def test_invalid_geometry_raises(self):
         x = np.ones((1, 1, 2, 2))
         with pytest.raises(ValueError):
-            im2col(x, (5, 5), stride=1, padding=0)
+            _windows(x, 5, 5, 1, 0, 0)
 
 
 class TestConv2d:
