@@ -36,7 +36,8 @@ from repro.data.synthetic import (
     make_synthetic_images,
 )
 from repro.nn.losses import SoftmaxCrossEntropy
-from repro.nn.models import build_model
+from repro.nn.models import arguments_to_fit, build_model
+from repro.nn.module import Module
 from repro.nn.optim import weight_decay_mask
 from repro.nn.schedules import LRSchedule, WarmupStepSchedule
 from repro.nn.zoo import ModelProfile, mini_profile_from_model, resnet50_profile, vgg16_profile
@@ -75,6 +76,11 @@ PROFILES = {
     "resnet50": resnet50_profile,
     "vgg16": vgg16_profile,
 }
+
+#: Test samples per evaluation forward pass. Part of the result, not a
+#: tuning value: batch-norm models evaluate with batch statistics, so a
+#: different chunk is a different accuracy.
+EVAL_CHUNK = 512
 
 
 @lru_cache(maxsize=None)
@@ -550,6 +556,22 @@ class DistributedRunner:
         if cfg.dgc and not info.supports_dgc:
             raise ValueError(f"{info.name} sends parameters; DGC does not apply")
 
+    def _refuse_misfit(self, model: Module, dataset: Dataset) -> None:
+        """Fail the build when the model was not built for the dataset's
+        samples; left alone, the run dies at its first batch inside a
+        layer ("expected 64 features, got 256")."""
+        cfg = self.config
+        sample_shape = dataset.x.shape[1:]
+        lacking = arguments_to_fit(model, sample_shape, dataset.num_classes)
+        if lacking is None:
+            return
+        fix = f": build it with model_kwargs={cfg.model_kwargs | lacking}" if lacking else ""
+        raise ValueError(
+            f"model {cfg.model_name!r} takes {model.input_shape} samples in "
+            f"{model.num_classes} classes, dataset {cfg.dataset_name!r} has "
+            f"{sample_shape} samples in {dataset.num_classes} classes{fix}"
+        )
+
     def _build(self) -> None:
         cfg = self.config
         full = cfg.mode == "full"
@@ -572,6 +594,7 @@ class DistributedRunner:
             # on its LocalComputation, each a copy of this seeded draw
             # (DESIGN §3). Evaluation has a model of its own.
             model = build_model(cfg.model_name, seed=cfg.seed, **cfg.model_kwargs)
+            self._refuse_misfit(model, dataset)
             init_params = model.get_flat_parameters()
             self._eval_model = build_model(
                 cfg.model_name, params=init_params, **cfg.model_kwargs
@@ -736,14 +759,15 @@ class DistributedRunner:
                 algorithm=self.algorithm.describe(), num_workers=self.config.num_workers
             )
         self._eval_model.set_flat_parameters(params)
-        # Batch-norm models evaluate with batch statistics (running
-        # stats belong to the compute model, not to the flat vector).
+        # Batch-norm models evaluate with the statistics of each
+        # EVAL_CHUNK (running stats belong to the compute model, not to
+        # the flat vector).
         self._eval_model.train()
         correct = 0
         x, y = self._test_data.x, self._test_data.y
-        for start in range(0, len(self._test_data), 512):
-            out = self._eval_model.predict(x[start : start + 512])
-            correct += int((out.argmax(axis=1) == y[start : start + 512]).sum())
+        for start in range(0, len(self._test_data), EVAL_CHUNK):
+            out = self._eval_model.predict(x[start : start + EVAL_CHUNK])
+            correct += int((out.argmax(axis=1) == y[start : start + EVAL_CHUNK]).sum())
         accuracy = correct / len(self._test_data)
         losses = [
             w.comp.ema_loss

@@ -8,11 +8,13 @@ batch norm's per-channel rows and the element-wise layers read fastest.
 Inputs of any strides are accepted.
 
 Everything is built on two primitives in that layout: :func:`_windows`
-(whose reshape is the one strided copy that gathers a
+(copying it out is the one strided copy that gathers a
 ``(C*kh*kw, oh*ow*N)`` patch matrix) and its adjoint :func:`_scatter`.
 Convolution forward is a gather and a GEMM; so is its data gradient at
 stride 1 (a convolution with the flipped kernel); only strided layers
-scatter.
+scatter. A forward pass that keeps its patch matrix for ``backward``
+gathers it whole; one that keeps nothing (:meth:`Module.predict`)
+gathers and multiplies :data:`GATHER_ELEMENTS` at a time.
 """
 
 from __future__ import annotations
@@ -25,6 +27,13 @@ from repro.nn import initializers
 from repro.nn.module import Module, Parameter
 
 __all__ = ["Conv2d", "MaxPool2d", "AvgPool2d", "GlobalAvgPool2d"]
+
+#: Most elements a ``Conv2d`` that keeps nothing gathers at once (1 MB:
+#: resident in L2, and the smallest power of two that holds one output
+#: position of the widest layer in ``models.py`` at the 512-sample
+#: evaluation chunk, 144 x 512). Such a layer never builds its whole
+#: patch matrix — 9x its input for a 3x3 kernel, written once, read once.
+GATHER_ELEMENTS = 1 << 17
 
 Initializer = Callable[[np.random.Generator, tuple[int, ...]], np.ndarray]
 
@@ -53,8 +62,9 @@ def _images(rows: np.ndarray, c: int, h: int, w: int, n: int) -> np.ndarray:
 def _windows(x: np.ndarray, kh: int, kw: int, stride: int, ph: int, pw: int) -> np.ndarray:
     """Every sliding window of an ``(N, C, H, W)``-shaped ``x`` of any
     strides, as a ``(C, kh, kw, oh, ow, N)`` view of a zero-padded
-    channel-major buffer. Reshaping it is the one strided copy that
-    gathers a patch matrix; ``(ow, N)`` runs are contiguous at stride 1."""
+    channel-major buffer. Copying it (or a block of its output rows and
+    columns) out is the one strided copy that gathers a patch matrix;
+    ``(ow, N)`` runs are contiguous at stride 1."""
     n, c, h, w = x.shape
     oh = _out_size(h, kh, stride, ph)
     ow = _out_size(w, kw, stride, pw)
@@ -67,6 +77,17 @@ def _windows(x: np.ndarray, kh: int, kw: int, stride: int, ph: int, pw: int) -> 
     # np.ndarray(...) is as_strided without its 20 us Python wrapper.
     strides = (sc, sh, sw, sh * stride, sw * stride, sn)
     return np.ndarray((c, kh, kw, oh, ow, n), np.float64, buf, 0, strides)
+
+
+def _block(column: int, oh: int, ow: int) -> tuple[int, int]:
+    """``(rows, cols)`` of the output positions a transient patch matrix
+    is gathered for at once, one position being ``column = C*kh*kw*N``
+    elements: as many whole output rows as :data:`GATHER_ELEMENTS`
+    holds, or a run of columns inside one row when a row is over it.
+    The contiguous batch axis is never split, so one position is the
+    least."""
+    positions = max(1, GATHER_ELEMENTS // column)
+    return (min(positions // ow, oh), ow) if positions >= ow else (1, positions)
 
 
 def _scatter(
@@ -126,13 +147,26 @@ class Conv2d(Module):
             raise ValueError(f"expected {self.in_channels} input channels, got {x.shape[1]}")
         kh, kw = self.kernel_size
         windows = _windows(x, kh, kw, self.stride, self.padding, self.padding)
-        patches = windows.reshape(self.in_channels * kh * kw, -1)  # the gather: one copy
+        *_, oh, ow, n = windows.shape
+        k = self.in_channels * kh * kw
+        # Gather and multiply one block of output positions at a time;
+        # a layer that keeps its patches gathers them as one block.
+        rows, cols = (oh, ow) if self._retain else _block(k * n, oh, ow)
+        buffer = np.empty(k * rows * cols * n)
+        weight = self.weight.value.reshape(self.out_channels, k)
+        out = np.empty((self.out_channels, oh * ow * n))
+        for row in range(0, oh, rows):
+            for col in range(0, ow, cols):
+                block = windows[:, :, :, row : row + rows, col : col + cols]
+                patches = buffer[: block.size].reshape(k, -1)
+                patches.reshape(block.shape)[...] = block  # the gather: one strided copy
+                start = (row * ow + col) * n
+                np.matmul(weight, patches, out=out[:, start : start + patches.shape[1]])
         self._patches = patches if self._retain else None
         self._x_shape = x.shape
-        out = self.weight.value.reshape(self.out_channels, -1) @ patches
         if self.bias is not None:
             out += self.bias.value[:, None]
-        return _images(out, self.out_channels, *windows.shape[3:])
+        return _images(out, self.out_channels, oh, ow, n)
 
     def backward_params(self, grad_out: np.ndarray) -> None:
         if self._patches is None or self._x_shape is None:

@@ -19,7 +19,7 @@ from repro.nn.layers import Dense, Flatten, Identity
 from repro.nn.module import Module, Sequential
 from repro.nn.normalization import BatchNorm2d
 
-__all__ = ["MLP", "ResidualBlock", "MiniResNet", "MiniVGG", "build_model"]
+__all__ = ["MLP", "ResidualBlock", "MiniResNet", "MiniVGG", "build_model", "arguments_to_fit"]
 
 
 class MLP(Sequential):
@@ -49,6 +49,7 @@ class MLP(Sequential):
         super().__init__(*layers)
         self.in_features = in_features
         self.num_classes = num_classes
+        self.input_shape = (in_features,)
 
 
 class ResidualBlock(Module):
@@ -123,6 +124,7 @@ class MiniResNet(Sequential):
             raise ValueError("need at least one stage")
         rng = rng if rng is not None else np.random.default_rng(0)
         self.num_classes = num_classes
+        self.input_shape = (in_channels, None, None)  # any height and width
         self.stem = Conv2d(in_channels, stage_channels[0], 3, padding=1, rng=rng, bias=False)
         self.stem_bn = BatchNorm2d(stage_channels[0])
         self.stem_relu = ReLU()
@@ -162,6 +164,7 @@ class MiniVGG(Sequential):
             raise ValueError("need at least one conv stage")
         rng = rng if rng is not None else np.random.default_rng(0)
         self.num_classes = num_classes
+        self.input_shape = (in_channels, input_hw, input_hw)
         layers: list[Module] = []
         prev = in_channels
         hw = input_hw
@@ -180,6 +183,30 @@ class MiniVGG(Sequential):
         self.fc_relu = ReLU()
         self.fc2 = Dense(fc_width, num_classes, rng=rng)
         self.layers = [self.features, self.flatten, self.fc1, self.fc_relu, self.fc2]
+
+
+#: The constructor argument behind each axis of a model's ``input_shape``.
+_SHAPE_ARGUMENTS = {1: ("in_features",), 3: ("in_channels", "input_hw", "input_hw")}
+
+
+def arguments_to_fit(
+    model: Module, sample_shape: tuple[int, ...], num_classes: int
+) -> dict[str, int] | None:
+    """``None`` when ``model`` takes samples of ``sample_shape`` in
+    ``num_classes`` classes; otherwise the constructor arguments it
+    would take them with — none when no argument would do (vectors
+    against images)."""
+    if len(model.input_shape) != len(sample_shape):
+        return {}
+    names = _SHAPE_ARGUMENTS.get(len(sample_shape), ())
+    lacking = {
+        name: have
+        for name, takes, have in zip(names, model.input_shape, sample_shape)
+        if takes not in (None, have)
+    }
+    if model.num_classes != num_classes:
+        lacking["num_classes"] = num_classes
+    return lacking or None
 
 
 class _Undrawn:

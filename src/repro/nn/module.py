@@ -172,8 +172,9 @@ class Module:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Forward pass of a model that will not be back-propagated:
-        no layer keeps anything for ``backward``. Train/eval mode is
-        unchanged (batch norm still follows ``training``)."""
+        no layer keeps anything for ``backward``, and a ``Conv2d`` never
+        builds the whole patch matrix it would have kept. Train/eval
+        mode is unchanged (batch norm still follows ``training``)."""
         modules = list(self.modules())
         for module in modules:
             module._retain = False

@@ -7,6 +7,7 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from repro.core.runner import DistributedRunner, RunConfig
 from repro.nn import build_model
@@ -68,6 +69,57 @@ class TestInitialParameters:
         assert runner._eval_model is not first.model
 
 
+class TestModelFitsDataset:
+    """A model built for other samples than the dataset's is refused at
+    build time, with the ``model_kwargs`` that fit; it used to die at
+    its first batch with a layer's "expected 64 features, got 256"."""
+
+    def test_image_size(self):
+        cfg = conv_config("minivgg", dataset_kwargs={"num_samples": 2000, "hw": 16})
+        with pytest.raises(ValueError) as error:
+            DistributedRunner(cfg)
+        message = str(error.value)
+        assert "'minivgg' takes (3, 8, 8)" in message
+        assert "'synthetic_images' has (3, 16, 16)" in message
+        assert "model_kwargs={'input_hw': 16}" in message
+
+    def test_image_size_as_told(self):
+        cfg = conv_config(
+            "minivgg",
+            model_kwargs={"input_hw": 16},
+            dataset_kwargs={"num_samples": 2000, "hw": 16},
+            epochs=0.25,
+        )
+        history = DistributedRunner(cfg).run()
+        assert len(history.test_accuracy) == 2 and history.total_iterations > 0
+
+    def test_any_image_size_fits_a_model_that_pools_globally(self):
+        cfg = conv_config("miniresnet", dataset_kwargs={"num_samples": 2000, "hw": 12})
+        assert DistributedRunner(cfg)._eval_model.input_shape == (3, None, None)
+
+    def test_channels(self):
+        cfg = conv_config("miniresnet", dataset_kwargs={"num_samples": 2000, "channels": 1})
+        with pytest.raises(ValueError, match=r"takes \(3, None, None\).* has \(1, 8, 8\)") as error:
+            DistributedRunner(cfg)
+        assert "model_kwargs={'in_channels': 1}" in str(error.value)
+
+    def test_classes_keeps_the_other_model_kwargs(self):
+        cfg = conv_config(
+            "minivgg",
+            model_kwargs={"fc_width": 64},
+            dataset_kwargs={"num_samples": 2000, "num_classes": 5},
+        )
+        with pytest.raises(ValueError, match="in 10 classes.* in 5 classes") as error:
+            DistributedRunner(cfg)
+        assert "model_kwargs={'fc_width': 64, 'num_classes': 5}" in str(error.value)
+
+    def test_vectors_against_images_has_no_fix_to_name(self):
+        cfg = conv_config("mlp")
+        with pytest.raises(ValueError, match=r"'mlp' takes \(32,\).* has \(3, 8, 8\)") as error:
+            DistributedRunner(cfg)
+        assert "model_kwargs" not in str(error.value)
+
+
 class TestMemoryScaling:
     @staticmethod
     def built_and_stepped(num_workers: int) -> int:
@@ -114,8 +166,12 @@ class TestEvaluationKeepsNothing:
         comp.gradient()
         assert comp.model.stem._patches is not None  # backward needs them
 
-    def test_evaluate_retains_no_memory(self):
-        runner = DistributedRunner(conv_config("miniresnet"))
+    @staticmethod
+    def evaluation_peak(hw: int, num_samples: int) -> int:
+        """Transient bytes of one ``_evaluate`` (it must leave nothing)."""
+        runner = DistributedRunner(
+            conv_config("miniresnet", dataset_kwargs={"num_samples": num_samples, "hw": hw})
+        )
         runner._evaluate(0.0)  # first call creates the history
         gc.collect()
         tracemalloc.start()
@@ -126,9 +182,17 @@ class TestEvaluationKeepsNothing:
         finally:
             tracemalloc.stop()
         assert after - before < 1e6, "evaluation left arrays behind"
-        # Transient: one layer's 400-sample patch matrix (14.7 MB) and
-        # its neighbours — not all six at once (~90 MB).
-        assert peak - before < 40e6
+        return peak - before
+
+    def test_evaluate_retains_no_memory(self):
+        # Padded input, output and one gather block of a layer: 8.4 MB.
+        # Parent: 22.3 MB, one layer's whole patch matrix (9x its
+        # input) beside its neighbours.
+        assert self.evaluation_peak(8, 2000) < 14e6
+
+    def test_evaluate_on_16x16_images_peaks_under_50_megabytes(self):
+        # 36.7 MB; parent 111.3 MB.
+        assert self.evaluation_peak(16, 4000) < 50e6
 
     def test_memory_peak_does_not_grow_cell_over_cell(self):
         """With the cycle collector off: a finished cell's replicas and
