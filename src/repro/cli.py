@@ -4,110 +4,27 @@ Usage::
 
     python -m repro list
     python -m repro run table2 [--workers 24] [--epochs 30] [--seeds 0,1]
-    python -m repro run table3
-    python -m repro run table4
-    python -m repro run fig1
-    python -m repro run fig2 [--model resnet50|vgg16]
-    python -m repro run fig3
+    python -m repro run fig2 [--model resnet50|vgg16] [--jobs 8] [--cache-dir DIR]
     python -m repro run fig4 [--model resnet50] [--bandwidth 10]
-    python -m repro run fig2 --jobs 8 --cache-dir /tmp/repro-cache
     python -m repro run fig2 --analytic --max-workers 10000
-    python -m repro predict bsp --workers 1024 [--bandwidth 10]
+    python -m repro run fig3 [--trace-out trace.json] [--analyze] [--output out.json]
+    python -m repro run fig2 --session nightly --run-timeout 600 --retries 3
+    python -m repro train bsp --workers 8 --epochs 10 [--fault-spec faults.json]
+    python -m repro predict bsp --workers 1024 [--bandwidth 10] [--validate]
     python -m repro predict all --max-workers 10000 --output curves.json
-    python -m repro predict ssp --workers 64 --validate
-    python -m repro train bsp --workers 8 --epochs 10
     python -m repro trace fig3 --out fig3_trace.json
-    python -m repro run fig3 --trace-out fig3_trace.json
-    python -m repro analyze fig3 [--iters 10] [--json report.json]
-    python -m repro analyze bsp --workers 4 --iters 5 --check
-    python -m repro run fig3 --analyze
-    python -m repro train asp --workers 8 --analyze --output out.json
+    python -m repro analyze bsp --workers 4 --iters 5 --check [--json report.json]
     python -m repro faults [--workers 8] [--scenarios crash,partition]
     python -m repro faults --rack-scale [--scenarios rack-outage,tor-outage]
     python -m repro byzantine [--byzantine 1] [--aggregators mean,median,krum]
-    python -m repro train bsp --fault-spec faults.json --fault-seed 3
-    python -m repro run fig2 --fault-spec faults.json
-    python -m repro run fig2 --session nightly --run-timeout 600 --retries 3
     python -m repro sweep list
     python -m repro sweep show <session> [--json out.json] [--trace-out t.json]
     python -m repro sweep resume <session> [--jobs 8]
 
-Every ``run`` prints the paper-style table and, with ``--output FILE``,
-also writes the structured result as JSON (see :mod:`repro.io`),
-wrapped together with the sweep statistics.
-
-Sweeps fan out over a process pool (``--jobs``, default: all cores)
-and reuse previous runs from a content-addressed cache keyed by the
-full run config (``--cache-dir``, default ``~/.cache/repro``; disable
-with ``--no-cache``). Per-run progress goes to stderr; a one-line
-sweep summary (submitted / cached / executed / wall time) is printed
-after every sweep.
-
-``faults`` runs the fault-tolerance grid: named failure scenarios
-(crash, crash-rejoin, NIC degrade, partition, packet loss) against
-every algorithm, reporting throughput retained vs the fault-free
-baseline. ``faults --rack-scale`` swaps in the rack-scale chaos
-matrix: fabric failure domains (rack outage, ToR outage, uplink
-degrade/flap, spine degrade) against the hierarchical protocol
-variants (BSP flat/tree-PS, AR-SGD ring/tree/hring) on a leaf/spine
-cluster. ``byzantine`` runs the Byzantine-resilience grid: hostile
-workers sending sign-flipped amplified gradients against every
-algorithm, one column per robust aggregation rule, reporting accuracy
-retained vs the attack-free baseline. ``--fault-spec FILE`` on
-``run``/``train`` injects a
-JSON-specified fault schedule into those runs instead
-(:meth:`repro.faults.FaultConfig.save` writes the format); the fault
-summary lands in the ``--output`` JSON under ``"faults"``.
-
-``--session [NAME]`` on ``run``/``faults``/``byzantine`` makes the
-sweep *durable*: every run's lifecycle is journaled to an append-only
-session log keyed by the grid fingerprint, so a sweep killed at any
-instant (SIGKILL, OOM, power loss) resumes idempotently — either by
-re-running the same command or via ``repro sweep resume <session>``.
-Completed runs are never re-executed (they are cache hits); output is
-bit-identical to an uninterrupted sweep. ``--resume`` refuses to
-start a *new* session (a typo that changes the grid fails loudly
-instead of silently starting over). ``--run-timeout``/``--retries``
-enable the per-run policy: hung runs are killed at their
-deadline and retried with exponential backoff, and after the attempt
-budget a cell is reported as permanently failed instead of aborting
-the grid. During any sweep the first SIGINT/SIGTERM stops cleanly
-(finished runs cached, journal flushed, how to resume printed, exit
-130); a second signal hard-exits. ``repro sweep list/show/resume``
-manage sessions; ``sweep show --trace-out`` exports the journal as a
-Perfetto trace.
-
-``predict`` evaluates the closed-form iteration-time models of
-:mod:`repro.perf` — milliseconds per configuration at any N, including
-N = 10,000 — printing predicted iteration time, throughput, speedup,
-the binding regime, and (single-point mode) the critical-path
-breakdown and per-station capacity bounds. ``--max-workers`` predicts
-a whole scaling curve; ``--validate`` cross-checks against the
-discrete-event engine (within 10 % at N ≤ 64). ``run fig2
---analytic [--max-workers N]`` swaps the engine for the same models
-across the whole fig2 grid. The models assume fault-free runs:
-``predict --fault-spec FILE`` warns and predicts as if fault-free, or
-refuses outright with ``--strict``.
-
-``trace`` (or ``--trace-out`` on ``run``/``train``) exports a
-Chrome/Perfetto trace-event JSON of one instrumented run — load it at
-https://ui.perfetto.dev or chrome://tracing. ``run --trace-out``
-instruments a *representative* run of the experiment (the sweep
-itself stays uninstrumented and cacheable); ``train --trace-out``
-instruments the actual training run.
-
-``analyze`` (or ``--analyze`` on ``run``/``train``) reconstructs the
-causal span DAG of one instrumented run, extracts the per-iteration
-critical path, and prints where the wall time went
-(compute/comm/wait), which workers or links straggle, and what-if
-projections (free comm, 10x links, slowest worker removed). The
-target is an experiment name (representative run) or a bare algorithm
-name (timing run). ``--json`` writes the full report; ``--trace-out``
-adds a critical-path highlight lane to the Perfetto export;
-``--check`` exits non-zero unless the attribution is conservative
-(sums to wall time) — the CI smoke mode. Sweeps additionally report a
-per-algorithm attribution summary derived from their traced results,
-and ``--output`` JSON carries it under ``"attribution_summary"``.
+README.md explains each family — fast and durable sweeps, fault
+injection, Byzantine resilience, analytic prediction, traces and
+critical-path analysis; ``python -m repro <command> --help`` lists a
+command's options.
 """
 
 from __future__ import annotations
@@ -115,7 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Callable
+from typing import Any, Callable, NoReturn
 
 __all__ = ["main", "build_parser"]
 
@@ -126,387 +43,207 @@ __all__ = ["main", "build_parser"]
 EXPERIMENTS = ("table1", "table2", "table3", "table4", "fig1", "fig2", "fig3", "fig4")
 
 
+def _comma_list(item: Callable[[str], Any] = str) -> Callable[[str], tuple]:
+    """An argparse ``type=``: a non-empty comma-separated list of ``item``."""
+
+    def parse(text: str) -> tuple:
+        try:
+            items = tuple(item(s) for s in text.split(",") if s)
+        except ValueError:
+            items = ()
+        if not items:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma-separated list of {item.__name__}, got {text!r}"
+            )
+        return items
+
+    return parse
+
+
+_SWITCH: dict[str, Any] = {"action": "store_true"}
+
+#: Every option, spelled once. A command takes the ones it lists in
+#: build_parser(); where commands differ on a default, each sets its own.
+OPTIONS: dict[str, dict[str, Any]] = {
+    # What a run or a sweep simulates.
+    "--workers": dict(type=int, help="worker count (default: the command's own)"),
+    "--epochs": dict(type=float, help="training epochs (accuracy runs)"),
+    "--iters": dict(type=int, help="measured iterations (timing runs)"),
+    "--model": dict(choices=("resnet50", "vgg16"), default="resnet50"),
+    "--bandwidth": dict(type=float, default=10.0, help="Gbps (timing runs)"),
+    "--fabric": dict(choices=("10g", "56g"), default="56g"),
+    "--seed": dict(type=int, default=0),
+    "--seeds": dict(type=_comma_list(int), default="0", help="comma-separated seeds"),
+    "--max-workers": dict(type=int, help="predict a whole scaling curve up to this N "
+                          "instead of one point (run: fig2 only, e.g. 10000)"),
+    "--analytic": dict(_SWITCH, help="fig2 only: evaluate the grid with the closed-form "
+                       "models of repro.perf instead of the discrete-event engine"),
+    # Grids beyond the paper.
+    "--scenarios": dict(type=_comma_list(), help="comma-separated scenario names "
+                        "(default: all)"),
+    "--algorithms": dict(type=_comma_list(), help="comma-separated algorithm names "
+                         "(default: all seven; with --rack-scale, cells such as ar-sgd/hring)"),
+    "--rack-scale": dict(_SWITCH, help="run the rack-scale chaos matrix instead: fabric "
+                         "fault scenarios (rack/ToR/uplink/spine) x hierarchical collectives "
+                         "on a leaf/spine cluster (default: 256 workers, 6 iterations)"),
+    "--machines-per-rack": dict(type=int, help="rack width for --rack-scale (default 16)"),
+    "--oversubscription": dict(type=float, help="ToR uplink oversubscription for "
+                               "--rack-scale (default 4.0)"),
+    "--aggregators": dict(type=_comma_list(), help="comma-separated aggregation rules "
+                          "(default: mean,median,trimmed_mean,krum)"),
+    "--byzantine": dict(type=int, default=1, help="number of hostile workers"),
+    "--scale": dict(type=float, default=10.0, help="attack amplification (-scale*grad)"),
+    "--fault-spec": dict(type=str, help="JSON fault schedule (FaultConfig.save format) "
+                         "injected into the run(s)"),
+    "--fault-seed": dict(type=int, help="override the fault schedule's RNG seed"),
+    # The sweep executor.
+    "--jobs": dict(type=int, help="parallel simulator processes (default: all cores)"),
+    "--no-cache": dict(_SWITCH, help="ignore and do not populate the run cache"),
+    "--cache-dir": dict(type=str, help="run-cache directory "
+                        "(default: $REPRO_CACHE_DIR or ~/.cache/repro)"),
+    "--session": dict(type=str, nargs="?", const="", metavar="NAME",
+                      help="journal this sweep as a durable session (optionally named "
+                      "NAME); re-running the same grid auto-resumes it, and "
+                      "'repro sweep resume' finishes it after a crash"),
+    "--resume": dict(_SWITCH, help="durable, but refuse to start a new session: only "
+                     "resume one whose journal already exists for this exact grid"),
+    "--run-timeout": dict(type=float, metavar="SECONDS", help="wall-clock deadline per "
+                          "run attempt; hung runs are killed and retried"),
+    "--retries": dict(type=int, metavar="N", help="attempts per run before it is "
+                      "classified permanently failed (default 3; failed cells degrade, "
+                      "they do not abort the sweep)"),
+    # What a command writes.
+    "--output": dict(type=str, help="write the JSON result here"),
+    "--json": dict(type=str, help="write the full report (sweep show: the session "
+                   "state) as JSON here"),
+    "--out": dict(type=str, required=True, help="trace JSON path"),
+    "--trace-out": dict(type=str, help="also export a Perfetto trace here: of one "
+                        "representative run (run), of this run (train), with the critical "
+                        "path highlighted (analyze), of the journal (sweep show)"),
+    "--analyze": dict(_SWITCH, help="critical-path analysis of the instrumented run: "
+                      "print the compute/comm/wait attribution report (and include it "
+                      "in --output JSON)"),
+    "--check": dict(_SWITCH, help="exit non-zero unless the attribution is conservative "
+                    "(compute+comm+wait sums to wall time; CI smoke mode)"),
+    "--validate": dict(_SWITCH, help="also run the discrete-event engine on the same "
+                       "config(s) and report the relative error (single-point mode; "
+                       "slow at large N)"),
+    "--strict": dict(_SWITCH, help="refuse (exit non-zero) instead of warning when the "
+                     "config carries a fault schedule the analytic models cannot honour"),
+    "--profile": dict(type=str, metavar="PSTATS_FILE", help="profile the command under "
+                      "cProfile: dump raw pstats here and print the top-20 functions by "
+                      "cumulative time to stderr"),
+}
+SHAPE = ("--workers", "--iters", "--epochs", "--model", "--bandwidth")
+FAULT_SPEC = ("--fault-spec", "--fault-seed")
+SWEEP = ("--jobs", "--no-cache", "--cache-dir")
+DURABLE = ("--session", "--resume", "--run-timeout", "--retries")
+SESSION = {"session": dict(help="session id, unique prefix, or name")}
+
+
+def _command(group: Any, name: str, summary: str, *options: str,
+             args: dict[str, dict] | None = None, **defaults: Any) -> argparse.ArgumentParser:
+    """Add subcommand ``name`` with its positionals ``args``, the
+    listed ``options`` and its own ``defaults`` for them."""
+    parser = group.add_parser(name, help=summary)
+    for dest, kwargs in (args or {}).items():
+        parser.add_argument(dest, **kwargs)
+    for flag in options:
+        parser.add_argument(flag, **OPTIONS[flag])
+    parser.set_defaults(**defaults)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce the tables and figures of Ko et al., IPDPS 2021.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list", help="list available experiments and algorithms")
-
-    run = sub.add_parser("run", help="regenerate one table/figure")
-    run.add_argument("experiment", choices=EXPERIMENTS)
-    run.add_argument("--workers", type=int, default=None, help="worker count (accuracy experiments)")
-    run.add_argument("--epochs", type=float, default=None, help="training epochs (accuracy experiments)")
-    run.add_argument("--seeds", type=str, default="0", help="comma-separated seeds")
-    run.add_argument("--model", choices=("resnet50", "vgg16"), default="resnet50")
-    run.add_argument("--bandwidth", type=float, default=10.0, help="Gbps (fig4)")
-    run.add_argument("--iters", type=int, default=None, help="measured iterations (timing experiments)")
-    run.add_argument("--output", type=str, default=None, help="write JSON result here")
-    run.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="parallel simulator processes for the sweep (default: all cores)",
-    )
-    run.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not populate the run cache",
-    )
-    run.add_argument(
-        "--cache-dir",
-        type=str,
-        default=None,
-        help="run-cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    run.add_argument(
-        "--trace-out",
-        type=str,
-        default=None,
-        help="also export a Perfetto trace of one representative run here",
-    )
-    run.add_argument(
-        "--analytic",
-        action="store_true",
-        help=(
-            "fig2 only: evaluate the grid with the closed-form models of "
-            "repro.perf instead of the discrete-event engine"
-        ),
-    )
-    run.add_argument(
-        "--max-workers",
-        type=int,
-        default=None,
-        help="fig2 only: extend the worker ladder up to this N (e.g. 10000)",
-    )
-    _add_analyze_arg(run)
-    _add_profile_arg(run)
-    _add_fault_spec_args(run)
-    _add_durable_args(run)
-
-    train = sub.add_parser("train", help="train one algorithm and print its history")
-    train.add_argument("algorithm")
-    train.add_argument("--workers", type=int, default=4)
-    train.add_argument("--epochs", type=float, default=10.0)
-    train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--fabric", choices=("10g", "56g"), default="56g")
-    train.add_argument("--output", type=str, default=None)
-    train.add_argument(
-        "--trace-out",
-        type=str,
-        default=None,
-        help="export a Perfetto trace of this training run here",
-    )
-    _add_analyze_arg(train)
-    _add_profile_arg(train)
-    _add_fault_spec_args(train)
-
-    faults = sub.add_parser(
-        "faults", help="fault-tolerance grid: failure scenarios x algorithms"
-    )
-    faults.add_argument(
-        "--scenarios",
-        type=str,
-        default=None,
-        help="comma-separated scenario names (default: all)",
-    )
-    faults.add_argument(
-        "--algorithms",
-        type=str,
-        default=None,
-        help="comma-separated algorithm names (default: all seven)",
-    )
-    faults.add_argument(
-        "--rack-scale",
-        action="store_true",
-        help=(
-            "run the rack-scale chaos matrix instead: fabric fault scenarios "
-            "(rack/ToR/uplink/spine) x hierarchical collectives on a "
-            "leaf/spine cluster; --scenarios/--algorithms then select fabric "
-            "scenarios and protocol-variant cells (e.g. ar-sgd/hring)"
-        ),
-    )
-    faults.add_argument(
-        "--machines-per-rack",
-        type=int,
-        default=16,
-        help="rack width for --rack-scale (default 16)",
-    )
-    faults.add_argument(
-        "--oversubscription",
-        type=float,
-        default=4.0,
-        help="ToR uplink oversubscription for --rack-scale (default 4.0)",
-    )
-    faults.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker count (default: 8, or 256 with --rack-scale)",
-    )
-    faults.add_argument(
-        "--iters", type=int, default=None,
-        help="measured iterations (default: 20, or 6 with --rack-scale)",
-    )
-    faults.add_argument("--model", choices=("resnet50", "vgg16"), default="resnet50")
-    faults.add_argument("--bandwidth", type=float, default=10.0, help="Gbps")
-    faults.add_argument("--seed", type=int, default=0)
-    faults.add_argument("--fault-seed", type=int, default=0)
-    faults.add_argument("--output", type=str, default=None)
-    faults.add_argument("--jobs", type=int, default=None)
-    faults.add_argument("--no-cache", action="store_true")
-    faults.add_argument("--cache-dir", type=str, default=None)
-    _add_durable_args(faults)
-
-    byz = sub.add_parser(
-        "byzantine",
-        help="Byzantine-resilience grid: robust aggregators x algorithms",
-    )
-    byz.add_argument(
-        "--algorithms",
-        type=str,
-        default=None,
-        help="comma-separated algorithm names (default: all seven)",
-    )
-    byz.add_argument(
-        "--aggregators",
-        type=str,
-        default=None,
-        help="comma-separated aggregation rules (default: mean,median,trimmed_mean,krum)",
-    )
-    byz.add_argument("--workers", type=int, default=8)
-    byz.add_argument(
-        "--byzantine", type=int, default=1, help="number of hostile workers"
-    )
-    byz.add_argument(
-        "--scale", type=float, default=10.0, help="attack amplification (-scale*grad)"
-    )
-    byz.add_argument("--epochs", type=float, default=20.0)
-    byz.add_argument("--seed", type=int, default=0)
-    byz.add_argument("--fault-seed", type=int, default=0)
-    byz.add_argument("--output", type=str, default=None)
-    byz.add_argument("--jobs", type=int, default=None)
-    byz.add_argument("--no-cache", action="store_true")
-    byz.add_argument("--cache-dir", type=str, default=None)
-    _add_durable_args(byz)
-
-    predict = sub.add_parser(
-        "predict",
-        help="analytic iteration-time prediction (closed form, no simulation)",
-    )
-    predict.add_argument(
-        "algorithm",
-        help="algorithm name, or 'all' for every supported algorithm",
-    )
-    predict.add_argument("--workers", type=int, default=24)
-    predict.add_argument(
-        "--max-workers",
-        type=int,
-        default=None,
-        help="predict a whole scaling curve up to this N instead of one point",
-    )
-    predict.add_argument("--model", choices=("resnet50", "vgg16"), default="resnet50")
-    predict.add_argument("--bandwidth", type=float, default=10.0, help="Gbps")
-    predict.add_argument(
-        "--validate",
-        action="store_true",
-        help=(
-            "also run the discrete-event engine on the same config(s) and "
-            "report the relative error (single-point mode; slow at large N)"
-        ),
-    )
-    predict.add_argument("--output", type=str, default=None, help="write JSON here")
-    predict.add_argument(
-        "--strict",
-        action="store_true",
-        help=(
-            "refuse (exit non-zero) instead of warning when the config "
-            "carries a fault schedule the analytic models cannot honour"
-        ),
-    )
-    _add_fault_spec_args(predict)
-
-    analyze = sub.add_parser(
-        "analyze",
-        help="critical-path analysis of one instrumented run",
-    )
-    analyze.add_argument(
-        "target",
-        help="experiment name (representative run) or algorithm name (timing run)",
-    )
-    analyze.add_argument("--workers", type=int, default=None)
-    analyze.add_argument("--iters", type=int, default=None, help="measured iterations (timing runs)")
-    analyze.add_argument("--epochs", type=float, default=None, help="training epochs (accuracy experiments)")
-    analyze.add_argument("--model", choices=("resnet50", "vgg16"), default="resnet50")
-    analyze.add_argument("--bandwidth", type=float, default=10.0, help="Gbps (timing runs)")
-    analyze.add_argument("--seed", type=int, default=0)
-    analyze.add_argument(
-        "--json", type=str, default=None, help="write the full analysis report here"
-    )
-    analyze.add_argument(
-        "--trace-out",
-        type=str,
-        default=None,
-        help="also export a Perfetto trace with the critical path highlighted",
-    )
-    analyze.add_argument(
-        "--check",
-        action="store_true",
-        help=(
-            "exit non-zero unless the attribution is conservative "
-            "(compute+comm+wait sums to wall time; CI smoke mode)"
-        ),
-    )
-    _add_fault_spec_args(analyze)
-
-    sweep = sub.add_parser(
-        "sweep", help="durable sweep sessions: list, inspect, resume"
-    )
-    sweep_sub = sweep.add_subparsers(dest="sweep_command", required=True)
-    sweep_list = sweep_sub.add_parser(
-        "list", help="list known sessions, newest first"
-    )
-    sweep_list.add_argument(
+    _command(sub, "list", "list available experiments and algorithms")
+    _command(sub, "run", "regenerate one table/figure",
+             *SHAPE, "--seeds", "--analytic", "--max-workers", "--output", "--trace-out",
+             "--analyze", "--profile", *FAULT_SPEC, *SWEEP, *DURABLE,
+             args={"experiment": dict(choices=EXPERIMENTS)})
+    _command(sub, "train", "train one algorithm and print its history",
+             "--workers", "--epochs", "--seed", "--fabric", "--output", "--trace-out",
+             "--analyze", "--profile", *FAULT_SPEC,
+             args={"algorithm": {}}, workers=4, epochs=10.0)
+    _command(sub, "faults", "fault-tolerance grid: failure scenarios x algorithms",
+             "--scenarios", "--algorithms", "--rack-scale", "--machines-per-rack",
+             "--oversubscription", "--workers", "--iters", "--model", "--bandwidth",
+             "--seed", "--fault-seed", "--output", *SWEEP, *DURABLE, fault_seed=0)
+    _command(sub, "byzantine", "Byzantine-resilience grid: robust aggregators x algorithms",
+             "--algorithms", "--aggregators", "--workers", "--byzantine", "--scale",
+             "--epochs", "--seed", "--fault-seed", "--output", *SWEEP, *DURABLE,
+             workers=8, epochs=20.0, fault_seed=0)
+    _command(sub, "predict", "analytic iteration-time prediction (closed form, no simulation)",
+             "--workers", "--max-workers", "--model", "--bandwidth", "--validate",
+             "--output", "--strict", *FAULT_SPEC, workers=24,
+             args={"algorithm": dict(help="algorithm name, or 'all' for every "
+                                     "supported algorithm")})
+    _command(sub, "analyze", "critical-path analysis of one instrumented run",
+             *SHAPE, "--seed", "--json", "--trace-out", "--check", *FAULT_SPEC,
+             args={"target": dict(help="experiment name (representative run) or "
+                                  "algorithm name (timing run)")})
+    sweep = sub.add_parser("sweep", help="durable sweep sessions: list, inspect, resume")
+    sessions = sweep.add_subparsers(dest="sweep_command", required=True)
+    _command(sessions, "list", "list known sessions, newest first").add_argument(
         "--json", action="store_true", help="print machine-readable summaries"
     )
-    sweep_show = sweep_sub.add_parser(
-        "show", help="per-run states and journal of one session"
-    )
-    sweep_show.add_argument("session", help="session id, unique prefix, or name")
-    sweep_show.add_argument(
-        "--json", type=str, default=None, help="write the session state JSON here"
-    )
-    sweep_show.add_argument(
-        "--trace-out",
-        type=str,
-        default=None,
-        help="export the journal as a Perfetto trace (lanes per run, "
-        "spans per attempt, instants for retries/kills/signals)",
-    )
-    sweep_resume = sweep_sub.add_parser(
-        "resume", help="re-execute the unfinished runs of a session"
-    )
-    sweep_resume.add_argument("session", help="session id, unique prefix, or name")
-    sweep_resume.add_argument(
-        "--jobs", type=int, default=None, help="pool width (default: all cores)"
-    )
-    sweep_resume.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="override the manifest: ignore the shared run cache",
-    )
-    sweep_resume.add_argument(
-        "--cache-dir",
-        type=str,
-        default=None,
-        help="override the manifest's run-cache directory",
-    )
-    sweep_resume.add_argument(
-        "--run-timeout", type=float, default=None, metavar="SECONDS",
-        help="wall-clock deadline per run attempt",
-    )
-    sweep_resume.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="attempts per run before permanent failure (default 3)",
-    )
-
-    trace = sub.add_parser(
-        "trace", help="export a Perfetto trace of one representative run"
-    )
-    trace.add_argument(
-        "experiment", choices=tuple(e for e in EXPERIMENTS if e != "table1")
-    )
-    trace.add_argument("--out", type=str, required=True, help="trace JSON path")
-    trace.add_argument("--workers", type=int, default=None)
-    trace.add_argument("--iters", type=int, default=None, help="measured iterations (timing experiments)")
-    trace.add_argument("--epochs", type=float, default=None, help="training epochs (accuracy experiments)")
-    trace.add_argument("--model", choices=("resnet50", "vgg16"), default="resnet50")
-    trace.add_argument("--bandwidth", type=float, default=10.0, help="Gbps (timing experiments)")
-    trace.add_argument("--seed", type=int, default=0)
+    _command(sessions, "show", "per-run states and journal of one session",
+             "--json", "--trace-out", args=SESSION)
+    _command(sessions, "resume", "re-execute the unfinished runs of a session",
+             *SWEEP, "--run-timeout", "--retries", args=SESSION)
+    _command(sub, "trace", "export a Perfetto trace of one representative run",
+             "--out", *SHAPE, "--seed", args={"experiment": dict(choices=EXPERIMENTS[1:])})
     return parser
 
 
-def _add_profile_arg(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--profile",
-        type=str,
-        default=None,
-        metavar="PSTATS_FILE",
-        help=(
-            "profile the command under cProfile: dump raw pstats here and "
-            "print the top-20 functions by cumulative time to stderr"
-        ),
-    )
+def _usage_error(args: argparse.Namespace, message: str) -> NoReturn:
+    """Reject bad input as argparse does: one line on stderr, exit 2."""
+    print(f"repro {args.command}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
-def _add_analyze_arg(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--analyze",
-        action="store_true",
-        help=(
-            "critical-path analysis of the instrumented run: print the "
-            "compute/comm/wait attribution report (and include it in "
-            "--output JSON)"
-        ),
-    )
+def _known(
+    args: argparse.Namespace,
+    option: str,
+    names: tuple[str, ...] | None,
+    known: Any,
+    *,
+    algorithms: bool = False,
+) -> tuple[str, ...] | None:
+    """``names`` if each is in ``known`` (algorithm names in any case,
+    ``_`` for ``-``), else a usage error that lists the known set."""
+    unknown = [
+        n for n in names or ()
+        if (n.lower().replace("_", "-") if algorithms else n) not in known
+    ]
+    if unknown:
+        _usage_error(
+            args, f"{option}: unknown {', '.join(unknown)}; known: {', '.join(sorted(known))}"
+        )
+    return names
 
 
-def _add_fault_spec_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--fault-spec",
-        type=str,
-        default=None,
-        help="JSON fault schedule (FaultConfig.save format) injected into the run(s)",
-    )
-    sub.add_argument(
-        "--fault-seed",
-        type=int,
-        default=None,
-        help="override the fault schedule's RNG seed",
-    )
+def _given(**kwargs: Any) -> dict[str, Any]:
+    """The keyword arguments the user set; ``None`` keeps the driver's default."""
+    return {key: value for key, value in kwargs.items() if value is not None}
 
 
-def _add_durable_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--session",
-        type=str,
-        nargs="?",
-        const="",
-        default=None,
-        metavar="NAME",
-        help=(
-            "journal this sweep as a durable session (optionally named NAME); "
-            "re-running the same grid auto-resumes it, and "
-            "'repro sweep resume' finishes it after a crash"
-        ),
-    )
-    sub.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "durable, but refuse to start a new session: only resume one "
-            "whose journal already exists for this exact grid"
-        ),
-    )
-    sub.add_argument(
-        "--run-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock deadline per run attempt; hung runs are killed and retried",
-    )
-    sub.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "attempts per run before it is classified permanently failed "
-            "(default 3; failed cells degrade, they do not abort the sweep)"
-        ),
-    )
+def _write_json(payload: Any, path: str, what: str = "result", lead: str = "\n") -> None:
+    from repro.io import save_json
+
+    print(f"{lead}[{what} written to {save_json(payload, path)}]")
+
+
+def _with_analysis(payload: dict, report: dict | None) -> dict:
+    """``payload`` carrying a critical-path report, if there is one."""
+    if report is not None:
+        payload["analysis"] = report
+        payload["attribution_summary"] = report["summary"]
+    return payload
 
 
 def _build_policy(args: argparse.Namespace) -> "Any | None":
@@ -515,19 +252,14 @@ def _build_policy(args: argparse.Namespace) -> "Any | None":
         return None
     from repro.experiments.session import RunPolicy
 
-    kwargs: dict[str, Any] = {}
-    if args.run_timeout is not None:
-        kwargs["timeout_s"] = args.run_timeout
-    if args.retries is not None:
-        kwargs["max_attempts"] = args.retries
-    return RunPolicy(**kwargs)
+    return RunPolicy(**_given(timeout_s=args.run_timeout, max_attempts=args.retries))
 
 
-def _install_fault_spec(args: argparse.Namespace) -> "Any | None":
+def _install_fault_spec(args: argparse.Namespace) -> None:
     """Load ``--fault-spec`` (if given) and make it the process-wide
     default so every config built afterwards carries it."""
     if not getattr(args, "fault_spec", None):
-        return None
+        return
     from repro.experiments.config import set_default_faults
     from repro.faults import FaultConfig
 
@@ -535,102 +267,79 @@ def _install_fault_spec(args: argparse.Namespace) -> "Any | None":
     if args.fault_seed is not None:
         faults = faults.with_seed(args.fault_seed)
     set_default_faults(faults)
-    return faults
 
 
 def _run_faults_cmd(args: argparse.Namespace) -> tuple[str, Any]:
+    rack = _given(
+        machines_per_rack=args.machines_per_rack, oversubscription=args.oversubscription
+    )
+    if rack and not args.rack_scale:
+        _usage_error(args, "--machines-per-rack and --oversubscription need --rack-scale")
     from repro.experiments.faults import (
         FAULT_ALGORITHMS,
         FAULT_SCENARIOS,
         RACK_FAULT_CELLS,
+        RACK_FAULT_SCENARIOS,
         run_faults,
         run_rack_faults,
     )
 
-    if args.rack_scale:
-        kwargs = dict(
-            num_workers=args.workers if args.workers is not None else 256,
-            machines_per_rack=args.machines_per_rack,
-            oversubscription=args.oversubscription,
-            model=args.model,
-            bandwidth_gbps=args.bandwidth,
-            measure_iters=args.iters if args.iters is not None else 6,
-            seed=args.seed,
-            fault_seed=args.fault_seed,
-        )
-        if args.scenarios:
-            kwargs["scenarios"] = tuple(s for s in args.scenarios.split(",") if s)
-        if args.algorithms:
-            wanted = [a for a in args.algorithms.split(",") if a]
-            by_label = {label: cell for cell in RACK_FAULT_CELLS
-                        for label in (cell[0],)}
-            unknown = [a for a in wanted if a not in by_label]
-            if unknown:
-                raise SystemExit(
-                    f"unknown rack-scale cells {unknown}; "
-                    f"known: {sorted(by_label)}"
-                )
-            kwargs["cells"] = tuple(by_label[a] for a in wanted)
-        result = run_rack_faults(**kwargs)
-        return result.render(), result
-
-    kwargs = dict(
-        num_workers=args.workers if args.workers is not None else 8,
+    common = dict(
         model=args.model,
         bandwidth_gbps=args.bandwidth,
-        measure_iters=args.iters if args.iters is not None else 20,
         seed=args.seed,
         fault_seed=args.fault_seed,
+        **_given(num_workers=args.workers, measure_iters=args.iters),
     )
-    if args.scenarios:
-        kwargs["scenarios"] = tuple(s for s in args.scenarios.split(",") if s)
+    if args.rack_scale:
+        by_label = {cell[0]: cell for cell in RACK_FAULT_CELLS}
+        labels = _known(args, "--algorithms", args.algorithms, by_label)
+        result = run_rack_faults(
+            **common,
+            **rack,
+            **_given(
+                scenarios=_known(args, "--scenarios", args.scenarios, RACK_FAULT_SCENARIOS),
+                cells=labels and tuple(by_label[label] for label in labels),
+            ),
+        )
     else:
-        kwargs["scenarios"] = tuple(FAULT_SCENARIOS)
-    if args.algorithms:
-        kwargs["algorithms"] = tuple(a for a in args.algorithms.split(",") if a)
-    else:
-        kwargs["algorithms"] = FAULT_ALGORITHMS
-    result = run_faults(**kwargs)
+        result = run_faults(
+            **common,
+            **_given(
+                scenarios=_known(args, "--scenarios", args.scenarios, FAULT_SCENARIOS),
+                algorithms=_known(
+                    args, "--algorithms", args.algorithms, FAULT_ALGORITHMS, algorithms=True
+                ),
+            ),
+        )
     return result.render(), result
 
 
 def _run_byzantine_cmd(args: argparse.Namespace) -> tuple[str, Any]:
-    from repro.experiments.byzantine import (
-        DEFAULT_AGGREGATORS,
-        ROBUST_ALGORITHMS,
-        run_byzantine,
-    )
+    from repro.experiments.byzantine import ROBUST_ALGORITHMS, run_byzantine
+    from repro.robust.config import AGGREGATORS
 
-    kwargs: dict[str, Any] = dict(
+    result = run_byzantine(
         num_workers=args.workers,
         byzantine=args.byzantine,
         scale=args.scale,
         epochs=args.epochs,
         seed=args.seed,
         fault_seed=args.fault_seed,
+        **_given(
+            algorithms=_known(
+                args, "--algorithms", args.algorithms, ROBUST_ALGORITHMS, algorithms=True
+            ),
+            aggregators=_known(args, "--aggregators", args.aggregators, AGGREGATORS),
+        ),
     )
-    kwargs["algorithms"] = (
-        tuple(a for a in args.algorithms.split(",") if a)
-        if args.algorithms
-        else ROBUST_ALGORITHMS
-    )
-    kwargs["aggregators"] = (
-        tuple(a for a in args.aggregators.split(",") if a)
-        if args.aggregators
-        else DEFAULT_AGGREGATORS
-    )
-    result = run_byzantine(**kwargs)
     return result.render(), result
 
 
 def _run_experiment(args: argparse.Namespace) -> tuple[str, Any]:
     """Dispatch to the experiment drivers; returns (rendered, result)."""
-    seeds = tuple(int(s) for s in args.seeds.split(",") if s)
-    acc_kwargs: dict[str, Any] = {"seeds": seeds}
-    if args.workers is not None:
-        acc_kwargs["num_workers"] = args.workers
-    if args.epochs is not None:
-        acc_kwargs["epochs"] = args.epochs
+    acc_kwargs = dict(seeds=args.seeds, **_given(num_workers=args.workers, epochs=args.epochs))
+    iters = _given(measure_iters=args.iters)
 
     if args.experiment == "table1":
         from repro.analysis.tables import format_table
@@ -651,10 +360,7 @@ def _run_experiment(args: argparse.Namespace) -> tuple[str, Any]:
     if args.experiment == "table3":
         from repro.experiments.sensitivity import run_table3
 
-        kwargs = {"seeds": seeds}
-        if args.epochs is not None:
-            kwargs["epochs"] = args.epochs
-        result = run_table3(**kwargs)
+        result = run_table3(seeds=args.seeds, epochs=args.epochs)
         return result.render(), result
     if args.experiment == "table4":
         from repro.experiments.accuracy import run_table4
@@ -672,32 +378,38 @@ def _run_experiment(args: argparse.Namespace) -> tuple[str, Any]:
         from repro.analysis.ascii import fig2_chart
         from repro.experiments.scalability import run_fig2
 
-        kwargs: dict[str, Any] = {"model": args.model}
-        if args.iters is not None:
-            kwargs["measure_iters"] = args.iters
-        if args.analytic:
-            kwargs["analytic"] = True
-        if args.max_workers is not None:
-            kwargs["max_workers"] = args.max_workers
-        result = run_fig2(**kwargs)
+        result = run_fig2(
+            model=args.model, analytic=args.analytic, max_workers=args.max_workers, **iters
+        )
         return result.render() + "\n\n" + fig2_chart(result), result
     if args.experiment == "fig3":
         from repro.experiments.scalability import run_fig3
 
-        kwargs = {}
-        if args.iters is not None:
-            kwargs["measure_iters"] = args.iters
-        result = run_fig3(**kwargs)
+        result = run_fig3(**iters)
         return result.render(), result
     if args.experiment == "fig4":
         from repro.experiments.optimizations import run_fig4
 
-        kwargs = {"model": args.model, "bandwidth_gbps": args.bandwidth}
-        if args.iters is not None:
-            kwargs["measure_iters"] = args.iters
-        result = run_fig4(**kwargs)
+        result = run_fig4(model=args.model, bandwidth_gbps=args.bandwidth, **iters)
         return result.render(), result
     raise ValueError(f"unknown experiment {args.experiment!r}")  # pragma: no cover
+
+
+def _representative(args: argparse.Namespace, experiment: str) -> Any:
+    """The one run ``trace``, ``analyze <experiment>`` and ``run
+    --trace-out/--analyze`` instrument: the experiment's representative
+    config at the command's shape and (first) seed."""
+    from repro.experiments.config import representative_config
+
+    return representative_config(
+        experiment,
+        workers=args.workers,
+        iters=args.iters,
+        epochs=args.epochs,
+        model=args.model,
+        bandwidth_gbps=args.bandwidth,
+        seed=args.seeds[0] if "seeds" in args else args.seed,
+    )
 
 
 def _instrumented_run(
@@ -734,7 +446,7 @@ def _instrumented_run(
     return result, report
 
 
-def _run_train(args: argparse.Namespace) -> tuple[str, Any]:
+def _run_train(args: argparse.Namespace) -> int:
     from repro.analysis.tables import format_table
     from repro.core.runner import DistributedRunner
     from repro.experiments.config import mini_accuracy_config
@@ -766,13 +478,11 @@ def _run_train(args: argparse.Namespace) -> tuple[str, Any]:
         title=f"{history.algorithm} — {args.workers} workers",
     )
     text += f"\nfinal accuracy: {history.final_test_accuracy:.4f}"
-    payload = history.to_dict()
+    payload = _with_analysis(history.to_dict(), report)
     if report is not None:
         from repro.analysis.ascii import attribution_report
 
         text += "\n\n" + attribution_report(report)
-        payload["analysis"] = report
-        payload["attribution_summary"] = report["summary"]
     fault_summary = history.metadata.get("faults")
     if fault_summary is not None:
         payload["faults"] = fault_summary
@@ -781,7 +491,10 @@ def _run_train(args: argparse.Namespace) -> tuple[str, Any]:
             f"{len(fault_summary['rejoins'])} rejoins, "
             f"final live workers {fault_summary['final_live_workers']}"
         )
-    return text, payload
+    print(text)
+    if args.output:
+        _write_json(payload, args.output)
+    return 0
 
 
 def _run_predict(args: argparse.Namespace) -> int:
@@ -789,8 +502,6 @@ def _run_predict(args: argparse.Namespace) -> int:
     from repro.experiments.config import timing_config
     from repro.experiments.scalability import _supports, scale_worker_counts
     from repro.perf import SUPPORTED_ALGORITHMS, cross_validate, predict_run
-
-    _install_fault_spec(args)
 
     name = args.algorithm.lower().replace("_", "-")
     algorithms = sorted(SUPPORTED_ALGORITHMS) if name == "all" else [name]
@@ -844,8 +555,7 @@ def _run_predict(args: argparse.Namespace) -> int:
             ),
         )
     )
-    if len(algorithms) == 1 and len(counts) == 1:
-        pred = predict_run(make_cfg(algorithms[0], counts[0]), strict=args.strict)
+    if len(rows) == 1:
         print("\nbreakdown (critical-path seconds per round):")
         for cat, secs in sorted(pred.breakdown.items()):
             print(f"  {cat:12s} {secs:8.4f}")
@@ -878,25 +588,12 @@ def _run_predict(args: argparse.Namespace) -> int:
             )
         )
     if args.output:
-        from repro.io import save_json
-
-        path = save_json(payload, args.output)
-        print(f"\n[result written to {path}]")
+        _write_json(payload, args.output)
     return 0
 
 
 def _run_trace(args: argparse.Namespace) -> int:
-    from repro.experiments.config import representative_config
-
-    cfg = representative_config(
-        args.experiment,
-        workers=args.workers,
-        iters=args.iters,
-        epochs=args.epochs,
-        model=args.model,
-        bandwidth_gbps=args.bandwidth,
-        seed=args.seed,
-    )
+    cfg = _representative(args, args.experiment)
     _instrumented_run(cfg, args.out, f"repro trace {args.experiment}")
     return 0
 
@@ -906,35 +603,26 @@ def _analyze_config(args: argparse.Namespace) -> Any:
     name maps to its representative run, a bare algorithm name to a
     small timing run."""
     from repro.core import ALGORITHMS
-    from repro.experiments.config import representative_config, timing_config
+    from repro.experiments.config import timing_config
 
     target = args.target.lower()
     if target in EXPERIMENTS:
-        return representative_config(
-            target,
-            workers=args.workers,
-            iters=args.iters,
-            epochs=args.epochs,
-            model=args.model,
-            bandwidth_gbps=args.bandwidth,
-            seed=args.seed,
-        )
+        return _representative(args, target)
     key = target.replace("_", "-")
     if key not in ALGORITHMS:
         raise SystemExit(
             f"unknown analyze target {args.target!r}: expected an experiment "
-            f"({', '.join(e for e in EXPERIMENTS if e != 'table1')}) "
+            f"({', '.join(EXPERIMENTS[1:])}) "
             f"or an algorithm ({', '.join(sorted(ALGORITHMS))})"
         )
-    kwargs: dict[str, Any] = dict(
+    return timing_config(
+        key,
         num_workers=args.workers if args.workers is not None else 8,
         bandwidth_gbps=args.bandwidth,
         model=args.model,
         seed=args.seed,
+        **_given(measure_iters=args.iters),
     )
-    if args.iters is not None:
-        kwargs["measure_iters"] = args.iters
-    return timing_config(key, **kwargs)
 
 
 def _run_analyze(args: argparse.Namespace) -> int:
@@ -960,10 +648,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
             f"tolerance {crosscheck['tolerance']:.2f})"
         )
     if args.json:
-        from repro.io import save_json
-
-        path = save_json(report, args.json)
-        print(f"\n[report written to {path}]")
+        _write_json(report, args.json, "report")
     if args.check:
         attributed = (
             report["totals"]["compute"]
@@ -1032,10 +717,7 @@ def _run_sweep_cmd(args: argparse.Namespace) -> int:
                 f"{recovery['corrupt']} corrupt line(s) dropped"
             )
         if args.json:
-            from repro.io import save_json
-
-            path = save_json(session.to_dict(), args.json)
-            print(f"[session state written to {path}]")
+            _write_json(session.to_dict(), args.json, "session state", lead="")
         if args.trace_out:
             from repro.obs import write_session_trace
 
@@ -1113,6 +795,91 @@ def _interruptible_sweep(run: "Callable[[], Any]") -> int | None:
     return None
 
 
+def _run_grid(args: argparse.Namespace) -> int:
+    """``run``, ``faults`` and ``byzantine``: one sweep through the
+    executor, then its table, stats and (``run``) instrumented run."""
+    from repro.experiments.executor import SweepExecutor, set_default_executor
+    from repro.experiments.session import install_signal_guard
+    from repro.obs import attribution_summary_line
+
+    body = {"run": _run_experiment, "faults": _run_faults_cmd, "byzantine": _run_byzantine_cmd}
+    executor = SweepExecutor(
+        jobs=args.jobs,
+        cache=not args.no_cache,
+        cache_dir=args.cache_dir,
+        progress=lambda line: print(line, file=sys.stderr),
+        policy=_build_policy(args),
+        durable=args.session is not None or args.resume,
+        session_name=args.session or None,
+        require_existing_session=args.resume,
+    )
+    set_default_executor(executor)
+    guard = install_signal_guard(executor)
+    outcome: dict[str, Any] = {}
+    try:
+        rc = _interruptible_sweep(
+            lambda: outcome.setdefault("rendered", body[args.command](args))
+        )
+    except FileNotFoundError as exc:
+        if not args.resume:
+            raise
+        # --resume refused to start a fresh session for this grid.
+        raise SystemExit(str(exc))
+    finally:
+        guard.uninstall()
+    if rc is not None:
+        return rc
+    text, result = outcome["rendered"]
+    sweep_stats = executor.total_stats if executor.total_stats.total else None
+    if executor.last_session is not None:
+        print(
+            f"[durable session {executor.last_session.id}: "
+            f"{executor.last_session.summary()}]",
+            file=sys.stderr,
+        )
+    print(text)
+    if sweep_stats is not None:
+        print(f"\nsweep stats: {sweep_stats.summary()}")
+        for algo, attr in sweep_stats.attribution.items():
+            print(f"attribution[{algo}]: {attribution_summary_line(attr)}")
+    analysis = None
+    if args.command == "run" and (args.trace_out or args.analyze):
+        try:
+            cfg = _representative(args, args.experiment)
+        except ValueError as exc:
+            print(f"[no instrumented run: {exc}]", file=sys.stderr)
+        else:
+            _, analysis = _instrumented_run(
+                cfg, args.trace_out, f"repro run {args.experiment}", analyze=args.analyze
+            )
+            if analysis is not None:
+                from repro.analysis.ascii import attribution_report
+
+                print()
+                print(
+                    attribution_report(
+                        analysis,
+                        title=(
+                            f"Critical-path analysis — {args.experiment} "
+                            f"(representative {cfg.algorithm} run)"
+                        ),
+                    )
+                )
+    if args.output:
+        if sweep_stats is None:
+            payload = result
+        else:
+            payload = {"result": result, "sweep_stats": sweep_stats.to_dict()}
+            if sweep_stats.attribution:
+                payload["attribution_summary"] = {
+                    algo: attribution_summary_line(attr)
+                    for algo, attr in sweep_stats.attribution.items()
+                }
+            _with_analysis(payload, analysis)
+        _write_json(payload, args.output)
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     profile_out = getattr(args, "profile", None)
@@ -1142,128 +909,15 @@ def _dispatch(args: argparse.Namespace) -> int:
         print("experiments:", ", ".join(EXPERIMENTS))
         print("algorithms: ", ", ".join(sorted(ALGORITHMS)))
         return 0
-    if args.command == "trace":
-        return _run_trace(args)
-    if args.command == "predict":
-        return _run_predict(args)
-    if args.command == "sweep":
-        return _run_sweep_cmd(args)
-    sweep_stats = None
     _install_fault_spec(args)
-    if args.command == "analyze":
-        return _run_analyze(args)
-    if args.command in ("run", "faults", "byzantine"):
-        from repro.experiments.executor import SweepExecutor, set_default_executor
-        from repro.experiments.session import install_signal_guard
-
-        durable = args.session is not None or args.resume
-        executor = SweepExecutor(
-            jobs=args.jobs,
-            cache=not args.no_cache,
-            cache_dir=args.cache_dir,
-            progress=lambda line: print(line, file=sys.stderr),
-            policy=_build_policy(args),
-            durable=durable,
-            session_name=args.session or None,
-            require_existing_session=args.resume,
-        )
-        set_default_executor(executor)
-        guard = install_signal_guard(executor)
-        outcome: dict[str, Any] = {}
-
-        def _body() -> None:
-            if args.command == "faults":
-                outcome["rendered"] = _run_faults_cmd(args)
-            elif args.command == "byzantine":
-                outcome["rendered"] = _run_byzantine_cmd(args)
-            else:
-                outcome["rendered"] = _run_experiment(args)
-
-        try:
-            rc = _interruptible_sweep(_body)
-        except FileNotFoundError as exc:
-            if not args.resume:
-                raise
-            # --resume refused to start a fresh session for this grid.
-            raise SystemExit(str(exc))
-        finally:
-            guard.uninstall()
-        if rc is not None:
-            return rc
-        text, result = outcome["rendered"]
-        if executor.total_stats.total:
-            sweep_stats = executor.total_stats
-        if executor.last_session is not None:
-            print(
-                f"[durable session {executor.last_session.id}: "
-                f"{executor.last_session.summary()}]",
-                file=sys.stderr,
-            )
-    else:
-        text, result = _run_train(args)
-    print(text)
-    if sweep_stats is not None:
-        print(f"\nsweep stats: {sweep_stats.summary()}")
-        if sweep_stats.attribution:
-            from repro.obs import attribution_summary_line
-
-            for algo, attr in sweep_stats.attribution.items():
-                print(f"attribution[{algo}]: {attribution_summary_line(attr)}")
-    analysis = None
-    if args.command == "run" and (args.trace_out or getattr(args, "analyze", False)):
-        from repro.experiments.config import representative_config
-
-        try:
-            cfg = representative_config(
-                args.experiment,
-                workers=args.workers,
-                iters=args.iters,
-                epochs=args.epochs,
-                model=args.model,
-                bandwidth_gbps=args.bandwidth,
-            )
-        except ValueError as exc:
-            print(f"[no instrumented run: {exc}]", file=sys.stderr)
-        else:
-            _, analysis = _instrumented_run(
-                cfg,
-                args.trace_out,
-                f"repro run {args.experiment}",
-                analyze=args.analyze,
-            )
-            if analysis is not None:
-                from repro.analysis.ascii import attribution_report
-
-                print()
-                print(
-                    attribution_report(
-                        analysis,
-                        title=(
-                            f"Critical-path analysis — {args.experiment} "
-                            f"(representative {cfg.algorithm} run)"
-                        ),
-                    )
-                )
-    if args.output:
-        if args.command in ("run", "faults", "byzantine") and sweep_stats is not None:
-            payload: Any = {"result": result, "sweep_stats": sweep_stats.to_dict()}
-            if sweep_stats.attribution:
-                from repro.obs import attribution_summary_line
-
-                payload["attribution_summary"] = {
-                    algo: attribution_summary_line(attr)
-                    for algo, attr in sweep_stats.attribution.items()
-                }
-            if analysis is not None:
-                payload["analysis"] = analysis
-                payload["attribution_summary"] = analysis["summary"]
-        else:
-            payload = result
-        from repro.io import save_json
-
-        path = save_json(payload, args.output)
-        print(f"\n[result written to {path}]")
-    return 0
+    handlers = {
+        "train": _run_train,
+        "predict": _run_predict,
+        "trace": _run_trace,
+        "analyze": _run_analyze,
+        "sweep": _run_sweep_cmd,
+    }
+    return handlers.get(args.command, _run_grid)(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -23,7 +23,119 @@ class TestParser:
         assert args.experiment == "fig4"
         assert args.model == "vgg16"
         assert args.bandwidth == 56.0
-        assert args.seeds == "0,1"
+        assert args.seeds == (0, 1)
+
+
+class TestUsageErrors:
+    """Bad or ignored input is refused up front: exit 2, one error line
+    naming the known choices, no traceback and no run."""
+
+    @pytest.fixture(autouse=True)
+    def isolated_cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "table1", "--seeds", "0,x"], "argument --seeds: expected"),
+            (["run", "table2", "--seeds", ","], "argument --seeds: expected"),
+            (["faults", "--scenarios", "nonesuch"], "known: crash, crash-rejoin"),
+            (["byzantine", "--aggregators", "nonesuch"], "known: krum, mean"),
+            (["faults", "--algorithms", "nonesuch"], "known: ad-psgd, ar-sgd"),
+            (["faults", "--rack-scale", "--algorithms", "nonesuch"], "known: ar-sgd/hring"),
+            (["faults", "--oversubscription", "8"], "need --rack-scale"),
+            (["faults", "--machines-per-rack", "4"], "need --rack-scale"),
+        ],
+        ids=[
+            "seeds-not-int",
+            "seeds-empty",
+            "unknown-scenario",
+            "unknown-aggregator",
+            "unknown-algorithm",
+            "unknown-rack-cell",
+            "oversubscription-without-rack-scale",
+            "machines-per-rack-without-rack-scale",
+        ],
+    )
+    def test_refused(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        last = captured.err.strip().splitlines()[-1]
+        assert "error:" in last and message in last
+
+    def test_algorithm_names_keep_their_spellings(self):
+        from repro.cli import _known
+
+        args = build_parser().parse_args(["faults", "--algorithms", "AR_SGD,bsp"])
+        known = ("ar-sgd", "bsp")
+        names = _known(args, "--algorithms", args.algorithms, known, algorithms=True)
+        assert names == ("AR_SGD", "bsp")
+
+
+class TestDriverDefaults:
+    """Options a command leaves unset take the driver's defaults, which
+    are the values the CLI used to spell out."""
+
+    @pytest.mark.parametrize(
+        "argv, driver, expected",
+        [
+            (["faults"], "run_faults", dict(num_workers=8, measure_iters=20)),
+            (
+                ["faults", "--rack-scale"],
+                "run_rack_faults",
+                dict(num_workers=256, measure_iters=6, machines_per_rack=16, oversubscription=4.0),
+            ),
+        ],
+    )
+    def test_unset_options_resolve(self, argv, driver, expected, monkeypatch):
+        import inspect
+        from types import SimpleNamespace
+
+        import repro.cli as cli
+        import repro.experiments.faults as faults
+
+        signature = inspect.signature(getattr(faults, driver))
+        seen = {}
+
+        def capture(**kwargs):
+            bound = signature.bind(**kwargs)
+            bound.apply_defaults()
+            seen.update(bound.arguments)
+            return SimpleNamespace(render=lambda: "")
+
+        monkeypatch.setattr(faults, driver, capture)
+        cli._run_faults_cmd(build_parser().parse_args(argv))
+        assert {key: seen[key] for key in expected} == expected
+
+
+def test_light_commands_do_not_load_the_simulator(tmp_path):
+    """``--help``, a usage error and ``sweep list`` import neither the
+    runner, ``nn`` nor the engine (numpy may load: ``repro.io`` needs it)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        "try:\n"
+        "    main(sys.argv[1:])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "heavy = {'repro.core.runner', 'repro.nn', 'repro.sim.engine'} & set(sys.modules)\n"
+        "assert not heavy, heavy\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, REPRO_SESSION_DIR=str(tmp_path))
+    for argv in (["sweep", "list"], ["--help"], ["run", "fig9"]):
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, (argv, done.stderr)
 
 
 class TestCommands:
@@ -120,6 +232,17 @@ class TestTraceExport:
         assert "compute" in data["attribution_summary"]["bsp"]
         trace = json.loads(trace_file.read_text())
         assert trace["traceEvents"]
+
+    def test_run_instruments_the_first_seed(self, monkeypatch, capsys):
+        import repro.cli as cli
+
+        handed = []
+        monkeypatch.setattr(cli, "_run_experiment", lambda args: ("table", {}))
+        monkeypatch.setattr(
+            cli, "_instrumented_run", lambda cfg, *a, **kw: handed.append(cfg) or (None, None)
+        )
+        assert main(["run", "table2", "--seeds", "3,4", "--analyze", "--no-cache"]) == 0
+        assert [cfg.seed for cfg in handed] == [3]
 
 
 class TestAnalyze:
