@@ -1,19 +1,16 @@
 """Result aggregation and paper-style report rendering."""
 
-from repro.analysis.tables import format_table, render_accuracy_table
-from repro.analysis.breakdown import breakdown_table, normalize_breakdown
-from repro.analysis.scalability import (
-    ideal_single_worker_throughput,
-    speedup_series,
-    crossover_points,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "format_table",
-    "render_accuracy_table",
-    "normalize_breakdown",
-    "breakdown_table",
-    "ideal_single_worker_throughput",
-    "speedup_series",
-    "crossover_points",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "tables": ("format_table", "render_accuracy_table"),
+        "breakdown": ("normalize_breakdown", "breakdown_table"),
+        "scalability": (
+            "ideal_single_worker_throughput",
+            "speedup_series",
+            "crossover_points",
+        ),
+    },
+)

@@ -21,30 +21,16 @@ Mirrors the paper's MPICH/TF-PS wire layer:
   checkable property.
 """
 
-from repro.comm.messages import Message
-from repro.comm.endpoints import CommContext, Node
-from repro.comm.collectives import ring_allreduce_plan, ring_neighbors
-from repro.comm.hierarchical import (
-    machine_groups,
-    tree_children,
-    tree_parent,
-)
-from repro.comm.gossip import GossipState, gossip_merge, gossip_send_share
-from repro.comm.pairwise import bipartite_split, build_exchange_graph, verify_deadlock_free
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Message",
-    "Node",
-    "CommContext",
-    "ring_allreduce_plan",
-    "ring_neighbors",
-    "machine_groups",
-    "tree_parent",
-    "tree_children",
-    "GossipState",
-    "gossip_merge",
-    "gossip_send_share",
-    "bipartite_split",
-    "build_exchange_graph",
-    "verify_deadlock_free",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "messages": ("Message",),
+        "endpoints": ("Node", "CommContext"),
+        "collectives": ("ring_allreduce_plan", "ring_neighbors"),
+        "hierarchical": ("machine_groups", "tree_parent", "tree_children"),
+        "gossip": ("GossipState", "gossip_merge", "gossip_send_share"),
+        "pairwise": ("bipartite_split", "build_exchange_graph", "verify_deadlock_free"),
+    },
+)

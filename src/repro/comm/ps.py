@@ -24,11 +24,11 @@ import numpy as np
 from repro.comm.endpoints import CommContext, Node
 from repro.comm.messages import Message
 from repro.nn.optim import FlatSGD
-from repro.optimizations.sharding import ShardAssignment
 from repro.sim.engine import Get, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.runner import Runtime
+    from repro.optimizations.sharding import ShardAssignment
 
 __all__ = ["PSShard", "place_shards"]
 

@@ -15,7 +15,7 @@ reduce-scattered), as in Lin et al.
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import TYPE_CHECKING, Any, Generator
 
 import numpy as np
 
@@ -29,11 +29,19 @@ from repro.comm.hierarchical import (
 )
 from repro.core.base import AlgorithmInfo, TrainingAlgorithm, WorkerFactory, register_algorithm
 from repro.core.runner import Runtime
-from repro.core.worker import WorkerSlot, produce_gradient, ring_allreduce, walk_plan
-from repro.optimizations.dgc import SparseGradient
+from repro.core.worker import (
+    WorkerSlot,
+    produce_gradient,
+    recv_step,
+    ring_allreduce,
+    walk_plan,
+)
 from repro.optimizations.sharding import gather_ranges, scatter_ranges
-from repro.optimizations.waitfree import CommPlanEntry
 from repro.sim.engine import AllOf, Get, Signal, Timeout
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.optimizations.dgc import SparseGradient
+    from repro.optimizations.waitfree import CommPlanEntry
 
 __all__ = ["ARSGD"]
 
@@ -149,38 +157,40 @@ def _allgather_sparse(
 
     Each worker circulates its own block around the ring; after N−1
     steps everyone has every block. Returns the dense sum or ``None``.
+    Full-mode blocks carry their step (:func:`recv_step`), so a
+    retransmission cannot make a worker forward a block out of turn.
     """
     world = len(ring)
-    total = np.zeros(rt.total_elements, dtype=np.float64) if sparse is not None else None
-    if total is not None and sparse is not None:
+    ordered = sparse is not None
+    total = block = None
+    if ordered:
+        total = np.zeros(rt.total_elements, dtype=np.float64)
         total[sparse.indices] += sparse.values
+        block = (sparse.indices, sparse.values)
     if world == 1:
         return total
     _, right = ring_neighbors(ring.index(slot.wid), world)
     right_node = rt.workers[ring[right]].node
-    block: Any = sparse
+    get_msg = Get(slot.node.mailbox("ring:dgc"))
+    early: dict[int, Any] = {}
     block_bytes = nbytes_own
-    for _ in range(world - 1):
-        payload = (
-            (block.indices, block.values) if isinstance(block, SparseGradient) else None
-        )
+    for step in range(world - 1):
         slot.node.send_nowait(
             right_node,
             "ring:dgc",
             nbytes=max(block_bytes, 1),
-            payload=payload,
+            payload=block,
+            meta={"step": step} if ordered else None,
             trace_worker=slot.wid,
         )
-        msg = yield slot.node.recv("ring:dgc")
-        block_bytes = msg.nbytes
-        if msg.payload is not None and total is not None:
-            indices, values = msg.payload
-            np.add.at(total, indices, values)
-            block = SparseGradient(
-                indices=indices, values=values, num_elements=rt.total_elements
-            )
+        if ordered:
+            msg = yield from recv_step(get_msg, early, step)
+            block = msg.payload
+            if block is not None:
+                np.add.at(total, *block)
         else:
-            block = None
+            msg = yield get_msg
+        block_bytes = msg.nbytes
     return total
 
 
@@ -196,7 +206,8 @@ def _allgather_dense(
     O(M). That is the bandwidth price of Byzantine robustness in a
     collective; every replica ends with the same row set and computes
     the identical aggregate. Returns ``{wid: gradient}`` or ``None``
-    in timing mode.
+    in timing mode. Full-mode blocks carry their step, as in
+    :func:`_allgather_sparse`.
     """
     world = len(ring)
     rows: dict[int, np.ndarray] = {} if grad is None else {slot.wid: grad}
@@ -205,18 +216,27 @@ def _allgather_dense(
     _, right = ring_neighbors(ring.index(slot.wid), world)
     right_node = rt.workers[ring[right]].node
     model_bytes = max(rt.total_elements * rt.sharding.bytes_per_param, 1)
+    get_msg = Get(slot.node.mailbox("ring:robust"))
+    early: dict[int, Any] = {}
+    ordered = grad is not None
     block_wid: int = slot.wid
     block: np.ndarray | None = grad
-    for _ in range(world - 1):
+    for step in range(world - 1):
+        meta = {"worker": block_wid}
+        if ordered:
+            meta["step"] = step
         slot.node.send_nowait(
             right_node,
             "ring:robust",
             nbytes=model_bytes,
             payload=block.copy() if block is not None else None,
-            meta={"worker": block_wid},
+            meta=meta,
             trace_worker=slot.wid,
         )
-        msg = yield slot.node.recv("ring:robust")
+        if ordered:
+            msg = yield from recv_step(get_msg, early, step)
+        else:
+            msg = yield get_msg
         block_wid = msg.meta["worker"]
         block = (
             np.asarray(msg.payload, dtype=np.float64)

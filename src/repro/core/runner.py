@@ -26,25 +26,10 @@ from repro.comm.endpoints import CommContext, Node
 from repro.comm.ps import PSShard, place_shards
 from repro.core.history import ThroughputResult, TrainingHistory
 from repro.core.worker import LocalComputation, WorkerSlot
-from repro.data.loader import BatchLoader
-from repro.data.partition import partition_dataset
 from repro.faults.config import FABRIC_FAULT_KINDS, FaultConfig
-from repro.data.synthetic import (
-    Dataset,
-    make_gaussian_blobs,
-    make_spirals,
-    make_synthetic_images,
-)
-from repro.nn.losses import SoftmaxCrossEntropy
-from repro.nn.models import arguments_to_fit, build_model
-from repro.nn.module import Module
 from repro.nn.optim import weight_decay_mask
-from repro.nn.schedules import LRSchedule, WarmupStepSchedule
+from repro.nn.schedules import WarmupStepSchedule
 from repro.nn.zoo import ModelProfile, mini_profile_from_model, resnet50_profile, vgg16_profile
-from repro.obs.config import ObsConfig
-from repro.obs.recorder import RunObserver
-from repro.optimizations.dgc import DGCCompressor, DGCConfig
-from repro.robust.config import RobustConfig
 from repro.optimizations.sharding import ShardingPlan, make_sharding_plan
 from repro.optimizations.waitfree import CommPlan, CommPlanEntry, make_comm_plan
 from repro.sim.cluster import ClusterSpec, paper_cluster
@@ -53,8 +38,16 @@ from repro.sim.engine import Engine
 from repro.sim.network import Network
 from repro.sim.trace import PhaseTracer
 
+# A timing run executes none of these (DESIGN §10): the full-mode,
+# observer and DGC modules are imported in the branch that uses them.
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.base import TrainingAlgorithm
+    from repro.data.synthetic import Dataset
+    from repro.nn.module import Module
+    from repro.nn.schedules import LRSchedule
+    from repro.obs.config import ObsConfig
+    from repro.optimizations.dgc import DGCConfig
+    from repro.robust.config import RobustConfig
 
 __all__ = [
     "RunConfig",
@@ -66,11 +59,8 @@ __all__ = [
     "timing_plans",
 ]
 
-DATASETS = {
-    "gaussian_blobs": make_gaussian_blobs,
-    "spirals": make_spirals,
-    "synthetic_images": make_synthetic_images,
-}
+#: Dataset names; ``name`` is built by ``repro.data.synthetic.make_<name>``.
+DATASETS = ("gaussian_blobs", "spirals", "synthetic_images")
 
 PROFILES = {
     "resnet50": resnet50_profile,
@@ -513,7 +503,11 @@ class DistributedRunner:
         # Observability is an execution-context option, not a RunConfig
         # field: it never changes the schedule or the results, so it
         # stays out of the sweep cache's fingerprint.
-        self.observer = RunObserver(obs) if obs is not None and obs.enabled else None
+        self.observer = None
+        if obs is not None and obs.enabled:
+            from repro.obs.recorder import RunObserver
+
+            self.observer = RunObserver(obs)
         self.engine = Engine(observer=self.observer)
         # An observed run collects phase spans when it will export trace
         # events (they are the trace's backbone); an armed-but-idle
@@ -560,6 +554,8 @@ class DistributedRunner:
         """Fail the build when the model was not built for the dataset's
         samples; left alone, the run dies at its first batch inside a
         layer ("expected 64 features, got 256")."""
+        from repro.nn.models import arguments_to_fit
+
         cfg = self.config
         sample_shape = dataset.x.shape[1:]
         lacking = arguments_to_fit(model, sample_shape, dataset.num_classes)
@@ -580,7 +576,14 @@ class DistributedRunner:
         init_params: np.ndarray | None = None
         decay_mask: np.ndarray | None = None
         if full:
-            dataset = DATASETS[cfg.dataset_name](seed=cfg.seed, **cfg.dataset_kwargs)
+            from repro.data import synthetic
+            from repro.data.loader import BatchLoader
+            from repro.data.partition import partition_dataset
+            from repro.nn.losses import SoftmaxCrossEntropy
+            from repro.nn.models import build_model
+
+            make_dataset = getattr(synthetic, f"make_{cfg.dataset_name}")
+            dataset = make_dataset(seed=cfg.seed, **cfg.dataset_kwargs)
             split_rng = np.random.default_rng(cfg.seed + 1)
             train, test = dataset.split(cfg.test_fraction, rng=split_rng)
             self._test_data = test
@@ -639,6 +642,8 @@ class DistributedRunner:
         sample_clock = SampleClock(dataset_size, cfg.batch_size)
         dgc_config = None
         if cfg.dgc:
+            from repro.optimizations.dgc import DGCCompressor, DGCConfig
+
             dgc_config = cfg.dgc_config or DGCConfig(
                 num_workers=cfg.num_workers,
                 warmup_epochs=min(4.0, cfg.epochs * 4.0 / 90.0) if full else 0.0,

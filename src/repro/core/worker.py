@@ -16,6 +16,7 @@ under a membership change, is DESIGN §3):
   emission is a PS send (this is where wait-free BP and DGC plug in);
 * :func:`ring_allreduce` — one worker's side of a ring AllReduce over
   the live ring;
+* :func:`recv_step` — a ring receive in step order (full mode);
 * :func:`collect_shard_replies` — assemble the PS's replies.
 """
 
@@ -27,18 +28,18 @@ from typing import TYPE_CHECKING, Any, Callable, Generator
 import numpy as np
 
 from repro.comm.collectives import chunk_slices, ring_allreduce_plan, ring_neighbors
-from repro.data.loader import BatchLoader
-from repro.nn.losses import Loss
 from repro.nn.module import Module
 from repro.nn.optim import FlatSGD, weight_decay_mask
-from repro.optimizations.dgc import DGCCompressor, SparseGradient
 from repro.optimizations.sharding import gather_ranges, scatter_ranges
-from repro.optimizations.waitfree import CommPlanEntry
 from repro.sim.engine import AllOf, Get, Signal, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.comm.endpoints import Node
     from repro.core.runner import Runtime
+    from repro.data.loader import BatchLoader
+    from repro.nn.losses import Loss
+    from repro.optimizations.dgc import DGCCompressor, SparseGradient
+    from repro.optimizations.waitfree import CommPlanEntry
 
 __all__ = [
     "LocalComputation",
@@ -47,6 +48,7 @@ __all__ = [
     "walk_plan",
     "send_gradient_plan",
     "ring_allreduce",
+    "recv_step",
     "collect_shard_replies",
     "sparse_slice_for_ranges",
 ]
@@ -391,9 +393,7 @@ def ring_allreduce(
     wid = slot.wid
     get_msg = Get(slot.node.mailbox(kind))
     reduce_timeout = rt.ctx.comm_model.reduce_timeout
-    # The left neighbour may run up to N−1 steps ahead, and on a flaky
-    # link a retransmission delivers its step s+1 before its step s.
-    # Chunks carry their step and the early ones wait here. Timing mode
+    # Full-mode chunks carry their step (see recv_step). Timing mode
     # moves interchangeable byte counts: nothing to order, no tag.
     ordered = buf is not None
     early: dict[int, Any] = {}
@@ -406,12 +406,10 @@ def ring_allreduce(
             meta={"step": step.step} if ordered else None,
             trace_worker=wid,
         )
-        msg = early.pop(step.step, None) if early else None
-        while msg is None:
+        if ordered:
+            msg = yield from recv_step(get_msg, early, step.step)
+        else:
             msg = yield get_msg
-            if ordered and msg.meta["step"] != step.step:
-                early[msg.meta["step"]] = msg
-                msg = None
         if step.reduce:
             # Reduction arithmetic on the received chunk (worker-side
             # vector add, faster than the PS software path).
@@ -423,6 +421,22 @@ def ring_allreduce(
             else:
                 buf[recv_slice] = msg.payload
     return buf
+
+
+def recv_step(get_msg: Get, early: dict[int, Any], step: int) -> Generator[Any, Any, Any]:
+    """Receive the ring message its sender tagged ``step``.
+
+    The left neighbour may run up to N−1 steps ahead, and on a flaky
+    link a retransmission delivers its step s+1 before its step s: a
+    message of a later step waits in ``early`` until its turn.
+    """
+    msg = early.pop(step, None)
+    while msg is None:
+        msg = yield get_msg
+        if msg.meta["step"] != step:
+            early[msg.meta["step"]] = msg
+            msg = None
+    return msg
 
 
 def apply_reply_payload(rt: "Runtime", flat: np.ndarray | None, msg: Any) -> None:

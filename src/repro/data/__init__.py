@@ -8,20 +8,18 @@ parallelism does, and :mod:`repro.data.loader` provides per-worker
 mini-batch iterators with per-epoch shuffling.
 """
 
-from repro.data.synthetic import (
-    Dataset,
-    make_gaussian_blobs,
-    make_spirals,
-    make_synthetic_images,
-)
-from repro.data.partition import partition_dataset
-from repro.data.loader import BatchLoader
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Dataset",
-    "make_gaussian_blobs",
-    "make_spirals",
-    "make_synthetic_images",
-    "partition_dataset",
-    "BatchLoader",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "synthetic": (
+            "Dataset",
+            "make_gaussian_blobs",
+            "make_spirals",
+            "make_synthetic_images",
+        ),
+        "partition": ("partition_dataset",),
+        "loader": ("BatchLoader",),
+    },
+)

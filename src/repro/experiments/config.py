@@ -23,12 +23,15 @@ VGG-16 layer profiles on the paper's exact cluster.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 from repro.core.base import is_centralized
 from repro.core.runner import RunConfig
 from repro.faults.config import FaultConfig
-from repro.optimizations.dgc import DGCConfig
 from repro.sim.cluster import ClusterSpec, MachineSpec, paper_cluster
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.optimizations.dgc import DGCConfig
 
 __all__ = [
     "PAPER_HYPERPARAMS",
@@ -172,6 +175,8 @@ def mini_dgc_config(num_workers: int) -> DGCConfig:
     compression *pressure* (≈8× fewer bytes than dense) while staying
     above the degeneracy floor.
     """
+    from repro.optimizations.dgc import DGCConfig
+
     return DGCConfig(
         final_ratio=0.125,
         warmup_start_ratio=0.5,

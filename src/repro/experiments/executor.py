@@ -57,8 +57,7 @@ import json
 import os
 import random
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Executor, Future, wait
 from dataclasses import dataclass, field, fields, is_dataclass
 from itertools import islice
 from pathlib import Path
@@ -218,6 +217,17 @@ class _Attempt:
         self.attempt = 1
         self.not_before = 0.0
         self.started = 0.0
+
+
+def _process_pool(max_workers: int) -> Executor:
+    """A pool of ``max_workers`` worker processes.
+
+    ``concurrent.futures.process`` imports ``multiprocessing``, which a
+    serial or fully cached sweep never needs, so it is imported here.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 class _InlinePool:
@@ -651,7 +661,7 @@ class SweepExecutor:
         # Sorted by grid index at all times: submission is FIFO.
         queue = [_Attempt(i, fp, cfg) for i, (fp, cfg) in enumerate(todo)]
         in_flight: dict[Future, _Attempt] = {}
-        pool: ProcessPoolExecutor | _InlinePool | None = None
+        pool: Executor | _InlinePool | None = None
         finished = 0
         broken_streak = 0
 
@@ -766,7 +776,7 @@ class SweepExecutor:
                         pool = (
                             _InlinePool()
                             if in_process
-                            else ProcessPoolExecutor(max_workers=min(self.jobs, total))
+                            else _process_pool(min(self.jobs, total))
                         )
                     queue.remove(item)
                     item.started = now
@@ -792,7 +802,7 @@ class SweepExecutor:
                     try:
                         payload = future.result()
                         _validate_payload(payload)
-                    except BrokenProcessPool:
+                    except BrokenExecutor:  # the process pool's BrokenProcessPool
                         # Pool-level mortality: no attempt charged —
                         # the victims simply re-run on a fresh pool.
                         pool_broke = True

@@ -13,9 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.breakdown import breakdown_table, normalize_breakdown
-from repro.analysis.scalability import ideal_single_worker_throughput
-from repro.analysis.tables import format_table
 from repro.core.base import is_centralized
 from repro.core.history import ThroughputResult
 from repro.core.runner import PROFILES
@@ -76,6 +73,8 @@ class ScalabilityResult:
         )
 
     def render(self) -> str:
+        from repro.analysis.tables import format_table
+
         blocks = []
         for bw in self.bandwidths:
             headers = ["# workers", *(a.upper() for a in self.speedup)]
@@ -120,6 +119,8 @@ def run_fig2(
     the paper's 24 (see :func:`scale_worker_counts`) — the combination
     is how the fig2 curves reach N = 10,000.
     """
+    from repro.analysis.scalability import ideal_single_worker_throughput
+
     if max_workers is not None:
         worker_counts = scale_worker_counts(max_workers)
     executor = executor or default_executor()
@@ -172,6 +173,8 @@ class BreakdownResult:
     rows: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def render(self) -> str:
+        from repro.analysis.breakdown import breakdown_table
+
         return breakdown_table(self.rows, title="Fig 3 — time breakdown (fractions)")
 
 
@@ -186,6 +189,8 @@ def run_fig3(
     executor: SweepExecutor | None = None,
 ) -> BreakdownResult:
     """Run the Fig 3 protocol: breakdowns at full cluster scale."""
+    from repro.analysis.breakdown import normalize_breakdown
+
     executor = executor or default_executor()
     result = BreakdownResult()
     cells = [

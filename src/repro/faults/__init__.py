@@ -6,30 +6,22 @@ attaching a :class:`FaultConfig` arms heartbeats, failure detection,
 membership eviction, and elastic rejoin.
 """
 
-from repro.faults.checkpoint import Snapshot, capture_snapshot, restore_snapshot
-from repro.faults.config import (
-    FAULT_KINDS,
-    GRAD_FAULT_KINDS,
-    FaultConfig,
-    FaultEvent,
-    FaultSchedule,
-)
-from repro.faults.controller import FaultController
-from repro.faults.gradfaults import GradFaultModel
-from repro.faults.membership import Membership
-from repro.faults.netfaults import LinkFaultModel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FAULT_KINDS",
-    "GRAD_FAULT_KINDS",
-    "FaultConfig",
-    "FaultEvent",
-    "FaultSchedule",
-    "FaultController",
-    "GradFaultModel",
-    "Membership",
-    "LinkFaultModel",
-    "Snapshot",
-    "capture_snapshot",
-    "restore_snapshot",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "config": (
+            "FAULT_KINDS",
+            "GRAD_FAULT_KINDS",
+            "FaultConfig",
+            "FaultEvent",
+            "FaultSchedule",
+        ),
+        "controller": ("FaultController",),
+        "gradfaults": ("GradFaultModel",),
+        "membership": ("Membership",),
+        "netfaults": ("LinkFaultModel",),
+        "checkpoint": ("Snapshot", "capture_snapshot", "restore_snapshot"),
+    },
+)

@@ -19,66 +19,32 @@ paper. It provides:
   timing simulator.
 """
 
-from repro.nn.module import Module, Parameter, Sequential
-from repro.nn.layers import Dense, Dropout, Flatten, Identity
-from repro.nn.activations import LeakyReLU, ReLU, Sigmoid, Softmax, Tanh
-from repro.nn.conv import AvgPool2d, Conv2d, GlobalAvgPool2d, MaxPool2d
-from repro.nn.normalization import BatchNorm1d, BatchNorm2d
-from repro.nn.losses import Loss, MSELoss, SoftmaxCrossEntropy
-from repro.nn.optim import SGD, Optimizer
-from repro.nn.schedules import (
-    ConstantSchedule,
-    LRSchedule,
-    StepDecaySchedule,
-    WarmupStepSchedule,
-    scaled_learning_rate,
-)
-from repro.nn.models import MLP, MiniResNet, MiniVGG, ResidualBlock, build_model
-from repro.nn.zoo import (
-    LayerProfile,
-    ModelProfile,
-    mini_profile_from_model,
-    resnet50_profile,
-    vgg16_profile,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Module",
-    "Parameter",
-    "Sequential",
-    "Dense",
-    "Dropout",
-    "Flatten",
-    "Identity",
-    "ReLU",
-    "LeakyReLU",
-    "Sigmoid",
-    "Softmax",
-    "Tanh",
-    "Conv2d",
-    "MaxPool2d",
-    "AvgPool2d",
-    "GlobalAvgPool2d",
-    "BatchNorm1d",
-    "BatchNorm2d",
-    "Loss",
-    "MSELoss",
-    "SoftmaxCrossEntropy",
-    "Optimizer",
-    "SGD",
-    "LRSchedule",
-    "ConstantSchedule",
-    "StepDecaySchedule",
-    "WarmupStepSchedule",
-    "scaled_learning_rate",
-    "MLP",
-    "MiniResNet",
-    "MiniVGG",
-    "ResidualBlock",
-    "build_model",
-    "LayerProfile",
-    "ModelProfile",
-    "resnet50_profile",
-    "vgg16_profile",
-    "mini_profile_from_model",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "module": ("Module", "Parameter", "Sequential"),
+        "layers": ("Dense", "Dropout", "Flatten", "Identity"),
+        "activations": ("ReLU", "LeakyReLU", "Sigmoid", "Softmax", "Tanh"),
+        "conv": ("Conv2d", "MaxPool2d", "AvgPool2d", "GlobalAvgPool2d"),
+        "normalization": ("BatchNorm1d", "BatchNorm2d"),
+        "losses": ("Loss", "MSELoss", "SoftmaxCrossEntropy"),
+        "optim": ("Optimizer", "SGD"),
+        "schedules": (
+            "LRSchedule",
+            "ConstantSchedule",
+            "StepDecaySchedule",
+            "WarmupStepSchedule",
+            "scaled_learning_rate",
+        ),
+        "models": ("MLP", "MiniResNet", "MiniVGG", "ResidualBlock", "build_model"),
+        "zoo": (
+            "LayerProfile",
+            "ModelProfile",
+            "resnet50_profile",
+            "vgg16_profile",
+            "mini_profile_from_model",
+        ),
+    },
+)

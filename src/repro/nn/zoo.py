@@ -24,8 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-from repro.nn.module import Module
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.nn.module import Module
 
 __all__ = [
     "LayerProfile",

@@ -31,42 +31,26 @@ fingerprints). Enable with::
     runner.observer.registry.snapshot()
 """
 
-from repro.obs.config import ObsConfig
-from repro.obs.critpath import (
-    analyze_dag,
-    analyze_run,
-    attribute_windows,
-    attribution_summary_line,
-)
-from repro.obs.metrics import Counter, Gauge, MetricsRegistry, Series
-from repro.obs.perfetto import (
-    build_session_trace,
-    build_trace,
-    write_session_trace,
-    write_trace,
-)
-from repro.obs.recorder import FaultEventRecord, MessageEvent, ProcessSpan, RunObserver
-from repro.obs.spans import SpanDAG, build_span_dag, span_breakdown
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ObsConfig",
-    "Counter",
-    "Gauge",
-    "Series",
-    "MetricsRegistry",
-    "FaultEventRecord",
-    "MessageEvent",
-    "ProcessSpan",
-    "RunObserver",
-    "SpanDAG",
-    "analyze_dag",
-    "analyze_run",
-    "attribute_windows",
-    "attribution_summary_line",
-    "build_span_dag",
-    "build_session_trace",
-    "build_trace",
-    "span_breakdown",
-    "write_session_trace",
-    "write_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "config": ("ObsConfig",),
+        "metrics": ("Counter", "Gauge", "Series", "MetricsRegistry"),
+        "recorder": ("FaultEventRecord", "MessageEvent", "ProcessSpan", "RunObserver"),
+        "spans": ("SpanDAG", "build_span_dag", "span_breakdown"),
+        "critpath": (
+            "analyze_dag",
+            "analyze_run",
+            "attribute_windows",
+            "attribution_summary_line",
+        ),
+        "perfetto": (
+            "build_session_trace",
+            "build_trace",
+            "write_session_trace",
+            "write_trace",
+        ),
+    },
+)

@@ -12,18 +12,13 @@
   factor masking, and warm-up.
 """
 
-from repro.optimizations.sharding import ShardAssignment, ShardingPlan, make_sharding_plan
-from repro.optimizations.waitfree import CommPlan, CommPlanEntry, make_comm_plan
-from repro.optimizations.dgc import DGCCompressor, DGCConfig, SparseGradient
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ShardingPlan",
-    "ShardAssignment",
-    "make_sharding_plan",
-    "CommPlan",
-    "CommPlanEntry",
-    "make_comm_plan",
-    "DGCConfig",
-    "DGCCompressor",
-    "SparseGradient",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "sharding": ("ShardingPlan", "ShardAssignment", "make_sharding_plan"),
+        "waitfree": ("CommPlan", "CommPlanEntry", "make_comm_plan"),
+        "dgc": ("DGCConfig", "DGCCompressor", "SparseGradient"),
+    },
+)

@@ -17,35 +17,26 @@ Entry points:
   experiment for full scaling curves to N = 10,000.
 """
 
-from repro.perf.dag import IterationDag, Span
-from repro.perf.models import (
-    ModelInputs,
-    PerfEstimate,
-    SUPPORTED_ALGORITHMS,
-    build_inputs,
-    estimate_iteration,
-    expected_max_lognormal,
-)
-from repro.perf.predict import (
-    CrossValidation,
-    Prediction,
-    cross_validate,
-    predict_run,
-    prediction_to_result,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "IterationDag",
-    "Span",
-    "ModelInputs",
-    "PerfEstimate",
-    "SUPPORTED_ALGORITHMS",
-    "build_inputs",
-    "estimate_iteration",
-    "expected_max_lognormal",
-    "CrossValidation",
-    "Prediction",
-    "cross_validate",
-    "predict_run",
-    "prediction_to_result",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "dag": ("IterationDag", "Span"),
+        "models": (
+            "ModelInputs",
+            "PerfEstimate",
+            "SUPPORTED_ALGORITHMS",
+            "build_inputs",
+            "estimate_iteration",
+            "expected_max_lognormal",
+        ),
+        "predict": (
+            "CrossValidation",
+            "Prediction",
+            "cross_validate",
+            "predict_run",
+            "prediction_to_result",
+        ),
+    },
+)

@@ -8,15 +8,13 @@ the decentralized algorithms, and optionally guards the training loop
 with NaN/loss-spike rollback and offender quarantine.
 """
 
-from repro.robust.aggregators import AGGREGATOR_FNS, aggregate_rows, krum_scores
-from repro.robust.config import AGGREGATORS, RobustConfig
-from repro.robust.runtime import RobustRuntime
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AGGREGATORS",
-    "AGGREGATOR_FNS",
-    "RobustConfig",
-    "RobustRuntime",
-    "aggregate_rows",
-    "krum_scores",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "config": ("AGGREGATORS", "RobustConfig"),
+        "aggregators": ("AGGREGATOR_FNS", "aggregate_rows", "krum_scores"),
+        "runtime": ("RobustRuntime",),
+    },
+)

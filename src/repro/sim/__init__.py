@@ -17,43 +17,26 @@ TITAN V GPUs, 10/56 Gbps networks). It provides:
   Fig 3 time-breakdown analysis.
 """
 
-from repro.sim.engine import (
-    AllOf,
-    Barrier,
-    Engine,
-    Get,
-    Interrupt,
-    Process,
-    Signal,
-    Store,
-    Timeout,
-)
-from repro.sim.events import Event, EventQueue
-from repro.sim.cluster import ClusterSpec, GPUSpec, MachineSpec, paper_cluster
-from repro.sim.network import Network, Port
-from repro.sim.costmodel import CommModel, ComputeModel
-from repro.sim.trace import PhaseTracer, Span
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Engine",
-    "Process",
-    "Timeout",
-    "Get",
-    "Signal",
-    "Store",
-    "Barrier",
-    "AllOf",
-    "Interrupt",
-    "Event",
-    "EventQueue",
-    "ClusterSpec",
-    "MachineSpec",
-    "GPUSpec",
-    "paper_cluster",
-    "Network",
-    "Port",
-    "ComputeModel",
-    "CommModel",
-    "PhaseTracer",
-    "Span",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "engine": (
+            "Engine",
+            "Process",
+            "Timeout",
+            "Get",
+            "Signal",
+            "Store",
+            "Barrier",
+            "AllOf",
+            "Interrupt",
+        ),
+        "events": ("Event", "EventQueue"),
+        "cluster": ("ClusterSpec", "MachineSpec", "GPUSpec", "paper_cluster"),
+        "network": ("Network", "Port"),
+        "costmodel": ("ComputeModel", "CommModel"),
+        "trace": ("PhaseTracer", "Span"),
+    },
+)

@@ -289,6 +289,39 @@ def test_arsgd_replicas_survive_a_flaky_link_in_full_mode():
     assert all(np.array_equal(replicas[0], r) for r in replicas[1:])
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(dgc=True, dgc_config=mini_dgc_config(4)),
+        dict(robust=RobustConfig(aggregator="median")),
+    ],
+    ids=["dgc-sparse", "robust-dense"],
+)
+def test_arsgd_allgathers_survive_a_flaky_link_in_full_mode(overrides):
+    """AR-SGD's allgathers forward what they receive: a block that
+    arrived out of turn was forwarded once too often and another never,
+    a wrong sum with no error. Blocks now carry their step, so a flaky
+    link changes the timing and not one bit of any replica."""
+    cfg = small_full_config("ar-sgd", num_workers=4, epochs=2.0, **overrides)
+    clean = DistributedRunner(cfg)
+    t0 = clean.run().total_virtual_time
+    faults = FaultConfig(
+        events=FAULT_SCENARIOS["flaky"](t0, cfg.num_workers, cfg.cluster.machines),
+        heartbeat_interval=0.01 * t0,
+        heartbeat_timeout=0.2 * t0,
+        max_virtual_time=20 * t0,
+    )
+    flaky_cfg = small_full_config(
+        "ar-sgd", num_workers=4, epochs=2.0, faults=faults, **overrides
+    )
+    runner = DistributedRunner(flaky_cfg)
+    summary = runner.run().metadata["faults"]
+    assert summary["retransmits"] > 0
+    assert len(summary["evictions"]) == 0
+    for before, after in zip(clean.runtime.workers, runner.runtime.workers):
+        assert np.array_equal(before.comp.get_params(), after.comp.get_params())
+
+
 # -- ASP's per-layer predicate ----------------------------------------------
 
 

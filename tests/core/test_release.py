@@ -1,10 +1,13 @@
 """A run releases what it built (DESIGN §10): after ``run()`` nothing is
 left for the cycle collector, the post-run inspection surface still
-reads, timing runs share their interned plans, and no production import
-path loads networkx or scipy."""
+reads, timing runs share their interned plans, a run imports only the
+modules its config executes (no production path loads networkx or
+scipy), and every package resolves its public names on first use."""
 
+import ast
 import dataclasses
 import gc
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -226,9 +229,42 @@ class TestInternedPlans:
                 setattr(obj, name, None)
 
 
+#: Modules only some configs execute (DESIGN §10): full mode, the
+#: observer and its analyses, faults, robust aggregation, DGC, and a
+#: real worker pool.
+FEATURE_MODULES = (
+    "repro.nn.conv",
+    "repro.nn.models",
+    "repro.data",
+    "repro.obs.recorder",
+    "repro.obs.critpath",
+    "repro.obs.perfetto",
+    "repro.faults.controller",
+    "repro.robust.runtime",
+    "repro.optimizations.dgc",
+    "multiprocessing",
+)
+
+#: Every package whose ``__init__`` resolves its names on first use.
+LAZY_PACKAGES = (
+    "nn", "obs", "faults", "robust", "optimizations",
+    "data", "analysis", "comm", "sim", "perf",
+)
+
+
+def run_fresh(script: str) -> None:
+    """Run ``script`` in a fresh interpreter that sees only ``src``."""
+    subprocess.run(
+        [sys.executable, "-c", script],
+        check=True,
+        env={"PYTHONPATH": str(SRC), "PATH": ""},
+        timeout=120,
+    )
+
+
 class TestImportGraph:
     def test_production_paths_load_neither_networkx_nor_scipy(self):
-        script = (
+        run_fresh(
             "import sys\n"
             "import repro.cli, repro.experiments.executor\n"
             "from repro.core.runner import execute_run\n"
@@ -237,9 +273,100 @@ class TestImportGraph:
             "bad = {'networkx', 'scipy'} & set(sys.modules)\n"
             "assert not bad, bad\n"
         )
-        subprocess.run(
-            [sys.executable, "-c", script],
-            check=True,
-            env={"PYTHONPATH": str(SRC), "PATH": ""},
-            timeout=120,
+
+    def test_the_package_imports_with_networkx_blocked(self):
+        # numpy is the only dependency.
+        run_fresh(
+            "import sys\n"
+            "sys.modules['networkx'] = None\n"
+            "import repro.cli, repro.comm.pairwise, repro.core\n"
         )
+
+    def test_a_timing_run_loads_no_feature_module(self):
+        run_fresh(
+            "import sys\n"
+            "from repro.core.runner import execute_run\n"
+            "from repro.experiments.config import timing_config\n"
+            "from repro.experiments.executor import SweepExecutor\n"
+            "execute_run(timing_config('asp', num_workers=8, measure_iters=3))\n"
+            "SweepExecutor(jobs=1, cache=False).map(\n"
+            "    [timing_config(a, num_workers=8, measure_iters=3) for a in ('bsp', 'ar-sgd')]\n"
+            ")\n"
+            f"loaded = set({FEATURE_MODULES!r}) & set(sys.modules)\n"
+            "assert not loaded, sorted(loaded)\n"
+        )
+
+    def test_a_run_that_uses_every_feature_loads_them_and_works(self):
+        run_fresh(
+            "import sys\n"
+            "from repro.core.runner import DistributedRunner\n"
+            "from repro.experiments.config import mini_accuracy_config, mini_dgc_config, timing_config\n"
+            "from repro.experiments.executor import SweepExecutor\n"
+            "from repro.faults.config import FaultConfig\n"
+            "from repro.obs import ObsConfig, analyze_run, build_trace\n"
+            "from repro.robust.config import RobustConfig\n"
+            "cfg = mini_accuracy_config(\n"
+            "    'bsp', num_workers=4, epochs=1.0, dgc=True, dgc_config=mini_dgc_config(4),\n"
+            "    faults=FaultConfig(), robust=RobustConfig(aggregator='median'),\n"
+            ")\n"
+            "runner = DistributedRunner(cfg, obs=ObsConfig(enabled=True))\n"
+            "history = runner.run()\n"
+            "assert history.epochs[-1] >= 1.0 and history.test_accuracy, history.epochs\n"
+            "report = analyze_run(runner)\n"
+            "trace = build_trace(\n"
+            "    tracer=runner.ctx.tracer, observer=runner.observer, cluster=cfg.cluster, critpath=report\n"
+            ")\n"
+            "assert trace['traceEvents']\n"
+            "pooled = SweepExecutor(jobs=2, cache=False).map(\n"
+            "    [timing_config(a, num_workers=4, measure_iters=1) for a in ('asp', 'bsp')]\n"
+            ")\n"
+            "assert all(r.throughput > 0 for r in pooled)\n"
+            f"missing = set({FEATURE_MODULES!r}) - set(sys.modules)\n"
+            "assert not missing, sorted(missing)\n"
+        )
+
+
+class TestLazyPackageNames:
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_every_public_name_is_its_submodules_object(self, package):
+        pkg = importlib.import_module(f"repro.{package}")
+        assert pkg.__all__ and len(set(pkg.__all__)) == len(pkg.__all__)
+        listed = dir(pkg)
+        for name in pkg.__all__:
+            value = getattr(pkg, name)
+            assert any(
+                vars(module).get(name) is value
+                for module_name, module in list(sys.modules.items())
+                if module_name.startswith(f"repro.{package}.")
+            ), name
+            assert name in listed
+        # Resolved on each access, never cached in the package.
+        assert not set(pkg.__all__) & set(vars(pkg))
+
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_an_unknown_name_raises_attribute_error(self, package):
+        pkg = importlib.import_module(f"repro.{package}")
+        with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+            pkg.nonesuch
+        assert not hasattr(pkg, "nonesuch")
+
+    def test_a_patched_function_is_seen_through_the_package(self, monkeypatch):
+        import repro.perf
+        import repro.perf.predict
+
+        original = repro.perf.predict_run
+        monkeypatch.setattr(repro.perf.predict, "predict_run", len)
+        assert repro.perf.predict_run is len
+        monkeypatch.undo()
+        assert repro.perf.predict_run is original
+
+    def test_the_ledger_probes_package_imports_resolve(self):
+        probes = Path(__file__).resolve().parents[2] / "benchmarks" / "ledger" / "probes.py"
+        lines = [
+            node
+            for node in ast.parse(probes.read_text()).body
+            if isinstance(node, ast.ImportFrom) and node.module in ("repro.nn", "repro.obs")
+        ]
+        assert {node.module for node in lines} == {"repro.nn", "repro.obs"}
+        for node in lines:
+            exec(compile(ast.Module(body=[node], type_ignores=[]), str(probes), "exec"), {})

@@ -166,7 +166,7 @@ class TestRunCache:
         def _forbidden(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("pool spawned on a fully warm cache")
 
-        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", _forbidden)
+        monkeypatch.setattr(executor_module, "_process_pool", _forbidden)
         warm = SweepExecutor(jobs=4, cache=True, cache_dir=tmp_path)
         results = warm.map(grid)
         assert len(results) == len(grid)
@@ -336,7 +336,7 @@ class TestBrokenPoolRecovery:
             executed.append(config_fingerprint(cfg))
             return _REAL_EXECUTE(cfg)
 
-        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", pool_cls)
+        monkeypatch.setattr(executor_module, "_process_pool", pool_cls)
         monkeypatch.setattr(executor_module, "_execute_payload", counting)
         return executed
 
