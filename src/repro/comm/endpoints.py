@@ -11,7 +11,7 @@ communication threads reduce to this).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.comm.messages import Message
 
@@ -23,7 +23,7 @@ from repro.sim.engine import Engine, Get, Signal, Store
 from repro.sim.network import Network
 from repro.sim.trace import PhaseTracer
 
-__all__ = ["CommContext", "Node", "HEARTBEAT_BYTES"]
+__all__ = ["CommContext", "Node", "HEARTBEAT_BYTES", "last_per_port"]
 
 #: Wire size of one heartbeat control message.
 HEARTBEAT_BYTES = 32
@@ -31,6 +31,22 @@ HEARTBEAT_BYTES = 32
 # Shared meta for messages sent without one (ring chunks, broadcasts):
 # never mutated — consumers only ever read keys their own senders set.
 _EMPTY_META: dict[str, Any] = {}
+
+
+def last_per_port(src_machine: int, dst_machines: Iterable[int]) -> frozenset[int]:
+    """Indices of the messages that leave last through each of the
+    sender's data ports, for messages sent in order to nodes on
+    ``dst_machines``.
+
+    A message to the sender's own machine takes the machine bus, any
+    other the NIC. A port serialises in FIFO order with non-decreasing
+    end times, so the last message through it is the last to finish:
+    a blocking send completes with these (DESIGN §8).
+    """
+    last: dict[bool, int] = {}
+    for index, machine in enumerate(dst_machines):
+        last[machine == src_machine] = index
+    return frozenset(last.values())
 
 
 @dataclass
@@ -100,36 +116,35 @@ class Node:
         payload: Any = None,
         meta: dict[str, Any] | None = None,
         trace_worker: int | None = None,
-        tx_done: Signal | None = None,
         oob: bool = False,
     ) -> Signal:
-        """Transmit a message; returns the delivery signal.
+        """:meth:`send_nowait` that returns a delivery signal.
 
-        The message lands in ``dst.mailbox(kind)`` when the simulated
-        transfer completes. If ``trace_worker`` is set, the wire time is
-        recorded as a ``comm`` span for that worker.
+        The delivery callback deposits the message and then fires the
+        signal, whose waiters run inline: a process parked on it resumes
+        after the deposit and before the mailbox's getter (DESIGN §8).
         """
         ctx = self.ctx
         msg = Message(
-            src=self.node_id,
-            dst=dst.node_id,
-            kind=kind,
-            nbytes=nbytes,
-            payload=payload,
-            meta=meta if meta is not None else _EMPTY_META,
-            send_time=ctx.engine.now,
+            self.node_id,
+            dst.node_id,
+            kind,
+            nbytes,
+            payload,
+            meta if meta is not None else _EMPTY_META,
+            ctx.engine.now,
         )
         self.sent_messages += 1
         self.sent_bytes += nbytes
-        done = ctx.network.transfer(
-            self.machine, dst.machine, nbytes, tx_done=tx_done, oob=oob
+        done = Signal()
+        ctx.network.transfer_cb(
+            self.machine,
+            dst.machine,
+            nbytes,
+            self._deliver_and_fire,
+            (msg, ctx.epoch, dst, trace_worker, done),
+            oob=oob,
         )
-        if done.triggered:
-            self._deliver(None, msg, ctx.epoch, dst, trace_worker)
-        else:
-            done._waiters.append(
-                (self._deliver, (msg, ctx.epoch, dst, trace_worker))
-            )
         return done
 
     def send_nowait(
@@ -141,18 +156,19 @@ class Node:
         payload: Any = None,
         meta: dict[str, Any] | None = None,
         trace_worker: int | None = None,
+        tx_done: Signal | None = None,
         oob: bool = False,
     ) -> None:
-        """Fire-and-forget :meth:`send`: no delivery Signal.
+        """Transmit a message; it lands in ``dst.mailbox(kind)`` when the
+        simulated transfer completes.
 
-        Identical wire accounting, timing and delivery semantics, but
-        the mailbox deposit is scheduled directly on the event queue.
-        Nearly every protocol message is sent this way — senders wait
-        on *replies* (their own mailboxes), never on delivery of what
-        they sent — and skipping the Signal machinery is a measurable
-        share of per-message cost. Use :meth:`send` when the caller
-        needs the delivery signal or blocking-send (``tx_done``)
-        semantics.
+        No delivery Signal: the mailbox deposit is scheduled directly on
+        the event queue. Senders wait on *replies* (their own mailboxes),
+        never on delivery of what they sent. ``tx_done``, if given, is
+        triggered when this node's port has serialised the message —
+        blocking-send (MPI_Send) semantics for the caller that waits on
+        it. If ``trace_worker`` is set, the wire time is recorded as a
+        ``comm`` span for that worker.
         """
         ctx = self.ctx
         msg = Message(
@@ -172,6 +188,7 @@ class Node:
             nbytes,
             self._deliver,
             (None, msg, ctx.epoch, dst, trace_worker, True),
+            tx_done=tx_done,
             oob=oob,
         )
 
@@ -188,8 +205,8 @@ class Node:
 
         ``tail`` is set on the :meth:`send_nowait` path, where this
         callback is the whole event and the put its last act (see
-        :meth:`Store.put`). On the :meth:`send` path it is one waiter of
-        a delivery Signal that may have more, so the put is not a tail.
+        :meth:`Store.put`). On the :meth:`send` path the signal fires
+        after it, so the put is not a tail.
         """
         ctx = self.ctx
         if ctx.epoch != epoch:
@@ -211,6 +228,12 @@ class Node:
                 dst_node=dst.node_id,
             )
         dst.mailbox(msg.kind).put(msg, tail)
+
+    def _deliver_and_fire(
+        self, msg: Message, epoch: int, dst: "Node", trace_worker: int | None, done: Signal
+    ) -> None:
+        self._deliver(None, msg, epoch, dst, trace_worker)
+        done.trigger(None)
 
     def recv(self, kind: str) -> Get:
         """Yieldable: next message of ``kind`` (FIFO)."""

@@ -13,8 +13,8 @@ for with the slow propagation of updates (the accuracy collapse in
 Tables II/III).
 
 Per the paper's implementation note, communication runs on a
-background thread: pushes are fire-and-forget sends, and incoming
-merges are drained between iterations, so computation is never blocked.
+background thread: a push waits only for the sender's NIC, never for a
+reply, and incoming merges are drained between iterations.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def _gosgd_worker(
             share = gossip_send_share(state)
             payload = slot.comp.get_params() if slot.comp is not None else None
             tx_done = Signal()
-            slot.node.send(
+            slot.node.send_nowait(
                 rt.workers[target].node,
                 "gossip",
                 nbytes=model_bytes,

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.comm.endpoints import CommContext, Node
+from repro.comm.endpoints import CommContext, Node, last_per_port
 from repro.comm.ps import PSShard, place_shards
 from repro.core.history import ThroughputResult, TrainingHistory
 from repro.core.worker import LocalComputation, WorkerSlot
@@ -340,6 +340,8 @@ class Runtime:
         # Pre-computed (shard, label) -> flat ranges for comm entries.
         self._entry_ranges: dict[tuple[int, str], tuple[tuple[int, int], ...]] = {}
         self._build_entry_ranges()
+        # Machine -> plan indices a blocking sender there waits on.
+        self._port_tails: dict[int, frozenset[int]] = {}
 
     # -- node management --------------------------------------------------
     def allocate_node_id(self) -> int:
@@ -419,6 +421,17 @@ class Runtime:
 
     def entry_ranges(self, entry: CommPlanEntry) -> tuple[tuple[int, int], ...]:
         return self._entry_ranges[(entry.shard_id, entry.label)]
+
+    def port_tails(self, machine: int) -> frozenset[int]:
+        """Plan indices a blocking sender on ``machine`` waits on: the
+        last entry through each of its ports (DESIGN §8)."""
+        tails = self._port_tails.get(machine)
+        if tails is None:
+            tails = self._port_tails[machine] = last_per_port(
+                machine,
+                [self.ps_nodes[entry.shard_id].machine for entry in self.comm_plan.entries],
+            )
+        return tails
 
     # -- progress ------------------------------------------------------------
     def lr(self) -> float:

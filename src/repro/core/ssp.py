@@ -45,17 +45,14 @@ class SSPShard(PSShard):
 
     serve_concurrency = 2  # per-worker comm threads, capped at spare PS cores
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
+    def __init__(self, *args: Any, staleness: int, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
+        self.staleness = staleness
         self.clocks: dict[int, int] = {
             slot.wid: 0 for slot in self.runtime.workers
         }
         # Fetches blocked on the staleness condition: (wid, clock).
         self._blocked: list[tuple[int, int]] = []
-
-    @property
-    def staleness(self) -> int:
-        return int(self.runtime.config.algorithm_params.get("staleness", 3))
 
     def min_clock(self) -> int:
         return min(self.clocks.values())
@@ -104,8 +101,7 @@ class SSPShard(PSShard):
         )
 
 
-def _ssp_worker(rt: Runtime, slot: WorkerSlot) -> Generator[Any, Any, None]:
-    staleness = int(rt.config.algorithm_params.get("staleness", 3))
+def _ssp_worker(rt: Runtime, slot: WorkerSlot, staleness: int) -> Generator[Any, Any, None]:
     tracer = rt.tracer
     clock = 0
     known_min = 0
@@ -162,8 +158,6 @@ class SSP(TrainingAlgorithm):
         hyperparameters=("staleness",),
     )
     shard_class = SSPShard
-    # Momentum-free folds (see Runtime.fold_lr for the rationale).
-    shard_kwargs = {"momentum": 0.0}
 
     def __init__(self, **hyperparams: Any) -> None:
         super().__init__(**hyperparams)
@@ -172,9 +166,10 @@ class SSP(TrainingAlgorithm):
             raise ValueError("staleness must be non-negative")
         self.staleness = staleness
 
-    def setup(self, runtime: Runtime) -> None:
-        runtime.config.algorithm_params.setdefault("staleness", self.staleness)
-        super().setup(runtime)
+    @property
+    def shard_kwargs(self) -> dict[str, Any]:
+        # Momentum-free folds (see Runtime.fold_lr for the rationale).
+        return {"momentum": 0.0, "staleness": self.staleness}
 
     def worker_factory(self, runtime: Runtime, wids: list[int]) -> WorkerFactory:
-        return lambda slot: _ssp_worker(runtime, slot)
+        return lambda slot: _ssp_worker(runtime, slot, self.staleness)

@@ -293,11 +293,13 @@ def send_gradient_plan(
     is no window and no span — everything goes out now (BSP's leader
     shipping an already aggregated DGC gradient). ``block_tx`` gives
     blocking-send semantics: the caller does not regain control until
-    its NIC has serialised every message.
+    its ports have serialised every message, which is when the last
+    message through each port has (:meth:`Runtime.port_tails`).
     """
     if meta is None:
         meta = {}
     node = slot.node
+    tails = rt.port_tails(slot.machine) if block_tx else ()
     tx_signals: list[Signal] = []
     sparse: SparseGradient | None = None
 
@@ -320,35 +322,26 @@ def send_gradient_plan(
         # two read different epochs of the ratio warm-up.
         sparse = compress()
 
-    def emit(_idx: int, entry: CommPlanEntry) -> None:
+    def emit(idx: int, entry: CommPlanEntry) -> None:
         nonlocal sparse
         if compresses and sparse is None:
             sparse = compress()
         payload, nbytes = _entry_payload_and_bytes(rt, slot, entry, grad, sparse)
         if rt.obs_grad_bytes is not None:
             rt.obs_grad_bytes(slot.wid, nbytes)
-        shard_node = rt.ps_nodes[entry.shard_id]
-        if block_tx:
+        tx = None
+        if idx in tails:
             tx = Signal()
             tx_signals.append(tx)
-            node.send(
-                shard_node,
-                kind,
-                nbytes=nbytes,
-                payload=payload,
-                meta={**meta, "entry": entry.label},
-                trace_worker=slot.wid,
-                tx_done=tx,
-            )
-        else:
-            node.send_nowait(
-                shard_node,
-                kind,
-                nbytes=nbytes,
-                payload=payload,
-                meta={**meta, "entry": entry.label},
-                trace_worker=slot.wid,
-            )
+        node.send_nowait(
+            rt.ps_nodes[entry.shard_id],
+            kind,
+            nbytes=nbytes,
+            payload=payload,
+            meta={**meta, "entry": entry.label},
+            trace_worker=slot.wid,
+            tx_done=tx,
+        )
 
     if compute_duration is None:
         for idx, entry in enumerate(rt.comm_plan.entries):

@@ -211,17 +211,8 @@ class Network:
     ) -> Signal:
         """Start a transfer now; returns a signal triggered at delivery.
 
-        Zero-byte transfers still pay latency (control messages).
-        ``tx_done``, if given, is triggered when the sender's port has
-        finished serialising the message — the point at which a
-        blocking MPI-style send returns.
-
-        ``oob`` marks an out-of-band control-plane message (heartbeats):
-        it travels the management network, so it pays latency but never
-        queues behind data-plane traffic on the NIC ports. Partitions
-        and outages still apply — the management network of a partitioned
-        machine is unreachable too, which is exactly what lets the
-        failure detector notice.
+        The validated face of :meth:`transfer_cb`, whose delivery
+        callback is the signal's trigger (its waiters run inline).
         """
         if not 0 <= src_machine < self._machines:
             raise ValueError(f"src machine {src_machine} out of range")
@@ -229,9 +220,44 @@ class Network:
             raise ValueError(f"dst machine {dst_machine} out of range")
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
+        done = Signal()
+        self.transfer_cb(
+            src_machine, dst_machine, nbytes, done.trigger, (None,),
+            tx_done=tx_done, oob=oob,
+        )
+        return done
+
+    def transfer_cb(
+        self,
+        src_machine: int,
+        dst_machine: int,
+        nbytes: int,
+        fn,
+        args: tuple,
+        *,
+        tx_done: Signal | None = None,
+        oob: bool = False,
+    ) -> None:
+        """Start a transfer now; ``fn(*args)`` runs at delivery time.
+
+        The network's one transfer state machine. Zero-byte transfers
+        still pay latency (control messages). ``tx_done``, if given, is
+        triggered when the sender's port has finished serialising the
+        message — the point at which a blocking MPI-style send returns;
+        its waiters wake on the zero-delay lane.
+
+        ``oob`` marks an out-of-band control-plane message (heartbeats):
+        it travels the management network, so it pays latency but never
+        queues behind data-plane traffic on the NIC ports. Partitions
+        and outages still apply — the management network of a partitioned
+        machine is unreachable too, which is exactly what lets the
+        failure detector notice.
+
+        Caller contract (internal fast path; :meth:`transfer` checks):
+        machines are valid node placements and ``nbytes >= 0``.
+        """
         engine = self.engine
         now = engine.now
-        done = Signal()
         self.total_bytes += nbytes
         self.total_messages += 1
         fault_model = self.fault_model
@@ -252,8 +278,8 @@ class Network:
                     )
             if tx_done is not None:
                 tx_done.trigger(None, engine)
-            engine._at(delay, done.trigger, (None,))
-            return done
+            engine._at(delay, fn, args)
+            return
 
         if src_machine == dst_machine:
             bus = self.intra[src_machine]
@@ -262,15 +288,14 @@ class Network:
                 self._obs_link_sample(bus, now)
             if tx_done is not None:
                 engine._at(end - now, tx_done.trigger, (None, engine))
-            engine._at(end + self._intra_latency - now, done.trigger, (None,))
-            return done
+            engine._at(end + self._intra_latency - now, fn, args)
+            return
 
         if self._hier and src_machine // self._mpr != dst_machine // self._mpr:
             self._start_inter_rack(
-                src_machine, dst_machine, nbytes, done.trigger, (None,),
-                tx_done, fault_model,
+                src_machine, dst_machine, nbytes, fn, args, tx_done, fault_model
             )
-            return done
+            return
 
         tx = self.tx[src_machine]
         start_tx, end_tx = tx.reserve(now, nbytes)
@@ -278,8 +303,6 @@ class Network:
             self._obs_link_sample(tx, now)
         if tx_done is not None:
             engine._at(end_tx - now, tx_done.trigger, (None, engine))
-        first_bit_arrival = start_tx + self._latency
-
         # Fault path: partitions and probabilistic drops manifest as
         # extra delivery latency (retransmission, TCP-style), never as
         # silent loss — a lost message would deadlock the synchronous
@@ -290,84 +313,9 @@ class Network:
             extra = fault_model.delivery_delay(
                 src_machine, dst_machine, nbytes, now, rto
             )
-
-        engine._at(
-            first_bit_arrival + extra - now,
-            self._on_arrival,
-            (dst_machine, nbytes, done),
-        )
-        return done
-
-    def transfer_cb(
-        self,
-        src_machine: int,
-        dst_machine: int,
-        nbytes: int,
-        fn,
-        args: tuple,
-        *,
-        oob: bool = False,
-    ) -> None:
-        """Fire-and-forget transfer: ``fn(*args)`` runs at delivery time.
-
-        Wire accounting, port reservations, latency and fault handling
-        are identical to :meth:`transfer`; the difference is that no
-        delivery Signal exists — the callback is scheduled directly, so
-        the per-message Signal allocation and trigger indirection are
-        gone. Event order matches :meth:`transfer` position for
-        position. Caller contract (internal fast path): machines are
-        valid node placements and ``nbytes >= 0``.
-        """
-        engine = self.engine
-        now = engine.now
-        self.total_bytes += nbytes
-        self.total_messages += 1
-        fault_model = self.fault_model
-        if fault_model is not None and now >= fault_model.armed_until:
-            fault_model = None
-
-        if oob:
-            if src_machine == dst_machine:
-                delay = self._intra_latency
-            else:
-                delay = self._latency
-                if self._hier and src_machine // self._mpr != dst_machine // self._mpr:
-                    delay += self._spine_latency
-                if fault_model is not None:
-                    rto = 2.0 * self._latency
-                    delay += fault_model.delivery_delay(
-                        src_machine, dst_machine, nbytes, now, rto
-                    )
-            engine._at(delay, fn, args)
-            return
-
-        if src_machine == dst_machine:
-            bus = self.intra[src_machine]
-            _, end = bus.reserve(now, nbytes)
-            if self._obs_link_sample is not None:
-                self._obs_link_sample(bus, now)
-            engine._at(end + self._intra_latency - now, fn, args)
-            return
-
-        if self._hier and src_machine // self._mpr != dst_machine // self._mpr:
-            self._start_inter_rack(
-                src_machine, dst_machine, nbytes, fn, args, None, fault_model
-            )
-            return
-
-        tx = self.tx[src_machine]
-        start_tx, end_tx = tx.reserve(now, nbytes)
-        if self._obs_link_sample is not None:
-            self._obs_link_sample(tx, now)
-        extra = 0.0
-        if fault_model is not None:
-            rto = 2.0 * self._latency + tx.service_time(nbytes)
-            extra = fault_model.delivery_delay(
-                src_machine, dst_machine, nbytes, now, rto
-            )
         engine._at(
             start_tx + self._latency + extra - now,
-            self._on_arrival_cb,
+            self._on_rx,
             (dst_machine, nbytes, fn, args),
         )
 
@@ -468,9 +416,9 @@ class Network:
         delivery = end_rx if end_rx > gate else gate
         engine._at(delivery - now, fn, args)
 
-    def _on_arrival_cb(self, dst_machine: int, nbytes: int, fn, args: tuple) -> None:
-        """First bit reached the receiver (callback path): serialise on
-        its rx port, then run the delivery callback."""
+    def _on_rx(self, dst_machine: int, nbytes: int, fn, args: tuple) -> None:
+        """First bit reached the receiver: serialise on its rx port,
+        then run the delivery callback."""
         engine = self.engine
         now = engine.now
         rx = self.rx[dst_machine]
@@ -503,21 +451,6 @@ class Network:
                 src_machine, dst_machine, nbytes, self.engine.now, rto
             )
         return delay
-
-    def _on_arrival(self, dst_machine: int, nbytes: int, done: Signal) -> None:
-        """First bit reached the receiver: serialise on its rx port."""
-        engine = self.engine
-        now = engine.now
-        rx = self.rx[dst_machine]
-        _, end_rx = rx.reserve(now, nbytes)
-        if self._obs_link_sample is not None:
-            self._obs_link_sample(rx, now)
-        # The trigger runs its waiters inline (no ``engine``): the only
-        # waiter of a delivery signal is the sender's mailbox-deposit
-        # callback, and deposits still reach the receiving process
-        # through the Store's zero-delay wake-up, so process resumption
-        # order is unchanged while each message costs one event less.
-        engine._at(end_rx - now, done.trigger, (None,))
 
     def port_stats(self) -> dict[str, dict[str, float]]:
         """Utilisation snapshot of every port (for analysis/tests)."""

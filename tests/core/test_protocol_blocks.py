@@ -5,6 +5,9 @@ building blocks") against reference copies of the loops they replaced.
   everything — kept here and swapped in for ``send_gradient_plan``;
   every ASP/SSP schedule must come out identical, and a reference with
   DGC's compress on the wrong side of the compute Timeout must not;
+* blocking sends: the old one — a delivery Signal per message and a
+  completion per message — kept here; SSP's per-port completions must
+  give the same schedule in fewer events, GoSGD's push in no more;
 * the ring pass: the old 2·(N−1)-step loop kept here; every member of
   every ring must end with the same bits;
 * ASP's per-layer predicate: worker and shard ask one function.
@@ -19,6 +22,7 @@ import pytest
 
 from repro.comm.collectives import chunk_slices, ring_allreduce_plan, ring_neighbors
 from repro.comm.endpoints import Node
+from repro.comm.messages import Message
 from repro.core import asp, ssp
 from repro.core.runner import DistributedRunner
 from repro.core.worker import _entry_payload_and_bytes, ring_allreduce
@@ -53,20 +57,14 @@ def reference_send_gradient_plan(compress_early: bool = False):
 
     def emit(rt, slot, entry, grad, sparse, kind, meta, block_tx, tx_signals):
         payload, nbytes = _entry_payload_and_bytes(rt, slot, entry, grad, sparse)
-        shard_node = rt.ps_nodes[entry.shard_id]
-        entry_meta = {**meta, "entry": entry.label}
-        if block_tx:
+        tx = None
+        if block_tx:  # one completion per message
             tx = Signal()
             tx_signals.append(tx)
-            slot.node.send(
-                shard_node, kind, nbytes=nbytes, payload=payload, meta=entry_meta,
-                trace_worker=slot.wid, tx_done=tx,
-            )
-        else:
-            slot.node.send_nowait(
-                shard_node, kind, nbytes=nbytes, payload=payload, meta=entry_meta,
-                trace_worker=slot.wid,
-            )
+        slot.node.send_nowait(
+            rt.ps_nodes[entry.shard_id], kind, nbytes=nbytes, payload=payload,
+            meta={**meta, "entry": entry.label}, trace_worker=slot.wid, tx_done=tx,
+        )
 
     def send(rt, slot, grad, *, kind, meta, compute_duration, block_tx=False):
         tx_signals: list[Signal] = []
@@ -101,6 +99,28 @@ def reference_send_gradient_plan(compress_early: bool = False):
     return send
 
 
+def reference_send_nowait(send_nowait):
+    """``Node.send_nowait`` whose blocking sends (``tx_done`` given) take
+    the old ``Node.send`` path: ``Network.transfer``'s delivery Signal,
+    its one waiter the deposit, which is then not a tail."""
+
+    def send(self, dst, kind, *, nbytes, payload=None, meta=None, trace_worker=None,
+             tx_done=None, oob=False):
+        if tx_done is None:
+            return send_nowait(
+                self, dst, kind, nbytes=nbytes, payload=payload, meta=meta,
+                trace_worker=trace_worker, oob=oob,
+            )
+        ctx = self.ctx
+        msg = Message(self.node_id, dst.node_id, kind, nbytes, payload, meta or {}, ctx.engine.now)
+        self.sent_messages += 1
+        self.sent_bytes += nbytes
+        done = ctx.network.transfer(self.machine, dst.machine, nbytes, tx_done=tx_done, oob=oob)
+        done._waiters.append((self._deliver, (msg, ctx.epoch, dst, trace_worker)))
+
+    return send
+
+
 def observe(cfg, monkeypatch, reference=None):
     """Run ``cfg`` and return everything a schedule change would move."""
     log = []
@@ -115,6 +135,7 @@ def observe(cfg, monkeypatch, reference=None):
         if reference is not None:
             patch.setattr(asp, "send_gradient_plan", reference)
             patch.setattr(ssp, "send_gradient_plan", reference)
+            patch.setattr(Node, "send_nowait", reference_send_nowait(Node.send_nowait))
         runner = DistributedRunner(cfg)
         result = runner.run()
     tracer = runner.ctx.tracer
@@ -155,13 +176,32 @@ def walk_config(algorithm, mode, variant):
 @pytest.mark.parametrize("mode", ["timing", "full"])
 @pytest.mark.parametrize("algorithm", ["asp", "ssp"])
 def test_plan_walk_is_the_old_plain_and_waitfree_paths(algorithm, mode, variant, monkeypatch):
-    # A config per run: SSP's setup writes its default staleness into it.
-    walked = observe(walk_config(algorithm, mode, variant), monkeypatch)
-    reference = observe(
-        walk_config(algorithm, mode, variant), monkeypatch, reference_send_gradient_plan()
-    )
+    cfg = walk_config(algorithm, mode, variant)
+    walked = observe(cfg, monkeypatch)
+    reference = observe(cfg, monkeypatch, reference_send_gradient_plan())
     assert walked["log"], "no message was logged"
+    events, reference_events = walked.pop("events"), reference.pop("events")
     assert walked == reference
+    if algorithm == "ssp":
+        # Blocking pushes: one completion per port, not per message.
+        assert events < reference_events
+    else:
+        assert events == reference_events
+
+
+@pytest.mark.parametrize("mode", ["timing", "full"])
+def test_gosgd_push_is_the_old_signal_send(mode, monkeypatch):
+    """Every iteration pushes (``p = 1``), each a blocking send."""
+    if mode == "timing":
+        cfg = small_timing_config("gosgd", trace=True, algorithm_params={"p": 1.0})
+    else:
+        cfg = small_full_config("gosgd", epochs=1.0, algorithm_params={"p": 1.0})
+    walked = observe(cfg, monkeypatch)
+    reference = observe(cfg, monkeypatch, reference_send_gradient_plan())
+    assert len(walked["log"]) > cfg.num_workers
+    events, reference_events = walked.pop("events"), reference.pop("events")
+    assert walked == reference
+    assert events <= reference_events
 
 
 @pytest.mark.parametrize("algorithm", ["asp", "ssp"])

@@ -159,6 +159,20 @@ class TestRunCache:
         assert warm.last_stats.cache_hits == len(grid)
         assert stable(cold_results) == stable(warm_results)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_run_leaves_its_config_unchanged(self, tmp_path, jobs):
+        """SSP without an explicit staleness runs at its default without
+        writing it into the caller's config, so a second map of the same
+        config objects finds every result in the cache."""
+        grid = [tiny_timing("ssp", 2, algorithm_params={})]
+        fingerprints = [config_fingerprint(cfg) for cfg in grid]
+        SweepExecutor(jobs=jobs, cache=True, cache_dir=tmp_path).map(grid)
+        assert grid[0].algorithm_params == {}
+        assert [config_fingerprint(cfg) for cfg in grid] == fingerprints
+        warm = SweepExecutor(jobs=jobs, cache=True, cache_dir=tmp_path)
+        warm.map(grid)
+        assert (warm.last_stats.executed, warm.last_stats.cache_hits) == (0, len(grid))
+
     def test_cache_hit_spawns_no_worker_processes(self, tmp_path, monkeypatch):
         grid = tiny_grid()
         SweepExecutor(jobs=1, cache=True, cache_dir=tmp_path).map(grid)

@@ -64,9 +64,9 @@ PINS = {
         "faults": ("1c53e313fa145a88a756f8a76b3f6a6f0692cd67d1ea7ae305bd5021c70f6376", 305),
     },
     "ssp": {
-        "plain": ("64db72ce3388c5342a16e58aa59cc4b97a7e11b534d8e593d5beb43ad370358c", 350),
-        "obs": ("64db72ce3388c5342a16e58aa59cc4b97a7e11b534d8e593d5beb43ad370358c", 350),
-        "faults": ("13c53e9e83f18ee57c6dcd8584db789cd668c4c2af75766879544854d534268b", 369),
+        "plain": ("64db72ce3388c5342a16e58aa59cc4b97a7e11b534d8e593d5beb43ad370358c", 327),
+        "obs": ("64db72ce3388c5342a16e58aa59cc4b97a7e11b534d8e593d5beb43ad370358c", 327),
+        "faults": ("13c53e9e83f18ee57c6dcd8584db789cd668c4c2af75766879544854d534268b", 346),
     },
     "easgd": {
         "plain": ("49f1bc929af99801f7569adca37aaef582b23a3f4c3a1958924cc79f6e74fb6f", 65),

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.sim.cluster import paper_cluster
-from repro.sim.engine import Engine, Timeout
+from repro.sim.cluster import hierarchical_cluster, paper_cluster
+from repro.sim.engine import Engine, Signal, Timeout
 from repro.sim.network import Network, Port
 
 
@@ -130,3 +130,135 @@ class TestNetworkTransfer:
         eng, spec, net = self.make()
         with pytest.raises(ValueError):
             net.transfer(0, 99, 10)
+
+
+# -- tx_done on the one state machine ----------------------------------------
+
+
+def reference_transfer(net, src, dst, nbytes, tx_done=None, oob=False):
+    """``Network.transfer`` as its own state machine, before it wrapped
+    ``transfer_cb`` (fault-free): a delivery Signal, ``tx_done`` pushed
+    right after the sender's port reservation."""
+    engine = net.engine
+    now = engine.now
+    done = Signal()
+    net.total_bytes += nbytes
+    net.total_messages += 1
+    if oob:
+        if src == dst:
+            delay = net._intra_latency
+        else:
+            delay = net._latency
+            if net._hier and src // net._mpr != dst // net._mpr:
+                delay += net._spine_latency
+        if tx_done is not None:
+            tx_done.trigger(None, engine)
+        engine._at(delay, done.trigger, (None,))
+        return done
+    if src == dst:
+        _, end = net.intra[src].reserve(now, nbytes)
+        if tx_done is not None:
+            engine._at(end - now, tx_done.trigger, (None, engine))
+        engine._at(end + net._intra_latency - now, done.trigger, (None,))
+        return done
+    if net._hier and src // net._mpr != dst // net._mpr:
+        net._start_inter_rack(src, dst, nbytes, done.trigger, (None,), tx_done, None)
+        return done
+    start_tx, end_tx = net.tx[src].reserve(now, nbytes)
+    if tx_done is not None:
+        engine._at(end_tx - now, tx_done.trigger, (None, engine))
+    engine._at(start_tx + net._latency - now, _reference_arrival, (net, dst, nbytes, done))
+    return done
+
+
+def _reference_arrival(net, dst, nbytes, done):
+    now = net.engine.now
+    _, end_rx = net.rx[dst].reserve(now, nbytes)
+    net.engine._at(end_rx - now, done.trigger, (None,))
+
+
+def _callback_send(net, src, dst, nbytes, tx, oob, record, i):
+    net.transfer_cb(src, dst, nbytes, record, (None, "rx", i), tx_done=tx, oob=oob)
+
+
+def _signal_send(net, src, dst, nbytes, tx, oob, record, i):
+    net.transfer(src, dst, nbytes, tx_done=tx, oob=oob)._waiters.append((record, ("rx", i)))
+
+
+def _reference_send(net, src, dst, nbytes, tx, oob, record, i):
+    reference_transfer(net, src, dst, nbytes, tx, oob)._waiters.append((record, ("rx", i)))
+
+
+FLAT = paper_cluster(bandwidth_gbps=10, machines=3, gpus_per_machine=4)
+RACKS = hierarchical_cluster(machines=4, machines_per_rack=2)
+MB = 1_000_000
+
+# (time, "send", src, dst, nbytes, oob) or (time, "rate", machine, fraction).
+SCRIPTS = {
+    "bus": (FLAT, [(0.0, "send", 1, 1, MB, False), (0.0, "send", 1, 1, MB, False),
+                   (0.0, "send", 1, 1, 0, False), (1e-4, "send", 1, 1, MB, False)]),
+    "flat": (FLAT, [(0.0, "send", 0, 1, MB, False), (0.0, "send", 0, 2, MB, False),
+                    (0.0, "send", 2, 1, MB, False), (5e-4, "send", 0, 1, 4050, False)]),
+    "inter-rack": (RACKS, [(0.0, "send", 0, 2, MB, False), (0.0, "send", 0, 1, MB, False),
+                           (0.0, "send", 1, 3, MB, False), (0.0, "send", 3, 2, 0, False)]),
+    "oob": (RACKS, [(0.0, "send", 0, 1, MB, False), (0.0, "send", 0, 1, 32, True),
+                    (0.0, "send", 0, 2, 32, True), (0.0, "send", 1, 1, 32, True)]),
+    "zero-byte": (FLAT, [(0.0, "send", 0, 1, 0, False), (0.0, "send", 0, 1, 0, False),
+                         (0.0, "send", 1, 1, 0, False), (0.0, "send", 2, 1, 0, False)]),
+    "rate-change": (FLAT, [(0.0, "send", 0, 1, MB, False), (1e-4, "rate", 0, 0.25),
+                           (1e-4, "send", 0, 2, MB, False), (2e-3, "rate", 0, 1.0),
+                           (2e-3, "send", 0, 1, MB, False)]),
+}
+
+
+def replay(spec, script, send):
+    """Run ``script``; returns the ordered ``(time, what, index)`` log of
+    sends, rate changes, ``tx_done`` wake-ups and deliveries."""
+    engine = Engine()
+    net = Network(engine, spec)
+    log = []
+
+    def record(_value, what, i):
+        log.append((engine.now, what, i))
+
+    def act(i, step):
+        if step[1] == "rate":
+            net.scale_machine_rate(step[2], step[3])
+            record(None, "rate", i)
+            return
+        _, _, src, dst, nbytes, oob = step
+        record(None, "send", i)
+        tx = Signal()
+        tx._waiters.append((record, ("tx", i)))
+        send(net, src, dst, nbytes, tx, oob, record, i)
+
+    for i, step in enumerate(script):
+        engine._at(step[0], act, (i, step))
+    engine.run()
+    return log, engine.events_processed, net.port_stats()
+
+
+@pytest.mark.parametrize("name", list(SCRIPTS))
+def test_tx_done_fires_where_the_old_transfer_fired_it(name):
+    spec, script = SCRIPTS[name]
+    reference = replay(spec, script, _reference_send)
+    assert replay(spec, script, _callback_send) == reference
+    assert replay(spec, script, _signal_send) == reference
+    log = reference[0]
+    assert sorted(i for _, what, i in log if what == "tx") == sorted(
+        i for _, what, i in log if what == "rx"
+    )
+
+
+def test_tx_done_is_the_end_of_serialisation():
+    spec, script = SCRIPTS["rate-change"]
+    log, _, _ = replay(spec, script, _callback_send)
+    tx = {i: t for t, what, i in log if what == "tx"}
+    rate = spec.network_bytes_per_s
+    assert tx[0] == pytest.approx(MB / rate)
+    # Queued behind message 0, then served at a quarter of the rate.
+    assert tx[2] == pytest.approx(MB / rate + MB / (0.25 * rate))
+    # Restored while message 2 still serialises: queued behind it, full rate.
+    assert tx[4] == pytest.approx(tx[2] + MB / rate)
+    oob_log, _, _ = replay(*SCRIPTS["oob"], _callback_send)
+    assert [t for t, what, i in oob_log if what == "tx" and i > 0] == [0.0, 0.0, 0.0]

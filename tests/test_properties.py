@@ -9,15 +9,16 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.comm.collectives import chunk_slices, ring_allreduce_plan
-from repro.comm.endpoints import CommContext, Node
+from repro.comm.endpoints import CommContext, Node, last_per_port
 from repro.comm.gossip import GossipState, gossip_merge, gossip_send_share
+from repro.comm.messages import Message
 from repro.nn import MLP
 from repro.nn.zoo import LayerProfile, ModelProfile
 from repro.optimizations.dgc import DGCCompressor, DGCConfig
 from repro.optimizations.sharding import make_sharding_plan
 from repro.optimizations.waitfree import make_comm_plan
 from repro.sim.cluster import hierarchical_cluster, paper_cluster
-from repro.sim.engine import Engine, Timeout
+from repro.sim.engine import AllOf, Engine, Signal, Timeout
 from repro.sim.network import Network, Port
 
 COMMON = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -84,7 +85,43 @@ _ACTIONS = st.one_of(
         st.sampled_from("ab"),
     ),
     st.tuples(st.just("recv"), st.sampled_from("ab")),
+    # A blocking send of one message per destination (equal sizes: ties
+    # on every port), returning when the sender's ports have serialised
+    # them all.
+    st.tuples(
+        st.just("bsend"),
+        st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=4),
+        st.sampled_from([0, 4050]),
+        st.sampled_from("ab"),
+    ),
 )
+
+
+def per_message_blocking_send(node, dsts, kind, nbytes):
+    """The old blocking send: per message, ``Node.send``'s delivery
+    Signal (the deposit its waiter, not a tail) and a completion."""
+    ctx = node.ctx
+    signals = []
+    for dst in dsts:
+        msg = Message(node.node_id, dst.node_id, kind, nbytes, None, {}, ctx.engine.now)
+        tx = Signal()
+        signals.append(tx)
+        done = ctx.network.transfer(node.machine, dst.machine, nbytes, tx_done=tx)
+        done._waiters.append((node._deliver, (msg, ctx.epoch, dst, None)))
+    return AllOf(signals)
+
+
+def per_port_blocking_send(node, dsts, kind, nbytes):
+    """Fire-and-forget sends, a completion on each port's last message."""
+    tails = last_per_port(node.machine, [dst.machine for dst in dsts])
+    signals = []
+    for index, dst in enumerate(dsts):
+        tx = None
+        if index in tails:
+            tx = Signal()
+            signals.append(tx)
+        node.send_nowait(dst, kind, nbytes=nbytes, tx_done=tx)
+    return AllOf(signals)
 
 
 @COMMON
@@ -102,9 +139,11 @@ _ACTIONS = st.one_of(
 def test_tail_delivery_is_the_lane_order(scripts, racks):
     """Random process networks over ``Node.send_nowait`` send and receive
     in the same global ``(time, process, message)`` order whether the getter
-    is resumed in place or (predicate forced false) through the zero-delay lane."""
+    is resumed in place or (predicate forced false) through the zero-delay
+    lane, and whether a blocking send waits on each port's last message or
+    (the old way) on one Signal per message."""
 
-    def run(lane_only):
+    def run(lane_only, blocking_send=per_port_blocking_send):
         eng = Engine()
         if lane_only:
             eng._idle_now = lambda: False
@@ -126,6 +165,10 @@ def test_tail_delivery_is_the_lane_order(scripts, racks):
                     dst = nodes[action[1] % len(nodes)]
                     node.send_nowait(dst, action[3], nbytes=action[2])
                     trace.append((eng.now, node.name, "sent", dst.name))
+                elif action[0] == "bsend":
+                    dsts = [nodes[i % len(nodes)] for i in action[1]]
+                    yield blocking_send(node, dsts, action[3], action[2])
+                    trace.append((eng.now, node.name, "sent", [dst.name for dst in dsts]))
                 else:
                     msg = yield node.recv(action[1])
                     trace.append(
@@ -142,8 +185,10 @@ def test_tail_delivery_is_the_lane_order(scripts, racks):
 
     tail, tail_events = run(lane_only=False)
     lane, lane_events = run(lane_only=True)
-    assert tail == lane
+    per_message, per_message_events = run(lane_only=False, blocking_send=per_message_blocking_send)
+    assert tail == lane == per_message
     assert tail_events <= lane_events
+    assert tail_events <= per_message_events
 
 
 # ---------------------------------------------------------------- sharding
