@@ -156,8 +156,11 @@ class PSShard(Node):
         """
         return self.ctx.comm_model.agg_timeout(nbytes)
 
-    def accumulate_entry(self, acc: np.ndarray | None, msg: Message) -> np.ndarray | None:
-        """Add one gradient-entry message into a shard-slice accumulator.
+    def accumulate_entry(
+        self, acc: np.ndarray | None, msg: Message, weight: float = 1.0
+    ) -> np.ndarray | None:
+        """Add one gradient-entry message, times ``weight``, into a
+        shard-slice accumulator.
 
         Allocates the accumulator lazily on first real payload; returns
         the (possibly new) accumulator. ``None`` payloads (timing mode)
@@ -170,10 +173,10 @@ class PSShard(Node):
         offset = self._label_offsets[msg.meta["entry"]]
         if isinstance(msg.payload, tuple):  # DGC sparse (local_idx, values)
             local_idx, values = msg.payload
-            np.add.at(acc, local_idx + offset, values)
+            np.add.at(acc, local_idx + offset, values if weight == 1.0 else values * weight)
         else:
             dense = np.asarray(msg.payload, dtype=np.float64)
-            acc[offset : offset + dense.size] += dense
+            acc[offset : offset + dense.size] += dense if weight == 1.0 else dense * weight
         return acc
 
     def collect_sender_entry(

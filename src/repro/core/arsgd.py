@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING, Any, Generator
 
 import numpy as np
 
-from repro.comm.collectives import ring_neighbors
 from repro.comm.hierarchical import (
     DEFAULT_TREE_ARITY,
     elect_leaders,
@@ -32,7 +31,7 @@ from repro.core.runner import Runtime
 from repro.core.worker import (
     WorkerSlot,
     produce_gradient,
-    recv_step,
+    ring_allgather,
     ring_allreduce,
     walk_plan,
 )
@@ -40,7 +39,6 @@ from repro.optimizations.sharding import gather_ranges, scatter_ranges
 from repro.sim.engine import AllOf, Get, Signal, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.optimizations.dgc import SparseGradient
     from repro.optimizations.waitfree import CommPlanEntry
 
 __all__ = ["ARSGD"]
@@ -88,13 +86,18 @@ def _hier_allreduce(
             return None
         return np.asarray(msg.payload, dtype=np.float64)
 
+    def fold(kind: str, count: int, acc: np.ndarray | None) -> Generator[Any, Any, None]:
+        # Add ``count`` received vectors into ``acc``, each after its
+        # reduce time.
+        get_msg = Get(slot.node.mailbox(kind))
+        for _ in range(count):
+            msg = yield get_msg
+            yield reduce_timeout(msg.nbytes)
+            if acc is not None and msg.payload is not None:
+                acc += msg.payload
+
     # Machine leader: fold the colocated members' vectors.
-    get_up = Get(slot.node.mailbox(k_up))
-    for _ in range(len(group) - 1):
-        msg = yield get_up
-        yield reduce_timeout(msg.nbytes)
-        if buf is not None and msg.payload is not None:
-            buf += msg.payload
+    yield from fold(k_up, len(group) - 1, buf)
 
     nleaders = len(leaders)
     if scheme == "hring":
@@ -108,12 +111,7 @@ def _hier_allreduce(
         parent = tree_parent(rank, DEFAULT_TREE_ARITY)
         k_tree_up = f"hier:{entry_label}:tu"
         k_tree_down = f"hier:{entry_label}:td"
-        get_tree_up = Get(slot.node.mailbox(k_tree_up))
-        for _ in children:
-            msg = yield get_tree_up
-            yield reduce_timeout(msg.nbytes)
-            if buf is not None and msg.payload is not None:
-                buf += msg.payload
+        yield from fold(k_tree_up, len(children), buf)
         if parent is not None:
             slot.node.send_nowait(
                 rt.workers[leaders[parent]].node,
@@ -144,108 +142,6 @@ def _hier_allreduce(
             trace_worker=wid,
         )
     return buf
-
-
-def _allgather_sparse(
-    rt: Runtime,
-    slot: WorkerSlot,
-    ring: list[int],
-    sparse: SparseGradient | None,
-    nbytes_own: int,
-) -> Generator[Any, Any, np.ndarray | None]:
-    """Ring allgather of per-worker sparse gradients (DGC path).
-
-    Each worker circulates its own block around the ring; after N−1
-    steps everyone has every block. Returns the dense sum or ``None``.
-    Full-mode blocks carry their step (:func:`recv_step`), so a
-    retransmission cannot make a worker forward a block out of turn.
-    """
-    world = len(ring)
-    ordered = sparse is not None
-    total = block = None
-    if ordered:
-        total = np.zeros(rt.total_elements, dtype=np.float64)
-        total[sparse.indices] += sparse.values
-        block = (sparse.indices, sparse.values)
-    if world == 1:
-        return total
-    _, right = ring_neighbors(ring.index(slot.wid), world)
-    right_node = rt.workers[ring[right]].node
-    get_msg = Get(slot.node.mailbox("ring:dgc"))
-    early: dict[int, Any] = {}
-    block_bytes = nbytes_own
-    for step in range(world - 1):
-        slot.node.send_nowait(
-            right_node,
-            "ring:dgc",
-            nbytes=max(block_bytes, 1),
-            payload=block,
-            meta={"step": step} if ordered else None,
-            trace_worker=slot.wid,
-        )
-        if ordered:
-            msg = yield from recv_step(get_msg, early, step)
-            block = msg.payload
-            if block is not None:
-                np.add.at(total, *block)
-        else:
-            msg = yield get_msg
-        block_bytes = msg.nbytes
-    return total
-
-
-def _allgather_dense(
-    rt: Runtime, slot: WorkerSlot, ring: list[int], grad: np.ndarray | None
-) -> Generator[Any, Any, "dict[int, np.ndarray] | None"]:
-    """Ring allgather of full per-worker gradients (robust path).
-
-    A robust rule needs the individual contributions, so the
-    reduce-scatter — which only ever materialises sums — is replaced
-    by circulating each worker's whole gradient around the ring:
-    world−1 steps of full-model blocks, O(N·M) on the wire instead of
-    O(M). That is the bandwidth price of Byzantine robustness in a
-    collective; every replica ends with the same row set and computes
-    the identical aggregate. Returns ``{wid: gradient}`` or ``None``
-    in timing mode. Full-mode blocks carry their step, as in
-    :func:`_allgather_sparse`.
-    """
-    world = len(ring)
-    rows: dict[int, np.ndarray] = {} if grad is None else {slot.wid: grad}
-    if world == 1:
-        return rows or None
-    _, right = ring_neighbors(ring.index(slot.wid), world)
-    right_node = rt.workers[ring[right]].node
-    model_bytes = max(rt.total_elements * rt.sharding.bytes_per_param, 1)
-    get_msg = Get(slot.node.mailbox("ring:robust"))
-    early: dict[int, Any] = {}
-    ordered = grad is not None
-    block_wid: int = slot.wid
-    block: np.ndarray | None = grad
-    for step in range(world - 1):
-        meta = {"worker": block_wid}
-        if ordered:
-            meta["step"] = step
-        slot.node.send_nowait(
-            right_node,
-            "ring:robust",
-            nbytes=model_bytes,
-            payload=block.copy() if block is not None else None,
-            meta=meta,
-            trace_worker=slot.wid,
-        )
-        if ordered:
-            msg = yield from recv_step(get_msg, early, step)
-        else:
-            msg = yield get_msg
-        block_wid = msg.meta["worker"]
-        block = (
-            np.asarray(msg.payload, dtype=np.float64)
-            if msg.payload is not None
-            else None
-        )
-        if block is not None:
-            rows[block_wid] = block
-    return rows or None
 
 
 def _arsgd_worker(
@@ -283,9 +179,20 @@ def _arsgd_worker(
             yield Timeout(duration)
             tracer.end(slot.wid, "compute", rt.engine.now)
         if robust is not None:
+            # A robust rule needs the individual rows, so every whole
+            # gradient circulates: O(N·M) on the wire instead of O(M),
+            # the bandwidth price of robustness in a collective. Every
+            # replica ends with the same rows and the same aggregate.
             tracer.begin(slot.wid, "global_agg", rt.engine.now)
-            rows = yield from _allgather_dense(rt, slot, ring, grad)
+            received = yield from ring_allgather(
+                rt, slot, ring, "ring:robust", grad,
+                rt.total_elements * rt.sharding.bytes_per_param, {"worker": slot.wid},
+            )
             tracer.end(slot.wid, "global_agg", rt.engine.now)
+            rows = {} if grad is None else {slot.wid: grad}
+            for msg in received:
+                if msg.payload is not None:
+                    rows[msg.meta["worker"]] = msg.payload
             if slot.comp is not None and rows:
                 agg = robust.aggregate(rows, site="arsgd")
                 if agg is not None:
@@ -300,9 +207,16 @@ def _arsgd_worker(
             elif slot.dgc is not None:
                 nbytes = slot.dgc.compressed_bytes(epoch=rt.sample_clock.epoch())
             tracer.begin(slot.wid, "global_agg", rt.engine.now)
-            total = yield from _allgather_sparse(rt, slot, ring, sparse, nbytes)
+            received = yield from ring_allgather(
+                rt, slot, ring, "ring:dgc",
+                None if sparse is None else (sparse.indices, sparse.values), nbytes,
+            )
             tracer.end(slot.wid, "global_agg", rt.engine.now)
-            if slot.comp is not None and total is not None:
+            if slot.comp is not None and sparse is not None:
+                total = np.zeros(rt.total_elements, dtype=np.float64)
+                total[sparse.indices] += sparse.values
+                for msg in received:
+                    np.add.at(total, *msg.payload)
                 slot.comp.apply_gradient(
                     total / world, rt.lr_at_round(slot.iterations)
                 )

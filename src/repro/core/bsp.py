@@ -24,7 +24,7 @@ parameters back to each leader, which re-broadcasts them locally.
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import Any, Callable, Generator
 
 import numpy as np
 
@@ -66,11 +66,16 @@ def aggregation_groups(rt: Runtime, wids: list[int] | None = None) -> list[list[
 
 
 class BSPShard(PSShard):
-    """PS shard for BSP: one synchronous round per global step."""
+    """PS shard for BSP: one synchronous round per global step.
 
-    def __init__(self, *args: Any, num_leaders: int = 1, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self.num_leaders = num_leaders
+    A round folds one gradient set from each of ``num_leaders`` senders
+    (machine leaders, or rack aggregators with the PS tree), whose means
+    cover ``num_workers`` live workers between them; both are set by
+    :meth:`BSP.spawn_workers`.
+    """
+
+    num_leaders = 1
+    num_workers = 1
 
     def serve(self) -> Generator[Any, Any, None]:
         rt = self.runtime
@@ -113,7 +118,9 @@ class BSPShard(PSShard):
                 if robust is not None:
                     by_wid[wid] = self.accumulate_entry(by_wid.get(wid), msg)
                 else:
-                    acc = self.accumulate_entry(acc, msg)
+                    acc = self.accumulate_entry(
+                        acc, msg, _mean_weight(msg, self.num_leaders, self.num_workers)
+                    )
                 if wid not in leaders:
                     leaders.append(wid)
                     reply_to = msg.meta.get("reply_to")
@@ -130,8 +137,8 @@ class BSPShard(PSShard):
                 rows = {w: r for w, r in by_wid.items() if r is not None}
                 acc = robust.aggregate(rows, site="ps") if rows else None
             elif acc is not None:
-                # Leaders forward group means; averaging them over the
-                # leaders yields the global mean gradient.
+                # Senders forward means weighted by the workers they
+                # cover; averaging them yields the global mean gradient.
                 acc /= self.num_leaders
             self.apply_gradient(acc, rt.lr())
             yield self.agg_delay(self.slice_bytes)
@@ -150,54 +157,95 @@ def _active_shards(rt: Runtime) -> int:
     return len({e.shard_id for e in rt.comm_plan.entries})
 
 
+def _mean_weight(msg: Message, inputs: int, workers: int) -> float:
+    """The weight of one of ``inputs`` means in a mean over ``workers``.
+
+    A mean of ``meta["count"]`` workers (1 for a raw gradient) counts
+    ``count × inputs ÷ workers`` times before the fold divides by
+    ``inputs``. Computed from integers, it is exactly 1.0 when every
+    input covers as many workers, so equal groups keep the plain sum.
+    """
+    return msg.meta.get("count", 1) * inputs / workers
+
+
+def _fold_entry_means(
+    rt: Runtime,
+    node: Node,
+    get_msg: Get,
+    inputs: int,
+    meta: dict[str, Any],
+    *,
+    via: Node | None = None,
+    forward: bool = True,
+    on_arrival: Callable[[Message], Any] = lambda msg: None,
+) -> Generator[Any, Any, list[np.ndarray | None]]:
+    """Local aggregation's step, shared by the group leader and the PS
+    tree's rack aggregator.
+
+    Takes ``inputs`` copies of every comm-plan entry from ``get_msg``
+    and, the moment an entry's last copy arrives, forwards their mean
+    over the ``meta["count"]`` workers they cover (:func:`_mean_weight`)
+    from ``node`` to the entry's shard (or to ``via``, the rack
+    aggregator) with ``meta``. ``on_arrival(msg)`` sees each message once
+    it is counted and may return a waitable the fold then yields (the
+    rack aggregator's summing time). Returns the per-entry means
+    (``None`` in timing mode); ``forward=False`` only returns them.
+    """
+    entries = rt.comm_plan.entries
+    counts = [0] * len(entries)
+    sums: list[np.ndarray | None] = [None] * len(entries)
+    for _ in range(inputs * len(entries)):
+        msg = yield get_msg
+        idx = msg.meta["entry_idx"]
+        if msg.payload is not None:
+            payload = np.asarray(msg.payload, dtype=np.float64)
+            weight = _mean_weight(msg, inputs, meta["count"])
+            if weight != 1.0:
+                payload = payload * weight
+            sums[idx] = payload if sums[idx] is None else sums[idx] + payload
+        counts[idx] += 1
+        wait = on_arrival(msg)
+        if wait is not None:
+            yield wait
+        if counts[idx] == inputs:
+            if sums[idx] is not None:
+                sums[idx] /= inputs
+            if forward:
+                entry = entries[idx]
+                node.send_nowait(
+                    via if via is not None else rt.ps_nodes[entry.shard_id],
+                    "req",
+                    nbytes=entry.nbytes,
+                    payload=sums[idx],
+                    meta={**meta, "entry": entry.label, "entry_idx": idx},
+                    trace_worker=meta["worker"],
+                )
+    return sums
+
+
 def _rack_aggregator(
-    rt: Runtime, node: Node, leader_slots: list[WorkerSlot]
+    rt: Runtime, node: Node, leader_slots: list[WorkerSlot], workers: int
 ) -> Generator[Any, Any, None]:
     """PS-tree middle tier: one aggregator per rack.
 
-    Collects each rack leader's entry means, reduces them to a rack
-    mean, and forwards one gradient set per entry to the shards — so a
-    shard's fan-in is the rack count, not the machine count, and
+    Folds the rack's leaders' entry means into means over the rack's
+    ``workers`` and forwards one gradient set per entry to the shards —
+    so a shard's fan-in is the rack count, not the machine count, and
     gradient bytes cross the oversubscribed spine once per *rack*
     instead of once per machine. Shard replies come back here and are
     re-broadcast to the rack's machine leaders.
     """
-    entries = rt.comm_plan.entries
-    label_to_idx = {e.label: i for i, e in enumerate(entries)}
-    n = len(leader_slots)
     owner = leader_slots[0].wid
+    meta = {"op": "grad", "worker": owner, "count": workers, "reply_to": node.node_id}
     get_req = Get(node.mailbox("req"))
     get_reply = Get(node.mailbox("reply"))
     agg_timeout = rt.ctx.comm_model.agg_timeout
     num_shards = _active_shards(rt)
     while not rt.stopping:
-        counts = [0] * len(entries)
-        sums: list[np.ndarray | None] = [None] * len(entries)
-        for _ in range(n * len(entries)):
-            msg = yield get_req
-            idx = label_to_idx[msg.meta["entry"]]
-            if msg.payload is not None:
-                payload = np.asarray(msg.payload, dtype=np.float64)
-                sums[idx] = payload if sums[idx] is None else sums[idx] + payload
-            counts[idx] += 1
-            yield agg_timeout(msg.nbytes)
-            if counts[idx] == n:
-                if sums[idx] is not None:
-                    sums[idx] /= n  # forward the rack mean
-                shard = rt.ps_nodes[entries[idx].shard_id]
-                node.send_nowait(
-                    shard,
-                    "req",
-                    nbytes=entries[idx].nbytes,
-                    payload=sums[idx],
-                    meta={
-                        "op": "grad",
-                        "worker": owner,
-                        "entry": entries[idx].label,
-                        "reply_to": node.node_id,
-                    },
-                    trace_worker=owner,
-                )
+        yield from _fold_entry_means(
+            rt, node, get_req, len(leader_slots), meta,
+            on_arrival=lambda msg: agg_timeout(msg.nbytes),
+        )
         if rt.stopping:
             return
         for _ in range(num_shards):
@@ -289,11 +337,16 @@ def _leader_worker(
     replies arrive relayed through it (same count, same mailbox).
     """
     tracer = rt.tracer
-    entries = rt.comm_plan.entries
-    group_size = len(peers) + 1
     dgc_on = rt.dgc_config is not None
     get_lagg = Get(slot.node.mailbox("lagg"))
     active_shards = _active_shards(rt)
+    meta = {"op": "grad", "worker": slot.wid, "count": len(peers) + 1}
+    # When the leader's own last entry and its peers' last entry landed.
+    last_arrival: dict[bool, float] = {}
+
+    def arrived(msg: Message) -> None:
+        last_arrival[msg.meta["worker"] == slot.wid] = rt.engine.now
+
     while not rt.stopping:
         duration = rt.compute_model.iteration_time(slot.wid)
         grad = produce_gradient(rt, slot)
@@ -303,62 +356,26 @@ def _leader_worker(
             owner=slot.wid,
         )
 
-        # Collect group_size copies of every entry; forward each entry
-        # to its shard the moment it is complete (streaming), unless
-        # DGC needs the whole aggregate first.
-        counts = [0] * len(entries)
-        sums: list[np.ndarray | None] = [None] * len(entries)
-        compute_end: float | None = None
-        last_peer_arrival: float | None = None
-        pending_forward = 0
-        agg_grad: np.ndarray | None = (
-            np.zeros(rt.total_elements, dtype=np.float64) if grad is not None else None
+        # Each entry's group mean goes to its shard the moment it is
+        # complete (streaming), unless DGC needs the whole aggregate.
+        last_arrival.clear()
+        means = yield from _fold_entry_means(
+            rt, slot.node, get_lagg, len(peers) + 1, meta,
+            via=agg_node, forward=not dgc_on, on_arrival=arrived,
         )
-        for _ in range(group_size * len(entries)):
-            msg = yield get_lagg
-            idx = msg.meta["entry_idx"]
-            if msg.meta["worker"] == slot.wid:
-                compute_end = rt.engine.now
-            else:
-                last_peer_arrival = rt.engine.now
-            if msg.payload is not None:
-                payload = np.asarray(msg.payload, dtype=np.float64)
-                sums[idx] = payload if sums[idx] is None else sums[idx] + payload
-            counts[idx] += 1
-            if counts[idx] == group_size:
-                if sums[idx] is not None:
-                    sums[idx] /= group_size  # forward the group mean
-                if agg_grad is not None and sums[idx] is not None:
-                    scatter_ranges(agg_grad, rt.entry_ranges(entries[idx]), sums[idx])
-                if not dgc_on:
-                    shard = (
-                        agg_node
-                        if agg_node is not None
-                        else rt.ps_nodes[entries[idx].shard_id]
-                    )
-                    payload = sums[idx]
-                    slot.node.send_nowait(
-                        shard,
-                        "req",
-                        nbytes=entries[idx].nbytes,
-                        payload=payload,
-                        meta={
-                            "op": "grad",
-                            "worker": slot.wid,
-                            "entry": entries[idx].label,
-                        },
-                        trace_worker=slot.wid,
-                    )
-                    pending_forward += 1
+        compute_end, last_peer_arrival = last_arrival.get(True), last_arrival.get(False)
         if compute_end is not None and last_peer_arrival is not None:
             if last_peer_arrival > compute_end:
                 tracer.record(slot.wid, "local_agg", compute_end, last_peer_arrival)
         if dgc_on:
             # Compress the locally aggregated gradient once, then ship
             # the sparse slices (the leader owns the DGC state).
-            yield from send_gradient_plan(
-                rt, slot, agg_grad, kind="req", meta={"op": "grad", "worker": slot.wid}
-            )
+            agg_grad = None
+            if grad is not None:
+                agg_grad = np.zeros(rt.total_elements, dtype=np.float64)
+                for entry, mean in zip(rt.comm_plan.entries, means):
+                    scatter_ranges(agg_grad, rt.entry_ranges(entry), mean)
+            yield from send_gradient_plan(rt, slot, agg_grad, kind="req", meta=meta)
 
         tracer.begin(slot.wid, "global_agg", rt.engine.now)
         flat = yield from collect_shard_replies(rt, slot, active_shards)
@@ -389,29 +406,7 @@ class BSP(TrainingAlgorithm):
         hyperparameters=(),
     )
 
-    def setup(self, runtime: Runtime) -> None:
-        self.runtime = runtime
-        groups = aggregation_groups(runtime)
-        num_senders = len(groups)
-        if runtime.config.ps_topology == "tree":
-            num_senders = len(self._rack_leader_groups(runtime, groups))
-        runtime.create_ps_shards(BSPShard, num_leaders=num_senders)
-        self.spawn_workers(runtime, [w for group in groups for w in group])
-
-    @staticmethod
-    def _rack_leader_groups(
-        runtime: Runtime, groups: list[list[int]]
-    ) -> list[list[int]]:
-        """Machine-leader wids grouped by hosting rack (PS tree tier).
-
-        On a flat cluster every machine is rack 0, so the tree
-        degenerates to a single root aggregator in front of the shards.
-        """
-        cluster = runtime.cluster
-        return group_by(
-            elect_leaders(groups),
-            lambda w: cluster.rack_of_machine(runtime.workers[w].machine),
-        )
+    shard_class = BSPShard
 
     def spawn_workers(self, runtime: Runtime, wids: list[int]) -> None:
         # Groups, rack aggregators and shard fan-in are all rebuilt from
@@ -420,8 +415,15 @@ class BSP(TrainingAlgorithm):
         # leaders under fresh aggregators.
         groups = aggregation_groups(runtime, wids)
         agg_for_leader: dict[int, Node] = {}
+        num_senders = len(groups)
         if runtime.config.ps_topology == "tree":
-            rack_groups = self._rack_leader_groups(runtime, groups)
+            # Machine leaders grouped by rack; on a flat cluster every
+            # machine is rack 0, a single root aggregator.
+            group_size = {group[0]: len(group) for group in groups}
+            rack_groups = group_by(
+                elect_leaders(groups),
+                lambda w: runtime.cluster.rack_of_machine(runtime.workers[w].machine),
+            )
             for rack_idx, rack_leaders in enumerate(rack_groups):
                 slots = [runtime.workers[w] for w in rack_leaders]
                 node = Node(
@@ -432,16 +434,17 @@ class BSP(TrainingAlgorithm):
                 )
                 runtime.nodes_by_id[node.node_id] = node
                 runtime.spawn(
-                    _rack_aggregator(runtime, node, slots),
+                    _rack_aggregator(
+                        runtime, node, slots, sum(group_size[w] for w in rack_leaders)
+                    ),
                     name=f"bsp-ragg-{rack_idx}",
                 )
                 for w in rack_leaders:
                     agg_for_leader[w] = node
             num_senders = len(rack_groups)
-        else:
-            num_senders = len(groups)
         for shard in runtime.ps_nodes:
             shard.num_leaders = num_senders
+            shard.num_workers = len(wids)
         for group in groups:
             leader = runtime.workers[group[0]]
             runtime.spawn(

@@ -14,8 +14,8 @@ under a membership change, is DESIGN §3):
   :class:`~repro.optimizations.waitfree.CommPlan`, emitting each entry
   at its readiness offset; :func:`send_gradient_plan` is the walk whose
   emission is a PS send (this is where wait-free BP and DGC plug in);
-* :func:`ring_allreduce` — one worker's side of a ring AllReduce over
-  the live ring;
+* :func:`ring_allreduce` / :func:`ring_allgather` — one worker's side
+  of a ring AllReduce / allgather over the live ring;
 * :func:`recv_step` — a ring receive in step order (full mode);
 * :func:`collect_shard_replies` — assemble the PS's replies.
 """
@@ -48,6 +48,7 @@ __all__ = [
     "walk_plan",
     "send_gradient_plan",
     "ring_allreduce",
+    "ring_allgather",
     "recv_step",
     "collect_shard_replies",
     "sparse_slice_for_ranges",
@@ -414,6 +415,54 @@ def ring_allreduce(
             else:
                 buf[recv_slice] = msg.payload
     return buf
+
+
+def ring_allgather(
+    rt: "Runtime",
+    slot: WorkerSlot,
+    ring: list[int],
+    kind: str,
+    payload: Any,
+    nbytes: int,
+    meta: dict[str, Any] | None = None,
+) -> Generator[Any, Any, list[Any]]:
+    """This worker's side of one ring allgather over the workers in
+    ``ring`` (the *live* ring, as for :func:`ring_allreduce`).
+
+    N−1 steps: send the block held — this worker's own first
+    (``payload``, ``nbytes``, ``meta``) — to the right-hand neighbour,
+    receive the left-hand neighbour's, and forward that one at the next
+    step, so every block visits every member. Returns the N−1 received
+    messages in step order (none for a ring of one). Blocks are
+    forwarded as received, never copied: a receiver must not write into
+    one. In full mode they carry their step (:func:`recv_step`).
+    """
+    world = len(ring)
+    if world == 1:
+        return []
+    _, right = ring_neighbors(ring.index(slot.wid), world)
+    right_node = rt.workers[ring[right]].node
+    get_msg = Get(slot.node.mailbox(kind))
+    ordered = payload is not None
+    early: dict[int, Any] = {}
+    received = []
+    nbytes = max(nbytes, 1)
+    for step in range(world - 1):
+        slot.node.send_nowait(
+            right_node,
+            kind,
+            nbytes=nbytes,
+            payload=payload,
+            meta=dict(meta or (), step=step) if ordered else meta,
+            trace_worker=slot.wid,
+        )
+        if ordered:
+            msg = yield from recv_step(get_msg, early, step)
+        else:
+            msg = yield get_msg
+        received.append(msg)
+        payload, nbytes, meta = msg.payload, msg.nbytes, msg.meta
+    return received
 
 
 def recv_step(get_msg: Get, early: dict[int, Any], step: int) -> Generator[Any, Any, Any]:

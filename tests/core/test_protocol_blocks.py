@@ -10,6 +10,10 @@ building blocks") against reference copies of the loops they replaced.
   give the same schedule in fewer events, GoSGD's push in no more;
 * the ring pass: the old 2·(N−1)-step loop kept here; every member of
   every ring must end with the same bits;
+* the ring allgather: AR-SGD's old sparse (DGC) and dense (robust)
+  loops kept here, swapped in under clean, flaky and crashed runs;
+* the entry-mean fold: BSP's old leader and rack-aggregator loops kept
+  here, flat and tree, ± wait-free, ± DGC;
 * ASP's per-layer predicate: worker and shard ask one function.
 """
 
@@ -23,14 +27,24 @@ import pytest
 from repro.comm.collectives import chunk_slices, ring_allreduce_plan, ring_neighbors
 from repro.comm.endpoints import Node
 from repro.comm.messages import Message
-from repro.core import asp, ssp
+from repro.core import arsgd, asp, bsp, ssp
 from repro.core.runner import DistributedRunner
-from repro.core.worker import _entry_payload_and_bytes, ring_allreduce
+from repro.core.worker import (
+    _entry_payload_and_bytes,
+    collect_shard_replies,
+    produce_gradient,
+    recv_step,
+    ring_allgather,
+    ring_allreduce,
+    send_gradient_plan,
+)
 from repro.experiments.config import mini_dgc_config
 from repro.experiments.faults import FAULT_SCENARIOS
-from repro.faults.config import FaultConfig
+from repro.faults.config import FaultConfig, FaultEvent
+from repro.optimizations.sharding import scatter_ranges
 from repro.robust.config import RobustConfig
-from repro.sim.engine import AllOf, Signal, Timeout
+from repro.sim.cluster import hierarchical_cluster, paper_cluster
+from repro.sim.engine import AllOf, Get, Signal, Timeout
 
 from tests.conftest import small_full_config, small_timing_config
 
@@ -121,8 +135,19 @@ def reference_send_nowait(send_nowait):
     return send
 
 
-def observe(cfg, monkeypatch, reference=None):
-    """Run ``cfg`` and return everything a schedule change would move."""
+def plan_swaps(reference):
+    """Swap ``reference`` in for ASP's and SSP's plan walk, and the old
+    blocking send in for ``Node.send_nowait``'s."""
+    return [
+        (asp, "send_gradient_plan", reference),
+        (ssp, "send_gradient_plan", reference),
+        (Node, "send_nowait", reference_send_nowait(Node.send_nowait)),
+    ]
+
+
+def observe(cfg, monkeypatch, swaps=()):
+    """Run ``cfg`` with each ``(owner, name, value)`` of ``swaps`` patched
+    in and return everything a schedule change would move."""
     log = []
     deliver = Node._deliver
 
@@ -132,10 +157,8 @@ def observe(cfg, monkeypatch, reference=None):
 
     with monkeypatch.context() as patch:
         patch.setattr(Node, "_deliver", logged)
-        if reference is not None:
-            patch.setattr(asp, "send_gradient_plan", reference)
-            patch.setattr(ssp, "send_gradient_plan", reference)
-            patch.setattr(Node, "send_nowait", reference_send_nowait(Node.send_nowait))
+        for owner, name, value in swaps:
+            patch.setattr(owner, name, value)
         runner = DistributedRunner(cfg)
         result = runner.run()
     tracer = runner.ctx.tracer
@@ -146,6 +169,7 @@ def observe(cfg, monkeypatch, reference=None):
         "ports": runner.network.port_stats(),
         "breakdown": tracer.breakdown(),
         "spans": tracer.span_count,
+        "faults": result.metadata.get("faults"),
     }
     if cfg.mode == "full":
         seen["result"] = (result.total_iterations, result.test_accuracy, result.train_loss)
@@ -178,7 +202,7 @@ def walk_config(algorithm, mode, variant):
 def test_plan_walk_is_the_old_plain_and_waitfree_paths(algorithm, mode, variant, monkeypatch):
     cfg = walk_config(algorithm, mode, variant)
     walked = observe(cfg, monkeypatch)
-    reference = observe(cfg, monkeypatch, reference_send_gradient_plan())
+    reference = observe(cfg, monkeypatch, plan_swaps(reference_send_gradient_plan()))
     assert walked["log"], "no message was logged"
     events, reference_events = walked.pop("events"), reference.pop("events")
     assert walked == reference
@@ -197,7 +221,7 @@ def test_gosgd_push_is_the_old_signal_send(mode, monkeypatch):
     else:
         cfg = small_full_config("gosgd", epochs=1.0, algorithm_params={"p": 1.0})
     walked = observe(cfg, monkeypatch)
-    reference = observe(cfg, monkeypatch, reference_send_gradient_plan())
+    reference = observe(cfg, monkeypatch, plan_swaps(reference_send_gradient_plan()))
     assert len(walked["log"]) > cfg.num_workers
     events, reference_events = walked.pop("events"), reference.pop("events")
     assert walked == reference
@@ -213,7 +237,7 @@ def test_dgc_compress_on_the_wrong_side_of_the_timeout_is_caught(algorithm, monk
     mutant = observe(
         walk_config(algorithm, "full", "dgc"),
         monkeypatch,
-        reference_send_gradient_plan(compress_early=True),
+        plan_swaps(reference_send_gradient_plan(compress_early=True)),
     )
     assert walked != mutant
 
@@ -360,6 +384,327 @@ def test_arsgd_allgathers_survive_a_flaky_link_in_full_mode(overrides):
     assert len(summary["evictions"]) == 0
     for before, after in zip(clean.runtime.workers, runner.runtime.workers):
         assert np.array_equal(before.comp.get_params(), after.comp.get_params())
+
+
+# -- (c) the ring allgather vs AR-SGD's two old loops -----------------------
+
+
+def reference_allgather_sparse(rt, slot, ring, sparse, nbytes_own):
+    """DGC's allgather as it was: each arriving block added into the dense
+    sum, then forwarded."""
+    world = len(ring)
+    ordered = sparse is not None
+    total = block = None
+    if ordered:
+        total = np.zeros(rt.total_elements, dtype=np.float64)
+        total[sparse.indices] += sparse.values
+        block = (sparse.indices, sparse.values)
+    if world == 1:
+        return total
+    _, right = ring_neighbors(ring.index(slot.wid), world)
+    right_node = rt.workers[ring[right]].node
+    get_msg = Get(slot.node.mailbox("ring:dgc"))
+    early = {}
+    block_bytes = nbytes_own
+    for step in range(world - 1):
+        slot.node.send_nowait(
+            right_node, "ring:dgc", nbytes=max(block_bytes, 1), payload=block,
+            meta={"step": step} if ordered else None, trace_worker=slot.wid,
+        )
+        if ordered:
+            msg = yield from recv_step(get_msg, early, step)
+            block = msg.payload
+            if block is not None:
+                np.add.at(total, *block)
+        else:
+            msg = yield get_msg
+        block_bytes = msg.nbytes
+    return total
+
+
+def reference_allgather_dense(rt, slot, ring, grad):
+    """The robust path's allgather as it was: a copy of each block
+    forwarded, the rows collected by worker as they arrive."""
+    world = len(ring)
+    rows = {} if grad is None else {slot.wid: grad}
+    if world == 1:
+        return rows or None
+    _, right = ring_neighbors(ring.index(slot.wid), world)
+    right_node = rt.workers[ring[right]].node
+    model_bytes = max(rt.total_elements * rt.sharding.bytes_per_param, 1)
+    get_msg = Get(slot.node.mailbox("ring:robust"))
+    early = {}
+    ordered = grad is not None
+    block_wid, block = slot.wid, grad
+    for step in range(world - 1):
+        meta = {"worker": block_wid}
+        if ordered:
+            meta["step"] = step
+        slot.node.send_nowait(
+            right_node, "ring:robust", nbytes=model_bytes,
+            payload=block.copy() if block is not None else None, meta=meta,
+            trace_worker=slot.wid,
+        )
+        if ordered:
+            msg = yield from recv_step(get_msg, early, step)
+        else:
+            msg = yield get_msg
+        block_wid = msg.meta["worker"]
+        block = np.asarray(msg.payload, dtype=np.float64) if msg.payload is not None else None
+        if block is not None:
+            rows[block_wid] = block
+    return rows or None
+
+
+def reference_arsgd_worker(rt, slot, ring, group, leaders):
+    """AR-SGD's DGC and robust iterations as they were, around the old
+    loops (the configs below take no other branch)."""
+    tracer = rt.tracer
+    while not rt.stopping:
+        duration = rt.compute_model.iteration_time(slot.wid)
+        grad = produce_gradient(rt, slot)
+        tracer.begin(slot.wid, "compute", rt.engine.now)
+        yield Timeout(duration)
+        tracer.end(slot.wid, "compute", rt.engine.now)
+        if rt.dgc_config is None:
+            tracer.begin(slot.wid, "global_agg", rt.engine.now)
+            rows = yield from reference_allgather_dense(rt, slot, ring, grad)
+            tracer.end(slot.wid, "global_agg", rt.engine.now)
+            if slot.comp is not None and rows:
+                agg = rt.robust.aggregate(rows, site="arsgd")
+                if agg is not None:
+                    slot.comp.apply_gradient(agg, rt.lr_at_round(slot.iterations))
+        else:
+            sparse, nbytes = None, 1
+            if grad is not None:
+                sparse = slot.dgc.compress(grad, epoch=rt.sample_clock.epoch())
+                nbytes = sparse.nbytes
+            elif slot.dgc is not None:
+                nbytes = slot.dgc.compressed_bytes(epoch=rt.sample_clock.epoch())
+            tracer.begin(slot.wid, "global_agg", rt.engine.now)
+            total = yield from reference_allgather_sparse(rt, slot, ring, sparse, nbytes)
+            tracer.end(slot.wid, "global_agg", rt.engine.now)
+            if slot.comp is not None and total is not None:
+                slot.comp.apply_gradient(total / len(ring), rt.lr_at_round(slot.iterations))
+        rt.on_iteration(slot)
+
+
+ALLGATHER_PATHS = {
+    "dgc": lambda mode: dict(dgc=True, dgc_config=mini_dgc_config(4) if mode == "full" else None),
+    "robust-dense": lambda mode: dict(robust=RobustConfig(aggregator="median")),
+}
+# ring label -> (workers, a crashed worker): one worker per machine, so
+# every hop crosses the NIC the flaky link drops on.
+ALLGATHER_RINGS = {"0": (1, None), "2": (2, None), "3": (3, None), "5": (5, None),
+                   "0-1-2-4-5": (6, 3)}
+
+
+def allgather_config(path, mode, ring, t0=None, flaky=False):
+    workers, crashed = ALLGATHER_RINGS[ring]
+    cluster = paper_cluster(bandwidth_gbps=56, machines=workers, gpus_per_machine=1)
+    overrides = dict(num_workers=workers, cluster=cluster, **ALLGATHER_PATHS[path](mode))
+    if t0 is not None:
+        events = () if crashed is None else (
+            FaultEvent(time=0.1 * t0, kind="crash", worker=crashed),
+        )
+        if flaky:
+            events += FAULT_SCENARIOS["flaky"](t0, workers, workers)
+        overrides["faults"] = FaultConfig(
+            events=events, heartbeat_interval=0.01 * t0, heartbeat_timeout=0.2 * t0,
+            max_virtual_time=20 * t0,
+        )
+    if mode == "timing":
+        return small_timing_config("ar-sgd", trace=True, **overrides)
+    return small_full_config("ar-sgd", epochs=1.0, **overrides)
+
+
+@pytest.mark.parametrize("ring", list(ALLGATHER_RINGS))
+@pytest.mark.parametrize("mode", ["timing", "full"])
+@pytest.mark.parametrize("path", list(ALLGATHER_PATHS))
+def test_ring_allgather_is_the_old_loops(path, mode, ring, monkeypatch):
+    """Clean, and under a flaky link (and the survivors' ring after a
+    crash): the one ring allgather sends, waits and adds what the two
+    old loops did, to the event and the bit."""
+    swap = [(arsgd, "_arsgd_worker", reference_arsgd_worker)]
+    clean = allgather_config(path, mode, ring)
+    seen = observe(clean, monkeypatch)
+    t0 = seen["clock"]
+    assert seen == observe(clean, monkeypatch, swap)
+    workers, crashed = ALLGATHER_RINGS[ring]
+    for flaky in (False, True):
+        if crashed is None and not flaky:
+            continue  # the clean run above
+        cfg = allgather_config(path, mode, ring, t0, flaky)
+        seen = observe(cfg, monkeypatch)
+        assert seen == observe(cfg, monkeypatch, swap)
+        summary = seen["faults"]
+        assert [e["worker"] for e in summary["evictions"]] == [crashed] * (crashed is not None)
+        assert (summary["retransmits"] > 0) == (flaky and workers > 1)
+
+
+def test_ring_allgather_returns_the_blocks_in_step_order():
+    """Member r receives ranks r−1, r−2, … in that order, each block as
+    its owner sent it; a ring of one sends nothing."""
+    ring = [0, 1, 2, 4, 5]
+    runner = DistributedRunner(small_timing_config("gosgd"))
+    rt = runner.runtime
+    rt.stopping = True
+    out = {}
+
+    def member(wid):
+        out[wid] = yield from ring_allgather(
+            rt, rt.workers[wid], ring, "test-gather", np.full(3, float(wid)), 24,
+            {"worker": wid},
+        )
+
+    for wid in ring:
+        rt.engine.spawn(member(wid), f"gather-w{wid}")
+    rt.engine.run()
+    for rank, wid in enumerate(ring):
+        order = [ring[(rank - k) % len(ring)] for k in range(1, len(ring))]
+        assert [m.meta["worker"] for m in out[wid]] == order
+        assert [m.payload[0] for m in out[wid]] == order
+        assert [m.meta["step"] for m in out[wid]] == list(range(len(ring) - 1))
+        assert rt.workers[wid].node.sent_messages == len(ring) - 1
+    alone = ring_allgather(rt, rt.workers[3], [3], "test-gather", np.zeros(3), 24)
+    with pytest.raises(StopIteration) as stop:
+        next(alone)
+    assert stop.value.value == [] and rt.workers[3].node.sent_messages == 0
+
+
+# -- (d) BSP's entry-mean fold vs the old leader and rack loops -------------
+
+
+def reference_rack_aggregator(rt, node, leader_slots, workers):
+    """The PS tree's middle tier as it was, keyed by entry label; its
+    forwards carry the worker count the shard now weighs by."""
+    entries = rt.comm_plan.entries
+    label_to_idx = {e.label: i for i, e in enumerate(entries)}
+    n = len(leader_slots)
+    owner = leader_slots[0].wid
+    get_req = Get(node.mailbox("req"))
+    get_reply = Get(node.mailbox("reply"))
+    num_shards = bsp._active_shards(rt)
+    while not rt.stopping:
+        counts = [0] * len(entries)
+        sums = [None] * len(entries)
+        for _ in range(n * len(entries)):
+            msg = yield get_req
+            idx = label_to_idx[msg.meta["entry"]]
+            if msg.payload is not None:
+                payload = np.asarray(msg.payload, dtype=np.float64)
+                sums[idx] = payload if sums[idx] is None else sums[idx] + payload
+            counts[idx] += 1
+            yield rt.ctx.comm_model.agg_timeout(msg.nbytes)
+            if counts[idx] == n:
+                if sums[idx] is not None:
+                    sums[idx] /= n
+                node.send_nowait(
+                    rt.ps_nodes[entries[idx].shard_id], "req", nbytes=entries[idx].nbytes,
+                    payload=sums[idx],
+                    meta={"op": "grad", "worker": owner, "entry": entries[idx].label,
+                          "reply_to": node.node_id, "count": workers},
+                    trace_worker=owner,
+                )
+        if rt.stopping:
+            return
+        for _ in range(num_shards):
+            msg = yield get_reply
+            for slot in leader_slots:
+                node.send_nowait(
+                    slot.node, "reply", nbytes=msg.nbytes,
+                    payload=msg.payload.copy() if msg.payload is not None else None,
+                    meta=dict(msg.meta, trace_worker=slot.wid), trace_worker=slot.wid,
+                )
+
+
+def reference_leader_worker(rt, slot, peers, agg_node=None):
+    """BSP's group leader as it was: the group's copies counted and
+    summed as they arrive, each mean forwarded (or scattered for DGC) on
+    its last copy; its forwards carry the group size."""
+    tracer = rt.tracer
+    entries = rt.comm_plan.entries
+    group_size = len(peers) + 1
+    dgc_on = rt.dgc_config is not None
+    get_lagg = Get(slot.node.mailbox("lagg"))
+    while not rt.stopping:
+        duration = rt.compute_model.iteration_time(slot.wid)
+        grad = produce_gradient(rt, slot)
+        rt.spawn(bsp._leader_self_feed(rt, slot, grad, duration),
+                 name=f"bsp-feed-w{slot.wid}", owner=slot.wid)
+        counts = [0] * len(entries)
+        sums = [None] * len(entries)
+        compute_end = last_peer_arrival = None
+        agg_grad = np.zeros(rt.total_elements) if grad is not None else None
+        for _ in range(group_size * len(entries)):
+            msg = yield get_lagg
+            idx = msg.meta["entry_idx"]
+            if msg.meta["worker"] == slot.wid:
+                compute_end = rt.engine.now
+            else:
+                last_peer_arrival = rt.engine.now
+            if msg.payload is not None:
+                payload = np.asarray(msg.payload, dtype=np.float64)
+                sums[idx] = payload if sums[idx] is None else sums[idx] + payload
+            counts[idx] += 1
+            if counts[idx] == group_size:
+                if sums[idx] is not None:
+                    sums[idx] /= group_size
+                if agg_grad is not None and sums[idx] is not None:
+                    scatter_ranges(agg_grad, rt.entry_ranges(entries[idx]), sums[idx])
+                if not dgc_on:
+                    slot.node.send_nowait(
+                        agg_node if agg_node is not None else rt.ps_nodes[entries[idx].shard_id],
+                        "req", nbytes=entries[idx].nbytes, payload=sums[idx],
+                        meta={"op": "grad", "worker": slot.wid, "entry": entries[idx].label,
+                              "count": group_size},
+                        trace_worker=slot.wid,
+                    )
+        if compute_end is not None and last_peer_arrival is not None:
+            if last_peer_arrival > compute_end:
+                tracer.record(slot.wid, "local_agg", compute_end, last_peer_arrival)
+        if dgc_on:
+            yield from send_gradient_plan(
+                rt, slot, agg_grad, kind="req",
+                meta={"op": "grad", "worker": slot.wid, "count": group_size},
+            )
+        tracer.begin(slot.wid, "global_agg", rt.engine.now)
+        flat = yield from collect_shard_replies(rt, slot, bsp._active_shards(rt))
+        tracer.end(slot.wid, "global_agg", rt.engine.now)
+        if slot.comp is not None and flat is not None:
+            slot.comp.set_params(flat)
+        for peer in peers:
+            slot.node.send_nowait(
+                peer.node, "bcast", nbytes=rt.total_elements * rt.sharding.bytes_per_param,
+                payload=flat.copy() if flat is not None else None, meta={"worker": slot.wid},
+            )
+        rt.on_iteration(slot)
+
+
+def tree_config(mode, variant):
+    """Two racks of two machines, equal groups throughout."""
+    overrides = dict(VARIANTS[variant], ps_topology="tree", num_ps_shards=2)
+    cluster = hierarchical_cluster(machines=4, machines_per_rack=2, gpus_per_machine=2,
+                                   bandwidth_gbps=10 if mode == "timing" else 56)
+    if mode == "timing":
+        return small_timing_config("bsp", trace=True, cluster=cluster, **overrides)
+    return small_full_config("bsp", cluster=cluster, epochs=1.0, **overrides)
+
+
+@pytest.mark.parametrize(
+    "topology,variant",
+    [("flat", v) for v in VARIANTS] + [("tree", "plain"), ("tree", "waitfree")],
+)
+@pytest.mark.parametrize("mode", ["timing", "full"])
+def test_entry_mean_fold_is_the_old_leader_and_rack_loops(mode, topology, variant, monkeypatch):
+    cfg = walk_config("bsp", mode, variant) if topology == "flat" else tree_config(mode, variant)
+    folded = observe(cfg, monkeypatch)
+    reference = observe(cfg, monkeypatch, [
+        (bsp, "_leader_worker", reference_leader_worker),
+        (bsp, "_rack_aggregator", reference_rack_aggregator),
+    ])
+    assert folded["log"], "no message was logged"
+    assert folded == reference
 
 
 # -- ASP's per-layer predicate ----------------------------------------------

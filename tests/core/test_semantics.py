@@ -7,11 +7,14 @@ the things that make the paper's comparison meaningful.
 import numpy as np
 import pytest
 
+from repro.core import bsp
 from repro.core.complexity import communication_complexity
 from repro.core.runner import DistributedRunner
-from repro.sim.cluster import paper_cluster
+from repro.faults.config import FaultConfig, FaultEvent
+from repro.sim.cluster import hierarchical_cluster, paper_cluster
 
 from tests.conftest import small_full_config, small_timing_config
+from tests.core.test_single_worker import single_worker_run
 
 
 class TestSynchronousConsistency:
@@ -53,6 +56,81 @@ class TestSynchronousConsistency:
         runner.run()
         counts = {w.iterations for w in runner.runtime.workers}
         assert max(counts) - min(counts) <= 1
+
+
+def applied_minus_live_mean(cfg, monkeypatch):
+    """Run BSP and return the live workers and, for every round since the
+    last (re)spawn, the largest gap between the update the shard applied
+    and the mean of the live workers' gradients of that round."""
+    phase = [0]
+    grads, applied = {}, {}
+    spawn, produce = bsp.BSP.spawn_workers, bsp.produce_gradient
+    apply = bsp.BSPShard.apply_gradient
+
+    def spawn_workers(self, runtime, wids):
+        phase[0] += 1
+        spawn(self, runtime, wids)
+
+    def produce_gradient(rt, slot):
+        grad = produce(rt, slot)
+        grads.setdefault((phase[0], slot.wid), []).append(grad.copy())
+        return grad
+
+    def apply_gradient(self, grad, lr):
+        applied.setdefault(phase[0], []).append(grad.copy())
+        apply(self, grad, lr)
+
+    monkeypatch.setattr(bsp.BSP, "spawn_workers", spawn_workers)
+    monkeypatch.setattr(bsp, "produce_gradient", produce_gradient)
+    monkeypatch.setattr(bsp.BSPShard, "apply_gradient", apply_gradient)
+    runner = DistributedRunner(cfg)
+    runner.run()
+    live = runner.runtime.live_worker_ids()
+    shard = runner.runtime.ps_nodes[0]
+    return live, [
+        np.abs(update - shard.assignment.gather(
+            np.mean([grads[phase[0], w][k] for w in live], axis=0)
+        )).max()
+        for k, update in enumerate(applied[phase[0]])
+    ]
+
+
+class TestBSPAppliesTheMeanGradient:
+    """Machine leaders forward group means and rack aggregators forward
+    rack means; each carries its worker count, so groups of unequal size
+    still apply the mean over the live workers, not a mean of means."""
+
+    @pytest.mark.parametrize("workers,gpus", [(3, 2), (5, 4)], ids=["3-on-2x2", "5-on-2x4"])
+    def test_unequal_machine_groups(self, workers, gpus, monkeypatch):
+        cfg = small_full_config(
+            "bsp", num_workers=workers, epochs=1.0,
+            cluster=paper_cluster(machines=2, gpus_per_machine=gpus),
+        )
+        _, gaps = applied_minus_live_mean(cfg, monkeypatch)
+        assert gaps and max(gaps) <= 1e-15
+
+    def test_unequal_racks(self, monkeypatch):
+        """Racks of two machines and one: the PS tree's aggregators
+        cover four workers and two."""
+        cluster = hierarchical_cluster(machines=3, machines_per_rack=2, gpus_per_machine=2)
+        cfg = small_full_config(
+            "bsp", num_workers=6, epochs=1.0, cluster=cluster, ps_topology="tree"
+        )
+        _, gaps = applied_minus_live_mean(cfg, monkeypatch)
+        assert gaps and max(gaps) <= 1e-15
+
+    def test_after_an_eviction(self, monkeypatch):
+        """Worker 1's crash leaves machine 0 a group of one beside
+        machine 1's group of two."""
+        faults = FaultConfig(
+            events=(FaultEvent(time=0.05, kind="crash", worker=1),),
+            heartbeat_interval=0.005,
+            heartbeat_timeout=0.02,
+        )
+        cfg = small_full_config("bsp", epochs=2.0, faults=faults)
+        live, gaps = applied_minus_live_mean(cfg, monkeypatch)
+        assert live == [0, 2, 3]
+        assert gaps and max(gaps) <= 1e-15
 
 
 class TestStalenessBound:
@@ -153,11 +231,7 @@ class TestADPSGDInvariants:
         assert all(w.iterations > 0 for w in runner.runtime.workers)
 
     def test_single_worker_degenerates_to_sgd(self):
-        cfg = small_full_config(
-            "ad-psgd", num_workers=1, cluster=paper_cluster(machines=1), epochs=1.0
-        )
-        history = DistributedRunner(cfg).run()
-        assert history.total_iterations > 0
+        assert single_worker_run("ad-psgd") == single_worker_run("ar-sgd")
 
 
 class TestCommunicationVolumes:
