@@ -54,12 +54,15 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 import random
 import time
+import weakref
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Executor, Future, wait
 from dataclasses import dataclass, field, fields, is_dataclass
 from itertools import islice
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -93,52 +96,132 @@ DEFAULT_CACHE_DIR = Path.home() / ".cache" / "repro"
 # -- fingerprinting -----------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _fingerprint_fields(cls: type) -> tuple[tuple[str, bool], ...]:
-    """``(name, omit_if_none)`` per field of a config dataclass type."""
-    return tuple(
-        (f.name, f.metadata.get("fingerprint") == "omit-if-none") for f in fields(cls)
+# The fingerprint hashes one canonical JSON text of the config tree,
+# written directly (the text ``json.dumps(..., sort_keys=True,
+# separators=(",", ":"))`` gives for the tagged document below, byte
+# for byte — tests/experiments/test_fingerprint_oracle.py keeps that
+# reference):
+#
+# * a dataclass is ``{"__dataclass__": <class name>, "fields": {...}}``
+#   with its fields in name order; fields marked "omit-if-none" vanish
+#   when unset, so adding such a field to a config dataclass does not
+#   invalidate every previously pinned fingerprint;
+# * a dict is ``{"__dict__": [[str(key), value], ...]}`` sorted by
+#   ``str(key)``; tuples and lists coincide (both are sequences of run
+#   parameters); a set is ``{"__set__": sorted reprs}``; an ndarray is
+#   ``{"__ndarray__": tolist()}``; anything else is ``{"__repr__": ...}``.
+#
+# Tagging dataclasses by class name keeps, e.g., a ``DGCConfig`` and a
+# plain dict with the same fields from colliding.
+#
+# Which of these forms a value takes depends only on its type, so
+# ``_writer`` decides it once per type and every later value of that
+# type goes straight to its writer.
+
+
+def _text(obj) -> str:
+    """Canonical JSON text of one config value."""
+    return _writer(type(obj))(obj)
+
+
+def _float_text(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+
+
+#: id -> (weak reference, text) of each live frozen config object whose
+#: fields hold only scalars and such objects: its text cannot change,
+#: so it is written once. The reference's callback drops the entry when
+#: the object dies, before its id can be reused.
+_frozen_texts: dict[int, tuple[weakref.ref, str]] = {}
+_SCALARS = (type(None), bool, int, float, str)
+
+
+def _is_constant(value) -> bool:
+    return type(value) in _SCALARS or id(value) in _frozen_texts
+
+
+def _remember(obj, text: str) -> None:
+    key = id(obj)
+    try:
+        ref = weakref.ref(obj, lambda _: _frozen_texts.pop(key, None))
+    except TypeError:  # a slotted class without weak references
+        return
+    _frozen_texts[key] = (ref, text)
+
+
+def _dataclass_writer(cls: type) -> Callable[[object], str]:
+    """The per-class plan: pre-quoted head, and the fields in key order
+    as ``(name, '"name":', omit_if_none)``."""
+    head = '{"__dataclass__":' + _quote(cls.__name__) + ',"fields":{'
+    plan = tuple(
+        (f.name, _quote(f.name) + ":", f.metadata.get("fingerprint") == "omit-if-none")
+        for f in sorted(fields(cls), key=lambda f: f.name)
+    )
+    frozen = cls.__dataclass_params__.frozen
+
+    def write(obj) -> str:
+        if frozen and id(obj) in _frozen_texts:
+            return _frozen_texts[id(obj)][1]
+        parts = []
+        for name, key, omit_if_none in plan:
+            value = getattr(obj, name)
+            if value is not None:
+                parts.append(key + _writer(type(value))(value))
+            elif not omit_if_none:
+                parts.append(key + "null")
+        text = head + ",".join(parts) + "}}"
+        if frozen and all(_is_constant(getattr(obj, name)) for name, _, _ in plan):
+            _remember(obj, text)
+        return text
+
+    return write
+
+
+def _dict_text(obj: dict) -> str:
+    pairs = sorted(obj.items(), key=lambda kv: str(kv[0]))
+    return (
+        '{"__dict__":['
+        + ",".join(f"[{_quote(str(k))},{_text(v)}]" for k, v in pairs)
+        + "]}"
     )
 
 
-def _canonical(obj):
-    """Recursively reduce a config value to canonical JSON-able form.
-
-    Dataclasses are tagged with their class name so that, e.g., a
-    ``DGCConfig`` and a plain dict with the same fields cannot
-    collide; dict keys are sorted; tuples and lists coincide (both are
-    sequences of run parameters).
-    """
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return {"__ndarray__": obj.tolist()}
-    if is_dataclass(obj) and not isinstance(obj, type):
-        # Fields marked "omit-if-none" vanish from the document when
-        # unset, so adding such a field to a config dataclass does not
-        # invalidate every previously pinned fingerprint.
-        document = {}
-        for name, omit_if_none in _fingerprint_fields(type(obj)):
-            value = getattr(obj, name)
-            if not (omit_if_none and value is None):
-                document[name] = _canonical(value)
-        return {"__dataclass__": type(obj).__name__, "fields": document}
-    if isinstance(obj, dict):
-        return {
-            "__dict__": [
-                [str(k), _canonical(v)]
-                for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))
-            ]
-        }
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
-    if isinstance(obj, (set, frozenset)):
-        return {"__set__": sorted(repr(v) for v in obj)}
-    return {"__repr__": repr(obj)}
+@functools.lru_cache(maxsize=None)
+def _writer(cls: type) -> Callable[[object], str]:
+    """The writer for values of type ``cls`` (first matching form wins)."""
+    if cls is type(None):
+        return lambda obj: "null"
+    if cls is bool:
+        return lambda obj: "true" if obj else "false"
+    if issubclass(cls, int):
+        return int.__repr__
+    if issubclass(cls, float):
+        return _float_text
+    if issubclass(cls, str):
+        return _quote
+    if issubclass(cls, np.integer):
+        return lambda obj: int.__repr__(int(obj))
+    if issubclass(cls, np.floating):
+        return lambda obj: _float_text(float(obj))
+    if issubclass(cls, np.ndarray):
+        return lambda obj: (
+            '{"__ndarray__":'
+            + json.dumps(obj.tolist(), sort_keys=True, separators=(",", ":"))
+            + "}"
+        )
+    if is_dataclass(cls) and not issubclass(cls, type):
+        return _dataclass_writer(cls)
+    if issubclass(cls, dict):
+        return _dict_text
+    if issubclass(cls, (list, tuple)):
+        return lambda obj: "[" + ",".join(map(_text, obj)) + "]"
+    if issubclass(cls, (set, frozenset)):
+        return lambda obj: (
+            '{"__set__":[' + ",".join(map(_quote, sorted(map(repr, obj)))) + "]}"
+        )
+    return lambda obj: '{"__repr__":' + _quote(repr(obj)) + "}"
 
 
 def config_fingerprint(config: RunConfig) -> str:
@@ -152,8 +235,7 @@ def config_fingerprint(config: RunConfig) -> str:
         raise TypeError(
             f"config_fingerprint expects a RunConfig instance, got {config!r}"
         )
-    document = {"repro_version": __version__, "config": _canonical(config)}
-    blob = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    blob = '{"config":' + _text(config) + ',"repro_version":' + _quote(__version__) + "}"
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

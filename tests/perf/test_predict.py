@@ -19,16 +19,17 @@ import numpy as np
 import pytest
 
 from repro.core.runner import DistributedRunner
-from repro.experiments.config import timing_config
+from repro.experiments.config import PAPER_HYPERPARAMS, timing_config
 from repro.experiments.scalability import scale_worker_counts
 from repro.perf import (
     SUPPORTED_ALGORITHMS,
     cross_validate,
     expected_max_lognormal,
+    models,
     predict_run,
     prediction_to_result,
 )
-from repro.perf.models import build_inputs
+from repro.perf.models import build_inputs, estimate_iteration
 
 TOLERANCE = 0.10
 
@@ -138,6 +139,55 @@ def test_expected_max_lognormal_properties():
     assert expected_max_lognormal(np.ones(64), 0.0) == pytest.approx(1.0, rel=1e-6)
     # the barrier is never shorter than the slowest mean
     assert expected_max_lognormal(np.array([1.0, 3.0]), 0.05) >= 3.0
+
+
+def sweep_ops_ladder():
+    """The ledger's ``sweep_ops`` predict ladder: 224 configs, 16 worker sets."""
+    return [
+        timing_config(algo, num_workers=workers, bandwidth_gbps=bandwidth, seed=0)
+        for algo in PAPER_HYPERPARAMS
+        for bandwidth in (10.0, 56.0)
+        for workers in scale_worker_counts(10_000)
+    ]
+
+
+def test_trapezoid_is_numpys_on_the_ladder(monkeypatch):
+    """The barrier integral equals the installed ``np.trapezoid`` bit for
+    bit on every worker set of the ladder."""
+    integrals = []
+
+    def checked(y, x):
+        value = original(y, x)
+        assert value == float(np.trapezoid(y, x))
+        integrals.append(value)
+        return value
+
+    original = models._trapezoid
+    monkeypatch.setattr(models, "_trapezoid", checked)
+    models._expected_max.cache_clear()
+    for cfg in sweep_ops_ladder():
+        build_inputs(cfg)
+    assert len(integrals) == len(scale_worker_counts(10_000)) == 16
+
+
+def test_barrier_memo_changes_no_estimate():
+    def summary(est):
+        return est.throughput, est.round_time, est.regime, est.bounds
+
+    ladder = sweep_ops_ladder()
+    cold = []
+    for cfg in ladder:
+        models._expected_max.cache_clear()
+        cold.append(summary(estimate_iteration(cfg)))
+    models._expected_max.cache_clear()
+    warm = [summary(estimate_iteration(cfg)) for cfg in ladder]
+    assert warm == cold
+    info = models._expected_max.cache_info()
+    assert info.misses == 16 and info.hits == len(ladder) - 16
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    for n in range(2 * info.maxsize):
+        expected_max_lognormal(np.full(n + 1, 0.1), 0.05)
+    assert models._expected_max.cache_info().currsize == info.maxsize
 
 
 @pytest.mark.parametrize("num_workers", [1, 3, 4, 9, 24, 10_000])
