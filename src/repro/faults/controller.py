@@ -122,6 +122,8 @@ class FaultController:
         self.quarantines: list[dict] = []
         self.events_applied: list[FaultEvent] = []
         self.iterations_lost = 0
+        # (kind, machine or rack) -> rate fractions of its open degrade windows.
+        self._degraded: dict[tuple[str, int | None], list[float]] = {}
 
     def _validate_events(self, runtime: "Runtime") -> None:
         """Reject events that cannot touch this cluster.
@@ -350,11 +352,7 @@ class FaultController:
                 machine=event.machine,
                 detail=f"fraction={event.rate_fraction}",
             )
-            self.rt.ctx.network.scale_machine_rate(event.machine, event.rate_fraction)
-            assert event.duration is not None
-            self.rt.engine._schedule(
-                event.duration, lambda m=event.machine: self._restore_rate(m)
-            )
+            self._degrade(event, event.machine)
         elif event.kind == "partition":
             assert event.machine is not None and event.duration is not None
             self._record(
@@ -397,11 +395,7 @@ class FaultController:
                 "uplink_degrade",
                 detail=f"rack={event.rack} fraction={event.rate_fraction}",
             )
-            self.rt.ctx.network.scale_rack_uplink(event.rack, event.rate_fraction)
-            assert event.duration is not None
-            self.rt.engine._schedule(
-                event.duration, lambda r=event.rack: self._restore_uplink(r)
-            )
+            self._degrade(event, event.rack)
         elif event.kind == "uplink_flap":
             assert event.rack is not None and event.drop_prob is not None
             assert event.duration is not None
@@ -413,24 +407,43 @@ class FaultController:
                 event.rack, self.rt.engine.now + event.duration, event.drop_prob
             )
         elif event.kind == "spine_degrade":
-            assert event.rate_fraction is not None and event.duration is not None
+            assert event.rate_fraction is not None
             self._record(
                 "spine_degrade", detail=f"fraction={event.rate_fraction}"
             )
-            self.rt.ctx.network.scale_spine(event.rate_fraction)
-            self.rt.engine._schedule(event.duration, self._restore_spine)
+            self._degrade(event, None)
 
-    def _restore_rate(self, machine: int) -> None:
-        self.rt.ctx.network.scale_machine_rate(machine, 1.0)
-        self._record("link_restore", machine=machine)
+    def _degrade(self, event: FaultEvent, target: int | None) -> None:
+        """Open one degrade window. Overlapping windows on one target
+        each close only themselves, and the slowest open one sets the
+        rate: the max-severity rule partitions follow."""
+        assert event.duration is not None
+        fractions = self._degraded.setdefault((event.kind, target), [])
+        fractions.append(event.rate_fraction)
+        self._set_rate(event.kind, target, min(fractions))
+        self.rt.engine._at(
+            event.duration, self._restore, (event.kind, target, event.rate_fraction)
+        )
 
-    def _restore_uplink(self, rack: int) -> None:
-        self.rt.ctx.network.scale_rack_uplink(rack, 1.0)
-        self._record("uplink_restore", detail=f"rack={rack}")
+    def _restore(self, kind: str, target: int | None, fraction: float) -> None:
+        fractions = self._degraded[kind, target]
+        fractions.remove(fraction)
+        self._set_rate(kind, target, min(fractions, default=1.0))
+        if kind == "link_degrade":
+            self._record("link_restore", machine=target)
+        elif kind == "uplink_degrade":
+            self._record("uplink_restore", detail=f"rack={target}")
+        else:
+            self._record("spine_restore")
 
-    def _restore_spine(self) -> None:
-        self.rt.ctx.network.scale_spine(1.0)
-        self._record("spine_restore")
+    def _set_rate(self, kind: str, target: int | None, fraction: float) -> None:
+        network = self.rt.ctx.network
+        if kind == "link_degrade":
+            network.scale_machine_rate(target, fraction)
+        elif kind == "uplink_degrade":
+            network.scale_rack_uplink(target, fraction)
+        else:
+            network.scale_spine(fraction)
 
     # -- gradient corruption ---------------------------------------------
     def corrupt_gradient(self, slot: "WorkerSlot", grad):
@@ -529,7 +542,8 @@ class FaultController:
 
         Must not be called from inside a registered process — the
         membership change kills them all, including the caller. Callers
-        defer through ``engine._schedule(0.0, ...)`` instead.
+        defer through ``engine._immediate(controller.quarantine, (wid,))``
+        instead.
         """
         if not self.membership.is_live(wid) or len(self.membership) <= 1:
             return

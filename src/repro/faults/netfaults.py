@@ -39,12 +39,13 @@ class LinkFaultModel:
         self.rng = rng
         # machine -> heal time (virtual seconds)
         self.partitioned_until: dict[int, float] = {}
-        # machine (or None = every link) -> (until, drop probability)
-        self.drop_until: dict[int | None, tuple[float, float]] = {}
+        # machine (or None = every link) -> open (until, drop probability)
+        # windows; the largest probability among them applies.
+        self.drop_until: dict[int | None, list[tuple[float, float]]] = {}
         # Rack-scoped windows (tor_outage / uplink_flap). Consulted only
         # for messages whose endpoints resolve to *different* racks.
         self.rack_partitioned_until: dict[int, float] = {}
-        self.rack_drop_until: dict[int, tuple[float, float]] = {}
+        self.rack_drop_until: dict[int, list[tuple[float, float]]] = {}
         # machine -> rack resolver; installed by the fault controller on
         # hierarchical fabrics, None on flat ones (rack windows are then
         # unreachable — RunConfig validation rejects fabric events).
@@ -66,7 +67,7 @@ class LinkFaultModel:
         self.armed_until = max(self.armed_until, until)
 
     def set_drop(self, machine: int | None, until: float, prob: float) -> None:
-        self.drop_until[machine] = (until, prob)
+        self.drop_until.setdefault(machine, []).append((until, prob))
         self.armed_until = max(self.armed_until, until)
 
     def rack_partition(self, rack: int, until: float) -> None:
@@ -81,7 +82,7 @@ class LinkFaultModel:
     def set_rack_drop(self, rack: int, until: float, prob: float) -> None:
         """Flapping uplink: inter-rack messages touching the rack are
         each lost with ``prob`` (and retransmitted) until ``until``."""
-        self.rack_drop_until[rack] = (until, prob)
+        self.rack_drop_until.setdefault(rack, []).append((until, prob))
         self.armed_until = max(self.armed_until, until)
 
     # -- the Network.transfer hook ---------------------------------------
@@ -122,14 +123,7 @@ class LinkFaultModel:
                     else:
                         del self.rack_partitioned_until[rack]
                 for rack in (src_rack, dst_rack):
-                    window = self.rack_drop_until.get(rack)
-                    if window is None:
-                        continue
-                    until, p = window
-                    if now < until:
-                        prob = max(prob, p)
-                    else:
-                        del self.rack_drop_until[rack]
+                    prob = max(prob, _open_drop(self.rack_drop_until, rack, now))
 
         if prob > 0.0:
             retries = 0
@@ -146,12 +140,19 @@ class LinkFaultModel:
     def _drop_prob(self, src: int, dst: int, now: float) -> float:
         prob = 0.0
         for scope in (None, src, dst):
-            window = self.drop_until.get(scope)
-            if window is None:
-                continue
-            until, p = window
-            if now < until:
-                prob = max(prob, p)
-            else:
-                del self.drop_until[scope]
+            prob = max(prob, _open_drop(self.drop_until, scope, now))
         return prob
+
+
+def _open_drop(windows: dict, scope: int | None, now: float) -> float:
+    """The largest drop probability among ``scope``'s open windows;
+    closed ones are forgotten."""
+    scoped = windows.get(scope)
+    if scoped is None:
+        return 0.0
+    scoped = [window for window in scoped if now < window[0]]
+    if not scoped:
+        del windows[scope]
+        return 0.0
+    windows[scope] = scoped
+    return max(p for _, p in scoped)

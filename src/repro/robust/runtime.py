@@ -173,7 +173,7 @@ class RobustRuntime:
         self._record("quarantine_request", worker=wid)
         # Deferred: the membership change kills every registered
         # process, so it must not run inside one.
-        self.rt.engine._schedule(0.0, lambda w=wid: controller.quarantine(w))
+        self.rt.engine._immediate(controller.quarantine, (wid,))
 
     # -- gradient-production hook ----------------------------------------
     def gradient_produced(self, slot: "WorkerSlot", grad) -> None:

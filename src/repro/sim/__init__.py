@@ -31,9 +31,8 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "Store",
             "Barrier",
             "AllOf",
-            "Interrupt",
         ),
-        "events": ("Event", "EventQueue"),
+        "events": ("Entry", "EventQueue"),
         "cluster": ("ClusterSpec", "MachineSpec", "GPUSpec", "paper_cluster"),
         "network": ("Network", "Port"),
         "costmodel": ("ComputeModel", "CommModel"),

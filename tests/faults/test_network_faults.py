@@ -7,8 +7,11 @@ loss; degraded links keep the analytic port model monotone.
 import numpy as np
 import pytest
 
+from repro.core.runner import DistributedRunner
+from repro.experiments.config import timing_config
+from repro.faults.config import FaultConfig, FaultEvent
 from repro.faults.netfaults import LinkFaultModel
-from repro.sim.cluster import paper_cluster
+from repro.sim.cluster import hierarchical_cluster, paper_cluster
 from repro.sim.engine import Engine, Timeout
 from repro.sim.network import Network
 
@@ -197,3 +200,64 @@ class TestOutOfBand:
         eng, spec, net = make_net()
         t = run_transfer(eng, net, 1, 1, 32, oob=True)
         assert t == pytest.approx(spec.machine.intra_latency_s)
+
+
+class TestOverlappingWindows:
+    """Two windows on one target: each closes only itself, the most
+    severe open one applies (the rule partitions follow)."""
+
+    #: (start, duration, severity) of a short window inside a long one,
+    #: and probe instants: both open, long only, none.
+    SHORT, LONG = (0.1, 0.2, 0.5), (0.2, 0.4, 0.25)
+    PROBES = (0.15, 0.25, 0.45, 0.55, 0.7)
+
+    @staticmethod
+    def rates_seen(kind, target_field, read):
+        """Degrade fraction ``read(network)`` returns at each probe of a
+        run under the short and the long degrade window."""
+        events = tuple(
+            FaultEvent(
+                time=start, kind=kind, duration=duration, rate_fraction=fraction,
+                **({target_field: 1} if target_field else {}),
+            )
+            for start, duration, fraction in (TestOverlappingWindows.SHORT,
+                                              TestOverlappingWindows.LONG)
+        )
+        cluster = hierarchical_cluster(machines=4, machines_per_rack=2, bandwidth_gbps=10)
+        cfg = timing_config(
+            "ar-sgd", num_workers=16, cluster=cluster, measure_iters=2, warmup_iters=1,
+            trace=False, faults=FaultConfig(events=events),
+        )
+        runner = DistributedRunner(cfg)
+        seen = []
+        for t in TestOverlappingWindows.PROBES:
+            runner.engine._at(t, lambda: seen.append(read(runner.network)), ())
+        runner.run()
+        return seen
+
+    @pytest.mark.parametrize(
+        "kind,target_field,port",
+        [
+            ("link_degrade", "machine", lambda net: (net.tx[1], net.spec.network_bytes_per_s)),
+            ("uplink_degrade", "rack", lambda net: (net.tor_up[1], net.spec.uplink_bytes_per_s)),
+            ("spine_degrade", None, lambda net: (net.tor_up[0], net.spec.uplink_bytes_per_s)),
+        ],
+        ids=["link_degrade", "uplink_degrade", "spine_degrade"],
+    )
+    def test_degrade_windows_close_only_themselves(self, kind, target_field, port):
+        def fraction(net):
+            link, nominal = port(net)
+            return round(link.rate / nominal, 6)
+
+        assert self.rates_seen(kind, target_field, fraction) == [0.5, 0.25, 0.25, 0.25, 1.0]
+
+    @pytest.mark.parametrize("rack_scope", [False, True], ids=["drop", "uplink_flap"])
+    def test_drop_windows_close_only_themselves(self, rack_scope):
+        model = LinkFaultModel(np.random.default_rng(0))
+        model.rack_of = lambda machine: machine // 2
+        arm = model.set_rack_drop if rack_scope else model.set_drop
+        arm(1, until=0.7, prob=0.999999999)  # long, all but certain loss
+        arm(1, until=0.3, prob=1e-9)  # short, all but harmless
+        rto = 0.25
+        delays = [model.delivery_delay(1, 2, 100, now=t, rto=rto) for t in (0.2, 0.5, 0.8)]
+        assert delays == [64 * rto, 64 * rto, 0.0]  # _MAX_RETRIES cap, then healed

@@ -98,7 +98,7 @@ class TestScreenPeerUnit:
         class _Engine:
             now = 0.0
 
-            def _schedule(self, delay, cb):  # pragma: no cover - not hit
+            def _immediate(self, fn, args):  # pragma: no cover - not hit
                 pass
 
         class _Runtime:

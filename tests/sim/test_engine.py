@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import AllOf, Engine, Get, Interrupt, Signal, Timeout
+from repro.sim.engine import AllOf, Barrier, Engine, Get, Signal, Timeout
 
 
 class TestTimeout:
@@ -48,7 +48,7 @@ class TestProcessLifecycle:
 
         def parent():
             proc = eng.spawn(child())
-            value = yield proc
+            value = yield proc.done
             results.append(value)
 
         eng.spawn(parent())
@@ -267,20 +267,24 @@ class TestRunControl:
         final = eng.run(until=10.5)
         assert final == 10.5
 
-    def test_stop_halts_immediately(self):
+    def test_process_error_halts_the_run_immediately(self):
         eng = Engine()
-        count = [0]
+        ticks = []
 
-        def proc():
+        def ticker():
             while True:
                 yield Timeout(1.0)
-                count[0] += 1
-                if count[0] == 5:
-                    eng.stop()
+                ticks.append(eng.now)
 
-        eng.spawn(proc())
-        eng.run()
-        assert count[0] == 5
+        def bad():
+            yield Timeout(2.5)
+            raise RuntimeError("boom")
+
+        eng.spawn(ticker())
+        eng.spawn(bad(), name="bad")
+        with pytest.raises(RuntimeError, match="'bad' failed at t=2.5"):
+            eng.run()
+        assert ticks == [1.0, 2.0]
 
     def test_determinism(self):
         """Two identical engines produce identical event interleavings."""
@@ -435,22 +439,233 @@ class TestTailDelivery:
         log, _ = self.both(build)
         assert log == [("deliver", "a"), ("heir", "a", 2.0)]
 
-    def test_getter_interrupted_at_the_delivery_instant(self):
+    def test_getter_killed_at_the_delivery_instant(self):
         def build(eng, log):
             store = eng.store()
-
-            def body():
-                try:
-                    item = yield Get(store)
-                    log.append(("got", item))
-                except Interrupt as stop:
-                    log.append(("interrupted", stop.cause, len(store)))
-
-            waiter = eng.spawn(body())
-            eng._at(1.0, waiter.interrupt, ("go",))
+            victim = self.getter(eng, store, log, "victim")
+            eng._at(1.0, victim.kill, ())  # due first at the instant
             eng._at(1.0, self.deliver, (store, "a", log))
+            eng._at(1.0, lambda: log.append(("buffered", len(store))), ())
+            eng._at(2.0, lambda: self.getter(eng, store, log, "heir"), ())
 
         log, _ = self.both(build)
-        # The interrupt voided the wait before the deposit: the stale
-        # getter is skipped and the item stays in the mailbox.
-        assert log == [("deliver", "a"), ("interrupted", "go", 1)]
+        # The kill voided the wait before the deposit: the stale getter
+        # is skipped, the item waits in the mailbox for the next getter.
+        assert log == [("deliver", "a"), ("buffered", 1), ("heir", "a", 2.0)]
+
+
+class TestKill:
+    """``Process.kill`` abandons whatever the process is blocked on: the
+    wait token moves on, so no stale wake-up ever resumes it."""
+
+    def test_kill_runs_finally(self):
+        eng = Engine()
+        log = []
+
+        def victim():
+            try:
+                yield Timeout(100.0)
+            finally:
+                log.append("cleanup")
+
+        def attacker(p):
+            yield Timeout(1.0)
+            p.kill()
+            log.append("killed")
+
+        p = eng.spawn(victim())
+        eng.spawn(attacker(p))
+        eng.run()
+        # kill is synchronous: cleanup precedes the attacker's next line
+        assert log == ["cleanup", "killed"]
+        assert not p.alive and p.error is None
+
+    def test_kill_in_timeout(self):
+        eng = Engine()
+        log = []
+
+        def victim():
+            yield Timeout(100.0)
+            log.append("woke")
+
+        p = eng.spawn(victim())
+        eng._at(1.0, p.kill, ())
+        # The stale wake-up at t=100 still pops, as a no-op.
+        assert eng.run() == 100.0
+        assert log == [] and not p.alive
+
+    def test_killed_process_dies_cleanly(self):
+        eng = Engine()
+        done = []
+
+        def victim():
+            yield Timeout(100.0)
+
+        def watcher(p):
+            value = yield p.done
+            done.append((value, eng.now))
+
+        p = eng.spawn(victim())
+        eng.spawn(watcher(p))
+        eng._at(1.0, p.kill, ())
+        eng.run()  # must not raise
+        assert not p.alive and p.error is None
+        assert done == [(None, 1.0)]
+
+    def test_kill_dead_process_is_noop(self):
+        eng = Engine()
+
+        def quick():
+            yield Timeout(0.1)
+
+        p = eng.spawn(quick())
+        eng.run()
+        assert not p.alive
+        p.kill()  # no exception, no effect
+        eng.run()
+        assert p.error is None
+
+    def test_kill_in_get(self):
+        eng = Engine()
+        store = eng.store()
+        log = []
+
+        def victim():
+            log.append((yield Get(store)))
+
+        def attacker(p):
+            yield Timeout(1.0)
+            p.kill()
+            yield Timeout(1.0)
+            store.put("late")  # nobody is waiting any more
+
+        p = eng.spawn(victim())
+        eng.spawn(attacker(p))
+        eng.run()
+        assert log == []
+        assert len(store) == 1  # the late item stays queued
+
+    def test_killed_getter_does_not_swallow_item(self):
+        """An item scheduled for delivery to a since-killed getter is
+        re-queued, not lost."""
+        eng = Engine()
+        store = eng.store()
+        log = []
+
+        def victim():
+            log.append(("victim-got", (yield Get(store))))
+
+        def attacker(p):
+            store.put("item")  # schedules delivery to the victim
+            p.kill()  # ...which dies before the delivery event
+            yield Timeout(0.1)
+            msg = yield Get(store)
+            log.append(("rescued", msg))
+
+        p = eng.spawn(victim())
+        eng.spawn(attacker(p))
+        eng.run()
+        assert log == [("rescued", "item")]
+
+    def test_kill_in_allof(self):
+        eng = Engine()
+        signals = [Signal(), Signal()]
+        log = []
+
+        def victim():
+            yield AllOf(signals)
+            log.append("woke")
+
+        p = eng.spawn(victim())
+        eng._at(1.0, p.kill, ())
+        eng._at(2.0, signals[0].trigger, ())
+        eng._at(2.0, signals[1].trigger, ())
+        eng.run()
+        assert log == []
+
+    def test_kill_in_barrier_wait(self):
+        eng = Engine()
+        barrier = Barrier(eng, parties=3)
+        log = []
+
+        def waiter(i):
+            gen = yield barrier.wait()
+            log.append((i, gen, eng.now))
+
+        victim = eng.spawn(waiter(0))
+        eng.spawn(waiter(1))
+
+        def script():
+            yield Timeout(1.0)
+            victim.kill()
+            assert barrier.waiting == 1  # only the victim's arrival left
+            eng.spawn(waiter(2))
+            yield Timeout(1.0)
+            eng.spawn(waiter(3))
+
+        eng.spawn(script())
+        eng.run()
+        assert log == [(1, 0, 2.0), (2, 0, 2.0), (3, 0, 2.0)]
+
+    def test_killed_barrier_waiter_releases_slot(self):
+        eng = Engine()
+        barrier = Barrier(eng, parties=2)
+        log = []
+
+        def waiter(i):
+            gen = yield barrier.wait()
+            log.append((i, gen))
+
+        doomed = eng.spawn(waiter(0))
+
+        def script():
+            yield Timeout(1.0)
+            doomed.kill()
+            assert barrier.waiting == 0  # the dead waiter left no count
+            eng.spawn(waiter(1))  # a third party takes the freed slot
+            eng.spawn(waiter(2))
+
+        eng.spawn(script())
+        eng.run()
+        assert log == [(1, 0), (2, 0)]
+
+    def test_kill_schedule_is_deterministic(self):
+        """The same kill script yields the same event trace twice."""
+
+        def run_once():
+            eng = Engine()
+            trace = []
+
+            def worker(i):
+                while True:
+                    yield Timeout(0.5 + i * 0.1)
+                    trace.append(("tick", i, round(eng.now, 6)))
+
+            procs = [eng.spawn(worker(i)) for i in range(3)]
+
+            def chaos():
+                for victim in (1, 0):
+                    yield Timeout(0.75)
+                    procs[victim].kill()
+                    trace.append(("kill", victim, round(eng.now, 6)))
+
+            eng.spawn(chaos())
+            eng.run(until=3.0)
+            return trace
+
+        assert run_once() == run_once()
+
+    def test_fifo_tie_break_preserved_under_kill(self):
+        """Two processes resumed at the same instant keep spawn order
+        even when a third between them is killed."""
+        eng = Engine()
+        order = []
+
+        def worker(i):
+            yield Timeout(1.0)
+            order.append(i)
+
+        procs = [eng.spawn(worker(i)) for i in range(3)]
+        eng._at(0.5, procs[1].kill, ())
+        eng.run()
+        assert order == [0, 2]
