@@ -10,41 +10,49 @@ These probe the design choices the paper's analysis singles out:
   (more shards help until placement collisions outweigh parallelism).
 """
 
-from repro.experiments.ablations import (
-    run_ps_ratio_ablation,
-    run_sharding_ablation,
-    run_straggler_ablation,
-)
+from repro.experiments.artefact import artefact, render, run_artefact
+
+
+def run(name: str):
+    return run_artefact(artefact(name))
 
 
 def test_ablation_fine_grained_sharding(benchmark, save_result):
-    result = benchmark.pedantic(run_sharding_ablation, rounds=1, iterations=1)
-    save_result("ablation_sharding", result.render())
+    table = benchmark.pedantic(run, args=("sharding",), rounds=1, iterations=1)
+    save_result("ablation_sharding", render(table))
+    shard = {s: table.value(s)["max shard fraction"] for s in table.axis("strategy")}
     # Layer-wise shards are pinned by fc6 (~74 % of the model)...
-    assert result.max_shard_fraction["layerwise-greedy"] > 0.7
+    assert shard["layerwise-greedy"] > 0.7
     # ...element-balanced shards are even.
-    assert result.max_shard_fraction["element-balanced"] < 0.2
+    assert shard["element-balanced"] < 0.2
     # The paper's conjecture: fine-grained sharding substantially helps
     # large skewed models.
-    assert result.fine_grained_gain() > 1.3
+    tput = {s: table.value(s)["throughput (img/s)"] for s in table.axis("strategy")}
+    assert tput["element-balanced"] / tput["layerwise-greedy"] > 1.3
 
 
 def test_ablation_straggler_sensitivity(benchmark, save_result):
-    result = benchmark.pedantic(run_straggler_ablation, rounds=1, iterations=1)
-    save_result("ablation_stragglers", result.render())
+    table = benchmark.pedantic(run, args=("stragglers",), rounds=1, iterations=1)
+    save_result("ablation_stragglers", render(table))
+    spreads = table.axis("spread")
+
+    def slowdown(algo: str) -> float:
+        """Throughput at the worst spread relative to the best spread."""
+        return table.value(algo, spreads[-1]) / table.value(algo, spreads[0])
+
     # BSP throughput collapses as the spread grows (synchronous waiting);
     # ASP and AD-PSGD degrade far less (only the mean speed drops).
-    assert result.slowdown("bsp") < 0.8
-    assert result.slowdown("asp") > result.slowdown("bsp")
-    assert result.slowdown("ad-psgd") > result.slowdown("bsp")
+    assert slowdown("bsp") < 0.8
+    assert slowdown("asp") > slowdown("bsp")
+    assert slowdown("ad-psgd") > slowdown("bsp")
 
 
 def test_ablation_ps_ratio(benchmark, save_result):
-    result = benchmark.pedantic(run_ps_ratio_ablation, rounds=1, iterations=1)
-    save_result("ablation_ps_ratio", result.render())
+    table = benchmark.pedantic(run, args=("ps-ratio",), rounds=1, iterations=1)
+    save_result("ablation_ps_ratio", render(table))
     # More shards must never make ResNet-50 aggregation slower by much
     # (its layers are well balanced), and some sharding must beat 1:4
     # being the only option — i.e. the profiling is worth doing.
-    t = result.throughput
+    t = {ratio: table.value(ratio) for ratio in table.axis("ratio")}
     assert max(t.values()) >= t[1]
     assert min(t.values()) > 0.5 * max(t.values())

@@ -12,7 +12,18 @@ Shape assertions (paper findings, §VI-A):
 import numpy as np
 
 from repro.analysis.tables import format_table
-from repro.experiments.accuracy import fig1_series, run_table2
+from repro.experiments.artefact import artefact, run_artefact
+
+
+def fig1_series(**shape) -> dict[str, dict[str, list[float]]]:
+    """Per algorithm, the first seed's top-1 error against epochs (a)
+    and against virtual time (b) — the paper plots single runs."""
+    table = run_artefact(artefact("fig1"), **shape)
+    series = {}
+    for algo in table.axis("algorithm"):
+        h = table.results[(algo,)][0]
+        series[algo] = {"epochs": h.epochs, "times": h.times, "errors": h.error_curve()}
+    return series
 
 
 def _interp_error_at_epoch(series: dict, epoch: float) -> float:
@@ -28,10 +39,7 @@ def _time_to_error(series: dict, target: float) -> float | None:
 
 def test_fig1_convergence(benchmark, save_result):
     # The paper runs this experiment on the 56 Gbps fabric (§VI-A).
-    result = benchmark.pedantic(
-        run_table2, kwargs=dict(fabric="56g"), rounds=1, iterations=1
-    )
-    series = fig1_series(result)
+    series = benchmark.pedantic(fig1_series, kwargs=dict(fabric="56g"), rounds=1, iterations=1)
 
     # Render the error curves as a table (epoch grid).
     grid = [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -79,14 +87,15 @@ def test_fig1_convergence(benchmark, save_result):
 def test_fig1_iteration_rate(benchmark, save_result):
     """The mechanism behind Fig 1(b): async algorithms complete more
     iterations than synchronous ones in the same virtual time."""
-    result = benchmark.pedantic(
-        run_table2,
+    table = benchmark.pedantic(
+        run_artefact,
+        args=(artefact("table2"),),
         kwargs=dict(algorithms=("bsp", "asp", "ad-psgd"), fabric="56g"),
         rounds=1,
         iterations=1,
     )
     rates = {}
-    for algo, histories in result.histories.items():
+    for (algo,), histories in table.results.items():
         h = histories[0]
         rates[algo] = h.total_iterations / h.total_virtual_time
     save_result(

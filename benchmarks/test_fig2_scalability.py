@@ -14,30 +14,38 @@ Shape assertions (paper findings, §VI-C):
 
 import pytest
 
-from repro.experiments.scalability import run_fig2
+from repro.experiments.artefact import artefact, render, run_artefact
 
 WORKERS = (1, 2, 4, 8, 16, 24)
 
 
+def speedups(table) -> dict[str, dict[tuple[float, int], float]]:
+    """speedup[algorithm][(bandwidth, workers)]."""
+    return {
+        algo: {(bw, n): table.value(algo, bw, n) for _, bw, n in table.values}
+        for algo in table.axis("algorithm")
+    }
+
+
 @pytest.fixture(scope="module")
 def resnet_result():
-    return run_fig2(model="resnet50", worker_counts=WORKERS, measure_iters=12)
+    return run_artefact(artefact("fig2"), model="resnet50", worker_counts=WORKERS, measure_iters=12)
 
 
 @pytest.fixture(scope="module")
 def vgg_result():
-    return run_fig2(model="vgg16", worker_counts=WORKERS, measure_iters=8)
+    return run_artefact(artefact("fig2"), model="vgg16", worker_counts=WORKERS, measure_iters=8)
 
 
 def test_fig2a_resnet50(benchmark, save_result, resnet_result):
     result = benchmark.pedantic(lambda: resnet_result, rounds=1, iterations=1)
-    save_result("fig2a_resnet50", result.render())
-    s = result.speedup
+    save_result("fig2a_resnet50", render(result))
+    s = speedups(result)
 
     # Monotone scaling for everyone.
     for algo in s:
-        series = result.series(algo, 10.0)
-        assert all(b >= a * 0.95 for (_, a), (_, b) in zip(series, series[1:]))
+        series = [s[algo][(10.0, n)] for n in WORKERS]
+        assert all(b >= a * 0.95 for a, b in zip(series, series[1:]))
 
     # BSP / AR-SGD: limited bandwidth sensitivity (ASP's gain below
     # must be clearly larger than either of these).
@@ -62,9 +70,9 @@ def test_fig2a_resnet50(benchmark, save_result, resnet_result):
 
 def test_fig2b_vgg16(benchmark, save_result, resnet_result, vgg_result):
     result = benchmark.pedantic(lambda: vgg_result, rounds=1, iterations=1)
-    save_result("fig2b_vgg16", result.render())
-    s = result.speedup
-    r = resnet_result.speedup
+    save_result("fig2b_vgg16", render(result))
+    s = speedups(result)
+    r = speedups(resnet_result)
 
     # Everyone scales worse on the communication-intensive model
     # (AD-PSGD's fully-overlapped communication exempts it — see

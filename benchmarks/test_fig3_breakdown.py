@@ -12,13 +12,22 @@ Shape assertions (paper findings, §VI-C):
 
 from repro.core.runner import DistributedRunner
 from repro.experiments.config import timing_config
-from repro.experiments.scalability import run_fig3
+from repro.experiments.artefact import artefact, render, run_artefact
 
 
 def test_fig3_breakdown(benchmark, save_result):
-    result = benchmark.pedantic(run_fig3, kwargs=dict(measure_iters=10), rounds=1, iterations=1)
-    save_result("fig3_breakdown", result.render())
-    rows = result.rows
+    table = benchmark.pedantic(
+        run_artefact,
+        args=(artefact("fig3"),),
+        kwargs=dict(measure_iters=10),
+        rounds=1,
+        iterations=1,
+    )
+    save_result("fig3_breakdown", render(table))
+    rows = {
+        f"{algo.upper()} {model} {bw:g}G": table.value(model, bw, algo)
+        for model, bw, algo in table.values
+    }
 
     # BSP ResNet-50: compute is no more than ~60 %, aggregation real.
     bsp_r10 = rows["BSP resnet50 10G"]

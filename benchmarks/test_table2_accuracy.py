@@ -11,13 +11,13 @@ Shape assertions (paper findings, §VI-A):
   substantially more accuracy.
 """
 
-from repro.experiments.accuracy import run_table2
+from repro.experiments.artefact import artefact, render, run_artefact
 
 
 def test_table2_accuracy(benchmark, save_result):
-    result = benchmark.pedantic(run_table2, rounds=1, iterations=1)
-    save_result("table2_accuracy", result.render())
-    acc = result.accuracies
+    table = benchmark.pedantic(run_artefact, args=(artefact("table2"),), rounds=1, iterations=1)
+    save_result("table2_accuracy", render(table))
+    acc = {algo: table.value(algo) for algo in table.axis("algorithm")}
 
     # Synchronous algorithms lead and agree.
     sync_floor = min(acc["bsp"], acc["ar-sgd"])

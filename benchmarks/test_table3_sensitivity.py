@@ -12,14 +12,21 @@ Shape assertions (paper findings, §VI-B):
   decentralized asynchronous algorithms.
 """
 
-from repro.experiments.sensitivity import run_table3
+from repro.experiments.artefact import artefact, render, run_artefact
 
 
 def test_table3_sensitivity(benchmark, save_result):
-    result = benchmark.pedantic(run_table3, rounds=1, iterations=1)
-    save_result("table3_sensitivity", result.render())
-    acc = result.accuracy
-    n_small, n_large = result.worker_counts[0], result.worker_counts[-1]
+    table = benchmark.pedantic(run_artefact, args=(artefact("table3"),), rounds=1, iterations=1)
+    save_result("table3_sensitivity", render(table))
+    acc = {
+        label: {n: table.value(label, n) for n in table.axis("num_workers")}
+        for label in table.axis("column")
+    }
+    n_small, n_large = table.axis("num_workers")[0], table.axis("num_workers")[-1]
+
+    def degradation(label: str) -> float:
+        """Accuracy drop from the smallest to the largest worker count."""
+        return acc[label][n_small] - acc[label][n_large]
 
     # BSP is stable in N.
     assert abs(acc["BSP"][n_small] - acc["BSP"][n_large]) < 0.03
@@ -28,9 +35,9 @@ def test_table3_sensitivity(benchmark, save_result):
     for label in acc:
         if label == "BSP":
             continue
-        assert result.degradation(label) > -0.02, f"{label} should not improve with N"
+        assert degradation(label) > -0.02, f"{label} should not improve with N"
     for label in ("SSP s=10", "EASGD t=8", "GoSGD p=0.01"):
-        assert result.degradation(label) > 0.15, f"{label} should degrade strongly"
+        assert degradation(label) > 0.15, f"{label} should degrade strongly"
 
     # Hyperparameter monotonicity at 24 workers: infrequent aggregation
     # hurts more.

@@ -14,7 +14,7 @@ Usage::
 
 import sys
 
-from repro.experiments.accuracy import run_table2
+from repro.experiments.artefact import artefact, render, run_artefact
 
 
 def main() -> None:
@@ -25,11 +25,12 @@ def main() -> None:
         f"{epochs:g} epochs (authors' hyperparameters: SSP s=10, EASGD tau=8, "
         "GoSGD p=0.01)..."
     )
-    result = run_table2(num_workers=num_workers, epochs=epochs)
+    table = run_artefact(artefact("table2"), num_workers=num_workers, epochs=epochs)
     print()
-    print(result.render())
+    print(render(table))
 
-    ordered = sorted(result.accuracies.items(), key=lambda kv: kv[1], reverse=True)
+    accuracies = {algo: table.value(algo) for algo in table.axis("algorithm")}
+    ordered = sorted(accuracies.items(), key=lambda kv: kv[1], reverse=True)
     print("\nRanking (this run):")
     for rank, (algo, acc) in enumerate(ordered, 1):
         print(f"  {rank}. {algo.upper():8s} {acc:.4f}")

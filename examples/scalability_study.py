@@ -9,26 +9,29 @@ paper's true scale in seconds of wall time.
 
 Usage::
 
-    python examples/scalability_study.py [resnet50|vgg16]
+    python examples/scalability_study.py [resnet50|vgg16] [measured_iterations]
 """
 
 import sys
 
 from repro.analysis.scalability import crossover_points
-from repro.experiments.scalability import run_fig2
+from repro.experiments.artefact import artefact, render, run_artefact
 
 
 def main() -> None:
     model = sys.argv[1] if len(sys.argv) > 1 else "resnet50"
+    iters = int(sys.argv[2]) if len(sys.argv) > 2 else 10
     print(f"Sweeping 1..24 workers for {model} on 10 and 56 Gbps fabrics...")
-    result = run_fig2(model=model, worker_counts=(1, 2, 4, 8, 16, 24), measure_iters=10)
+    table = run_artefact(
+        artefact("fig2"), model=model, worker_counts=(1, 2, 4, 8, 16, 24), measure_iters=iters
+    )
     print()
-    print(result.render())
+    print(render(table))
 
     # Locate the paper's ASP-vs-BSP finding in the measured curves.
     for bw in (10.0, 56.0):
-        asp = result.series("asp", bw)
-        bsp = result.series("bsp", bw)
+        asp = [(n, table.value("asp", bw, n)) for n in table.axis("workers")]
+        bsp = [(n, table.value("bsp", bw, n)) for n in table.axis("workers")]
         flips = crossover_points(asp, bsp)
         asp24 = dict(asp)[24]
         bsp24 = dict(bsp)[24]

@@ -17,7 +17,7 @@ implements, on a single unified substrate:
   communication substrate (:mod:`repro.comm`) that reproduce the
   paper's 6-machine × 4-GPU testbed, its 10/56 Gbps networks, PS
   bottlenecks, stragglers, and collectives;
-* experiment drivers and report rendering (:mod:`repro.experiments`,
+* experiment artefacts and report rendering (:mod:`repro.experiments`,
   :mod:`repro.analysis`) regenerating every table and figure of the
   paper's evaluation section.
 

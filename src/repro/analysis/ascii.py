@@ -74,14 +74,14 @@ def line_chart(
     return "\n".join(lines)
 
 
-def fig1_chart(series: Mapping[str, Mapping[str, Sequence[float]]]) -> str:
-    """Fig 1(a,b) as two ASCII charts from ``fig1_series`` output."""
-    by_epoch = {
-        algo.upper(): list(zip(s["epochs"], s["errors"])) for algo, s in series.items()
+def fig1_chart(table) -> str:
+    """Fig 1(a,b) as two ASCII charts: the first seed's top-1 error per
+    algorithm of a ``fig1`` table (:mod:`repro.experiments.artefact`)."""
+    runs = {
+        algo.upper(): table.results[(algo,)][0] for algo in table.axis("algorithm")
     }
-    by_time = {
-        algo.upper(): list(zip(s["times"], s["errors"])) for algo, s in series.items()
-    }
+    by_epoch = {name: list(zip(h.epochs, h.error_curve())) for name, h in runs.items()}
+    by_time = {name: list(zip(h.times, h.error_curve())) for name, h in runs.items()}
     return (
         line_chart(
             by_epoch,
@@ -164,18 +164,18 @@ def attribution_report(report: dict, *, title: str = "") -> str:
     return "\n".join(lines)
 
 
-def fig2_chart(result) -> str:
-    """Fig 2 as one ASCII chart per bandwidth (expects a
-    :class:`~repro.experiments.scalability.ScalabilityResult`)."""
+def fig2_chart(table) -> str:
+    """Fig 2 as one ASCII chart per bandwidth of a ``fig2`` table."""
     blocks = []
-    for bw in result.bandwidths:
+    for bw in table.axis("bandwidth"):
         series = {
-            algo.upper(): result.series(algo, bw) for algo in result.speedup
+            algo.upper(): sorted((n, table.value(algo, bw, n)) for n in table.axis("workers"))
+            for algo in table.axis("algorithm")
         }
         blocks.append(
             line_chart(
                 series,
-                title=f"Fig 2 — {result.model} speedup @ {bw:g} Gbps",
+                title=f"Fig 2 — {table.shape['model']} speedup @ {bw:g} Gbps",
                 x_label="workers",
                 y_label="speedup",
             )

@@ -28,6 +28,7 @@ __all__ = [
     "breakdown_table",
     "MAIN_PHASES",
     "breakdown_to_attribution",
+    "attribution_summary_line",
     "aggregate_result_attribution",
     "fig3_crosscheck",
 ]
@@ -73,6 +74,15 @@ def breakdown_to_attribution(breakdown: Mapping[str, float]) -> dict[str, float]
         "comm": norm["comm"],
         "wait": norm["local_agg"] + norm["global_agg"],
     }
+
+
+def attribution_summary_line(fractions: Mapping[str, float]) -> str:
+    """The one-line ``compute X% / comm Y% / wait Z%`` summary."""
+    return (
+        f"compute {100 * fractions.get('compute', 0.0):.1f}% / "
+        f"comm {100 * fractions.get('comm', 0.0):.1f}% / "
+        f"wait {100 * fractions.get('wait', 0.0):.1f}%"
+    )
 
 
 def aggregate_result_attribution(results: Iterable) -> dict[str, dict[str, float]]:

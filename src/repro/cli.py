@@ -228,7 +228,7 @@ def _known(
 
 
 def _given(**kwargs: Any) -> dict[str, Any]:
-    """The keyword arguments the user set; ``None`` keeps the driver's default."""
+    """The keyword arguments the user set; ``None`` keeps the artefact's default."""
     return {key: value for key, value in kwargs.items() if value is not None}
 
 
@@ -269,79 +269,21 @@ def _install_fault_spec(args: argparse.Namespace) -> None:
     set_default_faults(faults)
 
 
-def _run_faults_cmd(args: argparse.Namespace) -> tuple[str, Any]:
-    rack = _given(
-        machines_per_rack=args.machines_per_rack, oversubscription=args.oversubscription
-    )
-    if rack and not args.rack_scale:
-        _usage_error(args, "--machines-per-rack and --oversubscription need --rack-scale")
-    from repro.experiments.faults import (
-        FAULT_ALGORITHMS,
-        FAULT_SCENARIOS,
-        RACK_FAULT_CELLS,
-        RACK_FAULT_SCENARIOS,
-        run_faults,
-        run_rack_faults,
-    )
+#: option -> the artefact shape key it sets, where the two names differ
+_SHAPE_KEYS = {"workers": "num_workers", "iters": "measure_iters", "bandwidth": "bandwidth_gbps"}
 
-    common = dict(
-        model=args.model,
-        bandwidth_gbps=args.bandwidth,
-        seed=args.seed,
-        fault_seed=args.fault_seed,
-        **_given(num_workers=args.workers, measure_iters=args.iters),
-    )
-    if args.rack_scale:
-        by_label = {cell[0]: cell for cell in RACK_FAULT_CELLS}
-        labels = _known(args, "--algorithms", args.algorithms, by_label)
-        result = run_rack_faults(
-            **common,
-            **rack,
-            **_given(
-                scenarios=_known(args, "--scenarios", args.scenarios, RACK_FAULT_SCENARIOS),
-                cells=labels and tuple(by_label[label] for label in labels),
-            ),
-        )
+
+def _run_artefact_cmd(args: argparse.Namespace) -> tuple[str, Any]:
+    """``run``, ``faults [--rack-scale]`` and ``byzantine``: look the
+    artefact up by name, run its grid at the shape the options give
+    and render it; returns (rendered, ``--output`` record)."""
+    if args.command == "faults":
+        name = "rack-faults" if args.rack_scale else "faults"
+        if not args.rack_scale and (args.machines_per_rack, args.oversubscription) != (None, None):
+            _usage_error(args, "--machines-per-rack and --oversubscription need --rack-scale")
     else:
-        result = run_faults(
-            **common,
-            **_given(
-                scenarios=_known(args, "--scenarios", args.scenarios, FAULT_SCENARIOS),
-                algorithms=_known(
-                    args, "--algorithms", args.algorithms, FAULT_ALGORITHMS, algorithms=True
-                ),
-            ),
-        )
-    return result.render(), result
-
-
-def _run_byzantine_cmd(args: argparse.Namespace) -> tuple[str, Any]:
-    from repro.experiments.byzantine import ROBUST_ALGORITHMS, run_byzantine
-    from repro.robust.config import AGGREGATORS
-
-    result = run_byzantine(
-        num_workers=args.workers,
-        byzantine=args.byzantine,
-        scale=args.scale,
-        epochs=args.epochs,
-        seed=args.seed,
-        fault_seed=args.fault_seed,
-        **_given(
-            algorithms=_known(
-                args, "--algorithms", args.algorithms, ROBUST_ALGORITHMS, algorithms=True
-            ),
-            aggregators=_known(args, "--aggregators", args.aggregators, AGGREGATORS),
-        ),
-    )
-    return result.render(), result
-
-
-def _run_experiment(args: argparse.Namespace) -> tuple[str, Any]:
-    """Dispatch to the experiment drivers; returns (rendered, result)."""
-    acc_kwargs = dict(seeds=args.seeds, **_given(num_workers=args.workers, epochs=args.epochs))
-    iters = _given(measure_iters=args.iters)
-
-    if args.experiment == "table1":
+        name = args.experiment if args.command == "run" else args.command
+    if name == "table1":
         from repro.analysis.tables import format_table
         from repro.core.complexity import table1_rows
 
@@ -352,47 +294,24 @@ def _run_experiment(args: argparse.Namespace) -> tuple[str, Any]:
             title="Table I — summary of distributed training algorithms",
         )
         return text, rows
-    if args.experiment == "table2":
-        from repro.experiments.accuracy import run_table2
+    from repro.experiments.artefact import artefact, render, run_artefact
 
-        result = run_table2(**acc_kwargs)
-        return result.render(), result
-    if args.experiment == "table3":
-        from repro.experiments.sensitivity import run_table3
+    spec = artefact(name)
+    keys = dict(_SHAPE_KEYS, algorithms="cells" if name == "rack-faults" else "algorithms")
+    shape = _given(**{keys.get(dest, dest): getattr(args, dest) for dest in spec.cli})
+    for dest in spec.cli:
+        key = keys.get(dest, dest)
+        if key in spec.choices:
+            option = "--" + dest.replace("_", "-")
+            _known(args, option, shape.get(key), spec.choices[key], algorithms=key == "algorithms")
+    executor = None
+    if name == "fig2" and args.analytic:
+        from repro.experiments.scalability import Analytic
 
-        result = run_table3(seeds=args.seeds, epochs=args.epochs)
-        return result.render(), result
-    if args.experiment == "table4":
-        from repro.experiments.accuracy import run_table4
-
-        result = run_table4(**acc_kwargs)
-        return result.render(), result
-    if args.experiment == "fig1":
-        from repro.analysis.ascii import fig1_chart
-        from repro.experiments.accuracy import fig1_series, run_table2
-
-        result = run_table2(fabric="56g", **acc_kwargs)
-        series = fig1_series(result)
-        return fig1_chart(series), series
-    if args.experiment == "fig2":
-        from repro.analysis.ascii import fig2_chart
-        from repro.experiments.scalability import run_fig2
-
-        result = run_fig2(
-            model=args.model, analytic=args.analytic, max_workers=args.max_workers, **iters
-        )
-        return result.render() + "\n\n" + fig2_chart(result), result
-    if args.experiment == "fig3":
-        from repro.experiments.scalability import run_fig3
-
-        result = run_fig3(**iters)
-        return result.render(), result
-    if args.experiment == "fig4":
-        from repro.experiments.optimizations import run_fig4
-
-        result = run_fig4(model=args.model, bandwidth_gbps=args.bandwidth, **iters)
-        return result.render(), result
-    raise ValueError(f"unknown experiment {args.experiment!r}")  # pragma: no cover
+        executor = Analytic()
+    seeds = args.seeds if "seeds" in args else (args.seed,)
+    table = run_artefact(spec, seeds=seeds, executor=executor, **shape)
+    return render(table), table.record()
 
 
 def _representative(args: argparse.Namespace, experiment: str) -> Any:
@@ -500,7 +419,7 @@ def _run_train(args: argparse.Namespace) -> int:
 def _run_predict(args: argparse.Namespace) -> int:
     from repro.analysis.tables import format_table
     from repro.experiments.config import timing_config
-    from repro.experiments.scalability import _supports, scale_worker_counts
+    from repro.experiments.scalability import WAITFREE_ALGORITHMS, scale_worker_counts
     from repro.perf import SUPPORTED_ALGORITHMS, cross_validate, predict_run
 
     name = args.algorithm.lower().replace("_", "-")
@@ -523,7 +442,7 @@ def _run_predict(args: argparse.Namespace) -> int:
             num_workers=n,
             bandwidth_gbps=args.bandwidth,
             model=args.model,
-            wait_free_bp=_supports(algo, "waitfree"),
+            wait_free_bp=algo in WAITFREE_ALGORITHMS,
         )
 
     payload: dict[str, Any] = {"predictions": [], "validations": []}
@@ -798,11 +717,10 @@ def _interruptible_sweep(run: "Callable[[], Any]") -> int | None:
 def _run_grid(args: argparse.Namespace) -> int:
     """``run``, ``faults`` and ``byzantine``: one sweep through the
     executor, then its table, stats and (``run``) instrumented run."""
+    from repro.analysis.breakdown import attribution_summary_line
     from repro.experiments.executor import SweepExecutor, set_default_executor
     from repro.experiments.session import install_signal_guard
-    from repro.obs import attribution_summary_line
 
-    body = {"run": _run_experiment, "faults": _run_faults_cmd, "byzantine": _run_byzantine_cmd}
     executor = SweepExecutor(
         jobs=args.jobs,
         cache=not args.no_cache,
@@ -818,7 +736,7 @@ def _run_grid(args: argparse.Namespace) -> int:
     outcome: dict[str, Any] = {}
     try:
         rc = _interruptible_sweep(
-            lambda: outcome.setdefault("rendered", body[args.command](args))
+            lambda: outcome.setdefault("rendered", _run_artefact_cmd(args))
         )
     except FileNotFoundError as exc:
         if not args.resume:

@@ -833,6 +833,10 @@ class DistributedRunner:
                 tracer=self.ctx.tracer,
                 runtime=self.runtime,
             )
+        # Every result reports how far apart the workers' iteration
+        # counts ended: an asynchronous run spreads them.
+        iterations = [slot.iterations for slot in self.runtime.workers]
+        spread = {"min": min(iterations), "max": max(iterations)}
         if self.config.mode == "full":
             # Final evaluation at the stop point.
             self._evaluate(self.runtime.sample_clock.epoch())
@@ -844,6 +848,7 @@ class DistributedRunner:
                     "config": self.config,
                     "total_network_bytes": self.network.total_bytes,
                     "total_messages": self.network.total_messages,
+                    "worker_iterations": spread,
                 }
             )
             if self.fault_controller is not None:
@@ -877,6 +882,7 @@ class DistributedRunner:
             {
                 "total_network_bytes": self.network.total_bytes,
                 "total_messages": self.network.total_messages,
+                "worker_iterations": spread,
             }
         )
         if self.fault_controller is not None:

@@ -3,227 +3,103 @@
 Three ablations that probe the *design choices* the paper's analysis
 calls out:
 
-* :func:`run_sharding_ablation` — layer-wise vs fine-grained
-  (element-balanced) sharding on VGG-16. The paper's conclusion:
-  "fine-grained sharding for parallel parameter aggregation is
-  necessary for large DNN models such as VGG-16" — this ablation
-  measures how much it would have bought.
-* :func:`run_straggler_ablation` — synchronous vs asynchronous
-  sensitivity to compute-time variance. The paper attributes BSP's
-  waiting to a ~5 % fastest-to-slowest spread; this sweeps the spread
-  and shows the asynchronous algorithms' immunity.
-* :func:`run_ps_ratio_ablation` — the PS:worker ratio profiling of
-  §VI-D (the paper tested 1:4, 2:4 and 4:4 per VM and picked the
-  optimum empirically).
+* ``sharding`` — layer-wise vs fine-grained (element-balanced)
+  sharding on VGG-16. The paper's conclusion: "fine-grained sharding
+  for parallel parameter aggregation is necessary for large DNN models
+  such as VGG-16" — this ablation measures how much it would have
+  bought.
+* ``stragglers`` — synchronous vs asynchronous sensitivity to
+  compute-time variance. The paper attributes BSP's waiting to a ~5 %
+  fastest-to-slowest spread; this sweeps the spread and shows the
+  asynchronous algorithms' immunity.
+* ``ps-ratio`` — the PS:worker ratio profiling of §VI-D (the paper
+  tested 1:4, 2:4 and 4:4 per VM and picked the optimum empirically).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.analysis.tables import format_table
 from repro.core.runner import PROFILES
+from repro.experiments.artefact import Artefact
 from repro.experiments.config import timing_config
-from repro.experiments.executor import SweepExecutor, default_executor
 from repro.optimizations.sharding import make_sharding_plan
 
-__all__ = [
-    "ShardingAblationResult",
-    "run_sharding_ablation",
-    "StragglerAblationResult",
-    "run_straggler_ablation",
-    "PSRatioAblationResult",
-    "run_ps_ratio_ablation",
-]
+__all__ = ["ARTEFACTS"]
 
 
-@dataclass
-class ShardingAblationResult:
-    """throughput[strategy] for one (algorithm, model, bandwidth)."""
-
-    algorithm: str
-    model: str
-    bandwidth_gbps: float
-    num_workers: int
-    throughput: dict[str, float] = field(default_factory=dict)
-    max_shard_fraction: dict[str, float] = field(default_factory=dict)
-
-    def render(self) -> str:
-        rows = [
-            [strategy, self.throughput[strategy], self.max_shard_fraction[strategy]]
-            for strategy in self.throughput
-        ]
-        return format_table(
-            ["sharding strategy", "throughput (img/s)", "max shard fraction"],
-            rows,
-            title=(
-                f"Ablation — sharding strategy, {self.algorithm.upper()} / "
-                f"{self.model} @ {self.bandwidth_gbps:g} Gbps, "
-                f"{self.num_workers} workers"
-            ),
-            float_format="{:.2f}",
-        )
-
-    def fine_grained_gain(self) -> float:
-        return self.throughput["element-balanced"] / self.throughput["layerwise-greedy"]
-
-
-def run_sharding_ablation(
-    *,
-    algorithm: str = "asp",
-    model: str = "vgg16",
-    bandwidth_gbps: float = 56.0,
-    num_workers: int = 24,
-    measure_iters: int = 10,
-    seed: int = 0,
-    executor: SweepExecutor | None = None,
-) -> ShardingAblationResult:
-    executor = executor or default_executor()
-    result = ShardingAblationResult(
-        algorithm=algorithm,
-        model=model,
-        bandwidth_gbps=bandwidth_gbps,
-        num_workers=num_workers,
+def _timing(c, **overrides):
+    return timing_config(
+        c.algorithm, num_workers=c.num_workers, bandwidth_gbps=c.bandwidth_gbps,
+        measure_iters=c.measure_iters, seed=c.seed, **overrides,
     )
-    strategies = ("layerwise-rr", "layerwise-greedy", "element-balanced")
-    configs = [
-        timing_config(
-            algorithm,
-            num_workers=num_workers,
-            bandwidth_gbps=bandwidth_gbps,
-            model=model,
-            measure_iters=measure_iters,
-            sharding_strategy=strategy,
-            seed=seed,
-        )
-        for strategy in strategies
-    ]
-    profile = PROFILES[model]()
-    for strategy, cfg, res in zip(strategies, configs, executor.map(configs)):
-        result.throughput[strategy] = res.throughput
-        # The plan is a pure function of (profile, shards, strategy), so
-        # it can be derived without touching the runner.
-        plan = make_sharding_plan(profile, cfg.num_ps_shards, strategy=strategy)
-        result.max_shard_fraction[strategy] = plan.max_shard_fraction()
-    return result
 
 
-@dataclass
-class StragglerAblationResult:
-    """throughput[(algorithm, spread)] in img/s."""
-
-    num_workers: int
-    spreads: tuple[float, ...]
-    throughput: dict[tuple[str, float], float] = field(default_factory=dict)
-
-    def slowdown(self, algorithm: str) -> float:
-        """Throughput at the worst spread relative to the best spread."""
-        base = self.throughput[(algorithm, self.spreads[0])]
-        worst = self.throughput[(algorithm, self.spreads[-1])]
-        return worst / base
-
-    def render(self) -> str:
-        algos = sorted({a for a, _ in self.throughput})
-        rows = [
-            [f"{spread:.0%}", *(self.throughput[(a, spread)] for a in algos)]
-            for spread in self.spreads
-        ]
-        return format_table(
-            ["speed spread", *(a.upper() for a in algos)],
-            rows,
-            title=f"Ablation — straggler sensitivity ({self.num_workers} workers, img/s)",
-            float_format="{:.0f}",
-        )
-
-
-def run_straggler_ablation(
-    *,
-    algorithms=("bsp", "asp", "ad-psgd"),
-    spreads: tuple[float, ...] = (0.0, 0.05, 0.2, 0.4),
-    num_workers: int = 16,
-    measure_iters: int = 10,
-    seed: int = 0,
-    executor: SweepExecutor | None = None,
-) -> StragglerAblationResult:
-    executor = executor or default_executor()
-    result = StragglerAblationResult(num_workers=num_workers, spreads=tuple(spreads))
-    cells = [(algo, spread) for algo in algorithms for spread in spreads]
-    configs = [
-        timing_config(
-            algo,
-            num_workers=num_workers,
-            bandwidth_gbps=56.0,
-            measure_iters=measure_iters,
-            speed_spread=spread,
-            seed=seed,
-        )
-        for algo, spread in cells
-    ]
-    for (algo, spread), res in zip(cells, executor.map(configs)):
-        result.throughput[(algo, spread)] = res.throughput
-    return result
-
-
-@dataclass
-class PSRatioAblationResult:
-    """throughput[ps_per_vm] for one algorithm (§VI-D profiling)."""
-
-    algorithm: str
-    model: str
-    bandwidth_gbps: float
-    num_workers: int
-    throughput: dict[int, float] = field(default_factory=dict)
-
-    @property
-    def best_ratio(self) -> int:
-        return max(self.throughput, key=self.throughput.get)
-
-    def render(self) -> str:
-        rows = [[f"{r}:4", self.throughput[r]] for r in sorted(self.throughput)]
-        return format_table(
-            ["PS per VM : workers per VM", "throughput (img/s)"],
-            rows,
-            title=(
-                f"Ablation — PS:worker ratio profiling, {self.algorithm.upper()} / "
-                f"{self.model} @ {self.bandwidth_gbps:g} Gbps"
-            ),
-            float_format="{:.0f}",
-        )
-
-
-def run_ps_ratio_ablation(
-    *,
-    algorithm: str = "asp",
-    model: str = "resnet50",
-    bandwidth_gbps: float = 56.0,
-    num_workers: int = 24,
-    ratios: tuple[int, ...] = (1, 2, 4),
-    measure_iters: int = 10,
-    seed: int = 0,
-    executor: SweepExecutor | None = None,
-) -> PSRatioAblationResult:
-    """Reproduce the paper's PS-count profiling: r PS shards per 4-GPU
-    VM for r ∈ {1, 2, 4} (§VI-D)."""
-    executor = executor or default_executor()
-    result = PSRatioAblationResult(
-        algorithm=algorithm,
-        model=model,
-        bandwidth_gbps=bandwidth_gbps,
-        num_workers=num_workers,
+def _sharding_metric(result, config, base) -> dict[str, float]:
+    # The plan is a pure function of (profile, shards, strategy), so it
+    # can be derived without touching the runner.
+    plan = make_sharding_plan(
+        PROFILES[config.profile_name](), config.num_ps_shards, strategy=config.sharding_strategy
     )
-    machines = max(1, (num_workers + 3) // 4)
-    configs = [
-        timing_config(
-            algorithm,
-            num_workers=num_workers,
-            bandwidth_gbps=bandwidth_gbps,
-            model=model,
-            measure_iters=measure_iters,
-            num_ps_shards=ratio * machines,
-            seed=seed,
-        )
-        for ratio in ratios
-    ]
-    for ratio, res in zip(ratios, executor.map(configs)):
-        result.throughput[ratio] = res.throughput
-    return result
+    return {
+        "throughput (img/s)": result.throughput,
+        "max shard fraction": plan.max_shard_fraction(),
+    }
+
+
+def _ps_shards(c) -> int:
+    """``ratio`` PS shards per 4-GPU VM (§VI-D)."""
+    return c.ratio * max(1, (c.num_workers + 3) // 4)
+
+
+ARTEFACTS = {
+    "sharding": Artefact(
+        "sharding",
+        title=lambda s: (
+            f"Ablation — sharding strategy, {s['algorithm'].upper()} / "
+            f"{s['model']} @ {s['bandwidth_gbps']:g} Gbps, {s['num_workers']} workers"
+        ),
+        axes={"strategy": "strategies"},
+        shape=dict(
+            algorithm="asp", model="vgg16", bandwidth_gbps=56.0, num_workers=24, measure_iters=10,
+            strategies=("layerwise-rr", "layerwise-greedy", "element-balanced"),
+        ),
+        config=lambda c: _timing(c, model=c.model, sharding_strategy=c.strategy),
+        metric=_sharding_metric,
+        rows=("strategy",),
+        headers=("sharding strategy", "throughput (img/s)", "max shard fraction"),
+        float_format="{:.2f}",
+    ),
+    "stragglers": Artefact(
+        "stragglers",
+        title="Ablation — straggler sensitivity ({num_workers} workers, img/s)",
+        axes={"algorithm": "algorithms", "spread": "spreads"},
+        shape=dict(
+            algorithms=("bsp", "asp", "ad-psgd"), spreads=(0.0, 0.05, 0.2, 0.4), num_workers=16,
+            bandwidth_gbps=56.0, measure_iters=10,
+        ),
+        config=lambda c: _timing(c, speed_spread=c.spread),
+        rows=("spread",),
+        columns="algorithm",
+        headers=("speed spread",),
+        labels={"algorithm": str.upper, "spread": "{:.0%}".format},
+        float_format="{:.0f}",
+        sort=True,
+    ),
+    "ps-ratio": Artefact(
+        "ps-ratio",
+        title=lambda s: (
+            f"Ablation — PS:worker ratio profiling, {s['algorithm'].upper()} / "
+            f"{s['model']} @ {s['bandwidth_gbps']:g} Gbps"
+        ),
+        axes={"ratio": "ratios"},
+        shape=dict(
+            algorithm="asp", model="resnet50", bandwidth_gbps=56.0, num_workers=24,
+            ratios=(1, 2, 4), measure_iters=10,
+        ),
+        config=lambda c: _timing(c, model=c.model, num_ps_shards=_ps_shards(c)),
+        rows=("ratio",),
+        headers=("PS per VM : workers per VM", "throughput (img/s)"),
+        labels={"ratio": "{}:4".format},
+        float_format="{:.0f}",
+        sort=True,
+    ),
+}

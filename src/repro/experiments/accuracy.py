@@ -1,33 +1,18 @@
-"""Table II / Fig 1 / Table IV drivers — model accuracy experiments.
+"""Table II / Fig 1 / Table IV — model accuracy experiments.
 
 Table II: final top-1 accuracy of all seven algorithms at 24 workers
 with the authors' hyperparameters. Fig 1 reuses the same runs and
-reports the top-1 *error* trajectories against epochs (a) and wall
-time (b). Table IV compares BSP/ASP/SSP with and without DGC.
+plots the first seed's top-1 *error* trajectories against epochs (a)
+and wall time (b). Table IV compares BSP/ASP/SSP with and without DGC.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from repro.analysis.ascii import fig1_chart
+from repro.experiments.artefact import Artefact, final_accuracy
+from repro.experiments.config import MINI_EPOCHS, mini_accuracy_config, mini_dgc_config
 
-import numpy as np
-
-from repro.analysis.tables import format_table
-from repro.core.history import TrainingHistory
-from repro.experiments.config import mini_accuracy_config, mini_dgc_config
-from repro.experiments.executor import SweepExecutor, default_executor
-
-__all__ = [
-    "AccuracyResult",
-    "run_accuracy_experiment",
-    "run_table2",
-    "fig1_series",
-    "DGCAccuracyResult",
-    "run_table4",
-    "TABLE2_ALGORITHMS",
-    "PAPER_TABLE2",
-    "PAPER_TABLE4",
-]
+__all__ = ["ARTEFACTS", "TABLE2_ALGORITHMS", "TABLE4_CONFIGS", "PAPER_TABLE2", "PAPER_TABLE4"]
 
 TABLE2_ALGORITHMS = ("bsp", "asp", "ssp", "easgd", "ar-sgd", "gosgd", "ad-psgd")
 
@@ -42,7 +27,15 @@ PAPER_TABLE2 = {
     "ad-psgd": 0.7411,
 }
 
-# Paper Table IV (DGC accuracy effect, 24 workers).
+#: Table IV rows: name -> (algorithm, hyperparameters)
+TABLE4_CONFIGS = {
+    "bsp": ("bsp", {}),
+    "asp": ("asp", {}),
+    "ssp_s3": ("ssp", {"staleness": 3}),
+    "ssp_s10": ("ssp", {"staleness": 10}),
+}
+
+# Paper Table IV (DGC accuracy effect, 24 workers): (without, with).
 PAPER_TABLE4 = {
     "bsp": (0.7511, 0.7505),
     "asp": (0.7459, 0.7440),
@@ -51,156 +44,62 @@ PAPER_TABLE4 = {
 }
 
 
-@dataclass
-class AccuracyResult:
-    """Result of one Table II style sweep."""
-
-    num_workers: int
-    epochs: float
-    seeds: tuple[int, ...]
-    accuracies: dict[str, float] = field(default_factory=dict)  # mean over seeds
-    histories: dict[str, list[TrainingHistory]] = field(default_factory=dict)
-
-    def render(self) -> str:
-        rows = [[a.upper(), self.accuracies[a], PAPER_TABLE2.get(a, float("nan"))]
-                for a in self.accuracies]
-        return format_table(
-            ["algorithm", "measured top-1 (mini)", "paper top-1 (ImageNet)"],
-            rows,
-            title=(
-                f"Table II — final accuracy, {self.num_workers} workers, "
-                f"{self.epochs:g} epochs, {len(self.seeds)} seed(s)"
-            ),
-        )
-
-
-def run_accuracy_experiment(
-    algorithms=TABLE2_ALGORITHMS,
-    *,
-    num_workers: int = 24,
-    epochs: float | None = None,
-    seeds: tuple[int, ...] = (0,),
-    fabric: str = "56g",
-    algorithm_params: dict | None = None,
-    executor: SweepExecutor | None = None,
-    **config_overrides,
-) -> AccuracyResult:
-    """Run the Table II protocol; mean final accuracy over seeds.
-
-    The full algorithm × seed grid goes through the sweep executor.
-    """
-    executor = executor or default_executor()
-    kwargs = dict(num_workers=num_workers, fabric=fabric, **config_overrides)
-    if epochs is not None:
-        kwargs["epochs"] = epochs
-    from repro.experiments.config import MINI_EPOCHS
-
-    result = AccuracyResult(
-        num_workers=num_workers,
-        epochs=kwargs.get("epochs", MINI_EPOCHS),
-        seeds=tuple(seeds),
+def _table2_config(c):
+    return mini_accuracy_config(
+        c.algorithm, num_workers=c.num_workers, epochs=c.epochs, fabric=c.fabric, seed=c.seed,
+        algorithm_params=c.algorithm_params,
     )
-    cells = [(algo, seed) for algo in algorithms for seed in seeds]
-    configs = [
-        mini_accuracy_config(algo, seed=seed, algorithm_params=algorithm_params, **kwargs)
-        for algo, seed in cells
-    ]
-    runs = executor.map(configs)
-    for algo in algorithms:
-        histories = [h for (a, _), h in zip(cells, runs) if a == algo]
-        result.histories[algo] = histories
-        result.accuracies[algo] = float(
-            np.mean([h.final_test_accuracy for h in histories])
-        )
-    return result
 
 
-def run_table2(**kwargs) -> AccuracyResult:
-    """Alias with the paper's Table II protocol defaults."""
-    return run_accuracy_experiment(**kwargs)
+def _table4_config(c):
+    algorithm, params = TABLE4_CONFIGS[c.variant]
+    return mini_accuracy_config(
+        algorithm, num_workers=c.num_workers, epochs=c.epochs, seed=c.seed,
+        algorithm_params=params, dgc=c.dgc,
+        dgc_config=mini_dgc_config(c.num_workers) if c.dgc else None,
+    )
 
 
-def fig1_series(result: AccuracyResult) -> dict[str, dict[str, list[float]]]:
-    """Fig 1 data from a Table II run: per algorithm, the top-1 error
-    against epochs (a) and against virtual time (b). Uses the first
-    seed's history (the paper plots single runs)."""
-    out: dict[str, dict[str, list[float]]] = {}
-    for algo, histories in result.histories.items():
-        h = histories[0]
-        out[algo] = {
-            "epochs": list(h.epochs),
-            "times": list(h.times),
-            "errors": h.error_curve(),
-        }
-    return out
+_TABLE2 = dict(
+    axes={"algorithm": "algorithms"},
+    shape=dict(
+        algorithms=TABLE2_ALGORITHMS, num_workers=24, epochs=MINI_EPOCHS, fabric="56g",
+        algorithm_params=None,
+    ),
+    config=_table2_config,
+    metric=final_accuracy,
+    paper=lambda cell: PAPER_TABLE2.get(cell["algorithm"]),
+    cli=("workers", "epochs"),
+)
 
-
-@dataclass
-class DGCAccuracyResult:
-    """Table IV: accuracy with and without DGC."""
-
-    rows: dict[str, tuple[float, float]] = field(default_factory=dict)  # (without, with)
-
-    def render(self) -> str:
-        table_rows = []
-        for name, (without, with_dgc) in self.rows.items():
-            paper = PAPER_TABLE4.get(name, (float("nan"), float("nan")))
-            table_rows.append([name, without, with_dgc, paper[0], paper[1]])
-        return format_table(
-            ["config", "no DGC (mini)", "DGC (mini)", "paper no DGC", "paper DGC"],
-            table_rows,
-            title="Table IV — effect of DGC on model accuracy",
-        )
-
-
-def run_table4(
-    *,
-    num_workers: int = 24,
-    epochs: float | None = None,
-    seeds: tuple[int, ...] = (0,),
-    executor: SweepExecutor | None = None,
-    **config_overrides,
-) -> DGCAccuracyResult:
-    """Table IV protocol: BSP, ASP, SSP(s=3), SSP(s=10) ± DGC."""
-    executor = executor or default_executor()
-    columns = [
-        ("bsp", "bsp", {}),
-        ("asp", "asp", {}),
-        ("ssp_s3", "ssp", {"staleness": 3}),
-        ("ssp_s10", "ssp", {"staleness": 10}),
-    ]
-    result = DGCAccuracyResult()
-    kwargs = dict(num_workers=num_workers, **config_overrides)
-    if epochs is not None:
-        kwargs["epochs"] = epochs
-    cells = [
-        (name, dgc)
-        for name, _, _ in columns
-        for dgc in (False, True)
-        for _ in seeds
-    ]
-    configs = [
-        mini_accuracy_config(
-            algo,
-            seed=seed,
-            algorithm_params=params,
-            dgc=dgc,
-            dgc_config=mini_dgc_config(num_workers) if dgc else None,
-            **kwargs,
-        )
-        for _, algo, params in columns
-        for dgc in (False, True)
-        for seed in seeds
-    ]
-    runs = executor.map(configs)
-    for name, _, _ in columns:
-        accs = {
-            dgc: [
-                h.final_test_accuracy
-                for (n, d), h in zip(cells, runs)
-                if n == name and d == dgc
-            ]
-            for dgc in (False, True)
-        }
-        result.rows[name] = (float(np.mean(accs[False])), float(np.mean(accs[True])))
-    return result
+ARTEFACTS = {
+    "table2": Artefact(
+        "table2",
+        title=(
+            "Table II — final accuracy, {num_workers} workers, {epochs:g} epochs, {seeds} seed(s)"
+        ),
+        rows=("algorithm",),
+        headers=("algorithm", "measured top-1 (mini)"),
+        paper_headers=("paper top-1 (ImageNet)",),
+        labels={"algorithm": str.upper},
+        **_TABLE2,
+    ),
+    "fig1": Artefact("fig1", draw=fig1_chart, **_TABLE2),
+    "table4": Artefact(
+        "table4",
+        title="Table IV — effect of DGC on model accuracy",
+        axes={"variant": "variants", "dgc": "dgc"},
+        shape=dict(
+            variants=tuple(TABLE4_CONFIGS), dgc=(False, True), num_workers=24, epochs=MINI_EPOCHS
+        ),
+        config=_table4_config,
+        metric=final_accuracy,
+        paper=lambda cell: PAPER_TABLE4.get(cell["variant"], (None, None))[cell["dgc"]],
+        rows=("variant",),
+        columns="dgc",
+        headers=("config",),
+        paper_headers=("paper no DGC", "paper DGC"),
+        labels={"dgc": {False: "no DGC (mini)", True: "DGC (mini)"}.get},
+        cli=("workers", "epochs"),
+    ),
+}

@@ -1,6 +1,6 @@
 """Byzantine-resilience experiment — robust aggregation under attack.
 
-The paper's algorithms assume honest workers; this driver measures
+The paper's algorithms assume honest workers; this artefact measures
 what each training protocol retains when some are not. For every
 (algorithm × aggregator) cell it
 
@@ -34,22 +34,21 @@ Byzantine worker hide inside its group mean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
-from repro.analysis.tables import format_table
-from repro.core.history import TrainingHistory
+import numpy as np
+
+from repro.experiments.artefact import Artefact, recovery_notes
 from repro.experiments.config import mini_accuracy_config
-from repro.experiments.executor import SweepExecutor, default_executor
 from repro.faults.config import FaultConfig, FaultEvent
-from repro.robust.config import RobustConfig
+from repro.robust.config import AGGREGATORS, RobustConfig
 
 __all__ = [
+    "ARTEFACTS",
     "ROBUST_ALGORITHMS",
     "DEFAULT_AGGREGATORS",
-    "ByzantineResult",
     "byzantine_fault_config",
     "robust_config_for",
-    "run_byzantine",
 ]
 
 ROBUST_ALGORITHMS = ("bsp", "asp", "ssp", "easgd", "ar-sgd", "ad-psgd", "gosgd")
@@ -104,112 +103,52 @@ def robust_config_for(
     return RobustConfig(aggregator=aggregator, krum_f=byzantine)
 
 
-@dataclass
-class ByzantineResult:
-    """retained[algorithm][aggregator] plus per-cell robust summaries."""
-
-    algorithms: tuple[str, ...]
-    aggregators: tuple[str, ...]
-    byzantine: int
-    scale: float
-    baseline: dict[str, TrainingHistory] = field(default_factory=dict)
-    raw: dict[tuple[str, str], TrainingHistory] = field(default_factory=dict)
-    retained: dict[str, dict[str, float]] = field(default_factory=dict)
-    summaries: dict[tuple[str, str], dict] = field(default_factory=dict)
-
-    def render(self) -> str:
-        headers = ["algorithm", "baseline acc", *self.aggregators]
-        rows = []
-        for algo in self.algorithms:
-            rows.append(
-                [
-                    algo.upper(),
-                    self.baseline[algo].final_test_accuracy,
-                    *(self.retained[algo][agg] for agg in self.aggregators),
-                ]
-            )
-        table = format_table(
-            headers,
-            rows,
-            title=(
-                f"Byzantine resilience — accuracy retained with {self.byzantine} "
-                f"hostile worker(s), attack scale {self.scale:g}"
-            ),
-            float_format="{:.2f}",
-        )
-        notes = []
-        for algo in self.algorithms:
-            for agg in self.aggregators:
-                s = self.summaries.get((algo, agg))
-                if not s:
-                    continue
-                bits = []
-                rejections = sum(s.get("rejections", {}).values())
-                if rejections:
-                    bits.append(f"{rejections} rejections")
-                if s.get("rollbacks"):
-                    bits.append(f"{s['rollbacks']} rollbacks")
-                if s.get("quarantines_requested"):
-                    bits.append(f"quarantined {s['quarantines_requested']}")
-                if bits:
-                    notes.append(f"  {algo:>7s} / {agg:<12s} " + ", ".join(bits))
-        if notes:
-            table += "\n\nrobust-layer events:\n" + "\n".join(notes)
-        return table
-
-
-def run_byzantine(
-    *,
-    algorithms=ROBUST_ALGORITHMS,
-    aggregators=DEFAULT_AGGREGATORS,
-    num_workers: int = 8,
-    byzantine: int = 1,
-    scale: float = DEFAULT_BYZANTINE_SCALE,
-    epochs: float = 20.0,
-    seed: int = 0,
-    fault_seed: int = 0,
-    executor: SweepExecutor | None = None,
-) -> ByzantineResult:
-    """Run the Byzantine-resilience grid (algorithms × aggregators)."""
-    executor = executor or default_executor()
-    algorithms = tuple(algorithms)
-    aggregators = tuple(aggregators)
-
-    def base_config(algo: str):
-        cfg = mini_accuracy_config(
-            algo, num_workers=num_workers, epochs=epochs, seed=seed
-        )
-        if algo.lower().replace("_", "-") == "bsp":
-            cfg = replace(cfg, local_aggregation=False)
+def _byzantine_config(c):
+    cfg = mini_accuracy_config(c.algorithm, num_workers=c.num_workers, epochs=c.epochs, seed=c.seed)
+    if c.algorithm.lower().replace("_", "-") == "bsp":
+        cfg = replace(cfg, local_aggregation=False)
+    if c.base is None:
         return cfg
-
-    result = ByzantineResult(
-        algorithms=algorithms,
-        aggregators=aggregators,
-        byzantine=byzantine,
-        scale=scale,
+    return replace(
+        cfg,
+        faults=byzantine_fault_config(c.num_workers, c.byzantine, scale=c.scale, seed=c.fault_seed),
+        robust=robust_config_for(c.algorithm, c.aggregator, c.byzantine),
     )
-    baselines = executor.map([base_config(a) for a in algorithms])
-    for algo, res in zip(algorithms, baselines):
-        result.baseline[algo] = res
 
-    faults = byzantine_fault_config(
-        num_workers, byzantine, scale=scale, seed=fault_seed
-    )
-    cells = [(a, g) for a in algorithms for g in aggregators]
-    configs = [
-        replace(
-            base_config(algo),
-            faults=faults,
-            robust=robust_config_for(algo, agg, byzantine),
-        )
-        for algo, agg in cells
-    ]
-    for (algo, agg), res in zip(cells, executor.map(configs)):
-        result.raw[(algo, agg)] = res
-        result.summaries[(algo, agg)] = res.metadata.get("robust", {})
-        base_acc = result.baseline[algo].final_test_accuracy
-        result.retained.setdefault(algo, {})[agg] = (
-            res.final_test_accuracy / base_acc if base_acc > 0 else float("nan")
-        )
-    return result
+
+def _retained(result, config, base) -> float:
+    base_acc = base.final_test_accuracy
+    return result.final_test_accuracy / base_acc if base_acc > 0 else float("nan")
+
+
+def _baseline_accuracy(table, row: dict) -> list[float]:
+    runs = [table.baselines[(row["algorithm"], seed)] for seed in table.seeds]
+    return [float(np.mean([run.final_test_accuracy for run in runs]))]
+
+
+ARTEFACTS = {
+    "byzantine": Artefact(
+        "byzantine",
+        title=(
+            "Byzantine resilience — accuracy retained with {byzantine} "
+            "hostile worker(s), attack scale {scale:g}"
+        ),
+        axes={"algorithm": "algorithms", "aggregator": "aggregators"},
+        shape=dict(
+            algorithms=ROBUST_ALGORITHMS, aggregators=DEFAULT_AGGREGATORS, num_workers=8,
+            byzantine=1, scale=DEFAULT_BYZANTINE_SCALE, epochs=20.0, fault_seed=0,
+        ),
+        config=_byzantine_config,
+        metric=_retained,
+        baseline="algorithm",
+        rows=("algorithm",),
+        columns="aggregator",
+        headers=("algorithm", "baseline acc"),
+        labels={"algorithm": str.upper},
+        lead=_baseline_accuracy,
+        float_format="{:.2f}",
+        notes=recovery_notes("robust-layer events", "robust", (7, 12)),
+        cli=("workers", "byzantine", "scale", "epochs", "fault_seed", "algorithms", "aggregators"),
+        choices={"algorithms": ROBUST_ALGORITHMS, "aggregators": AGGREGATORS},
+    ),
+}

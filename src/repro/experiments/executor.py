@@ -732,7 +732,7 @@ class SweepExecutor:
         that resume abandons and re-queues.
         """
         policy = self.policy or RunPolicy()
-        # Nobody asked for retries or degradation: drivers index their
+        # Nobody asked for retries or degradation: artefacts index their
         # results, they must never meet a FailedRun they did not ask for.
         strict = self.policy is None and session is None
         total = len(todo)
@@ -970,7 +970,7 @@ _default_executor: SweepExecutor | None = None
 
 
 def default_executor() -> SweepExecutor:
-    """The executor drivers use when none is passed explicitly."""
+    """The executor artefacts use when none is passed explicitly."""
     global _default_executor
     if _default_executor is None:
         _default_executor = SweepExecutor(jobs=1, cache=False)

@@ -1,9 +1,10 @@
 """Fault-tolerance experiment — resilience of the seven algorithms.
 
-The paper benchmarks the algorithms on a healthy cluster; this driver
+The paper benchmarks the algorithms on a healthy cluster; this module
 asks the complementary systems question its simulator makes cheap to
 answer: *how much throughput does each training protocol retain when
-the cluster misbehaves?* For every (scenario × algorithm) cell it
+the cluster misbehaves?* For every (scenario × algorithm) cell the
+``faults`` artefact
 
 1. runs the fault-free baseline (same config, ``faults=None`` — the
    cached, fingerprint-stable run the other experiments share),
@@ -25,13 +26,15 @@ Scenarios (event times as fractions of the baseline measured window):
 * ``flaky``         — 30 % packet loss to one machine for 30 %
   (retransmission delay, never silent loss).
 
-The **rack-scale chaos matrix** (:func:`run_rack_faults`) is the
+The **rack-scale chaos matrix** (``rack-faults``) is the
 hierarchical complement: on a leaf/spine cluster it crosses the fabric
 fault scenarios (a whole rack dying, a ToR losing or throttling its
 uplink, a flapping uplink, spine-wide contention) with the collectives
 that actually run at that scale — BSP with flat and tree PS fan-in,
 AR-SGD with ring/tree/hring — and reports the same throughput-retained
-grid. ``repro faults --rack-scale`` drives it.
+grid. Workers pack 4 per machine, ``machines_per_rack`` machines per
+ToR; the default scale, N=256 over 4 racks, exercises a correlated
+64-worker rack outage mid-run. ``repro faults --rack-scale`` drives it.
 
 All runs go through the sweep executor: baselines are cache hits when
 any other experiment ran them, and faulty runs are cached under their
@@ -40,153 +43,69 @@ own fingerprints (``faults`` is part of the content address when set).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.analysis.tables import format_table
-from repro.core.history import ThroughputResult
+from repro.experiments.artefact import Artefact, recovery_notes
 from repro.experiments.config import timing_config
-from repro.experiments.executor import SweepExecutor, default_executor
 from repro.faults.config import FaultConfig, FaultEvent
 from repro.sim.cluster import hierarchical_cluster
 
 __all__ = [
+    "ARTEFACTS",
+    "FAULT_ALGORITHMS",
     "FAULT_SCENARIOS",
     "RACK_FAULT_SCENARIOS",
     "RACK_FAULT_CELLS",
-    "FaultToleranceResult",
-    "run_faults",
-    "run_rack_faults",
 ]
 
 FAULT_ALGORITHMS = ("bsp", "asp", "ssp", "easgd", "ar-sgd", "gosgd", "ad-psgd")
 
 
-def _scenario_crash(t0: float, workers: int, machines: int) -> tuple[FaultEvent, ...]:
-    return (FaultEvent(time=0.4 * t0, kind="crash", worker=workers - 1),)
+def _one_event(kind: str, target: str | None, **fields: float):
+    """A scenario of one event: ``time``, ``duration`` and
+    ``rejoin_after`` are fractions of the baseline duration ``t0``, and
+    ``target`` (worker, machine or rack) is the last of its kind."""
 
+    def events(t0: float, *counts: int) -> tuple[FaultEvent, ...]:
+        event = {k: v * t0 if k in ("time", "duration", "rejoin_after") else v
+                 for k, v in fields.items()}
+        if target is not None:
+            event[target] = counts[1 if target == "machine" else 0] - 1
+        return (FaultEvent(kind=kind, **event),)
 
-def _scenario_crash_rejoin(
-    t0: float, workers: int, machines: int
-) -> tuple[FaultEvent, ...]:
-    return (
-        FaultEvent(
-            time=0.3 * t0, kind="crash", worker=workers - 1, rejoin_after=0.2 * t0
-        ),
-    )
-
-
-def _scenario_degrade(t0: float, workers: int, machines: int) -> tuple[FaultEvent, ...]:
-    return (
-        FaultEvent(
-            time=0.3 * t0,
-            kind="link_degrade",
-            machine=machines - 1,
-            duration=0.3 * t0,
-            rate_fraction=0.25,
-        ),
-    )
-
-
-def _scenario_partition(
-    t0: float, workers: int, machines: int
-) -> tuple[FaultEvent, ...]:
-    return (
-        FaultEvent(
-            time=0.4 * t0, kind="partition", machine=machines - 1, duration=0.08 * t0
-        ),
-    )
-
-
-def _scenario_flaky(t0: float, workers: int, machines: int) -> tuple[FaultEvent, ...]:
-    return (
-        FaultEvent(
-            time=0.3 * t0,
-            kind="drop",
-            machine=machines - 1,
-            duration=0.3 * t0,
-            drop_prob=0.3,
-        ),
-    )
+    return events
 
 
 #: scenario name -> (baseline_duration, num_workers, machines) -> events
 FAULT_SCENARIOS = {
-    "crash": _scenario_crash,
-    "crash-rejoin": _scenario_crash_rejoin,
-    "degrade": _scenario_degrade,
-    "partition": _scenario_partition,
-    "flaky": _scenario_flaky,
+    "crash": _one_event("crash", "worker", time=0.4),
+    "crash-rejoin": _one_event("crash", "worker", time=0.3, rejoin_after=0.2),
+    "degrade": _one_event("link_degrade", "machine", time=0.3, duration=0.3, rate_fraction=0.25),
+    "partition": _one_event("partition", "machine", time=0.4, duration=0.08),
+    "flaky": _one_event("drop", "machine", time=0.3, duration=0.3, drop_prob=0.3),
 }
-
-
-def _rack_outage(t0: float, racks: int) -> tuple[FaultEvent, ...]:
-    return (FaultEvent(time=0.4 * t0, kind="rack_outage", rack=racks - 1),)
-
-
-def _tor_outage(t0: float, racks: int) -> tuple[FaultEvent, ...]:
-    return (
-        FaultEvent(
-            time=0.3 * t0, kind="tor_outage", rack=racks - 1, duration=0.25 * t0
-        ),
-    )
-
-
-def _uplink_degrade(t0: float, racks: int) -> tuple[FaultEvent, ...]:
-    return (
-        FaultEvent(
-            time=0.3 * t0,
-            kind="uplink_degrade",
-            rack=racks - 1,
-            duration=0.3 * t0,
-            rate_fraction=0.1,
-        ),
-    )
-
-
-def _uplink_flap(t0: float, racks: int) -> tuple[FaultEvent, ...]:
-    return (
-        FaultEvent(
-            time=0.3 * t0,
-            kind="uplink_flap",
-            rack=racks - 1,
-            duration=0.3 * t0,
-            drop_prob=0.3,
-        ),
-    )
-
-
-def _spine_degrade(t0: float, racks: int) -> tuple[FaultEvent, ...]:
-    return (
-        FaultEvent(
-            time=0.3 * t0,
-            kind="spine_degrade",
-            duration=0.3 * t0,
-            rate_fraction=0.25,
-        ),
-    )
-
 
 #: rack-scale scenario name -> (baseline_duration, num_racks) -> events.
 #: Fabric faults always target the *last* rack: the failure detector's
 #: monitor lives on machine 0 (rack 0), so hitting the far rack tests
 #: the partition-and-evict path rather than fencing off the monitor.
 RACK_FAULT_SCENARIOS = {
-    "rack-outage": _rack_outage,
-    "tor-outage": _tor_outage,
-    "uplink-degrade": _uplink_degrade,
-    "uplink-flap": _uplink_flap,
-    "spine-degrade": _spine_degrade,
+    "rack-outage": _one_event("rack_outage", "rack", time=0.4),
+    "tor-outage": _one_event("tor_outage", "rack", time=0.3, duration=0.25),
+    "uplink-degrade": _one_event(
+        "uplink_degrade", "rack", time=0.3, duration=0.3, rate_fraction=0.1
+    ),
+    "uplink-flap": _one_event("uplink_flap", "rack", time=0.3, duration=0.3, drop_prob=0.3),
+    "spine-degrade": _one_event("spine_degrade", None, time=0.3, duration=0.3, rate_fraction=0.25),
 }
 
-#: Chaos-matrix columns: (label, algorithm, config overrides). One per
+#: Chaos-matrix columns: label -> (algorithm, config overrides). One per
 #: hierarchical protocol variant, plus the flat baselines for contrast.
-RACK_FAULT_CELLS = (
-    ("bsp", "bsp", {}),
-    ("bsp/tree", "bsp", {"ps_topology": "tree"}),
-    ("ar-sgd/ring", "ar-sgd", {"collective": "ring"}),
-    ("ar-sgd/tree", "ar-sgd", {"collective": "tree"}),
-    ("ar-sgd/hring", "ar-sgd", {"collective": "hring"}),
-)
+RACK_FAULT_CELLS = {
+    "bsp": ("bsp", {}),
+    "bsp/tree": ("bsp", {"ps_topology": "tree"}),
+    "ar-sgd/ring": ("ar-sgd", {"collective": "ring"}),
+    "ar-sgd/tree": ("ar-sgd", {"collective": "tree"}),
+    "ar-sgd/hring": ("ar-sgd", {"collective": "hring"}),
+}
 
 
 def _detection_params(t0: float) -> dict:
@@ -201,208 +120,98 @@ def _detection_params(t0: float) -> dict:
     )
 
 
-@dataclass
-class FaultToleranceResult:
-    """retained[scenario][algorithm] plus the per-cell fault summaries."""
-
-    scenarios: tuple[str, ...]
-    algorithms: tuple[str, ...]
-    baseline: dict[str, ThroughputResult] = field(default_factory=dict)
-    raw: dict[tuple[str, str], ThroughputResult] = field(default_factory=dict)
-    retained: dict[str, dict[str, float]] = field(default_factory=dict)
-    summaries: dict[tuple[str, str], dict] = field(default_factory=dict)
-    title: str = "Fault tolerance — throughput retained vs fault-free baseline"
-
-    def render(self) -> str:
-        headers = ["scenario", *(a.upper() for a in self.algorithms)]
-        rows = []
-        for scenario in self.scenarios:
-            rows.append(
-                [scenario, *(self.retained[scenario][a] for a in self.algorithms)]
-            )
-        table = format_table(
-            headers,
-            rows,
-            title=self.title,
-            float_format="{:.2f}",
-        )
-        notes = []
-        for scenario in self.scenarios:
-            for algo in self.algorithms:
-                s = self.summaries[(scenario, algo)]
-                bits = []
-                if s["evictions"]:
-                    wids = [e["worker"] for e in s["evictions"]]
-                    # A correlated rack outage evicts dozens at once;
-                    # the count reads better than the roster.
-                    bits.append(
-                        f"evicted {len(wids)} workers"
-                        if len(wids) > 8
-                        else f"evicted {wids}"
-                    )
-                if s["rejoins"]:
-                    bits.append(f"rejoined {[e['worker'] for e in s['rejoins']]}")
-                if s["stale_epoch_drops"]:
-                    bits.append(f"{s['stale_epoch_drops']} stale msgs dropped")
-                if s["retransmits"]:
-                    bits.append(f"{s['retransmits']} retransmits")
-                if bits:
-                    notes.append(f"  {scenario:>12s} / {algo:<7s} " + ", ".join(bits))
-        if notes:
-            table += "\n\nrecovery events:\n" + "\n".join(notes)
-        return table
+def _retained(result, config, base) -> float:
+    return result.throughput / base.throughput
 
 
-def run_faults(
-    *,
-    algorithms=FAULT_ALGORITHMS,
-    scenarios: tuple[str, ...] = tuple(FAULT_SCENARIOS),
-    num_workers: int = 8,
-    model: str = "resnet50",
-    bandwidth_gbps: float = 10.0,
-    measure_iters: int = 20,
-    seed: int = 0,
-    fault_seed: int = 0,
-    executor: SweepExecutor | None = None,
-) -> FaultToleranceResult:
-    """Run the fault-tolerance grid (scenarios × algorithms).
+def _faults(c, events) -> FaultConfig | None:
+    """The schedule ``events(t0)`` sized to the cell's baseline run's
+    measured duration ``t0``; None for the baseline run itself."""
+    if c.base is None:
+        return None
+    t0 = c.base.measured_time
+    return FaultConfig(events=events(t0), seed=c.fault_seed, **_detection_params(t0))
 
-    Two executor passes: the fault-free baselines first (their measured
-    durations size each algorithm's fault times), then the faulty grid.
-    """
-    unknown = set(scenarios) - set(FAULT_SCENARIOS)
-    if unknown:
+
+def _fault_config(c):
+    machines = max(1, -(-c.num_workers // 4))
+    faults = _faults(c, lambda t0: FAULT_SCENARIOS[c.scenario](t0, c.num_workers, machines))
+    return timing_config(
+        c.algorithm, num_workers=c.num_workers, bandwidth_gbps=c.bandwidth_gbps, model=c.model,
+        measure_iters=c.measure_iters, seed=c.seed, trace=False, faults=faults,
+    )
+
+
+def _rack_cluster(shape: dict) -> dict:
+    machines = max(1, -(-shape["num_workers"] // 4))
+    if machines <= shape["machines_per_rack"]:
         raise ValueError(
-            f"unknown scenarios {sorted(unknown)}; known: {sorted(FAULT_SCENARIOS)}"
-        )
-    executor = executor or default_executor()
-    algorithms = tuple(algorithms)
-    scenarios = tuple(scenarios)
-
-    def base_config(algo: str, faults: FaultConfig | None):
-        return timing_config(
-            algo,
-            num_workers=num_workers,
-            bandwidth_gbps=bandwidth_gbps,
-            model=model,
-            measure_iters=measure_iters,
-            seed=seed,
-            trace=False,
-            faults=faults,
-        )
-
-    result = FaultToleranceResult(scenarios=scenarios, algorithms=algorithms)
-    baselines = executor.map([base_config(a, None) for a in algorithms])
-    for algo, res in zip(algorithms, baselines):
-        result.baseline[algo] = res
-
-    cells = [(s, a) for s in scenarios for a in algorithms]
-    configs = []
-    for scenario, algo in cells:
-        t0 = result.baseline[algo].measured_time
-        machines = max(1, -(-num_workers // 4))
-        events = FAULT_SCENARIOS[scenario](t0, num_workers, machines)
-        faults = FaultConfig(
-            events=events, seed=fault_seed, **_detection_params(t0)
-        )
-        configs.append(base_config(algo, faults))
-    for (scenario, algo), res in zip(cells, executor.map(configs)):
-        result.raw[(scenario, algo)] = res
-        result.summaries[(scenario, algo)] = res.metadata["faults"]
-        result.retained.setdefault(scenario, {})[algo] = (
-            res.throughput / result.baseline[algo].throughput
-        )
-    return result
-
-
-def run_rack_faults(
-    *,
-    cells=RACK_FAULT_CELLS,
-    scenarios: tuple[str, ...] = tuple(RACK_FAULT_SCENARIOS),
-    num_workers: int = 256,
-    machines_per_rack: int = 16,
-    oversubscription: float = 4.0,
-    model: str = "resnet50",
-    bandwidth_gbps: float = 10.0,
-    measure_iters: int = 6,
-    warmup_iters: int = 2,
-    seed: int = 0,
-    fault_seed: int = 0,
-    executor: SweepExecutor | None = None,
-) -> FaultToleranceResult:
-    """Run the rack-scale chaos matrix (fabric scenarios × collectives).
-
-    Same two-pass structure as :func:`run_faults` — fault-free
-    baselines size each cell's event times — but on a leaf/spine
-    cluster (4 workers per machine, ``machines_per_rack`` machines per
-    ToR) and with the grid's columns being protocol *variants* (BSP
-    flat/tree-PS, AR-SGD ring/tree/hring) rather than the seven
-    algorithms. The default scale, N=256 over 4 racks, exercises a
-    correlated 64-worker rack outage mid-run.
-    """
-    unknown = set(scenarios) - set(RACK_FAULT_SCENARIOS)
-    if unknown:
-        raise ValueError(
-            f"unknown scenarios {sorted(unknown)}; "
-            f"known: {sorted(RACK_FAULT_SCENARIOS)}"
-        )
-    machines = max(1, -(-num_workers // 4))
-    if machines <= machines_per_rack:
-        raise ValueError(
-            f"{num_workers} workers fill only {machines} machines — need more "
-            f"than one rack of {machines_per_rack} for fabric faults"
+            f"{shape['num_workers']} workers fill only {machines} machines — need more "
+            f"than one rack of {shape['machines_per_rack']} for fabric faults"
         )
     cluster = hierarchical_cluster(
         machines=machines,
-        bandwidth_gbps=bandwidth_gbps,
-        machines_per_rack=machines_per_rack,
-        oversubscription=oversubscription,
+        bandwidth_gbps=shape["bandwidth_gbps"],
+        machines_per_rack=shape["machines_per_rack"],
+        oversubscription=shape["oversubscription"],
     )
-    executor = executor or default_executor()
-    cells = tuple(cells)
-    scenarios = tuple(scenarios)
-    labels = tuple(label for label, _, _ in cells)
+    return {"cluster": cluster}
 
-    def cell_config(algo: str, overrides: dict, faults: FaultConfig | None):
-        return timing_config(
-            algo,
-            num_workers=num_workers,
-            bandwidth_gbps=bandwidth_gbps,
-            model=model,
-            measure_iters=measure_iters,
-            warmup_iters=warmup_iters,
-            seed=seed,
-            trace=False,
-            cluster=cluster,
-            faults=faults,
-            **overrides,
-        )
 
-    result = FaultToleranceResult(
-        scenarios=scenarios,
-        algorithms=labels,
-        title=(
-            f"Rack-scale chaos matrix — throughput retained "
-            f"(N={num_workers}, {cluster.num_racks} racks)"
+def _rack_config(c):
+    algorithm, overrides = RACK_FAULT_CELLS[c.cell]
+    faults = _faults(c, lambda t0: RACK_FAULT_SCENARIOS[c.scenario](t0, c.cluster.num_racks))
+    return timing_config(
+        algorithm, num_workers=c.num_workers, bandwidth_gbps=c.bandwidth_gbps, model=c.model,
+        measure_iters=c.measure_iters, warmup_iters=c.warmup_iters, seed=c.seed, trace=False,
+        cluster=c.cluster, faults=faults, **overrides,
+    )
+
+
+_TIMING = dict(model="resnet50", bandwidth_gbps=10.0, fault_seed=0)
+_LAYOUT = dict(
+    metric=_retained,
+    rows=("scenario",),
+    headers=("scenario",),
+    labels={"algorithm": str.upper, "cell": str.upper},
+    float_format="{:.2f}",
+    notes=recovery_notes("recovery events", "faults", (12, 7)),
+)
+_CLI = ("workers", "iters", "model", "bandwidth", "fault_seed", "scenarios", "algorithms")
+
+ARTEFACTS = {
+    "faults": Artefact(
+        "faults",
+        title="Fault tolerance — throughput retained vs fault-free baseline",
+        axes={"scenario": "scenarios", "algorithm": "algorithms"},
+        shape=dict(
+            algorithms=FAULT_ALGORITHMS, scenarios=tuple(FAULT_SCENARIOS), num_workers=8,
+            measure_iters=20, **_TIMING,
         ),
-    )
-    baselines = executor.map(
-        [cell_config(algo, overrides, None) for _, algo, overrides in cells]
-    )
-    for (label, _, _), res in zip(cells, baselines):
-        result.baseline[label] = res
-
-    grid = [(s, cell) for s in scenarios for cell in cells]
-    configs = []
-    for scenario, (label, algo, overrides) in grid:
-        t0 = result.baseline[label].measured_time
-        events = RACK_FAULT_SCENARIOS[scenario](t0, cluster.num_racks)
-        faults = FaultConfig(events=events, seed=fault_seed, **_detection_params(t0))
-        configs.append(cell_config(algo, overrides, faults))
-    for (scenario, (label, _, _)), res in zip(grid, executor.map(configs)):
-        result.raw[(scenario, label)] = res
-        result.summaries[(scenario, label)] = res.metadata["faults"]
-        result.retained.setdefault(scenario, {})[label] = (
-            res.throughput / result.baseline[label].throughput
-        )
-    return result
+        config=_fault_config,
+        baseline="algorithm",
+        columns="algorithm",
+        cli=_CLI,
+        choices={"scenarios": FAULT_SCENARIOS, "algorithms": FAULT_ALGORITHMS},
+        **_LAYOUT,
+    ),
+    "rack-faults": Artefact(
+        "rack-faults",
+        title=(
+            "Rack-scale chaos matrix — throughput retained "
+            "(N={num_workers}, {cluster.num_racks} racks)"
+        ),
+        axes={"scenario": "scenarios", "cell": "cells"},
+        shape=dict(
+            cells=tuple(RACK_FAULT_CELLS), scenarios=tuple(RACK_FAULT_SCENARIOS), num_workers=256,
+            machines_per_rack=16, oversubscription=4.0, measure_iters=6, warmup_iters=2, **_TIMING,
+        ),
+        prepare=_rack_cluster,
+        config=_rack_config,
+        baseline="cell",
+        columns="cell",
+        cli=(*_CLI, "machines_per_rack", "oversubscription"),
+        choices={"scenarios": RACK_FAULT_SCENARIOS, "cells": RACK_FAULT_CELLS},
+        **_LAYOUT,
+    ),
+}

@@ -1,4 +1,4 @@
-"""Fig 4 driver — cumulative effect of the three optimizations.
+"""Fig 4 — cumulative effect of the three optimizations.
 
 The paper measures the throughput of the centralized gradient-sending
 algorithms (BSP, ASP, SSP) with 8/16/24 workers while applying
@@ -12,103 +12,45 @@ ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.analysis.tables import format_table
+from repro.experiments.artefact import Artefact
 from repro.experiments.config import timing_config
-from repro.experiments.executor import SweepExecutor, default_executor
 
-__all__ = ["OptimizationLadderResult", "run_fig4", "LADDER"]
+__all__ = ["ARTEFACTS", "LADDER"]
 
-# (label, config overrides applied on top of the timing defaults)
-LADDER: tuple[tuple[str, dict], ...] = (
-    ("baseline", dict(num_ps_shards=1)),
-    ("+sharding", dict()),
-    ("+waitfree", dict(wait_free_bp=True)),
-    ("+dgc", dict(wait_free_bp=True, dgc=True)),
-)
-
-
-@dataclass
-class OptimizationLadderResult:
-    """throughput[algorithm][(num_workers, ladder_label)] in img/s."""
-
-    model: str
-    bandwidth_gbps: float
-    worker_counts: tuple[int, ...]
-    throughput: dict[str, dict[tuple[int, str], float]] = field(default_factory=dict)
-
-    def ladder(self, algorithm: str, num_workers: int) -> list[tuple[str, float]]:
-        return [
-            (label, self.throughput[algorithm][(num_workers, label)])
-            for label, _ in LADDER
-        ]
-
-    def gain(self, algorithm: str, num_workers: int, label: str) -> float:
-        """Throughput of a ladder rung relative to the previous rung."""
-        labels = [l for l, _ in LADDER]
-        idx = labels.index(label)
-        if idx == 0:
-            return 1.0
-        cur = self.throughput[algorithm][(num_workers, label)]
-        prev = self.throughput[algorithm][(num_workers, labels[idx - 1])]
-        return cur / prev
-
-    def render(self) -> str:
-        headers = ["algorithm", "# workers", *(label for label, _ in LADDER)]
-        rows = []
-        for algo, cells in self.throughput.items():
-            for n in self.worker_counts:
-                rows.append(
-                    [algo.upper(), n, *(cells[(n, label)] for label, _ in LADDER)]
-                )
-        return format_table(
-            headers,
-            rows,
-            title=(
-                f"Fig 4 — throughput (img/s) with cumulative optimizations, "
-                f"{self.model} @ {self.bandwidth_gbps:g} Gbps"
-            ),
-            float_format="{:.0f}",
-        )
+#: rung label -> config overrides applied on top of the timing defaults
+LADDER: dict[str, dict] = {
+    "baseline": dict(num_ps_shards=1),
+    "+sharding": dict(),
+    "+waitfree": dict(wait_free_bp=True),
+    "+dgc": dict(wait_free_bp=True, dgc=True),
+}
 
 
-def run_fig4(
-    *,
-    algorithms=("bsp", "asp", "ssp"),
-    model: str = "resnet50",
-    bandwidth_gbps: float = 10.0,
-    worker_counts: tuple[int, ...] = (8, 16, 24),
-    measure_iters: int = 20,
-    seed: int = 0,
-    executor: SweepExecutor | None = None,
-) -> OptimizationLadderResult:
-    executor = executor or default_executor()
-    result = OptimizationLadderResult(
-        model=model, bandwidth_gbps=bandwidth_gbps, worker_counts=tuple(worker_counts)
+def _fig4_config(c):
+    return timing_config(
+        c.algorithm, num_workers=c.workers, bandwidth_gbps=c.bandwidth_gbps, model=c.model,
+        measure_iters=c.measure_iters, seed=c.seed, **LADDER[c.rung],
     )
-    cells = [
-        (algo, n, label)
-        for algo in algorithms
-        for n in worker_counts
-        for label, _ in LADDER
-    ]
-    configs = [
-        timing_config(
-            algo,
-            num_workers=n,
-            bandwidth_gbps=bandwidth_gbps,
-            model=model,
-            measure_iters=measure_iters,
-            seed=seed,
-            **overrides,
-        )
-        for algo in algorithms
-        for n in worker_counts
-        for _, overrides in LADDER
-    ]
-    for algo in algorithms:
-        result.throughput[algo] = {}
-    for (algo, n, label), res in zip(cells, executor.map(configs)):
-        result.throughput[algo][(n, label)] = res.throughput
-    return result
+
+
+ARTEFACTS = {
+    "fig4": Artefact(
+        "fig4",
+        title=(
+            "Fig 4 — throughput (img/s) with cumulative optimizations, "
+            "{model} @ {bandwidth_gbps:g} Gbps"
+        ),
+        axes={"algorithm": "algorithms", "workers": "worker_counts", "rung": "rungs"},
+        shape=dict(
+            algorithms=("bsp", "asp", "ssp"), model="resnet50", bandwidth_gbps=10.0,
+            worker_counts=(8, 16, 24), rungs=tuple(LADDER), measure_iters=20,
+        ),
+        config=_fig4_config,
+        rows=("algorithm", "workers"),
+        columns="rung",
+        headers=("algorithm", "# workers"),
+        labels={"algorithm": str.upper},
+        float_format="{:.0f}",
+        cli=("model", "bandwidth", "iters"),
+    ),
+}

@@ -1,4 +1,4 @@
-"""Table III driver — hyperparameter / worker-count sensitivity.
+"""Table III — hyperparameter / worker-count sensitivity.
 
 The paper trains the five asynchronous algorithms with 4/8/16/24
 workers, crossing SSP s∈{3,10}, EASGD τ∈{4,8}, GoSGD p∈{1,0.1,0.01},
@@ -8,29 +8,24 @@ every cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from repro.experiments.artefact import Artefact, final_accuracy
+from repro.experiments.config import MINI_EPOCHS, mini_accuracy_config
 
-import numpy as np
+__all__ = ["ARTEFACTS", "TABLE3_COLUMNS", "PAPER_TABLE3"]
 
-from repro.analysis.tables import format_table
-from repro.experiments.config import mini_accuracy_config
-from repro.experiments.executor import SweepExecutor, default_executor
-
-__all__ = ["SensitivityResult", "run_table3", "TABLE3_COLUMNS", "PAPER_TABLE3"]
-
-# Column spec: (label, algorithm, hyperparameters) — Table III layout.
-TABLE3_COLUMNS: tuple[tuple[str, str, dict], ...] = (
-    ("BSP", "bsp", {}),
-    ("ASP", "asp", {}),
-    ("SSP s=3", "ssp", {"staleness": 3}),
-    ("SSP s=10", "ssp", {"staleness": 10}),
-    ("EASGD t=4", "easgd", {"tau": 4}),
-    ("EASGD t=8", "easgd", {"tau": 8}),
-    ("GoSGD p=1", "gosgd", {"p": 1.0}),
-    ("GoSGD p=0.1", "gosgd", {"p": 0.1}),
-    ("GoSGD p=0.01", "gosgd", {"p": 0.01}),
-    ("AD-PSGD", "ad-psgd", {}),
-)
+#: Table III columns, in its layout: label -> (algorithm, hyperparameters)
+TABLE3_COLUMNS: dict[str, tuple[str, dict]] = {
+    "BSP": ("bsp", {}),
+    "ASP": ("asp", {}),
+    "SSP s=3": ("ssp", {"staleness": 3}),
+    "SSP s=10": ("ssp", {"staleness": 10}),
+    "EASGD t=4": ("easgd", {"tau": 4}),
+    "EASGD t=8": ("easgd", {"tau": 8}),
+    "GoSGD p=1": ("gosgd", {"p": 1.0}),
+    "GoSGD p=0.1": ("gosgd", {"p": 0.1}),
+    "GoSGD p=0.01": ("gosgd", {"p": 0.01}),
+    "AD-PSGD": ("ad-psgd", {}),
+}
 
 PAPER_TABLE3: dict[str, dict[int, float]] = {
     "BSP": {4: 0.7514, 8: 0.7509, 16: 0.7496, 24: 0.7511},
@@ -46,71 +41,27 @@ PAPER_TABLE3: dict[str, dict[int, float]] = {
 }
 
 
-@dataclass
-class SensitivityResult:
-    """accuracy[column_label][num_workers] = mean final accuracy."""
-
-    worker_counts: tuple[int, ...]
-    seeds: tuple[int, ...]
-    accuracy: dict[str, dict[int, float]] = field(default_factory=dict)
-
-    def render(self) -> str:
-        headers = ["# workers", *self.accuracy.keys()]
-        rows = [
-            [n, *(self.accuracy[label][n] for label in self.accuracy)]
-            for n in self.worker_counts
-        ]
-        return format_table(
-            headers,
-            rows,
-            title=(
-                "Table III — accuracy vs workers and hyperparameters "
-                f"({len(self.seeds)} seed(s))"
-            ),
-        )
-
-    def degradation(self, label: str) -> float:
-        """Accuracy drop from the smallest to the largest worker count."""
-        series = self.accuracy[label]
-        return series[self.worker_counts[0]] - series[self.worker_counts[-1]]
 
 
-def run_table3(
-    columns=TABLE3_COLUMNS,
-    *,
-    worker_counts: tuple[int, ...] = (4, 8, 16, 24),
-    seeds: tuple[int, ...] = (0,),
-    epochs: float | None = None,
-    executor: SweepExecutor | None = None,
-    **config_overrides,
-) -> SensitivityResult:
-    executor = executor or default_executor()
-    result = SensitivityResult(worker_counts=tuple(worker_counts), seeds=tuple(seeds))
-    kwargs = dict(config_overrides)
-    if epochs is not None:
-        kwargs["epochs"] = epochs
-    cells = [
-        (label, n, seed)
-        for label, _, _ in columns
-        for n in worker_counts
-        for seed in seeds
-    ]
-    configs = [
-        mini_accuracy_config(
-            algo, num_workers=n, seed=seed, algorithm_params=params, **kwargs
-        )
-        for _, algo, params in columns
-        for n in worker_counts
-        for seed in seeds
-    ]
-    runs = executor.map(configs)
-    for label, _, _ in columns:
-        result.accuracy[label] = {}
-        for n in worker_counts:
-            accs = [
-                h.final_test_accuracy
-                for (l, m, _), h in zip(cells, runs)
-                if l == label and m == n
-            ]
-            result.accuracy[label][n] = float(np.mean(accs))
-    return result
+def _table3_config(c):
+    algorithm, params = TABLE3_COLUMNS[c.column]
+    return mini_accuracy_config(
+        algorithm, num_workers=c.num_workers, epochs=c.epochs, seed=c.seed, algorithm_params=params
+    )
+
+
+ARTEFACTS = {
+    "table3": Artefact(
+        "table3",
+        title="Table III — accuracy vs workers and hyperparameters ({seeds} seed(s))",
+        axes={"column": "columns", "num_workers": "worker_counts"},
+        shape=dict(columns=tuple(TABLE3_COLUMNS), worker_counts=(4, 8, 16, 24), epochs=MINI_EPOCHS),
+        config=_table3_config,
+        metric=final_accuracy,
+        paper=lambda cell: PAPER_TABLE3[cell["column"]].get(cell["num_workers"]),
+        rows=("num_workers",),
+        columns="column",
+        headers=("# workers",),
+        cli=("epochs",),
+    ),
+}

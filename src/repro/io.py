@@ -1,6 +1,6 @@
 """Result serialization: save/load experiment results as JSON.
 
-Every result type used by the experiment drivers reduces to plain JSON
+Every result type the experiments produce reduces to plain JSON
 so that runs can be archived, diffed against the paper's values, and
 re-rendered without re-running the simulation (the CLI's ``--output``
 flag uses this). The two primitive result types round-trip through
@@ -90,7 +90,7 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
 
 
 def save_json(obj: Any, path: str | Path) -> Path:
-    """Serialise ``obj`` (any driver result) to ``path`` atomically.
+    """Serialise ``obj`` (any experiment result) to ``path`` atomically.
 
     ``allow_nan=False`` backstops the finite-or-null conversion in
     :func:`to_jsonable`: a non-finite value that slips through raises

@@ -42,6 +42,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.analysis.breakdown import attribution_summary_line
 from repro.obs.spans import IterationWindow, SpanDAG, build_span_dag
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -434,15 +435,6 @@ def _whatif(
 
 
 # -- top-level reports ---------------------------------------------------
-
-
-def attribution_summary_line(fractions: dict) -> str:
-    """The one-line ``compute X% / comm Y% / wait Z%`` summary."""
-    return (
-        f"compute {100 * fractions.get('compute', 0.0):.1f}% / "
-        f"comm {100 * fractions.get('comm', 0.0):.1f}% / "
-        f"wait {100 * fractions.get('wait', 0.0):.1f}%"
-    )
 
 
 def analyze_dag(

@@ -43,10 +43,15 @@ class TestLineChart:
 
 class TestFig1Chart:
     def test_renders_both_panels(self):
-        series = {
-            "bsp": {"epochs": [0, 1, 2], "times": [0, 5, 10], "errors": [0.8, 0.5, 0.3]},
-            "asp": {"epochs": [0, 1, 2], "times": [0, 4, 8], "errors": [0.8, 0.6, 0.4]},
+        from repro.core.history import TrainingHistory
+        from repro.experiments.artefact import Table, artefact
+
+        table = Table(artefact("fig1"), {"algorithms": ("bsp", "asp")}, (0,))
+        epochs = [0, 1, 2]
+        table.results = {
+            ("bsp",): [TrainingHistory(epochs=epochs, times=[0, 5, 10], test_accuracy=[0.2, 0.5, 0.7])],
+            ("asp",): [TrainingHistory(epochs=epochs, times=[0, 4, 8], test_accuracy=[0.2, 0.4, 0.6])],
         }
-        text = fig1_chart(series)
+        text = fig1_chart(table)
         assert "Fig 1(a)" in text and "Fig 1(b)" in text
         assert "BSP" in text and "ASP" in text

@@ -30,7 +30,7 @@ from repro.experiments.executor import (
     run_sweep,
     set_default_executor,
 )
-from repro.experiments.scalability import run_fig2
+from repro.experiments.artefact import artefact, render, run_artefact
 from repro.experiments.session import RunPolicy, SweepInterrupted
 from repro.io import to_jsonable
 from repro.optimizations.dgc import DGCConfig
@@ -123,11 +123,12 @@ class TestParallelSerialParity:
             bandwidths=(10.0,),
             measure_iters=2,
         )
-        serial = run_fig2(executor=SweepExecutor(jobs=1, cache=False), **kwargs)
-        parallel = run_fig2(executor=SweepExecutor(jobs=4, cache=False), **kwargs)
-        assert stable([serial.raw]) == stable([parallel.raw])
-        assert serial.speedup == parallel.speedup
-        assert serial.render() == parallel.render()
+        fig2 = artefact("fig2")
+        serial = run_artefact(fig2, executor=SweepExecutor(jobs=1, cache=False), **kwargs)
+        parallel = run_artefact(fig2, executor=SweepExecutor(jobs=4, cache=False), **kwargs)
+        assert stable([serial.results]) == stable([parallel.results])
+        assert serial.values == parallel.values
+        assert render(serial) == render(parallel)
 
     def test_results_align_with_submission_order(self):
         grid = [tiny_timing("bsp", n) for n in (2, 1, 4)]

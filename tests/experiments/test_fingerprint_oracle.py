@@ -137,27 +137,25 @@ class _GridRecorder(SweepExecutor):
 
 
 def _run_grids():
-    from repro.experiments.accuracy import run_table2, run_table4
-    from repro.experiments.optimizations import run_fig4
-    from repro.experiments.scalability import run_fig2, run_fig3
-    from repro.experiments.sensitivity import run_table3
-
-    yield pytest.param(run_table2, id="table2-fig1")
-    yield pytest.param(run_table3, id="table3")
-    yield pytest.param(run_table4, id="table4")
+    yield pytest.param("table2", {}, id="table2-fig1")
+    yield pytest.param("table3", {}, id="table3")
+    yield pytest.param("table4", {}, id="table4")
     for model in ("resnet50", "vgg16"):
-        yield pytest.param(functools.partial(run_fig2, model=model), id=f"fig2-{model}")
+        yield pytest.param("fig2", dict(model=model), id=f"fig2-{model}")
         for gbps in (10.0, 56.0):
-            driver = functools.partial(run_fig4, model=model, bandwidth_gbps=gbps)
-            yield pytest.param(driver, id=f"fig4-{model}-{gbps:g}")
-    yield pytest.param(run_fig3, id="fig3")
+            yield pytest.param(
+                "fig4", dict(model=model, bandwidth_gbps=gbps), id=f"fig4-{model}-{gbps:g}"
+            )
+    yield pytest.param("fig3", {}, id="fig3")
 
 
-@pytest.mark.parametrize("driver", list(_run_grids()))
-def test_every_repro_run_grid(driver):
+@pytest.mark.parametrize("name, shape", list(_run_grids()))
+def test_every_repro_run_grid(name, shape):
+    from repro.experiments.artefact import artefact, run_artefact
+
     recorder = _GridRecorder()
     with pytest.raises(_Captured):
-        driver(executor=recorder)
+        run_artefact(artefact(name), executor=recorder, **shape)
     assert_same_fingerprints(recorder.grid)
 
 

@@ -402,9 +402,11 @@ class TestFabricDeterminism:
 
 
 def run_digest(cfg) -> str:
-    return hashlib.sha256(
-        json.dumps(execute_run(cfg).to_dict(), sort_keys=True).encode()
-    ).hexdigest()
+    # The pins predate metadata["worker_iterations"] (checked in
+    # tests/core/test_worker_iterations.py); it is left out of the hash.
+    document = execute_run(cfg).to_dict()
+    document["metadata"].pop("worker_iterations")
+    return hashlib.sha256(json.dumps(document, sort_keys=True).encode()).hexdigest()
 
 
 class TestFlatFaultsStayBitIdentical:

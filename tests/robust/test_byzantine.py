@@ -18,14 +18,22 @@ import math
 
 import pytest
 
+from repro.experiments.artefact import artefact, render, run_artefact
 from repro.experiments.byzantine import (
     DEFAULT_AGGREGATORS,
     ROBUST_ALGORITHMS,
     byzantine_fault_config,
     robust_config_for,
-    run_byzantine,
 )
 from repro.experiments.executor import SweepExecutor
+
+
+def run_byzantine(**shape):
+    return run_artefact(artefact("byzantine"), **shape)
+
+
+def robust_summary(table, algo: str, agg: str) -> dict:
+    return table.results[(algo, agg)][0].metadata.get("robust", {})
 
 
 @pytest.fixture(scope="module")
@@ -52,36 +60,36 @@ def screening_grid():
 
 class TestCentralizedRetention:
     def test_mean_loses_at_least_half(self, bsp_grid):
-        assert bsp_grid.retained["bsp"]["mean"] <= 0.5
+        assert bsp_grid.value("bsp", "mean") <= 0.5
 
     def test_median_and_krum_retain(self, bsp_grid):
-        assert bsp_grid.retained["bsp"]["median"] >= 0.8
-        assert bsp_grid.retained["bsp"]["krum"] >= 0.8
+        assert bsp_grid.value("bsp", "median") >= 0.8
+        assert bsp_grid.value("bsp", "krum") >= 0.8
 
     def test_baseline_actually_learned(self, bsp_grid):
         # Retention ratios are meaningless against a chance-level
         # baseline (4-class spirals: chance = 0.25).
-        assert bsp_grid.baseline["bsp"].final_test_accuracy > 0.5
+        assert bsp_grid.baselines[("bsp", 0)].final_test_accuracy > 0.5
 
     def test_mean_cell_runs_unprotected(self, bsp_grid):
         # The vulnerability column carries no robust layer at all.
-        assert bsp_grid.summaries[("bsp", "mean")] == {}
-        assert bsp_grid.summaries[("bsp", "median")]["aggregator"] == "median"
+        assert robust_summary(bsp_grid, "bsp", "mean") == {}
+        assert robust_summary(bsp_grid, "bsp", "median")["aggregator"] == "median"
 
     def test_render_mentions_the_attack(self, bsp_grid):
-        table = bsp_grid.render()
+        table = render(bsp_grid)
         assert "Byzantine" in table and "BSP" in table
 
 
 class TestDecentralizedScreening:
     @pytest.mark.parametrize("algo", ["ad-psgd", "gosgd"])
     def test_screening_keeps_convergence(self, screening_grid, algo):
-        assert screening_grid.retained[algo]["mean"] <= 0.6  # unprotected
-        assert screening_grid.retained[algo]["median"] >= 0.8  # screened
+        assert screening_grid.value(algo, "mean") <= 0.6  # unprotected
+        assert screening_grid.value(algo, "median") >= 0.8  # screened
 
     @pytest.mark.parametrize("algo", ["ad-psgd", "gosgd"])
     def test_offender_quarantined(self, screening_grid, algo):
-        summary = screening_grid.summaries[(algo, "median")]
+        summary = robust_summary(screening_grid, algo, "median")
         # Worker 7 (the highest id) is the Byzantine one by construction.
         assert summary["quarantines_requested"] == [7]
         assert sum(summary["rejections"].values()) >= 1
@@ -89,7 +97,7 @@ class TestDecentralizedScreening:
     @pytest.mark.parametrize("algo", ["ad-psgd", "gosgd"])
     def test_faulty_runs_complete_finite(self, screening_grid, algo):
         for agg in ("mean", "median"):
-            acc = screening_grid.raw[(algo, agg)].final_test_accuracy
+            acc = screening_grid.results[(algo, agg)][0].final_test_accuracy
             assert math.isfinite(acc)
 
 

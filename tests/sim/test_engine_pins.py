@@ -109,9 +109,11 @@ def pin_config(algorithm: str, faults: FaultConfig | None = None) -> RunConfig:
 
 
 def result_digest(result) -> str:
-    return hashlib.sha256(
-        json.dumps(result.to_dict(), sort_keys=True).encode()
-    ).hexdigest()
+    # The pins predate metadata["worker_iterations"] (checked in
+    # tests/core/test_worker_iterations.py); it is left out of the hash.
+    document = result.to_dict()
+    document["metadata"].pop("worker_iterations")
+    return hashlib.sha256(json.dumps(document, sort_keys=True).encode()).hexdigest()
 
 
 def run_pinned(algorithm: str, mode: str) -> tuple[str, int]:

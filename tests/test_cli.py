@@ -76,38 +76,35 @@ class TestUsageErrors:
 
 
 class TestDriverDefaults:
-    """Options a command leaves unset take the driver's defaults, which
+    """Options a command leaves unset take the artefact's defaults, which
     are the values the CLI used to spell out."""
 
     @pytest.mark.parametrize(
-        "argv, driver, expected",
+        "argv, artefact, expected",
         [
-            (["faults"], "run_faults", dict(num_workers=8, measure_iters=20)),
+            (["faults"], "faults", dict(num_workers=8, measure_iters=20)),
             (
                 ["faults", "--rack-scale"],
-                "run_rack_faults",
+                "rack-faults",
                 dict(num_workers=256, measure_iters=6, machines_per_rack=16, oversubscription=4.0),
             ),
         ],
     )
-    def test_unset_options_resolve(self, argv, driver, expected, monkeypatch):
-        import inspect
-        from types import SimpleNamespace
-
+    def test_unset_options_resolve(self, argv, artefact, expected, monkeypatch):
         import repro.cli as cli
-        import repro.experiments.faults as faults
+        import repro.experiments.artefact as artefacts
 
-        signature = inspect.signature(getattr(faults, driver))
         seen = {}
 
-        def capture(**kwargs):
-            bound = signature.bind(**kwargs)
-            bound.apply_defaults()
-            seen.update(bound.arguments)
-            return SimpleNamespace(render=lambda: "")
+        def capture(spec, **shape):
+            seen["name"] = spec.name
+            seen.update(spec.shape, **shape)
+            raise SystemExit
 
-        monkeypatch.setattr(faults, driver, capture)
-        cli._run_faults_cmd(build_parser().parse_args(argv))
+        monkeypatch.setattr(artefacts, "run_artefact", capture)
+        with pytest.raises(SystemExit):
+            cli._run_artefact_cmd(build_parser().parse_args(argv))
+        assert seen["name"] == artefact
         assert {key: seen[key] for key in expected} == expected
 
 
@@ -174,18 +171,14 @@ class TestCommands:
 
     def test_run_table2_tiny(self, capsys, monkeypatch):
         # Shrink the protocol so the CLI path is testable in seconds.
+        import dataclasses
+
         import repro.experiments.accuracy as acc
 
-        orig = acc.run_accuracy_experiment
-
-        def tiny(**kwargs):
-            kwargs.setdefault("algorithms", ("bsp",))
-            kwargs["num_workers"] = 2
-            kwargs["epochs"] = 1.0
-            return orig(**kwargs)
-
-        monkeypatch.setattr(acc, "run_table2", tiny)
-        assert main(["run", "table2"]) == 0
+        table2 = acc.ARTEFACTS["table2"]
+        tiny = dataclasses.replace(table2, shape={**table2.shape, "algorithms": ("bsp",)})
+        monkeypatch.setitem(acc.ARTEFACTS, "table2", tiny)
+        assert main(["run", "table2", "--workers", "2", "--epochs", "1"]) == 0
         assert "Table II" in capsys.readouterr().out
 
 
@@ -237,7 +230,7 @@ class TestTraceExport:
         import repro.cli as cli
 
         handed = []
-        monkeypatch.setattr(cli, "_run_experiment", lambda args: ("table", {}))
+        monkeypatch.setattr(cli, "_run_artefact_cmd", lambda args: ("table", {}))
         monkeypatch.setattr(
             cli, "_instrumented_run", lambda cfg, *a, **kw: handed.append(cfg) or (None, None)
         )

@@ -35,6 +35,25 @@ def test_custom_algorithm_example_trains_above_chance():
     assert float(match.group(1)) > 0.3  # five classes: chance is 0.2
 
 
+@pytest.mark.parametrize(
+    "script, args, expected",
+    [
+        ("compare_algorithms.py", ("2", "0.5"), "Ranking (this run):"),
+        ("scalability_study.py", ("resnet50", "2"), "@56 Gbps: ASP is"),
+    ],
+)
+def test_artefact_examples_run(script, args, expected):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "examples" / script), *args],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert expected in done.stdout
+
+
 # -- the same example under the five flat fault scenarios (ROADMAP 1(e)) ----
 
 EPOCHS = 4.0
