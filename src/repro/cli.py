@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any, Callable, NoReturn
 
@@ -369,6 +370,7 @@ def _run_train(args: argparse.Namespace) -> int:
     from repro.analysis.tables import format_table
     from repro.core.runner import DistributedRunner
     from repro.experiments.config import mini_accuracy_config
+    from repro.io import to_jsonable
 
     cfg = mini_accuracy_config(
         args.algorithm,
@@ -397,7 +399,7 @@ def _run_train(args: argparse.Namespace) -> int:
         title=f"{history.algorithm} — {args.workers} workers",
     )
     text += f"\nfinal accuracy: {history.final_test_accuracy:.4f}"
-    payload = _with_analysis(history.to_dict(), report)
+    payload = _with_analysis(to_jsonable(history), report)
     if report is not None:
         from repro.analysis.ascii import attribution_report
 
@@ -453,7 +455,7 @@ def _run_predict(args: argparse.Namespace) -> int:
                 pred = predict_run(make_cfg(algo, n), strict=args.strict)
             except ValueError as exc:
                 raise SystemExit(str(exc)) from None
-            payload["predictions"].append(pred.to_dict())
+            payload["predictions"].append(pred)
             rows.append(
                 [
                     algo,
@@ -657,7 +659,10 @@ def _run_sweep_cmd(args: argparse.Namespace) -> int:
         print(session.summary())
         print("nothing to resume — re-run the original command to render output")
         return 0
-    configs = session.load_configs()
+    try:
+        configs = session.load_configs()
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     cache = bool(session.manifest.get("cache", True)) and not args.no_cache
     cache_dir = args.cache_dir or session.manifest.get("cache_dir")
     executor = SweepExecutor(
@@ -787,7 +792,7 @@ def _run_grid(args: argparse.Namespace) -> int:
         if sweep_stats is None:
             payload = result
         else:
-            payload = {"result": result, "sweep_stats": sweep_stats.to_dict()}
+            payload = {"result": result, "sweep_stats": sweep_stats}
             if sweep_stats.attribution:
                 payload["attribution_summary"] = {
                     algo: attribution_summary_line(attr)
@@ -798,7 +803,15 @@ def _run_grid(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Set to 1 unless the user set them: on these small models a second
+#: BLAS thread only spins, and ``--jobs`` is how a sweep goes parallel
+#: (EXPERIMENTS "Fast sweeps"). numpy reads them once, when it loads.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def main(argv: list[str] | None = None) -> int:
+    for variable in BLAS_THREAD_VARIABLES:
+        os.environ.setdefault(variable, "1")
     args = build_parser().parse_args(argv)
     profile_out = getattr(args, "profile", None)
     if not profile_out:

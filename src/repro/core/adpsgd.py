@@ -31,20 +31,29 @@ from repro.sim.engine import Get, Store
 __all__ = ["ADPSGD"]
 
 
-def _compute_process(rt: Runtime, slot: WorkerSlot, tokens: Store | None) -> Generator:
+def _compute_process(
+    rt: Runtime, slot: WorkerSlot, tokens: Store | None, backlog: dict[int, int]
+) -> Generator:
     """Local SGD forever; posts one token per iteration so the active
-    communication process paces one exchange per iteration."""
+    communication process paces one exchange per iteration, and keeps
+    the deepest the unserved tokens piled up in ``backlog``."""
     while not rt.stopping:
         grad = yield from compute_iteration(rt, slot)
         if slot.comp is not None and grad is not None:
             slot.comp.apply_gradient(grad, rt.lr())
         if tokens is not None:
             tokens.put(1)
+            if len(tokens) > backlog[slot.wid]:
+                backlog[slot.wid] = len(tokens)
         rt.on_iteration(slot)
 
 
 def _active_comm(
-    rt: Runtime, slot: WorkerSlot, tokens: Store, passive_ids: list[int]
+    rt: Runtime,
+    slot: WorkerSlot,
+    tokens: Store,
+    passive_ids: list[int],
+    exchanges: dict[int, int],
 ) -> Generator[Any, Any, None]:
     model_bytes = rt.total_elements * rt.sharding.bytes_per_param
     tracer = rt.tracer
@@ -64,6 +73,7 @@ def _active_comm(
         )
         msg = yield slot.node.recv("xrep")
         tracer.end(slot.wid, "global_agg", rt.engine.now)
+        exchanges[slot.wid] += 1
         if slot.comp is not None and msg.payload is not None:
             if rt.robust is not None and not rt.robust.screen_peer(
                 slot, msg.payload, msg.meta["worker"], "adpsgd"
@@ -104,6 +114,13 @@ class ADPSGD(TrainingAlgorithm):
         hyperparameters=(),
     )
 
+    def setup(self, runtime: Runtime) -> None:
+        # Per worker that has been active: exchanges completed, and the
+        # deepest its backlog of unserved iteration tokens grew.
+        self.exchanges: dict[int, int] = {}
+        self.backlog: dict[int, int] = {}
+        super().setup(runtime)
+
     def spawn_workers(self, runtime: Runtime, wids: list[int]) -> None:
         # Positional split of the live set: with all workers live this
         # is exactly bipartite_split's evens-active / odds-passive; after
@@ -114,29 +131,51 @@ class ADPSGD(TrainingAlgorithm):
             slot = runtime.workers[wid]
             if passive:
                 tokens = runtime.engine.store()
+                self.exchanges.setdefault(wid, 0)
+                self.backlog.setdefault(wid, 0)
                 runtime.spawn(
-                    _compute_process(runtime, slot, tokens),
+                    _compute_process(runtime, slot, tokens, self.backlog),
                     name=f"adpsgd-comp-w{wid}",
                     owner=wid,
                 )
                 runtime.spawn(
-                    _active_comm(runtime, slot, tokens, passive),
+                    _active_comm(runtime, slot, tokens, passive, self.exchanges),
                     name=f"adpsgd-comm-w{wid}",
                     owner=wid,
                 )
             else:  # single worker: plain sequential SGD
                 runtime.spawn(
-                    _compute_process(runtime, slot, None),
+                    _compute_process(runtime, slot, None, self.backlog),
                     name=f"adpsgd-comp-w{wid}",
                     owner=wid,
                 )
         for wid in passive:
             slot = runtime.workers[wid]
             runtime.spawn(
-                _compute_process(runtime, slot, None),
+                _compute_process(runtime, slot, None, self.backlog),
                 name=f"adpsgd-comp-w{wid}",
                 owner=wid,
             )
             runtime.spawn(
                 _passive_comm(runtime, slot), name=f"adpsgd-serve-w{wid}", owner=wid
             )
+
+    def result_metadata(self) -> dict:
+        """``exchanges``: over the active workers, the fewest and most
+        exchanges completed per compute iteration, and the fewest and
+        most tokens any one of them had waiting at its deepest."""
+        workers = self.runtime.workers
+        rates = [
+            count / workers[wid].iterations
+            for wid, count in self.exchanges.items()
+            if workers[wid].iterations
+        ]
+        if not rates:
+            return {}
+        backlogs = self.backlog.values()
+        return {
+            "exchanges": {
+                "per_iteration": {"min": min(rates), "max": max(rates)},
+                "max_backlog": {"min": min(backlogs), "max": max(backlogs)},
+            }
+        }

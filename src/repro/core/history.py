@@ -1,46 +1,19 @@
 """Result containers for training and throughput runs.
 
-Both containers round-trip through plain dicts (``to_dict`` /
-``from_dict``) so that the sweep executor can ship results across
-process boundaries and store them in its content-addressed run cache.
-The embedded ``RunConfig`` (full-mode ``metadata["config"]``) is *not*
-serialized — the cache key already determines it, and the executor
-reattaches the submitted config on load.
+Both round-trip through :func:`repro.io.to_jsonable` and
+:func:`repro.io.from_jsonable`, which is how the sweep executor ships
+results across process boundaries and stores them in its
+content-addressed run cache. A history the executor returns carries
+its ``RunConfig`` in ``metadata["config"]``; the cache key already
+determines the config, so the executor attaches it after decoding and
+it is never serialised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.io import to_jsonable
-
 __all__ = ["TrainingHistory", "ThroughputResult"]
-
-_HISTORY_FIELDS = (
-    "algorithm",
-    "num_workers",
-    "epochs",
-    "times",
-    "test_accuracy",
-    "train_loss",
-    "total_iterations",
-    "total_virtual_time",
-)
-
-_THROUGHPUT_FIELDS = (
-    "algorithm",
-    "num_workers",
-    "model",
-    "bandwidth_gbps",
-    "iterations_per_worker",
-    "batch_size",
-    "measured_time",
-    "measured_images",
-)
-
-
-def _jsonable_metadata(metadata: dict) -> dict:
-    return {k: to_jsonable(v) for k, v in metadata.items() if k != "config"}
 
 
 @dataclass
@@ -102,25 +75,6 @@ class TrainingHistory:
                 return time
         return None
 
-    def to_dict(self) -> dict:
-        """Plain-dict form (JSON-compatible, minus the embedded config)."""
-        data = {name: getattr(self, name) for name in _HISTORY_FIELDS}
-        data["epochs"] = list(self.epochs)
-        data["times"] = list(self.times)
-        data["test_accuracy"] = list(self.test_accuracy)
-        data["train_loss"] = list(self.train_loss)
-        data["metadata"] = _jsonable_metadata(self.metadata)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainingHistory":
-        history = cls()
-        for name in _HISTORY_FIELDS:
-            if name in data:
-                setattr(history, name, data[name])
-        history.metadata = dict(data.get("metadata", {}))
-        return history
-
 
 @dataclass
 class ThroughputResult:
@@ -152,20 +106,3 @@ class ThroughputResult:
         """Scalability metric: throughput relative to a baseline run
         (the paper normalises to a single worker's throughput)."""
         return self.throughput / baseline.throughput
-
-    def to_dict(self) -> dict:
-        """Plain-dict form (JSON-compatible, minus the embedded config)."""
-        data = {name: getattr(self, name) for name in _THROUGHPUT_FIELDS}
-        data["breakdown"] = {k: float(v) for k, v in self.breakdown.items()}
-        data["metadata"] = _jsonable_metadata(self.metadata)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ThroughputResult":
-        result = cls()
-        for name in _THROUGHPUT_FIELDS:
-            if name in data:
-                setattr(result, name, data[name])
-        result.breakdown = dict(data.get("breakdown", {}))
-        result.metadata = dict(data.get("metadata", {}))
-        return result

@@ -16,7 +16,6 @@ Two execution modes (DESIGN.md §3):
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Any
 
@@ -24,16 +23,15 @@ import numpy as np
 
 from repro.comm.endpoints import CommContext, Node, last_per_port
 from repro.comm.ps import PSShard, place_shards
+from repro.core.config import PROFILES, DGCConfig, RunConfig
 from repro.core.history import ThroughputResult, TrainingHistory
 from repro.core.worker import LocalComputation, WorkerSlot
-from repro.faults.config import FABRIC_FAULT_KINDS, FaultConfig
 from repro.nn.optim import weight_decay_mask
 from repro.nn.schedules import WarmupStepSchedule
-from repro.nn.zoo import ModelProfile, mini_profile_from_model, resnet50_profile, vgg16_profile
+from repro.nn.zoo import ModelProfile, mini_profile_from_model
 from repro.optimizations.sharding import ShardingPlan, make_sharding_plan
 from repro.optimizations.waitfree import CommPlan, CommPlanEntry, make_comm_plan
-from repro.sim.cluster import ClusterSpec, paper_cluster
-from repro.sim.costmodel import CommModel, ComputeModel
+from repro.sim.costmodel import ComputeModel
 from repro.sim.engine import Engine
 from repro.sim.network import Network
 from repro.sim.trace import PhaseTracer
@@ -46,9 +44,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.nn.module import Module
     from repro.nn.schedules import LRSchedule
     from repro.obs.config import ObsConfig
-    from repro.optimizations.dgc import DGCConfig
-    from repro.robust.config import RobustConfig
 
+# RunConfig is defined in core/config.py and still importable from here.
 __all__ = [
     "RunConfig",
     "SampleClock",
@@ -58,14 +55,6 @@ __all__ = [
     "timing_profile",
     "timing_plans",
 ]
-
-#: Dataset names; ``name`` is built by ``repro.data.synthetic.make_<name>``.
-DATASETS = ("gaussian_blobs", "spirals", "synthetic_images")
-
-PROFILES = {
-    "resnet50": resnet50_profile,
-    "vgg16": vgg16_profile,
-}
 
 #: Test samples per evaluation forward pass. Part of the result, not a
 #: tuning value: batch-norm models evaluate with batch statistics, so a
@@ -94,150 +83,6 @@ def timing_plans(
     profile = timing_profile(profile_name)
     sharding = make_sharding_plan(profile, num_shards, strategy=strategy)
     return profile, sharding, make_comm_plan(profile, sharding, wait_free=wait_free)
-
-
-@dataclass
-class RunConfig:
-    """Complete description of one run (one table cell / figure point)."""
-
-    algorithm: str
-    algorithm_params: dict[str, Any] = field(default_factory=dict)
-    mode: str = "full"  # "full" | "timing"
-    cluster: ClusterSpec = field(default_factory=paper_cluster)
-    num_workers: int = 4
-    batch_size: int = 32
-
-    # full-mode training setup
-    model_name: str = "mlp"
-    model_kwargs: dict[str, Any] = field(default_factory=dict)
-    dataset_name: str = "spirals"
-    dataset_kwargs: dict[str, Any] = field(default_factory=dict)
-    epochs: float = 10.0
-    base_lr: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-    warmup_fraction: float = 5.0 / 90.0
-    milestone_fractions: tuple[float, ...] = (30.0 / 90.0, 60.0 / 90.0, 80.0 / 90.0)
-    test_fraction: float = 0.2
-    eval_every_epochs: float = 1.0
-
-    # timing-mode setup
-    profile_name: str = "resnet50"
-    measure_iters: int = 30
-    warmup_iters: int = 5
-
-    # optimizations
-    num_ps_shards: int = 1
-    sharding_strategy: str = "layerwise-greedy"
-    wait_free_bp: bool = False
-    dgc: bool = False
-    dgc_config: DGCConfig | None = None
-    local_aggregation: bool = True  # BSP within-machine reduction
-    # Hierarchical scale-out selectors. ``collective`` picks AR-SGD's
-    # allreduce schedule: None/"ring" = flat ring (paper behaviour),
-    # "tree" = k-ary reduce+broadcast tree over machine leaders,
-    # "hring" = ring-of-rings (intra-machine reduce → inter-machine
-    # ring → broadcast). ``ps_topology`` picks the PS fan-in for BSP:
-    # None/"flat" = leaders talk to shards directly, "tree" = per-rack
-    # aggregators between machine leaders and shards. Both vanish from
-    # fingerprints when unset.
-    collective: str | None = field(
-        default=None, metadata={"fingerprint": "omit-if-none"}
-    )
-    ps_topology: str | None = field(
-        default=None, metadata={"fingerprint": "omit-if-none"}
-    )
-
-    # cost-model knobs
-    speed_spread: float = 0.05
-    jitter_sigma: float = 0.02
-    compute_time_override: float | None = None  # seconds per iteration
-    comm_model: CommModel = field(default_factory=CommModel)
-
-    seed: int = 0
-    trace: bool = False
-
-    # Fault injection (repro.faults). None = fault-free, zero-overhead.
-    # Omitted from the cache fingerprint when None so every pre-fault
-    # content address stays valid.
-    faults: FaultConfig | None = field(
-        default=None, metadata={"fingerprint": "omit-if-none"}
-    )
-
-    # Byzantine-robust aggregation / guards (repro.robust). None =
-    # unprotected, zero-overhead; same omit-if-none discipline.
-    robust: RobustConfig | None = field(
-        default=None, metadata={"fingerprint": "omit-if-none"}
-    )
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("full", "timing"):
-            raise ValueError("mode must be 'full' or 'timing'")
-        if self.num_workers <= 0:
-            raise ValueError("num_workers must be positive")
-        if self.num_workers > self.cluster.total_gpus:
-            raise ValueError(
-                f"{self.num_workers} workers exceed the cluster's "
-                f"{self.cluster.total_gpus} GPUs"
-            )
-        if self.mode == "timing" and self.profile_name not in PROFILES:
-            raise ValueError(f"unknown profile {self.profile_name!r}")
-        if self.mode == "full" and self.dataset_name not in DATASETS:
-            raise ValueError(f"unknown dataset {self.dataset_name!r}")
-        if self.num_ps_shards <= 0:
-            raise ValueError("num_ps_shards must be positive")
-        algo = self.algorithm.lower().replace("_", "-")
-        if self.collective not in (None, "ring", "tree", "hring"):
-            raise ValueError("collective must be one of 'ring', 'tree', 'hring'")
-        if self.collective in ("tree", "hring"):
-            if algo != "ar-sgd":
-                raise ValueError(
-                    "hierarchical collectives (tree/hring) apply to ar-sgd only"
-                )
-            if self.dgc or self.robust is not None:
-                raise ValueError(
-                    "hierarchical collectives are incompatible with "
-                    "dgc/robust (those paths use their own schedules)"
-                )
-        if self.ps_topology not in (None, "flat", "tree"):
-            raise ValueError("ps_topology must be 'flat' or 'tree'")
-        if self.ps_topology == "tree":
-            if algo != "bsp":
-                raise ValueError("ps_topology='tree' applies to bsp only")
-            if self.dgc or self.robust is not None:
-                raise ValueError(
-                    "ps_topology='tree' is incompatible with dgc/robust"
-                )
-        if self.measure_iters <= 0 or self.warmup_iters < 0:
-            raise ValueError("invalid timing-mode iteration counts")
-        if self.faults is not None:
-            for event in self.faults.events:
-                if event.worker is not None and not (
-                    0 <= event.worker < self.num_workers
-                ):
-                    raise ValueError(
-                        f"fault event targets worker {event.worker}, but the run "
-                        f"has {self.num_workers} workers"
-                    )
-                if event.machine is not None and not (
-                    0 <= event.machine < self.cluster.machines
-                ):
-                    raise ValueError(
-                        f"fault event targets machine {event.machine}, but the "
-                        f"cluster has {self.cluster.machines} machines"
-                    )
-                if event.kind in FABRIC_FAULT_KINDS and not self.cluster.hierarchical:
-                    raise ValueError(
-                        f"{event.kind} fault events need a hierarchical "
-                        "cluster (machines_per_rack set, more than one rack)"
-                    )
-                if event.rack is not None and not (
-                    0 <= event.rack < self.cluster.num_racks
-                ):
-                    raise ValueError(
-                        f"fault event targets rack {event.rack}, but the "
-                        f"cluster has {self.cluster.num_racks} racks"
-                    )
 
 
 def execute_run(
@@ -655,7 +500,7 @@ class DistributedRunner:
         sample_clock = SampleClock(dataset_size, cfg.batch_size)
         dgc_config = None
         if cfg.dgc:
-            from repro.optimizations.dgc import DGCCompressor, DGCConfig
+            from repro.optimizations.dgc import DGCCompressor
 
             dgc_config = cfg.dgc_config or DGCConfig(
                 num_workers=cfg.num_workers,
@@ -845,10 +690,10 @@ class DistributedRunner:
             self._history.total_virtual_time = self.engine.now
             self._history.metadata.update(
                 {
-                    "config": self.config,
                     "total_network_bytes": self.network.total_bytes,
                     "total_messages": self.network.total_messages,
                     "worker_iterations": spread,
+                    **self.algorithm.result_metadata(),
                 }
             )
             if self.fault_controller is not None:
@@ -883,6 +728,7 @@ class DistributedRunner:
                 "total_network_bytes": self.network.total_bytes,
                 "total_messages": self.network.total_messages,
                 "worker_iterations": spread,
+                **self.algorithm.result_metadata(),
             }
         )
         if self.fault_controller is not None:

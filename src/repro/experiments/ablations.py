@@ -18,7 +18,7 @@ calls out:
 
 from __future__ import annotations
 
-from repro.core.runner import PROFILES
+from repro.core.config import PROFILES
 from repro.experiments.artefact import Artefact
 from repro.experiments.config import timing_config
 from repro.optimizations.sharding import make_sharding_plan

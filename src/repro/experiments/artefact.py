@@ -3,7 +3,7 @@ each run and the table it prints.
 
 An :class:`Artefact` is a value. Its ``axes`` name the shape keys whose
 values span the grid, outermost first, with the seeds innermost;
-``config`` builds one cell's :class:`~repro.core.runner.RunConfig` from
+``config`` builds one cell's :class:`~repro.core.config.RunConfig` from
 the shape with each axis bound to one value; ``metric`` reads the
 cell's number off its result. :func:`run_artefact` submits the grid as
 one ``executor.map`` per stage and returns a :class:`Table` that keeps

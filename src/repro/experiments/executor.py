@@ -5,7 +5,7 @@ of dozens of *independent, deterministic* simulator runs. This module
 turns those sweeps from serial for-loops into:
 
 1. **Fingerprinting** — :func:`config_fingerprint` derives a stable
-   SHA-256 digest from the full :class:`~repro.core.runner.RunConfig`
+   SHA-256 digest from the full :class:`~repro.core.config.RunConfig`
    dataclass tree (cluster, comm model, DGC config, seeds) plus the
    ``repro`` package version. Two configs fingerprint equal iff every
    field of the tree is equal.
@@ -21,9 +21,9 @@ turns those sweeps from serial for-loops into:
    completes*, journaled and reported. With ``jobs == 1`` (or one
    cell, or after repeated pool deaths) the loop drives an in-process
    pool whose ``submit`` runs the call on the spot. Every result —
-   hit or miss, in-process or pooled — passes through the same JSON
-   round-trip and results align with submission order, so sweep output
-   is bit-identical regardless of ``jobs``.
+   hit or miss, in-process or pooled — is decoded from the same plain
+   JSON payload (:mod:`repro.io`) and results align with submission
+   order, so sweep output is bit-identical regardless of ``jobs``.
 
 Identical configs submitted twice in one sweep are executed once and
 materialised per occurrence.
@@ -69,8 +69,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro import __version__
+from repro.core.config import RunConfig
 from repro.core.history import ThroughputResult, TrainingHistory
-from repro.core.runner import RunConfig, execute_run
+from repro.core.runner import execute_run
 from repro.experiments.session import (
     FailedRun,
     RunPolicy,
@@ -78,7 +79,7 @@ from repro.experiments.session import (
     SweepPreempted,
     SweepSession,
 )
-from repro.io import atomic_write_text
+from repro.io import atomic_write_text, from_jsonable, to_jsonable
 
 __all__ = [
     "config_fingerprint",
@@ -242,29 +243,21 @@ def config_fingerprint(config: RunConfig) -> str:
 # -- result payloads ----------------------------------------------------
 
 _KINDS = {"history": TrainingHistory, "throughput": ThroughputResult}
+_KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
 
 
 def _result_to_payload(result: TrainingHistory | ThroughputResult) -> dict:
-    """Serialize a run result to the wire/cache payload form.
-
-    The JSON round-trip is applied unconditionally (even for in-process
-    serial execution) so that every path — serial, pooled, cache hit —
-    yields structurally identical results.
-    """
-    if isinstance(result, TrainingHistory):
-        kind = "history"
-    elif isinstance(result, ThroughputResult):
-        kind = "throughput"
-    else:  # pragma: no cover - runner only returns these two
-        raise TypeError(f"unexpected run result type {type(result).__name__}")
-    return json.loads(json.dumps({"kind": kind, "data": result.to_dict()}))
+    """Serialize a run result to the wire/cache payload form: plain
+    JSON data, so a result read back from a payload is the same
+    whether it ran here, in a pool worker or came from the cache."""
+    return {"kind": _KIND_OF[type(result)], "data": to_jsonable(result)}
 
 
 def _payload_to_result(
     payload: dict, config: RunConfig
 ) -> TrainingHistory | ThroughputResult:
-    result = _KINDS[payload["kind"]].from_dict(payload["data"])
-    if payload["kind"] == "history":
+    result = from_jsonable(_KINDS[payload["kind"]], payload["data"])
+    if isinstance(result, TrainingHistory):
         # Full-mode histories carry their config in metadata; it is
         # implied by the cache key, so it travels out-of-band.
         result.metadata["config"] = config
@@ -456,21 +449,6 @@ class SweepStats:
             for k in ("compute", "comm", "wait"):
                 mine[k] = (mine[k] * mine["runs"] + attr[k] * attr["runs"]) / runs
             mine["runs"] = runs
-
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "unique": self.unique,
-            "cache_hits": self.cache_hits,
-            "executed": self.executed,
-            "jobs": self.jobs,
-            "wall_time": self.wall_time,
-            "failed": self.failed,
-            "retried": self.retried,
-            "deadline_kills": self.deadline_kills,
-            "quarantined": self.quarantined,
-            "attribution": self.attribution,
-        }
 
     def summary(self) -> str:
         """One-line human-readable form for CLI output."""
@@ -695,7 +673,7 @@ class SweepExecutor:
                 counts=session.counts(),
                 stats={
                     k: v
-                    for k, v in stats.to_dict().items()
+                    for k, v in to_jsonable(stats).items()
                     if k != "attribution"
                 },
             )

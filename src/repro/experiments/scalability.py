@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.analysis.ascii import fig2_chart
 from repro.analysis.breakdown import breakdown_table, normalize_breakdown
-from repro.core.runner import PROFILES
+from repro.core.config import PROFILES
 from repro.experiments.artefact import Artefact
 from repro.experiments.config import timing_config
 from repro.sim.cluster import TITAN_V

@@ -51,21 +51,20 @@ and the journal converts to a Perfetto trace via
 from __future__ import annotations
 
 import hashlib
-import importlib
 import json
 import os
 import signal as signal_module
 import sys
 import time
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro import __version__
-from repro.io import atomic_write_text
+from repro.io import atomic_write_text, from_jsonable, to_jsonable
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.runner import RunConfig
+    from repro.core.config import RunConfig
     from repro.experiments.executor import RunCache, SweepExecutor
 
 __all__ = [
@@ -75,9 +74,7 @@ __all__ = [
     "SweepInterrupted",
     "SweepPreempted",
     "SweepSession",
-    "decode_config",
     "describe_session",
-    "encode_config",
     "grid_fingerprint",
     "install_signal_guard",
     "list_sessions",
@@ -95,81 +92,6 @@ def session_root(root: str | Path | None = None) -> Path:
     if root is None:
         root = os.environ.get("REPRO_SESSION_DIR") or DEFAULT_SESSION_DIR
     return Path(root).expanduser()
-
-
-# -- config codec --------------------------------------------------------
-#
-# The journal must be able to re-run a sweep with no driver command
-# around, so the grid manifest stores every RunConfig in a form that
-# round-trips *exactly* (tuples stay tuples, nested dataclasses keep
-# their class). Dataclasses are tagged with their import path; decode
-# re-imports and reconstructs, and the caller re-fingerprints to prove
-# the round-trip.
-
-
-def encode_value(obj: Any) -> Any:
-    """Encode a config value as tagged, loss-free JSON."""
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if is_dataclass(obj) and not isinstance(obj, type):
-        cls = type(obj)
-        return {
-            "__dataclass__": f"{cls.__module__}:{cls.__qualname__}",
-            "fields": {
-                f.name: encode_value(getattr(obj, f.name))
-                for f in fields(obj)
-                if f.init
-            },
-        }
-    if isinstance(obj, tuple):
-        return {"__tuple__": [encode_value(v) for v in obj]}
-    if isinstance(obj, list):
-        return [encode_value(v) for v in obj]
-    if isinstance(obj, dict):
-        bad = [k for k in obj if not isinstance(k, str)]
-        if bad:
-            raise TypeError(f"config dict keys must be strings, got {bad[:3]!r}")
-        return {"__dict__": {k: encode_value(v) for k, v in obj.items()}}
-    raise TypeError(f"cannot encode config value of type {type(obj).__name__}")
-
-
-def decode_value(obj: Any) -> Any:
-    """Inverse of :func:`encode_value`."""
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, list):
-        return [decode_value(v) for v in obj]
-    if isinstance(obj, dict):
-        if "__dataclass__" in obj:
-            module_name, _, qualname = obj["__dataclass__"].partition(":")
-            if not module_name.startswith("repro"):
-                raise ValueError(
-                    f"refusing to decode non-repro class {obj['__dataclass__']!r}"
-                )
-            target: Any = importlib.import_module(module_name)
-            for part in qualname.split("."):
-                target = getattr(target, part)
-            kwargs = {k: decode_value(v) for k, v in obj["fields"].items()}
-            return target(**kwargs)
-        if "__tuple__" in obj:
-            return tuple(decode_value(v) for v in obj["__tuple__"])
-        if "__dict__" in obj:
-            return {k: decode_value(v) for k, v in obj["__dict__"].items()}
-        raise ValueError(f"untagged dict in encoded config: {sorted(obj)[:3]!r}")
-    raise ValueError(f"cannot decode config value of type {type(obj).__name__}")
-
-
-def encode_config(config: "RunConfig") -> dict:
-    return encode_value(config)
-
-
-def decode_config(data: dict) -> "RunConfig":
-    config = decode_value(data)
-    from repro.core.runner import RunConfig
-
-    if not isinstance(config, RunConfig):
-        raise ValueError(f"decoded grid entry is {type(config).__name__}, not RunConfig")
-    return config
 
 
 def grid_fingerprint(fingerprints: Sequence[str]) -> str:
@@ -251,15 +173,6 @@ class FailedRun:
     error: str
     attempts: int
     failed: bool = True
-
-    def to_dict(self) -> dict:
-        return {
-            "failed": True,
-            "algorithm": self.algorithm,
-            "fingerprint": self.fingerprint,
-            "error": self.error,
-            "attempts": self.attempts,
-        }
 
 
 class SweepInterrupted(RuntimeError):
@@ -405,7 +318,7 @@ class SweepSession:
                 {
                     "fingerprint": fp,
                     "label": _describe(cfg),
-                    "config": encode_config(cfg),
+                    "config": to_jsonable(cfg),
                 }
                 for fp, cfg in zip(fingerprints, configs)
             ],
@@ -478,11 +391,18 @@ class SweepSession:
     def load_configs(self) -> list["RunConfig"]:
         """Reconstruct the grid from the manifest, verifying that each
         decoded config still fingerprints to its recorded address."""
+        from repro.core.config import RunConfig
         from repro.experiments.executor import config_fingerprint
 
         configs = []
         for entry in self.manifest["runs"]:
-            config = decode_config(entry["config"])
+            if "__dataclass__" in entry["config"]:
+                raise ValueError(
+                    f"session {self.id}: its grid manifest stores configs in the "
+                    "tagged format of an older repro; re-run the sweep's own "
+                    "command to finish it"
+                )
+            config = from_jsonable(RunConfig, entry["config"])
             fp = config_fingerprint(config)
             if fp != entry["fingerprint"]:
                 raise ValueError(

@@ -1,6 +1,6 @@
 """Fault injection & failure-aware training protocols.
 
-``faults=None`` on a :class:`~repro.core.runner.RunConfig` is the
+``faults=None`` on a :class:`~repro.core.config.RunConfig` is the
 zero-overhead path (bit-identical to the fault-free simulator);
 attaching a :class:`FaultConfig` arms heartbeats, failure detection,
 membership eviction, and elastic rejoin.

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.io import atomic_write_text, from_jsonable, to_jsonable
 from repro.optimizations.dgc import DGCCompressor
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -38,26 +39,11 @@ class Snapshot:
     def save(self, path: str | Path) -> Path:
         """Persist the snapshot as JSON, atomically — a crash
         mid-write must never destroy the previous good checkpoint."""
-        from repro.io import atomic_write_text  # io pulls in core.history
-
-        doc = {
-            "params": self.params.tolist() if self.params is not None else None,
-            "iterations": self.iterations,
-            "nbytes": self.nbytes,
-        }
-        return atomic_write_text(path, json.dumps(doc) + "\n")
+        return atomic_write_text(path, json.dumps(to_jsonable(self)) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Snapshot":
-        doc = json.loads(Path(path).read_text())
-        params = (
-            np.asarray(doc["params"], dtype=np.float64)
-            if doc["params"] is not None
-            else None
-        )
-        return cls(
-            params=params, iterations=int(doc["iterations"]), nbytes=int(doc["nbytes"])
-        )
+        return from_jsonable(cls, json.loads(Path(path).read_text()))
 
 
 def capture_snapshot(rt: "Runtime", algorithm: "TrainingAlgorithm") -> Snapshot:

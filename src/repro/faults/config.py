@@ -1,6 +1,6 @@
 """Fault model: seeded, virtual-time-stamped fault events.
 
-A :class:`FaultConfig` is part of :class:`~repro.core.runner.RunConfig`
+A :class:`FaultConfig` is part of :class:`~repro.core.config.RunConfig`
 (and therefore of the sweep cache's content address): the same config +
 seed always reproduces the same failures at the same virtual times.
 Fault randomness (retransmission draws for probabilistic message drops)
@@ -69,8 +69,10 @@ algorithm is corruptible without per-algorithm code:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+
+from repro.io import atomic_write_text, from_jsonable, to_jsonable
 
 __all__ = [
     "FaultEvent",
@@ -226,28 +228,13 @@ class FaultConfig:
         if not isinstance(self.events, tuple):
             object.__setattr__(self, "events", tuple(self.events))
 
-    # -- (de)serialisation — the --fault-spec FILE format ----------------
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        data["events"] = [asdict(e) for e in self.events]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultConfig":
-        data = dict(data)
-        events = tuple(FaultEvent(**e) for e in data.pop("events", []))
-        return cls(events=events, **data)
-
+    # -- the --fault-spec file format: repro.io's JSON form -------------
     def save(self, path: str | Path) -> None:
-        # Local import: repro.io pulls in core.history, and faults
-        # must stay importable from the core layer.
-        from repro.io import atomic_write_text
-
-        atomic_write_text(path, json.dumps(self.to_dict(), indent=2) + "\n")
+        atomic_write_text(path, json.dumps(to_jsonable(self), indent=2) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "FaultConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return from_jsonable(cls, json.loads(Path(path).read_text()))
 
     def with_seed(self, seed: int) -> "FaultConfig":
         return replace(self, seed=seed)

@@ -1,7 +1,7 @@
 """Observability configuration.
 
 ``ObsConfig`` is an *execution-context* option, deliberately not a
-:class:`~repro.core.runner.RunConfig` field: observability never
+:class:`~repro.core.config.RunConfig` field: observability never
 changes what a run computes, so it must not participate in the sweep
 executor's content-addressed cache key. Runs observed and unobserved
 fingerprint — and simulate — identically.

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.runner import RunConfig
+    from repro.core.config import RunConfig
     from repro.obs.recorder import MessageEvent, RunObserver
     from repro.sim.trace import PhaseTracer, Span
 

@@ -26,52 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.config import DGCConfig
+
 __all__ = ["DGCConfig", "SparseGradient", "DGCCompressor"]
 
 # Bytes on the wire per retained element: 4-byte value + 4-byte index.
 BYTES_PER_SPARSE_ELEMENT = 8
-
-
-@dataclass(frozen=True)
-class DGCConfig:
-    """DGC hyperparameters (defaults follow Lin et al.)."""
-
-    final_ratio: float = 0.001  # keep top 0.1 %
-    warmup_epochs: float = 4.0
-    warmup_start_ratio: float = 0.25
-    momentum: float = 0.9
-    clip_norm: float = 2.5  # local gradient clipping threshold
-    num_workers: int = 1
-
-    def __post_init__(self) -> None:
-        if not 0 < self.final_ratio <= 1:
-            raise ValueError("final_ratio must be in (0, 1]")
-        if not 0 < self.warmup_start_ratio <= 1:
-            raise ValueError("warmup_start_ratio must be in (0, 1]")
-        if self.final_ratio > self.warmup_start_ratio:
-            raise ValueError("warm-up must start denser than the final ratio")
-        if self.warmup_epochs < 0:
-            raise ValueError("warmup_epochs must be non-negative")
-        if not 0 <= self.momentum < 1:
-            raise ValueError("momentum must be in [0, 1)")
-        if self.num_workers <= 0:
-            raise ValueError("num_workers must be positive")
-
-    def ratio_at(self, epoch: float) -> float:
-        """Exponential sparsity ramp during warm-up.
-
-        At epoch 0 the keep-ratio is ``warmup_start_ratio``; it decays
-        geometrically to ``final_ratio`` at ``warmup_epochs`` and stays
-        there.
-        """
-        if epoch < 0:
-            raise ValueError("epoch must be non-negative")
-        if self.warmup_epochs == 0 or epoch >= self.warmup_epochs:
-            return self.final_ratio
-        t = epoch / self.warmup_epochs
-        log_start = np.log(self.warmup_start_ratio)
-        log_final = np.log(self.final_ratio)
-        return float(np.exp(log_start + (log_final - log_start) * t))
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Closed-form iteration-time models of the seven algorithms.
 
-Each model consumes a :class:`~repro.core.runner.RunConfig` and the
+Each model consumes a :class:`~repro.core.config.RunConfig` and the
 exact same inputs the discrete-event runner builds — layer profile,
 sharding plan, comm plan, per-worker speed draws, cost-model constants,
 cluster geometry — and produces an iteration-time estimate in O(layers
@@ -39,7 +39,8 @@ import numpy as np
 
 from repro.comm.hierarchical import DEFAULT_TREE_ARITY
 from repro.core.base import is_centralized
-from repro.core.runner import RunConfig, timing_plans
+from repro.core.config import RunConfig
+from repro.core.runner import timing_plans
 from repro.nn.zoo import ModelProfile
 from repro.optimizations.sharding import ShardingPlan
 from repro.optimizations.waitfree import CommPlan

@@ -1,6 +1,6 @@
 """Prediction API: analytic fast path + cross-validation harness.
 
-``predict_run`` turns a :class:`~repro.core.runner.RunConfig` into a
+``predict_run`` turns a :class:`~repro.core.config.RunConfig` into a
 :class:`Prediction` in well under 10 ms — the O(1)-ish counterpart of
 ``execute_run``'s discrete-event simulation, suitable for sweeping
 thousands of configurations (N = 10,000 included) that the engine
@@ -19,8 +19,9 @@ import time
 import warnings
 from dataclasses import dataclass, field
 
+from repro.core.config import RunConfig
 from repro.core.history import ThroughputResult
-from repro.core.runner import RunConfig, execute_run, timing_profile
+from repro.core.runner import execute_run, timing_profile
 from repro.perf.models import PerfEstimate, estimate_iteration
 
 __all__ = ["Prediction", "predict_run", "prediction_to_result", "cross_validate", "CrossValidation"]
@@ -42,22 +43,6 @@ class Prediction:
     breakdown: dict[str, float]  # critical-path seconds by category
     bounds: dict[str, float] = field(default_factory=dict)
     elapsed_s: float = 0.0  # wall time spent producing this prediction
-
-    def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "num_workers": self.num_workers,
-            "model": self.model,
-            "bandwidth_gbps": self.bandwidth_gbps,
-            "batch_size": self.batch_size,
-            "iteration_time": self.iteration_time,
-            "throughput": self.throughput,
-            "speedup": self.speedup,
-            "regime": self.regime,
-            "breakdown": self.breakdown,
-            "bounds": self.bounds,
-            "elapsed_s": self.elapsed_s,
-        }
 
 
 def ideal_single_worker_throughput(config: RunConfig) -> float:
@@ -163,8 +148,10 @@ class CrossValidation:
         return self.simulate_seconds / self.predict_seconds
 
     def to_dict(self) -> dict:
+        """The ``--output`` record, with the derived error; ``save_json``
+        encodes the prediction it holds."""
         return {
-            "prediction": self.prediction.to_dict(),
+            "prediction": self.prediction,
             "simulated_throughput": self.simulated.throughput,
             "rel_error": self.rel_error,
             "predict_seconds": self.predict_seconds,

@@ -1,6 +1,6 @@
 """Byzantine-robust aggregation, screening, and training-loop guards.
 
-``robust=None`` on a :class:`~repro.core.runner.RunConfig` is the
+``robust=None`` on a :class:`~repro.core.config.RunConfig` is the
 zero-overhead path (bit-identical to the unprotected simulator);
 attaching a :class:`RobustConfig` swaps the configured aggregation
 rule into every gradient-combining point, arms per-peer screening for

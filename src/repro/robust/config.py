@@ -1,6 +1,6 @@
 """Robust-aggregation configuration.
 
-A :class:`RobustConfig` attached to a :class:`~repro.core.runner.RunConfig`
+A :class:`RobustConfig` attached to a :class:`~repro.core.config.RunConfig`
 turns on the data-plane resilience layer: a Byzantine-robust
 aggregation rule at every gradient-combining point, optional per-peer
 norm screening, and optional training-loop guards (NaN/loss-spike
@@ -13,7 +13,7 @@ discipline as ``RunConfig.faults``.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 __all__ = ["RobustConfig", "AGGREGATORS"]
 
@@ -79,14 +79,6 @@ class RobustConfig:
             raise ValueError("checkpoint_interval must be positive")
         if self.quarantine_strikes < 0:
             raise ValueError("quarantine_strikes must be non-negative")
-
-    # -- (de)serialisation -------------------------------------------------
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RobustConfig":
-        return cls(**data)
 
     def with_aggregator(self, aggregator: str) -> "RobustConfig":
         return replace(self, aggregator=aggregator)

@@ -21,6 +21,7 @@ from repro.comm.hierarchical import (
 )
 from repro.core.runner import execute_run
 from repro.experiments.config import timing_config
+from repro.io import to_jsonable
 
 
 class TestGroups:
@@ -82,7 +83,7 @@ class TestRunWiring:
         a = self.run("ar-sgd", collective=collective)
         b = self.run("ar-sgd", collective=collective)
         assert a.throughput > 0
-        assert a.to_dict() == b.to_dict()
+        assert to_jsonable(a) == to_jsonable(b)
 
     def test_collectives_differ_from_flat_ring(self):
         """tree/hring schedule different traffic, so the simulated
@@ -96,13 +97,13 @@ class TestRunWiring:
     def test_explicit_ring_matches_default(self):
         default = self.run("ar-sgd")
         explicit = self.run("ar-sgd", collective="ring")
-        assert default.to_dict() == explicit.to_dict()
+        assert to_jsonable(default) == to_jsonable(explicit)
 
     def test_bsp_ps_tree_runs(self):
         flat = self.run("bsp", ps_topology="flat")
         tree = self.run("bsp", ps_topology="tree")
         assert tree.throughput > 0
-        assert tree.to_dict() != flat.to_dict()
+        assert to_jsonable(tree) != to_jsonable(flat)
 
     def test_hierarchical_schedules_rejected_on_wrong_algorithms(self):
         with pytest.raises(ValueError):

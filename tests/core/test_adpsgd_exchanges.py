@@ -1,0 +1,100 @@
+"""AD-PSGD reports what it aggregated: ``metadata["exchanges"]``.
+
+Each active worker's communication process serves one token per
+finished compute iteration from an unbounded store. The result states,
+over the active workers, the fewest and most exchanges completed per
+compute iteration and the deepest each one's token backlog grew. The
+counts here are taken independently, by wrapping the two processes
+from the outside.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import pytest
+
+import repro.core.adpsgd as adpsgd
+from repro.core.runner import DistributedRunner
+from repro.experiments.config import mini_accuracy_config, timing_config
+
+
+def counting_processes(monkeypatch) -> tuple[Counter, Counter]:
+    """Wrap the compute and active processes; count replies received
+    and the longest token queue seen between two steps."""
+    exchanges: Counter = Counter()
+    backlog: Counter = Counter()
+    compute, active = adpsgd._compute_process, adpsgd._active_comm
+
+    def relay(gen, after_step):
+        reply = None
+        while True:
+            try:
+                request = gen.send(reply)
+            except StopIteration:
+                after_step(None)
+                return
+            after_step(None)
+            reply = yield request
+            after_step(reply)
+
+    def wrapped_compute(rt, slot, tokens, *rest):
+        def after_step(_):
+            if tokens is not None:
+                backlog[slot.wid] = max(backlog[slot.wid], len(tokens))
+
+        return relay(compute(rt, slot, tokens, *rest), after_step)
+
+    def wrapped_active(rt, slot, *rest):
+        def after_step(reply):
+            if getattr(reply, "kind", None) == "xrep":
+                exchanges[slot.wid] += 1
+
+        return relay(active(rt, slot, *rest), after_step)
+
+    monkeypatch.setattr(adpsgd, "_compute_process", wrapped_compute)
+    monkeypatch.setattr(adpsgd, "_active_comm", wrapped_active)
+    return exchanges, backlog
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        timing_config(
+            "ad-psgd", num_workers=8, model="vgg16", bandwidth_gbps=10.0, measure_iters=10
+        ),
+        mini_accuracy_config("ad-psgd", num_workers=4, epochs=0.5),
+    ],
+    ids=["timing-vgg16-10g", "full"],
+)
+def test_counters_match_an_outside_count(cfg, monkeypatch):
+    exchanges, backlog = counting_processes(monkeypatch)
+    runner = DistributedRunner(cfg)
+    result = runner.run()
+    active = sorted(exchanges)
+    assert active == [0, 2, 4, 6][: cfg.num_workers // 2]
+    rates = [exchanges[w] / runner.runtime.workers[w].iterations for w in active]
+    deepest = [backlog[w] for w in active]
+    assert result.metadata["exchanges"] == {
+        "per_iteration": {"min": min(rates), "max": max(rates)},
+        "max_backlog": {"min": min(deepest), "max": max(deepest)},
+    }
+    assert 0 < min(rates) <= max(rates) <= 1
+
+
+def test_vgg16_at_10_gbps_serves_fewer_than_one_exchange_per_iteration():
+    """The unbounded store lets iterations outrun exchanges."""
+    cfg = timing_config(
+        "ad-psgd", num_workers=8, model="vgg16", bandwidth_gbps=10.0, measure_iters=10
+    )
+    result = DistributedRunner(cfg).run()
+    counters = result.metadata["exchanges"]
+    assert counters["per_iteration"]["max"] < 1
+    assert counters["max_backlog"]["max"] > 1
+
+
+def test_only_ad_psgd_reports_exchanges():
+    result = DistributedRunner(timing_config("asp", num_workers=4, measure_iters=3)).run()
+    assert "exchanges" not in result.metadata
+    single = DistributedRunner(timing_config("ad-psgd", num_workers=1, measure_iters=3)).run()
+    assert "exchanges" not in single.metadata

@@ -41,6 +41,7 @@ from repro.core.worker import (
 from repro.experiments.config import mini_dgc_config
 from repro.experiments.faults import FAULT_SCENARIOS
 from repro.faults.config import FaultConfig, FaultEvent
+from repro.io import to_jsonable
 from repro.optimizations.sharding import scatter_ranges
 from repro.robust.config import RobustConfig
 from repro.sim.cluster import hierarchical_cluster, paper_cluster
@@ -175,7 +176,7 @@ def observe(cfg, monkeypatch, swaps=()):
         seen["result"] = (result.total_iterations, result.test_accuracy, result.train_loss)
         seen["params"] = runner.algorithm.global_params().tobytes()
     else:
-        seen["result"] = result.to_dict()
+        seen["result"] = to_jsonable(result)
     return seen
 
 

@@ -39,6 +39,15 @@ class TestRunConfigValidation:
         with pytest.raises(ValueError, match="DGC"):
             DistributedRunner(small_full_config("gosgd", dgc=True))
 
+    def test_rejects_dgc_config_without_dgc(self):
+        # It would run uncompressed yet fingerprint (and cache) apart
+        # from the same run without the unused dgc_config.
+        from repro.optimizations.dgc import DGCConfig
+
+        with pytest.raises(ValueError, match="dgc_config given without dgc=True"):
+            small_timing_config("bsp", dgc_config=DGCConfig(num_workers=2))
+        assert small_timing_config("bsp", dgc=True, dgc_config=DGCConfig(num_workers=2)).dgc
+
 
 class TestSampleClock:
     def test_epoch_progression(self):

@@ -15,6 +15,7 @@ import pytest
 from repro.core.history import ThroughputResult, TrainingHistory
 from repro.core.runner import execute_run
 from repro.experiments.config import mini_accuracy_config, timing_config
+from repro.io import from_jsonable, to_jsonable
 
 
 @pytest.mark.parametrize(
@@ -35,7 +36,7 @@ def test_timing_spread(config, spread, throughput):
     assert result.metadata["worker_iterations"] == spread
     if throughput is not None:
         assert round(result.throughput, 1) == throughput
-    restored = ThroughputResult.from_dict(result.to_dict())
+    restored = from_jsonable(ThroughputResult, to_jsonable(result))
     assert restored.metadata["worker_iterations"] == spread
 
 
@@ -43,5 +44,5 @@ def test_full_mode_spread():
     history = execute_run(mini_accuracy_config("asp", num_workers=4, epochs=0.5))
     spread = history.metadata["worker_iterations"]
     assert 0 < spread["min"] <= spread["max"]
-    restored = TrainingHistory.from_dict(history.to_dict())
+    restored = from_jsonable(TrainingHistory, to_jsonable(history))
     assert restored.metadata["worker_iterations"] == spread

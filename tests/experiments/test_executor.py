@@ -499,7 +499,7 @@ class TestSweepTelemetry:
     def test_stats_to_dict_round_trips_json(self, tmp_path):
         ex = SweepExecutor(jobs=1, cache_dir=tmp_path)
         ex.map([tiny_timing()])
-        d = json.loads(json.dumps(ex.last_stats.to_dict()))
+        d = json.loads(json.dumps(to_jsonable(ex.last_stats)))
         assert d["total"] == 1 and d["executed"] == 1
         assert set(d) == {
             "total", "unique", "cache_hits", "executed", "jobs",

@@ -3,8 +3,8 @@
 The chaos/crash-equivalence suite lives in ``test_chaos.py``; this
 file covers the session mechanics in-process:
 
-* the config codec round-trips every RunConfig losslessly (verified by
-  re-fingerprinting);
+* the manifest's config form (repro.io) round-trips every RunConfig
+  (verified by re-fingerprinting);
 * journal replay tolerates torn and corrupt tails;
 * sessions open/resume correctly, abandoning in-flight attempts;
 * RunPolicy validates its knobs and produces bounded, jittered backoff;
@@ -27,14 +27,13 @@ from repro.experiments.session import (
     SweepInterrupted,
     SweepPreempted,
     SweepSession,
-    decode_config,
-    encode_config,
     grid_fingerprint,
     list_sessions,
     replay_journal,
     resolve_session,
 )
-from repro.io import to_jsonable
+from repro.core.config import RunConfig
+from repro.io import from_jsonable, to_jsonable
 from repro.optimizations.dgc import DGCConfig
 
 
@@ -73,18 +72,17 @@ class TestConfigCodec:
         ids=["timing", "adpsgd", "dgc", "full"],
     )
     def test_round_trip_preserves_fingerprint(self, cfg):
-        clone = decode_config(json.loads(json.dumps(encode_config(cfg))))
+        clone = from_jsonable(RunConfig, json.loads(json.dumps(to_jsonable(cfg))))
         assert config_fingerprint(clone) == config_fingerprint(cfg)
 
     def test_non_repro_class_refused(self):
-        with pytest.raises(ValueError, match="non-repro"):
-            decode_config(
-                {"__dataclass__": "os.path:join", "fields": {}}
-            )
+        # The older tagged form names a class; nothing is imported from it.
+        with pytest.raises(ValueError, match="no field '__dataclass__'"):
+            from_jsonable(RunConfig, {"__dataclass__": "os.path:join", "fields": {}})
 
-    def test_untagged_dict_refused(self):
-        with pytest.raises(ValueError, match="untagged"):
-            decode_config({"plain": "dict"})
+    def test_unknown_field_refused(self):
+        with pytest.raises(ValueError, match="RunConfig has no field 'plain'"):
+            from_jsonable(RunConfig, {"algorithm": "bsp", "plain": "dict"})
 
 
 class TestGridFingerprint:
@@ -361,7 +359,7 @@ class TestHardenedFailures:
         assert isinstance(results[0], FailedRun)
         assert results[0].attempts == 2
         assert "transient failure" in results[0].error
-        assert json.dumps(to_jsonable(results[0].to_dict()))  # serialisable
+        assert json.dumps(to_jsonable(results[0]))  # serialisable
         # The other three cells completed normally.
         assert all(r.measured_images > 0 for r in results[1:])
         assert ex.last_session.states[bad_fp] == "failed"

@@ -13,6 +13,7 @@ Two contracts:
 
 from repro.core.runner import execute_run
 from repro.faults.config import FaultConfig, FaultEvent
+from repro.io import to_jsonable
 
 from tests.conftest import small_full_config, small_timing_config
 
@@ -57,8 +58,8 @@ class TestReplay:
     def test_full_mode_chaos_is_byte_identical(self):
         t0 = execute_run(small_full_config("bsp")).total_virtual_time
         cfg = small_full_config("bsp", faults=chaos_config(t0))
-        first = execute_run(cfg).to_dict()
-        second = execute_run(cfg).to_dict()
+        first = to_jsonable(execute_run(cfg))
+        second = to_jsonable(execute_run(cfg))
         assert first == second
         assert first["metadata"]["faults"]["events_applied"] == 4
 
@@ -72,13 +73,13 @@ class TestReplay:
             max_suspect_rounds=0,
         )
         cfg = small_timing_config("asp", faults=faults)
-        assert execute_run(cfg).to_dict() == execute_run(cfg).to_dict()
+        assert to_jsonable(execute_run(cfg)) == to_jsonable(execute_run(cfg))
 
 
 class TestIsolation:
     def test_fault_free_rerun_is_byte_identical(self):
         cfg = small_full_config("gosgd")
-        assert execute_run(cfg).to_dict() == execute_run(cfg).to_dict()
+        assert to_jsonable(execute_run(cfg)) == to_jsonable(execute_run(cfg))
 
     def test_empty_schedule_changes_no_training_outcome(self):
         """Heartbeats ride the out-of-band network and fault RNG draws

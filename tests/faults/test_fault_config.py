@@ -10,6 +10,7 @@ from repro.faults.config import (
     FaultEvent,
     FaultSchedule,
 )
+from repro.io import from_jsonable, to_jsonable
 
 
 class TestFaultEventValidation:
@@ -112,7 +113,7 @@ class TestRoundTrip:
 
     def test_dict_round_trip(self):
         cfg = self._config()
-        assert FaultConfig.from_dict(cfg.to_dict()) == cfg
+        assert from_jsonable(FaultConfig, to_jsonable(cfg)) == cfg
 
     def test_file_round_trip(self, tmp_path):
         cfg = self._config()

@@ -12,6 +12,7 @@ import pytest
 from repro.core.runner import execute_run
 from repro.faults.config import FaultConfig, FaultEvent
 from repro.faults.gradfaults import GradFaultModel
+from repro.io import to_jsonable
 
 from tests.conftest import small_full_config
 
@@ -129,8 +130,8 @@ class TestReplay:
     )
     def test_corrupted_run_is_byte_identical(self, kind, kwargs):
         cfg = faulted_config(kind, **kwargs)
-        first = execute_run(cfg).to_dict()
-        second = execute_run(cfg).to_dict()
+        first = to_jsonable(execute_run(cfg))
+        second = to_jsonable(execute_run(cfg))
         assert first == second
         assert first["metadata"]["faults"]["grad_corruptions"][kind] >= 1
 
@@ -142,4 +143,4 @@ class TestReplay:
     def test_decentralized_corruption_replays(self):
         event = FaultEvent(time=0.05, kind="byzantine", worker=1, scale=10.0)
         cfg = small_full_config("ad-psgd", faults=FaultConfig(events=(event,)))
-        assert execute_run(cfg).to_dict() == execute_run(cfg).to_dict()
+        assert to_jsonable(execute_run(cfg)) == to_jsonable(execute_run(cfg))

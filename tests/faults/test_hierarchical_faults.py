@@ -26,6 +26,7 @@ from repro.core.runner import execute_run
 from repro.experiments.config import timing_config
 from repro.faults.config import FaultConfig, FaultEvent
 from repro.faults.netfaults import LinkFaultModel
+from repro.io import from_jsonable, to_jsonable
 from repro.sim.cluster import hierarchical_cluster
 
 # Fast failure detection sized for the short test runs.
@@ -364,7 +365,7 @@ class TestFabricDeterminism:
             **DETECTION,
         )
         cfg = hier_config(algorithm, faults=faults, **overrides)
-        assert execute_run(cfg).to_dict() == execute_run(cfg).to_dict()
+        assert to_jsonable(execute_run(cfg)) == to_jsonable(execute_run(cfg))
 
     def test_fabric_chaos_replay_is_byte_identical(self):
         label, algorithm, overrides = ("ar-sgd/tree", "ar-sgd",
@@ -373,8 +374,8 @@ class TestFabricDeterminism:
         cfg = hier_config(
             algorithm, faults=fabric_chaos_config(t0), **overrides
         )
-        first = execute_run(cfg).to_dict()
-        second = execute_run(cfg).to_dict()
+        first = to_jsonable(execute_run(cfg))
+        second = to_jsonable(execute_run(cfg))
         assert first == second
         assert first["metadata"]["faults"]["events_applied"] == 5
 
@@ -396,16 +397,19 @@ class TestFabricDeterminism:
                            duration=0.5, drop_prob=0.1),
             ),
         )
-        restored = FaultConfig.from_dict(cfg.to_dict())
+        restored = from_jsonable(FaultConfig, to_jsonable(cfg))
         assert restored == cfg
         assert restored.events[0].rack == 3
 
 
 def run_digest(cfg) -> str:
     # The pins predate metadata["worker_iterations"] (checked in
-    # tests/core/test_worker_iterations.py); it is left out of the hash.
-    document = execute_run(cfg).to_dict()
+    # tests/core/test_worker_iterations.py) and AD-PSGD's
+    # metadata["exchanges"] (tests/core/test_adpsgd_exchanges.py); both
+    # are left out of the hash.
+    document = to_jsonable(execute_run(cfg))
     document["metadata"].pop("worker_iterations")
+    document["metadata"].pop("exchanges", None)
     return hashlib.sha256(json.dumps(document, sort_keys=True).encode()).hexdigest()
 
 

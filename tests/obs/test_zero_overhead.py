@@ -17,6 +17,7 @@ from dataclasses import fields
 from repro.core.runner import DistributedRunner, RunConfig, execute_run
 from repro.experiments.config import mini_accuracy_config, timing_config
 from repro.experiments.executor import config_fingerprint
+from repro.io import to_jsonable
 from repro.obs import ObsConfig
 
 from tests.conftest import small_full_config, small_timing_config
@@ -165,14 +166,14 @@ class TestResultIdentity:
 
     def test_timing_run_identical_with_obs_on(self):
         cfg = small_timing_config("bsp")
-        plain = execute_run(cfg).to_dict()
-        observed = DistributedRunner(cfg, obs=ObsConfig(enabled=True)).run().to_dict()
+        plain = to_jsonable(execute_run(cfg))
+        observed = to_jsonable(DistributedRunner(cfg, obs=ObsConfig(enabled=True)).run())
         assert observed == plain
 
     def test_full_run_identical_with_obs_on(self):
         cfg = small_full_config("asp")
-        plain = execute_run(cfg).to_dict()
-        observed = DistributedRunner(cfg, obs=ObsConfig(enabled=True)).run().to_dict()
+        plain = to_jsonable(execute_run(cfg))
+        observed = to_jsonable(DistributedRunner(cfg, obs=ObsConfig(enabled=True)).run())
         assert observed == plain
 
     def test_plain_mean_robust_layer_changes_no_outcome(self):

@@ -9,6 +9,7 @@ is the point of the menu).
 import numpy as np
 import pytest
 
+from repro.io import from_jsonable, to_jsonable
 from repro.robust import AGGREGATORS, RobustConfig, aggregate_rows, krum_scores
 
 
@@ -147,7 +148,7 @@ class TestConfigValidation:
 
     def test_roundtrip(self):
         cfg = RobustConfig(aggregator="krum", krum_f=2, screen_factor=3.0)
-        assert RobustConfig.from_dict(cfg.to_dict()) == cfg
+        assert from_jsonable(RobustConfig, to_jsonable(cfg)) == cfg
 
     def test_with_aggregator(self):
         cfg = RobustConfig(aggregator="median", guard=True)

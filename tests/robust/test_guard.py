@@ -23,6 +23,7 @@ import pytest
 
 from repro.core.runner import execute_run
 from repro.faults.config import FaultConfig, FaultEvent
+from repro.io import to_jsonable
 from repro.robust.config import RobustConfig
 from repro.robust.runtime import RobustRuntime
 
@@ -68,7 +69,7 @@ class TestQuarantinePath:
 
     def test_replays_byte_identically(self, nan_time):
         cfg = guarded_config(nan_time, quarantine_strikes=1)
-        assert execute_run(cfg).to_dict() == execute_run(cfg).to_dict()
+        assert to_jsonable(execute_run(cfg)) == to_jsonable(execute_run(cfg))
 
 
 class TestRollbackPath:
@@ -87,7 +88,7 @@ class TestRollbackPath:
 
     def test_replays_byte_identically(self, nan_time):
         cfg = guarded_config(nan_time, quarantine_strikes=0)
-        assert execute_run(cfg).to_dict() == execute_run(cfg).to_dict()
+        assert to_jsonable(execute_run(cfg)) == to_jsonable(execute_run(cfg))
 
 
 class TestScreenPeerUnit:

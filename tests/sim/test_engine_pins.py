@@ -29,6 +29,7 @@ import pytest
 
 from repro.core.runner import DistributedRunner, RunConfig
 from repro.faults.config import FaultConfig
+from repro.io import to_jsonable
 from repro.obs import ObsConfig
 from repro.sim.cluster import paper_cluster
 
@@ -110,9 +111,12 @@ def pin_config(algorithm: str, faults: FaultConfig | None = None) -> RunConfig:
 
 def result_digest(result) -> str:
     # The pins predate metadata["worker_iterations"] (checked in
-    # tests/core/test_worker_iterations.py); it is left out of the hash.
-    document = result.to_dict()
+    # tests/core/test_worker_iterations.py) and AD-PSGD's
+    # metadata["exchanges"] (tests/core/test_adpsgd_exchanges.py); both
+    # are left out of the hash.
+    document = to_jsonable(result)
     document["metadata"].pop("worker_iterations")
+    document["metadata"].pop("exchanges", None)
     return hashlib.sha256(json.dumps(document, sort_keys=True).encode()).hexdigest()
 
 

@@ -19,6 +19,7 @@ import json
 import pytest
 
 from repro.core.runner import DistributedRunner, RunConfig
+from repro.io import to_jsonable
 from repro.sim.cluster import (
     DEFAULT_SPINE_LATENCY_S,
     ClusterSpec,
@@ -178,9 +179,12 @@ class TestHierarchicalNetwork:
 
 def result_digest(result) -> str:
     # The pins predate metadata["worker_iterations"] (checked in
-    # tests/core/test_worker_iterations.py); it is left out of the hash.
-    document = result.to_dict()
+    # tests/core/test_worker_iterations.py) and AD-PSGD's
+    # metadata["exchanges"] (tests/core/test_adpsgd_exchanges.py); both
+    # are left out of the hash.
+    document = to_jsonable(result)
     document["metadata"].pop("worker_iterations")
+    document["metadata"].pop("exchanges", None)
     return hashlib.sha256(json.dumps(document, sort_keys=True).encode()).hexdigest()
 
 

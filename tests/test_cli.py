@@ -135,6 +135,38 @@ def test_light_commands_do_not_load_the_simulator(tmp_path):
         assert done.returncode == 0, (argv, done.stderr)
 
 
+def test_cli_runs_blas_on_one_thread_unless_told_otherwise():
+    """``main()`` sets the BLAS thread variables before numpy loads, so
+    the process has one thread; a value the user set wins."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from repro.cli import BLAS_THREAD_VARIABLES
+
+    if not Path("/proc/self/task").is_dir():
+        pytest.skip("counts threads through /proc")
+    script = (
+        "import os, sys\n"
+        "from repro.cli import main\n"
+        "main(['list'])\n"
+        "assert 'numpy' in sys.modules\n"
+        "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+
+    def threads_and_setting(env):
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        return done.stdout.split()[-2:]
+
+    assert threads_and_setting(env) == ["1", "1"]
+    assert threads_and_setting(dict(env, OPENBLAS_NUM_THREADS="2"))[1] == "2"
+
+
 class TestCommands:
     def test_list_prints_algorithms(self, capsys):
         assert main(["list"]) == 0

@@ -1,10 +1,14 @@
 """Tests for result serialization (repro.io)."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.core.history import ThroughputResult, TrainingHistory
-from repro.io import atomic_write_text, load_json, save_json, to_jsonable
+from repro.experiments.config import mini_accuracy_config
+from repro.experiments.executor import SweepExecutor, _execute_payload
+from repro.io import atomic_write_text, from_jsonable, load_json, save_json, to_jsonable
 
 
 class TestToJsonable:
@@ -31,15 +35,13 @@ class TestToJsonable:
 
         assert to_jsonable(Opaque()) == "<opaque>"
 
-    def test_non_finite_floats_become_null(self):
-        # A diverged loss or faulted gradient norm must yield valid,
-        # strictly-parseable JSON — never a bare NaN/Infinity token.
-        assert to_jsonable(float("nan")) is None
-        assert to_jsonable(float("inf")) is None
-        assert to_jsonable(float("-inf")) is None
-        assert to_jsonable(np.float64("nan")) is None
-        assert to_jsonable([1.0, float("nan"), 2.0]) == [1.0, None, 2.0]
-        assert to_jsonable(np.array([np.nan, 1.0])) == [None, 1.0]
+    def test_non_finite_floats_survive(self):
+        # The cache and the session keep a diverged loss exactly; only
+        # save_json's strict files turn it into null (below).
+        assert math.isnan(to_jsonable(float("nan")))
+        assert to_jsonable(float("inf")) == float("inf")
+        assert to_jsonable(np.float64("-inf")) == float("-inf")
+        assert math.isnan(to_jsonable(np.array([np.nan, 1.0]))[0])
 
     def test_booleans_survive(self):
         assert to_jsonable(True) is True
@@ -56,9 +58,16 @@ class TestJsonRoundtrip:
         assert path.exists()
 
     def test_nan_values_saved_as_null(self, tmp_path):
-        path = save_json({"loss": float("nan")}, tmp_path / "out.json")
-        assert "NaN" not in path.read_text()
-        assert load_json(path) == {"loss": None}
+        # A diverged loss or faulted gradient norm must yield valid,
+        # strictly-parseable JSON — never a bare NaN/Infinity token.
+        history = TrainingHistory(train_loss=[1.0, float("nan")])
+        history.metadata["norms"] = {"max": float("inf"), "min": -float("inf")}
+        path = save_json({"loss": float("nan"), "history": history}, tmp_path / "out.json")
+        assert "NaN" not in path.read_text() and "Infinity" not in path.read_text()
+        document = load_json(path)
+        assert document["loss"] is None
+        assert document["history"]["train_loss"] == [1.0, None]
+        assert document["history"]["metadata"]["norms"] == {"max": None, "min": None}
 
 
 class TestAtomicWrite:
@@ -89,8 +98,8 @@ class TestHistoryRoundtrip:
         history.total_iterations = 100
         history.total_virtual_time = 5.0
         history.metadata["total_messages"] = 42
-        path = save_json(history.to_dict(), tmp_path / "h.json")
-        back = TrainingHistory.from_dict(load_json(path))
+        path = save_json(history, tmp_path / "h.json")
+        back = from_jsonable(TrainingHistory, load_json(path))
         assert back.algorithm == "BSP"
         assert back.final_test_accuracy == pytest.approx(0.6)
         assert back.times == [0.0, 5.0]
@@ -98,10 +107,12 @@ class TestHistoryRoundtrip:
         assert back.metadata == {"total_messages": 42}
 
     def test_metadata_config_excluded(self):
-        history = TrainingHistory()
-        history.metadata["config"] = object()  # unserialisable by design
-        history.metadata["faults"] = {"evictions": []}
-        assert history.to_dict()["metadata"] == {"faults": {"evictions": []}}
+        # The executor attaches the config after decoding; the payload
+        # it caches never holds one.
+        cfg = mini_accuracy_config("bsp", num_workers=2, epochs=0.25)
+        [history] = SweepExecutor(jobs=1, cache=False).map([cfg])
+        assert history.metadata["config"] is cfg
+        assert "config" not in _execute_payload(cfg)["data"]["metadata"]
 
 
 class TestThroughputRoundtrip:
@@ -115,8 +126,8 @@ class TestThroughputRoundtrip:
             measured_images=1000,
             breakdown={"compute": 0.5, "comm": 0.5},
         )
-        path = save_json(result.to_dict(), tmp_path / "t.json")
-        back = ThroughputResult.from_dict(load_json(path))
+        path = save_json(result, tmp_path / "t.json")
+        back = from_jsonable(ThroughputResult, load_json(path))
         assert back.throughput == pytest.approx(500.0)
         assert back.breakdown["comm"] == 0.5
         assert back.model == "vgg16"
