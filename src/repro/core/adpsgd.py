@@ -10,8 +10,10 @@ processes, per the paper's implementation note:
   scales almost linearly (§VI-C);
 * a **communication process**: an active worker performs one symmetric
   exchange per completed iteration (send parameters to a random
-  passive peer, wait for the peer's parameters, average); a passive
-  worker answers exchanges (reply with its parameters, then average).
+  passive peer, wait for the peer's parameters, average) — iterations
+  that finish during an exchange are served together by the next one;
+  a passive worker answers exchanges (reply with its parameters, then
+  average).
 
 Both endpoints land on the same midpoint (xₐ+xₚ)/2 of the parameters
 that were current when the exchange was answered; gradients computed
@@ -31,29 +33,22 @@ from repro.sim.engine import Get, Store
 __all__ = ["ADPSGD"]
 
 
-def _compute_process(
-    rt: Runtime, slot: WorkerSlot, tokens: Store | None, backlog: dict[int, int]
-) -> Generator:
-    """Local SGD forever; posts one token per iteration so the active
-    communication process paces one exchange per iteration, and keeps
-    the deepest the unserved tokens piled up in ``backlog``."""
+def _compute_process(rt: Runtime, slot: WorkerSlot, tokens: Store | None) -> Generator:
+    """Local SGD forever. After each iteration it leaves a token for
+    the active communication process unless one is already waiting:
+    an exchange ships whatever parameters are current when it starts,
+    so queued tokens are semantically one (the backlog stays ≤ 1)."""
     while not rt.stopping:
         grad = yield from compute_iteration(rt, slot)
         if slot.comp is not None and grad is not None:
             slot.comp.apply_gradient(grad, rt.lr())
-        if tokens is not None:
+        if tokens is not None and not tokens:
             tokens.put(1)
-            if len(tokens) > backlog[slot.wid]:
-                backlog[slot.wid] = len(tokens)
         rt.on_iteration(slot)
 
 
 def _active_comm(
-    rt: Runtime,
-    slot: WorkerSlot,
-    tokens: Store,
-    passive_ids: list[int],
-    exchanges: dict[int, int],
+    rt: Runtime, slot: WorkerSlot, tokens: Store, passive_ids: list[int]
 ) -> Generator[Any, Any, None]:
     model_bytes = rt.total_elements * rt.sharding.bytes_per_param
     tracer = rt.tracer
@@ -73,7 +68,7 @@ def _active_comm(
         )
         msg = yield slot.node.recv("xrep")
         tracer.end(slot.wid, "global_agg", rt.engine.now)
-        exchanges[slot.wid] += 1
+        slot.aggregations += 1
         if slot.comp is not None and msg.payload is not None:
             if rt.robust is not None and not rt.robust.screen_peer(
                 slot, msg.payload, msg.meta["worker"], "adpsgd"
@@ -114,13 +109,6 @@ class ADPSGD(TrainingAlgorithm):
         hyperparameters=(),
     )
 
-    def setup(self, runtime: Runtime) -> None:
-        # Per worker that has been active: exchanges completed, and the
-        # deepest its backlog of unserved iteration tokens grew.
-        self.exchanges: dict[int, int] = {}
-        self.backlog: dict[int, int] = {}
-        super().setup(runtime)
-
     def spawn_workers(self, runtime: Runtime, wids: list[int]) -> None:
         # Positional split of the live set: with all workers live this
         # is exactly bipartite_split's evens-active / odds-passive; after
@@ -131,51 +119,29 @@ class ADPSGD(TrainingAlgorithm):
             slot = runtime.workers[wid]
             if passive:
                 tokens = runtime.engine.store()
-                self.exchanges.setdefault(wid, 0)
-                self.backlog.setdefault(wid, 0)
                 runtime.spawn(
-                    _compute_process(runtime, slot, tokens, self.backlog),
+                    _compute_process(runtime, slot, tokens),
                     name=f"adpsgd-comp-w{wid}",
                     owner=wid,
                 )
                 runtime.spawn(
-                    _active_comm(runtime, slot, tokens, passive, self.exchanges),
+                    _active_comm(runtime, slot, tokens, passive),
                     name=f"adpsgd-comm-w{wid}",
                     owner=wid,
                 )
             else:  # single worker: plain sequential SGD
                 runtime.spawn(
-                    _compute_process(runtime, slot, None, self.backlog),
+                    _compute_process(runtime, slot, None),
                     name=f"adpsgd-comp-w{wid}",
                     owner=wid,
                 )
         for wid in passive:
             slot = runtime.workers[wid]
             runtime.spawn(
-                _compute_process(runtime, slot, None, self.backlog),
+                _compute_process(runtime, slot, None),
                 name=f"adpsgd-comp-w{wid}",
                 owner=wid,
             )
             runtime.spawn(
                 _passive_comm(runtime, slot), name=f"adpsgd-serve-w{wid}", owner=wid
             )
-
-    def result_metadata(self) -> dict:
-        """``exchanges``: over the active workers, the fewest and most
-        exchanges completed per compute iteration, and the fewest and
-        most tokens any one of them had waiting at its deepest."""
-        workers = self.runtime.workers
-        rates = [
-            count / workers[wid].iterations
-            for wid, count in self.exchanges.items()
-            if workers[wid].iterations
-        ]
-        if not rates:
-            return {}
-        backlogs = self.backlog.values()
-        return {
-            "exchanges": {
-                "per_iteration": {"min": min(rates), "max": max(rates)},
-                "max_backlog": {"min": min(backlogs), "max": max(backlogs)},
-            }
-        }

@@ -30,8 +30,8 @@ from repro.core.runner import Runtime
 from repro.core.worker import (
     WorkerSlot,
     apply_reply_payload,
-    collect_shard_replies,
     produce_gradient,
+    ps_pull,
     send_gradient_plan,
 )
 
@@ -126,11 +126,7 @@ def _asp_worker(rt: Runtime, slot: WorkerSlot) -> Generator[Any, Any, None]:
         yield from send_gradient_plan(
             rt, slot, grad, kind="req", meta=meta, compute_duration=duration
         )
-        tracer.begin(slot.wid, "global_agg", rt.engine.now)
-        flat = yield from collect_shard_replies(rt, slot, rt.sharding.num_shards)
-        tracer.end(slot.wid, "global_agg", rt.engine.now)
-        if slot.comp is not None and flat is not None:
-            slot.comp.set_params(flat)
+        yield from ps_pull(rt, slot)
         rt.on_iteration(slot)
 
 

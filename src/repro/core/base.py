@@ -135,11 +135,6 @@ class TrainingAlgorithm:
             runtime.spawn_shard_lanes(shard)
         self.spawn_workers(runtime, live)
 
-    def result_metadata(self) -> dict[str, Any]:
-        """Counters this algorithm adds to its run's result metadata
-        (read once, after the run ends)."""
-        return {}
-
     def global_params(self) -> np.ndarray | None:
         """Consensus parameters used for evaluation.
 

@@ -36,8 +36,8 @@ from repro.core.base import AlgorithmInfo, TrainingAlgorithm, register_algorithm
 from repro.core.runner import Runtime
 from repro.core.worker import (
     WorkerSlot,
-    collect_shard_replies,
     produce_gradient,
+    ps_pull,
     send_gradient_plan,
     walk_plan,
 )
@@ -149,14 +149,6 @@ class BSPShard(PSShard):
                 self.reply_params(node, meta={"trace_worker": wid})
 
 
-def _active_shards(rt: Runtime) -> int:
-    """Shards owning ≥ 1 comm-plan entry — the only ones that receive
-    gradients and send replies. Layerwise sharding leaves S − L shards
-    empty when S exceeds the layer count; those park (see
-    :meth:`BSPShard.serve`) and must not be waited on."""
-    return len({e.shard_id for e in rt.comm_plan.entries})
-
-
 def _mean_weight(msg: Message, inputs: int, workers: int) -> float:
     """The weight of one of ``inputs`` means in a mean over ``workers``.
 
@@ -240,7 +232,6 @@ def _rack_aggregator(
     get_req = Get(node.mailbox("req"))
     get_reply = Get(node.mailbox("reply"))
     agg_timeout = rt.ctx.comm_model.agg_timeout
-    num_shards = _active_shards(rt)
     while not rt.stopping:
         yield from _fold_entry_means(
             rt, node, get_req, len(leader_slots), meta,
@@ -248,7 +239,7 @@ def _rack_aggregator(
         )
         if rt.stopping:
             return
-        for _ in range(num_shards):
+        for _ in rt.active_shards:
             msg = yield get_reply
             for slot in leader_slots:
                 payload = msg.payload
@@ -339,7 +330,6 @@ def _leader_worker(
     tracer = rt.tracer
     dgc_on = rt.dgc_config is not None
     get_lagg = Get(slot.node.mailbox("lagg"))
-    active_shards = _active_shards(rt)
     meta = {"op": "grad", "worker": slot.wid, "count": len(peers) + 1}
     # When the leader's own last entry and its peers' last entry landed.
     last_arrival: dict[bool, float] = {}
@@ -377,11 +367,7 @@ def _leader_worker(
                     scatter_ranges(agg_grad, rt.entry_ranges(entry), mean)
             yield from send_gradient_plan(rt, slot, agg_grad, kind="req", meta=meta)
 
-        tracer.begin(slot.wid, "global_agg", rt.engine.now)
-        flat = yield from collect_shard_replies(rt, slot, active_shards)
-        tracer.end(slot.wid, "global_agg", rt.engine.now)
-        if slot.comp is not None and flat is not None:
-            slot.comp.set_params(flat)
+        yield from ps_pull(rt, slot)
 
         # Broadcast the new parameters to the colocated peers.
         model_bytes = rt.total_elements * rt.sharding.bytes_per_param
@@ -390,7 +376,7 @@ def _leader_worker(
                 peer.node,
                 "bcast",
                 nbytes=model_bytes,
-                payload=flat.copy() if flat is not None else None,
+                payload=slot.comp.get_params() if slot.comp is not None else None,
                 meta={"worker": slot.wid},
             )
         rt.on_iteration(slot)

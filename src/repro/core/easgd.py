@@ -26,7 +26,7 @@ from repro.comm.messages import Message
 from repro.comm.ps import PSShard
 from repro.core.base import AlgorithmInfo, TrainingAlgorithm, WorkerFactory, register_algorithm
 from repro.core.runner import Runtime
-from repro.core.worker import WorkerSlot, collect_shard_replies, compute_iteration
+from repro.core.worker import WorkerSlot, compute_iteration, ps_pull
 
 __all__ = ["EASGD", "EASGDShard"]
 
@@ -68,7 +68,6 @@ class EASGDShard(PSShard):
 
 
 def _easgd_worker(rt: Runtime, slot: WorkerSlot, tau: int, alpha: float) -> Generator:
-    tracer = rt.tracer
     local_iter = 0
     while not rt.stopping:
         grad = yield from compute_iteration(rt, slot)
@@ -76,24 +75,14 @@ def _easgd_worker(rt: Runtime, slot: WorkerSlot, tau: int, alpha: float) -> Gene
             slot.comp.apply_gradient(grad, rt.lr())
         local_iter += 1
         if local_iter % tau == 0:
-            tracer.begin(slot.wid, "global_agg", rt.engine.now)
             params = slot.comp.get_params() if slot.comp is not None else None
-            for shard in rt.ps_nodes:
-                payload = (
-                    shard.assignment.gather(params) if params is not None else None
-                )
-                slot.node.send_nowait(
-                    shard,
-                    "req",
-                    nbytes=shard.slice_bytes,
-                    payload=payload,
-                    meta={"op": "easgd", "worker": slot.wid, "alpha": alpha},
-                    trace_worker=slot.wid,
-                )
-            flat = yield from collect_shard_replies(rt, slot, rt.sharding.num_shards)
-            tracer.end(slot.wid, "global_agg", rt.engine.now)
-            if slot.comp is not None and flat is not None:
-                slot.comp.set_params(flat)
+            meta = {"op": "easgd", "worker": slot.wid, "alpha": alpha}
+
+            def push(shard: PSShard) -> dict[str, Any]:
+                payload = shard.assignment.gather(params) if params is not None else None
+                return {"nbytes": shard.slice_bytes, "payload": payload, "meta": meta}
+
+            yield from ps_pull(rt, slot, push)
         rt.on_iteration(slot)
 
 

@@ -172,6 +172,8 @@ class Runtime:
         self.tracer = ctx.tracer
         self.workers: list[WorkerSlot] = []
         self.ps_nodes: list[PSShard] = []
+        # The shards a PS pull waits on (see create_ps_shards).
+        self.active_shards: list[PSShard] = []
         self.nodes_by_id: dict[int, Node] = {}
         self.stopping = False
         self.total_elements = profile.total_params
@@ -243,6 +245,11 @@ class Runtime:
             self.nodes_by_id[shard.node_id] = shard
             self.spawn_shard_lanes(shard)
         self.ps_nodes = shards
+        # Only shards owning ≥ 1 comm-plan entry receive gradients and
+        # reply. Layer-wise sharding cannot split a layer, so S shards
+        # over L < S layers leave S − L of them empty; nobody waits on those.
+        owners = {entry.shard_id for entry in self.comm_plan.entries}
+        self.active_shards = [shard for shard in shards if shard.shard_id in owners]
         return shards
 
     # -- comm-plan geometry -------------------------------------------------
@@ -678,28 +685,22 @@ class DistributedRunner:
                 tracer=self.ctx.tracer,
                 runtime=self.runtime,
             )
-        # Every result reports how far apart the workers' iteration
-        # counts ended: an asynchronous run spreads them.
-        iterations = [slot.iterations for slot in self.runtime.workers]
-        spread = {"min": min(iterations), "max": max(iterations)}
+        metadata = self._result_metadata()
         if self.config.mode == "full":
+            if self.fault_controller is None and not self.runtime.stopping:
+                # Fault-free, the run stops only by raising the flag;
+                # a queue that drained first means every process
+                # blocked on a message nobody will send.
+                raise RuntimeError(
+                    f"full run drained at epoch {self.runtime.sample_clock.epoch():.3f} "
+                    f"of {self.config.epochs}: every process is blocked"
+                )
             # Final evaluation at the stop point.
             self._evaluate(self.runtime.sample_clock.epoch())
             assert self._history is not None
             self._history.total_iterations = self.runtime.sample_clock.total_iterations
             self._history.total_virtual_time = self.engine.now
-            self._history.metadata.update(
-                {
-                    "total_network_bytes": self.network.total_bytes,
-                    "total_messages": self.network.total_messages,
-                    "worker_iterations": spread,
-                    **self.algorithm.result_metadata(),
-                }
-            )
-            if self.fault_controller is not None:
-                self._history.metadata["faults"] = self.fault_controller.summary()
-            if self.robust_runtime is not None:
-                self._history.metadata["robust"] = self.robust_runtime.summary()
+            self._history.metadata.update(metadata)
             return self._history
         if self._measured is None:
             detail = ""
@@ -723,16 +724,28 @@ class DistributedRunner:
             measured_images=images,
             breakdown=self.ctx.tracer.fractions() if self.config.trace else {},
         )
-        result.metadata.update(
-            {
-                "total_network_bytes": self.network.total_bytes,
-                "total_messages": self.network.total_messages,
-                "worker_iterations": spread,
-                **self.algorithm.result_metadata(),
-            }
-        )
-        if self.fault_controller is not None:
-            result.metadata["faults"] = self.fault_controller.summary()
-        if self.robust_runtime is not None:
-            result.metadata["robust"] = self.robust_runtime.summary()
+        result.metadata.update(metadata)
         return result
+
+    def _result_metadata(self) -> dict[str, Any]:
+        """What every result reports beside its measurements: network
+        totals; how far apart the workers' iteration counts ended (an
+        asynchronous run spreads them); over the workers that pulled or
+        exchanged at least once, the fewest and most aggregations per
+        iteration; and the fault and robust summaries of runs that
+        have those layers."""
+        workers = self.runtime.workers
+        iterations = [slot.iterations for slot in workers]
+        metadata: dict[str, Any] = {
+            "total_network_bytes": self.network.total_bytes,
+            "total_messages": self.network.total_messages,
+            "worker_iterations": {"min": min(iterations), "max": max(iterations)},
+        }
+        rates = [slot.aggregations / slot.iterations for slot in workers if slot.aggregations]
+        if rates:
+            metadata["aggregations"] = {"min": min(rates), "max": max(rates)}
+        if self.fault_controller is not None:
+            metadata["faults"] = self.fault_controller.summary()
+        if self.robust_runtime is not None:
+            metadata["robust"] = self.robust_runtime.summary()
+        return metadata

@@ -27,12 +27,7 @@ from repro.comm.messages import Message
 from repro.comm.ps import PSShard
 from repro.core.base import AlgorithmInfo, TrainingAlgorithm, WorkerFactory, register_algorithm
 from repro.core.runner import Runtime
-from repro.core.worker import (
-    WorkerSlot,
-    apply_reply_payload,
-    produce_gradient,
-    send_gradient_plan,
-)
+from repro.core.worker import WorkerSlot, produce_gradient, ps_pull, send_gradient_plan
 
 __all__ = ["SSP", "SSPShard"]
 
@@ -102,7 +97,6 @@ class SSPShard(PSShard):
 
 
 def _ssp_worker(rt: Runtime, slot: WorkerSlot, staleness: int) -> Generator[Any, Any, None]:
-    tracer = rt.tracer
     clock = 0
     known_min = 0
     while not rt.stopping:
@@ -124,27 +118,14 @@ def _ssp_worker(rt: Runtime, slot: WorkerSlot, staleness: int) -> Generator[Any,
         clock += 1
 
         if clock - known_min > staleness:
-            tracer.begin(slot.wid, "global_agg", rt.engine.now)
-            for shard in rt.ps_nodes:
-                slot.node.send_nowait(
-                    shard,
-                    "req",
-                    nbytes=FETCH_REQUEST_BYTES,
-                    meta={"op": "fetch", "worker": slot.wid, "clock": clock},
-                    trace_worker=slot.wid,
-                )
-            flat = slot.comp.get_params() if slot.comp is not None else None
-            min_clocks: list[int] = []
-            for _ in range(rt.sharding.num_shards):
-                msg = yield slot.node.recv("reply")
-                apply_reply_payload(rt, flat, msg)
-                min_clocks.append(int(msg.meta["min_clock"]))
-            tracer.end(slot.wid, "global_agg", rt.engine.now)
-            if slot.comp is not None and flat is not None:
-                slot.comp.set_params(flat)
+            fetch = {
+                "nbytes": FETCH_REQUEST_BYTES,
+                "meta": {"op": "fetch", "worker": slot.wid, "clock": clock},
+            }
+            replies = yield from ps_pull(rt, slot, lambda shard: fetch)
             # The worker's staleness view comes from the reply metadata
             # (piggybacked clocks), never from peeking at remote state.
-            known_min = min(min_clocks)
+            known_min = min(int(msg.meta["min_clock"]) for msg in replies)
         rt.on_iteration(slot)
 
 

@@ -17,7 +17,7 @@ under a membership change, is DESIGN §3):
 * :func:`ring_allreduce` / :func:`ring_allgather` — one worker's side
   of a ring AllReduce / allgather over the live ring;
 * :func:`recv_step` — a ring receive in step order (full mode);
-* :func:`collect_shard_replies` — assemble the PS's replies.
+* :func:`ps_pull` — one blocking round trip to the active PS shards.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from repro.sim.engine import AllOf, Get, Signal, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.comm.endpoints import Node
+    from repro.comm.ps import PSShard
     from repro.core.runner import Runtime
     from repro.data.loader import BatchLoader
     from repro.nn.losses import Loss
@@ -50,7 +51,7 @@ __all__ = [
     "ring_allreduce",
     "ring_allgather",
     "recv_step",
-    "collect_shard_replies",
+    "ps_pull",
     "sparse_slice_for_ranges",
 ]
 
@@ -155,6 +156,9 @@ class WorkerSlot:
     rng: np.random.Generator
     dgc: DGCCompressor | None = None
     iterations: int = 0
+    #: Pulls from the PS (or AD-PSGD exchanges) completed; the runner
+    #: reports it per iteration as ``metadata["aggregations"]``.
+    aggregations: int = 0
     extra: dict[str, Any] = field(default_factory=dict)
 
 
@@ -505,19 +509,39 @@ def apply_reply_payload(rt: "Runtime", flat: np.ndarray | None, msg: Any) -> Non
         shard.scatter(flat, payload)
 
 
-def collect_shard_replies(
-    rt: "Runtime", slot: WorkerSlot, count: int
-) -> Generator[Any, Any, np.ndarray | None]:
-    """Receive ``count`` PS replies and assemble the new parameters.
+def ps_pull(
+    rt: "Runtime",
+    slot: WorkerSlot,
+    request: Callable[[PSShard], dict[str, Any]] | None = None,
+) -> Generator[Any, Any, list[Any]]:
+    """One blocking pull from the PS: the worker waits for one reply
+    from every active shard (:attr:`Runtime.active_shards`) and installs
+    the parameters they carry.
 
-    Each reply carries one shard's parameter slice (or a DGC delta);
-    they are folded into a copy of the worker's current flat vector
-    (timing mode just absorbs the messages). Returns the assembled
-    vector or ``None``.
+    Holds the ``global_agg`` span. With ``request`` it first sends each
+    active shard one ``req``, ``request(shard)`` giving the send's
+    ``nbytes``/``payload``/``meta`` (SSP's fetch, EASGD's push); without
+    it the gradients already sent are the request (ASP, BSP's leader).
+    Each reply — a slice or a DGC delta — is folded into a copy of the
+    replica, which is installed once all have arrived (timing mode just
+    absorbs the messages). Counts one aggregation on the slot and
+    returns the replies.
     """
+    tracer = rt.tracer
+    tracer.begin(slot.wid, "global_agg", rt.engine.now)
+    node = slot.node
+    if request is not None:
+        for shard in rt.active_shards:
+            node.send_nowait(shard, "req", trace_worker=slot.wid, **request(shard))
     flat = slot.comp.get_params() if slot.comp is not None else None
-    get_reply = Get(slot.node.mailbox("reply"))
-    for _ in range(count):
+    get_reply = Get(node.mailbox("reply"))
+    replies = []
+    for _ in rt.active_shards:
         msg = yield get_reply
         apply_reply_payload(rt, flat, msg)
-    return flat
+        replies.append(msg)
+    tracer.end(slot.wid, "global_agg", rt.engine.now)
+    if flat is not None:
+        slot.comp.set_params(flat)
+    slot.aggregations += 1
+    return replies

@@ -14,6 +14,8 @@ building blocks") against reference copies of the loops they replaced.
   loops kept here, swapped in under clean, flaky and crashed runs;
 * the entry-mean fold: BSP's old leader and rack-aggregator loops kept
   here, flat and tree, ± wait-free, ± DGC;
+* the PS pull: ASP's and BSP's old collect, SSP's fetch and EASGD's
+  push loops kept here, swapped in under clean, flaky and crashed runs;
 * ASP's per-layer predicate: worker and shard ask one function.
 """
 
@@ -27,11 +29,12 @@ import pytest
 from repro.comm.collectives import chunk_slices, ring_allreduce_plan, ring_neighbors
 from repro.comm.endpoints import Node
 from repro.comm.messages import Message
-from repro.core import arsgd, asp, bsp, ssp
+from repro.core import arsgd, asp, bsp, easgd, ssp
 from repro.core.runner import DistributedRunner
 from repro.core.worker import (
     _entry_payload_and_bytes,
-    collect_shard_replies,
+    apply_reply_payload,
+    compute_iteration,
     produce_gradient,
     recv_step,
     ring_allgather,
@@ -177,6 +180,8 @@ def observe(cfg, monkeypatch, swaps=()):
         seen["params"] = runner.algorithm.global_params().tobytes()
     else:
         seen["result"] = to_jsonable(result)
+        # The replaced loops counted no aggregations (tests/core/test_ps_pull.py).
+        seen["result"]["metadata"].pop("aggregations", None)
     return seen
 
 
@@ -576,6 +581,23 @@ def test_ring_allgather_returns_the_blocks_in_step_order():
 # -- (d) BSP's entry-mean fold vs the old leader and rack loops -------------
 
 
+def reference_active_shards(rt):
+    """BSP's old ``_active_shards``: shards owning a comm-plan entry."""
+    return len({e.shard_id for e in rt.comm_plan.entries})
+
+
+def reference_collect(rt, slot, count):
+    """The old ``collect_shard_replies``: ``count`` replies folded into a
+    copy of the replica, returned (``None`` in timing mode)."""
+    flat = slot.comp.get_params() if slot.comp is not None else None
+    get_reply = Get(slot.node.mailbox("reply"))
+    for _ in range(count):
+        msg = yield get_reply
+        apply_reply_payload(rt, flat, msg)
+    return flat
+
+
+
 def reference_rack_aggregator(rt, node, leader_slots, workers):
     """The PS tree's middle tier as it was, keyed by entry label; its
     forwards carry the worker count the shard now weighs by."""
@@ -585,7 +607,7 @@ def reference_rack_aggregator(rt, node, leader_slots, workers):
     owner = leader_slots[0].wid
     get_req = Get(node.mailbox("req"))
     get_reply = Get(node.mailbox("reply"))
-    num_shards = bsp._active_shards(rt)
+    num_shards = reference_active_shards(rt)
     while not rt.stopping:
         counts = [0] * len(entries)
         sums = [None] * len(entries)
@@ -670,7 +692,7 @@ def reference_leader_worker(rt, slot, peers, agg_node=None):
                 meta={"op": "grad", "worker": slot.wid, "count": group_size},
             )
         tracer.begin(slot.wid, "global_agg", rt.engine.now)
-        flat = yield from collect_shard_replies(rt, slot, bsp._active_shards(rt))
+        flat = yield from reference_collect(rt, slot, reference_active_shards(rt))
         tracer.end(slot.wid, "global_agg", rt.engine.now)
         if slot.comp is not None and flat is not None:
             slot.comp.set_params(flat)
@@ -706,6 +728,137 @@ def test_entry_mean_fold_is_the_old_leader_and_rack_loops(mode, topology, varian
     ])
     assert folded["log"], "no message was logged"
     assert folded == reference
+
+
+# -- (e) the PS pull vs the old collect, fetch and push loops ---------------
+
+
+def reference_asp_worker(rt, slot):
+    """ASP's blocking worker as it was (the configs below never stream)."""
+    assert not asp.asp_layerwise(rt)
+    tracer = rt.tracer
+    meta = {"op": "grad", "worker": slot.wid}
+    while not rt.stopping:
+        duration = rt.compute_model.iteration_time(slot.wid)
+        grad = produce_gradient(rt, slot)
+        yield from send_gradient_plan(
+            rt, slot, grad, kind="req", meta=meta, compute_duration=duration
+        )
+        tracer.begin(slot.wid, "global_agg", rt.engine.now)
+        flat = yield from reference_collect(rt, slot, rt.sharding.num_shards)
+        tracer.end(slot.wid, "global_agg", rt.engine.now)
+        if slot.comp is not None and flat is not None:
+            slot.comp.set_params(flat)
+        rt.on_iteration(slot)
+
+
+def reference_ssp_worker(rt, slot, staleness):
+    """SSP's worker as it was, with its own fetch-and-receive loop."""
+    tracer = rt.tracer
+    clock = 0
+    known_min = 0
+    while not rt.stopping:
+        meta = {"op": "grad", "worker": slot.wid, "clock": clock + 1}
+        duration = rt.compute_model.iteration_time(slot.wid)
+        grad = produce_gradient(rt, slot)
+        yield from send_gradient_plan(
+            rt, slot, grad, kind="req", meta=meta, compute_duration=duration, block_tx=True,
+        )
+        if slot.comp is not None and grad is not None:
+            slot.comp.apply_gradient(grad, rt.lr_local())
+        clock += 1
+        if clock - known_min > staleness:
+            tracer.begin(slot.wid, "global_agg", rt.engine.now)
+            for shard in rt.ps_nodes:
+                slot.node.send_nowait(
+                    shard, "req", nbytes=ssp.FETCH_REQUEST_BYTES,
+                    meta={"op": "fetch", "worker": slot.wid, "clock": clock},
+                    trace_worker=slot.wid,
+                )
+            flat = slot.comp.get_params() if slot.comp is not None else None
+            min_clocks = []
+            for _ in range(rt.sharding.num_shards):
+                msg = yield slot.node.recv("reply")
+                apply_reply_payload(rt, flat, msg)
+                min_clocks.append(int(msg.meta["min_clock"]))
+            tracer.end(slot.wid, "global_agg", rt.engine.now)
+            if slot.comp is not None and flat is not None:
+                slot.comp.set_params(flat)
+            known_min = min(min_clocks)
+        rt.on_iteration(slot)
+
+
+def reference_easgd_worker(rt, slot, tau, alpha):
+    """EASGD's worker as it was, with its own push loop."""
+    tracer = rt.tracer
+    local_iter = 0
+    while not rt.stopping:
+        grad = yield from compute_iteration(rt, slot)
+        if slot.comp is not None and grad is not None:
+            slot.comp.apply_gradient(grad, rt.lr())
+        local_iter += 1
+        if local_iter % tau == 0:
+            tracer.begin(slot.wid, "global_agg", rt.engine.now)
+            params = slot.comp.get_params() if slot.comp is not None else None
+            for shard in rt.ps_nodes:
+                slot.node.send_nowait(
+                    shard, "req", nbytes=shard.slice_bytes,
+                    payload=shard.assignment.gather(params) if params is not None else None,
+                    meta={"op": "easgd", "worker": slot.wid, "alpha": alpha},
+                    trace_worker=slot.wid,
+                )
+            flat = yield from reference_collect(rt, slot, rt.sharding.num_shards)
+            tracer.end(slot.wid, "global_agg", rt.engine.now)
+            if slot.comp is not None and flat is not None:
+                slot.comp.set_params(flat)
+        rt.on_iteration(slot)
+
+
+PULL_SWAPS = {
+    "asp": [(asp, "_asp_worker", reference_asp_worker)],
+    "ssp": [(ssp, "_ssp_worker", reference_ssp_worker)],
+    "easgd": [(easgd, "_easgd_worker", reference_easgd_worker)],
+    "bsp": [(bsp, "_leader_worker", reference_leader_worker)],
+}
+PULL_CELLS = [("asp", "plain"), ("asp", "dgc"), ("ssp", "plain"), ("easgd", "plain"),
+              ("bsp", "plain"), ("bsp", "dgc")]
+
+
+def pull_config(algorithm, mode, variant, t0=None, fault="clean"):
+    """Two shards, both owning layers; ``fault`` is a crash of worker 3
+    at a tenth of the clean run, evicted well before the run ends, or a
+    flaky link."""
+    cfg = walk_config(algorithm, mode, variant)
+    if algorithm == "easgd":
+        cfg = dataclasses.replace(cfg, algorithm_params={"tau": 2})
+    if fault == "clean":
+        return cfg
+    machines = cfg.cluster.machines
+    events = (
+        (FaultEvent(time=0.1 * t0, kind="crash", worker=3),) if fault == "crash"
+        else FAULT_SCENARIOS["flaky"](t0, cfg.num_workers, machines)
+    )
+    return dataclasses.replace(cfg, faults=FaultConfig(
+        events=events, heartbeat_interval=0.01 * t0, heartbeat_timeout=0.05 * t0,
+        max_virtual_time=20 * t0,
+    ))
+
+
+@pytest.mark.parametrize("mode", ["timing", "full"])
+@pytest.mark.parametrize("algorithm,variant", PULL_CELLS, ids=lambda v: v)
+def test_ps_pull_is_the_old_collect_fetch_and_push_loops(algorithm, variant, mode, monkeypatch):
+    clean = pull_config(algorithm, mode, variant)
+    seen = observe(clean, monkeypatch)
+    assert seen["log"], "no message was logged"
+    assert seen == observe(clean, monkeypatch, PULL_SWAPS[algorithm])
+    t0 = seen["clock"]
+    for fault in ("flaky", "crash"):
+        cfg = pull_config(algorithm, mode, variant, t0, fault)
+        seen = observe(cfg, monkeypatch)
+        assert seen == observe(cfg, monkeypatch, PULL_SWAPS[algorithm])
+        summary = seen["faults"]
+        assert [e["worker"] for e in summary["evictions"]] == [3] * (fault == "crash")
+        assert (summary["retransmits"] > 0) == (fault == "flaky")
 
 
 # -- ASP's per-layer predicate ----------------------------------------------

@@ -179,12 +179,12 @@ class TestHierarchicalNetwork:
 
 def result_digest(result) -> str:
     # The pins predate metadata["worker_iterations"] (checked in
-    # tests/core/test_worker_iterations.py) and AD-PSGD's
-    # metadata["exchanges"] (tests/core/test_adpsgd_exchanges.py); both
-    # are left out of the hash.
+    # tests/core/test_worker_iterations.py) and metadata["aggregations"]
+    # (tests/core/test_ps_pull.py, tests/core/test_adpsgd_exchanges.py);
+    # both are left out of the hash.
     document = to_jsonable(result)
     document["metadata"].pop("worker_iterations")
-    document["metadata"].pop("exchanges", None)
+    document["metadata"].pop("aggregations", None)
     return hashlib.sha256(json.dumps(document, sort_keys=True).encode()).hexdigest()
 
 
