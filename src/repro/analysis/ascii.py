@@ -8,6 +8,7 @@ exact series live in the JSON results.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Sequence
 
 __all__ = ["line_chart", "fig1_chart", "fig2_chart", "attribution_report"]
@@ -29,6 +30,7 @@ def line_chart(
     Each series gets a mark from ``o x + * …``; collisions keep the
     first-drawn mark. Axes are annotated with min/max values.
     """
+    series = {name: [(x, y) for x, y in s if math.isfinite(y)] for name, s in series.items()}
     points = [(x, y) for s in series.values() for x, y in s]
     if not points:
         return f"{title}\n(no data)"
@@ -76,10 +78,10 @@ def line_chart(
 
 def fig1_chart(table) -> str:
     """Fig 1(a,b) as two ASCII charts: the first seed's top-1 error per
-    algorithm of a ``fig1`` table (:mod:`repro.experiments.artefact`)."""
-    runs = {
-        algo.upper(): table.results[(algo,)][0] for algo in table.axis("algorithm")
-    }
+    algorithm of a ``fig1`` table (:mod:`repro.experiments.artefact`);
+    an algorithm whose first seed failed is left out."""
+    runs = {algo.upper(): table.results[(algo,)][0] for algo in table.axis("algorithm")}
+    runs = {name: run for name, run in runs.items() if not getattr(run, "failed", False)}
     by_epoch = {name: list(zip(h.epochs, h.error_curve())) for name, h in runs.items()}
     by_time = {name: list(zip(h.times, h.error_curve())) for name, h in runs.items()}
     return (

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
-
-from repro.core.history import ThroughputResult
 from repro.nn.zoo import ModelProfile
 from repro.sim.cluster import GPUSpec
 
-__all__ = ["ideal_single_worker_throughput", "speedup_series", "crossover_points"]
+__all__ = ["ideal_single_worker_throughput"]
 
 
 def ideal_single_worker_throughput(
@@ -18,57 +15,3 @@ def ideal_single_worker_throughput(
     normalisation baseline ("the throughput of a single worker")."""
     iteration_time = profile.train_flops * batch_size / gpu.effective_flops
     return batch_size / iteration_time
-
-
-def speedup_series(
-    results: Sequence[ThroughputResult], baseline_throughput: float
-) -> list[tuple[int, float]]:
-    """(num_workers, speedup) pairs sorted by worker count.
-
-    Duplicate worker counts (the same N measured more than once, e.g.
-    when multi-bandwidth or multi-seed series are merged) are averaged,
-    so the output has exactly one point per worker count regardless of
-    input order.
-    """
-    if baseline_throughput <= 0:
-        raise ValueError("baseline throughput must be positive")
-    by_n: dict[int, list[float]] = {}
-    for r in results:
-        by_n.setdefault(r.num_workers, []).append(r.throughput)
-    return [
-        (n, sum(tputs) / len(tputs) / baseline_throughput)
-        for n, tputs in sorted(by_n.items())
-    ]
-
-
-def _series_map(series: Sequence[tuple[int, float]]) -> dict[int, float]:
-    """Collapse a series to one value per worker count (mean over
-    duplicates — deterministic, unlike ``dict(series)``'s last-wins)."""
-    acc: dict[int, list[float]] = {}
-    for n, value in series:
-        acc.setdefault(n, []).append(value)
-    return {n: sum(vals) / len(vals) for n, vals in acc.items()}
-
-
-def crossover_points(
-    series_a: Sequence[tuple[int, float]], series_b: Sequence[tuple[int, float]]
-) -> list[int]:
-    """Worker counts where the faster of two algorithms flips.
-
-    Used to locate findings like "ASP is slower than BSP at 10 Gbps but
-    faster at 56 Gbps" in the measured curves. Duplicate worker counts
-    within either series are averaged before comparison.
-    """
-    a = _series_map(series_a)
-    b = _series_map(series_b)
-    common = sorted(set(a) & set(b))
-    flips: list[int] = []
-    prev_sign = None
-    for n in common:
-        diff = a[n] - b[n]
-        sign = 0 if diff == 0 else (1 if diff > 0 else -1)
-        if prev_sign is not None and sign != 0 and prev_sign != 0 and sign != prev_sign:
-            flips.append(n)
-        if sign != 0:
-            prev_sign = sign
-    return flips

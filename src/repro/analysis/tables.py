@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
-__all__ = ["format_table", "render_accuracy_table"]
+__all__ = ["format_table"]
 
 
 def format_table(
@@ -37,15 +37,3 @@ def format_table(
     for row in str_rows:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def render_accuracy_table(
-    results: Mapping[str, float], *, title: str = "Top-1 accuracy"
-) -> str:
-    """One-row accuracy table keyed by algorithm (Table II layout)."""
-    algorithms = list(results)
-    return format_table(
-        algorithms,
-        [[results[a] for a in algorithms]],
-        title=title,
-    )

@@ -50,6 +50,15 @@ def _ps_shards(c) -> int:
     return c.ratio * max(1, (c.num_workers + 3) // 4)
 
 
+def _shard(v, strategy: str) -> float:
+    return v(strategy)["max shard fraction"]
+
+
+def _slowdown(v, algorithm: str) -> float:
+    """Throughput at the widest speed spread over that at the narrowest."""
+    return v(algorithm, v.shape["spreads"][-1]) / v(algorithm, v.shape["spreads"][0])
+
+
 ARTEFACTS = {
     "sharding": Artefact(
         "sharding",
@@ -67,6 +76,15 @@ ARTEFACTS = {
         rows=("strategy",),
         headers=("sharding strategy", "throughput (img/s)", "max shard fraction"),
         float_format="{:.2f}",
+        # fc6 pins a layer-wise shard; fine-grained sharding buys throughput
+        claims={
+            "layer-wise max shard > 0.7": lambda v: _shard(v, "layerwise-greedy") > 0.7,
+            "element-balanced max shard < 0.2": lambda v: _shard(v, "element-balanced") < 0.2,
+            "element-balanced > 1.3× layer-wise": lambda v: (
+                v("element-balanced")["throughput (img/s)"]
+                / v("layerwise-greedy")["throughput (img/s)"] > 1.3
+            ),
+        },
     ),
     "stragglers": Artefact(
         "stragglers",
@@ -83,6 +101,12 @@ ARTEFACTS = {
         labels={"algorithm": str.upper, "spread": "{:.0%}".format},
         float_format="{:.0f}",
         sort=True,
+        # synchronous waiting makes BSP pay for stragglers; async ones don't
+        claims={
+            "BSP keeps < 0.8 at the widest spread": lambda v: _slowdown(v, "bsp") < 0.8,
+            "ASP slows less than BSP": lambda v: _slowdown(v, "asp") > _slowdown(v, "bsp"),
+            "AD-PSGD slows less than BSP": lambda v: _slowdown(v, "ad-psgd") > _slowdown(v, "bsp"),
+        },
     ),
     "ps-ratio": Artefact(
         "ps-ratio",
@@ -101,5 +125,12 @@ ARTEFACTS = {
         labels={"ratio": "{}:4".format},
         float_format="{:.0f}",
         sort=True,
+        # the profiling is worth doing, and no ratio is far off the best
+        claims={
+            "the best ratio ≥ 1:4": lambda v: max(map(v, v.shape["ratios"])) >= v(1),
+            "the worst > half the best": lambda v: (
+                min(map(v, v.shape["ratios"])) > 0.5 * max(map(v, v.shape["ratios"]))
+            ),
+        },
     ),
 }

@@ -8,6 +8,8 @@ and wall time (b). Table IV compares BSP/ASP/SSP with and without DGC.
 
 from __future__ import annotations
 
+import math
+
 from repro.analysis.ascii import fig1_chart
 from repro.experiments.artefact import Artefact, final_accuracy
 from repro.experiments.config import MINI_EPOCHS, mini_accuracy_config, mini_dgc_config
@@ -60,6 +62,62 @@ def _table4_config(c):
     )
 
 
+_GOOD, _BAD = ("bsp", "ar-sgd", "asp", "ad-psgd"), ("ssp", "easgd", "gosgd")
+
+#: §VI-A: synchronous ≈ frequent-async ≫ intermittent-async
+TABLE2_CLAIMS = {
+    "BSP ≈ AR-SGD (within 0.02)": lambda v: abs(v("bsp") - v("ar-sgd")) < 0.02,
+    "BSP, AR-SGD lead (within 0.02)": lambda v: (
+        min(v("bsp"), v("ar-sgd")) > max(map(v, v.shape["algorithms"])) - 0.02
+    ),
+    "ASP > min(BSP, AR-SGD) - 0.12": lambda v: v("asp") > min(v("bsp"), v("ar-sgd")) - 0.12,
+    "AD-PSGD > min(BSP, AR-SGD) - 0.05": lambda v: v("ad-psgd") > min(v("bsp"), v("ar-sgd")) - 0.05,
+    "SSP, EASGD, GoSGD < AD-PSGD - 0.15": lambda v: max(map(v, _BAD)) < v("ad-psgd") - 0.15,
+    "BSP, AR-SGD, ASP, AD-PSGD > the rest": lambda v: min(map(v, _GOOD)) > max(map(v, _BAD)),
+}
+
+
+def _error(v, algorithm: str) -> float:
+    return v.result(algorithm).error_curve()[-1]
+
+
+def _secs_to(v, algorithm: str, error: float) -> float:
+    """Virtual seconds until the run's top-1 error is ≤ ``error`` (inf: never)."""
+    h = v.result(algorithm)
+    return next((t for t, e in zip(h.times, h.error_curve()) if e <= error), math.inf)
+
+
+def _rate(v, algorithm: str) -> float:
+    h = v.result(algorithm)
+    return h.total_iterations / h.total_virtual_time
+
+
+#: §VI-A: (a) epoch-wise ordering; (b) ASP and AD-PSGD iterate faster, so
+#: AD-PSGD reaches an early error level no later than BSP in wall time
+FIG1_CLAIMS = {
+    "final error BSP ≤ ASP + 0.02": lambda v: _error(v, "bsp") <= _error(v, "asp") + 0.02,
+    "final error BSP ≤ AD-PSGD + 0.02": lambda v: _error(v, "bsp") <= _error(v, "ad-psgd") + 0.02,
+    "final error SSP > AD-PSGD + 0.1": lambda v: _error(v, "ssp") > _error(v, "ad-psgd") + 0.1,
+    "final error GoSGD > AD-PSGD + 0.1": lambda v: _error(v, "gosgd") > _error(v, "ad-psgd") + 0.1,
+    "BSP, ASP, AD-PSGD reach error 0.45": lambda v: all(
+        _secs_to(v, a, 0.45) < math.inf for a in ("bsp", "asp", "ad-psgd")
+    ),
+    "AD-PSGD reaches error 0.45 by 1.05 × BSP's time": lambda v: (
+        _secs_to(v, "ad-psgd", 0.45) <= _secs_to(v, "bsp", 0.45) * 1.05
+    ),
+    "iterations per virtual second ASP > BSP": lambda v: _rate(v, "asp") > _rate(v, "bsp"),
+    "iterations per virtual second AD-PSGD > BSP": lambda v: _rate(v, "ad-psgd") > _rate(v, "bsp"),
+}
+
+#: §VI-D: DGC is accuracy-neutral
+TABLE4_CLAIMS = {
+    "DGC costs < 0.12 (every config)": lambda v: all(
+        v(c, True) > v(c, False) - 0.12 for c in v.shape["variants"]
+    ),
+    "ASP with DGC within 0.08": lambda v: abs(v("asp", True) - v("asp", False)) < 0.08,
+    "SSP s=10 gains with DGC": lambda v: v("ssp_s10", True) > v("ssp_s10", False),
+}
+
 _TABLE2 = dict(
     axes={"algorithm": "algorithms"},
     shape=dict(
@@ -82,9 +140,10 @@ ARTEFACTS = {
         headers=("algorithm", "measured top-1 (mini)"),
         paper_headers=("paper top-1 (ImageNet)",),
         labels={"algorithm": str.upper},
+        claims=TABLE2_CLAIMS,
         **_TABLE2,
     ),
-    "fig1": Artefact("fig1", draw=fig1_chart, **_TABLE2),
+    "fig1": Artefact("fig1", draw=fig1_chart, claims=FIG1_CLAIMS, **_TABLE2),
     "table4": Artefact(
         "table4",
         title="Table IV — effect of DGC on model accuracy",
@@ -100,6 +159,7 @@ ARTEFACTS = {
         headers=("config",),
         paper_headers=("paper no DGC", "paper DGC"),
         labels={"dgc": {False: "no DGC (mini)", True: "DGC (mini)"}.get},
+        claims=TABLE4_CLAIMS,
         cli=("workers", "epochs"),
     ),
 }

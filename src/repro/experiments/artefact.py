@@ -5,9 +5,11 @@ An :class:`Artefact` is a value. Its ``axes`` name the shape keys whose
 values span the grid, outermost first, with the seeds innermost;
 ``config`` builds one cell's :class:`~repro.core.config.RunConfig` from
 the shape with each axis bound to one value; ``metric`` reads the
-cell's number off its result. :func:`run_artefact` submits the grid as
-one ``executor.map`` per stage and returns a :class:`Table` that keeps
-every seed's value and every raw result; :func:`render` prints it.
+cell's number off its result; ``claims`` state the paper's findings
+over one seed's cells. :func:`run_artefact` submits the grid as one
+``executor.map`` per stage and returns a :class:`Table` that keeps
+every seed's value and every raw result; :func:`render` prints it and
+how many seeds each claim holds in.
 
 An artefact with a ``baseline`` axis runs in two stages: first one
 unperturbed run per value of that axis, whose results parameterise
@@ -31,8 +33,11 @@ import numpy as np
 
 from repro.analysis.tables import format_table
 from repro.experiments.executor import default_executor
+from repro.experiments.session import FailedRun
 
-__all__ = ["Artefact", "Table", "artefact", "run_artefact", "render", "recovery_notes"]
+__all__ = [
+    "Artefact", "Seed", "Table", "artefact", "only", "run_artefact", "render", "recovery_notes"
+]
 
 #: module of :mod:`repro.experiments` -> the artefacts it declares
 MODULES = {
@@ -96,6 +101,9 @@ class Artefact:
     draw: Callable[["Table"], str] | None = None
     #: appended below the table when non-empty
     notes: Callable[["Table"], str] | None = None
+    #: claim name -> predicate over one :class:`Seed`: whether the paper's
+    #: finding holds, or None where it does not apply at the shape
+    claims: Mapping[str, Callable[["Seed"], bool | None]] = field(default_factory=dict)
     # -- command line ---------------------------------------------------
     #: the options that set shape keys (``repro.cli`` maps them)
     cli: tuple[str, ...] = ()
@@ -126,32 +134,98 @@ class Table:
         return tuple(self.shape[self.artefact.axes[name]])
 
     def value(self, *cell: Any) -> Any:
-        """The cell's value, averaged over seeds (per column for a
-        metric with several)."""
-        values = self.values[cell]
+        """The cell's value, averaged over the seeds that ran (per column
+        for a metric with several); nan where none did."""
+        values = [v for v in self.values[cell] if v is not None]
+        if not values:  # a metric with several columns keeps them, as nan
+            ran = next((v for vs in self.values.values() for v in vs if v is not None), None)
+            return dict.fromkeys(ran, float("nan")) if isinstance(ran, Mapping) else float("nan")
         if isinstance(values[0], Mapping):
             return {k: float(np.mean([v[k] for v in values])) for k in values[0]}
         return float(np.mean(values))
 
+    def claims(self) -> dict[str, list]:
+        """Claim name -> each seed's verdict (None: not measured there),
+        leaving out the claims no seed measures."""
+        seeds = [Seed(self, i) for i in range(len(self.seeds))]
+        verdicts = {name: [s.verdict(c) for s in seeds] for name, c in self.artefact.claims.items()}
+        return {name: v for name, v in verdicts.items() if v != [None] * len(seeds)}
+
     def record(self) -> dict:
-        """The JSON form ``--output`` writes: axes, seeds, and per cell
-        every seed's value (and the paper's, where it has one)."""
+        """The JSON form ``--output`` writes: axes, seeds, per cell every
+        seed's value (None for a failed seed, listed with its error) and
+        the paper's, and per claim every seed's verdict."""
         art = self.artefact
         cells = []
         for cell, values in self.values.items():
             entry = {"cell": dict(zip(art.axes, cell)), "values": values}
             if art.paper is not None:
                 entry["paper"] = art.paper(entry["cell"])
+            runs = zip(self.seeds, self.results[cell])
+            if failed := [{"seed": s, "error": r.error} for s, r in runs if _failed(r)]:
+                entry["failed"] = failed
             cells.append(entry)
         axes = {name: list(self.axis(name)) for name in art.axes}
-        return {"artefact": art.name, "axes": axes, "seeds": list(self.seeds), "cells": cells}
+        return {
+            "artefact": art.name, "axes": axes, "seeds": list(self.seeds), "cells": cells,
+            "claims": self.claims(),
+        }
+
+
+def _failed(result: Any) -> bool:
+    return isinstance(result, FailedRun)
+
+
+class _Unmeasured(Exception):
+    """A claim read a cell the grid lacks, or one its seed failed in."""
+
+
+class Seed:
+    """One seed of a table, as a claim reads it: ``v(*cell)`` is the
+    cell's value, ``v.result(*cell)`` its raw result and ``v.shape``
+    the table's shape. A claim reading a cell the grid lacks, or one
+    this seed failed in, is not measured (its verdict is None)."""
+
+    def __init__(self, table: Table, index: int) -> None:
+        self.shape, self._table, self._index = table.shape, table, index
+
+    def result(self, *cell: Any) -> Any:
+        results = self._table.results.get(cell)
+        if results is None or _failed(results[self._index]):
+            raise _Unmeasured(cell)
+        return results[self._index]
+
+    def __call__(self, *cell: Any) -> Any:
+        self.result(*cell)
+        return self._table.values[cell][self._index]
+
+    def verdict(self, claim: Callable[["Seed"], bool | None]) -> bool | None:
+        try:
+            holds = claim(self)
+        except _Unmeasured:
+            return None
+        return None if holds is None else bool(holds)
+
+
+def only(claims: Mapping[str, Callable], **where: Any) -> dict[str, Callable]:
+    """``claims`` where the table's shape has ``where``'s values; not
+    applicable elsewhere."""
+
+    def scoped(claim: Callable) -> Callable:
+        return lambda v: claim(v) if all(v.shape[k] == w for k, w in where.items()) else None
+
+    return {name: scoped(claim) for name, claim in claims.items()}
 
 
 def run_artefact(
     art: Artefact, *, seeds: tuple[int, ...] = (0,), executor: Any = None, **shape: Any
 ) -> Table:
     """Run ``art``'s grid at ``shape`` (its defaults for keys not
-    given): one ``executor.map`` per stage, configs in axis order."""
+    given): one ``executor.map`` per stage, configs in axis order. A
+    seed whose run (or baseline run) failed keeps the failure as its
+    result and None as its value."""
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"duplicate seeds {list(seeds)}: each seed must run once")
     unknown = set(shape) - set(art.shape)
     if unknown:
         raise TypeError(f"{art.name} takes no {', '.join(sorted(unknown))}")
@@ -173,16 +247,20 @@ def run_artefact(
         bound = dict(zip(art.axes, cell))
         for seed in table.seeds:
             base = table.baselines.get((bound.get(art.baseline), seed))
-            grid.append((cell, base, build(bound, seed, base)))
-    for (cell, base, cfg), result in zip(grid, executor.map([cfg for *_, cfg in grid])):
+            grid.append((cell, base, None if _failed(base) else build(bound, seed, base)))
+    results = iter(executor.map([cfg for *_, cfg in grid if cfg is not None]))
+    for cell, base, cfg in grid:
+        result = base if cfg is None else next(results)
         table.results.setdefault(cell, []).append(result)
-        table.values.setdefault(cell, []).append(art.metric(result, cfg, base))
+        value = None if _failed(result) else art.metric(result, cfg, base)
+        table.values.setdefault(cell, []).append(value)
     return table
 
 
 def render(table: Table) -> str:
     """The artefact as text: one table per split-axis value (or its
-    chart), then its notes."""
+    chart), its notes, then ``holds k/S`` per claim (of the S seeds
+    that measured it)."""
     art = table.artefact
     if art.draw is not None:
         text = art.draw(table)
@@ -190,7 +268,11 @@ def render(table: Table) -> str:
         splits = table.axis(art.split) if art.split else (None,)
         text = "\n\n".join(_block(table, split) for split in splits)
     notes = art.notes(table) if art.notes is not None else ""
-    return f"{text}\n\n{notes}" if notes else text
+    claims = "".join(
+        f"\n  {name}: holds {v.count(True)}/{len(v) - v.count(None)}"
+        for name, v in table.claims().items()
+    )
+    return "\n\n".join(filter(None, [text, notes, claims and "claims:" + claims]))
 
 
 def _block(table: Table, split: Any) -> str:
@@ -232,7 +314,7 @@ def recovery_notes(heading: str, source: str, widths: tuple[int, int]) -> Callab
     def notes(table: Table) -> str:
         lines = []
         for (row, column), results in table.results.items():
-            s = results[0].metadata.get(source) or {}
+            s = {} if _failed(results[0]) else results[0].metadata.get(source) or {}
             evicted = [e["worker"] for e in s.get("evictions", ())]
             # A correlated rack outage evicts dozens at once; the count
             # reads better than the roster.

@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.experiments.artefact import Artefact, recovery_notes
 from repro.experiments.config import mini_accuracy_config
+from repro.experiments.session import FailedRun
 from repro.faults.config import FaultConfig, FaultEvent
 from repro.robust.config import AGGREGATORS, RobustConfig
 
@@ -123,7 +124,8 @@ def _retained(result, config, base) -> float:
 
 def _baseline_accuracy(table, row: dict) -> list[float]:
     runs = [table.baselines[(row["algorithm"], seed)] for seed in table.seeds]
-    return [float(np.mean([run.final_test_accuracy for run in runs]))]
+    ran = [run.final_test_accuracy for run in runs if not isinstance(run, FailedRun)]
+    return [float(np.mean(ran)) if ran else float("nan")]
 
 
 ARTEFACTS = {

@@ -11,10 +11,12 @@ comm) of the same configurations at 24 workers.
 
 from __future__ import annotations
 
+import itertools
+
 from repro.analysis.ascii import fig2_chart
 from repro.analysis.breakdown import breakdown_table, normalize_breakdown
 from repro.core.config import PROFILES
-from repro.experiments.artefact import Artefact
+from repro.experiments.artefact import Artefact, only
 from repro.experiments.config import timing_config
 from repro.sim.cluster import TITAN_V
 
@@ -74,11 +76,75 @@ def _speedup(result, config, base) -> float:
     return result.throughput / ideal_single_worker_throughput(profile, config.batch_size, TITAN_V)
 
 
+def _gain(v, *algorithms: str) -> float:
+    """The largest speedup gain from 10 to 56 Gbps among ``algorithms``, 24 workers."""
+    return max(v(a, 56.0, 24) / v(a, 10.0, 24) for a in algorithms)
+
+
+def _beats(v, a: str, b: str) -> bool:
+    return all(v(a, bw, 24) > v(b, bw, 24) for bw in (10.0, 56.0))
+
+
+#: §VI-C: on ResNet-50 the PS bottleneck inverts ASP vs BSP at 10 Gbps
+#: and AD-PSGD scales near-linearly; on VGG-16 the centralized async
+#: algorithms collapse at 10 Gbps and the decentralized ones beat them
+FIG2_CLAIMS = {
+    "ASP < BSP @ 10G, N=24": lambda v: v("asp", 10.0, 24) < v("bsp", 10.0, 24),
+    **only({
+        "monotone in N @ 10G (steps ≥ 0.95×)": lambda v: all(
+            v(a, 10.0, m) >= v(a, 10.0, n) * 0.95
+            for a in v.shape["algorithms"]
+            for n, m in itertools.pairwise(v.shape["worker_counts"])
+        ),
+        "BSP, AR-SGD gain < 1.55× from 56G": lambda v: _gain(v, "bsp", "ar-sgd") < 1.55,
+        "ASP gains > 1.4× from 56G": lambda v: _gain(v, "asp") > 1.4,
+        "ASP gains more from 56G than BSP, AR-SGD": lambda v: (
+            _gain(v, "asp") > _gain(v, "bsp", "ar-sgd")
+        ),
+        "ASP > BSP @ 56G, N=24": lambda v: v("asp", 56.0, 24) > v("bsp", 56.0, 24),
+        "AD-PSGD > 0.8 × 24 @ 10G": lambda v: v("ad-psgd", 10.0, 24) > 0.8 * 24,
+        "AD-PSGD @ 10G ≥ BSP @ any bandwidth, N=24": lambda v: (
+            v("ad-psgd", 10.0, 24) >= max(v("bsp", bw, 24) for bw in v.shape["bandwidths"])
+        ),
+    }, model="resnet50"),
+    **only({
+        "ASP < 8 @ 10G, N=24": lambda v: v("asp", 10.0, 24) < 8,
+        "SSP < 8 @ 10G, N=24": lambda v: v("ssp", 10.0, 24) < 8,
+        "SSP < BSP @ 10G, N=24": lambda v: v("ssp", 10.0, 24) < v("bsp", 10.0, 24),
+        "AR-SGD > ASP @ 10G and 56G, N=24": lambda v: _beats(v, "ar-sgd", "asp"),
+        "AD-PSGD > SSP @ 10G and 56G, N=24": lambda v: _beats(v, "ad-psgd", "ssp"),
+    }, model="vgg16"),
+}
+
+
 def _fig3_config(c):
     return timing_config(
         c.algorithm, num_workers=c.num_workers, bandwidth_gbps=c.bandwidth, model=c.model,
         measure_iters=c.measure_iters, seed=c.seed,
     )
+
+
+def _r(v, algorithm: str, *phases: str, bw: float = 10.0) -> float:
+    """The share of ``phases`` in ``algorithm``'s ResNet-50 iteration."""
+    return sum(v("resnet50", bw, algorithm)[phase] for phase in phases)
+
+
+#: §VI-C: ResNet-50 @ 10 Gbps — BSP spends its time aggregating, ASP and
+#: SSP on the network; VGG-16 moves time out of compute
+FIG3_CLAIMS = {
+    "BSP compute < 0.62": lambda v: _r(v, "bsp", "compute") < 0.62,
+    "BSP local + global agg > 0.2": lambda v: _r(v, "bsp", "local_agg", "global_agg") > 0.2,
+    "ASP comm > 0.5": lambda v: _r(v, "asp", "comm") > 0.5,
+    "SSP comm > 0.4": lambda v: _r(v, "ssp", "comm") > 0.4,
+    "SSP comm > global agg": lambda v: _r(v, "ssp", "comm") > _r(v, "ssp", "global_agg"),
+    "56G cuts ASP's comm more than BSP's": lambda v: (
+        _r(v, "asp", "comm") - _r(v, "asp", "comm", bw=56.0)
+        > _r(v, "bsp", "comm") - _r(v, "bsp", "comm", bw=56.0)
+    ),
+    "VGG-16 compute < ResNet-50's (BSP, ASP, SSP)": lambda v: all(
+        v("vgg16", 10.0, a)["compute"] < _r(v, a, "compute") for a in ("bsp", "asp", "ssp")
+    ),
+}
 
 
 def _fig3_table(table) -> str:
@@ -112,6 +178,7 @@ ARTEFACTS = {
         labels={"algorithm": str.upper},
         float_format="{:.2f}",
         notes=fig2_chart,
+        claims=FIG2_CLAIMS,
         cli=("model", "iters", "max_workers"),
     ),
     "fig3": Artefact(
@@ -124,6 +191,7 @@ ARTEFACTS = {
         config=_fig3_config,
         metric=lambda result, config, base: normalize_breakdown(result.breakdown),
         draw=_fig3_table,
+        claims=FIG3_CLAIMS,
         cli=("iters",),
     ),
 }

@@ -42,6 +42,35 @@ PAPER_TABLE3: dict[str, dict[int, float]] = {
 
 
 
+def _at(v, column: str, end: int = -1) -> float:
+    """The column's accuracy at the largest (``end=0``: smallest) worker count."""
+    return v(column, v.shape["worker_counts"][end])
+
+
+def _drop(v, column: str) -> float:
+    return _at(v, column, 0) - _at(v, column)
+
+
+#: §VI-B: BSP holds; the async columns lose accuracy with N, the more
+#: the more rarely they aggregate
+TABLE3_CLAIMS = {
+    "BSP stable in N (within 0.03)": lambda v: abs(_drop(v, "BSP")) < 0.03,
+    "no async column gains > 0.02 with N": lambda v: all(
+        _drop(v, c) > -0.02 for c in v.shape["columns"] if c != "BSP"
+    ),
+    "SSP s=10, EASGD t=8, GoSGD p=0.01 lose > 0.15": lambda v: all(
+        _drop(v, c) > 0.15 for c in ("SSP s=10", "EASGD t=8", "GoSGD p=0.01")
+    ),
+    "SSP s=3 > SSP s=10 at max N": lambda v: _at(v, "SSP s=3") > _at(v, "SSP s=10"),
+    "GoSGD p=1 ≥ GoSGD p=0.01 at max N": lambda v: _at(v, "GoSGD p=1") >= _at(v, "GoSGD p=0.01"),
+    "AD-PSGD in the async top 3 at max N": lambda v: "AD-PSGD" in sorted(
+        (c for c in v.shape["columns"] if c != "BSP"), key=lambda c: _at(v, c), reverse=True
+    )[:3],
+    "AD-PSGD > GoSGD p=0.01 + 0.2 at max N": lambda v: (
+        _at(v, "AD-PSGD") > _at(v, "GoSGD p=0.01") + 0.2
+    ),
+}
+
 
 def _table3_config(c):
     algorithm, params = TABLE3_COLUMNS[c.column]
@@ -62,6 +91,7 @@ ARTEFACTS = {
         rows=("num_workers",),
         columns="column",
         headers=("# workers",),
+        claims=TABLE3_CLAIMS,
         cli=("epochs",),
     ),
 }

@@ -1,13 +1,6 @@
 """Tests for scalability analysis helpers."""
 
-import pytest
-
-from repro.analysis.scalability import (
-    crossover_points,
-    ideal_single_worker_throughput,
-    speedup_series,
-)
-from repro.core.history import ThroughputResult
+from repro.analysis.scalability import ideal_single_worker_throughput
 from repro.nn.zoo import resnet50_profile, vgg16_profile
 from repro.sim.cluster import TITAN_V
 
@@ -22,55 +15,3 @@ class TestIdealThroughput:
         resnet = ideal_single_worker_throughput(resnet50_profile(), 128, TITAN_V)
         vgg = ideal_single_worker_throughput(vgg16_profile(), 96, TITAN_V)
         assert vgg < resnet / 2
-
-
-class TestSpeedupSeries:
-    def test_sorted_pairs(self):
-        results = [
-            ThroughputResult(num_workers=8, measured_time=1.0, measured_images=800),
-            ThroughputResult(num_workers=2, measured_time=1.0, measured_images=190),
-        ]
-        series = speedup_series(results, baseline_throughput=100.0)
-        assert series == [(2, pytest.approx(1.9)), (8, pytest.approx(8.0))]
-
-    def test_invalid_baseline(self):
-        with pytest.raises(ValueError):
-            speedup_series([], baseline_throughput=0.0)
-
-    def test_duplicate_worker_counts_average_deterministically(self):
-        """Merged multi-bandwidth series repeat N; the output must have
-        one averaged point per N regardless of input order."""
-        results = [
-            ThroughputResult(num_workers=4, measured_time=1.0, measured_images=300),
-            ThroughputResult(num_workers=4, measured_time=1.0, measured_images=500),
-            ThroughputResult(num_workers=2, measured_time=1.0, measured_images=200),
-        ]
-        series = speedup_series(results, baseline_throughput=100.0)
-        assert series == [(2, pytest.approx(2.0)), (4, pytest.approx(4.0))]
-        assert series == speedup_series(list(reversed(results)), 100.0)
-
-
-class TestCrossover:
-    def test_detects_flip(self):
-        a = [(1, 1.0), (8, 6.0), (24, 10.0)]
-        b = [(1, 1.0), (8, 7.0), (24, 9.0)]
-        # a < b at 8, a > b at 24 → flip detected at 24.
-        assert crossover_points(a, b) == [24]
-
-    def test_no_flip(self):
-        a = [(1, 1.0), (8, 8.0)]
-        b = [(1, 0.9), (8, 7.0)]
-        assert crossover_points(a, b) == []
-
-    def test_handles_disjoint_points(self):
-        a = [(1, 1.0), (4, 3.0)]
-        b = [(4, 4.0), (8, 7.0)]
-        assert crossover_points(a, b) == []
-
-    def test_duplicates_average_not_last_wins(self):
-        """With duplicate N, dict(series) would keep only the last value
-        and invent (or hide) flips depending on input order."""
-        a = [(8, 10.0), (8, 2.0), (24, 5.0)]  # mean 6.0 at N=8
-        b = [(8, 5.0), (24, 6.0)]
-        assert crossover_points(a, b) == [24]
-        assert crossover_points(list(reversed(a)), b) == [24]

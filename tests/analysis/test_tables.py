@@ -1,6 +1,6 @@
 """Tests for table rendering."""
 
-from repro.analysis.tables import format_table, render_accuracy_table
+from repro.analysis.tables import format_table
 
 
 class TestFormatTable:
@@ -30,10 +30,3 @@ class TestFormatTable:
     def test_non_numeric_cells(self):
         text = format_table(["name", "val"], [["BSP", "-"]])
         assert "BSP" in text and "-" in text
-
-
-class TestAccuracyTable:
-    def test_renders_all_algorithms(self):
-        text = render_accuracy_table({"bsp": 0.75, "asp": 0.74})
-        assert "bsp" in text and "asp" in text
-        assert "0.7500" in text and "0.7400" in text

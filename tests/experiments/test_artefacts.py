@@ -157,3 +157,41 @@ def test_every_seed_is_kept(tmp_path, capsys, monkeypatch):
     for cell in record["cells"]:
         assert len(cell["values"]) == 2
         assert cell["paper"] is not None
+
+
+# -- a degraded sweep: failed seeds contribute no value -------------------
+
+
+def test_a_failed_cell_renders_nan_and_is_recorded(monkeypatch):
+    """``--retries``/``--session`` degrade a failed cell to a FailedRun;
+    the artefact renders it as nan and records the seed and its error."""
+    import repro.experiments.executor as executor_module
+    from repro.experiments.session import RunPolicy
+
+    shape = dict(algorithms=("bsp",), worker_counts=(1, 4), bandwidths=(10.0,), measure_iters=2)
+    real = executor_module._execute_payload
+
+    def failing(cfg):
+        if cfg.num_workers == 4:
+            raise RuntimeError("injected failure")
+        return real(cfg)
+
+    monkeypatch.setattr(executor_module, "_execute_payload", failing)
+    policy = RunPolicy(max_attempts=1, backoff_base_s=0.0, backoff_jitter=0.0)
+    executor = SweepExecutor(jobs=1, cache=False, policy=policy)
+    table = run_artefact(artefact("fig2"), executor=executor, **shape)
+    assert table.values[("bsp", 10.0, 4)] == [None]
+    assert table.value("bsp", 10.0, 1) > 0
+    assert re.search(r"\n4 +\| nan *\n", render(table))
+    (failed,) = [c for c in table.record()["cells"] if "failed" in c]
+    assert failed["cell"] == {"algorithm": "bsp", "bandwidth": 10.0, "workers": 4}
+    assert failed["values"] == [None]
+    assert failed["failed"][0]["seed"] == 0
+    assert "injected failure" in failed["failed"][0]["error"]
+
+
+def test_duplicate_seeds_are_refused(capsys):
+    with pytest.raises(ValueError, match="duplicate seeds"):
+        run_artefact(artefact("table2"), seeds=(0, 0), executor=_Recorder())
+    with pytest.raises(ValueError, match="duplicate seeds"):
+        main(["run", "table2", "--seeds", "0,1,0", "--jobs", "1", "--no-cache"])

@@ -38,8 +38,8 @@ def test_custom_algorithm_example_trains_above_chance():
 @pytest.mark.parametrize(
     "script, args, expected",
     [
-        ("compare_algorithms.py", ("2", "0.5"), "Ranking (this run):"),
-        ("scalability_study.py", ("resnet50", "2"), "@56 Gbps: ASP is"),
+        ("compare_algorithms.py", ("2", "0.5"), "ASP > min(BSP, AR-SGD)"),
+        ("scalability_study.py", ("resnet50", "2"), "ASP > BSP @ 56G, N=24"),
     ],
 )
 def test_artefact_examples_run(script, args, expected):
