@@ -61,21 +61,38 @@ def _comma_list(item: Callable[[str], Any] = str) -> Callable[[str], tuple]:
     return parse
 
 
+def _positive(kind: Callable[[str], Any]) -> Callable[[str], Any]:
+    """An argparse ``type=``: a ``kind`` number greater than zero."""
+
+    def parse(text: str) -> Any:
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not value > 0:
+            raise argparse.ArgumentTypeError(f"expected a positive {kind.__name__}, got {text!r}")
+        return value
+
+    return parse
+
+
 _SWITCH: dict[str, Any] = {"action": "store_true"}
+POSITIVE_INT, POSITIVE_FLOAT = _positive(int), _positive(float)
 
 #: Every option, spelled once. A command takes the ones it lists in
-#: build_parser(); where commands differ on a default, each sets its own.
+#: build_parser(); where commands differ on a default, each sets its own
+#: (``run`` leaves --model and --bandwidth unset, to tell what was given).
 OPTIONS: dict[str, dict[str, Any]] = {
     # What a run or a sweep simulates.
-    "--workers": dict(type=int, help="worker count (default: the command's own)"),
-    "--epochs": dict(type=float, help="training epochs (accuracy runs)"),
-    "--iters": dict(type=int, help="measured iterations (timing runs)"),
-    "--model": dict(choices=("resnet50", "vgg16"), default="resnet50"),
-    "--bandwidth": dict(type=float, default=10.0, help="Gbps (timing runs)"),
+    "--workers": dict(type=POSITIVE_INT, help="worker count (default: the command's own)"),
+    "--epochs": dict(type=POSITIVE_FLOAT, help="training epochs (accuracy runs)"),
+    "--iters": dict(type=POSITIVE_INT, help="measured iterations (timing runs)"),
+    "--model": dict(choices=("resnet50", "vgg16"), help="default resnet50"),
+    "--bandwidth": dict(type=POSITIVE_FLOAT, help="Gbps (timing runs; default 10)"),
     "--fabric": dict(choices=("10g", "56g"), default="56g"),
     "--seed": dict(type=int, default=0),
     "--seeds": dict(type=_comma_list(int), default="0", help="comma-separated seeds"),
-    "--max-workers": dict(type=int, help="predict a whole scaling curve up to this N "
+    "--max-workers": dict(type=POSITIVE_INT, help="predict a whole scaling curve up to this N "
                           "instead of one point (run: fig2 only, e.g. 10000)"),
     "--analytic": dict(_SWITCH, help="fig2 only: evaluate the grid with the closed-form "
                        "models of repro.perf instead of the discrete-event engine"),
@@ -87,18 +104,18 @@ OPTIONS: dict[str, dict[str, Any]] = {
     "--rack-scale": dict(_SWITCH, help="run the rack-scale chaos matrix instead: fabric "
                          "fault scenarios (rack/ToR/uplink/spine) x hierarchical collectives "
                          "on a leaf/spine cluster (default: 256 workers, 6 iterations)"),
-    "--machines-per-rack": dict(type=int, help="rack width for --rack-scale (default 16)"),
-    "--oversubscription": dict(type=float, help="ToR uplink oversubscription for "
+    "--machines-per-rack": dict(type=POSITIVE_INT, help="rack width for --rack-scale (default 16)"),
+    "--oversubscription": dict(type=POSITIVE_FLOAT, help="ToR uplink oversubscription for "
                                "--rack-scale (default 4.0)"),
     "--aggregators": dict(type=_comma_list(), help="comma-separated aggregation rules "
                           "(default: mean,median,trimmed_mean,krum)"),
-    "--byzantine": dict(type=int, default=1, help="number of hostile workers"),
-    "--scale": dict(type=float, default=10.0, help="attack amplification (-scale*grad)"),
+    "--byzantine": dict(type=POSITIVE_INT, default=1, help="number of hostile workers"),
+    "--scale": dict(type=POSITIVE_FLOAT, default=10.0, help="attack amplification (-scale*grad)"),
     "--fault-spec": dict(type=str, help="JSON fault schedule (FaultConfig.save format) "
                          "injected into the run(s)"),
     "--fault-seed": dict(type=int, help="override the fault schedule's RNG seed"),
     # The sweep executor.
-    "--jobs": dict(type=int, help="parallel simulator processes (default: all cores)"),
+    "--jobs": dict(type=POSITIVE_INT, help="parallel simulator processes (default: all cores)"),
     "--no-cache": dict(_SWITCH, help="ignore and do not populate the run cache"),
     "--cache-dir": dict(type=str, help="run-cache directory "
                         "(default: $REPRO_CACHE_DIR or ~/.cache/repro)"),
@@ -108,9 +125,9 @@ OPTIONS: dict[str, dict[str, Any]] = {
                       "'repro sweep resume' finishes it after a crash"),
     "--resume": dict(_SWITCH, help="durable, but refuse to start a new session: only "
                      "resume one whose journal already exists for this exact grid"),
-    "--run-timeout": dict(type=float, metavar="SECONDS", help="wall-clock deadline per "
+    "--run-timeout": dict(type=POSITIVE_FLOAT, metavar="SECONDS", help="wall-clock deadline per "
                           "run attempt; hung runs are killed and retried"),
-    "--retries": dict(type=int, metavar="N", help="attempts per run before it is "
+    "--retries": dict(type=POSITIVE_INT, metavar="N", help="attempts per run before it is "
                       "classified permanently failed (default 3; failed cells degrade, "
                       "they do not abort the sweep)"),
     # What a command writes.
@@ -140,6 +157,8 @@ FAULT_SPEC = ("--fault-spec", "--fault-seed")
 SWEEP = ("--jobs", "--no-cache", "--cache-dir")
 DURABLE = ("--session", "--resume", "--run-timeout", "--retries")
 SESSION = {"session": dict(help="session id, unique prefix, or name")}
+#: --model and --bandwidth of every command but ``run``
+TIMING = dict(model="resnet50", bandwidth=10.0)
 
 
 def _command(group: Any, name: str, summary: str, *options: str,
@@ -173,18 +192,18 @@ def build_parser() -> argparse.ArgumentParser:
     _command(sub, "faults", "fault-tolerance grid: failure scenarios x algorithms",
              "--scenarios", "--algorithms", "--rack-scale", "--machines-per-rack",
              "--oversubscription", "--workers", "--iters", "--model", "--bandwidth",
-             "--seed", "--fault-seed", "--output", *SWEEP, *DURABLE, fault_seed=0)
+             "--seed", "--fault-seed", "--output", *SWEEP, *DURABLE, fault_seed=0, **TIMING)
     _command(sub, "byzantine", "Byzantine-resilience grid: robust aggregators x algorithms",
              "--algorithms", "--aggregators", "--workers", "--byzantine", "--scale",
              "--epochs", "--seed", "--fault-seed", "--output", *SWEEP, *DURABLE,
              workers=8, epochs=20.0, fault_seed=0)
     _command(sub, "predict", "analytic iteration-time prediction (closed form, no simulation)",
              "--workers", "--max-workers", "--model", "--bandwidth", "--validate",
-             "--output", "--strict", *FAULT_SPEC, workers=24,
+             "--output", "--strict", *FAULT_SPEC, workers=24, **TIMING,
              args={"algorithm": dict(help="algorithm name, or 'all' for every "
                                      "supported algorithm")})
     _command(sub, "analyze", "critical-path analysis of one instrumented run",
-             *SHAPE, "--seed", "--json", "--trace-out", "--check", *FAULT_SPEC,
+             *SHAPE, "--seed", "--json", "--trace-out", "--check", *FAULT_SPEC, **TIMING,
              args={"target": dict(help="experiment name (representative run) or "
                                   "algorithm name (timing run)")})
     sweep = sub.add_parser("sweep", help="durable sweep sessions: list, inspect, resume")
@@ -197,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     _command(sessions, "resume", "re-execute the unfinished runs of a session",
              *SWEEP, "--run-timeout", "--retries", args=SESSION)
     _command(sub, "trace", "export a Perfetto trace of one representative run",
-             "--out", *SHAPE, "--seed", args={"experiment": dict(choices=EXPERIMENTS[1:])})
+             "--out", *SHAPE, "--seed", args={"experiment": dict(choices=EXPERIMENTS[1:])},
+             **TIMING)
     return parser
 
 
@@ -272,6 +292,28 @@ def _install_fault_spec(args: argparse.Namespace) -> None:
 
 #: option -> the artefact shape key it sets, where the two names differ
 _SHAPE_KEYS = {"workers": "num_workers", "iters": "measure_iters", "bandwidth": "bandwidth_gbps"}
+#: the options ``run`` hands to an artefact that takes them
+_RUN_SHAPE = ("workers", "iters", "epochs", "model", "bandwidth", "max_workers", "analytic")
+
+
+def _refuse_dropped(args: argparse.Namespace, name: str) -> None:
+    """A usage error for each ``run`` option the experiment would drop:
+    an artefact takes its ``cli`` options (and fig2 ``--analytic``);
+    the representative run of --trace-out/--analyze takes SHAPE's."""
+    from repro.experiments.artefact import artefact
+
+    takes = set() if name == "table1" else {*artefact(name).cli}
+    if name == "fig2":
+        takes.add("analytic")
+    used = takes | ({o[2:] for o in SHAPE} if args.trace_out or args.analyze else set())
+    dropped = [d for d in _RUN_SHAPE if getattr(args, d) not in (None, False) and d not in used]
+    if dropped:
+
+        def flags(dests) -> str:
+            return ", ".join("--" + d.replace("_", "-") for d in dests) or "none"
+
+        _usage_error(args, f"run {name} does not take {flags(dropped)}; it takes "
+                     f"{flags(d for d in _RUN_SHAPE if d in takes)}")
 
 
 def _run_artefact_cmd(args: argparse.Namespace) -> tuple[str, Any]:
@@ -284,6 +326,8 @@ def _run_artefact_cmd(args: argparse.Namespace) -> tuple[str, Any]:
             _usage_error(args, "--machines-per-rack and --oversubscription need --rack-scale")
     else:
         name = args.experiment if args.command == "run" else args.command
+    if args.command == "run":
+        _refuse_dropped(args, name)
     if name == "table1":
         from repro.analysis.tables import format_table
         from repro.core.complexity import table1_rows
@@ -326,9 +370,8 @@ def _representative(args: argparse.Namespace, experiment: str) -> Any:
         workers=args.workers,
         iters=args.iters,
         epochs=args.epochs,
-        model=args.model,
-        bandwidth_gbps=args.bandwidth,
         seed=args.seeds[0] if "seeds" in args else args.seed,
+        **_given(model=args.model, bandwidth_gbps=args.bandwidth),
     )
 
 

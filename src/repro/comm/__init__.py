@@ -15,10 +15,7 @@ Mirrors the paper's MPICH/TF-PS wire layer:
   ring-of-rings and k-ary reduce/broadcast trees over machine leaders,
   plus the PS-tree grouping geometry;
 * :mod:`repro.comm.gossip` — GoSGD's weighted asymmetric push-gossip
-  exchange rule;
-* :mod:`repro.comm.pairwise` — AD-PSGD's bipartite active/passive
-  symmetric exchange with the deadlock-freedom argument stated as a
-  checkable property.
+  exchange rule.
 """
 
 from repro._lazy import lazy_exports
@@ -31,6 +28,5 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "collectives": ("ring_allreduce_plan", "ring_neighbors"),
         "hierarchical": ("machine_groups", "tree_parent", "tree_children"),
         "gossip": ("GossipState", "gossip_merge", "gossip_send_share"),
-        "pairwise": ("bipartite_split", "build_exchange_graph", "verify_deadlock_free"),
     },
 )

@@ -27,7 +27,6 @@ __all__ = [
     "GossipState",
     "gossip_send_share",
     "gossip_merge",
-    "choose_gossip_target",
     "choose_gossip_peer",
 ]
 
@@ -73,21 +72,8 @@ def gossip_merge(
     return merged
 
 
-def choose_gossip_target(rank: int, world: int, rng: np.random.Generator) -> int:
-    """Uniform random peer other than ``rank`` (paper §IV-B)."""
-    if world < 2:
-        raise ValueError("gossip needs at least two workers")
-    target = int(rng.integers(0, world - 1))
-    return target if target < rank else target + 1
-
-
 def choose_gossip_peer(wid: int, live: list[int], rng: np.random.Generator) -> int:
-    """Uniform random *live* peer other than ``wid``.
-
-    With ``live == list(range(world))`` this consumes the same RNG draw
-    and returns the same peer as :func:`choose_gossip_target` — the
-    fault-free path is bit-identical.
-    """
+    """Uniform random *live* peer other than ``wid`` (paper §IV-B)."""
     if len(live) < 2:
         raise ValueError("gossip needs at least two live workers")
     t = int(rng.integers(0, len(live) - 1))

@@ -1,8 +1,9 @@
 """AD-PSGD — Asynchronous Decentralized Parallel SGD (Lian et al., §IV-C).
 
 Workers are split into *active* and *passive* sets on a complete
-bipartite graph (deadlock-freedom stated as a checkable property in
-:mod:`repro.comm.pairwise`). Each worker runs two concurrent
+bipartite graph: every exchange blocks an active worker on a passive
+one, so no wait cycle can form (§IV-C; ``tests/comm/test_pairwise.py``
+checks it on the split built here). Each worker runs two concurrent
 processes, per the paper's implementation note:
 
 * a **computation process** that performs local SGD steps back to
@@ -110,9 +111,9 @@ class ADPSGD(TrainingAlgorithm):
     )
 
     def spawn_workers(self, runtime: Runtime, wids: list[int]) -> None:
-        # Positional split of the live set: with all workers live this
-        # is exactly bipartite_split's evens-active / odds-passive; after
-        # an eviction it rebalances the bipartite graph over survivors.
+        # Positional split of the live set: with all workers live, even
+        # ranks are active and odd ones passive; after an eviction it
+        # rebalances the bipartite graph over the survivors.
         live = sorted(wids)
         active, passive = live[0::2], live[1::2]
         for wid in active:

@@ -117,17 +117,3 @@ class GoSGD(TrainingAlgorithm):
         for w in live:
             self._states[w].weight /= total
         super().on_membership_change(runtime)
-
-    @property
-    def total_weight(self) -> float:
-        """Push-sum invariant: must equal 1 at all times (weights in
-        transit are counted at the receiver on merge, so between send
-        and delivery the sum across *states* dips — this property sums
-        live states plus in-flight shares via the runtime mailboxes)."""
-        live = sum(s.weight for s in self._states)
-        in_flight = 0.0
-        if self.runtime is not None:
-            for slot in self.runtime.workers:
-                box = slot.node.mailbox("gossip")
-                in_flight += sum(m.meta["weight"] for m in box._items)
-        return live + in_flight

@@ -52,28 +52,10 @@ class TrainingHistory:
             raise ValueError("no evaluations recorded")
         return self.test_accuracy[-1]
 
-    @property
-    def best_test_accuracy(self) -> float:
-        if not self.test_accuracy:
-            raise ValueError("no evaluations recorded")
-        return max(self.test_accuracy)
-
     def error_curve(self) -> list[float]:
         """Top-1 error per evaluation (Fig 1 plots errors)."""
         return [1.0 - acc for acc in self.test_accuracy]
 
-    def epochs_to_error(self, target_error: float) -> float | None:
-        """First epoch at which test error ≤ target (None if never)."""
-        for epoch, acc in zip(self.epochs, self.test_accuracy):
-            if 1.0 - acc <= target_error:
-                return epoch
-        return None
-
-    def time_to_error(self, target_error: float) -> float | None:
-        for time, acc in zip(self.times, self.test_accuracy):
-            if 1.0 - acc <= target_error:
-                return time
-        return None
 
 
 @dataclass
@@ -101,8 +83,3 @@ class ThroughputResult:
         if self.measured_time <= 0:
             raise ValueError("no measured window")
         return self.measured_images / self.measured_time
-
-    def speedup_over(self, baseline: "ThroughputResult") -> float:
-        """Scalability metric: throughput relative to a baseline run
-        (the paper normalises to a single worker's throughput)."""
-        return self.throughput / baseline.throughput

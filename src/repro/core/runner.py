@@ -27,7 +27,7 @@ from repro.core.config import PROFILES, DGCConfig, RunConfig
 from repro.core.history import ThroughputResult, TrainingHistory
 from repro.core.worker import LocalComputation, WorkerSlot
 from repro.nn.optim import weight_decay_mask
-from repro.nn.schedules import WarmupStepSchedule
+from repro.nn.schedules import WarmupStepSchedule, scaled_learning_rate
 from repro.nn.zoo import ModelProfile, mini_profile_from_model
 from repro.optimizations.sharding import ShardingPlan, make_sharding_plan
 from repro.optimizations.waitfree import CommPlan, CommPlanEntry, make_comm_plan
@@ -287,9 +287,9 @@ class Runtime:
 
     # -- progress ------------------------------------------------------------
     def lr(self) -> float:
-        """Scaled learning rate (η = base·N with warm-up/decay) for
-        updates that apply a *mean over N workers' gradients* — BSP and
-        AR-SGD. This is the linear-scaling rule of Goyal et al."""
+        """Scaled learning rate (η = base·N with warm-up/decay, the
+        linear-scaling rule of Goyal et al.): BSP's PS step and the
+        local steps of EASGD, GoSGD and AD-PSGD (DESIGN §8)."""
         return self.schedule(self.sample_clock.epoch())
 
     def lr_at_round(self, round_index: int) -> float:
@@ -306,15 +306,10 @@ class Runtime:
         return self.schedule(epoch)
 
     def lr_local(self) -> float:
-        """Per-gradient learning rate for updates that apply a *single
-        worker's* gradient (ASP/SSP PS updates, and the local SGD steps
-        of SSP/EASGD/GoSGD/AD-PSGD).
-
-        The linear-scaling rule scales η with the number of gradients
-        averaged per update; these updates average one, so they use the
-        base rate — same warm-up/decay shape, divided by N. Using the
-        scaled rate here would double-count the scaling and diverge.
-        """
+        """Per-gradient learning rate: the schedule divided by N (same
+        warm-up/decay shape). SSP's local step reads it, and the ASP/SSP
+        PS folds through :meth:`fold_lr`; the local steps of EASGD,
+        GoSGD and AD-PSGD read :meth:`lr` (DESIGN §8)."""
         return self.schedule(self.sample_clock.epoch()) / self.config.num_workers
 
     def fold_lr(self) -> float:
@@ -499,7 +494,7 @@ class DistributedRunner:
                 worker, engine.now, duration
             )
         schedule = WarmupStepSchedule(
-            cfg.base_lr * cfg.num_workers,
+            scaled_learning_rate(cfg.base_lr, cfg.num_workers),
             warmup_epochs=cfg.warmup_fraction * cfg.epochs,
             milestones=[f * cfg.epochs for f in cfg.milestone_fractions],
             warmup_start_fraction=1.0 / cfg.num_workers,
@@ -629,10 +624,7 @@ class DistributedRunner:
                 algorithm=self.algorithm.describe(), num_workers=self.config.num_workers
             )
         self._eval_model.set_flat_parameters(params)
-        # Batch-norm models evaluate with the statistics of each
-        # EVAL_CHUNK (running stats belong to the compute model, not to
-        # the flat vector).
-        self._eval_model.train()
+        # Batch-norm models evaluate with the statistics of each EVAL_CHUNK.
         correct = 0
         x, y = self._test_data.x, self._test_data.y
         for start in range(0, len(self._test_data), EVAL_CHUNK):

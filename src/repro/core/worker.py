@@ -110,11 +110,6 @@ class LocalComputation:
         x, y = self.loader.next_batch()
         model = self.model
         model.set_flat_parameters(self.params)
-        # Evaluation runs on a separate model, so this one leaves train
-        # mode only if a caller put it in eval(); train() walks every
-        # module, too much to pay per step.
-        if not model.training:
-            model.train()
         model.zero_grad()
         out = model.forward(x)
         loss_value = self.loss.forward(out, y)

@@ -54,19 +54,6 @@ class BatchLoader:
         self._order = self._rng.permutation(len(dataset))
         self._cursor = 0
         self.epochs_completed = 0
-        self.batches_served = 0
-
-    @property
-    def batches_per_epoch(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return -(-n // self.batch_size)
-
-    @property
-    def fractional_epoch(self) -> float:
-        """Continuous epoch position (drives LR schedules)."""
-        return self.batches_served / max(self.batches_per_epoch, 1)
 
     def next_batch(self) -> tuple[np.ndarray, np.ndarray]:
         """Return the next ``(x, y)`` mini-batch, reshuffling per epoch."""
@@ -75,12 +62,10 @@ class BatchLoader:
             if not self.drop_last and self._cursor < n:
                 idx = self._order[self._cursor :]
                 self._advance_epoch()
-                self.batches_served += 1
                 return self.dataset.x[idx], self.dataset.y[idx]
             self._advance_epoch()
         idx = self._order[self._cursor : self._cursor + self.batch_size]
         self._cursor += self.batch_size
-        self.batches_served += 1
         return self.dataset.x[idx], self.dataset.y[idx]
 
     def _advance_epoch(self) -> None:

@@ -39,7 +39,6 @@ __all__ = [
     "timing_config",
     "representative_config",
     "set_default_faults",
-    "default_faults",
 ]
 
 # Process-wide default fault configuration. The CLI's ``--fault-spec``
@@ -53,10 +52,6 @@ def set_default_faults(faults: FaultConfig | None) -> None:
     :class:`~repro.faults.config.FaultConfig`."""
     global _DEFAULT_FAULTS
     _DEFAULT_FAULTS = faults
-
-
-def default_faults() -> FaultConfig | None:
-    return _DEFAULT_FAULTS
 
 # The authors' recommended settings used in Table II / Fig 1 (§VI-A).
 PAPER_HYPERPARAMS: dict[str, dict] = {

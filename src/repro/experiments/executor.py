@@ -86,7 +86,6 @@ __all__ = [
     "RunCache",
     "SweepStats",
     "SweepExecutor",
-    "run_sweep",
     "default_executor",
     "set_default_executor",
 ]
@@ -697,10 +696,13 @@ class SweepExecutor:
     ) -> None:
         """Run ``todo`` to completion: the loop behind every ``map()``.
 
-        Keeps at most ``jobs`` attempts in flight (so a deadline clock
-        never charges queue time), and for each one that completes:
-        validate, bank in ``payloads`` and ``cache``, journal into
-        ``session`` (when attached), report progress. Failed attempts
+        Keeps two attempts in flight per pool worker, one running and
+        one queued behind it, so that no worker idles for a round trip
+        to this loop between cells; under a deadline only ``jobs``, so
+        that the deadline never charges queue time. For each attempt
+        that completes: validate, bank in ``payloads`` and ``cache``,
+        journal into ``session`` (when attached), report progress (a
+        queued attempt's time counts from its submission). Failed attempts
         are retried under the policy and exhausted cells land in
         ``failures`` — or, with neither policy nor session, the run's
         exception propagates unchanged. Raises
@@ -717,6 +719,7 @@ class SweepExecutor:
         # Without workers a run cannot be killed at its deadline (it
         # would be our own process), so a timeout always gets a pool.
         in_process = (self.jobs == 1 or total == 1) and policy.timeout_s is None
+        pool_depth = self.jobs if policy.timeout_s is not None else 2 * self.jobs
         rng = random.Random(session.id if session is not None else "repro-policy")
         # Sorted by grid index at all times: submission is FIFO.
         queue = [_Attempt(i, fp, cfg) for i, (fp, cfg) in enumerate(todo)]
@@ -827,7 +830,7 @@ class SweepExecutor:
                 now = time.monotonic()
                 # One run at a time in-process: each is banked, and a
                 # stop honoured, before the next starts.
-                room = (1 if in_process else self.jobs) - len(in_flight)
+                room = (1 if in_process else pool_depth) - len(in_flight)
                 ready = (item for item in queue if item.not_before <= now)
                 for item in list(islice(ready, room)):
                     if pool is None:
@@ -959,14 +962,3 @@ def set_default_executor(executor: SweepExecutor | None) -> None:
     """Install (or with ``None``, reset) the process-wide default."""
     global _default_executor
     _default_executor = executor
-
-
-def run_sweep(
-    configs: Sequence[RunConfig],
-    *,
-    jobs: int | None = None,
-    cache: bool = True,
-    cache_dir: str | Path | None = None,
-) -> list[TrainingHistory | ThroughputResult]:
-    """One-shot convenience wrapper around :class:`SweepExecutor`."""
-    return SweepExecutor(jobs=jobs, cache=cache, cache_dir=cache_dir).map(configs)

@@ -30,9 +30,9 @@ made the simulated cluster:
   and permanent-failure classification: after ``max_attempts`` a cell
   degrades to a :class:`FailedRun` in the results instead of aborting
   the grid.
-* **Preemption hook** — :meth:`SweepSession.request_preempt` (or a
-  ``PREEMPT`` flag file written by another process, e.g. a
-  higher-priority session sharing the host) makes the executor stop
+* **Preemption hook** — a ``PREEMPT`` flag file in the session
+  directory, written by another process (e.g. a higher-priority
+  session sharing the host), makes the executor stop
   submitting work, checkpoint the journal, and raise
   :class:`SweepPreempted`; the session resumes later exactly like a
   crashed one.
@@ -54,7 +54,6 @@ import hashlib
 import json
 import os
 import signal as signal_module
-import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -461,12 +460,6 @@ class SweepSession:
 
     def request_stop(self, reason: str) -> None:
         self.stop_reason = reason
-
-    def request_preempt(self) -> None:
-        """In-process preemption request (see also the PREEMPT file,
-        which lets *another* process — a higher-priority session's
-        driver — request the yield)."""
-        self._preempt = True
 
     def preempt_requested(self) -> bool:
         if self._preempt:

@@ -10,14 +10,11 @@ training loop.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.io import atomic_write_text, from_jsonable, to_jsonable
 from repro.optimizations.dgc import DGCCompressor
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -35,15 +32,6 @@ class Snapshot:
     params: np.ndarray | None  # None in timing mode
     iterations: int
     nbytes: int
-
-    def save(self, path: str | Path) -> Path:
-        """Persist the snapshot as JSON, atomically — a crash
-        mid-write must never destroy the previous good checkpoint."""
-        return atomic_write_text(path, json.dumps(to_jsonable(self)) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Snapshot":
-        return from_jsonable(cls, json.loads(Path(path).read_text()))
 
 
 def capture_snapshot(rt: "Runtime", algorithm: "TrainingAlgorithm") -> Snapshot:

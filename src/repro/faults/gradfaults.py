@@ -65,12 +65,6 @@ class GradFaultModel:
             until = now + event.duration if event.duration is not None else np.inf
         self._active.setdefault(wid, []).append((event.kind, until, scale))
 
-    def is_byzantine(self, wid: int, now: float) -> bool:
-        return any(
-            kind == "byzantine" and now < until
-            for kind, until, _ in self._active.get(wid, ())
-        )
-
     def corrupt(
         self, wid: int, grad: np.ndarray | None, now: float
     ) -> tuple[np.ndarray | None, list[str]]:

@@ -23,7 +23,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-__all__ = ["to_jsonable", "from_jsonable", "atomic_write_text", "save_json", "load_json"]
+__all__ = ["to_jsonable", "from_jsonable", "atomic_write_text", "save_json"]
 
 
 def to_jsonable(obj: Any) -> Any:
@@ -213,7 +213,3 @@ def save_json(obj: Any, path: str | Path) -> Path:
         _finite_or_null(to_jsonable(obj)), indent=2, sort_keys=True, allow_nan=False
     )
     return atomic_write_text(path, text + "\n")
-
-
-def load_json(path: str | Path) -> Any:
-    return json.loads(Path(path).read_text())

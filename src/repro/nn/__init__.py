@@ -7,8 +7,8 @@ paper. It provides:
   explicit ``forward``/``backward`` passes and flat-vector views of the
   parameters and gradients (the representation the distributed
   algorithms exchange).
-* layers (dense, convolution, pooling, batch-norm, activations,
-  dropout) in :mod:`repro.nn.layers`, :mod:`repro.nn.conv`,
+* layers (dense, convolution, pooling, batch-norm, ReLU) in
+  :mod:`repro.nn.layers`, :mod:`repro.nn.conv`,
   :mod:`repro.nn.normalization`, :mod:`repro.nn.activations`.
 * losses (:mod:`repro.nn.losses`), optimizers (:mod:`repro.nn.optim`)
   and learning-rate schedules (:mod:`repro.nn.schedules`) matching the
@@ -25,15 +25,14 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "module": ("Module", "Parameter", "Sequential"),
-        "layers": ("Dense", "Dropout", "Flatten", "Identity"),
-        "activations": ("ReLU", "LeakyReLU", "Sigmoid", "Softmax", "Tanh"),
-        "conv": ("Conv2d", "MaxPool2d", "AvgPool2d", "GlobalAvgPool2d"),
-        "normalization": ("BatchNorm1d", "BatchNorm2d"),
-        "losses": ("Loss", "MSELoss", "SoftmaxCrossEntropy"),
+        "layers": ("Dense", "Flatten", "Identity"),
+        "activations": ("ReLU",),
+        "conv": ("Conv2d", "MaxPool2d", "GlobalAvgPool2d"),
+        "normalization": ("BatchNorm2d",),
+        "losses": ("Loss", "SoftmaxCrossEntropy"),
         "optim": ("Optimizer", "SGD"),
         "schedules": (
             "LRSchedule",
-            "ConstantSchedule",
             "StepDecaySchedule",
             "WarmupStepSchedule",
             "scaled_learning_rate",

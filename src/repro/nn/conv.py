@@ -26,7 +26,7 @@ import numpy as np
 from repro.nn import initializers
 from repro.nn.module import Module, Parameter
 
-__all__ = ["Conv2d", "MaxPool2d", "AvgPool2d", "GlobalAvgPool2d"]
+__all__ = ["Conv2d", "MaxPool2d", "GlobalAvgPool2d"]
 
 #: Most elements a ``Conv2d`` that keeps nothing gathers at once (1 MB:
 #: resident in L2, and the smallest power of two that holds one output
@@ -192,9 +192,10 @@ class Conv2d(Module):
         return _scatter(grad_patches, self._x_shape, self.stride, pad)
 
 
-class _Pool2d(Module):
-    """Pooling geometry: the ``k*k`` entries of every window as the
-    rows of a ``(k*k, C*oh*ow*N)`` matrix, via the convolution's windows."""
+class MaxPool2d(Module):
+    """Max pooling with kernel == window, arbitrary stride: the ``k*k``
+    entries of every window are the rows of a ``(k*k, C*oh*ow*N)``
+    matrix, via the convolution's windows."""
 
     def __init__(self, kernel_size: int, *, stride: int | None = None, padding: int = 0) -> None:
         super().__init__()
@@ -205,29 +206,14 @@ class _Pool2d(Module):
         self.padding = padding
         self._x_shape: tuple[int, int, int, int] | None = None
         self._out_shape: tuple[int, int, int, int] | None = None  # channel-major
+        self._winner: np.ndarray | None = None
 
-    def _entries(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         k = self.kernel_size
         windows = _windows(x, k, k, self.stride, self.padding, self.padding)
         self._x_shape = x.shape
         self._out_shape = (windows.shape[0], *windows.shape[3:])
-        return windows.transpose(1, 2, 0, 3, 4, 5).reshape(k * k, -1)
-
-    def _unpool(self, grad_entries: np.ndarray) -> np.ndarray:
-        k = self.kernel_size
-        patches = grad_entries.reshape(k, k, *self._out_shape).transpose(2, 0, 1, 3, 4, 5)
-        return _scatter(patches, self._x_shape, self.stride, self.padding)
-
-
-class MaxPool2d(_Pool2d):
-    """Max pooling with kernel == window, arbitrary stride."""
-
-    def __init__(self, kernel_size: int, *, stride: int | None = None, padding: int = 0) -> None:
-        super().__init__(kernel_size, stride=stride, padding=padding)
-        self._winner: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        entries = self._entries(x)
+        entries = windows.transpose(1, 2, 0, 3, 4, 5).reshape(k * k, -1)
         out = entries.max(axis=0)
         self._winner = None
         if self._retain:
@@ -240,21 +226,10 @@ class MaxPool2d(_Pool2d):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._winner is None:
             raise RuntimeError("backward called before forward")
-        return self._unpool(self._winner * _rows(grad_out).reshape(-1))
-
-
-class AvgPool2d(_Pool2d):
-    """Average pooling."""
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return _images(self._entries(x).mean(axis=0), *self._out_shape)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x_shape is None:
-            raise RuntimeError("backward called before forward")
-        k2 = self.kernel_size**2
-        row = _rows(grad_out).reshape(-1) / k2
-        return self._unpool(np.broadcast_to(row, (k2, row.size)))
+        k = self.kernel_size
+        grad_entries = self._winner * _rows(grad_out).reshape(-1)
+        patches = grad_entries.reshape(k, k, *self._out_shape).transpose(2, 0, 1, 3, 4, 5)
+        return _scatter(patches, self._x_shape, self.stride, self.padding)
 
 
 class GlobalAvgPool2d(Module):

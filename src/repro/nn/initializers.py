@@ -12,14 +12,7 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "he_normal",
-    "he_uniform",
-    "xavier_normal",
-    "xavier_uniform",
-    "zeros",
-    "ones",
-]
+__all__ = ["he_normal", "zeros", "ones"]
 
 
 def _fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -42,24 +35,6 @@ def he_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     fan_in, _ = _fan_in_out(shape)
     std = math.sqrt(2.0 / max(fan_in, 1))
     return rng.normal(0.0, std, size=shape).astype(np.float64)
-
-
-def he_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    fan_in, _ = _fan_in_out(shape)
-    limit = math.sqrt(6.0 / max(fan_in, 1))
-    return rng.uniform(-limit, limit, size=shape).astype(np.float64)
-
-
-def xavier_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    fan_in, fan_out = _fan_in_out(shape)
-    std = math.sqrt(2.0 / max(fan_in + fan_out, 1))
-    return rng.normal(0.0, std, size=shape).astype(np.float64)
-
-
-def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    fan_in, fan_out = _fan_in_out(shape)
-    limit = math.sqrt(6.0 / max(fan_in + fan_out, 1))
-    return rng.uniform(-limit, limit, size=shape).astype(np.float64)
 
 
 def zeros(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:  # noqa: ARG001

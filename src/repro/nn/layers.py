@@ -9,7 +9,7 @@ import numpy as np
 from repro.nn import initializers
 from repro.nn.module import Module, Parameter
 
-__all__ = ["Dense", "Flatten", "Dropout", "Identity"]
+__all__ = ["Dense", "Flatten", "Identity"]
 
 Initializer = Callable[[np.random.Generator, tuple[int, ...]], np.ndarray]
 
@@ -85,32 +85,6 @@ class Flatten(Module):
         if self._shape is None:
             raise RuntimeError("backward called before forward")
         return grad_out.reshape(self._shape)
-
-
-class Dropout(Module):
-    """Inverted dropout; identity in eval mode."""
-
-    def __init__(self, p: float = 0.5, *, rng: np.random.Generator | None = None) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError("dropout probability must be in [0, 1)")
-        self.p = p
-        self._rng = rng if rng is not None else np.random.default_rng(0)
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if not self.training or self.p == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.p
-        mask = (self._rng.random(x.shape) < keep) / keep
-        self._mask = mask if self._retain else None
-        return x * mask
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_out
-        return grad_out * self._mask
 
 
 class Identity(Module):

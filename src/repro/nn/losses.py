@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Loss", "SoftmaxCrossEntropy", "MSELoss"]
+__all__ = ["Loss", "SoftmaxCrossEntropy"]
 
 
 class Loss:
@@ -54,22 +54,3 @@ class SoftmaxCrossEntropy(Loss):
         grad = self._probs.copy()
         grad[np.arange(n), self._target] -= 1.0
         return grad / n
-
-
-class MSELoss(Loss):
-    """Mean squared error over matching-shape prediction/target."""
-
-    def __init__(self) -> None:
-        self._diff: np.ndarray | None = None
-
-    def forward(self, pred: np.ndarray, target: np.ndarray) -> float:
-        target = np.asarray(target, dtype=np.float64)
-        if pred.shape != target.shape:
-            raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-        self._diff = pred - target
-        return float(np.mean(self._diff**2))
-
-    def backward(self) -> np.ndarray:
-        if self._diff is None:
-            raise RuntimeError("backward called before forward")
-        return 2.0 * self._diff / self._diff.size

@@ -8,19 +8,16 @@ MPI implementation), so ``Module`` exposes
 views. The flat vectors are the storage: on first use a module tree is
 packed into one value and one gradient buffer of which every
 ``Parameter.value`` / ``.grad`` is a view, so each flat accessor is one
-vector operation. Layer boundaries within the flat vector are described
-by :meth:`Module.parameter_layout`, which the layer-wise
-parameter-sharding optimization consumes.
+vector operation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-__all__ = ["Parameter", "Module", "Sequential", "ParameterSlice"]
+__all__ = ["Parameter", "Module", "Sequential"]
 
 
 class Parameter:
@@ -61,20 +58,6 @@ class Parameter:
         return f"Parameter(name={self.name!r}, shape={self.shape})"
 
 
-@dataclass(frozen=True)
-class ParameterSlice:
-    """Location of one named parameter inside the flat vector."""
-
-    name: str
-    start: int
-    stop: int
-    shape: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return self.stop - self.start
-
-
 class Module:
     """Base class for layers and models.
 
@@ -92,7 +75,6 @@ class Module:
     def __init__(self) -> None:
         self._parameters: dict[str, Parameter] = {}
         self._children: dict[str, "Module"] = {}
-        self.training: bool = True
         # (values, grads): the flat buffers every ``Parameter.value`` /
         # ``.grad`` below this module is a view of, once packed.
         self._arena: tuple[np.ndarray, np.ndarray] | None = None
@@ -143,15 +125,9 @@ class Module:
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
 
-    # -- train/eval ----------------------------------------------------
     def train(self) -> "Module":
-        for module in self.modules():
-            module.training = True
-        return self
-
-    def eval(self) -> "Module":
-        for module in self.modules():
-            module.training = False
+        """A no-op: every module always trains (batch norm normalises
+        with the batch's statistics). The ledger's nn probe calls it."""
         return self
 
     def zero_grad(self) -> None:
@@ -173,8 +149,7 @@ class Module:
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Forward pass of a model that will not be back-propagated:
         no layer keeps anything for ``backward``, and a ``Conv2d`` never
-        builds the whole patch matrix it would have kept. Train/eval
-        mode is unchanged (batch norm still follows ``training``)."""
+        builds the whole patch matrix it would have kept."""
         modules = list(self.modules())
         for module in modules:
             module._retain = False
@@ -188,22 +163,6 @@ class Module:
         return self.forward(x)
 
     # -- flat views ------------------------------------------------------
-    def parameter_layout(self) -> list[ParameterSlice]:
-        """Describe how named parameters pack into the flat vector.
-
-        The order is the deterministic ``named_parameters`` traversal
-        order, so all workers that build the same architecture agree on
-        the layout — a precondition for exchanging flat vectors.
-        """
-        layout: list[ParameterSlice] = []
-        offset = 0
-        for name, param in self.named_parameters():
-            layout.append(
-                ParameterSlice(name=name, start=offset, stop=offset + param.size, shape=param.shape)
-            )
-            offset += param.size
-        return layout
-
     def _flat(self) -> tuple[np.ndarray, np.ndarray]:
         """The ``(values, grads)`` arena, packed on first use."""
         if self._arena is None:
@@ -250,22 +209,6 @@ class Module:
 
     def set_flat_gradients(self, flat: np.ndarray) -> None:
         self._load(self._flat()[1], flat)
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Copy of every named parameter (useful for checkpoint tests)."""
-        return {name: param.value.copy() for name, param in self.named_parameters()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        own = dict(self.named_parameters())
-        missing = set(own) - set(state)
-        extra = set(state) - set(own)
-        if missing or extra:
-            raise KeyError(f"state dict mismatch: missing={sorted(missing)} extra={sorted(extra)}")
-        for name, param in own.items():
-            value = np.asarray(state[name], dtype=np.float64)
-            if value.shape != param.shape:
-                raise ValueError(f"shape mismatch for {name}: {value.shape} vs {param.shape}")
-            param.value[...] = value
 
 
 class Sequential(Module):

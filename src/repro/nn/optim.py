@@ -88,10 +88,6 @@ class SGD(Optimizer):
             vel += decayed
         values -= lr * vel
 
-    def velocity_flat(self) -> np.ndarray:
-        """Flat copy of the momentum buffer (used by DGC tests)."""
-        return self._velocity.copy()
-
     def reset_velocity(self) -> None:
         self._velocity.fill(0.0)
 

@@ -13,14 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = [
-    "LRSchedule",
-    "ConstantSchedule",
-    "StepDecaySchedule",
-    "WarmupStepSchedule",
-    "scaled_learning_rate",
-    "paper_schedule",
-]
+__all__ = ["LRSchedule", "StepDecaySchedule", "WarmupStepSchedule", "scaled_learning_rate"]
 
 
 def scaled_learning_rate(base_lr: float, num_workers: int) -> float:
@@ -42,16 +35,6 @@ class LRSchedule:
         if epoch < 0:
             raise ValueError("epoch must be non-negative")
         return self.lr_at(epoch)
-
-
-class ConstantSchedule(LRSchedule):
-    def __init__(self, lr: float) -> None:
-        if lr <= 0:
-            raise ValueError("lr must be positive")
-        self.lr = lr
-
-    def lr_at(self, epoch: float) -> float:
-        return self.lr
 
 
 class StepDecaySchedule(LRSchedule):
@@ -110,27 +93,3 @@ class WarmupStepSchedule(StepDecaySchedule):
             start = self.base_lr * start_frac
             return start + (self.base_lr - start) * (epoch / self.warmup_epochs)
         return super().lr_at(epoch)
-
-
-def paper_schedule(
-    num_workers: int,
-    *,
-    base_lr: float = 0.05,
-    total_epochs: float = 90.0,
-    warmup_fraction: float = 5.0 / 90.0,
-    milestone_fractions: Sequence[float] = (30.0 / 90.0, 60.0 / 90.0, 80.0 / 90.0),
-) -> WarmupStepSchedule:
-    """Build the paper's exact schedule, rescaled to ``total_epochs``.
-
-    With ``total_epochs=90`` this is η = 0.05·n, 5-epoch warm-up,
-    decays at 30/60/80. Shorter runs keep the same fractions.
-    """
-    if total_epochs <= 0:
-        raise ValueError("total_epochs must be positive")
-    lr = scaled_learning_rate(base_lr, num_workers)
-    return WarmupStepSchedule(
-        lr,
-        warmup_epochs=warmup_fraction * total_epochs,
-        milestones=[f * total_epochs for f in milestone_fractions],
-        warmup_start_fraction=1.0 / num_workers,
-    )

@@ -22,7 +22,7 @@ communication-time model).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -88,19 +88,6 @@ class ModelProfile:
     def total_bytes(self) -> int:
         return self.total_params * self.bytes_per_param
 
-    def layer_param_sizes(self) -> list[int]:
-        return [layer.params for layer in self.layers]
-
-    def layer_byte_sizes(self) -> list[int]:
-        return [layer.params * self.bytes_per_param for layer in self.layers]
-
-    def largest_layer_fraction(self) -> float:
-        """Fraction of all parameters held by the single largest layer
-        (≈0.74 for VGG-16 — drives the sharding-skew finding)."""
-        total = self.total_params
-        if total == 0:
-            return 0.0
-        return max(layer.params for layer in self.layers) / total
 
 
 def _conv(

@@ -39,7 +39,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "config": ("ObsConfig",),
         "metrics": ("Counter", "Gauge", "Series", "MetricsRegistry"),
         "recorder": ("FaultEventRecord", "MessageEvent", "ProcessSpan", "RunObserver"),
-        "spans": ("SpanDAG", "build_span_dag", "span_breakdown"),
+        "spans": ("SpanDAG", "build_span_dag"),
         "critpath": (
             "analyze_dag",
             "analyze_run",

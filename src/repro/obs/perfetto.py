@@ -53,7 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "build_trace",
     "write_trace",
-    "phase_totals",
     "build_session_trace",
     "write_session_trace",
 ]
@@ -305,16 +304,6 @@ def build_trace(
         "displayTimeUnit": "ms",
         "otherData": other,
     }
-
-
-def phase_totals(trace: dict) -> dict[str, float]:
-    """Per-phase span-duration totals of a built trace, in *seconds* —
-    the quantity that must agree with ``PhaseTracer.breakdown()``."""
-    totals: dict[str, float] = {}
-    for event in trace["traceEvents"]:
-        if event.get("ph") == "X" and event.get("cat") == "phase":
-            totals[event["name"]] = totals.get(event["name"], 0.0) + event["dur"] / _US
-    return totals
 
 
 def write_trace(

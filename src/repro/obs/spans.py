@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.recorder import MessageEvent, RunObserver
     from repro.sim.trace import PhaseTracer, Span
 
-__all__ = ["EntityTimeline", "IterationWindow", "SpanDAG", "build_span_dag", "span_breakdown"]
+__all__ = ["EntityTimeline", "IterationWindow", "SpanDAG", "build_span_dag"]
 
 
 @dataclass
@@ -146,16 +146,6 @@ class SpanDAG:
                 break
             total += min(b, end) - max(a, start)
         return total
-
-
-def span_breakdown(spans: list["Span"]) -> dict[str, float]:
-    """Total duration per phase over a span list — by construction
-    identical to ``PhaseTracer.breakdown()`` on the same spans (the
-    exact-agreement half of the Fig 3 cross-validation)."""
-    out: dict[str, float] = {}
-    for span in spans:
-        out[span.phase] = out.get(span.phase, 0.0) + (span.end - span.start)
-    return out
 
 
 def _merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:

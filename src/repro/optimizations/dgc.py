@@ -58,11 +58,6 @@ class SparseGradient:
     def nbytes(self) -> int:
         return self.nnz * BYTES_PER_SPARSE_ELEMENT
 
-    def densify(self) -> np.ndarray:
-        dense = np.zeros(self.num_elements, dtype=np.float64)
-        dense[self.indices] = self.values
-        return dense
-
 
 class DGCCompressor:
     """Per-worker DGC state machine over flat gradient vectors."""

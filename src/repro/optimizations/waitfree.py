@@ -61,9 +61,6 @@ class CommPlan:
     def total_bytes(self) -> int:
         return sum(e.nbytes for e in self.entries)
 
-    def bytes_to_shard(self, shard_id: int) -> int:
-        return sum(e.nbytes for e in self.entries if e.shard_id == shard_id)
-
 
 def make_comm_plan(
     profile: ModelProfile,

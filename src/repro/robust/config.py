@@ -13,7 +13,7 @@ discipline as ``RunConfig.faults``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["RobustConfig", "AGGREGATORS"]
 
@@ -79,6 +79,3 @@ class RobustConfig:
             raise ValueError("checkpoint_interval must be positive")
         if self.quarantine_strikes < 0:
             raise ValueError("quarantine_strikes must be non-negative")
-
-    def with_aggregator(self, aggregator: str) -> "RobustConfig":
-        return replace(self, aggregator=aggregator)

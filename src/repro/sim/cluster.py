@@ -207,14 +207,6 @@ class ClusterSpec:
             raise ValueError(f"worker {worker} out of range for {self.total_gpus} GPUs")
         return worker // self.machine.gpus
 
-    def workers_of_machine(self, machine: int) -> list[int]:
-        if not 0 <= machine < self.machines:
-            raise ValueError(f"machine {machine} out of range")
-        g = self.machine.gpus
-        return list(range(machine * g, (machine + 1) * g))
-
-    def colocated(self, a: int, b: int) -> bool:
-        return self.machine_of_worker(a) == self.machine_of_worker(b)
 
 
 def paper_cluster(

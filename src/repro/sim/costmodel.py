@@ -94,14 +94,6 @@ class CommModel:
             self._timeout_cache[key] = t
         return t
 
-    def dgc_select_time(self, nbytes: int) -> float:
-        key = ("dgc", nbytes)
-        t = self._cache.get(key)
-        if t is None:
-            t = nbytes * self.dgc_select_seconds_per_byte
-            self._cache[key] = t
-        return t
-
 
 class ComputeModel:
     """Per-worker iteration compute-time sampler.
@@ -209,12 +201,6 @@ class ComputeModel:
         if self.on_draw is not None:
             self.on_draw(worker, duration)
         return duration
-
-    def mean_iteration_time(self, worker: int) -> float:
-        """Expected compute duration (no jitter draw) for ``worker``."""
-        if not 0 <= worker < self.num_workers:
-            raise ValueError(f"worker {worker} out of range")
-        return self.base_time / self.speeds[worker]
 
     def backward_fraction(self) -> float:
         """Fraction of an iteration spent in backprop (2 of 3 passes)."""

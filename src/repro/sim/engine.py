@@ -294,10 +294,6 @@ class Barrier:
         except ValueError:
             pass
 
-    @property
-    def waiting(self) -> int:
-        return len(self._arrivals)
-
 
 class Process:
     """A running simulation process wrapping a generator.
@@ -555,11 +551,6 @@ class Engine:
             # the error raised by run() carries it as ``__cause__``.
             process.error = None
         self._errors.clear()
-
-    @property
-    def live_processes(self) -> list[Process]:
-        """Processes spawned and not yet finished, in spawn order."""
-        return list(self._live)
 
     @property
     def events_processed(self) -> int:

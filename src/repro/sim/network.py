@@ -451,16 +451,3 @@ class Network:
                 src_machine, dst_machine, nbytes, self.engine.now, rto
             )
         return delay
-
-    def port_stats(self) -> dict[str, dict[str, float]]:
-        """Utilisation snapshot of every port (for analysis/tests)."""
-        horizon = max(self.engine.now, 1e-12)
-        stats: dict[str, dict[str, float]] = {}
-        for port in [*self.tx, *self.rx, *self.intra, *self.tor_up, *self.tor_down]:
-            stats[port.name] = {
-                "utilization": port.utilization(horizon),
-                "bytes": float(port.bytes_served),
-                "transfers": float(port.transfers),
-                "queue_time": port.queue_time,
-            }
-        return stats

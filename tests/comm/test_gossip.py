@@ -5,7 +5,7 @@ import pytest
 
 from repro.comm.gossip import (
     GossipState,
-    choose_gossip_target,
+    choose_gossip_peer,
     gossip_merge,
     gossip_send_share,
 )
@@ -58,7 +58,7 @@ class TestMerge:
         true_avg = np.mean(range(n))
         for _ in range(400):
             src = int(rng.integers(0, n))
-            dst = choose_gossip_target(src, n, rng)
+            dst = choose_gossip_peer(src, list(range(n)), rng)
             share = gossip_send_share(states[src])
             values[dst] = gossip_merge(values[src].copy(), share, states[dst], values[dst])
         for v in values:
@@ -69,17 +69,17 @@ class TestTargetSelection:
     def test_never_self(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
-            assert choose_gossip_target(3, 8, rng) != 3
+            assert choose_gossip_peer(3, list(range(8)), rng) != 3
 
     def test_uniform_over_others(self):
         rng = np.random.default_rng(0)
         counts = np.zeros(4)
         for _ in range(4000):
-            counts[choose_gossip_target(1, 4, rng)] += 1
+            counts[choose_gossip_peer(1, [0, 1, 2, 3], rng)] += 1
         assert counts[1] == 0
         others = counts[[0, 2, 3]]
         assert others.min() > 0.8 * others.max()
 
     def test_needs_two_workers(self):
         with pytest.raises(ValueError):
-            choose_gossip_target(0, 1, np.random.default_rng(0))
+            choose_gossip_peer(0, [0], np.random.default_rng(0))

@@ -51,3 +51,37 @@ def small_timing_config(algorithm: str, **overrides) -> RunConfig:
     )
     defaults.update(overrides)
     return RunConfig(**defaults)
+
+
+def push_sum_mass(algorithm) -> float:
+    """GoSGD's push-sum invariant, which must equal 1 at all times:
+    every worker's weight plus the shares still in gossip mailboxes
+    (a share counts at its receiver only once merged)."""
+    held = sum(state.weight for state in algorithm._states)
+    in_flight = sum(
+        message.meta["weight"]
+        for slot in algorithm.runtime.workers
+        for message in slot.node.mailbox("gossip")._items
+    )
+    return held + in_flight
+
+
+def port_stats(network) -> dict[str, dict[str, float]]:
+    """Utilisation snapshot of every port of ``network``."""
+    horizon = max(network.engine.now, 1e-12)
+    return {
+        port.name: {
+            "utilization": port.utilization(horizon),
+            "bytes": float(port.bytes_served),
+            "transfers": float(port.transfers),
+            "queue_time": port.queue_time,
+        }
+        for port in [*network.tx, *network.rx, *network.intra, *network.tor_up, *network.tor_down]
+    }
+
+
+def densify(sparse) -> np.ndarray:
+    """A DGC ``SparseGradient`` as the dense vector it stands for."""
+    dense = np.zeros(sparse.num_elements)
+    dense[sparse.indices] = sparse.values
+    return dense

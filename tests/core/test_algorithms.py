@@ -5,11 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.comm.pairwise import (
-    bipartite_split,
-    build_exchange_graph,
-    verify_deadlock_free,
-)
 from repro.core.runner import DistributedRunner
 from repro.experiments.config import timing_config
 from repro.sim.cluster import paper_cluster
@@ -229,20 +224,19 @@ class TestADPSGD:
     @pytest.mark.parametrize("world", [1, 2, 7, 8])
     def test_spawned_roles_are_the_bipartite_split(self, world):
         """With every worker live, ``spawn_workers``' positional split
-        is the paper's evens-active / odds-passive split whose
-        deadlock-freedom ``comm/pairwise.py`` states."""
+        is the paper's evens-active / odds-passive split (its
+        deadlock-freedom: ``tests/comm/test_pairwise.py``)."""
         cfg = small_timing_config(
             "ad-psgd",
             num_workers=world,
             cluster=paper_cluster(machines=2, gpus_per_machine=4),
         )
-        names = [p.name for p in DistributedRunner(cfg).engine.live_processes]
+        names = [p.name for p in DistributedRunner(cfg).engine._live]
         serving = [w for w in range(world) if f"adpsgd-serve-w{w}" in names]
         initiating = [w for w in range(world) if f"adpsgd-comm-w{w}" in names]
-        active, passive = bipartite_split(world)
+        active, passive = list(range(0, world, 2)), list(range(1, world, 2))
         assert serving == passive
         assert initiating == (active if passive else [])
-        assert verify_deadlock_free(*build_exchange_graph(world))
 
     def test_build_at_n1024_allocates_no_exchange_graph(self):
         """The (N/2)²-edge graph is a checkable statement, not a runtime
@@ -254,5 +248,5 @@ class TestADPSGD:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(runner.engine.live_processes) == 2 * 1024
+        assert len(runner.engine._live) == 2 * 1024
         assert peak < 10e6

@@ -18,17 +18,10 @@ class TestTrainingHistory:
         assert h.final_test_accuracy == 0.7
         h.record(epoch=3, time=30.0, test_accuracy=0.65, train_loss=0.9)
         assert h.final_test_accuracy == 0.65
-        assert h.best_test_accuracy == 0.7
 
     def test_error_curve(self):
         h = self.make()
         assert h.error_curve() == pytest.approx([0.9, 0.5, 0.3])
-
-    def test_epochs_and_time_to_error(self):
-        h = self.make()
-        assert h.epochs_to_error(0.5) == 1
-        assert h.time_to_error(0.5) == 10.0
-        assert h.epochs_to_error(0.1) is None
 
     def test_out_of_order_epochs_rejected(self):
         h = self.make()
@@ -44,11 +37,6 @@ class TestThroughputResult:
     def test_throughput(self):
         r = ThroughputResult(measured_time=2.0, measured_images=1000)
         assert r.throughput == 500.0
-
-    def test_speedup(self):
-        base = ThroughputResult(measured_time=1.0, measured_images=100)
-        fast = ThroughputResult(measured_time=1.0, measured_images=800)
-        assert fast.speedup_over(base) == pytest.approx(8.0)
 
     def test_empty_window_raises(self):
         with pytest.raises(ValueError):

@@ -50,7 +50,7 @@ from repro.robust.config import RobustConfig
 from repro.sim.cluster import hierarchical_cluster, paper_cluster
 from repro.sim.engine import AllOf, Get, Signal, Timeout
 
-from tests.conftest import small_full_config, small_timing_config
+from tests.conftest import port_stats, small_full_config, small_timing_config
 
 
 # -- (a) the plan walk vs the old plain path --------------------------------
@@ -170,7 +170,7 @@ def observe(cfg, monkeypatch, swaps=()):
         "log": log,
         "clock": runner.engine.now,
         "events": runner.engine.events_processed,
-        "ports": runner.network.port_stats(),
+        "ports": port_stats(runner.network),
         "breakdown": tracer.breakdown(),
         "spans": tracer.span_count,
         "faults": result.metadata.get("faults"),

@@ -20,7 +20,7 @@ from repro.obs.config import ObsConfig
 from repro.robust.config import RobustConfig
 from repro.sim.cluster import hierarchical_cluster
 
-from tests.conftest import small_full_config, small_timing_config
+from tests.conftest import port_stats, push_sum_mass, small_full_config, small_timing_config
 from tests.faults.test_determinism import DETECTION
 
 ALGORITHMS = ["bsp", "asp", "ssp", "easgd", "ar-sgd", "gosgd", "ad-psgd"]
@@ -139,7 +139,7 @@ class TestStallNamesLiveProcesses:
         engine = runner.engine
         with pytest.raises(RuntimeError) as excinfo:
             engine.run(max_events=200)
-        names = [process.name for process in engine.live_processes]
+        names = [process.name for process in engine._live]
         assert names[:3] == ["ps0.t0", "bsp-lead-w0", "bsp-peer-w1"]
         assert len(names) > 10  # 16 workers never finish inside 200 events
         assert str(excinfo.value) == (
@@ -151,11 +151,11 @@ class TestStallNamesLiveProcesses:
     def test_live_set_follows_spawn_and_finish(self):
         runner = DistributedRunner(small_timing_config("gosgd"))
         engine = runner.engine
-        assert [p.name for p in engine.live_processes] == [
+        assert [p.name for p in engine._live] == [
             f"gosgd-w{w}" for w in range(8)
         ]
         runner.run()
-        assert engine.live_processes == []
+        assert not engine._live
 
 
 class TestStillInspectableAfterRelease:
@@ -168,7 +168,7 @@ class TestStillInspectableAfterRelease:
             len(slot.node.mailbox("gossip")) for slot in runner.runtime.workers
         )
         assert buffered > 0  # undelivered shares are part of the mass
-        assert runner.algorithm.total_weight == pytest.approx(1.0)
+        assert push_sum_mass(runner.algorithm) == pytest.approx(1.0)
 
     def test_shards_ports_and_counters(self):
         runner = DistributedRunner(small_full_config("asp", num_ps_shards=2))
@@ -179,7 +179,7 @@ class TestStillInspectableAfterRelease:
         assert runner.engine.events_processed > 0
         assert runner.engine.queue_high_water > 0
         assert len(runner.engine._queue) == 0
-        stats = runner.network.port_stats()
+        stats = port_stats(runner.network)
         assert sum(port["bytes"] for port in stats.values()) > 0
         assert history.metadata["total_messages"] == runner.network.total_messages
         assert all(slot.iterations > 0 for slot in runner.runtime.workers)
@@ -279,7 +279,7 @@ class TestImportGraph:
         run_fresh(
             "import sys\n"
             "sys.modules['networkx'] = None\n"
-            "import repro.cli, repro.comm.pairwise, repro.core\n"
+            "import repro.cli, repro.comm.gossip, repro.core\n"
         )
 
     def test_a_timing_run_loads_no_feature_module(self):

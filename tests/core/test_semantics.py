@@ -13,7 +13,7 @@ from repro.core.runner import DistributedRunner
 from repro.faults.config import FaultConfig, FaultEvent
 from repro.sim.cluster import hierarchical_cluster, paper_cluster
 
-from tests.conftest import small_full_config, small_timing_config
+from tests.conftest import push_sum_mass, small_full_config, small_timing_config
 from tests.core.test_single_worker import single_worker_run
 
 
@@ -204,7 +204,7 @@ class TestGossipInvariants:
             small_full_config("gosgd", algorithm_params={"p": 0.5}, epochs=2.0)
         )
         runner.run()
-        assert runner.algorithm.total_weight == pytest.approx(1.0, abs=1e-9)
+        assert push_sum_mass(runner.algorithm) == pytest.approx(1.0, abs=1e-9)
 
     def test_push_frequency_tracks_p(self):
         cfg = small_full_config("gosgd", algorithm_params={"p": 0.25}, epochs=4.0)

@@ -45,12 +45,6 @@ class TestLocalComputation:
             losses.append(comp.last_loss)
         assert np.mean(losses[-10:]) < np.mean(losses[:10])
 
-    def test_replica_left_in_eval_is_trained_in_train_mode(self):
-        comp = make_comp()
-        comp.model.eval()
-        comp.gradient()
-        assert all(module.training for module in comp.model.modules())
-
     def test_train_mode_is_not_reentered_every_step(self, monkeypatch):
         comp = make_comp()
         walks = []

@@ -21,7 +21,7 @@ class TestBatchLoader:
     def test_epoch_covers_dataset_once(self):
         loader = make_loader(n=64, batch=16)
         seen = []
-        for _ in range(loader.batches_per_epoch):
+        for _ in range(64 // 16):
             x, _ = loader.next_batch()
             seen.append(x[:, 0])
         seen = np.concatenate(seen)
@@ -40,21 +40,17 @@ class TestBatchLoader:
             loader.next_batch()
         assert loader.epochs_completed == 1
 
-    def test_fractional_epoch(self):
-        loader = make_loader(n=64, batch=16)
-        loader.next_batch()
-        loader.next_batch()
-        assert loader.fractional_epoch == pytest.approx(0.5)
-
     def test_drop_last(self):
         d = make_gaussian_blobs(num_samples=50, seed=0)
         loader = BatchLoader(d, 16, rng=np.random.default_rng(0), drop_last=True)
-        assert loader.batches_per_epoch == 3
+        sizes = [loader.next_batch()[0].shape[0] for _ in range(3)]
+        assert sizes == [16, 16, 16] and loader.epochs_completed == 0
+        loader.next_batch()  # the 2 left over are dropped: a new epoch starts
+        assert loader.epochs_completed == 1
 
     def test_keep_last_partial_batch(self):
         d = make_gaussian_blobs(num_samples=50, seed=0)
         loader = BatchLoader(d, 16, rng=np.random.default_rng(0), drop_last=False)
-        assert loader.batches_per_epoch == 4
         sizes = [loader.next_batch()[0].shape[0] for _ in range(4)]
         assert sorted(sizes) == [2, 16, 16, 16]
 

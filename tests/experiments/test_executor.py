@@ -27,7 +27,6 @@ from repro.experiments.executor import (
     SweepExecutor,
     config_fingerprint,
     default_executor,
-    run_sweep,
     set_default_executor,
 )
 from repro.experiments.artefact import artefact, render, run_artefact
@@ -276,10 +275,6 @@ class TestExecutorPlumbing:
         with pytest.raises(ValueError):
             SweepExecutor(jobs=0)
 
-    def test_run_sweep_convenience(self, tmp_path):
-        results = run_sweep([tiny_timing()], jobs=1, cache_dir=tmp_path)
-        assert results[0].throughput > 0
-
     def test_default_executor_is_serial_and_cache_free(self):
         set_default_executor(None)
         ex = default_executor()
@@ -336,6 +331,44 @@ class _FakePool:
 
     def shutdown(self, wait=True, *, cancel_futures=False):
         pass
+
+
+class _DepthPool(_FakePool):
+    """Records the most attempts submitted and not yet collected."""
+
+    outstanding = most = 0
+
+    def broken(self) -> bool:
+        return False
+
+    def submit(self, fn, *args):
+        future = super().submit(fn, *args)
+        cls, result = type(self), future.result
+        cls.outstanding += 1
+        cls.most = max(cls.most, cls.outstanding)
+
+        def collect(timeout=None):
+            cls.outstanding -= 1
+            return result(timeout)
+
+        future.result = collect
+        return future
+
+
+@pytest.mark.parametrize(
+    "policy, most",
+    [(None, 4), (RunPolicy(timeout_s=60.0), 2)],
+    ids=["one-queued-per-worker", "deadline-runs-only"],
+)
+def test_pool_attempts_in_flight(policy, most, monkeypatch):
+    """Two workers: one attempt queued behind each running one, so no
+    worker idles between cells; under a deadline only the running ones."""
+    monkeypatch.setattr(executor_module, "_process_pool", _DepthPool)
+    monkeypatch.setattr(_DepthPool, "most", 0)
+    grid = [tiny_timing(seed=seed) for seed in range(8)]
+    results = SweepExecutor(jobs=2, cache=False, policy=policy).map(grid)
+    assert len(results) == 8
+    assert _DepthPool.most == most
 
 
 class TestBrokenPoolRecovery:

@@ -455,7 +455,7 @@ class TestStopAndPreempt:
 
         def preempt_after_one(line):
             if "done in" in line:
-                ex.last_session.request_preempt()
+                ex.last_session.preempt_path.write_text("")
 
         ex.progress = preempt_after_one
         with pytest.raises(SweepPreempted):

@@ -83,7 +83,7 @@ class TestBarrierMembership:
         def script():
             yield Timeout(1.0)
             procs[1].kill()
-            assert barrier.waiting == 2
+            assert len(barrier._arrivals) == 2
             eng.spawn(waiter(3))
             eng.spawn(waiter(4))
 

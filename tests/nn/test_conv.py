@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import AvgPool2d, Conv2d, GlobalAvgPool2d, MaxPool2d
+from repro.nn import Conv2d, GlobalAvgPool2d, MaxPool2d
 from repro.nn.conv import _scatter, _windows
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.module import Sequential
@@ -116,17 +116,6 @@ class TestMaxPool2d:
         pool = MaxPool2d(3, stride=1)
         out = pool.forward(np.zeros((1, 2, 5, 5)))
         assert out.shape == (1, 2, 3, 3)
-
-
-class TestAvgPool2d:
-    def test_known_average(self):
-        pool = AvgPool2d(2)
-        x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-        assert pool.forward(x)[0, 0, 0, 0] == 2.5
-
-    def test_input_gradient(self):
-        rng = np.random.default_rng(0)
-        check_input_gradient(AvgPool2d(2), rng.normal(size=(2, 2, 4, 4)))
 
 
 class TestGlobalAvgPool2d:

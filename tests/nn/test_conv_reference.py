@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.runner import EVAL_CHUNK
-from repro.nn import AvgPool2d, Conv2d, MaxPool2d
+from repro.nn import Conv2d, MaxPool2d
 from repro.nn import conv as conv_module
 
 COMMON = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -290,8 +290,8 @@ def test_gather_buffer_stays_under_the_budget_when_one_row_is_9_megabytes():
     assert np.array_equal(out[:, :, :4, :], rows[:, :, :4, :])
 
 
-def pool_reference(x, grad_out_fn, kernel, stride, padding, mode):
-    """Max/avg pooling one window at a time; a tied maximum sends the
+def pool_reference(x, grad_out_fn, kernel, stride, padding):
+    """Max pooling one window at a time; a tied maximum sends the
     gradient to the first entry in row-major window order."""
     n, c, h, w = x.shape
     padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
@@ -301,24 +301,20 @@ def pool_reference(x, grad_out_fn, kernel, stride, padding, mode):
     for index in np.ndindex(*out.shape):
         b, ch, y, xx = index
         window = padded[b, ch, y * stride : y * stride + kernel, xx * stride : xx * stride + kernel]
-        out[index] = window.max() if mode == "max" else window.mean()
+        out[index] = window.max()
     grad_out = grad_out_fn(out.shape)
     grad_padded = np.zeros_like(padded)
     for index in np.ndindex(*out.shape):
         b, ch, y, xx = index
         rows = slice(y * stride, y * stride + kernel)
         cols = slice(xx * stride, xx * stride + kernel)
-        if mode == "max":
-            i, j = np.unravel_index(padded[b, ch, rows, cols].argmax(), (kernel, kernel))
-            grad_padded[b, ch, y * stride + i, xx * stride + j] += grad_out[index]
-        else:
-            grad_padded[b, ch, rows, cols] += grad_out[index] / kernel**2
+        i, j = np.unravel_index(padded[b, ch, rows, cols].argmax(), (kernel, kernel))
+        grad_padded[b, ch, y * stride + i, xx * stride + j] += grad_out[index]
     return out, grad_out, grad_padded[:, :, padding : padding + h, padding : padding + w]
 
 
 @COMMON
 @given(
-    mode=st.sampled_from(["max", "avg"]),
     kernel=st.sampled_from([2, 3]),
     stride=st.sampled_from([1, 2, 3]),
     padding=st.sampled_from([0, 1]),
@@ -326,15 +322,15 @@ def pool_reference(x, grad_out_fn, kernel, stride, padding, mode):
     size=st.integers(3, 6),
     seed=st.integers(0, 2**16),
 )
-def test_pooling_matches_loop_reference(mode, kernel, stride, padding, channel_major, size, seed):
+def test_pooling_matches_loop_reference(kernel, stride, padding, channel_major, size, seed):
     rng = np.random.default_rng(seed)
     # Few distinct values: most windows have a tied maximum.
     x = rng.integers(0, 3, size=(2, 2, size, size)).astype(np.float64)
     if channel_major:
         x = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
-    pool = (MaxPool2d if mode == "max" else AvgPool2d)(kernel, stride=stride, padding=padding)
+    pool = MaxPool2d(kernel, stride=stride, padding=padding)
     ref_out, grad_out, ref_gx = pool_reference(
-        x, lambda shape: rng.normal(size=shape), kernel, stride, padding, mode
+        x, lambda shape: rng.normal(size=shape), kernel, stride, padding
     )
     np.testing.assert_allclose(pool.forward(x), ref_out, rtol=0, atol=1e-12)
     np.testing.assert_allclose(pool.backward(grad_out), ref_gx, rtol=0, atol=1e-12)

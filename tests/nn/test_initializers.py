@@ -31,28 +31,11 @@ class TestHeNormal:
         assert np.array_equal(a, b)
 
 
-class TestHeUniform:
-    def test_within_bounds(self, rng):
-        w = init.he_uniform(rng, (100, 100))
-        limit = np.sqrt(6 / 100)
-        assert np.all(np.abs(w) <= limit)
-
-
-class TestXavier:
-    def test_normal_std(self, rng):
-        w = init.xavier_normal(rng, (300, 500))
-        assert abs(w.std() - np.sqrt(2 / 800)) < 0.005
-
-    def test_uniform_bounds(self, rng):
-        w = init.xavier_uniform(rng, (64, 64))
-        assert np.all(np.abs(w) <= np.sqrt(6 / 128))
-
-
 class TestConstants:
     def test_zeros_and_ones(self, rng):
         assert np.all(init.zeros(rng, (3, 3)) == 0)
         assert np.all(init.ones(rng, (3, 3)) == 1)
 
     def test_dtype_is_float64(self, rng):
-        for fn in (init.he_normal, init.he_uniform, init.xavier_normal, init.xavier_uniform):
+        for fn in (init.he_normal, init.zeros, init.ones):
             assert fn(rng, (2, 2)).dtype == np.float64

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import MSELoss, SoftmaxCrossEntropy
+from repro.nn import SoftmaxCrossEntropy
 
 from tests.nn.util import numerical_gradient
 
@@ -57,28 +57,3 @@ class TestSoftmaxCrossEntropy:
     def test_backward_before_forward_raises(self):
         with pytest.raises(RuntimeError):
             SoftmaxCrossEntropy().backward()
-
-
-class TestMSELoss:
-    def test_zero_for_equal(self):
-        loss = MSELoss()
-        x = np.ones((3, 2))
-        assert loss.forward(x, x) == 0.0
-
-    def test_known_value(self):
-        loss = MSELoss()
-        assert np.isclose(loss.forward(np.array([1.0, 3.0]), np.array([0.0, 0.0])), 5.0)
-
-    def test_gradient_matches_numerical(self):
-        rng = np.random.default_rng(0)
-        pred = rng.normal(size=(4, 3))
-        target = rng.normal(size=(4, 3))
-        loss = MSELoss()
-        loss.forward(pred, target)
-        analytic = loss.backward()
-        numeric = numerical_gradient(lambda: loss.forward(pred, target), pred)
-        assert np.allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            MSELoss().forward(np.zeros(3), np.zeros(4))

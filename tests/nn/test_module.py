@@ -42,13 +42,6 @@ class TestModuleTraversal:
         expected = 4 * 8 + 8 + 8 * 8 + 8 + 8 * 3 + 3
         assert m.num_parameters() == expected
 
-    def test_train_eval_propagates(self):
-        m = make_mlp()
-        m.eval()
-        assert all(not mod.training for mod in m.modules())
-        m.train()
-        assert all(mod.training for mod in m.modules())
-
     def test_zero_grad_clears_all(self):
         m = make_mlp()
         for p in m.parameters():
@@ -82,40 +75,10 @@ class TestFlatViews:
         m.set_flat_gradients(g)
         assert np.array_equal(m.get_flat_gradients(), g)
 
-    def test_layout_covers_vector(self):
-        m = make_mlp()
-        layout = m.parameter_layout()
-        assert layout[0].start == 0
-        assert layout[-1].stop == m.num_parameters()
-        for prev, cur in zip(layout, layout[1:]):
-            assert prev.stop == cur.start
-
     def test_same_seed_identical_models(self):
         assert np.array_equal(
             make_mlp(3).get_flat_parameters(), make_mlp(3).get_flat_parameters()
         )
-
-
-class TestStateDict:
-    def test_roundtrip(self):
-        m1, m2 = make_mlp(0), make_mlp(9)
-        m2.load_state_dict(m1.state_dict())
-        assert np.array_equal(m1.get_flat_parameters(), m2.get_flat_parameters())
-
-    def test_missing_key_raises(self):
-        m = make_mlp()
-        state = m.state_dict()
-        state.pop(next(iter(state)))
-        with pytest.raises(KeyError):
-            m.load_state_dict(state)
-
-    def test_shape_mismatch_raises(self):
-        m = make_mlp()
-        state = m.state_dict()
-        key = next(iter(state))
-        state[key] = np.zeros((1, 1))
-        with pytest.raises(ValueError):
-            m.load_state_dict(state)
 
 
 class TestSequential:

@@ -53,7 +53,7 @@ class TestSGD:
         model.set_flat_gradients(np.ones(model.num_parameters()))
         opt.step(0.1)
         opt.reset_velocity()
-        assert np.all(opt.velocity_flat() == 0)
+        assert np.all(opt._velocity == 0)
 
     def test_rejects_bad_hyperparams(self):
         with pytest.raises(ValueError):

@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.nn.schedules import (
-    ConstantSchedule,
-    StepDecaySchedule,
-    WarmupStepSchedule,
-    paper_schedule,
-    scaled_learning_rate,
-)
+from repro.core.runner import DistributedRunner
+from repro.experiments.config import timing_config
+from repro.nn.schedules import StepDecaySchedule, WarmupStepSchedule, scaled_learning_rate
 
 
 class TestScalingRule:
@@ -22,16 +18,6 @@ class TestScalingRule:
             scaled_learning_rate(0.05, 0)
         with pytest.raises(ValueError):
             scaled_learning_rate(-1.0, 4)
-
-
-class TestConstantSchedule:
-    def test_constant(self):
-        s = ConstantSchedule(0.1)
-        assert s(0) == s(50) == 0.1
-
-    def test_negative_epoch_raises(self):
-        with pytest.raises(ValueError):
-            ConstantSchedule(0.1)(-1)
 
 
 class TestStepDecay:
@@ -70,18 +56,27 @@ class TestWarmup:
 
 
 class TestPaperSchedule:
+    """The schedule the runner builds from ``RunConfig``'s defaults is
+    the paper's: η = 0.05·n, warm-up over 5/90 of the run from the
+    single-worker rate, decays at 30/90, 60/90 and 80/90."""
+
+    @staticmethod
+    def runner_schedule(num_workers: int, epochs: float):
+        config = timing_config("bsp", num_workers=num_workers, epochs=epochs)
+        return DistributedRunner(config).runtime.schedule
+
     def test_exact_paper_settings_at_90_epochs(self):
-        s = paper_schedule(24, total_epochs=90.0)
+        s = self.runner_schedule(24, 90.0)
         assert s(90 * 5 / 90) == pytest.approx(0.05 * 24)  # warm-up done at epoch 5
         assert s(45) == pytest.approx(0.12)  # after first decay
         assert s(85) == pytest.approx(0.05 * 24 * 1e-3)
 
     def test_rescaled_run_keeps_fractions(self):
-        s90 = paper_schedule(8, total_epochs=90.0)
-        s9 = paper_schedule(8, total_epochs=9.0)
+        s90 = self.runner_schedule(8, 90.0)
+        s9 = self.runner_schedule(8, 9.0)
         for frac in (0.1, 0.4, 0.7, 0.95):
             assert s90(frac * 90) == pytest.approx(s9(frac * 9))
 
     def test_warmup_starts_at_single_worker_lr(self):
-        s = paper_schedule(8, total_epochs=90.0)
+        s = self.runner_schedule(8, 90.0)
         assert s(0) == pytest.approx(0.05)  # base_lr · n / n

@@ -40,7 +40,8 @@ class TestResNet50Profile:
     def test_no_layer_dominates(self):
         """ResNet-50's parameters are spread out — layer-wise sharding
         balances well (contrast with VGG-16)."""
-        assert resnet50_profile().largest_layer_fraction() < 0.15
+        profile = resnet50_profile()
+        assert max(layer.params for layer in profile.layers) < 0.15 * profile.total_params
 
 
 class TestVGG16Profile:
@@ -55,10 +56,8 @@ class TestVGG16Profile:
         profile = vgg16_profile()
         fc6 = next(l for l in profile.layers if l.name == "fc6")
         assert fc6.params == 25088 * 4096 + 4096
-        assert profile.largest_layer_fraction() == pytest.approx(
-            fc6.params / profile.total_params
-        )
-        assert 0.70 < profile.largest_layer_fraction() < 0.78
+        assert fc6.params == max(layer.params for layer in profile.layers)
+        assert 0.70 < fc6.params / profile.total_params < 0.78
 
     def test_conv_layer_count(self):
         profile = vgg16_profile()
@@ -78,7 +77,7 @@ class TestVGG16Profile:
 
 
 class TestModelProfileBasics:
-    def test_layer_byte_sizes(self):
+    def test_total_bytes(self):
         profile = ModelProfile(
             name="toy",
             layers=(
@@ -86,7 +85,6 @@ class TestModelProfileBasics:
                 LayerProfile("b", "fc", params=30, flops=60),
             ),
         )
-        assert profile.layer_byte_sizes() == [40, 120]
         assert profile.total_bytes == 160
 
     def test_rejects_negative_sizes(self):
@@ -97,10 +95,6 @@ class TestModelProfileBasics:
         p100 = resnet50_profile(num_classes=100)
         p1000 = resnet50_profile(num_classes=1000)
         assert p1000.total_params - p100.total_params == 2048 * 900 + 900
-
-    def test_empty_profile_fraction(self):
-        profile = ModelProfile(name="empty", layers=())
-        assert profile.largest_layer_fraction() == 0.0
 
 
 class TestMiniProfile:

@@ -41,7 +41,6 @@ def check_model_gradients(
     check would be O(P × forward) — too slow for conv layers).
     """
     rng = rng or np.random.default_rng(0)
-    model.train()
     model.zero_grad()
     out = model.forward(x)
     loss.forward(out, y)
@@ -88,7 +87,6 @@ def check_input_gradient(
     matches central differences of ``sum(forward(x) * w)`` for a fixed
     random weighting ``w``."""
     rng = np.random.default_rng(1)
-    module.train()
     out = module.forward(x)
     w = rng.normal(size=out.shape)
     analytic = module.backward(w)

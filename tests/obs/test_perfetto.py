@@ -7,10 +7,18 @@ import pytest
 
 from repro.core.runner import DistributedRunner
 from repro.obs import ObsConfig, build_trace, write_trace
-from repro.obs.perfetto import phase_totals
 from repro.sim.trace import PHASES
 
 from tests.conftest import small_timing_config
+
+
+def phase_totals(trace: dict) -> dict[str, float]:
+    """Per-phase span-duration totals of a built trace, in seconds."""
+    totals: dict[str, float] = {}
+    for event in trace["traceEvents"]:
+        if event.get("ph") == "X" and event.get("cat") == "phase":
+            totals[event["name"]] = totals.get(event["name"], 0.0) + event["dur"] / 1e6
+    return totals
 
 
 @pytest.fixture(scope="module")

@@ -149,8 +149,3 @@ class TestConfigValidation:
     def test_roundtrip(self):
         cfg = RobustConfig(aggregator="krum", krum_f=2, screen_factor=3.0)
         assert from_jsonable(RobustConfig, to_jsonable(cfg)) == cfg
-
-    def test_with_aggregator(self):
-        cfg = RobustConfig(aggregator="median", guard=True)
-        swapped = cfg.with_aggregator("krum")
-        assert swapped.aggregator == "krum" and swapped.guard

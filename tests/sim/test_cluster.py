@@ -45,21 +45,10 @@ class TestPlacement:
         assert spec.machine_of_worker(4) == 1
         assert spec.machine_of_worker(23) == 5
 
-    def test_workers_of_machine(self):
-        spec = paper_cluster()
-        assert spec.workers_of_machine(1) == [4, 5, 6, 7]
-
-    def test_colocated(self):
-        spec = paper_cluster()
-        assert spec.colocated(0, 3)
-        assert not spec.colocated(3, 4)
-
     def test_out_of_range(self):
         spec = paper_cluster()
         with pytest.raises(ValueError):
             spec.machine_of_worker(24)
-        with pytest.raises(ValueError):
-            spec.workers_of_machine(6)
 
 
 class TestValidation:

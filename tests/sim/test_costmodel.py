@@ -46,14 +46,14 @@ class TestComputeModel:
         slow = int(np.argmin(model.speeds))
         fast = int(np.argmax(model.speeds))
         assert model.iteration_time(slow) > model.iteration_time(fast)
-        assert model.mean_iteration_time(slow) == pytest.approx(
+        assert model.iteration_time(slow) == pytest.approx(
             model.base_time / model.speeds[slow]
         )
 
     def test_paper_straggler_spread(self):
         """§VI-C: fastest vs slowest differ by up to ~5 %."""
         model = self.make(speed_spread=0.05, jitter_sigma=0.0)
-        times = [model.mean_iteration_time(w) for w in range(24)]
+        times = [model.iteration_time(w) for w in range(24)]
         assert (max(times) - min(times)) / min(times) < 0.06
 
     def test_jitter_varies_per_iteration(self):
@@ -86,7 +86,3 @@ class TestCommModel:
         cm = CommModel(agg_seconds_per_byte=1e-9, per_message_overhead_s=1e-5)
         assert cm.agg_time(0) == pytest.approx(1e-5)
         assert cm.agg_time(10**9) == pytest.approx(1.0 + 1e-5)
-
-    def test_dgc_select_time(self):
-        cm = CommModel(dgc_select_seconds_per_byte=1e-9)
-        assert cm.dgc_select_time(10**9) == pytest.approx(1.0)

@@ -598,7 +598,7 @@ class TestKill:
         def script():
             yield Timeout(1.0)
             victim.kill()
-            assert barrier.waiting == 1  # only the victim's arrival left
+            assert len(barrier._arrivals) == 1  # only the victim's arrival left
             eng.spawn(waiter(2))
             yield Timeout(1.0)
             eng.spawn(waiter(3))
@@ -621,7 +621,7 @@ class TestKill:
         def script():
             yield Timeout(1.0)
             doomed.kill()
-            assert barrier.waiting == 0  # the dead waiter left no count
+            assert len(barrier._arrivals) == 0  # the dead waiter left no count
             eng.spawn(waiter(1))  # a third party takes the freed slot
             eng.spawn(waiter(2))
 

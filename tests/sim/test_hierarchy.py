@@ -30,6 +30,8 @@ from repro.sim.cluster import (
 from repro.sim.engine import Engine
 from repro.sim.network import Network
 
+from tests.conftest import port_stats
+
 
 class TestHierarchySpec:
     def test_flat_by_default(self):
@@ -112,7 +114,7 @@ class TestHierarchicalNetwork:
         eng, spec, net = self.make(machines=6, machines_per_rack=2)
         assert len(net.tor_up) == spec.num_racks == 3
         assert len(net.tor_down) == 3
-        stats = net.port_stats()
+        stats = port_stats(net)
         assert "r0.up" in stats and "r2.down" in stats
 
     def test_flat_spec_allocates_no_tor_ports(self):
@@ -128,7 +130,7 @@ class TestHierarchicalNetwork:
         t = self.run_transfer(eng, net, 0, 1, nbytes)
         expected = spec.network_latency_s + nbytes / spec.network_bytes_per_s
         assert t == pytest.approx(expected)
-        assert net.port_stats()["r0.up"]["bytes"] == 0
+        assert port_stats(net)["r0.up"]["bytes"] == 0
 
     def test_inter_rack_pays_spine_latency_and_uplink_bottleneck(self):
         eng, spec, net = self.make(oversub=4.0)
@@ -140,7 +142,7 @@ class TestHierarchicalNetwork:
             spec.network_latency_s + spec.spine_latency + nbytes / bottleneck
         )
         assert t == pytest.approx(expected)
-        stats = net.port_stats()
+        stats = port_stats(net)
         assert stats["r0.up"]["bytes"] == nbytes
         assert stats["r1.down"]["bytes"] == nbytes
 

@@ -6,6 +6,8 @@ from repro.sim.cluster import hierarchical_cluster, paper_cluster
 from repro.sim.engine import Engine, Signal, Timeout
 from repro.sim.network import Network, Port
 
+from tests.conftest import port_stats
+
 
 class TestPort:
     def test_service_time(self):
@@ -122,7 +124,7 @@ class TestNetworkTransfer:
         self.run_transfer(eng, net, 0, 1, 1234)
         assert net.total_bytes == 1234
         assert net.total_messages == 1
-        stats = net.port_stats()
+        stats = port_stats(net)
         assert stats["m0.tx"]["bytes"] == 1234
         assert stats["m1.rx"]["bytes"] == 1234
 
@@ -235,7 +237,7 @@ def replay(spec, script, send):
     for i, step in enumerate(script):
         engine._at(step[0], act, (i, step))
     engine.run()
-    return log, engine.events_processed, net.port_stats()
+    return log, engine.events_processed, port_stats(net)
 
 
 @pytest.mark.parametrize("name", list(SCRIPTS))

@@ -45,6 +45,13 @@ class TestUsageErrors:
             (["faults", "--rack-scale", "--algorithms", "nonesuch"], "known: ar-sgd/hring"),
             (["faults", "--oversubscription", "8"], "need --rack-scale"),
             (["faults", "--machines-per-rack", "4"], "need --rack-scale"),
+            (["run", "fig3", "--model", "vgg16"], "fig3 does not take --model; it takes --iters"),
+            (["run", "table3", "--workers", "4"], "does not take --workers; it takes --epochs"),
+            (["run", "fig2", "--bandwidth", "5"], "run fig2 does not take --bandwidth"),
+            (["run", "fig2", "--bandwidth", "0"], "argument --bandwidth: expected a positive"),
+            (["run", "fig4", "--analytic"], "run fig4 does not take --analytic"),
+            (["run", "fig3", "--max-workers", "64"], "run fig3 does not take --max-workers"),
+            (["run", "table1", "--epochs", "1"], "table1 does not take --epochs; it takes none"),
         ],
         ids=[
             "seeds-not-int",
@@ -55,6 +62,13 @@ class TestUsageErrors:
             "unknown-rack-cell",
             "oversubscription-without-rack-scale",
             "machines-per-rack-without-rack-scale",
+            "run-drops-model",
+            "run-drops-workers",
+            "run-drops-bandwidth",
+            "run-zero-bandwidth",
+            "run-drops-analytic",
+            "run-drops-max-workers",
+            "run-table1-takes-no-shape",
         ],
     )
     def test_refused(self, argv, message, capsys):
@@ -65,6 +79,26 @@ class TestUsageErrors:
         assert captured.out == ""
         last = captured.err.strip().splitlines()[-1]
         assert "error:" in last and message in last
+
+    def test_the_representative_run_takes_the_shape_options(self, tmp_path, monkeypatch):
+        """``--trace-out``/``--analyze`` instrument one run at the shape
+        the options give, so fig2 accepts --workers then."""
+        import repro.cli as cli
+        import repro.experiments.artefact as artefacts
+
+        shapes, handed = [], []
+        table = type("Table", (), {"record": lambda self: {}})()
+        monkeypatch.setattr(
+            artefacts, "run_artefact", lambda spec, **shape: shapes.append(shape) or table
+        )
+        monkeypatch.setattr(artefacts, "render", lambda table: "table")
+        monkeypatch.setattr(
+            cli, "_instrumented_run", lambda cfg, *a, **kw: handed.append(cfg) or (None, None)
+        )
+        argv = ["run", "fig2", "--workers", "8", "--trace-out", str(tmp_path / "t.json")]
+        assert main([*argv, "--no-cache"]) == 0
+        assert "num_workers" not in shapes[0]
+        assert [cfg.num_workers for cfg in handed] == [8]
 
     def test_algorithm_names_keep_their_spellings(self):
         from repro.cli import _known

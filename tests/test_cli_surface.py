@@ -156,9 +156,22 @@ LISTS = {
     ("byzantine", "--algorithms"): ("bsp,ssp", ("bsp", "ssp")),
     ("byzantine", "--aggregators"): ("mean,krum", ("mean", "krum")),
 }
-#: Unset, so that giving them without ``--rack-scale`` can be refused;
-#: the rack-scale driver's own defaults (16, 4.0) apply when unset.
-UNSET = {("faults", "--machines-per-rack"), ("faults", "--oversubscription")}
+#: Unset, so that giving them where they do not apply can be refused:
+#: without ``--rack-scale`` (the rack-scale driver's own defaults, 16 and
+#: 4.0, apply when unset), or to a ``run`` experiment that does not take
+#: them (the artefact's own defaults, resnet50 at 10 Gbps, apply).
+UNSET = {
+    ("faults", "--machines-per-rack"),
+    ("faults", "--oversubscription"),
+    ("run", "--model"),
+    ("run", "--bandwidth"),
+}
+#: Counts, sizes, rates and durations: zero or a negative number is a
+#: usage error that names the option.
+POSITIVE = {
+    "--workers", "--epochs", "--iters", "--bandwidth", "--max-workers", "--machines-per-rack",
+    "--oversubscription", "--byzantine", "--scale", "--jobs", "--run-timeout", "--retries",
+}
 
 #: The shortest command line of each command.
 MINIMAL_ARGV = {
@@ -220,6 +233,11 @@ def test_options_are_declared_as_pinned(command):
             assert action.type(text) == parsed
             with pytest.raises(argparse.ArgumentTypeError):
                 action.type(",")
+        elif option in POSITIVE:
+            assert type(action.type("2")).__name__ == type_name, option
+            for text in ("0", "-1", "nan", "x"):
+                with pytest.raises(argparse.ArgumentTypeError):
+                    action.type(text)
         else:
             assert getattr(action.type, "__name__", action.type) == type_name, option
 
@@ -242,3 +260,17 @@ def test_minimal_command_line_parses_to_the_pinned_defaults(command):
     if command == "trace":
         expected["out"] = "t.json"
     assert vars(build_parser().parse_args(argv)) == expected
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    sorted((c, o) for c, options in SURFACE.items() for o in options if o in POSITIVE),
+)
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_a_non_positive_number_is_a_usage_error_naming_its_option(command, option, value, capsys):
+    argv = [*MINIMAL_ARGV[command], option, value]
+    with pytest.raises(SystemExit) as exit:
+        build_parser().parse_args(argv)
+    assert exit.value.code == 2
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert f"argument {option}: expected a positive" in last

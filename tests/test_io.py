@@ -1,5 +1,6 @@
 """Tests for result serialization (repro.io)."""
 
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from repro.core.history import ThroughputResult, TrainingHistory
 from repro.experiments.config import mini_accuracy_config
 from repro.experiments.executor import SweepExecutor, _execute_payload
-from repro.io import atomic_write_text, from_jsonable, load_json, save_json, to_jsonable
+from repro.io import atomic_write_text, from_jsonable, save_json, to_jsonable
 
 
 class TestToJsonable:
@@ -51,7 +52,7 @@ class TestToJsonable:
 class TestJsonRoundtrip:
     def test_save_and_load(self, tmp_path):
         path = save_json({"x": np.float64(1.5)}, tmp_path / "out.json")
-        assert load_json(path) == {"x": 1.5}
+        assert json.loads(path.read_text()) == {"x": 1.5}
 
     def test_creates_parent_dirs(self, tmp_path):
         path = save_json([1, 2], tmp_path / "a" / "b" / "out.json")
@@ -64,7 +65,7 @@ class TestJsonRoundtrip:
         history.metadata["norms"] = {"max": float("inf"), "min": -float("inf")}
         path = save_json({"loss": float("nan"), "history": history}, tmp_path / "out.json")
         assert "NaN" not in path.read_text() and "Infinity" not in path.read_text()
-        document = load_json(path)
+        document = json.loads(path.read_text())
         assert document["loss"] is None
         assert document["history"]["train_loss"] == [1.0, None]
         assert document["history"]["metadata"]["norms"] == {"max": None, "min": None}
@@ -99,7 +100,7 @@ class TestHistoryRoundtrip:
         history.total_virtual_time = 5.0
         history.metadata["total_messages"] = 42
         path = save_json(history, tmp_path / "h.json")
-        back = from_jsonable(TrainingHistory, load_json(path))
+        back = from_jsonable(TrainingHistory, json.loads(path.read_text()))
         assert back.algorithm == "BSP"
         assert back.final_test_accuracy == pytest.approx(0.6)
         assert back.times == [0.0, 5.0]
@@ -127,7 +128,7 @@ class TestThroughputRoundtrip:
             breakdown={"compute": 0.5, "comm": 0.5},
         )
         path = save_json(result, tmp_path / "t.json")
-        back = from_jsonable(ThroughputResult, load_json(path))
+        back = from_jsonable(ThroughputResult, json.loads(path.read_text()))
         assert back.throughput == pytest.approx(500.0)
         assert back.breakdown["comm"] == 0.5
         assert back.model == "vgg16"

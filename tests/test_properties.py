@@ -21,6 +21,8 @@ from repro.sim.cluster import hierarchical_cluster, paper_cluster
 from repro.sim.engine import AllOf, Engine, Signal, Timeout
 from repro.sim.network import Network, Port
 
+from tests.conftest import densify, port_stats
+
 COMMON = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
@@ -181,7 +183,7 @@ def test_tail_delivery_is_the_lane_order(scripts, racks):
         leftovers = [
             (node.name, kind, len(box)) for node in nodes for kind, box in node._mailboxes.items()
         ]
-        return (trace, eng.now, net.port_stats(), leftovers), eng.events_processed
+        return (trace, eng.now, port_stats(net), leftovers), eng.events_processed
 
     tail, tail_events = run(lane_only=False)
     lane, lane_events = run(lane_only=True)
@@ -268,7 +270,7 @@ def test_dgc_mass_conservation(n, ratio, steps, seed):
         total += g
         sparse = comp.compress(g)
         assert sparse.nnz == min(max(1, int(round(ratio * n))), n)
-        sent += sparse.densify()
+        sent += densify(sparse)
     np.testing.assert_allclose(sent + comp.accumulation, total, atol=1e-9)
 
 
@@ -391,8 +393,7 @@ def test_flat_parameter_roundtrip(hidden, seed):
     noise = np.random.default_rng(seed + 1).normal(size=flat.size)
     model.set_flat_parameters(noise)
     assert np.array_equal(model.get_flat_parameters(), noise)
-    layout = model.parameter_layout()
-    assert layout[-1].stop == flat.size
+    assert sum(param.size for param in model.parameters()) == flat.size
 
 
 # ---------------------------------------------------------------- schedules
@@ -403,11 +404,13 @@ def test_flat_parameter_roundtrip(hidden, seed):
     total=st.floats(min_value=1.0, max_value=200.0),
 )
 def test_paper_schedule_invariants(n, base, total):
-    """Warm-up never exceeds the peak rate; rate is non-increasing
-    after warm-up; final rate is base·n·10⁻³."""
-    from repro.nn.schedules import paper_schedule
+    """The schedule the runner builds: warm-up never exceeds the peak
+    rate; rate is non-increasing after warm-up; final rate is base·n·10⁻³."""
+    from repro.core.runner import DistributedRunner
+    from repro.experiments.config import timing_config
 
-    s = paper_schedule(n, base_lr=base, total_epochs=total)
+    config = timing_config("bsp", num_workers=n, base_lr=base, epochs=total)
+    s = DistributedRunner(config).runtime.schedule
     peak = base * n
     warm_end = (5.0 / 90.0) * total
     grid = np.linspace(0, total, 97)
@@ -458,7 +461,7 @@ def test_loader_epoch_covers_every_sample(n, batch, seed):
     data = make_gaussian_blobs(num_samples=n, num_classes=4, seed=seed)
     data.x[:, 0] = np.arange(n)
     loader = BatchLoader(data, batch, rng=np.random.default_rng(seed))
-    per_epoch = loader.batches_per_epoch
+    per_epoch = n // batch
     seen = set()
     for _ in range(per_epoch):
         x, _ = loader.next_batch()
