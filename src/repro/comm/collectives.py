@@ -5,15 +5,16 @@ reduce-scatter followed by allgather (§IV-A). On a ring of N workers
 that is 2·(N−1) steps, each moving M/N bytes to the right neighbour —
 per-worker traffic ``2·M·(N−1)/N``, the bandwidth-optimal schedule.
 
-This module computes the *plan* (who sends which chunk when); the
-timed execution is :func:`repro.core.worker.ring_allreduce`, which
-pumps the plan through :class:`~repro.comm.endpoints.Node` messages so
+This module states the *plan* (who sends which chunk when); the timed
+execution is :func:`repro.core.worker.ring_allreduce`, which walks the
+same schedule through :class:`~repro.comm.endpoints.Node` messages so
 that stragglers and link contention affect it emergently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,27 +30,19 @@ def ring_neighbors(rank: int, world: int) -> tuple[int, int]:
     return ((rank - 1) % world, (rank + 1) % world)
 
 
-_SLICE_CACHE: dict[tuple[int, int], list[slice]] = {}
-
-
-def chunk_slices(total: int, world: int) -> list[slice]:
+@lru_cache(maxsize=32)
+def chunk_slices(total: int, world: int) -> tuple[slice, ...]:
     """Split ``total`` elements into ``world`` near-equal chunks.
 
-    Memoised per (total, world): every ring generator asks for the same
-    split every iteration, and the linspace dominates its setup cost.
-    The returned list is shared; callers must not mutate it.
+    Memoised per (total, world), at most 32 splits: every ring pass of a
+    run asks for the same split, and the linspace dominates its cost.
     """
-    cached = _SLICE_CACHE.get((total, world))
-    if cached is not None:
-        return cached
     if world <= 0:
         raise ValueError("world must be positive")
     if total < 0:
         raise ValueError("total must be non-negative")
-    bounds = np.linspace(0, total, world + 1).astype(int)
-    slices = [slice(int(bounds[i]), int(bounds[i + 1])) for i in range(world)]
-    _SLICE_CACHE[(total, world)] = slices
-    return slices
+    bounds = np.linspace(0, total, world + 1).astype(int).tolist()
+    return tuple(slice(bounds[i], bounds[i + 1]) for i in range(world))
 
 
 @dataclass(frozen=True)
@@ -67,9 +60,6 @@ class RingStep:
     reduce: bool
 
 
-_PLAN_CACHE: dict[tuple[int, int], list[RingStep]] = {}
-
-
 def ring_allreduce_plan(rank: int, world: int) -> list[RingStep]:
     """The 2·(N−1)-step ring AllReduce schedule for ``rank``.
 
@@ -79,20 +69,16 @@ def ring_allreduce_plan(rank: int, world: int) -> list[RingStep]:
     chunk ``(rank + 1) mod N``. The allgather half then circulates the
     reduced chunks.
 
-    Plans are memoised per (rank, world) — AR-SGD rebuilds the schedule
-    every iteration, and the plan is pure in its arguments. The returned
-    list is shared; callers must not mutate it.
+    This is the schedule's specification: :func:`repro.core.worker.ring_allreduce`
+    computes each step as it goes instead of holding a plan per rank,
+    and the tests check the two agree.
     """
     if world <= 0:
         raise ValueError("world must be positive")
     if not 0 <= rank < world:
         raise ValueError("rank out of range")
-    cached = _PLAN_CACHE.get((rank, world))
-    if cached is not None:
-        return cached
     plan: list[RingStep] = []
     if world == 1:
-        _PLAN_CACHE[(rank, world)] = plan
         return plan
     for s in range(world - 1):
         plan.append(
@@ -112,5 +98,4 @@ def ring_allreduce_plan(rank: int, world: int) -> list[RingStep]:
                 reduce=False,
             )
         )
-    _PLAN_CACHE[(rank, world)] = plan
     return plan

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Any, Callable, Generator
 
 import numpy as np
 
-from repro.comm.collectives import chunk_slices, ring_allreduce_plan, ring_neighbors
+from repro.comm.collectives import chunk_slices, ring_neighbors
 from repro.nn.module import Module
 from repro.nn.optim import FlatSGD, weight_decay_mask
 from repro.optimizations.sharding import gather_ranges, scatter_ranges
@@ -378,7 +378,6 @@ def ring_allreduce(
     right_node = rt.workers[ring[right]].node
     slices = chunk_slices(num_elements, world)
     bpp = rt.sharding.bytes_per_param
-    sizes = [max((s.stop - s.start) * bpp, 1) for s in slices]
     # 2·(N−1) yields per call: hoist every per-step lookup out of the
     # loop and reuse the waitables (a Get and the cached per-size reduce
     # Timeouts are stateless between yields).
@@ -390,29 +389,34 @@ def ring_allreduce(
     # moves interchangeable byte counts: nothing to order, no tag.
     ordered = buf is not None
     early: dict[int, Any] = {}
-    for step in ring_allreduce_plan(rank, world):
+    # The plan's step t sends chunk (rank − t) mod N in both halves (the
+    # allgather starts from rank + 1, where the reduce-scatter ends) and
+    # receives the chunk before it: one int and the step are the schedule.
+    reduce_steps = world - 1
+    chunk = rank
+    for step in range(2 * reduce_steps):
+        send_slice = slices[chunk]
+        chunk = (chunk - 1) % world  # received at this step, sent at the next
         send(
             right_node,
             kind,
-            nbytes=sizes[step.send_chunk],
-            payload=buf[slices[step.send_chunk]].copy() if ordered else None,
-            meta={"step": step.step} if ordered else None,
+            nbytes=(send_slice.stop - send_slice.start) * bpp or 1,
+            payload=buf[send_slice].copy() if ordered else None,
+            meta={"step": step} if ordered else None,
             trace_worker=wid,
         )
         if ordered:
-            msg = yield from recv_step(get_msg, early, step.step)
+            msg = yield from recv_step(get_msg, early, step)
         else:
             msg = yield get_msg
-        if step.reduce:
+        if step < reduce_steps:
             # Reduction arithmetic on the received chunk (worker-side
             # vector add, faster than the PS software path).
             yield reduce_timeout(msg.nbytes)
-        if ordered:
-            recv_slice = slices[step.recv_chunk]
-            if step.reduce:
-                buf[recv_slice] += msg.payload
-            else:
-                buf[recv_slice] = msg.payload
+            if ordered:
+                buf[slices[chunk]] += msg.payload
+        elif ordered:
+            buf[slices[chunk]] = msg.payload
     return buf
 
 

@@ -19,7 +19,7 @@ distinguishes the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,14 +51,23 @@ class CommModel:
     def __post_init__(self) -> None:
         # Per-(kind, nbytes) result cache: runs call these with a
         # handful of distinct message sizes, millions of times. A plain
-        # dict (not a dataclass field) so fingerprints, equality and
-        # pickling are untouched.
+        # dict (not a dataclass field) so fingerprints and equality are
+        # untouched; __getstate__ keeps it out of pickles.
         self._cache: dict[tuple[str, int], float] = {}
         # Shared Timeout objects for the two per-message yield sites
         # (ring reduce steps, PS aggregation). A Timeout is immutable
         # once built, so yielding the same instance repeatedly is safe
         # and skips an allocation per message.
         self._timeout_cache: dict[tuple[str, int], Timeout] = {}
+
+    def __getstate__(self) -> dict[str, float]:
+        # The fields alone: a config pickles to the same bytes before
+        # and after a run, and a pool worker starts with empty caches.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state: dict[str, float]) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
 
     def agg_time(self, nbytes: int) -> float:
         key = ("agg", nbytes)

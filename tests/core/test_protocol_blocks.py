@@ -9,7 +9,8 @@ building blocks") against reference copies of the loops they replaced.
   completion per message — kept here; SSP's per-port completions must
   give the same schedule in fewer events, GoSGD's push in no more;
 * the ring pass: the old 2·(N−1)-step loop kept here; every member of
-  every ring must end with the same bits;
+  every ring must end with the same bits, and every rank of worlds 1–64
+  read its plan's chunks in order;
 * the ring allgather: AR-SGD's old sparse (DGC) and dense (robust)
   loops kept here, swapped in under clean, flaky and crashed runs;
 * the entry-mean fold: BSP's old leader and rack-aggregator loops kept
@@ -29,7 +30,7 @@ import pytest
 from repro.comm.collectives import chunk_slices, ring_allreduce_plan, ring_neighbors
 from repro.comm.endpoints import Node
 from repro.comm.messages import Message
-from repro.core import arsgd, asp, bsp, easgd, ssp
+from repro.core import arsgd, asp, bsp, easgd, ssp, worker
 from repro.core.runner import DistributedRunner
 from repro.core.worker import (
     _entry_payload_and_bytes,
@@ -286,19 +287,51 @@ def new_ring(rt, slot, ring, kind, vec, num_elements, out):
     out[slot.wid] = yield from ring_allreduce(rt, slot, ring, kind, vec, num_elements)
 
 
-def run_ring(body, ring, inputs, num_elements):
+class ChunkLog(tuple):
+    """A chunk split that appends the index of every chunk read to ``log``."""
+
+    def __new__(cls, slices, log):
+        split = super().__new__(cls, slices)
+        split.log = log
+        return split
+
+    def __getitem__(self, index):
+        self.log.append(index)
+        return super().__getitem__(index)
+
+
+def run_ring(body, ring, inputs, num_elements, chunks=None):
     """Run ``body`` on every member of ``ring`` inside an otherwise idle
-    8-worker runtime; returns (results by wid, messages sent by wid, clock)."""
-    runner = DistributedRunner(small_timing_config("gosgd"))
+    runtime of at least 8 workers; returns (results by wid, messages sent
+    by wid, clock). With ``chunks``, ``ring_allreduce``'s chunk split
+    records into ``chunks[wid]`` the index of every chunk it reads."""
+    workers = max(8, max(ring) + 1)
+    cluster = paper_cluster(bandwidth_gbps=10, machines=-(-workers // 4), gpus_per_machine=4)
+    runner = DistributedRunner(
+        small_timing_config("gosgd", num_workers=workers, cluster=cluster)
+    )
     rt = runner.runtime
     rt.stopping = True  # the algorithm's own workers leave at their first step
     out = {}
-    for wid in ring:
-        vec = None if inputs is None else inputs[wid].copy()
-        rt.engine.spawn(
-            body(rt, rt.workers[wid], ring, "test-ring", vec, num_elements, out), f"ring-w{wid}"
-        )
-    rt.engine.run()
+    started = []
+
+    def logging_split(total, world):
+        # A body asks for its split before its first yield: the worker
+        # started last is the one asking.
+        return ChunkLog(chunk_slices(total, world), chunks.setdefault(started[-1], []))
+
+    def start(wid, process):
+        started.append(wid)
+        return (yield from process)
+
+    with pytest.MonkeyPatch.context() as patch:
+        if chunks is not None:
+            patch.setattr(worker, "chunk_slices", logging_split)
+        for wid in ring:
+            vec = None if inputs is None else inputs[wid].copy()
+            process = body(rt, rt.workers[wid], ring, "test-ring", vec, num_elements, out)
+            rt.engine.spawn(start(wid, process), f"ring-w{wid}")
+        rt.engine.run()
     return out, {w: rt.workers[w].node.sent_messages for w in ring}, rt.engine.now
 
 
@@ -337,6 +370,35 @@ def test_ring_allreduce_timing_mode_moves_the_same_bytes(ring):
     new, new_sent, new_clock = run_ring(new_ring, ring, None, 1003)
     old, old_sent, old_clock = run_ring(reference_ring, ring, None, 1003)
     assert new == old == {w: None for w in ring}
+    assert new_sent == old_sent and new_clock == old_clock
+
+
+@pytest.mark.parametrize("mode", ["timing", "full"])
+@pytest.mark.parametrize("world", range(1, 65))
+def test_every_rank_reads_the_plans_chunks(world, mode):
+    """``ring_allreduce`` computes its schedule step by step; every rank
+    must send, and in full mode receive, the chunks of its
+    ``ring_allreduce_plan`` in order, and end where the old loop does."""
+    ring = list(range(world))
+    n = 1003
+    inputs = None
+    if mode == "full":
+        rng = np.random.default_rng(world)
+        inputs = {wid: rng.normal(size=n) for wid in ring}
+    chunks = {}
+    new, new_sent, new_clock = run_ring(new_ring, ring, inputs, n, chunks)
+    old, old_sent, old_clock = run_ring(reference_ring, ring, inputs, n)
+    expected = {}
+    for rank in ring:
+        plan = ring_allreduce_plan(rank, world)
+        if mode == "full":
+            expected[rank] = [c for step in plan for c in (step.send_chunk, step.recv_chunk)]
+        else:
+            expected[rank] = [step.send_chunk for step in plan]
+    assert chunks == (expected if world > 1 else {})  # a ring of one reads no split
+    assert {w: None if v is None else v.tobytes() for w, v in new.items()} == {
+        w: None if v is None else v.tobytes() for w, v in old.items()
+    }
     assert new_sent == old_sent and new_clock == old_clock
 
 

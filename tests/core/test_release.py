@@ -1,8 +1,9 @@
 """A run releases what it built (DESIGN §10): after ``run()`` nothing is
-left for the cycle collector, the post-run inspection surface still
-reads, timing runs share their interned plans, a run imports only the
-modules its config executes (no production path loads networkx or
-scipy), and every package resolves its public names on first use."""
+left for the cycle collector, a ring run holds O(N) memory, the
+post-run inspection surface still reads, timing runs share their
+interned plans, a run imports only the modules its config executes (no
+production path loads networkx or scipy), and every package resolves
+its public names on first use."""
 
 import ast
 import dataclasses
@@ -10,11 +11,13 @@ import gc
 import importlib
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from repro.core.runner import DistributedRunner, timing_plans
+from repro.experiments.config import timing_config
 from repro.faults.config import FaultConfig, FaultEvent
 from repro.obs.config import ObsConfig
 from repro.robust.config import RobustConfig
@@ -128,6 +131,39 @@ class TestNoCyclicGarbage:
             return runner
 
         assert unreachable_after(broken, raises=True) == 0
+
+
+class TestRingRunsHoldNothing:
+    def test_a_ring_run_retains_and_peaks_at_o_of_n(self):
+        """A ring AllReduce run keeps O(1) state per collective: nothing
+        it builds outlives it, and its peak does not grow with N²."""
+
+        def ring_config(n):
+            return timing_config(
+                "ar-sgd",
+                num_workers=n,
+                bandwidth_gbps=56.0,
+                cluster=hierarchical_cluster(
+                    machines=n // 4, machines_per_rack=16, oversubscription=4.0,
+                    bandwidth_gbps=56.0,
+                ),
+                collective="ring",
+                measure_iters=1,
+                warmup_iters=1,
+            )
+
+        DistributedRunner(ring_config(96)).run()  # lazy imports and interned plans
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            DistributedRunner(ring_config(128)).run()
+            gc.collect()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (retained - start) / 1e6 < 0.5
+        assert (peak - start) / 1e6 < 2.5
 
 
 class TestStallNamesLiveProcesses:

@@ -1,11 +1,17 @@
 """Tests for compute/communication cost models."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.core.runner import DistributedRunner
+from repro.experiments.config import timing_config
 from repro.nn.zoo import resnet50_profile, vgg16_profile
 from repro.sim.cluster import TITAN_V
 from repro.sim.costmodel import CommModel, ComputeModel
+
+from tests.sim.test_engine_pins import result_digest
 
 
 class TestComputeModel:
@@ -86,3 +92,17 @@ class TestCommModel:
         cm = CommModel(agg_seconds_per_byte=1e-9, per_message_overhead_s=1e-5)
         assert cm.agg_time(0) == pytest.approx(1e-5)
         assert cm.agg_time(10**9) == pytest.approx(1.0 + 1e-5)
+
+    @pytest.mark.parametrize("algorithm", ["asp", "ar-sgd"])
+    def test_a_run_leaves_the_configs_pickle_alone(self, algorithm):
+        """The per-size caches a run fills are not pickled: a config
+        ships to a pool worker at its own size, run or not."""
+        cfg = timing_config(algorithm, num_workers=24, wait_free_bp=True, measure_iters=2)
+        before = pickle.dumps(cfg)
+        digest = result_digest(DistributedRunner(cfg).run())
+        assert cfg.comm_model._timeout_cache  # the run filled them
+        assert pickle.dumps(cfg) == before
+        loaded = pickle.loads(before)
+        assert loaded.comm_model._cache == loaded.comm_model._timeout_cache == {}
+        assert loaded == cfg
+        assert result_digest(DistributedRunner(loaded).run()) == digest

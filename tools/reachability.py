@@ -60,6 +60,9 @@ ALLOWLIST = {
     "make_gaussian_blobs",
     # README's recipe for writing a --fault-spec file.
     "FaultConfig.save",
+    # The ring AllReduce schedule's statement: core.worker.ring_allreduce
+    # computes it step by step, and tests/ check the two agree.
+    "ring_allreduce_plan",
 }
 
 
