@@ -12,9 +12,7 @@ Two views of where iteration time goes coexist in the codebase:
 :func:`fig3_crosscheck` compares them. They answer related but
 different questions (a worker's comm that is hidden behind another
 worker's compute inflates the model but not the path), so agreement is
-checked within a tolerance rather than exactly; the *exact* half of
-the validation — analyzer span ingestion vs. tracer totals — lives in
-:func:`repro.obs.spans.span_breakdown`.
+checked within a tolerance rather than exactly.
 """
 
 from __future__ import annotations

@@ -107,46 +107,6 @@ class Node:
             self._mailboxes[kind] = box
         return box
 
-    def send(
-        self,
-        dst: "Node",
-        kind: str,
-        *,
-        nbytes: int,
-        payload: Any = None,
-        meta: dict[str, Any] | None = None,
-        trace_worker: int | None = None,
-        oob: bool = False,
-    ) -> Signal:
-        """:meth:`send_nowait` that returns a delivery signal.
-
-        The delivery callback deposits the message and then fires the
-        signal, whose waiters run inline: a process parked on it resumes
-        after the deposit and before the mailbox's getter (DESIGN §8).
-        """
-        ctx = self.ctx
-        msg = Message(
-            self.node_id,
-            dst.node_id,
-            kind,
-            nbytes,
-            payload,
-            meta if meta is not None else _EMPTY_META,
-            ctx.engine.now,
-        )
-        self.sent_messages += 1
-        self.sent_bytes += nbytes
-        done = Signal()
-        ctx.network.transfer_cb(
-            self.machine,
-            dst.machine,
-            nbytes,
-            self._deliver_and_fire,
-            (msg, ctx.epoch, dst, trace_worker, done),
-            oob=oob,
-        )
-        return done
-
     def send_nowait(
         self,
         dst: "Node",
@@ -157,7 +117,6 @@ class Node:
         meta: dict[str, Any] | None = None,
         trace_worker: int | None = None,
         tx_done: Signal | None = None,
-        oob: bool = False,
     ) -> None:
         """Transmit a message; it lands in ``dst.mailbox(kind)`` when the
         simulated transfer completes.
@@ -187,26 +146,17 @@ class Node:
             dst.machine,
             nbytes,
             self._deliver,
-            (None, msg, ctx.epoch, dst, trace_worker, True),
+            (msg, ctx.epoch, dst, trace_worker),
             tx_done=tx_done,
-            oob=oob,
         )
 
     def _deliver(
-        self,
-        _value: Any,
-        msg: Message,
-        epoch: int,
-        dst: "Node",
-        trace_worker: int | None,
-        tail: bool = False,
+        self, msg: Message, epoch: int, dst: "Node", trace_worker: int | None
     ) -> None:
         """Land ``msg`` in the destination mailbox (delivery callback).
 
-        ``tail`` is set on the :meth:`send_nowait` path, where this
-        callback is the whole event and the put its last act (see
-        :meth:`Store.put`). On the :meth:`send` path the signal fires
-        after it, so the put is not a tail.
+        The callback is the whole event and the put its last act, so
+        the put is a tail (see :meth:`Store.put`).
         """
         ctx = self.ctx
         if ctx.epoch != epoch:
@@ -227,13 +177,7 @@ class Node:
                 src_node=self.node_id,
                 dst_node=dst.node_id,
             )
-        dst.mailbox(msg.kind).put(msg, tail)
-
-    def _deliver_and_fire(
-        self, msg: Message, epoch: int, dst: "Node", trace_worker: int | None, done: Signal
-    ) -> None:
-        self._deliver(None, msg, epoch, dst, trace_worker)
-        done.trigger(None)
+        dst.mailbox(msg.kind).put(msg, True)
 
     def recv(self, kind: str) -> Get:
         """Yieldable: next message of ``kind`` (FIFO)."""

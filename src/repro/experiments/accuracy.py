@@ -143,7 +143,16 @@ ARTEFACTS = {
         claims=TABLE2_CLAIMS,
         **_TABLE2,
     ),
-    "fig1": Artefact("fig1", draw=fig1_chart, claims=FIG1_CLAIMS, **_TABLE2),
+    "fig1": Artefact(
+        "fig1",
+        draw=fig1_chart,
+        title="Fig 1 — final accuracy, {num_workers} workers, {epochs:g} epochs, {seeds} seeds",
+        rows=("algorithm",),
+        headers=("algorithm", "measured top-1 (mini)"),
+        labels={"algorithm": str.upper},
+        claims=FIG1_CLAIMS,
+        **_TABLE2,
+    ),
     "table4": Artefact(
         "table4",
         title="Table IV — effect of DGC on model accuracy",

@@ -257,16 +257,22 @@ def run_artefact(
     return table
 
 
+def _spread(table: Table) -> bool:
+    """Whether cells print ``median [min–max]`` over the seeds: an
+    accuracy artefact run at more than one seed."""
+    return table.artefact.metric is final_accuracy and len(table.seeds) > 1
+
+
 def render(table: Table) -> str:
-    """The artefact as text: one table per split-axis value (or its
-    chart), its notes, then ``holds k/S`` per claim (of the S seeds
-    that measured it)."""
+    """The artefact as text: its chart, one table per split-axis value
+    (a chart's table only when cells print a seed spread), its notes,
+    then ``holds k/S`` per claim (of the S seeds that measured it)."""
     art = table.artefact
-    if art.draw is not None:
-        text = art.draw(table)
-    else:
+    blocks = [] if art.draw is None else [art.draw(table)]
+    if art.draw is None or _spread(table):
         splits = table.axis(art.split) if art.split else (None,)
-        text = "\n\n".join(_block(table, split) for split in splits)
+        blocks += [_block(table, split) for split in splits]
+    text = "\n\n".join(blocks)
     notes = art.notes(table) if art.notes is not None else ""
     claims = "".join(
         f"\n  {name}: holds {v.count(True)}/{len(v) - v.count(None)}"
@@ -282,6 +288,9 @@ def _block(table: Table, split: Any) -> str:
     if art.split:
         namespace[art.split] = split
     title = art.title(namespace) if callable(art.title) else art.title.format(**namespace)
+    spread = _spread(table)
+    if spread:
+        title += ", median [min–max] over seeds"
 
     def label(axis: str, value: Any) -> str:
         return art.labels.get(axis, str)(value)
@@ -296,13 +305,26 @@ def _block(table: Table, split: Any) -> str:
         line += art.lead(table, bound) if art.lead is not None else []
         cells = [{**bound, art.columns: c} for c in columns]
         for cell in cells:
-            value = table.value(*(cell[name] for name in art.axes))
+            key = tuple(cell[name] for name in art.axes)
+            if spread:
+                line.append(_median_range(table.values[key], art.float_format))
+                continue
+            value = table.value(*key)
             line += value.values() if isinstance(value, Mapping) else [value]
         if art.paper_headers:
             papers = (art.paper(cell) for cell in cells)
             line += [float("nan") if p is None else p for p in papers]
         rows.append(line)
     return format_table(headers, rows, title=title, float_format=art.float_format)
+
+
+def _median_range(values: list, float_format: str) -> str:
+    """``median [min–max]`` of the seeds that ran; nan where none did."""
+    ran = [v for v in values if v is not None]
+    if not ran:
+        return float_format.format(float("nan"))
+    low, mid, high = (float_format.format(v) for v in (min(ran), np.median(ran), max(ran)))
+    return f"{mid} [{low}–{high}]"
 
 
 def recovery_notes(heading: str, source: str, widths: tuple[int, int]) -> Callable[[Table], str]:

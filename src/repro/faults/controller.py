@@ -596,13 +596,11 @@ class FaultController:
         else:
             src_node = rt.workers[self.membership.live_sorted()[0]].node
         slot = rt.workers[wid]
-        done = src_node.send(
-            slot.node, "snapshot", nbytes=snapshot.nbytes, payload=snapshot.params
-        )
-        yield done
+        src_node.sent_messages += 1
+        src_node.sent_bytes += snapshot.nbytes
+        yield rt.ctx.network.transfer(src_node.machine, slot.machine, snapshot.nbytes)
         if rt.stopping:
             return
-        slot.node.flush("snapshot")
         restore_snapshot(rt, slot, snapshot)
         self.dead.discard(wid)
         self.membership.join(wid)

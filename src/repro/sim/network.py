@@ -10,7 +10,9 @@ from machine ``a`` to machine ``b``:
 2. propagates for the network latency,
 3. serialises on ``b``'s rx port from first-bit arrival (FIFO behind
    earlier arrivals — *this queue is the PS bottleneck*),
-4. is delivered.
+4. is delivered when both its last bit has reached ``b`` and
+   ``B / tx_rate`` has passed since its first, so a degraded sender
+   bounds the flow as a degraded receiver does.
 
 End-to-end uncontended time is ``latency + B/rate`` (no
 double-counting of serialisation). Contention at senders, receivers,
@@ -207,7 +209,6 @@ class Network:
         nbytes: int,
         *,
         tx_done: Signal | None = None,
-        oob: bool = False,
     ) -> Signal:
         """Start a transfer now; returns a signal triggered at delivery.
 
@@ -222,8 +223,7 @@ class Network:
             raise ValueError("nbytes must be non-negative")
         done = Signal()
         self.transfer_cb(
-            src_machine, dst_machine, nbytes, done.trigger, (None,),
-            tx_done=tx_done, oob=oob,
+            src_machine, dst_machine, nbytes, done.trigger, (None,), tx_done=tx_done
         )
         return done
 
@@ -236,7 +236,6 @@ class Network:
         args: tuple,
         *,
         tx_done: Signal | None = None,
-        oob: bool = False,
     ) -> None:
         """Start a transfer now; ``fn(*args)`` runs at delivery time.
 
@@ -244,14 +243,9 @@ class Network:
         still pay latency (control messages). ``tx_done``, if given, is
         triggered when the sender's port has finished serialising the
         message — the point at which a blocking MPI-style send returns;
-        its waiters wake on the zero-delay lane.
-
-        ``oob`` marks an out-of-band control-plane message (heartbeats):
-        it travels the management network, so it pays latency but never
-        queues behind data-plane traffic on the NIC ports. Partitions
-        and outages still apply — the management network of a partitioned
-        machine is unreachable too, which is exactly what lets the
-        failure detector notice.
+        its waiters wake on the zero-delay lane. A message lands when
+        its last byte has left the sender and reached the receiver: a
+        slow sender gates delivery as much as a slow receiver.
 
         Caller contract (internal fast path; :meth:`transfer` checks):
         machines are valid node placements and ``nbytes >= 0``.
@@ -263,23 +257,6 @@ class Network:
         fault_model = self.fault_model
         if fault_model is not None and now >= fault_model.armed_until:
             fault_model = None  # no fault window can touch this message
-
-        if oob:
-            if src_machine == dst_machine:
-                delay = self._intra_latency
-            else:
-                delay = self._latency
-                if self._hier and src_machine // self._mpr != dst_machine // self._mpr:
-                    delay += self._spine_latency
-                if fault_model is not None:
-                    rto = 2.0 * self._latency
-                    delay += fault_model.delivery_delay(
-                        src_machine, dst_machine, nbytes, now, rto
-                    )
-            if tx_done is not None:
-                tx_done.trigger(None, engine)
-            engine._at(delay, fn, args)
-            return
 
         if src_machine == dst_machine:
             bus = self.intra[src_machine]
@@ -316,7 +293,7 @@ class Network:
         engine._at(
             start_tx + self._latency + extra - now,
             self._on_rx,
-            (dst_machine, nbytes, fn, args),
+            (dst_machine, nbytes, nbytes / tx.rate, fn, args),
         )
 
     # -- hierarchical inter-rack path -----------------------------------
@@ -416,26 +393,31 @@ class Network:
         delivery = end_rx if end_rx > gate else gate
         engine._at(delivery - now, fn, args)
 
-    def _on_rx(self, dst_machine: int, nbytes: int, fn, args: tuple) -> None:
+    def _on_rx(
+        self, dst_machine: int, nbytes: int, tx_time: float, fn, args: tuple
+    ) -> None:
         """First bit reached the receiver: serialise on its rx port,
-        then run the delivery callback."""
+        then run the delivery callback once the last bit has also left
+        the sender (``tx_time`` after the first)."""
         engine = self.engine
         now = engine.now
         rx = self.rx[dst_machine]
         _, end_rx = rx.reserve(now, nbytes)
         if self._obs_link_sample is not None:
             self._obs_link_sample(rx, now)
-        engine._at(end_rx - now, fn, args)
+        gate = now + tx_time
+        engine._at((end_rx if end_rx > gate else gate) - now, fn, args)
 
     def oob_delay(self, src_machine: int, dst_machine: int, nbytes: int) -> float:
         """Charge an out-of-band message and return its delivery delay.
 
-        The control-plane fast path: identical wire accounting, latency
-        and fault-window behaviour to ``transfer(..., oob=True)``, but
-        the caller schedules the delivery itself instead of receiving a
-        Signal — one queue event per message instead of a signal-trigger
-        chain. Heartbeats use this; their per-message rate is what makes
-        an armed-but-idle failure detector measurable at all.
+        The control plane (heartbeats): the message travels the
+        management network, so it pays latency but never queues behind
+        data-plane traffic on the NIC ports. Partitions and outages
+        still apply — the management network of a partitioned machine is
+        unreachable too, which is what lets the failure detector notice.
+        The caller schedules the delivery itself: one queue event per
+        message, which keeps an armed-but-idle detector cheap.
         """
         self.total_bytes += nbytes
         self.total_messages += 1

@@ -32,7 +32,7 @@ class TestNode:
         ctx.engine.spawn(receiver())
 
         def sender():
-            a.send(b, "data", nbytes=1000, payload=np.arange(3), meta={"k": 1})
+            a.send_nowait(b, "data", nbytes=1000, payload=np.arange(3), meta={"k": 1})
             return
             yield
 
@@ -58,8 +58,8 @@ class TestNode:
         ctx.engine.spawn(receiver())
 
         def sender():
-            a.send(b, "other", nbytes=10)
-            a.send(b, "wanted", nbytes=10)
+            a.send_nowait(b, "other", nbytes=10)
+            a.send_nowait(b, "wanted", nbytes=10)
             return
             yield
 
@@ -83,7 +83,7 @@ class TestNode:
 
         def sender():
             for i in range(5):
-                a.send(b, "seq", nbytes=1000 * (5 - i), meta={"i": i})
+                a.send_nowait(b, "seq", nbytes=1000 * (5 - i), meta={"i": i})
             return
             yield
 
@@ -97,8 +97,8 @@ class TestNode:
         b = Node(ctx, 1, 1)
 
         def sender():
-            a.send(b, "x", nbytes=100)
-            a.send(b, "x", nbytes=200)
+            a.send_nowait(b, "x", nbytes=100)
+            a.send_nowait(b, "x", nbytes=200)
             return
             yield
 
@@ -113,7 +113,7 @@ class TestNode:
         b = Node(ctx, 1, 1)
 
         def sender():
-            a.send(b, "x", nbytes=10_000_000, trace_worker=7)
+            a.send_nowait(b, "x", nbytes=10_000_000, trace_worker=7)
             return
             yield
 

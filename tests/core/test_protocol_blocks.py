@@ -118,24 +118,36 @@ def reference_send_gradient_plan(compress_early: bool = False):
     return send
 
 
+def _deposit(_value, node, msg, epoch, dst, trace_worker):
+    """``Node._deliver`` as a delivery Signal's waiter, where the put is
+    not the event's last act: the getter always takes the zero-delay
+    lane, as with the predicate forced false."""
+    engine = node.ctx.engine
+    engine._idle_now = lambda: False
+    try:
+        node._deliver(msg, epoch, dst, trace_worker)
+    finally:
+        del engine._idle_now
+
+
 def reference_send_nowait(send_nowait):
     """``Node.send_nowait`` whose blocking sends (``tx_done`` given) take
     the old ``Node.send`` path: ``Network.transfer``'s delivery Signal,
     its one waiter the deposit, which is then not a tail."""
 
     def send(self, dst, kind, *, nbytes, payload=None, meta=None, trace_worker=None,
-             tx_done=None, oob=False):
+             tx_done=None):
         if tx_done is None:
             return send_nowait(
                 self, dst, kind, nbytes=nbytes, payload=payload, meta=meta,
-                trace_worker=trace_worker, oob=oob,
+                trace_worker=trace_worker,
             )
         ctx = self.ctx
         msg = Message(self.node_id, dst.node_id, kind, nbytes, payload, meta or {}, ctx.engine.now)
         self.sent_messages += 1
         self.sent_bytes += nbytes
-        done = ctx.network.transfer(self.machine, dst.machine, nbytes, tx_done=tx_done, oob=oob)
-        done._waiters.append((self._deliver, (msg, ctx.epoch, dst, trace_worker)))
+        done = ctx.network.transfer(self.machine, dst.machine, nbytes, tx_done=tx_done)
+        done._waiters.append((_deposit, (self, msg, ctx.epoch, dst, trace_worker)))
 
     return send
 
@@ -156,9 +168,9 @@ def observe(cfg, monkeypatch, swaps=()):
     log = []
     deliver = Node._deliver
 
-    def logged(self, value, msg, epoch, dst, trace_worker, tail=False):
+    def logged(self, msg, epoch, dst, trace_worker):
         log.append((self.ctx.engine.now, msg.src, msg.dst, msg.kind, msg.nbytes, msg.send_time))
-        deliver(self, value, msg, epoch, dst, trace_worker, tail)
+        deliver(self, msg, epoch, dst, trace_worker)
 
     with monkeypatch.context() as patch:
         patch.setattr(Node, "_deliver", logged)
@@ -948,10 +960,10 @@ def test_asp_worker_and_shard_agree_on_reply_granularity(wait_free, dgc, robust)
     replies = []
     deliver = Node._deliver
 
-    def counted(self, value, msg, epoch, dst, trace_worker, tail=False):
+    def counted(self, msg, epoch, dst, trace_worker):
         if msg.kind == "reply":
             replies.append(msg.meta.get("entry"))
-        deliver(self, value, msg, epoch, dst, trace_worker, tail)
+        deliver(self, msg, epoch, dst, trace_worker)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Node, "_deliver", counted)

@@ -118,10 +118,10 @@ def test_a_pull_waits_on_one_reply_per_active_shard(monkeypatch):
     replies: Counter = Counter()
     deliver = Node._deliver
 
-    def counted(self, value, msg, epoch, dst, trace_worker, tail=False):
+    def counted(self, msg, epoch, dst, trace_worker):
         if msg.kind == "reply":
             replies[msg.meta["shard"]] += 1
-        deliver(self, value, msg, epoch, dst, trace_worker, tail)
+        deliver(self, msg, epoch, dst, trace_worker)
 
     monkeypatch.setattr(Node, "_deliver", counted)
     cfg = dataclasses.replace(

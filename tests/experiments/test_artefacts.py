@@ -143,8 +143,9 @@ def test_submits_the_drivers_grid(key):
 
 
 def test_every_seed_is_kept(tmp_path, capsys, monkeypatch):
-    """The table prints the mean the drivers printed and ``--output``
-    keeps each seed's value per cell."""
+    """The table prints each cell's median [min–max] (of two seeds the
+    median is the mean the drivers printed) and ``--output`` keeps each
+    seed's value per cell."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     out = tmp_path / "table2.json"
     argv = ["run", "table2", "--seeds", "0,1", "--epochs", "0.2", "--workers", "4"]
@@ -157,6 +158,37 @@ def test_every_seed_is_kept(tmp_path, capsys, monkeypatch):
     for cell in record["cells"]:
         assert len(cell["values"]) == 2
         assert cell["paper"] is not None
+
+
+#: seed -> a stub run's final accuracy: the median (0.62) is not the mean
+SEED_ACCURACY = {0: 0.70, 1: 0.60, 2: 0.62}
+
+
+class _Accuracies:
+    """Runs nothing: each config's result is a one-evaluation history
+    whose accuracy is its seed's."""
+
+    def map(self, configs):
+        return [
+            SimpleNamespace(
+                final_test_accuracy=SEED_ACCURACY[cfg.seed], epochs=[0.0, 1.0], times=[0.0, 1.0],
+                error_curve=lambda seed=cfg.seed: [1.0, 1.0 - SEED_ACCURACY[seed]],
+                total_iterations=10, total_virtual_time=1.0,
+            )
+            for cfg in configs
+        ]
+
+
+@pytest.mark.parametrize("name", ["table2", "table3", "table4", "fig1"])
+def test_accuracy_cells_print_median_and_range_over_seeds(name):
+    shape = {k: v for k, v in TINY[name][1].items() if k != "seeds"}
+    table = run_artefact(artefact(name), seeds=(0, 1, 2), executor=_Accuracies(), **shape)
+    text = render(table)
+    cells = len(table.values)
+    assert text.count("0.6200 [0.6000–0.7000]") == cells
+    assert "median [min–max] over seeds" in text
+    if name == "fig1":
+        assert text.startswith("Fig 1(a)")  # the chart, then the table
 
 
 # -- a degraded sweep: failed seeds contribute no value -------------------

@@ -22,13 +22,26 @@ def make_net(bw=10, machines=3):
     return eng, spec, Network(eng, spec)
 
 
-def run_transfer(eng, net, src, dst, nbytes, start=0.0, oob=False):
+def run_transfer(eng, net, src, dst, nbytes, start=0.0):
     done_at = []
 
     def proc():
         if start:
             yield Timeout(start)
-        yield net.transfer(src, dst, nbytes, oob=oob)
+        yield net.transfer(src, dst, nbytes)
+        done_at.append(eng.now)
+
+    eng.spawn(proc())
+    eng.run()
+    return done_at[0]
+
+
+def run_oob(eng, net, src, dst, nbytes):
+    """Arrival time of a control-plane message sent at time 0."""
+    done_at = []
+
+    def proc():
+        yield Timeout(net.oob_delay(src, dst, nbytes))
         done_at.append(eng.now)
 
     eng.spawn(proc())
@@ -45,9 +58,19 @@ class TestLinkDegrade:
         expected = spec.network_latency_s + nbytes / (spec.network_bytes_per_s * 0.25)
         assert t == pytest.approx(expected)
 
+    def test_degraded_tx_gates_a_lone_message(self):
+        """A message lands only once its last bit has left a degraded
+        sender, even when the receiver's port is at full rate."""
+        eng, spec, net = make_net(machines=2)
+        net.scale_machine_rate(0, 0.1)
+        nbytes = 10_000_000
+        t = run_transfer(eng, net, 0, 1, nbytes)
+        last_bit_leaves = nbytes / (spec.network_bytes_per_s * 0.1)
+        assert t == pytest.approx(spec.network_latency_s + last_bit_leaves)
+        assert t > last_bit_leaves
+
     def test_degraded_tx_throttles_sustained_sends(self):
-        """A lone message's delivery is gated by the receiver, but
-        back-to-back sends queue behind the degraded tx port."""
+        """Back-to-back sends queue behind the degraded tx port."""
         eng, spec, net = make_net()
         net.scale_machine_rate(0, 0.25)
         nbytes = 10_000_000
@@ -177,7 +200,7 @@ class TestOutOfBand:
 
         def heartbeat():
             yield Timeout(0.001)
-            yield net.transfer(0, 1, 32, oob=True)
+            yield Timeout(net.oob_delay(0, 1, 32))
             arrivals["hb"] = eng.now
 
         eng.spawn(bulk())
@@ -193,12 +216,12 @@ class TestOutOfBand:
         model = LinkFaultModel(np.random.default_rng(0))
         model.partition(1, until=0.5)
         net.fault_model = model
-        t = run_transfer(eng, net, 0, 1, 32, oob=True)
+        t = run_oob(eng, net, 0, 1, 32)
         assert t > 0.5
 
     def test_oob_intra_machine_pays_bus_latency_only(self):
         eng, spec, net = make_net()
-        t = run_transfer(eng, net, 1, 1, 32, oob=True)
+        t = run_oob(eng, net, 1, 1, 32)
         assert t == pytest.approx(spec.machine.intra_latency_s)
 
 

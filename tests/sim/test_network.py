@@ -137,7 +137,7 @@ class TestNetworkTransfer:
 # -- tx_done on the one state machine ----------------------------------------
 
 
-def reference_transfer(net, src, dst, nbytes, tx_done=None, oob=False):
+def reference_transfer(net, src, dst, nbytes, tx_done=None):
     """``Network.transfer`` as its own state machine, before it wrapped
     ``transfer_cb`` (fault-free): a delivery Signal, ``tx_done`` pushed
     right after the sender's port reservation."""
@@ -146,17 +146,6 @@ def reference_transfer(net, src, dst, nbytes, tx_done=None, oob=False):
     done = Signal()
     net.total_bytes += nbytes
     net.total_messages += 1
-    if oob:
-        if src == dst:
-            delay = net._intra_latency
-        else:
-            delay = net._latency
-            if net._hier and src // net._mpr != dst // net._mpr:
-                delay += net._spine_latency
-        if tx_done is not None:
-            tx_done.trigger(None, engine)
-        engine._at(delay, done.trigger, (None,))
-        return done
     if src == dst:
         _, end = net.intra[src].reserve(now, nbytes)
         if tx_done is not None:
@@ -169,53 +158,69 @@ def reference_transfer(net, src, dst, nbytes, tx_done=None, oob=False):
     start_tx, end_tx = net.tx[src].reserve(now, nbytes)
     if tx_done is not None:
         engine._at(end_tx - now, tx_done.trigger, (None, engine))
-    engine._at(start_tx + net._latency - now, _reference_arrival, (net, dst, nbytes, done))
+    tx_time = nbytes / net.tx[src].rate
+    engine._at(start_tx + net._latency - now, _reference_arrival, (net, dst, nbytes, tx_time, done))
     return done
 
 
-def _reference_arrival(net, dst, nbytes, done):
+def _reference_arrival(net, dst, nbytes, tx_time, done):
+    """Serialise on the receiver's port; land once the last bit has
+    also left the sender (``tx_time`` after the first bit arrived)."""
     now = net.engine.now
     _, end_rx = net.rx[dst].reserve(now, nbytes)
-    net.engine._at(end_rx - now, done.trigger, (None,))
+    net.engine._at(max(end_rx, now + tx_time) - now, done.trigger, (None,))
 
 
-def _callback_send(net, src, dst, nbytes, tx, oob, record, i):
-    net.transfer_cb(src, dst, nbytes, record, (None, "rx", i), tx_done=tx, oob=oob)
+def reference_oob_delay(net, src, dst, nbytes):
+    """The control plane, fault-free: charged on the network's totals,
+    latency only, never a port."""
+    net.total_bytes += nbytes
+    net.total_messages += 1
+    if src == dst:
+        return net._intra_latency
+    if net._hier and src // net._mpr != dst // net._mpr:
+        return net._latency + net._spine_latency
+    return net._latency
 
 
-def _signal_send(net, src, dst, nbytes, tx, oob, record, i):
-    net.transfer(src, dst, nbytes, tx_done=tx, oob=oob)._waiters.append((record, ("rx", i)))
+def _callback_send(net, src, dst, nbytes, tx, record, i):
+    net.transfer_cb(src, dst, nbytes, record, (None, "rx", i), tx_done=tx)
 
 
-def _reference_send(net, src, dst, nbytes, tx, oob, record, i):
-    reference_transfer(net, src, dst, nbytes, tx, oob)._waiters.append((record, ("rx", i)))
+def _signal_send(net, src, dst, nbytes, tx, record, i):
+    net.transfer(src, dst, nbytes, tx_done=tx)._waiters.append((record, ("rx", i)))
+
+
+def _reference_send(net, src, dst, nbytes, tx, record, i):
+    reference_transfer(net, src, dst, nbytes, tx)._waiters.append((record, ("rx", i)))
 
 
 FLAT = paper_cluster(bandwidth_gbps=10, machines=3, gpus_per_machine=4)
 RACKS = hierarchical_cluster(machines=4, machines_per_rack=2)
 MB = 1_000_000
 
-# (time, "send", src, dst, nbytes, oob) or (time, "rate", machine, fraction).
+# (time, "send" or "oob", src, dst, nbytes) or (time, "rate", machine, fraction).
 SCRIPTS = {
-    "bus": (FLAT, [(0.0, "send", 1, 1, MB, False), (0.0, "send", 1, 1, MB, False),
-                   (0.0, "send", 1, 1, 0, False), (1e-4, "send", 1, 1, MB, False)]),
-    "flat": (FLAT, [(0.0, "send", 0, 1, MB, False), (0.0, "send", 0, 2, MB, False),
-                    (0.0, "send", 2, 1, MB, False), (5e-4, "send", 0, 1, 4050, False)]),
-    "inter-rack": (RACKS, [(0.0, "send", 0, 2, MB, False), (0.0, "send", 0, 1, MB, False),
-                           (0.0, "send", 1, 3, MB, False), (0.0, "send", 3, 2, 0, False)]),
-    "oob": (RACKS, [(0.0, "send", 0, 1, MB, False), (0.0, "send", 0, 1, 32, True),
-                    (0.0, "send", 0, 2, 32, True), (0.0, "send", 1, 1, 32, True)]),
-    "zero-byte": (FLAT, [(0.0, "send", 0, 1, 0, False), (0.0, "send", 0, 1, 0, False),
-                         (0.0, "send", 1, 1, 0, False), (0.0, "send", 2, 1, 0, False)]),
-    "rate-change": (FLAT, [(0.0, "send", 0, 1, MB, False), (1e-4, "rate", 0, 0.25),
-                           (1e-4, "send", 0, 2, MB, False), (2e-3, "rate", 0, 1.0),
-                           (2e-3, "send", 0, 1, MB, False)]),
+    "bus": (FLAT, [(0.0, "send", 1, 1, MB), (0.0, "send", 1, 1, MB),
+                   (0.0, "send", 1, 1, 0), (1e-4, "send", 1, 1, MB)]),
+    "flat": (FLAT, [(0.0, "send", 0, 1, MB), (0.0, "send", 0, 2, MB),
+                    (0.0, "send", 2, 1, MB), (5e-4, "send", 0, 1, 4050)]),
+    "inter-rack": (RACKS, [(0.0, "send", 0, 2, MB), (0.0, "send", 0, 1, MB),
+                           (0.0, "send", 1, 3, MB), (0.0, "send", 3, 2, 0)]),
+    "oob": (RACKS, [(0.0, "send", 0, 1, MB), (0.0, "oob", 0, 1, 32),
+                    (0.0, "oob", 0, 2, 32), (0.0, "oob", 1, 1, 32)]),
+    "zero-byte": (FLAT, [(0.0, "send", 0, 1, 0), (0.0, "send", 0, 1, 0),
+                         (0.0, "send", 1, 1, 0), (0.0, "send", 2, 1, 0)]),
+    "rate-change": (FLAT, [(0.0, "send", 0, 1, MB), (1e-4, "rate", 0, 0.25),
+                           (1e-4, "send", 0, 2, MB), (2e-3, "rate", 0, 1.0),
+                           (2e-3, "send", 0, 1, MB)]),
 }
 
 
-def replay(spec, script, send):
+def replay(spec, script, send, oob_delay=Network.oob_delay):
     """Run ``script``; returns the ordered ``(time, what, index)`` log of
-    sends, rate changes, ``tx_done`` wake-ups and deliveries."""
+    sends, rate changes, ``tx_done`` wake-ups and deliveries, then the
+    event count, the port statistics and the network's totals."""
     engine = Engine()
     net = Network(engine, spec)
     log = []
@@ -228,33 +233,38 @@ def replay(spec, script, send):
             net.scale_machine_rate(step[2], step[3])
             record(None, "rate", i)
             return
-        _, _, src, dst, nbytes, oob = step
+        _, what, src, dst, nbytes = step
         record(None, "send", i)
+        if what == "oob":
+            engine._at(oob_delay(net, src, dst, nbytes), record, (None, "rx", i))
+            return
         tx = Signal()
         tx._waiters.append((record, ("tx", i)))
-        send(net, src, dst, nbytes, tx, oob, record, i)
+        send(net, src, dst, nbytes, tx, record, i)
 
     for i, step in enumerate(script):
         engine._at(step[0], act, (i, step))
     engine.run()
-    return log, engine.events_processed, port_stats(net)
+    return log, engine.events_processed, port_stats(net), (net.total_bytes, net.total_messages)
 
 
 @pytest.mark.parametrize("name", list(SCRIPTS))
 def test_tx_done_fires_where_the_old_transfer_fired_it(name):
     spec, script = SCRIPTS[name]
-    reference = replay(spec, script, _reference_send)
+    reference = replay(spec, script, _reference_send, reference_oob_delay)
     assert replay(spec, script, _callback_send) == reference
     assert replay(spec, script, _signal_send) == reference
     log = reference[0]
-    assert sorted(i for _, what, i in log if what == "tx") == sorted(
-        i for _, what, i in log if what == "rx"
+    sends = [i for i, step in enumerate(script) if step[1] == "send"]
+    assert sorted(i for _, what, i in log if what == "tx") == sends
+    assert sorted(i for _, what, i in log if what == "rx") == sorted(
+        i for i, step in enumerate(script) if step[1] != "rate"
     )
 
 
 def test_tx_done_is_the_end_of_serialisation():
     spec, script = SCRIPTS["rate-change"]
-    log, _, _ = replay(spec, script, _callback_send)
+    log, *_ = replay(spec, script, _callback_send)
     tx = {i: t for t, what, i in log if what == "tx"}
     rate = spec.network_bytes_per_s
     assert tx[0] == pytest.approx(MB / rate)
@@ -262,5 +272,12 @@ def test_tx_done_is_the_end_of_serialisation():
     assert tx[2] == pytest.approx(MB / rate + MB / (0.25 * rate))
     # Restored while message 2 still serialises: queued behind it, full rate.
     assert tx[4] == pytest.approx(tx[2] + MB / rate)
-    oob_log, _, _ = replay(*SCRIPTS["oob"], _callback_send)
-    assert [t for t, what, i in oob_log if what == "tx" and i > 0] == [0.0, 0.0, 0.0]
+    # Control-plane messages pay latency only, never the NIC behind
+    # message 0.
+    oob_log, *_ = replay(*SCRIPTS["oob"], _callback_send)
+    rx = {i: t for t, what, i in oob_log if what == "rx"}
+    racks = SCRIPTS["oob"][0]
+    assert rx[1] == racks.network_latency_s
+    assert rx[2] == racks.network_latency_s + racks.spine_latency
+    assert rx[3] == racks.machine.intra_latency_s
+    assert max(rx[1], rx[2], rx[3]) < rx[0]

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from repro.comm.collectives import chunk_slices, ring_allreduce_plan
 from repro.comm.endpoints import CommContext, Node, last_per_port
 from repro.comm.gossip import GossipState, gossip_merge, gossip_send_share
-from repro.comm.messages import Message
 from repro.nn import MLP
 from repro.nn.zoo import LayerProfile, ModelProfile
 from repro.optimizations.dgc import DGCCompressor, DGCConfig
@@ -100,16 +99,12 @@ _ACTIONS = st.one_of(
 
 
 def per_message_blocking_send(node, dsts, kind, nbytes):
-    """The old blocking send: per message, ``Node.send``'s delivery
-    Signal (the deposit its waiter, not a tail) and a completion."""
-    ctx = node.ctx
+    """The old blocking send: a completion on every message."""
     signals = []
     for dst in dsts:
-        msg = Message(node.node_id, dst.node_id, kind, nbytes, None, {}, ctx.engine.now)
         tx = Signal()
         signals.append(tx)
-        done = ctx.network.transfer(node.machine, dst.machine, nbytes, tx_done=tx)
-        done._waiters.append((node._deliver, (msg, ctx.epoch, dst, None)))
+        node.send_nowait(dst, kind, nbytes=nbytes, tx_done=tx)
     return AllOf(signals)
 
 
