@@ -94,10 +94,9 @@ class Node:
         # is fixed for a tracer's lifetime, so a disabled tracer costs
         # nothing per delivery instead of a no-op method call.
         self._trace_record = ctx.tracer.record if ctx.tracer.enabled else None
-        # Same discipline for the observer: the hook is None unless the
-        # observer actually records something for delivered messages.
+        # Same discipline for the observer: None on an unobserved run.
         self._obs_on_message = (
-            ctx.observer.on_message_hook if ctx.observer is not None else None
+            ctx.observer.on_message if ctx.observer is not None else None
         )
 
     def mailbox(self, kind: str) -> Store:

@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.faults.config import FABRIC_FAULT_KINDS, FaultConfig
+from repro.faults.config import FaultConfig, check_fault_targets
 from repro.nn.zoo import resnet50_profile, vgg16_profile
 from repro.robust.config import RobustConfig
 from repro.sim.cluster import ClusterSpec, paper_cluster
@@ -191,30 +191,4 @@ class RunConfig:
         if self.measure_iters <= 0 or self.warmup_iters < 0:
             raise ValueError("invalid timing-mode iteration counts")
         if self.faults is not None:
-            for event in self.faults.events:
-                if event.worker is not None and not (
-                    0 <= event.worker < self.num_workers
-                ):
-                    raise ValueError(
-                        f"fault event targets worker {event.worker}, but the run "
-                        f"has {self.num_workers} workers"
-                    )
-                if event.machine is not None and not (
-                    0 <= event.machine < self.cluster.machines
-                ):
-                    raise ValueError(
-                        f"fault event targets machine {event.machine}, but the "
-                        f"cluster has {self.cluster.machines} machines"
-                    )
-                if event.kind in FABRIC_FAULT_KINDS and not self.cluster.hierarchical:
-                    raise ValueError(
-                        f"{event.kind} fault events need a hierarchical "
-                        "cluster (machines_per_rack set, more than one rack)"
-                    )
-                if event.rack is not None and not (
-                    0 <= event.rack < self.cluster.num_racks
-                ):
-                    raise ValueError(
-                        f"fault event targets rack {event.rack}, but the "
-                        f"cluster has {self.cluster.num_racks} racks"
-                    )
+            check_fault_targets(self.faults.events, self.num_workers, self.cluster)

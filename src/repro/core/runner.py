@@ -143,21 +143,13 @@ class Runtime:
         self.engine = engine
         self.ctx = ctx
         self.obs = ctx.observer
-        # Specialized observer hooks: each is the bound recorder method
-        # when that dimension is recording and None otherwise, so the
-        # algorithm hot paths pay one null check — same as obs-off —
-        # when the observer is attached but idle.
+        # The observer's bound recorder methods, or None on an unobserved
+        # run: the algorithm hot paths pay one null check.
         obs = ctx.observer
-        self.obs_grad_bytes = obs.grad_bytes_hook if obs is not None else None
-        self.obs_iteration_sample = (
-            obs.iteration_sample_hook if obs is not None else None
-        )
-        self.obs_ps_inbox_sample = (
-            obs.ps_inbox_sample_hook if obs is not None else None
-        )
-        self.obs_staleness_sample = (
-            obs.staleness_sample_hook if obs is not None else None
-        )
+        self.obs_grad_bytes = obs.grad_bytes if obs is not None else None
+        self.obs_iteration_sample = obs.iteration_sample if obs is not None else None
+        self.obs_ps_inbox_sample = obs.ps_inbox_sample if obs is not None else None
+        self.obs_staleness_sample = obs.staleness_sample if obs is not None else None
         self.cluster = config.cluster
         self.mode = config.mode
         self.profile = profile
@@ -367,18 +359,14 @@ class DistributedRunner:
         if obs is not None and obs.enabled:
             from repro.obs.recorder import RunObserver
 
-            self.observer = RunObserver(obs)
+            self.observer = RunObserver()
         self.engine = Engine(observer=self.observer)
-        # An observed run collects phase spans when it will export trace
-        # events (they are the trace's backbone); an armed-but-idle
-        # observer leaves the tracer off. Result objects still honour
-        # config.trace. Individual spans are the observer's to read
-        # (Perfetto export, span DAG); a plain run keeps only totals.
-        tracer = PhaseTracer(
-            enabled=config.trace
-            or (self.observer is not None and self.observer.config.trace_events),
-            keep_spans=self.observer is not None,
-        )
+        # An observed run collects phase spans (the trace's backbone);
+        # result objects still honour config.trace. Individual spans are
+        # the observer's to read (Perfetto export, span DAG); a plain run
+        # keeps only totals.
+        observed = self.observer is not None
+        tracer = PhaseTracer(enabled=config.trace or observed, keep_spans=observed)
         self.network = Network(self.engine, config.cluster, observer=self.observer)
         self.ctx = CommContext(
             engine=self.engine,
@@ -487,10 +475,10 @@ class DistributedRunner:
             seed=cfg.seed + 3,
             base_time_override=cfg.compute_time_override,
         )
-        draw_hook = None if self.observer is None else self.observer.compute_draw_hook
-        if draw_hook is not None:
+        if self.observer is not None:
+            record_draw = self.observer.compute_draw
             engine = self.engine
-            compute_model.on_draw = lambda worker, duration: draw_hook(
+            compute_model.on_draw = lambda worker, duration: record_draw(
                 worker, engine.now, duration
             )
         schedule = WarmupStepSchedule(

@@ -71,8 +71,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import TYPE_CHECKING, Iterable
 
 from repro.io import atomic_write_text, from_jsonable, to_jsonable
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.cluster import ClusterSpec
 
 __all__ = [
     "FaultEvent",
@@ -81,6 +85,7 @@ __all__ = [
     "FAULT_KINDS",
     "GRAD_FAULT_KINDS",
     "FABRIC_FAULT_KINDS",
+    "check_fault_targets",
 ]
 
 #: Data-plane fault kinds, applied to the gradients a worker produces.
@@ -238,6 +243,34 @@ class FaultConfig:
 
     def with_seed(self, seed: int) -> "FaultConfig":
         return replace(self, seed=seed)
+
+
+def check_fault_targets(
+    events: Iterable[FaultEvent], num_workers: int, cluster: "ClusterSpec"
+) -> None:
+    """Reject an event whose worker, machine or rack is not in the run,
+    or a fabric event on a flat cluster."""
+    for event in events:
+        if event.worker is not None and not 0 <= event.worker < num_workers:
+            raise ValueError(
+                f"fault event targets worker {event.worker}, but the run "
+                f"has {num_workers} workers"
+            )
+        if event.machine is not None and not 0 <= event.machine < cluster.machines:
+            raise ValueError(
+                f"fault event targets machine {event.machine}, but the "
+                f"cluster has {cluster.machines} machines"
+            )
+        if event.kind in FABRIC_FAULT_KINDS and not cluster.hierarchical:
+            raise ValueError(
+                f"{event.kind} fault events need a hierarchical "
+                "cluster (machines_per_rack set, more than one rack)"
+            )
+        if event.rack is not None and not 0 <= event.rack < cluster.num_racks:
+            raise ValueError(
+                f"fault event targets rack {event.rack}, but the "
+                f"cluster has {cluster.num_racks} racks"
+            )
 
 
 @dataclass(frozen=True)

@@ -37,11 +37,11 @@ import numpy as np
 from repro.comm.endpoints import HEARTBEAT_BYTES, Node
 from repro.faults.checkpoint import capture_snapshot, restore_snapshot
 from repro.faults.config import (
-    FABRIC_FAULT_KINDS,
     GRAD_FAULT_KINDS,
     FaultConfig,
     FaultEvent,
     FaultSchedule,
+    check_fault_targets,
 )
 from repro.faults.gradfaults import GradFaultModel
 from repro.faults.membership import Membership
@@ -136,31 +136,8 @@ class FaultController:
         """
         cfg = runtime.config
         cluster = cfg.cluster
+        check_fault_targets(self.schedule, cfg.num_workers, cluster)
         for event in self.schedule:
-            if event.worker is not None and not (
-                0 <= event.worker < cfg.num_workers
-            ):
-                raise ValueError(
-                    f"fault event targets worker {event.worker}, but the run "
-                    f"has {cfg.num_workers} workers"
-                )
-            if event.machine is not None and not (
-                0 <= event.machine < cluster.machines
-            ):
-                raise ValueError(
-                    f"fault event targets machine {event.machine}, but the "
-                    f"cluster has {cluster.machines} machines"
-                )
-            if event.kind in FABRIC_FAULT_KINDS and not cluster.hierarchical:
-                raise ValueError(
-                    f"{event.kind} events need a hierarchical cluster "
-                    "(machines_per_rack set and more than one rack)"
-                )
-            if event.rack is not None and not 0 <= event.rack < cluster.num_racks:
-                raise ValueError(
-                    f"fault event targets rack {event.rack}, but the cluster "
-                    f"has {cluster.num_racks} racks"
-                )
             if event.kind == "machine_outage" and not any(
                 slot.machine == event.machine for slot in runtime.workers
             ):
@@ -305,9 +282,9 @@ class FaultController:
             self._last_seen[wid] = now
         self._suspicion.pop(wid, None)
         obs = rt.obs
-        if obs is not None and obs.on_message_hook is not None:
+        if obs is not None:
             assert self.monitor_node is not None
-            obs.on_message_hook(
+            obs.on_message(
                 src_machine=rt.workers[wid].machine,
                 dst_machine=self.monitor_node.machine,
                 kind="hb",

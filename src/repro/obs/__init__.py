@@ -19,10 +19,11 @@ attribution credible:
   compute/comm/wait attribution, straggler detection, and what-if
   projections (``repro analyze``, ``--analyze``).
 
-Everything is opt-in: the stack holds an observer reference that is
-``None`` by default, so an un-observed run executes exactly the seed
-code path (same event schedule, same results, same cache
-fingerprints). Enable with::
+``ObsConfig`` has one switch, ``enabled``. Off (the default), the
+stack's observer reference is ``None`` and the run executes the
+unobserved code path (same event schedule, same results, same cache
+fingerprints); on, the observer records every stream above. Enable
+with::
 
     from repro.core.runner import DistributedRunner
     from repro.obs import ObsConfig

@@ -497,7 +497,7 @@ def analyze_run(runner, **kwargs) -> dict:
     if runner.observer is None:
         raise ValueError(
             "analysis needs an observed run: construct the runner with "
-            "obs=ObsConfig(enabled=True) (trace_events on)"
+            "obs=ObsConfig(enabled=True)"
         )
     dag = build_span_dag(
         observer=runner.observer, tracer=runner.ctx.tracer, config=runner.config

@@ -55,46 +55,22 @@ class Gauge:
 
 
 class Series:
-    """A virtual-time series of scalar samples.
+    """A virtual-time series of scalar samples."""
 
-    ``max_points`` bounds retained memory: when the sample list would
-    exceed the bound, every second point is dropped and the sampling
-    stride doubles, so from then on only every ``stride``-th observed
-    sample is kept. The surviving points are always the samples whose
-    arrival index is a multiple of the current stride — a deterministic
-    uniform thinning that depends only on the observation sequence,
-    never on wall-clock or memory pressure.
-    """
+    __slots__ = ("name", "times", "values")
 
-    __slots__ = ("name", "times", "values", "max_points", "_stride", "_seen")
-
-    def __init__(self, name: str, max_points: int = 0) -> None:
-        if max_points < 0:
-            raise ValueError("max_points must be >= 0")
+    def __init__(self, name: str) -> None:
         self.name = name
         self.times: list[float] = []
         self.values: list[float] = []
-        self.max_points = max_points
-        self._stride = 1
-        self._seen = 0
 
     def observe(self, t: float, value: float) -> None:
         if self.times and t < self.times[-1]:
             raise ValueError(
                 f"series {self.name!r}: sample at t={t} precedes t={self.times[-1]}"
             )
-        idx = self._seen
-        self._seen = idx + 1
-        if idx % self._stride:
-            return
         self.times.append(float(t))
         self.values.append(float(value))
-        if self.max_points and len(self.times) > self.max_points:
-            # Halving compaction: retained indices are multiples of the
-            # doubled stride, exactly what future appends will keep.
-            del self.times[1::2]
-            del self.values[1::2]
-            self._stride *= 2
 
     def __len__(self) -> int:
         return len(self.times)
@@ -107,23 +83,15 @@ class Series:
 
 
 class MetricsRegistry:
-    """Get-or-create store of named metrics for one run.
+    """Get-or-create store of named metrics for one run."""
 
-    ``max_series_points`` is forwarded to every :class:`Series` the
-    registry creates (0 = unlimited).
-    """
-
-    def __init__(self, max_series_points: int = 0) -> None:
+    def __init__(self) -> None:
         self._metrics: dict[str, Counter | Gauge | Series] = {}
-        self.max_series_points = max_series_points
 
     def _get(self, name: str, kind: type) -> Counter | Gauge | Series:
         metric = self._metrics.get(name)
         if metric is None:
-            if kind is Series:
-                metric = Series(name, self.max_series_points)
-            else:
-                metric = kind(name)
+            metric = kind(name)
             self._metrics[name] = metric
         elif type(metric) is not kind:
             raise TypeError(

@@ -60,23 +60,23 @@ __all__ = [
 _US = 1e6  # seconds -> trace-event microseconds
 
 
-def _worker_lane(worker: int, cluster: "ClusterSpec | None", machines: int) -> tuple[int, int]:
+def _worker_lane(worker: int, cluster: "ClusterSpec") -> tuple[int, int]:
     """(pid, tid) of a phase span's worker (-1 = the PS lane)."""
     if worker < 0:
-        return machines, 0
-    if cluster is not None and worker < cluster.total_gpus:
+        return cluster.machines, 0
+    if worker < cluster.total_gpus:
         return cluster.machine_of_worker(worker), worker
     return 0, worker
 
 
 def _metadata_rows(
-    tracer: "PhaseTracer | None",
-    observer: "RunObserver | None",
-    cluster: "ClusterSpec | None",
-    machines: int,
+    tracer: "PhaseTracer",
+    observer: "RunObserver",
+    cluster: "ClusterSpec",
     critpath: dict | None,
 ) -> list[dict[str, Any]]:
     """Explicit pid/tid naming for every simulated node, up front."""
+    machines = cluster.machines
     ps_pid, net_pid, metrics_pid = machines, machines + 1, machines + 2
     meta: list[dict[str, Any]] = []
 
@@ -102,149 +102,137 @@ def _metadata_rows(
         thread_name(machines + 3, 0, "per-iteration path")
 
     # Worker/PS lanes: the observer's node table names every endpoint;
-    # without one (tracer-only export) fall back to the workers that
-    # actually traced spans.
+    # a lane only spans reach (the PS lane of BSP's agg_wait) is named
+    # from the spans.
     named: set[tuple[int, int]] = set()
-    if observer is not None and observer.node_table:
-        for info in sorted(
-            observer.node_table.values(), key=lambda i: (i["kind"], i["index"])
-        ):
-            if info["kind"] == "worker":
-                pid, tid = _worker_lane(info["index"], cluster, machines)
-                name = f"w{info['index']}"
-            else:
-                pid, tid = ps_pid, info["index"]
-                name = f"ps{info['index']}"
-            if (pid, tid) not in named:
-                named.add((pid, tid))
-                thread_name(pid, tid, name)
-    if tracer is not None:
-        for span in tracer.spans:
-            pid, tid = _worker_lane(span.worker, cluster, machines)
-            if (pid, tid) not in named:
-                named.add((pid, tid))
-                thread_name(pid, tid, "ps" if span.worker < 0 else f"w{span.worker}")
+    for info in sorted(observer.node_table.values(), key=lambda i: (i["kind"], i["index"])):
+        if info["kind"] == "worker":
+            pid, tid = _worker_lane(info["index"], cluster)
+            name = f"w{info['index']}"
+        else:
+            pid, tid = ps_pid, info["index"]
+            name = f"ps{info['index']}"
+        if (pid, tid) not in named:
+            named.add((pid, tid))
+            thread_name(pid, tid, name)
+    for span in tracer.spans:
+        pid, tid = _worker_lane(span.worker, cluster)
+        if (pid, tid) not in named:
+            named.add((pid, tid))
+            thread_name(pid, tid, "ps" if span.worker < 0 else f"w{span.worker}")
     for m in range(machines):
         thread_name(net_pid, m, f"from m{m}")
-    if observer is not None:
-        if observer.processes:
-            thread_name(metrics_pid, 1, "engine processes")
-        if observer.fault_events or observer.robust_events:
-            thread_name(metrics_pid, 2, "faults")
+    if observer.processes:
+        thread_name(metrics_pid, 1, "engine processes")
+    if observer.fault_events or observer.robust_events:
+        thread_name(metrics_pid, 2, "faults")
     return meta
 
 
 def _event_streams(
-    tracer: "PhaseTracer | None",
-    observer: "RunObserver | None",
-    cluster: "ClusterSpec | None",
-    machines: int,
+    tracer: "PhaseTracer",
+    observer: "RunObserver",
+    cluster: "ClusterSpec",
     critpath: dict | None,
 ) -> list[Iterator[dict[str, Any]]]:
     """One lazily-evaluated, time-ordered event stream per source."""
-    ps_pid, net_pid, metrics_pid = machines, machines + 1, machines + 2
-    streams: list[Iterator[dict[str, Any]]] = []
+    machines = cluster.machines
+    net_pid, metrics_pid = machines + 1, machines + 2
+    # Spans are appended at end() time; order by start for the merge.
+    spans = sorted(tracer.spans, key=lambda s: s.start)
+    # Messages are appended at delivery; order by send time.
+    msgs = sorted(observer.messages, key=lambda m: m.t_send)
 
-    if tracer is not None:
-        # Spans are appended at end() time; order by start for the merge.
-        spans = sorted(tracer.spans, key=lambda s: s.start)
+    def phase_events() -> Iterator[dict[str, Any]]:
+        for span in spans:
+            pid, tid = _worker_lane(span.worker, cluster)
+            yield {
+                "ph": "X",
+                "name": span.phase,
+                "cat": "phase",
+                "pid": pid,
+                "tid": tid,
+                "ts": span.start * _US,
+                "dur": span.duration * _US,
+            }
 
-        def phase_events() -> Iterator[dict[str, Any]]:
-            for span in spans:
-                pid, tid = _worker_lane(span.worker, cluster, machines)
-                yield {
-                    "ph": "X",
-                    "name": span.phase,
-                    "cat": "phase",
-                    "pid": pid,
-                    "tid": tid,
-                    "ts": span.start * _US,
-                    "dur": span.duration * _US,
-                }
+    def comm_events() -> Iterator[dict[str, Any]]:
+        for msg in msgs:
+            yield {
+                "ph": "X",
+                "name": f"{msg.kind} {msg.nbytes}B",
+                "cat": "comm",
+                "pid": net_pid,
+                "tid": msg.src_machine,
+                "ts": msg.t_send * _US,
+                "dur": (msg.t_recv - msg.t_send) * _US,
+                "args": {
+                    "nbytes": msg.nbytes,
+                    "dst_machine": msg.dst_machine,
+                    "src_node": msg.src_node,
+                    "dst_node": msg.dst_node,
+                },
+            }
 
-        streams.append(phase_events())
+    def process_events() -> Iterator[dict[str, Any]]:
+        # Appended at spawn time: already start-ordered.
+        for proc in observer.processes:
+            if proc.end is None:
+                continue
+            yield {
+                "ph": "X",
+                "name": proc.name,
+                "cat": "process",
+                "pid": metrics_pid,
+                "tid": 1,
+                "ts": proc.start * _US,
+                "dur": (proc.end - proc.start) * _US,
+            }
 
-    if observer is not None:
-        # Messages are appended at delivery; order by send time.
-        msgs = sorted(observer.messages, key=lambda m: m.t_send)
+    def instant_events(records, cat: str) -> Iterator[dict[str, Any]]:
+        # Recorded in virtual-time order by the controllers.
+        for ev in records:
+            pid, tid = (
+                _worker_lane(ev.worker, cluster)
+                if ev.worker is not None
+                else (metrics_pid, 2)
+            )
+            yield {
+                "ph": "i",  # instant event, global scope: draws a
+                "s": "g",  # full-height marker line in Perfetto
+                "name": f"{cat}:{ev.kind}",
+                "cat": cat,
+                "pid": pid,
+                "tid": tid,
+                "ts": ev.time * _US,
+                "args": {
+                    "worker": ev.worker,
+                    "machine": getattr(ev, "machine", None),
+                    "detail": ev.detail,
+                },
+            }
 
-        def comm_events() -> Iterator[dict[str, Any]]:
-            for msg in msgs:
-                yield {
-                    "ph": "X",
-                    "name": f"{msg.kind} {msg.nbytes}B",
-                    "cat": "comm",
-                    "pid": net_pid,
-                    "tid": msg.src_machine,
-                    "ts": msg.t_send * _US,
-                    "dur": (msg.t_recv - msg.t_send) * _US,
-                    "args": {
-                        "nbytes": msg.nbytes,
-                        "dst_machine": msg.dst_machine,
-                        "src_node": msg.src_node,
-                        "dst_node": msg.dst_node,
-                    },
-                }
+    def counter_events(name: str, series) -> Iterator[dict[str, Any]]:
+        for t, v in zip(series.times, series.values):
+            yield {
+                "ph": "C",
+                "name": name,
+                "cat": "metric",
+                "pid": metrics_pid,
+                "tid": 0,
+                "ts": t * _US,
+                "args": {"value": v},
+            }
 
-        streams.append(comm_events())
-
-        def process_events() -> Iterator[dict[str, Any]]:
-            # Appended at spawn time: already start-ordered.
-            for proc in observer.processes:
-                if proc.end is None:
-                    continue
-                yield {
-                    "ph": "X",
-                    "name": proc.name,
-                    "cat": "process",
-                    "pid": metrics_pid,
-                    "tid": 1,
-                    "ts": proc.start * _US,
-                    "dur": (proc.end - proc.start) * _US,
-                }
-
-        streams.append(process_events())
-
-        def instant_events(records, cat: str) -> Iterator[dict[str, Any]]:
-            # Recorded in virtual-time order by the controllers.
-            for ev in records:
-                pid, tid = (
-                    _worker_lane(ev.worker, cluster, machines)
-                    if ev.worker is not None
-                    else (metrics_pid, 2)
-                )
-                yield {
-                    "ph": "i",  # instant event, global scope: draws a
-                    "s": "g",  # full-height marker line in Perfetto
-                    "name": f"{cat}:{ev.kind}",
-                    "cat": cat,
-                    "pid": pid,
-                    "tid": tid,
-                    "ts": ev.time * _US,
-                    "args": {
-                        "worker": ev.worker,
-                        "machine": getattr(ev, "machine", None),
-                        "detail": ev.detail,
-                    },
-                }
-
-        streams.append(instant_events(observer.fault_events, "fault"))
-        streams.append(instant_events(observer.robust_events, "robust"))
-
-        def counter_events(name: str, series) -> Iterator[dict[str, Any]]:
-            for t, v in zip(series.times, series.values):
-                yield {
-                    "ph": "C",
-                    "name": name,
-                    "cat": "metric",
-                    "pid": metrics_pid,
-                    "tid": 0,
-                    "ts": t * _US,
-                    "args": {"value": v},
-                }
-
-        for name, series in sorted(observer.registry.all_series().items()):
-            streams.append(counter_events(name, series))
+    streams = [
+        phase_events(),
+        comm_events(),
+        process_events(),
+        instant_events(observer.fault_events, "fault"),
+        instant_events(observer.robust_events, "robust"),
+    ]
+    for name, series in sorted(observer.registry.all_series().items()):
+        streams.append(counter_events(name, series))
 
     if critpath is not None:
         segments = sorted(critpath.get("segments", ()), key=lambda s: s["start"])
@@ -268,15 +256,14 @@ def _event_streams(
 
 
 def _trace_parts(
-    tracer: "PhaseTracer | None",
-    observer: "RunObserver | None",
-    cluster: "ClusterSpec | None",
+    tracer: "PhaseTracer",
+    observer: "RunObserver",
+    cluster: "ClusterSpec",
     label: str,
     critpath: dict | None,
 ) -> tuple[list[dict[str, Any]], Iterator[dict[str, Any]], dict[str, Any]]:
-    machines = cluster.machines if cluster is not None else 1
-    meta = _metadata_rows(tracer, observer, cluster, machines, critpath)
-    streams = _event_streams(tracer, observer, cluster, machines, critpath)
+    meta = _metadata_rows(tracer, observer, cluster, critpath)
+    streams = _event_streams(tracer, observer, cluster, critpath)
     # heapq.merge is stable: equal timestamps keep per-stream order and
     # earlier streams win ties, matching the old stable-sort layout.
     merged = merge(*streams, key=lambda e: e["ts"])
@@ -286,9 +273,9 @@ def _trace_parts(
 
 def build_trace(
     *,
-    tracer: "PhaseTracer | None" = None,
-    observer: "RunObserver | None" = None,
-    cluster: "ClusterSpec | None" = None,
+    tracer: "PhaseTracer",
+    observer: "RunObserver",
+    cluster: "ClusterSpec",
     label: str = "repro run",
     critpath: dict | None = None,
 ) -> dict:
@@ -309,9 +296,9 @@ def build_trace(
 def write_trace(
     path: str | Path,
     *,
-    tracer: "PhaseTracer | None" = None,
-    observer: "RunObserver | None" = None,
-    cluster: "ClusterSpec | None" = None,
+    tracer: "PhaseTracer",
+    observer: "RunObserver",
+    cluster: "ClusterSpec",
     label: str = "repro run",
     critpath: dict | None = None,
 ) -> Path:

@@ -1,9 +1,9 @@
 """The structured run-event recorder.
 
 One :class:`RunObserver` is attached per observed run (the
-:class:`~repro.core.runner.DistributedRunner` creates it from an
-:class:`~repro.obs.config.ObsConfig` and threads it through the
-engine, the network, the comm context, and the runtime). Instrumented
+:class:`~repro.core.runner.DistributedRunner` creates it when
+``ObsConfig.enabled`` is set and threads it through the engine, the
+network, the comm context, and the runtime). Instrumented
 code holds a plain ``observer-or-None`` reference and guards each hook
 with ``if obs is not None`` — when observability is off there is no
 observer object anywhere and the hot paths run the seed instructions.
@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.obs.config import ObsConfig
 from repro.obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -75,38 +74,16 @@ class FaultEventRecord:
     detail: str = ""
 
 
-def _hook(method: str, *dimensions: str) -> property:
-    """``RunObserver.<method>`` bound, when one of the recording
-    ``dimensions`` it serves is on; None otherwise.
-
-    Resolved on access, not stored: an observer keeping its own bound
-    methods as attributes would be a reference cycle, freed only by the
-    collector. Sites read a hook once, at construction.
-    """
-
-    def resolve(self: "RunObserver"):
-        if any(getattr(self, dimension) for dimension in dimensions):
-            return getattr(self, method)
-        return None
-
-    return property(resolve)
-
-
 class RunObserver:
     """Collects every observable signal of one simulated run.
 
-    Hook dispatch is specialized at construction: for every hot-path
-    hook there is a ``*_hook`` property that is the bound method when
-    the relevant recording dimension is on and ``None`` when it is off.
-    Instrumented sites cache the hook once and guard with ``is not
-    None`` — an observer that is attached but recording nothing
-    (armed-but-idle) therefore costs the sites nothing beyond the same
+    Instrumented sites read the observer's bound methods once, at
+    construction, and guard each call with ``is not None`` — the same
     null check an unobserved run performs.
     """
 
-    def __init__(self, config: ObsConfig | None = None) -> None:
-        self.config = config or ObsConfig(enabled=True)
-        self.registry = MetricsRegistry(self.config.max_series_points)
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
         self.messages: list[MessageEvent] = []
         self.processes: list[ProcessSpan] = []
         self.fault_events: list[FaultEventRecord] = []
@@ -119,8 +96,6 @@ class RunObserver:
         self.node_table: dict[int, dict] = {}
         self.num_workers: int | None = None
         self._live_processes: dict[int, ProcessSpan] = {}
-        self._metrics = self.config.metrics
-        self._events = self.config.trace_events
         # Metric-object caches for the hot hooks: registry lookups are
         # get-or-create by formatted name, too slow for per-message and
         # per-reservation call rates.
@@ -129,48 +104,24 @@ class RunObserver:
         self._inbox_series: dict[int, object] = {}
         self._staleness_series: dict[tuple[int, int], object] = {}
         self._grad_counters: dict[int, object] = {}
-        if self._metrics:
-            self._msg_count_inc = self.registry.counter("comm.messages").inc
-            self._msg_bytes_inc = self.registry.counter("comm.bytes").inc
-
-    link_sample_hook = _hook("link_sample", "_metrics")
-    on_message_hook = _hook("on_message", "_metrics", "_events")
-    process_started_hook = _hook("process_started", "_events")
-    process_finished_hook = _hook("process_finished", "_events")
-    compute_draw_hook = _hook("compute_draw", "_metrics")
-    ps_inbox_sample_hook = _hook("ps_inbox_sample", "_metrics")
-    staleness_sample_hook = _hook("staleness_sample", "_metrics")
-    grad_bytes_hook = _hook("grad_bytes", "_metrics")
-    iteration_sample_hook = _hook("iteration_sample", "_metrics", "_events")
+        self._msg_count_inc = self.registry.counter("comm.messages").inc
+        self._msg_bytes_inc = self.registry.counter("comm.bytes").inc
 
     # -- engine ---------------------------------------------------------
     def process_started(self, process: "Process", now: float) -> None:
-        if not self._events:
-            return
         span = ProcessSpan(name=process.name, start=now)
         self.processes.append(span)
         self._live_processes[id(process)] = span
 
     def process_finished(self, process: "Process", now: float) -> None:
-        if not self._events:
-            return
         span = self._live_processes.pop(id(process), None)
         if span is not None:
             span.end = now
-
-    def queue_depth_series(self):
-        """The engine's cached handle for event-queue depth samples
-        (None when metrics are off, so the engine skips sampling)."""
-        if not self._metrics:
-            return None
-        return self.registry.series("engine.queue_depth")
 
     # -- network --------------------------------------------------------
     def link_sample(self, port: "Port", now: float) -> None:
         """Per-link cumulative bytes and busy time, one sample per
         reservation on that port."""
-        if not self._metrics:
-            return
         pair = self._port_series.get(port.name)
         if pair is None:
             pair = (
@@ -193,27 +144,16 @@ class RunObserver:
         src_node: int = -1,
         dst_node: int = -1,
     ) -> None:
-        if self._metrics:
-            self._msg_count_inc()
-            self._msg_bytes_inc(nbytes)
-        if self._events:
-            self.messages.append(
-                MessageEvent(
-                    src_machine,
-                    dst_machine,
-                    kind,
-                    nbytes,
-                    t_send,
-                    t_recv,
-                    src_node,
-                    dst_node,
-                )
+        self._msg_count_inc()
+        self._msg_bytes_inc(nbytes)
+        self.messages.append(
+            MessageEvent(
+                src_machine, dst_machine, kind, nbytes, t_send, t_recv, src_node, dst_node
             )
+        )
 
     # -- parameter server -----------------------------------------------
     def ps_inbox_sample(self, shard_id: int, now: float, depth: int) -> None:
-        if not self._metrics:
-            return
         observe = self._inbox_series.get(shard_id)
         if observe is None:
             observe = self.registry.series(f"ps{shard_id}.inbox_depth").observe
@@ -225,8 +165,6 @@ class RunObserver:
     ) -> None:
         """Updates applied to a shard between one worker's consecutive
         parameter pulls — the observed staleness of that pull."""
-        if not self._metrics:
-            return
         observe = self._staleness_series.get((shard_id, worker))
         if observe is None:
             observe = self.registry.series(f"ps{shard_id}.staleness.w{worker}").observe
@@ -236,8 +174,6 @@ class RunObserver:
     # -- workers ---------------------------------------------------------
     def compute_draw(self, worker: int, now: float, duration: float) -> None:
         """One straggler-jitter draw: the sampled compute duration."""
-        if not self._metrics:
-            return
         observe = self._compute_series.get(worker)
         if observe is None:
             observe = self.registry.series(f"w{worker}.compute_time").observe
@@ -245,8 +181,6 @@ class RunObserver:
         observe(now, duration)
 
     def grad_bytes(self, worker: int, nbytes: int) -> None:
-        if not self._metrics:
-            return
         inc = self._grad_counters.get(worker)
         if inc is None:
             inc = self.registry.counter(f"w{worker}.grad_bytes").inc
@@ -254,13 +188,9 @@ class RunObserver:
         inc(nbytes)
 
     def iteration_sample(self, worker: int, now: float, total_iterations: int) -> None:
-        if self._metrics:
-            self.registry.series("progress.iterations").observe(
-                now, float(total_iterations)
-            )
-            self.registry.counter(f"w{worker}.iterations").inc()
-        if self._events:
-            self.iteration_marks.append((worker, now, total_iterations))
+        self.registry.series("progress.iterations").observe(now, float(total_iterations))
+        self.registry.counter(f"w{worker}.iterations").inc()
+        self.iteration_marks.append((worker, now, total_iterations))
 
     # -- faults -----------------------------------------------------------
     def fault_event(
@@ -274,14 +204,12 @@ class RunObserver:
     ) -> None:
         """One fault injection/detection/recovery event from the fault
         controller; counted per kind and kept for the Perfetto trace."""
-        if self._metrics:
-            self.registry.counter(f"faults.{kind}").inc()
-        if self._events:
-            self.fault_events.append(
-                FaultEventRecord(
-                    time=now, kind=kind, worker=worker, machine=machine, detail=detail
-                )
+        self.registry.counter(f"faults.{kind}").inc()
+        self.fault_events.append(
+            FaultEventRecord(
+                time=now, kind=kind, worker=worker, machine=machine, detail=detail
             )
+        )
 
     # -- robust layer ------------------------------------------------------
     def robust_event(
@@ -295,12 +223,10 @@ class RunObserver:
         """One robust-layer event (rejection, detection, rollback,
         checkpoint, quarantine request); counted per kind and kept for
         the Perfetto trace."""
-        if self._metrics:
-            self.registry.counter(f"robust.{kind}").inc()
-        if self._events:
-            self.robust_events.append(
-                FaultEventRecord(time=now, kind=kind, worker=worker, detail=detail)
-            )
+        self.registry.counter(f"robust.{kind}").inc()
+        self.robust_events.append(
+            FaultEventRecord(time=now, kind=kind, worker=worker, detail=detail)
+        )
 
     # -- end of run -------------------------------------------------------
     def finalize(
@@ -330,13 +256,10 @@ class RunObserver:
                     "index": shard.shard_id,
                     "machine": shard.machine,
                 }
-        if self._events and engine is not None:
+        if engine is not None:
             for span in self._live_processes.values():
                 span.end = engine.now
             self._live_processes.clear()
-        if not self._metrics:
-            return
-        if engine is not None:
             self.registry.counter("engine.events_processed").inc(
                 engine.events_processed
             )

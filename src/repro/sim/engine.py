@@ -56,6 +56,11 @@ __all__ = [
 
 ProcessGen = Generator[Any, Any, Any]
 
+#: An observed run samples the event-queue depth once every this many
+#: processed events: depth changes event by event, and a stride keeps
+#: the series (and the exported trace) bounded on long runs.
+DEPTH_SAMPLE_EVERY = 32
+
 
 class Timeout:
     """Wait for a fixed virtual-time duration."""
@@ -405,19 +410,13 @@ class Engine:
         self._live: dict[Process, None] = {}
         # Observability is opt-in: with no observer these stay None and
         # the run loop takes the exact uninstrumented path.
-        self._observer = observer
         self._depth_series = None
-        self._depth_stride = 0
-        # Pre-bound process-lifetime hooks: None unless the observer is
-        # actually recording trace events, so armed-but-idle costs the
-        # same null check as obs-off.
         self._obs_proc_started = None
         self._obs_proc_finished = None
         if observer is not None:
-            self._depth_series = observer.queue_depth_series()
-            self._depth_stride = observer.config.queue_sample_every
-            self._obs_proc_started = observer.process_started_hook
-            self._obs_proc_finished = observer.process_finished_hook
+            self._depth_series = observer.registry.series("engine.queue_depth")
+            self._obs_proc_started = observer.process_started
+            self._obs_proc_finished = observer.process_finished
 
     # -- scheduling ----------------------------------------------------
     def _at(self, delay: float, fn: Callable[..., None], args: tuple) -> None:
@@ -482,7 +481,6 @@ class Engine:
         lane = queue._lane
         heappop = heapq.heappop
         depth_series = self._depth_series
-        stride = self._depth_stride
         events = self._events_processed
         try:
             while not self._stopped:
@@ -509,7 +507,7 @@ class Engine:
                 self.now = now
                 entry[2](*entry[3])
                 events += 1
-                if depth_series is not None and events % stride == 0:
+                if depth_series is not None and events % DEPTH_SAMPLE_EVERY == 0:
                     depth_series.observe(now, float(queue._live))
                 if events >= max_events:
                     names = [process.name for process in self._live]

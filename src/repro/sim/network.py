@@ -122,12 +122,9 @@ class Network:
         self.intra = [Port(f"m{i}.bus", intra_rate) for i in range(spec.machines)]
         self.total_bytes = 0
         self.total_messages = 0
-        self._observer = observer
-        # Pre-bound link-sampling hook: None unless the observer records
-        # metrics, so armed-but-idle transfers pay only the null check.
-        self._obs_link_sample = (
-            observer.link_sample_hook if observer is not None else None
-        )
+        # Pre-bound link-sampling hook: unobserved transfers pay only the
+        # null check.
+        self._obs_link_sample = observer.link_sample if observer is not None else None
         # Static spec values hoisted off the per-transfer path.
         self._machines = spec.machines
         self._latency = spec.network_latency_s

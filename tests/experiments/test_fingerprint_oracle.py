@@ -228,9 +228,7 @@ robust_configs = st.builds(
     krum_f=st.none() | st.integers(0, 3),
     screen_factor=st.none() | st.floats(0.5, 10),
 )
-obs_configs = st.builds(
-    ObsConfig, enabled=st.booleans(), queue_sample_every=st.integers(1, 64)
-)
+obs_configs = st.builds(ObsConfig, enabled=st.booleans())
 sub_configs = st.one_of(dgc_configs, fault_configs, robust_configs, obs_configs)
 leaves = st.one_of(
     st.none(),

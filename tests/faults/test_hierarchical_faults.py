@@ -82,7 +82,54 @@ def baseline_time(label: str, algorithm: str, overrides: dict,
 # validation: no silent no-op events
 
 
+# case -> (event, on a hierarchical cluster, the error it raises)
+TARGET_CASES = {
+    "worker": (
+        FaultEvent(time=0.1, kind="crash", worker=99),
+        False,
+        "targets worker 99, but the run has 8 workers",
+    ),
+    "machine": (
+        FaultEvent(time=0.1, kind="partition", machine=64, duration=0.1),
+        False,
+        "targets machine 64, but the cluster has",
+    ),
+    "fabric-on-flat": (
+        FaultEvent(time=0.1, kind="tor_outage", rack=0, duration=0.1),
+        False,
+        "tor_outage fault events need a hierarchical cluster",
+    ),
+    "rack": (
+        FaultEvent(time=0.1, kind="rack_outage", rack=7),
+        True,
+        "targets rack 7, but the cluster has 2 racks",
+    ),
+}
+
+
 class TestFabricEventValidation:
+    @pytest.mark.parametrize("route", ["config", "controller"])
+    @pytest.mark.parametrize("case", list(TARGET_CASES))
+    def test_each_target_check_on_both_routes(self, case, route):
+        """RunConfig and the fault controller run the same four checks:
+        at construction, and at start for a schedule swapped in after."""
+        event, hierarchical, message = TARGET_CASES[case]
+
+        def build(faults):
+            if hierarchical:
+                return hier_config("bsp", faults=faults)
+            return timing_config("bsp", num_workers=8, faults=faults)
+
+        bad = FaultConfig(events=(event,), **DETECTION)
+        if route == "config":
+            with pytest.raises(ValueError, match=message):
+                build(bad)
+        else:
+            cfg = build(FaultConfig(**DETECTION))
+            cfg.faults = bad
+            with pytest.raises(ValueError, match=message):
+                execute_run(cfg)
+
     def test_fabric_kinds_rejected_on_flat_cluster(self):
         event = FaultEvent(time=0.1, kind="tor_outage", rack=0, duration=0.1)
         with pytest.raises(ValueError, match="hierarchical"):

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.obs import Counter, Gauge, MetricsRegistry, ObsConfig, Series
+from repro.obs import Counter, Gauge, MetricsRegistry, Series
 
 
 class TestCounter:
@@ -99,92 +99,16 @@ class TestMetricsRegistry:
 
 
 class TestSeriesDownsampling:
+    """A series keeps every sample: nothing thins it."""
+
     def test_unbounded_by_default(self):
         s = Series("depth")
         for i in range(1000):
             s.observe(float(i), float(i))
         assert len(s) == 1000
 
-    def test_bound_holds_throughout(self):
-        s = Series("depth", max_points=16)
-        for i in range(10_000):
-            s.observe(float(i), float(i))
-            assert len(s) <= 16
-
-    def test_thinning_is_deterministic_stride(self):
-        # Halving compaction keeps exactly the samples whose arrival
-        # index is a multiple of the final stride — reproducible, no
-        # RNG involved.
-        s = Series("depth", max_points=8)
-        n = 1000
-        for i in range(n):
-            s.observe(float(i), float(i))
-        stride = s._stride
-        assert stride == 2 ** (stride.bit_length() - 1)  # a power of two
-        assert s.times == [float(i) for i in range(0, n, stride)][: len(s.times)]
-        assert s.values == s.times
-
-    def test_first_sample_always_retained(self):
-        s = Series("depth", max_points=4)
-        for i in range(100):
-            s.observe(float(i), float(i))
-        assert s.times[0] == 0.0
-
-    def test_small_series_untouched(self):
-        s = Series("depth", max_points=100)
-        for i in range(50):
-            s.observe(float(i), 2.0 * i)
-        assert len(s) == 50
-        assert s.values == [2.0 * i for i in range(50)]
-
-    def test_negative_max_points_raises(self):
-        with pytest.raises(ValueError):
-            Series("depth", max_points=-1)
-
-    def test_registry_propagates_bound(self):
-        reg = MetricsRegistry(max_series_points=8)
-        s = reg.series("depth")
-        for i in range(1000):
-            s.observe(float(i), 1.0)
-        assert len(s) <= 8
-
     def test_registry_unbounded_by_default(self):
         s = MetricsRegistry().series("depth")
         for i in range(100):
             s.observe(float(i), 1.0)
         assert len(s) == 100
-
-
-class TestObsConfig:
-    def test_defaults_off(self):
-        cfg = ObsConfig()
-        assert not cfg.enabled
-        assert cfg.metrics and cfg.trace_events
-
-    def test_bad_sample_stride_raises(self):
-        # A zero stride would reach Engine.run's modulo as a
-        # ZeroDivisionError mid-run; it must die at construction.
-        with pytest.raises(ValueError):
-            ObsConfig(queue_sample_every=0)
-        with pytest.raises(ValueError):
-            ObsConfig(queue_sample_every=-4)
-
-    def test_max_series_points_validated(self):
-        assert ObsConfig(max_series_points=0).max_series_points == 0
-        assert ObsConfig(max_series_points=512).max_series_points == 512
-        with pytest.raises(ValueError):
-            ObsConfig(max_series_points=-1)
-
-    def test_max_series_points_reaches_observed_run(self):
-        from repro.core.runner import DistributedRunner
-
-        from tests.conftest import small_timing_config
-
-        runner = DistributedRunner(
-            small_timing_config("bsp", num_workers=4, measure_iters=4),
-            obs=ObsConfig(enabled=True, max_series_points=8),
-        )
-        runner.run()
-        series = runner.observer.registry.all_series().values()
-        assert series
-        assert all(len(s) <= 8 for s in series)

@@ -1,8 +1,11 @@
 """End-to-end wiring: an instrumented run populates every metric family."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.runner import DistributedRunner
+from repro.faults.config import FaultConfig, FaultEvent
 from repro.obs import ObsConfig
 from repro.obs.recorder import RunObserver
 from repro.sim.trace import PhaseTracer
@@ -127,15 +130,33 @@ class TestFullModeWiring:
         )
         assert total > 0
 
-    def test_metrics_can_be_disabled_separately(self):
-        runner = DistributedRunner(
-            small_timing_config("bsp"),
-            obs=ObsConfig(enabled=True, metrics=False),
+
+class TestEveryStream:
+    def test_an_observed_run_records_every_stream(self):
+        """The one switch turns on every stream: metrics, messages,
+        process lifetimes, iteration marks, fault events and spans."""
+        crash = FaultEvent(time=0.05, kind="crash", worker=7, rejoin_after=0.03)
+        detection = dict(
+            heartbeat_interval=0.01,
+            heartbeat_timeout=0.02,
+            backoff_factor=1.0,
+            max_suspect_rounds=0,
         )
+        cfg = small_timing_config("bsp", faults=FaultConfig(events=(crash,), **detection))
+        runner = DistributedRunner(cfg, obs=ObsConfig(enabled=True))
         runner.run()
         obs = runner.observer
-        assert len(obs.registry) == 0
-        assert obs.messages  # trace events still collected
+        reg = obs.registry
+        assert reg.counter("comm.messages").value > 0
+        assert len(reg.series("engine.queue_depth")) > 0
+        net = [s for name, s in reg.all_series().items() if name.startswith("net.")]
+        assert net and all(len(s) > 0 for s in net)
+        assert obs.messages
+        assert obs.processes
+        assert obs.iteration_marks
+        assert obs.fault_events
+        assert len(runner.ctx.tracer.spans) == reg.counter("trace.spans").value > 0
+        assert [f.name for f in dataclasses.fields(ObsConfig)] == ["enabled"]
 
 
 class TestSpanCount:

@@ -52,10 +52,6 @@ ALLOWLIST = {
     # The algorithm registry: @register_algorithm files each class under
     # its paper name, and RunConfig(algorithm=...) looks it up.
     "ADPSGD", "ARSGD", "ASP", "BSP", "EASGD", "GoSGD", "SSP",
-    # RunObserver's ``*_hook`` properties resolve these by name.
-    "RunObserver.process_started", "RunObserver.process_finished",
-    "RunObserver.link_sample", "RunObserver.on_message", "RunObserver.ps_inbox_sample",
-    "RunObserver.compute_draw", "RunObserver.grad_bytes", "RunObserver.iteration_sample",
     # The runner builds a dataset as ``make_<RunConfig.dataset_name>``.
     "make_gaussian_blobs",
     # README's recipe for writing a --fault-spec file.
