@@ -71,11 +71,7 @@ def test_obs_overhead():
 
     def observed_and_built():
         runner = observed()
-        build_trace(
-            tracer=runner.ctx.tracer,
-            observer=runner.observer,
-            cluster=cfg.cluster,
-        )
+        build_trace(observer=runner.observer, cluster=cfg.cluster)
 
     built_s = _best_of(observed_and_built)
 

@@ -106,12 +106,12 @@ def test_fig3_ps_waits_within_bsp_rounds():
     cfg = timing_config("bsp", num_workers=24, bandwidth_gbps=10, measure_iters=10)
     runner = DistributedRunner(cfg)
     runner.run()
-    tracer = runner.runtime.ctx.tracer
+    totals = runner.runtime.ctx.tracer.breakdown()
     print(
-        f"\nPS-side waiting within BSP rounds: {tracer.total('agg_wait'):.2f}s across shards; "
-        f"worker-observed global aggregation: {tracer.total('global_agg'):.2f}s"
+        f"\nPS-side waiting within BSP rounds: {totals['agg_wait']:.2f}s across shards; "
+        f"worker-observed global aggregation: {totals['global_agg']:.2f}s"
     )
-    assert tracer.total("agg_wait") > 0
+    assert totals["agg_wait"] > 0
 
 
 # -- Table I: closed forms, and the measured traffic against them ---------

@@ -2,7 +2,7 @@
 
 Two views of where iteration time goes coexist in the codebase:
 
-* the **Fig 3 model** — per-worker phase-span totals from the
+* the **Fig 3 model** — the phase-span totals of the
   :class:`~repro.sim.trace.PhaseTracer`, normalised over the paper's
   four categories (what ``ThroughputResult.breakdown`` reports);
 * the **critical-path attribution** — the per-iteration
@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from repro.analysis.tables import format_table
+from repro.sim.trace import MAIN_PHASES, normalize_breakdown
 
 __all__ = [
     "normalize_breakdown",
@@ -30,22 +31,6 @@ __all__ = [
     "aggregate_result_attribution",
     "fig3_crosscheck",
 ]
-
-MAIN_PHASES = ("compute", "local_agg", "global_agg", "comm")
-
-
-def normalize_breakdown(breakdown: Mapping[str, float]) -> dict[str, float]:
-    """Restrict to the paper's four Fig 3 categories, normalised to 1.
-
-    ``agg_wait`` is a sub-component of the aggregation phases (the
-    paper reports it as a percentage *of* aggregation, not a separate
-    bar) and is therefore excluded here.
-    """
-    main = {p: float(breakdown.get(p, 0.0)) for p in MAIN_PHASES}
-    total = sum(main.values())
-    if total <= 0:
-        return {p: 0.0 for p in MAIN_PHASES}
-    return {p: v / total for p, v in main.items()}
 
 
 def breakdown_table(

@@ -396,7 +396,6 @@ def _instrumented_run(
     if trace_path is not None:
         path = write_trace(
             trace_path,
-            tracer=runner.ctx.tracer,
             observer=runner.observer,
             cluster=cfg.cluster,
             label=label,

@@ -34,7 +34,7 @@ from repro.optimizations.waitfree import CommPlan, CommPlanEntry, make_comm_plan
 from repro.sim.costmodel import ComputeModel
 from repro.sim.engine import Engine
 from repro.sim.network import Network
-from repro.sim.trace import PhaseTracer
+from repro.sim.trace import PhaseTracer, normalize_breakdown
 
 # A timing run executes none of these (DESIGN §10): the full-mode,
 # observer and DGC modules are imported in the branch that uses them.
@@ -361,12 +361,14 @@ class DistributedRunner:
 
             self.observer = RunObserver()
         self.engine = Engine(observer=self.observer)
-        # An observed run collects phase spans (the trace's backbone);
-        # result objects still honour config.trace. Individual spans are
-        # the observer's to read (Perfetto export, span DAG); a plain run
-        # keeps only totals.
+        # An observed run collects phase spans (the trace's backbone)
+        # into the observer's list; result objects still honour
+        # config.trace. A plain run keeps only the tracer's totals.
         observed = self.observer is not None
-        tracer = PhaseTracer(enabled=config.trace or observed, keep_spans=observed)
+        tracer = PhaseTracer(
+            enabled=config.trace or observed,
+            spans=self.observer.spans if observed else None,
+        )
         self.network = Network(self.engine, config.cluster, observer=self.observer)
         self.ctx = CommContext(
             engine=self.engine,
@@ -662,7 +664,6 @@ class DistributedRunner:
             self.observer.finalize(
                 engine=self.engine,
                 network=self.network,
-                tracer=self.ctx.tracer,
                 runtime=self.runtime,
             )
         metadata = self._result_metadata()
@@ -702,7 +703,7 @@ class DistributedRunner:
             batch_size=self.config.batch_size,
             measured_time=duration,
             measured_images=images,
-            breakdown=self.ctx.tracer.fractions() if self.config.trace else {},
+            breakdown=normalize_breakdown(self.ctx.tracer.breakdown()) if self.config.trace else {},
         )
         result.metadata.update(metadata)
         return result

@@ -795,13 +795,6 @@ class SweepExecutor:
             item.attempt += 1
             requeue(item, now + delay)
 
-        def stop_reason() -> str | None:
-            if self._stop_reason is not None:
-                return self._stop_reason
-            if session is not None and session.stop_reason is not None:
-                return session.stop_reason
-            return None
-
         def abort(reason: str, exc_cls: type) -> None:
             for item in sorted(in_flight.values(), key=lambda i: i.index):
                 journal("run_abandoned", fp=item.fp, attempt=item.attempt)
@@ -817,7 +810,7 @@ class SweepExecutor:
             raise exc_cls(sid, reason, done, remaining)
 
         def check_interrupts() -> None:
-            reason = stop_reason()
+            reason = self._stop_reason
             if reason is not None:
                 abort(reason, SweepInterrupted)
             if session is not None and session.preempt_requested():

@@ -270,7 +270,6 @@ class SweepSession:
         self.states: dict[str, str] = {fp: "pending" for fp in self.fingerprints}
         self.attempts: dict[str, int] = {fp: 0 for fp in self.fingerprints}
         self.recovery = {"torn_tail": 0, "corrupt": 0}
-        self.stop_reason: str | None = None
         self._preempt = False
         self._journal_fh: Any = None
         from repro.obs.metrics import MetricsRegistry
@@ -457,9 +456,6 @@ class SweepSession:
         return records
 
     # -- stop / preemption ----------------------------------------------
-
-    def request_stop(self, reason: str) -> None:
-        self.stop_reason = reason
 
     def preempt_requested(self) -> bool:
         if self._preempt:

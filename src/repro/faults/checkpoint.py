@@ -38,13 +38,15 @@ def capture_snapshot(rt: "Runtime", algorithm: "TrainingAlgorithm") -> Snapshot:
     """Snapshot the consensus model for a rejoining worker.
 
     Centralized algorithms snapshot the PS parameters; decentralized
-    ones the live-worker average. The iteration watermark is the
-    fastest live worker's count, so the rejoiner's learning-rate
-    schedule resumes where the cluster is, not where the rejoiner died.
+    ones the live-worker average (None with no live worker: the
+    rejoiner keeps its replica). The iteration watermark is the fastest
+    live worker's count, so the rejoiner's learning-rate schedule
+    resumes where the cluster is, not where the rejoiner died; with no
+    live worker, where the furthest worker stopped.
     """
     params = algorithm.global_params()
-    live = rt.live_worker_ids()
-    iterations = max((rt.workers[w].iterations for w in live), default=0)
+    live = rt.live_worker_ids() or range(len(rt.workers))
+    iterations = max(rt.workers[w].iterations for w in live)
     nbytes = rt.total_elements * rt.sharding.bytes_per_param
     return Snapshot(params=params, iterations=iterations, nbytes=nbytes)
 

@@ -5,9 +5,9 @@ One controller per faulty run. It owns:
 * the **injector** process — replays the :class:`FaultSchedule` at its
   virtual-time stamps (crashes kill processes, outages crash whole
   machines, link events arm the :class:`LinkFaultModel`);
-* the **failure detector** — every worker announces liveness to a
-  monitor node on a fixed beat (a self-rescheduling callback chain —
-  no generator, no per-beat process machinery); the
+* the **failure detector** — every worker announces liveness to the
+  monitor on machine 0 on a fixed beat (a self-rescheduling callback
+  chain — no generator, no per-beat process machinery); the
   monitor evicts a worker whose heartbeats stop, after
   ``max_suspect_rounds`` of exponentially backed-off suspicion. A crash
   is detected *honestly*: the controller kills the worker's processes
@@ -22,7 +22,8 @@ One controller per faulty run. It owns:
 * **elastic rejoin** — a crash with ``rejoin_after`` waits out the
   delay, pulls a model snapshot over the simulated network
   (:mod:`repro.faults.checkpoint`), restores the worker slot, and
-  re-enters it into membership.
+  re-enters it into membership. A cluster left with no live worker and
+  no pending rejoin ends the run at once.
 
 Everything is driven by virtual time and a dedicated RNG stream, so a
 given ``(RunConfig, FaultConfig)`` pair is bit-deterministic.
@@ -62,6 +63,10 @@ _RNG_STREAM_TAG = 0xFA017
 # Event kinds that arm the link-fault model on the network (anything
 # that manifests as held or retransmitted messages).
 _LINK_FAULT_KINDS = ("partition", "drop", "tor_outage", "uplink_flap")
+
+# The failure detector's monitor runs on machine 0: heartbeats travel
+# there over the control plane.
+_MONITOR_MACHINE = 0
 
 
 class FaultController:
@@ -116,7 +121,8 @@ class FaultController:
         self._suspicion: dict[int, int] = {}
         #: Workers whose processes are gone (crashed or fenced).
         self.dead: set[int] = set()
-        self.monitor_node: Node | None = None
+        # Crashed workers whose rejoin is still on its way.
+        self._rejoining: set[int] = set()
         self.evictions: list[dict] = []
         self.rejoins: list[dict] = []
         self.quarantines: list[dict] = []
@@ -165,8 +171,6 @@ class FaultController:
     def start(self) -> None:
         """Spawn the detector and injector (after algorithm setup)."""
         rt = self.rt
-        self.monitor_node = Node(rt.ctx, rt.allocate_node_id(), 0, name="fd-monitor")
-        rt.nodes_by_id[self.monitor_node.node_id] = self.monitor_node
         # Armed-but-idle fast path: with no scheduled faults, no robust
         # layer (quarantines), no observer, and beat delivery faster
         # than the beat period, nothing can ever go overdue — the epoch
@@ -224,14 +228,11 @@ class FaultController:
         rt = self.rt
         if token != self._hb_token.get(wid) or rt.stopping:
             return
-        assert self.monitor_node is not None
         node = rt.workers[wid].node
         node.sent_messages += 1
         node.sent_bytes += HEARTBEAT_BYTES
         engine = rt.engine
-        delay = rt.ctx.network.oob_delay(
-            node.machine, self.monitor_node.machine, HEARTBEAT_BYTES
-        )
+        delay = rt.ctx.network.oob_delay(node.machine, _MONITOR_MACHINE, HEARTBEAT_BYTES)
         engine._at(delay, self._hb_arrival, (wid, rt.ctx.epoch, engine.now))
         engine._at(self.config.heartbeat_interval, self._hb_tick, (wid, token))
 
@@ -250,14 +251,13 @@ class FaultController:
             return
         engine = rt.engine
         network = rt.ctx.network
-        mon_machine = self.monitor_node.machine
         now = engine.now
         last_seen = self._last_seen
         for wid, node in self._hb_slots:
             node.sent_messages += 1
             node.sent_bytes += HEARTBEAT_BYTES
             last_seen[wid] = now + network.oob_delay(
-                node.machine, mon_machine, HEARTBEAT_BYTES
+                node.machine, _MONITOR_MACHINE, HEARTBEAT_BYTES
             )
         engine._at(self.config.heartbeat_interval, self._hb_tick_all, ())
 
@@ -283,10 +283,9 @@ class FaultController:
         self._suspicion.pop(wid, None)
         obs = rt.obs
         if obs is not None:
-            assert self.monitor_node is not None
             obs.on_message(
                 src_machine=rt.workers[wid].machine,
-                dst_machine=self.monitor_node.machine,
+                dst_machine=_MONITOR_MACHINE,
                 kind="hb",
                 nbytes=HEARTBEAT_BYTES,
                 t_send=send_time,
@@ -447,7 +446,11 @@ class FaultController:
         rt.tracer.flush_open(rt.engine.now, worker=wid)
         self._record("crash", worker=wid, machine=slot.machine)
         if rejoin_after is not None:
+            self._rejoining.add(wid)
             rt.engine.spawn(self._rejoin(wid, rejoin_after), name=f"rejoin.w{wid}")
+        elif not self._rejoining and self.membership.live <= self.dead:
+            # Nobody is left to train and nobody is coming back.
+            rt.stopping = True
 
     def _kill_owned(self, wid: int) -> None:
         for process, owner in self._procs:
@@ -467,19 +470,11 @@ class FaultController:
         """
         rt = self.rt
         cfg = self.config
-        node = self.monitor_node
-        assert node is not None
         self._last_seen = {wid: rt.engine.now for wid in self.membership.live_sorted()}
         while not rt.stopping:
             yield Timeout(cfg.heartbeat_interval)
             if rt.stopping:
                 return
-            while node.pending("hb"):
-                msg = yield node.recv("hb")
-                wid = msg.meta["worker"]
-                if msg.recv_time > self._last_seen.get(wid, -1.0):
-                    self._last_seen[wid] = msg.recv_time
-                self._suspicion.pop(wid, None)
             now = rt.engine.now
             for wid in self.membership.live_sorted():
                 last = self._last_seen.get(wid, now)
@@ -494,9 +489,17 @@ class FaultController:
                     self._suspicion.pop(wid, None)
                     self._evict(wid)
 
-    def _evict(self, wid: int) -> None:
-        if not self.membership.is_live(wid) or len(self.membership) <= 1:
+    def _evict(self, wid: int, kind: str = "evict") -> None:
+        """Fence ``wid`` and restart the protocol without it.
+
+        The last member is evicted only once it is dead, which happens
+        only while a rejoin is pending (``_crash`` ends a run that has
+        none): a sole worker that is merely partitioned stays.
+        """
+        members = self.membership
+        if not members.is_live(wid) or (len(members) <= 1 and wid not in self.dead):
             return
+        self._suspicion.pop(wid, None)
         rt = self.rt
         slot = rt.workers[wid]
         # Fencing: even if the worker is only partitioned, its processes
@@ -505,11 +508,10 @@ class FaultController:
         self._stop_heartbeat(wid)
         self.dead.add(wid)
         rt.tracer.flush_open(rt.engine.now, worker=wid)
-        self.evictions.append(
-            {"time": rt.engine.now, "worker": wid, "iterations": slot.iterations}
-        )
-        self._record("evict", worker=wid, machine=slot.machine)
-        self.membership.evict(wid)
+        log = self.quarantines if kind == "quarantine" else self.evictions
+        log.append({"time": rt.engine.now, "worker": wid, "iterations": slot.iterations})
+        self._record(kind, worker=wid, machine=slot.machine)
+        members.evict(wid)
         self._membership_changed()
 
     def quarantine(self, wid: int) -> None:
@@ -522,21 +524,7 @@ class FaultController:
         defer through ``engine._immediate(controller.quarantine, (wid,))``
         instead.
         """
-        if not self.membership.is_live(wid) or len(self.membership) <= 1:
-            return
-        rt = self.rt
-        slot = rt.workers[wid]
-        self._kill_owned(wid)
-        self._stop_heartbeat(wid)
-        self.dead.add(wid)
-        self._suspicion.pop(wid, None)
-        rt.tracer.flush_open(rt.engine.now, worker=wid)
-        self.quarantines.append(
-            {"time": rt.engine.now, "worker": wid, "iterations": slot.iterations}
-        )
-        self._record("quarantine", worker=wid, machine=slot.machine)
-        self.membership.evict(wid)
-        self._membership_changed()
+        self._evict(wid, "quarantine")
 
     # -- membership protocol ---------------------------------------------
     def _membership_changed(self) -> None:
@@ -550,8 +538,6 @@ class FaultController:
             if process.alive:
                 process.kill()
         for node in rt.nodes_by_id.values():
-            if node is self.monitor_node:
-                continue
             node.flush()
         rt.tracer.flush_open(rt.engine.now)
         self.algorithm.on_membership_change(rt)
@@ -568,11 +554,12 @@ class FaultController:
         if rt.stopping:
             return
         snapshot = capture_snapshot(rt, self.algorithm)
+        slot = rt.workers[wid]
         if rt.ps_nodes:
             src_node: Node = rt.ps_nodes[0]
         else:
-            src_node = rt.workers[self.membership.live_sorted()[0]].node
-        slot = rt.workers[wid]
+            # With no live peer, the rejoiner restores its own replica.
+            src_node = rt.workers[min(self.membership.live, default=wid)].node
         src_node.sent_messages += 1
         src_node.sent_bytes += snapshot.nbytes
         yield rt.ctx.network.transfer(src_node.machine, slot.machine, snapshot.nbytes)
@@ -580,6 +567,7 @@ class FaultController:
             return
         restore_snapshot(rt, slot, snapshot)
         self.dead.discard(wid)
+        self._rejoining.discard(wid)
         self.membership.join(wid)
         self.rejoins.append(
             {"time": rt.engine.now, "worker": wid, "iterations": snapshot.iterations}

@@ -26,8 +26,6 @@ class Membership:
     def evict(self, wid: int) -> None:
         if wid not in self.live:
             raise ValueError(f"worker {wid} is not live")
-        if len(self.live) <= 1:
-            raise ValueError("cannot evict the last live worker")
         self.live.discard(wid)
         self.evicted.add(wid)
         self.generation += 1

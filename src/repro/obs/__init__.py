@@ -10,8 +10,8 @@ attribution credible:
   bytes and busy time, per-worker staleness, straggler-jitter draws,
   iteration timestamps);
 * :class:`~repro.obs.recorder.RunObserver` — the structured run-event
-  recorder the instrumented stack reports into (comm messages, engine
-  process lifetimes, metric samples);
+  recorder the instrumented stack reports into (phase spans, comm
+  messages, engine process lifetimes, metric samples);
 * :mod:`repro.obs.perfetto` — export of one observed run as
   Chrome/Perfetto trace-event JSON (``repro trace``, ``--trace-out``);
 * :mod:`repro.obs.spans` / :mod:`repro.obs.critpath` — post-hoc causal

@@ -23,7 +23,7 @@ class ObsConfig:
     uninstrumented one. ``enabled=True`` attaches a
     :class:`~repro.obs.recorder.RunObserver`, which records every
     stream: metrics, messages, process lifetimes, iteration marks,
-    fault and robust events, and the tracer's phase spans.
+    fault and robust events, and phase spans.
     """
 
     enabled: bool = False

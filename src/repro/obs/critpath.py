@@ -130,7 +130,7 @@ def _walk_window(dag: SpanDAG, window: IterationWindow) -> WindowAttribution:
     truncated = False
     # Strict-progress guard: every step moves t strictly downward
     # (message latencies are positive), so the bound is generous.
-    max_steps = 10 * (len(dag.messages) + len(dag.tracer_spans)) + 1000
+    max_steps = 10 * (len(dag.messages) + len(dag.spans)) + 1000
     steps = 0
 
     def emit_wait(ent, lo: float, hi: float) -> None:
@@ -336,7 +336,7 @@ def _overlap_saved(dag: SpanDAG, windows: list[IterationWindow]) -> float:
         return 0.0
     t0, t1 = windows[0].start, windows[-1].end
     per_worker_comm: dict[int, list[tuple[float, float]]] = {}
-    for span in dag.tracer_spans:
+    for span in dag.spans:
         if span.phase == "comm" and span.worker >= 0:
             if span.end <= t0 or span.start >= t1:
                 continue
@@ -499,9 +499,7 @@ def analyze_run(runner, **kwargs) -> dict:
             "analysis needs an observed run: construct the runner with "
             "obs=ObsConfig(enabled=True)"
         )
-    dag = build_span_dag(
-        observer=runner.observer, tracer=runner.ctx.tracer, config=runner.config
-    )
+    dag = build_span_dag(observer=runner.observer, config=runner.config)
     kwargs.setdefault("cluster", runner.config.cluster)
     report = analyze_dag(dag, **kwargs)
     report["algorithm"] = runner.config.algorithm

@@ -2,8 +2,7 @@
 
 Produces the JSON object format of the Trace Event spec — loadable in
 ``https://ui.perfetto.dev`` or ``chrome://tracing`` — from a run's
-:class:`~repro.sim.trace.PhaseTracer` spans and
-:class:`~repro.obs.recorder.RunObserver` state.
+:class:`~repro.obs.recorder.RunObserver`, which holds its phase spans.
 
 Track layout (``pid`` = process lane, ``tid`` = thread lane):
 
@@ -48,7 +47,6 @@ from typing import TYPE_CHECKING, Any, Iterator
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.recorder import RunObserver
     from repro.sim.cluster import ClusterSpec
-    from repro.sim.trace import PhaseTracer
 
 __all__ = [
     "build_trace",
@@ -70,7 +68,6 @@ def _worker_lane(worker: int, cluster: "ClusterSpec") -> tuple[int, int]:
 
 
 def _metadata_rows(
-    tracer: "PhaseTracer",
     observer: "RunObserver",
     cluster: "ClusterSpec",
     critpath: dict | None,
@@ -115,7 +112,7 @@ def _metadata_rows(
         if (pid, tid) not in named:
             named.add((pid, tid))
             thread_name(pid, tid, name)
-    for span in tracer.spans:
+    for span in observer.spans:
         pid, tid = _worker_lane(span.worker, cluster)
         if (pid, tid) not in named:
             named.add((pid, tid))
@@ -130,7 +127,6 @@ def _metadata_rows(
 
 
 def _event_streams(
-    tracer: "PhaseTracer",
     observer: "RunObserver",
     cluster: "ClusterSpec",
     critpath: dict | None,
@@ -139,7 +135,7 @@ def _event_streams(
     machines = cluster.machines
     net_pid, metrics_pid = machines + 1, machines + 2
     # Spans are appended at end() time; order by start for the merge.
-    spans = sorted(tracer.spans, key=lambda s: s.start)
+    spans = sorted(observer.spans, key=lambda s: s.start)
     # Messages are appended at delivery; order by send time.
     msgs = sorted(observer.messages, key=lambda m: m.t_send)
 
@@ -256,14 +252,13 @@ def _event_streams(
 
 
 def _trace_parts(
-    tracer: "PhaseTracer",
     observer: "RunObserver",
     cluster: "ClusterSpec",
     label: str,
     critpath: dict | None,
 ) -> tuple[list[dict[str, Any]], Iterator[dict[str, Any]], dict[str, Any]]:
-    meta = _metadata_rows(tracer, observer, cluster, critpath)
-    streams = _event_streams(tracer, observer, cluster, critpath)
+    meta = _metadata_rows(observer, cluster, critpath)
+    streams = _event_streams(observer, cluster, critpath)
     # heapq.merge is stable: equal timestamps keep per-stream order and
     # earlier streams win ties, matching the old stable-sort layout.
     merged = merge(*streams, key=lambda e: e["ts"])
@@ -273,19 +268,20 @@ def _trace_parts(
 
 def build_trace(
     *,
-    tracer: "PhaseTracer",
     observer: "RunObserver",
     cluster: "ClusterSpec",
     label: str = "repro run",
     critpath: dict | None = None,
+    tracer: object = None,
 ) -> dict:
     """Assemble the trace-event JSON object for one run.
 
     ``critpath`` is an :func:`repro.obs.critpath.analyze_dag` report
     built with ``keep_segments=True``; its extracted path is rendered
-    as a dedicated highlight lane.
+    as a dedicated highlight lane. ``tracer`` is accepted and ignored
+    (the spans are the observer's): the ledger's probe still passes it.
     """
-    meta, merged, other = _trace_parts(tracer, observer, cluster, label, critpath)
+    meta, merged, other = _trace_parts(observer, cluster, label, critpath)
     return {
         "traceEvents": meta + list(merged),
         "displayTimeUnit": "ms",
@@ -296,7 +292,6 @@ def build_trace(
 def write_trace(
     path: str | Path,
     *,
-    tracer: "PhaseTracer",
     observer: "RunObserver",
     cluster: "ClusterSpec",
     label: str = "repro run",
@@ -304,7 +299,7 @@ def write_trace(
 ) -> Path:
     """Build and write the trace, streaming events one at a time;
     returns the written path."""
-    meta, merged, other = _trace_parts(tracer, observer, cluster, label, critpath)
+    meta, merged, other = _trace_parts(observer, cluster, label, critpath)
     path = Path(path)
     if path.parent != Path(""):
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -8,9 +8,11 @@ code holds a plain ``observer-or-None`` reference and guards each hook
 with ``if obs is not None`` — when observability is off there is no
 observer object anywhere and the hot paths run the seed instructions.
 
-The observer collects three things:
+The observer collects four things:
 
 * **metrics** — counters/gauges/virtual-time series in ``registry``;
+* **phase spans** — one :class:`~repro.sim.trace.Span` per finished
+  phase, appended by the run's :class:`~repro.sim.trace.PhaseTracer`;
 * **comm messages** — one :class:`MessageEvent` per delivered message;
 * **process lifetimes** — one :class:`ProcessSpan` per engine process.
 
@@ -28,7 +30,7 @@ from repro.obs.metrics import MetricsRegistry
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine, Process
     from repro.sim.network import Network, Port
-    from repro.sim.trace import PhaseTracer
+    from repro.sim.trace import Span
 
 __all__ = ["FaultEventRecord", "MessageEvent", "ProcessSpan", "RunObserver"]
 
@@ -84,6 +86,8 @@ class RunObserver:
 
     def __init__(self) -> None:
         self.registry = MetricsRegistry()
+        # The run's one list of phase spans: the tracer appends to it.
+        self.spans: list[Span] = []
         self.messages: list[MessageEvent] = []
         self.processes: list[ProcessSpan] = []
         self.fault_events: list[FaultEventRecord] = []
@@ -234,7 +238,6 @@ class RunObserver:
         *,
         engine: "Engine | None" = None,
         network: "Network | None" = None,
-        tracer: "PhaseTracer | None" = None,
         runtime=None,
     ) -> None:
         """Record the end-of-run aggregates (final port utilisation,
@@ -275,5 +278,4 @@ class RunObserver:
                 self.registry.gauge(f"net.{port.name}.utilization").set(
                     port.utilization(horizon)
                 )
-        if tracer is not None:
-            self.registry.counter("trace.spans").inc(tracer.span_count)
+        self.registry.counter("trace.spans").inc(len(self.spans))

@@ -19,8 +19,8 @@ critical-path analyzer walks:
   consecutive crossings bound one "iteration" of the cluster — the
   unit the paper's Fig 3 breakdown is measured over.
 
-Everything here is pure post-processing: it reads observer/tracer
-state after the engine drained and never touches the simulation.
+Everything here is pure post-processing: it reads the observer after
+the engine drained and never touches the simulation.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.config import RunConfig
     from repro.obs.recorder import MessageEvent, RunObserver
-    from repro.sim.trace import PhaseTracer, Span
+    from repro.sim.trace import Span
 
 __all__ = ["EntityTimeline", "IterationWindow", "SpanDAG", "build_span_dag"]
 
@@ -109,7 +109,7 @@ class SpanDAG:
         windows: list[IterationWindow],
         measured_rounds: tuple[int, int] | None,
         agg_wait_union: list[tuple[float, float]],
-        tracer_spans: list["Span"],
+        spans: list["Span"],
         messages: list["MessageEvent"],
         num_workers: int,
     ) -> None:
@@ -120,7 +120,7 @@ class SpanDAG:
         #: window (1-based, inclusive), or None outside timing mode.
         self.measured_rounds = measured_rounds
         self.agg_wait_union = agg_wait_union
-        self.tracer_spans = tracer_spans
+        self.spans = spans
         self.messages = messages
         self.num_workers = num_workers
 
@@ -165,14 +165,13 @@ def _merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, 
 def build_span_dag(
     *,
     observer: "RunObserver",
-    tracer: "PhaseTracer",
     config: "RunConfig",
 ) -> SpanDAG:
     """Reconstruct the causal span DAG of one observed run.
 
-    Needs an observer that recorded trace events (messages, iteration
-    marks, node table — the latter is filled by
-    ``RunObserver.finalize(runtime=...)``) and the run's phase tracer.
+    Needs the observer of a finished run: its phase spans, messages,
+    iteration marks and node table (the latter is filled by
+    ``RunObserver.finalize(runtime=...)``).
     """
     num_workers = observer.num_workers or config.num_workers
 
@@ -191,7 +190,7 @@ def build_span_dag(
     # -- compute spans and the agg-wait union ---------------------------
     agg_wait: list[tuple[float, float]] = []
     compute_by_wid: dict[int, list[tuple[float, float]]] = {}
-    for span in tracer.spans:
+    for span in observer.spans:
         if span.phase == "compute" and span.worker >= 0:
             compute_by_wid.setdefault(span.worker, []).append((span.start, span.end))
         elif span.phase == "agg_wait":
@@ -250,7 +249,7 @@ def build_span_dag(
         windows=windows,
         measured_rounds=measured_rounds,
         agg_wait_union=_merge_intervals(agg_wait),
-        tracer_spans=list(tracer.spans),
-        messages=list(observer.messages),
+        spans=observer.spans,
+        messages=observer.messages,
         num_workers=num_workers,
     )

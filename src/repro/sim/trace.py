@@ -14,16 +14,20 @@ names follow the paper's Fig 3 legend:
 
 Spans may overlap (wait-free BP deliberately overlaps ``comm`` with
 ``compute``); breakdown aggregation is by total span duration, as the
-paper's stacked bars are.
+paper's stacked bars are. The tracer keeps the phase totals; the spans
+themselves live on an observed run's
+:class:`~repro.obs.recorder.RunObserver` (``observer.spans``).
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
-__all__ = ["Span", "PhaseTracer", "PHASES"]
+__all__ = ["Span", "PhaseTracer", "PHASES", "MAIN_PHASES", "normalize_breakdown"]
 
 PHASES = ("compute", "local_agg", "global_agg", "comm", "agg_wait")
+#: Fig 3's four bars: ``agg_wait`` is a sub-component of aggregation.
+MAIN_PHASES = PHASES[:4]
 
 
 class Span(NamedTuple):
@@ -41,6 +45,20 @@ class Span(NamedTuple):
         return self.end - self.start
 
 
+def normalize_breakdown(breakdown: Mapping[str, float]) -> dict[str, float]:
+    """Restrict to the paper's four Fig 3 categories, normalised to 1.
+
+    ``agg_wait`` is a sub-component of the aggregation phases (the
+    paper reports it as a percentage *of* aggregation, not a separate
+    bar) and is therefore excluded here.
+    """
+    main = {p: float(breakdown.get(p, 0.0)) for p in MAIN_PHASES}
+    total = sum(main.values())
+    if total <= 0:
+        return {p: 0.0 for p in MAIN_PHASES}
+    return {p: v / total for p, v in main.items()}
+
+
 def _unknown_phase(phase: str) -> ValueError:
     # A typo'd phase would silently skew the Fig 3 fractions (it lands
     # in the breakdown but not the canonical denominators).
@@ -50,24 +68,19 @@ def _unknown_phase(phase: str) -> ValueError:
 class PhaseTracer:
     """Accumulates phase time as spans finish; one per run.
 
-    Every finished span is added to its phase's total and to its
-    ``(worker, phase)`` total at recording time, in recording order —
-    the additions a pass over the span list would perform, so the
-    totals are bit-equal to that sum. The :class:`Span` list itself is
-    only for readers of individual spans (Perfetto export, the span
-    DAG): with ``keep_spans=False`` nothing per span is retained and a
-    run's tracer is O(workers), not O(messages).
+    Every finished span is added to its phase's total at recording
+    time, in recording order — the additions a pass over the span list
+    would perform, so the totals are bit-equal to that sum. Given a
+    ``spans`` list (an observed run passes ``observer.spans``), each
+    finished :class:`Span` is also appended to it; without one nothing
+    per span is retained.
     """
 
-    def __init__(self, enabled: bool = True, *, keep_spans: bool = True) -> None:
+    def __init__(self, enabled: bool = True, *, spans: list[Span] | None = None) -> None:
         self.enabled = enabled
-        self.keep_spans = keep_spans
-        self.spans: list[Span] = []
-        #: Spans recorded, kept or not.
-        self.span_count = 0
+        self._spans = spans
         self._open: dict[tuple[int, str], float] = {}
         self._totals: dict[str, float] = {phase: 0.0 for phase in PHASES}
-        self._worker_totals: dict[tuple[int, str], float] = {}
 
     def begin(self, worker: int, phase: str, now: float) -> None:
         if not self.enabled:
@@ -117,33 +130,10 @@ class PhaseTracer:
             raise _unknown_phase(phase)
         if end < start:
             raise RuntimeError("span ends before it starts")
-        duration = end - start
-        self._totals[phase] += duration
-        key = (worker, phase)
-        by_worker = self._worker_totals
-        by_worker[key] = by_worker.get(key, 0.0) + duration
-        self.span_count += 1
-        if self.keep_spans:
-            self.spans.append(Span(worker, phase, start, end))
+        self._totals[phase] += end - start
+        if self._spans is not None:
+            self._spans.append(Span(worker, phase, start, end))
 
-    def total(self, phase: str, *, worker: int | None = None) -> float:
-        if worker is None:
-            return self._totals.get(phase, 0.0)
-        return self._worker_totals.get((worker, phase), 0.0)
-
-    def breakdown(self, *, worker: int | None = None) -> dict[str, float]:
+    def breakdown(self) -> dict[str, float]:
         """Total duration per phase (seconds)."""
-        if worker is None:
-            return dict(self._totals)
-        totals = self._worker_totals
-        return {phase: totals.get((worker, phase), 0.0) for phase in PHASES}
-
-    def fractions(self, *, worker: int | None = None) -> dict[str, float]:
-        """Phase totals normalised to sum to 1 (excluding ``agg_wait``,
-        which is a sub-component of the aggregation phases)."""
-        totals = self.breakdown(worker=worker)
-        main = {k: v for k, v in totals.items() if k != "agg_wait"}
-        denom = sum(main.values())
-        if denom == 0:
-            return {k: 0.0 for k in main}
-        return {k: v / denom for k, v in main.items()}
+        return dict(self._totals)

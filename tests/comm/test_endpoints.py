@@ -11,11 +11,12 @@ from repro.sim.network import Network
 from repro.sim.trace import PhaseTracer
 
 
-def make_ctx(machines=3, bw=10, trace=False):
+def make_ctx(machines=3, bw=10, trace=False, spans=None):
     eng = Engine()
     spec = paper_cluster(bandwidth_gbps=bw, machines=machines, gpus_per_machine=4)
     net = Network(eng, spec)
-    return CommContext(engine=eng, network=net, cluster=spec, tracer=PhaseTracer(enabled=trace))
+    tracer = PhaseTracer(enabled=trace, spans=spans)
+    return CommContext(engine=eng, network=net, cluster=spec, tracer=tracer)
 
 
 class TestNode:
@@ -108,7 +109,8 @@ class TestNode:
         assert a.sent_bytes == 300
 
     def test_trace_worker_records_comm_span(self):
-        ctx = make_ctx(trace=True)
+        spans = []
+        ctx = make_ctx(trace=True, spans=spans)
         a = Node(ctx, 0, 0)
         b = Node(ctx, 1, 1)
 
@@ -119,7 +121,8 @@ class TestNode:
 
         ctx.engine.spawn(sender())
         ctx.engine.run()
-        assert ctx.tracer.total("comm", worker=7) > 0
+        assert ctx.tracer.breakdown()["comm"] > 0
+        assert [(s.worker, s.phase) for s in spans] == [(7, "comm")]
 
     def test_machine_out_of_range(self):
         ctx = make_ctx(machines=2)

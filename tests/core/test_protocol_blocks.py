@@ -46,6 +46,7 @@ from repro.experiments.config import mini_dgc_config
 from repro.experiments.faults import FAULT_SCENARIOS
 from repro.faults.config import FaultConfig, FaultEvent
 from repro.io import to_jsonable
+from repro.obs import ObsConfig
 from repro.optimizations.sharding import scatter_ranges
 from repro.robust.config import RobustConfig
 from repro.sim.cluster import hierarchical_cluster, paper_cluster
@@ -176,16 +177,17 @@ def observe(cfg, monkeypatch, swaps=()):
         patch.setattr(Node, "_deliver", logged)
         for owner, name, value in swaps:
             patch.setattr(owner, name, value)
-        runner = DistributedRunner(cfg)
+        # Observed, to compare every span (observation is passive:
+        # tests/obs/test_zero_overhead.py).
+        runner = DistributedRunner(cfg, obs=ObsConfig(enabled=True))
         result = runner.run()
-    tracer = runner.ctx.tracer
     seen = {
         "log": log,
         "clock": runner.engine.now,
         "events": runner.engine.events_processed,
         "ports": port_stats(runner.network),
-        "breakdown": tracer.breakdown(),
-        "spans": tracer.span_count,
+        "breakdown": runner.ctx.tracer.breakdown(),
+        "spans": runner.observer.spans,
         "faults": result.metadata.get("faults"),
     }
     if cfg.mode == "full":

@@ -349,9 +349,7 @@ class TestImportGraph:
             "history = runner.run()\n"
             "assert history.epochs[-1] >= 1.0 and history.test_accuracy, history.epochs\n"
             "report = analyze_run(runner)\n"
-            "trace = build_trace(\n"
-            "    tracer=runner.ctx.tracer, observer=runner.observer, cluster=cfg.cluster, critpath=report\n"
-            ")\n"
+            "trace = build_trace(observer=runner.observer, cluster=cfg.cluster, critpath=report)\n"
             "assert trace['traceEvents']\n"
             "pooled = SweepExecutor(jobs=2, cache=False).map(\n"
             "    [timing_config(a, num_workers=4, measure_iters=1) for a in ('asp', 'bsp')]\n"

@@ -40,9 +40,7 @@ def timing_run(request):
 class TestConservationTiming:
     def test_per_window_residual(self, timing_run):
         runner, _, report = timing_run
-        dag = build_span_dag(
-            observer=runner.observer, tracer=runner.ctx.tracer, config=runner.config
-        )
+        dag = build_span_dag(observer=runner.observer, config=runner.config)
         attributions = attribute_windows(dag)
         assert attributions
         for a in attributions:
@@ -81,9 +79,7 @@ class TestConservationTiming:
         # sums); positions may be approximate where a PS gap is split
         # into wait/aggregation, so adjacency is not asserted.
         runner, _, _ = timing_run
-        dag = build_span_dag(
-            observer=runner.observer, tracer=runner.ctx.tracer, config=runner.config
-        )
+        dag = build_span_dag(observer=runner.observer, config=runner.config)
         for a in attribute_windows(dag):
             assert a.segments, "every window walks at least one segment"
             total = math.fsum(s.duration for s in a.segments)
@@ -184,7 +180,7 @@ class TestStragglerDetection:
             ],
             measured_rounds=None,
             agg_wait_union=[],
-            tracer_spans=[],
+            spans=[],
             messages=[],
             num_workers=3,
         )

@@ -67,7 +67,7 @@ class TestNoDanglingState:
         for (w, _), start in tracer._open.items():
             if w == CRASHED:
                 assert start >= rejoin_t
-        for span in tracer.spans:
+        for span in runner.observer.spans:
             if span.worker != CRASHED:
                 continue
             # Truncated at the kill, or re-opened after the rejoin:
@@ -82,7 +82,7 @@ class TestNoDanglingState:
         rejoin_t = event.time + event.rejoin_after
         assert any(
             s.worker == CRASHED and s.start >= rejoin_t
-            for s in runner.ctx.tracer.spans
+            for s in runner.observer.spans
         )
 
     def test_process_spans_all_closed(self, crash_rejoin_run):
@@ -118,7 +118,7 @@ class TestAnalyzerWithCrashedWorkers:
         # and nothing was traced after the kill.
         assert not any(w == CRASHED for w, _ in tracer._open)
         assert not any(
-            s.worker == CRASHED and s.start > event.time for s in tracer.spans
+            s.worker == CRASHED and s.start > event.time for s in runner.observer.spans
         )
         report = analyze_run(runner)
         assert report["windows"] > 0
@@ -128,9 +128,7 @@ class TestAnalyzerWithCrashedWorkers:
         # The crashed worker's entity still exists (node table covers
         # every endpoint); its timeline just has a hole.
         runner, _, _ = crash_rejoin_run
-        dag = build_span_dag(
-            observer=runner.observer, tracer=runner.ctx.tracer, config=runner.config
-        )
+        dag = build_span_dag(observer=runner.observer, config=runner.config)
         ent = dag.entity_for_worker(CRASHED)
         assert ent is not None
         assert ent.compute_starts  # it computed before the crash

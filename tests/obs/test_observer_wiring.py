@@ -121,7 +121,7 @@ class TestFullModeWiring:
         runner.run()
         reg = runner.observer.registry
         assert any(".staleness.w" in name for name in reg.all_series())
-        assert reg.counter("trace.spans").value == len(runner.ctx.tracer.spans)
+        assert reg.counter("trace.spans").value == len(runner.observer.spans)
         # ASP workers ship gradients through the comm plan, so the
         # per-worker gradient-byte counters are populated.
         total = sum(
@@ -155,17 +155,17 @@ class TestEveryStream:
         assert obs.processes
         assert obs.iteration_marks
         assert obs.fault_events
-        assert len(runner.ctx.tracer.spans) == reg.counter("trace.spans").value > 0
+        assert len(runner.observer.spans) == reg.counter("trace.spans").value > 0
         assert [f.name for f in dataclasses.fields(ObsConfig)] == ["enabled"]
 
 
 class TestSpanCount:
-    @pytest.mark.parametrize("keep_spans", [True, False])
-    def test_trace_spans_counts_recorded_spans_kept_or_not(self, keep_spans):
-        tracer = PhaseTracer(keep_spans=keep_spans)
+    def test_trace_spans_counts_the_observers_spans(self):
+        observer = RunObserver()
+        tracer = PhaseTracer(spans=observer.spans)
         tracer.record(0, "comm", 0.0, 1.0)
         tracer.begin(1, "compute", 0.0)
         tracer.end(1, "compute", 2.0)
-        observer = RunObserver()
-        observer.finalize(tracer=tracer)
+        observer.finalize()
         assert observer.registry.counter("trace.spans").value == 2
+        assert [s.phase for s in observer.spans] == ["comm", "compute"]

@@ -32,12 +32,7 @@ def observed_run():
 @pytest.fixture(scope="module")
 def trace(observed_run):
     cfg, runner = observed_run
-    return build_trace(
-        tracer=runner.ctx.tracer,
-        observer=runner.observer,
-        cluster=cfg.cluster,
-        label="test run",
-    )
+    return build_trace(observer=runner.observer, cluster=cfg.cluster, label="test run")
 
 
 class TestTraceStructure:
@@ -81,7 +76,7 @@ class TestSpanAccounting:
             e for e in trace["traceEvents"]
             if e["ph"] == "X" and e.get("cat") == "phase"
         ]
-        assert len(spans) == len(runner.ctx.tracer.spans)
+        assert len(spans) == len(runner.observer.spans)
 
     def test_phase_totals_match_breakdown(self, observed_run, trace):
         _, runner = observed_run
@@ -92,6 +87,16 @@ class TestSpanAccounting:
             assert totals.get(phase, 0.0) == pytest.approx(
                 breakdown[phase], rel=1e-9, abs=1e-12
             )
+
+    def test_a_passed_tracer_is_ignored(self, observed_run, trace):
+        # The spans are the observer's; ``tracer=`` is accepted for old
+        # callers and changes nothing.
+        cfg, runner = observed_run
+        again = build_trace(
+            tracer=runner.ctx.tracer, observer=runner.observer, cluster=cfg.cluster,
+            label="test run",
+        )
+        assert again == trace
 
     def test_comm_span_count_matches_messages(self, observed_run, trace):
         _, runner = observed_run
@@ -163,10 +168,7 @@ class TestCritpathLane:
     def test_lane_present_with_report(self, observed_run, analyzed):
         cfg, runner = observed_run
         highlighted = build_trace(
-            tracer=runner.ctx.tracer,
-            observer=runner.observer,
-            cluster=cfg.cluster,
-            critpath=analyzed,
+            observer=runner.observer, cluster=cfg.cluster, critpath=analyzed
         )
         names = {
             e["args"]["name"]
@@ -191,19 +193,12 @@ class TestWriteTrace:
     def test_write_and_reload(self, observed_run, tmp_path):
         cfg, runner = observed_run
         path = write_trace(
-            tmp_path / "sub" / "trace.json",
-            tracer=runner.ctx.tracer,
-            observer=runner.observer,
-            cluster=cfg.cluster,
+            tmp_path / "sub" / "trace.json", observer=runner.observer, cluster=cfg.cluster
         )
         loaded = json.loads(path.read_text())
         assert loaded["traceEvents"]
         assert phase_totals(loaded) == pytest.approx(
             phase_totals(
-                build_trace(
-                    tracer=runner.ctx.tracer,
-                    observer=runner.observer,
-                    cluster=cfg.cluster,
-                )
+                build_trace(observer=runner.observer, cluster=cfg.cluster)
             )
         )

@@ -22,7 +22,6 @@ def bsp_runner():
 def bsp_dag(bsp_runner):
     return build_span_dag(
         observer=bsp_runner.observer,
-        tracer=bsp_runner.ctx.tracer,
         config=bsp_runner.config,
     )
 
@@ -121,9 +120,11 @@ class TestDagConstruction:
 class TestSpanBreakdown:
     def test_matches_tracer_exactly(self, bsp_runner, bsp_dag):
         # The exact half of the Fig 3 cross-validation: the analyzer
-        # ingests precisely the spans the tracer aggregated.
+        # ingests precisely the spans the tracer aggregated, the
+        # observer's own list.
+        assert bsp_dag.spans is bsp_runner.observer.spans
         totals: dict[str, float] = {}
-        for span in bsp_dag.tracer_spans:
+        for span in bsp_dag.spans:
             totals[span.phase] = totals.get(span.phase, 0.0) + (span.end - span.start)
         assert totals == bsp_runner.ctx.tracer.breakdown()
 

@@ -4,22 +4,24 @@ import random
 
 import pytest
 
-from repro.sim.trace import PHASES, PhaseTracer, Span
+from repro.sim.trace import MAIN_PHASES, PHASES, PhaseTracer, Span, normalize_breakdown
 
 
 class TestPhaseTracer:
     def test_begin_end_records_span(self):
-        t = PhaseTracer()
+        spans = []
+        t = PhaseTracer(spans=spans)
         t.begin(0, "compute", 1.0)
         t.end(0, "compute", 3.0)
-        assert t.spans == [Span(0, "compute", 1.0, 3.0)]
-        assert t.total("compute") == pytest.approx(2.0)
+        assert spans == [Span(0, "compute", 1.0, 3.0)]
+        assert t.breakdown()["compute"] == pytest.approx(2.0)
 
     def test_record_direct(self):
-        t = PhaseTracer()
+        spans = []
+        t = PhaseTracer(spans=spans)
         t.record(1, "comm", 0.0, 0.5)
-        assert t.total("comm", worker=1) == pytest.approx(0.5)
-        assert t.total("comm", worker=0) == 0.0
+        assert spans == [Span(1, "comm", 0.0, 0.5)]
+        assert t.breakdown()["comm"] == pytest.approx(0.5)
 
     def test_double_begin_raises(self):
         t = PhaseTracer()
@@ -46,7 +48,7 @@ class TestPhaseTracer:
         t.begin(1, "compute", 0.0)
         t.end(1, "compute", 1.0)
         t.end(0, "compute", 2.0)
-        assert t.total("compute") == pytest.approx(3.0)
+        assert t.breakdown()["compute"] == pytest.approx(3.0)
 
     def test_breakdown_and_fractions(self):
         t = PhaseTracer()
@@ -54,19 +56,21 @@ class TestPhaseTracer:
         t.record(0, "global_agg", 6.0, 8.0)
         t.record(0, "comm", 8.0, 10.0)
         t.record(-1, "agg_wait", 6.0, 7.5)
-        frac = t.fractions()
+        assert t.breakdown()["agg_wait"] == 1.5
+        frac = normalize_breakdown(t.breakdown())
         assert frac["compute"] == pytest.approx(0.6)
         assert frac["global_agg"] == pytest.approx(0.2)
         assert "agg_wait" not in frac  # sub-component, not a main phase
         assert sum(frac.values()) == pytest.approx(1.0)
 
     def test_disabled_tracer_is_noop(self):
-        t = PhaseTracer(enabled=False)
+        spans = []
+        t = PhaseTracer(enabled=False, spans=spans)
         t.begin(0, "compute", 0.0)
         t.end(0, "compute", 1.0)
         t.record(0, "comm", 0.0, 1.0)
-        assert t.spans == []
-        assert t.fractions() == {p: 0.0 for p in ("compute", "local_agg", "global_agg", "comm")}
+        assert spans == []
+        assert normalize_breakdown(t.breakdown()) == {p: 0.0 for p in MAIN_PHASES}
 
 
 class TestPhaseValidation:
@@ -88,21 +92,22 @@ class TestPhaseValidation:
     def test_disabled_tracer_skips_validation_with_spans(self):
         # Disabled tracers drop spans before validating: the hot path
         # stays a cheap early return.
-        t = PhaseTracer(enabled=False)
+        spans = []
+        t = PhaseTracer(enabled=False, spans=spans)
         t.begin(0, "not-a-phase", 0.0)
         t.end(0, "not-a-phase", 1.0)
         t.record(0, "also-wrong", 0.0, 1.0)
-        assert t.spans == []
+        assert spans == []
 
 
 class TestTotals:
     """Totals are accumulated as spans finish: bit for bit the in-order
-    sum a pass over the span list performs, whether the list is kept."""
+    sum a pass over the span list performs, whether a list is given."""
 
     @staticmethod
-    def recorded(keep_spans):
+    def recorded(spans):
         rng = random.Random(7)
-        tracer = PhaseTracer(keep_spans=keep_spans)
+        tracer = PhaseTracer(spans=spans)
         now = 0.0
         for step in range(400):
             worker = rng.randrange(4)
@@ -126,39 +131,29 @@ class TestTotals:
         return tracer
 
     def test_totals_equal_the_in_order_sum_of_spans(self):
-        tracer = self.recorded(keep_spans=True)
+        spans = []
+        tracer = self.recorded(spans)
         by_phase = {phase: 0.0 for phase in PHASES}
-        by_worker = {}
-        for span in tracer.spans:
+        for span in spans:
             by_phase[span.phase] += span.duration
-            key = (span.worker, span.phase)
-            by_worker[key] = by_worker.get(key, 0.0) + span.duration
         assert tracer.breakdown() == by_phase
-        assert tracer.span_count == len(tracer.spans)
-        for worker in range(4):
-            expected = {phase: by_worker.get((worker, phase), 0.0) for phase in PHASES}
-            assert tracer.breakdown(worker=worker) == expected
-            for phase in PHASES:
-                assert tracer.total(phase, worker=worker) == expected[phase]
-        for phase in PHASES:
-            assert tracer.total(phase) == by_phase[phase]
+        assert {span.worker for span in spans} == {0, 1, 2, 3}
 
     def test_same_totals_without_the_span_list(self):
-        kept = self.recorded(keep_spans=True)
-        dropped = self.recorded(keep_spans=False)
-        assert dropped.spans == []
-        assert dropped.span_count == kept.span_count > 0
-        assert dropped.breakdown() == kept.breakdown()
-        assert dropped.fractions() == kept.fractions()
-        for worker in range(4):
-            assert dropped.breakdown(worker=worker) == kept.breakdown(worker=worker)
+        spans = []
+        kept = self.recorded(spans)
+        alone = self.recorded(None)
+        assert spans
+        assert alone.breakdown() == kept.breakdown()
+        assert normalize_breakdown(alone.breakdown()) == normalize_breakdown(kept.breakdown())
 
     def test_flush_open_truncates_into_the_totals(self):
-        tracer = PhaseTracer(keep_spans=False)
+        spans = []
+        tracer = PhaseTracer(spans=spans)
         tracer.begin(3, "compute", 1.0)
         tracer.flush_open(1.0)  # nothing elapsed: no span
-        assert tracer.span_count == 0
+        assert spans == []
         tracer.begin(3, "compute", 1.0)
         tracer.flush_open(1.75, worker=3)
-        assert tracer.total("compute", worker=3) == 0.75
-        assert tracer.span_count == 1
+        assert tracer.breakdown()["compute"] == 0.75
+        assert spans == [Span(3, "compute", 1.0, 1.75)]

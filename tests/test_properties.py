@@ -511,13 +511,13 @@ def test_table1_complexity_orderings(m, n, s, tau, p, l):
     )
 )
 def test_tracer_fractions_always_normalised(spans):
-    from repro.sim.trace import PhaseTracer
+    from repro.sim.trace import PhaseTracer, normalize_breakdown
 
     tracer = PhaseTracer()
     for worker, phase, a, b in spans:
         start, end = min(a, b), max(a, b)
         tracer.record(worker, phase, start, end)
-    frac = tracer.fractions()
+    frac = normalize_breakdown(tracer.breakdown())
     total = sum(frac.values())
     assert total == pytest.approx(1.0) or total == 0.0
     assert all(0.0 <= v <= 1.0 + 1e-12 for v in frac.values())
