@@ -22,8 +22,8 @@ One controller per faulty run. It owns:
 * **elastic rejoin** — a crash with ``rejoin_after`` waits out the
   delay, pulls a model snapshot over the simulated network
   (:mod:`repro.faults.checkpoint`), restores the worker slot, and
-  re-enters it into membership. A cluster left with no live worker and
-  no pending rejoin ends the run at once.
+  re-enters it into membership. A crash or eviction that leaves no
+  live worker and no pending rejoin ends the run at once.
 
 Everything is driven by virtual time and a dedicated RNG stream, so a
 given ``(RunConfig, FaultConfig)`` pair is bit-deterministic.
@@ -448,9 +448,15 @@ class FaultController:
         if rejoin_after is not None:
             self._rejoining.add(wid)
             rt.engine.spawn(self._rejoin(wid, rejoin_after), name=f"rejoin.w{wid}")
-        elif not self._rejoining and self.membership.live <= self.dead:
-            # Nobody is left to train and nobody is coming back.
-            rt.stopping = True
+        self._stop_if_deserted()
+
+    def _stop_if_deserted(self) -> bool:
+        """End the run once nobody is left to train and nobody is
+        coming back: every member is dead and no rejoin is pending."""
+        deserted = not self._rejoining and self.membership.live <= self.dead
+        if deserted:
+            self.rt.stopping = True
+        return deserted
 
     def _kill_owned(self, wid: int) -> None:
         for process, owner in self._procs:
@@ -492,9 +498,10 @@ class FaultController:
     def _evict(self, wid: int, kind: str = "evict") -> None:
         """Fence ``wid`` and restart the protocol without it.
 
-        The last member is evicted only once it is dead, which happens
-        only while a rejoin is pending (``_crash`` ends a run that has
-        none): a sole worker that is merely partitioned stays.
+        A sole member that is merely partitioned stays; a dead one goes,
+        so a pending rejoin can go through. An eviction that leaves only
+        dead members and no pending rejoin ends the run instead of
+        restarting the protocol.
         """
         members = self.membership
         if not members.is_live(wid) or (len(members) <= 1 and wid not in self.dead):
@@ -512,7 +519,8 @@ class FaultController:
         log.append({"time": rt.engine.now, "worker": wid, "iterations": slot.iterations})
         self._record(kind, worker=wid, machine=slot.machine)
         members.evict(wid)
-        self._membership_changed()
+        if not self._stop_if_deserted():
+            self._membership_changed()
 
     def quarantine(self, wid: int) -> None:
         """Evict a worker the *data plane* convicted (repeated gradient
@@ -555,16 +563,16 @@ class FaultController:
             return
         snapshot = capture_snapshot(rt, self.algorithm)
         slot = rt.workers[wid]
-        if rt.ps_nodes:
-            src_node: Node = rt.ps_nodes[0]
-        else:
-            # With no live peer, the rejoiner restores its own replica.
-            src_node = rt.workers[min(self.membership.live, default=wid)].node
-        src_node.sent_messages += 1
-        src_node.sent_bytes += snapshot.nbytes
-        yield rt.ctx.network.transfer(src_node.machine, slot.machine, snapshot.nbytes)
-        if rt.stopping:
-            return
+        live = self.membership.live
+        # With no PS and no live peer the rejoiner reloads its own
+        # replica: nothing crosses the network.
+        if rt.ps_nodes or live:
+            src_node: Node = rt.ps_nodes[0] if rt.ps_nodes else rt.workers[min(live)].node
+            src_node.sent_messages += 1
+            src_node.sent_bytes += snapshot.nbytes
+            yield rt.ctx.network.transfer(src_node.machine, slot.machine, snapshot.nbytes)
+            if rt.stopping:
+                return
         restore_snapshot(rt, slot, snapshot)
         self.dead.discard(wid)
         self._rejoining.discard(wid)

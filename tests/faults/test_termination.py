@@ -4,8 +4,9 @@ A run either completes or raises the runner's "ended before the
 measurement window completed" error; it never spins until
 ``max_events``. The regression cases are the schedules that once did:
 a crash that left no live worker (the last member could not be
-evicted, so the failure detector polled forever), and a sole worker's
-rejoin (which waited for that eviction).
+evicted, so the failure detector polled forever), a sole worker's
+rejoin (which waited for that eviction), and an eviction that left only
+a crashed member behind.
 """
 
 import math
@@ -59,6 +60,19 @@ def test_the_last_live_worker_crashing_ends_the_run():
     with pytest.raises(RuntimeError, match=WINDOW_ERROR):
         runner.run(max_events=MAX_EVENTS)
     assert [e["worker"] for e in runner.fault_controller.evictions] == [0]
+
+
+def test_evicting_a_partitioned_worker_beside_a_crashed_one_ends_the_run():
+    # w1 is partitioned away and evicted while the crashed w0 is still a
+    # member: the eviction leaves only a dead worker, so the run ends
+    # rather than respawning w0 and then evicting it as the last member.
+    cluster = paper_cluster(bandwidth_gbps=10.0, machines=2, gpus_per_machine=1)
+    partition = FaultEvent(time=0.035, kind="partition", machine=1, duration=0.3)
+    cfg = faulty_timing_config("bsp", 2, [partition, crash(0.045, 0)], cluster=cluster)
+    runner = DistributedRunner(cfg)
+    with pytest.raises(RuntimeError, match=WINDOW_ERROR):
+        runner.run(max_events=MAX_EVENTS)
+    assert [e["worker"] for e in runner.fault_controller.evictions] == [1]
 
 
 @pytest.mark.parametrize("algorithm", ["bsp", "ar-sgd"])

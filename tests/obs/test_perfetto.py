@@ -88,16 +88,6 @@ class TestSpanAccounting:
                 breakdown[phase], rel=1e-9, abs=1e-12
             )
 
-    def test_a_passed_tracer_is_ignored(self, observed_run, trace):
-        # The spans are the observer's; ``tracer=`` is accepted for old
-        # callers and changes nothing.
-        cfg, runner = observed_run
-        again = build_trace(
-            tracer=runner.ctx.tracer, observer=runner.observer, cluster=cfg.cluster,
-            label="test run",
-        )
-        assert again == trace
-
     def test_comm_span_count_matches_messages(self, observed_run, trace):
         _, runner = observed_run
         comm = [
