@@ -81,20 +81,6 @@ class PSShard(Node):
         self.params: np.ndarray | None = None
         self.optimizer: FlatSGD | None = None
         self.updates_applied = 0
-        # Shard-local offset of every comm-plan entry that targets this
-        # shard: whole-shard entries start at 0; per-layer entries (wait-
-        # free BP) start at their layer's position within the gathered
-        # slice.
-        self._label_offsets: dict[str, int] = {f"shard{self.shard_id}": 0}
-        self._label_lengths: dict[str, int] = {
-            f"shard{self.shard_id}": assignment.num_elements
-        }
-        offset = 0
-        layer_names = [layer.name for layer in runtime.profile.layers]
-        for layer_idx, (start, stop) in zip(assignment.layer_indices, assignment.ranges):
-            self._label_offsets[layer_names[layer_idx]] = offset
-            self._label_lengths[layer_names[layer_idx]] = stop - start
-            offset += stop - start
         # DGC delta-pull state: version stamps of the last update that
         # touched each coordinate, and each worker's last-synced version
         # (timing mode tracks versions only; see reply_params).
@@ -131,18 +117,8 @@ class PSShard(Node):
     @property
     def entries_per_sender(self) -> int:
         """Gradient messages each sender directs at this shard per
-        iteration (1 without wait-free BP; one per owned layer with).
-
-        Cached on first access: the comm plan is fixed at runner
-        construction, and shards consult this every received gradient.
-        """
-        cached = self.__dict__.get("_entries_per_sender")
-        if cached is None:
-            cached = sum(
-                1 for e in self.runtime.comm_plan.entries if e.shard_id == self.shard_id
-            )
-            self.__dict__["_entries_per_sender"] = cached
-        return cached
+        iteration (1 without wait-free BP; one per owned layer with)."""
+        return self.runtime.comm_plan.entries_per_shard[self.shard_id]
 
     @property
     def slice_bytes(self) -> int:
@@ -170,7 +146,7 @@ class PSShard(Node):
             return acc
         if acc is None:
             acc = np.zeros(self.assignment.num_elements, dtype=np.float64)
-        offset = self._label_offsets[msg.meta["entry"]]
+        offset = self.runtime.comm_plan.entries[msg.meta["entry_idx"]].shard_offset
         if isinstance(msg.payload, tuple):  # DGC sparse (local_idx, values)
             local_idx, values = msg.payload
             np.add.at(acc, local_idx + offset, values if weight == 1.0 else values * weight)
@@ -262,7 +238,7 @@ class PSShard(Node):
         self._version += 1
         if self.params is None or msg.payload is None:
             return
-        offset = self._label_offsets[msg.meta["entry"]]
+        offset = self.runtime.comm_plan.entries[msg.meta["entry_idx"]].shard_offset
         grad = np.asarray(msg.payload, dtype=np.float64)
         sl = slice(offset, offset + grad.size)
         opt = self.optimizer
@@ -278,23 +254,25 @@ class PSShard(Node):
         self._last_modified[sl] = self._version
 
     def reply_entry_params(
-        self, worker_node: Node, label: str, *, trace_worker: int | None = None
+        self, worker_node: Node, entry_idx: int, *, trace_worker: int | None = None
     ) -> None:
         """Reply with one entry's current parameter slice (layer-wise
         pull of wait-free training)."""
-        offset = self._label_offsets[label]
-        length = self._label_lengths[label]
+        entry = self.runtime.comm_plan.entries[entry_idx]
+        start = entry.shard_offset
         payload = (
-            self.params[offset : offset + length].copy()
+            self.params[start : start + entry.num_elements].copy()
             if self.params is not None
             else None
         )
         self.send_nowait(
             worker_node,
             "reply",
-            nbytes=length * self.runtime.sharding.bytes_per_param,
+            nbytes=entry.nbytes,
             payload=payload,
-            meta={"shard": self.shard_id, "entry": label, "trace_worker": trace_worker},
+            meta={
+                "shard": self.shard_id, "entry_idx": entry_idx, "trace_worker": trace_worker
+            },
             trace_worker=trace_worker,
         )
 

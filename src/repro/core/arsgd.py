@@ -156,11 +156,6 @@ def _arsgd_worker(
     # allgather schedules regardless (RunConfig validation forbids
     # combining them with a hierarchical collective).
     scheme = rt.config.collective or "ring"
-    # Per-entry constants (ranges, process names) are fixed for the
-    # life of this worker; resolve them once, not per iteration.
-    entry_specs = [
-        (rt.entry_ranges(entry), f"ring-{entry.label}-w{slot.wid}") for entry in entries
-    ]
     while not rt.stopping:
         duration = rt.compute_model.iteration_time(slot.wid)
         grad = produce_gradient(rt, slot)
@@ -226,8 +221,7 @@ def _arsgd_worker(
             signals: list[Signal] = []
 
             def launch(idx: int, entry: CommPlanEntry) -> None:
-                ranges, proc_name = entry_specs[idx]
-                vec = gather_ranges(grad, ranges) if grad is not None else None
+                vec = gather_ranges(grad, entry.ranges) if grad is not None else None
                 if scheme == "ring":
                     collective = ring_allreduce(
                         rt, slot, ring, f"ring:{entry.label}", vec, entry.num_elements
@@ -238,7 +232,8 @@ def _arsgd_worker(
                         entry.num_elements, scheme,
                     )
                 # The process's ``done`` signal carries the reduced vector.
-                signals.append(rt.spawn(collective, name=proc_name, owner=slot.wid).done)
+                name = f"ring-{entry.label}-w{slot.wid}"
+                signals.append(rt.spawn(collective, name=name, owner=slot.wid).done)
 
             yield from walk_plan(rt, slot, duration, launch)
 
@@ -247,8 +242,8 @@ def _arsgd_worker(
             tracer.end(slot.wid, "global_agg", rt.engine.now)
             if slot.comp is not None and grad is not None:
                 agg = np.empty(rt.total_elements, dtype=np.float64)
-                for (ranges, _), done in zip(entry_specs, signals):
-                    scatter_ranges(agg, ranges, done.value)
+                for entry, done in zip(entries, signals):
+                    scatter_ranges(agg, entry.ranges, done.value)
                 slot.comp.apply_gradient(
                     agg / world, rt.lr_at_round(slot.iterations)
                 )

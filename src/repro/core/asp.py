@@ -65,7 +65,7 @@ class ASPShard(PSShard):
             yield self.agg_delay(msg.nbytes)
             self.apply_entry_gradient(msg, self.runtime.fold_lr())
             self.reply_entry_params(
-                self.runtime.workers[wid].node, msg.meta["entry"], trace_worker=wid
+                self.runtime.workers[wid].node, msg.meta["entry_idx"], trace_worker=wid
             )
             return
         complete, acc = self.collect_sender_entry(wid, msg)

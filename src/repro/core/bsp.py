@@ -209,7 +209,7 @@ def _fold_entry_means(
                     "req",
                     nbytes=entry.nbytes,
                     payload=sums[idx],
-                    meta={**meta, "entry": entry.label, "entry_idx": idx},
+                    meta={**meta, "entry_idx": idx},
                     trace_worker=meta["worker"],
                 )
     return sums
@@ -253,11 +253,9 @@ def _rack_aggregator(
                 )
 
 
-def _entry_slice(
-    rt: Runtime, entry: CommPlanEntry, grad: np.ndarray | None
-) -> np.ndarray | None:
+def _entry_slice(entry: CommPlanEntry, grad: np.ndarray | None) -> np.ndarray | None:
     """One plan entry's slice of a flat gradient (``None`` in timing mode)."""
-    return gather_ranges(grad, rt.entry_ranges(entry)) if grad is not None else None
+    return gather_ranges(grad, entry.ranges) if grad is not None else None
 
 
 def _peer_worker(
@@ -278,7 +276,7 @@ def _peer_worker(
                 leader.node,
                 "lagg",
                 nbytes=entry.nbytes,
-                payload=_entry_slice(rt, entry, grad),
+                payload=_entry_slice(entry, grad),
                 meta={"entry_idx": idx, "worker": slot.wid},
             )
 
@@ -307,7 +305,7 @@ def _leader_self_feed(
                 dst=node_id,
                 kind="lagg",
                 nbytes=entry.nbytes,
-                payload=_entry_slice(rt, entry, grad),
+                payload=_entry_slice(entry, grad),
                 meta={"entry_idx": idx, "worker": slot.wid},
             )
         )
@@ -364,7 +362,7 @@ def _leader_worker(
             if grad is not None:
                 agg_grad = np.zeros(rt.total_elements, dtype=np.float64)
                 for entry, mean in zip(rt.comm_plan.entries, means):
-                    scatter_ranges(agg_grad, rt.entry_ranges(entry), mean)
+                    scatter_ranges(agg_grad, entry.ranges, mean)
             yield from send_gradient_plan(rt, slot, agg_grad, kind="req", meta=meta)
 
         yield from ps_pull(rt, slot)

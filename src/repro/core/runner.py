@@ -30,7 +30,7 @@ from repro.nn.optim import weight_decay_mask
 from repro.nn.schedules import WarmupStepSchedule, scaled_learning_rate
 from repro.nn.zoo import ModelProfile, mini_profile_from_model
 from repro.optimizations.sharding import ShardingPlan, make_sharding_plan
-from repro.optimizations.waitfree import CommPlan, CommPlanEntry, make_comm_plan
+from repro.optimizations.waitfree import CommPlan, make_comm_plan
 from repro.sim.costmodel import ComputeModel
 from repro.sim.engine import Engine
 from repro.sim.network import Network
@@ -176,9 +176,6 @@ class Runtime:
         self.faults = None
         # Robust-aggregation layer; same discipline (None = unprotected).
         self.robust = None
-        # Pre-computed (shard, label) -> flat ranges for comm entries.
-        self._entry_ranges: dict[tuple[int, str], tuple[tuple[int, int], ...]] = {}
-        self._build_entry_ranges()
         # Machine -> plan indices a blocking sender there waits on.
         self._port_tails: dict[int, frozenset[int]] = {}
 
@@ -195,8 +192,12 @@ class Runtime:
         subprocesses) go through here so that, when fault injection is
         on, the controller can kill them on crashes and membership
         changes. ``owner`` is the worker id a crash takes down with it;
-        shard lanes pass None (they die only on membership changes).
+        shard lanes pass None (they die only on membership changes). A
+        crashed worker stays down until its rejoin: nothing it would own
+        is started (None is returned), whatever membership change asks.
         """
+        if self.faults is not None and owner in self.faults.dead:
+            return None
         process = self.engine.spawn(gen, name)
         if self.faults is not None:
             self.faults.register(process, owner)
@@ -240,32 +241,11 @@ class Runtime:
         # Only shards owning ≥ 1 comm-plan entry receive gradients and
         # reply. Layer-wise sharding cannot split a layer, so S shards
         # over L < S layers leave S − L of them empty; nobody waits on those.
-        owners = {entry.shard_id for entry in self.comm_plan.entries}
-        self.active_shards = [shard for shard in shards if shard.shard_id in owners]
+        per_shard = self.comm_plan.entries_per_shard
+        self.active_shards = [shard for shard in shards if per_shard[shard.shard_id]]
         return shards
 
     # -- comm-plan geometry -------------------------------------------------
-    def _build_entry_ranges(self) -> None:
-        layer_offsets: list[tuple[int, int]] = []
-        pos = 0
-        for layer in self.profile.layers:
-            layer_offsets.append((pos, pos + layer.params))
-            pos += layer.params
-        layer_by_name = {
-            layer.name: layer_offsets[i] for i, layer in enumerate(self.profile.layers)
-        }
-        for entry in self.comm_plan.entries:
-            if entry.label.startswith("shard"):
-                shard = self.sharding.shards[entry.shard_id]
-                self._entry_ranges[(entry.shard_id, entry.label)] = shard.ranges
-            else:
-                self._entry_ranges[(entry.shard_id, entry.label)] = (
-                    layer_by_name[entry.label],
-                )
-
-    def entry_ranges(self, entry: CommPlanEntry) -> tuple[tuple[int, int], ...]:
-        return self._entry_ranges[(entry.shard_id, entry.label)]
-
     def port_tails(self, machine: int) -> frozenset[int]:
         """Plan indices a blocking sender on ``machine`` waits on: the
         last entry through each of its ports (DESIGN §8)."""

@@ -230,10 +230,9 @@ def _entry_payload_and_bytes(
     the wire. DGC: the sparse coordinates falling inside the entry's
     ranges, 8 bytes per retained element.
     """
-    ranges = rt.entry_ranges(entry)
     if rt.dgc_config is not None:
         if sparse is not None:  # full mode
-            local_idx, values = sparse_slice_for_ranges(sparse, ranges)
+            local_idx, values = sparse_slice_for_ranges(sparse, entry.ranges)
             payload = (local_idx, values)
             nbytes = int(values.size) * 8
         else:  # timing mode: proportional share of the compressed size
@@ -242,7 +241,7 @@ def _entry_payload_and_bytes(
             nbytes = max(1, int(round(total * entry.num_elements / max(rt.total_elements, 1))))
             payload = None
         return payload, nbytes
-    payload = gather_ranges(grad, ranges) if grad is not None else None
+    payload = gather_ranges(grad, entry.ranges) if grad is not None else None
     return payload, entry.nbytes
 
 
@@ -338,7 +337,7 @@ def send_gradient_plan(
             kind,
             nbytes=nbytes,
             payload=payload,
-            meta={**meta, "entry": entry.label},
+            meta={**meta, "entry_idx": idx},
             trace_worker=slot.wid,
             tx_done=tx,
         )
@@ -497,11 +496,11 @@ def apply_reply_payload(rt: "Runtime", flat: np.ndarray | None, msg: Any) -> Non
     if isinstance(payload, tuple) and len(payload) == 3 and payload[0] == "delta":
         _, local_idx, values = payload
         shard.scatter_sparse(flat, local_idx, values)
-    elif "entry" in msg.meta:
+    elif "entry_idx" in msg.meta:
         # Per-layer reply (wait-free pull): write the entry's ranges.
         scatter_ranges(
             flat,
-            rt._entry_ranges[(msg.meta["shard"], msg.meta["entry"])],
+            rt.comm_plan.entries[msg.meta["entry_idx"]].ranges,
             np.asarray(payload, dtype=np.float64),
         )
     else:

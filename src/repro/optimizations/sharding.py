@@ -20,8 +20,7 @@ Strategies:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,7 +55,7 @@ def scatter_ranges(flat: np.ndarray, ranges: Ranges, values: np.ndarray) -> None
         offset += n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShardAssignment:
     """One shard's slice of the model.
 
@@ -67,10 +66,12 @@ class ShardAssignment:
     shard_id: int
     layer_indices: tuple[int, ...]
     ranges: Ranges
+    num_elements: int = field(init=False)
 
-    @cached_property
-    def num_elements(self) -> int:
-        return sum(stop - start for start, stop in self.ranges)
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "num_elements", sum(stop - start for start, stop in self.ranges)
+        )
 
     def gather(self, flat: np.ndarray) -> np.ndarray:
         """Extract this shard's elements from a full flat vector."""

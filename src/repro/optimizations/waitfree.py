@@ -24,20 +24,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.nn.zoo import ModelProfile
-from repro.optimizations.sharding import ShardingPlan
+from repro.optimizations.sharding import Ranges, ShardingPlan, _layer_offsets
 
 __all__ = ["CommPlanEntry", "CommPlan", "make_comm_plan"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommPlanEntry:
-    """One gradient message: destination shard, size, readiness."""
+    """One gradient message: destination shard, size, readiness, its
+    flat-vector ``ranges`` and its ``shard_offset`` inside the shard's
+    gathered slice. Messages name it by plan index; ``label`` is a name
+    for mailboxes and traces."""
 
     shard_id: int
     nbytes: int
     num_elements: int
     ready_offset: float  # fraction of iteration compute time in [0, 1]
     label: str = ""
+    ranges: Ranges = ()
+    shard_offset: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.ready_offset <= 1.0:
@@ -51,11 +56,14 @@ class CommPlan:
     """Ordered gradient-message schedule for one iteration.
 
     Entries are sorted by ``ready_offset`` so a worker can walk the
-    plan while its backward pass advances.
+    plan while its backward pass advances. ``entries_per_shard[s]`` is
+    how many of them each sender directs at shard ``s`` (0 for a shard
+    that owns no layer).
     """
 
     entries: tuple[CommPlanEntry, ...]
     wait_free: bool
+    entries_per_shard: tuple[int, ...]
 
     @property
     def total_bytes(self) -> int:
@@ -76,54 +84,62 @@ def make_comm_plan(
     """
     if not 0.0 < backward_fraction <= 1.0:
         raise ValueError("backward_fraction must be in (0, 1]")
+    if wait_free and plan.strategy == "element-balanced":
+        raise ValueError(
+            "wait-free BP requires layer-aligned sharding (layer readiness is undefined "
+            "for element-balanced shards)"
+        )
     bpp = plan.bytes_per_param
-
     if not wait_free:
-        entries = tuple(
+        entries = [
             CommPlanEntry(
                 shard_id=s.shard_id,
                 nbytes=s.num_elements * bpp,
                 num_elements=s.num_elements,
                 ready_offset=1.0,
                 label=f"shard{s.shard_id}",
+                ranges=s.ranges,
             )
             for s in plan.shards
             if s.num_elements > 0
-        )
-        return CommPlan(entries=entries, wait_free=False)
-
-    if plan.strategy == "element-balanced":
-        raise ValueError(
-            "wait-free BP requires layer-aligned sharding (layer readiness is undefined "
-            "for element-balanced shards)"
-        )
-
-    # Map layer index -> owning shard.
-    layer_to_shard: dict[int, int] = {}
-    for shard in plan.shards:
-        for idx in shard.layer_indices:
-            layer_to_shard[idx] = shard.shard_id
-
-    total_flops = max(profile.total_flops, 1)
-    n_layers = len(profile.layers)
-    entries: list[CommPlanEntry] = []
-    # Walk backward: the last layer's gradient is ready first.
-    flops_done = 0
-    forward_fraction = 1.0 - backward_fraction
-    for idx in range(n_layers - 1, -1, -1):
-        layer = profile.layers[idx]
-        flops_done += layer.flops
-        if layer.params == 0:
-            continue
-        ready = forward_fraction + backward_fraction * (flops_done / total_flops)
-        entries.append(
-            CommPlanEntry(
-                shard_id=layer_to_shard[idx],
-                nbytes=layer.params * bpp,
-                num_elements=layer.params,
-                ready_offset=min(ready, 1.0),
-                label=layer.name,
+        ]
+    else:
+        # Map layer index -> (owning shard, start inside its gathered
+        # slice): a shard's ranges are its layers' in ``layer_indices`` order.
+        offsets = _layer_offsets(profile)
+        layer_to_shard: dict[int, tuple[int, int]] = {}
+        for shard in plan.shards:
+            pos = 0
+            for idx in shard.layer_indices:
+                layer_to_shard[idx] = (shard.shard_id, pos)
+                pos += profile.layers[idx].params
+        total_flops = max(profile.total_flops, 1)
+        entries = []
+        # Walk backward: the last layer's gradient is ready first.
+        flops_done = 0
+        forward_fraction = 1.0 - backward_fraction
+        for idx in range(len(profile.layers) - 1, -1, -1):
+            layer = profile.layers[idx]
+            flops_done += layer.flops
+            if layer.params == 0:
+                continue
+            ready = forward_fraction + backward_fraction * (flops_done / total_flops)
+            shard_id, shard_offset = layer_to_shard[idx]
+            entries.append(
+                CommPlanEntry(
+                    shard_id=shard_id,
+                    nbytes=layer.params * bpp,
+                    num_elements=layer.params,
+                    ready_offset=min(ready, 1.0),
+                    label=layer.name,
+                    ranges=(offsets[idx],),
+                    shard_offset=shard_offset,
+                )
             )
-        )
-    entries.sort(key=lambda e: e.ready_offset)
-    return CommPlan(entries=tuple(entries), wait_free=True)
+        entries.sort(key=lambda e: e.ready_offset)
+    per_shard = [0] * plan.num_shards
+    for entry in entries:
+        per_shard[entry.shard_id] += 1
+    return CommPlan(
+        entries=tuple(entries), wait_free=wait_free, entries_per_shard=tuple(per_shard)
+    )

@@ -38,6 +38,7 @@ from typing import Callable
 import numpy as np
 
 from repro.comm.hierarchical import DEFAULT_TREE_ARITY
+from repro.comm.ps import place_shards
 from repro.core.base import is_centralized
 from repro.core.config import RunConfig
 from repro.core.runner import timing_plans
@@ -254,7 +255,7 @@ def build_inputs(cfg: RunConfig) -> ModelInputs:
     entry_offset = np.array([e.ready_offset for e in entries], dtype=float)
     entry_shard = np.array([e.shard_id for e in entries], dtype=np.int64)
     B = np.array(sharding.shard_bytes(), dtype=float)
-    shard_machine = np.arange(num_shards, dtype=np.int64) % cluster.machines
+    shard_machine = np.array(place_shards(num_shards, cluster.machines), dtype=np.int64)
     Bm = np.zeros(cluster.machines, dtype=float)
     np.add.at(Bm, shard_machine, B)
 

@@ -16,6 +16,13 @@ def make_runner(**overrides):
     return DistributedRunner(cfg)
 
 
+def first_entry_idx(rt, shard):
+    """Plan index of the first comm-plan entry aimed at ``shard``."""
+    return next(
+        i for i, e in enumerate(rt.comm_plan.entries) if e.shard_id == shard.shard_id
+    )
+
+
 class TestPlacement:
     def test_round_robin(self):
         assert place_shards(5, 3) == [0, 1, 2, 0, 1]
@@ -34,16 +41,6 @@ class TestShardState:
             shard.assignment.scatter(rebuilt, shard.params)
         np.testing.assert_array_equal(rebuilt, rt.init_params)
 
-    def test_label_offsets_cover_slice(self):
-        runner = make_runner()
-        for shard in runner.runtime.ps_nodes:
-            sizes = [
-                shard._label_lengths[name]
-                for name in shard._label_lengths
-                if not name.startswith("shard")
-            ]
-            assert sum(sizes) == shard.assignment.num_elements
-
     def test_entries_per_sender_dense_vs_waitfree(self):
         dense = make_runner()
         wf = make_runner(wait_free_bp=True)
@@ -60,7 +57,7 @@ class TestAccumulateEntry:
         n = shard.assignment.num_elements
         msg = Message(
             src=0, dst=1, kind="req", nbytes=n * 4,
-            payload=np.ones(n), meta={"entry": f"shard{shard.shard_id}"},
+            payload=np.ones(n), meta={"entry_idx": first_entry_idx(runner.runtime, shard)},
         )
         acc = shard.accumulate_entry(None, msg)
         acc = shard.accumulate_entry(acc, msg)
@@ -73,7 +70,7 @@ class TestAccumulateEntry:
         msg = Message(
             src=0, dst=1, kind="req", nbytes=16,
             payload=(np.array([0, 2]), np.array([1.0, 3.0])),
-            meta={"entry": f"shard{shard.shard_id}"},
+            meta={"entry_idx": first_entry_idx(runner.runtime, shard)},
         )
         acc = shard.accumulate_entry(None, msg)
         assert acc[0] == 1.0 and acc[2] == 3.0
@@ -164,11 +161,11 @@ class TestEntryReplies:
         rt.stopping = True
         shard = rt.ps_nodes[0]
         worker = rt.workers[0]
-        label = next(k for k in shard._label_offsets if not k.startswith("shard"))
-        shard.reply_entry_params(worker.node, label, trace_worker=0)
+        idx = first_entry_idx(rt, shard)
+        shard.reply_entry_params(worker.node, idx, trace_worker=0)
         rt.engine.run(until=1.0)
         msg = worker.node.mailbox("reply")._items[0]
-        assert msg.meta["entry"] == label
-        offset = shard._label_offsets[label]
-        length = shard._label_lengths[label]
+        assert msg.meta["entry_idx"] == idx
+        entry = rt.comm_plan.entries[idx]
+        offset, length = entry.shard_offset, entry.num_elements
         np.testing.assert_array_equal(msg.payload, shard.params[offset : offset + length])

@@ -75,7 +75,7 @@ def reference_send_gradient_plan(compress_early: bool = False):
             grad = grad + wd * np.where(rt.decay_mask, slot.comp.get_params(), 0.0)
         return slot.dgc.compress(grad, epoch=rt.sample_clock.epoch())
 
-    def emit(rt, slot, entry, grad, sparse, kind, meta, block_tx, tx_signals):
+    def emit(rt, slot, idx, entry, grad, sparse, kind, meta, block_tx, tx_signals):
         payload, nbytes = _entry_payload_and_bytes(rt, slot, entry, grad, sparse)
         tx = None
         if block_tx:  # one completion per message
@@ -83,7 +83,7 @@ def reference_send_gradient_plan(compress_early: bool = False):
             tx_signals.append(tx)
         slot.node.send_nowait(
             rt.ps_nodes[entry.shard_id], kind, nbytes=nbytes, payload=payload,
-            meta={**meta, "entry": entry.label}, trace_worker=slot.wid, tx_done=tx,
+            meta={**meta, "entry_idx": idx}, trace_worker=slot.wid, tx_done=tx,
         )
 
     def send(rt, slot, grad, *, kind, meta, compute_duration, block_tx=False):
@@ -96,20 +96,20 @@ def reference_send_gradient_plan(compress_early: bool = False):
             rt.tracer.end(slot.wid, "compute", rt.engine.now)
             if not compress_early:
                 sparse = compress(rt, slot, grad)
-            for entry in entries:
-                emit(rt, slot, entry, grad, sparse, kind, meta, block_tx, tx_signals)
+            for idx, entry in enumerate(entries):
+                emit(rt, slot, idx, entry, grad, sparse, kind, meta, block_tx, tx_signals)
             if tx_signals:
                 yield AllOf(tx_signals)
             return
         sparse = compress(rt, slot, grad)
         rt.tracer.begin(slot.wid, "compute", rt.engine.now)
         elapsed = 0.0
-        for entry in entries:
+        for idx, entry in enumerate(entries):
             ready = entry.ready_offset * compute_duration
             if ready > elapsed:
                 yield Timeout(ready - elapsed)
                 elapsed = ready
-            emit(rt, slot, entry, grad, sparse, kind, meta, block_tx, tx_signals)
+            emit(rt, slot, idx, entry, grad, sparse, kind, meta, block_tx, tx_signals)
         if elapsed < compute_duration:
             yield Timeout(compute_duration - elapsed)
         rt.tracer.end(slot.wid, "compute", rt.engine.now)
@@ -675,10 +675,9 @@ def reference_collect(rt, slot, count):
 
 
 def reference_rack_aggregator(rt, node, leader_slots, workers):
-    """The PS tree's middle tier as it was, keyed by entry label; its
+    """The PS tree's middle tier as it was, keyed by entry index; its
     forwards carry the worker count the shard now weighs by."""
     entries = rt.comm_plan.entries
-    label_to_idx = {e.label: i for i, e in enumerate(entries)}
     n = len(leader_slots)
     owner = leader_slots[0].wid
     get_req = Get(node.mailbox("req"))
@@ -689,7 +688,7 @@ def reference_rack_aggregator(rt, node, leader_slots, workers):
         sums = [None] * len(entries)
         for _ in range(n * len(entries)):
             msg = yield get_req
-            idx = label_to_idx[msg.meta["entry"]]
+            idx = msg.meta["entry_idx"]
             if msg.payload is not None:
                 payload = np.asarray(msg.payload, dtype=np.float64)
                 sums[idx] = payload if sums[idx] is None else sums[idx] + payload
@@ -701,7 +700,7 @@ def reference_rack_aggregator(rt, node, leader_slots, workers):
                 node.send_nowait(
                     rt.ps_nodes[entries[idx].shard_id], "req", nbytes=entries[idx].nbytes,
                     payload=sums[idx],
-                    meta={"op": "grad", "worker": owner, "entry": entries[idx].label,
+                    meta={"op": "grad", "worker": owner, "entry_idx": idx,
                           "reply_to": node.node_id, "count": workers},
                     trace_worker=owner,
                 )
@@ -750,12 +749,12 @@ def reference_leader_worker(rt, slot, peers, agg_node=None):
                 if sums[idx] is not None:
                     sums[idx] /= group_size
                 if agg_grad is not None and sums[idx] is not None:
-                    scatter_ranges(agg_grad, rt.entry_ranges(entries[idx]), sums[idx])
+                    scatter_ranges(agg_grad, entries[idx].ranges, sums[idx])
                 if not dgc_on:
                     slot.node.send_nowait(
                         agg_node if agg_node is not None else rt.ps_nodes[entries[idx].shard_id],
                         "req", nbytes=entries[idx].nbytes, payload=sums[idx],
-                        meta={"op": "grad", "worker": slot.wid, "entry": entries[idx].label,
+                        meta={"op": "grad", "worker": slot.wid, "entry_idx": idx,
                               "count": group_size},
                         trace_worker=slot.wid,
                     )
@@ -964,7 +963,7 @@ def test_asp_worker_and_shard_agree_on_reply_granularity(wait_free, dgc, robust)
 
     def counted(self, msg, epoch, dst, trace_worker):
         if msg.kind == "reply":
-            replies.append(msg.meta.get("entry"))
+            replies.append(msg.meta.get("entry_idx"))
         deliver(self, msg, epoch, dst, trace_worker)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -972,7 +971,7 @@ def test_asp_worker_and_shard_agree_on_reply_granularity(wait_free, dgc, robust)
         history = runner.run()
     assert history.epochs[-1] >= cfg.epochs
     per_iteration = len(rt.comm_plan.entries) if asp.asp_layerwise(rt) else rt.sharding.num_shards
-    assert all((label is not None) == asp.asp_layerwise(rt) for label in replies)
+    assert all((idx is not None) == asp.asp_layerwise(rt) for idx in replies)
     # Every reply sent was one a worker was counting on: whole rounds,
     # give or take the rounds in flight when the run stopped.
     assert abs(len(replies) - per_iteration * history.total_iterations) <= (

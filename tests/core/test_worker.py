@@ -3,13 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.runner import DistributedRunner
 from repro.core.worker import LocalComputation, sparse_slice_for_ranges
 from repro.data import BatchLoader, make_gaussian_blobs
 from repro.nn import MLP, SoftmaxCrossEntropy
 from repro.optimizations.dgc import SparseGradient
-
-from tests.conftest import small_full_config
 
 
 def make_comp(seed=0):
@@ -88,24 +85,3 @@ class TestSparseSliceForRanges:
             sparse_slice_for_ranges(sparse, r)[1].size for r in ranges
         )
         assert total == 20
-
-
-class TestEntryRangesPlumbing:
-    def test_dense_entries_map_to_shard_ranges(self):
-        runner = DistributedRunner(small_full_config("asp", num_ps_shards=3))
-        rt = runner.runtime
-        for entry in rt.comm_plan.entries:
-            ranges = rt.entry_ranges(entry)
-            assert ranges == rt.sharding.shards[entry.shard_id].ranges
-
-    def test_waitfree_entries_map_to_layers(self):
-        runner = DistributedRunner(
-            small_full_config("asp", num_ps_shards=2, wait_free_bp=True)
-        )
-        rt = runner.runtime
-        sizes = [
-            sum(b - a for a, b in rt.entry_ranges(e)) for e in rt.comm_plan.entries
-        ]
-        assert sum(sizes) == rt.total_elements
-        for entry, size in zip(rt.comm_plan.entries, sizes):
-            assert size == entry.num_elements
