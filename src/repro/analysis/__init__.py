@@ -7,6 +7,5 @@ __all__, __getattr__, __dir__ = lazy_exports(
     {
         "tables": ("format_table",),
         "breakdown": ("normalize_breakdown", "breakdown_table"),
-        "scalability": ("ideal_single_worker_throughput",),
     },
 )

@@ -94,10 +94,8 @@ def _asp_worker(rt: Runtime, slot: WorkerSlot) -> Generator[Any, Any, None]:
         pull_slack = max(1, rt.comm_plan.total_bytes // 3)
 
         def _apply(msg) -> None:
-            if slot.comp is not None and msg.payload is not None:
-                flat = slot.comp.get_params()
-                apply_reply_payload(rt, flat, msg)
-                slot.comp.set_params(flat)
+            if slot.comp is not None:
+                apply_reply_payload(rt, slot.comp.params, msg)
 
         while not rt.stopping:
             while slot.node.pending("reply"):

@@ -54,6 +54,7 @@ __all__ = [
     "execute_run",
     "timing_profile",
     "timing_plans",
+    "compute_model",
 ]
 
 #: Test samples per evaluation forward pass. Part of the result, not a
@@ -83,6 +84,23 @@ def timing_plans(
     profile = timing_profile(profile_name)
     sharding = make_sharding_plan(profile, num_shards, strategy=strategy)
     return profile, sharding, make_comm_plan(profile, sharding, wait_free=wait_free)
+
+
+def compute_model(cfg: RunConfig, profile: ModelProfile) -> ComputeModel:
+    """The run's compute-time model: persistent worker speeds from a
+    stream of their own and the base iteration time of ``profile`` on
+    the cluster's GPU. The runner and the analytic predictor both build
+    it here, so they see the same draws."""
+    return ComputeModel(
+        profile,
+        cfg.batch_size,
+        cfg.cluster.machine.gpu,
+        cfg.num_workers,
+        speed_spread=cfg.speed_spread,
+        jitter_sigma=cfg.jitter_sigma,
+        seed=cfg.seed + 3,
+        base_time_override=cfg.compute_time_override,
+    )
 
 
 def execute_run(
@@ -447,20 +465,11 @@ class DistributedRunner:
             # the progress clock (drives only DGC warm-up here).
             dataset_size = cfg.batch_size * cfg.num_workers
 
-        compute_model = ComputeModel(
-            profile,
-            cfg.batch_size,
-            cfg.cluster.machine.gpu,
-            cfg.num_workers,
-            speed_spread=cfg.speed_spread,
-            jitter_sigma=cfg.jitter_sigma,
-            seed=cfg.seed + 3,
-            base_time_override=cfg.compute_time_override,
-        )
+        compute = compute_model(cfg, profile)
         if self.observer is not None:
             record_draw = self.observer.compute_draw
             engine = self.engine
-            compute_model.on_draw = lambda worker, duration: record_draw(
+            compute.on_draw = lambda worker, duration: record_draw(
                 worker, engine.now, duration
             )
         schedule = WarmupStepSchedule(
@@ -484,7 +493,7 @@ class DistributedRunner:
             engine=self.engine,
             ctx=self.ctx,
             profile=profile,
-            compute_model=compute_model,
+            compute_model=compute,
             sharding=sharding,
             comm_plan=comm_plan,
             schedule=schedule,

@@ -15,10 +15,8 @@ import itertools
 
 from repro.analysis.ascii import fig2_chart
 from repro.analysis.breakdown import breakdown_table, normalize_breakdown
-from repro.core.config import PROFILES
 from repro.experiments.artefact import Artefact, only
 from repro.experiments.config import timing_config
-from repro.sim.cluster import TITAN_V
 
 __all__ = ["ARTEFACTS", "Analytic", "FIG2_ALGORITHMS", "WAITFREE_ALGORITHMS", "scale_worker_counts"]
 
@@ -70,10 +68,9 @@ def _fig2_config(c):
 def _speedup(result, config, base) -> float:
     """Throughput over one communication-free worker's at the config's
     batch size (the paper's normalisation)."""
-    from repro.analysis.scalability import ideal_single_worker_throughput
+    from repro.perf.predict import ideal_single_worker_throughput
 
-    profile = PROFILES[config.profile_name]()
-    return result.throughput / ideal_single_worker_throughput(profile, config.batch_size, TITAN_V)
+    return result.throughput / ideal_single_worker_throughput(config)
 
 
 def _gain(v, *algorithms: str) -> float:

@@ -22,7 +22,6 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "dag": ("IterationDag", "Span"),
         "models": (
             "ModelInputs",
             "PerfEstimate",

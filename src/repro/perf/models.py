@@ -1,9 +1,9 @@
 """Closed-form iteration-time models of the seven algorithms.
 
-Each model consumes a :class:`~repro.core.config.RunConfig` and the
-exact same inputs the discrete-event runner builds — layer profile,
-sharding plan, comm plan, per-worker speed draws, cost-model constants,
-cluster geometry — and produces an iteration-time estimate in O(layers
+Each model consumes a :class:`~repro.core.config.RunConfig` and reads
+the inputs the discrete-event runner builds from their constructors —
+layer profile, sharding plan, comm plan, per-worker speed draws,
+cost-model constants, cluster geometry — and produces an iteration-time estimate in O(layers
 + machines) instead of O(events). Two model families:
 
 * **round-chain models** (BSP, AR-SGD): one synchronous round is a
@@ -41,11 +41,10 @@ from repro.comm.hierarchical import DEFAULT_TREE_ARITY
 from repro.comm.ps import place_shards
 from repro.core.base import is_centralized
 from repro.core.config import RunConfig
-from repro.core.runner import timing_plans
+from repro.core.runner import compute_model, timing_plans
 from repro.nn.zoo import ModelProfile
 from repro.optimizations.sharding import ShardingPlan
 from repro.optimizations.waitfree import CommPlan
-from repro.perf.dag import IterationDag
 
 __all__ = [
     "PerfEstimate",
@@ -146,10 +145,11 @@ def _trapezoid(y: np.ndarray, x: np.ndarray) -> float:
 class ModelInputs:
     """Everything the per-algorithm models need, built once per config.
 
-    Mirrors ``DistributedRunner._build`` exactly: same profile factory,
-    same sharding/comm-plan construction, same speed draws (seed+3),
-    same cluster-derived rates — so prediction and simulation disagree
-    only through the analytic approximations, never through inputs.
+    Reads what ``DistributedRunner._build`` builds, from the same
+    constructors: the interned profile and plans of ``timing_plans``,
+    the speed draws and base time of ``compute_model``, the cluster's
+    rates — so prediction and simulation disagree only through the
+    analytic approximations, never through inputs.
     """
 
     cfg: RunConfig
@@ -161,6 +161,7 @@ class ModelInputs:
     L: int  # machines actually hosting workers
     g: int  # GPUs per machine (max group size)
     gm: np.ndarray  # workers per machine, len = cluster.machines
+    machine_of: np.ndarray  # machine of each worker, len = N
     S: int  # PS shards (1 for decentralized algorithms)
 
     r: float  # network bytes/s per NIC direction
@@ -238,15 +239,7 @@ def build_inputs(cfg: RunConfig) -> ModelInputs:
     L = (N + g_cfg - 1) // g_cfg
     gm = np.clip(N - g_cfg * np.arange(cluster.machines), 0, g_cfg)
 
-    rng = np.random.default_rng(cfg.seed + 3)
-    speeds = 1.0 - rng.uniform(0.0, cfg.speed_spread, size=N)
-    if cfg.compute_time_override is not None:
-        base = cfg.compute_time_override
-    else:
-        base = (
-            profile.train_flops * cfg.batch_size / cluster.machine.gpu.effective_flops
-        )
-    c = base / speeds
+    compute = compute_model(cfg, profile)
     sigma = cfg.jitter_sigma
     comm = cfg.comm_model
 
@@ -269,6 +262,7 @@ def build_inputs(cfg: RunConfig) -> ModelInputs:
         L=L,
         g=int(gm[:L].max()) if L else 1,
         gm=gm,
+        machine_of=np.arange(N) // g_cfg,
         S=num_shards,
         r=cluster.network_bytes_per_s,
         beta=cluster.intra_bytes_per_s,
@@ -284,7 +278,7 @@ def build_inputs(cfg: RunConfig) -> ModelInputs:
         B=B,
         Bm=Bm,
         shard_machine=shard_machine,
-        c=c,
+        c=compute.base_time / compute.speeds,
         sigma=sigma,
         Ej=math.exp(sigma * sigma / 2.0),
         racks=cluster.num_racks if hier else 1,
@@ -302,8 +296,22 @@ class PerfEstimate:
     round_time: float  # seconds per synchronous round / mean worker cycle
     throughput: float  # images/s, cluster aggregate
     regime: str
-    dag: IterationDag
+    breakdown: dict[str, float]  # seconds by category along the iteration
     bounds: dict[str, float]  # named candidate bounds (rates or stage ends)
+
+
+def _chain_breakdown(*stages: tuple[str, float]) -> dict[str, float]:
+    """Seconds by category of an iteration whose ``(category, seconds)``
+    stages run one after another. A stage is credited the difference of
+    the running finish times around it, not its raw duration; stages
+    that add no time are left out."""
+    out: dict[str, float] = {}
+    finish = 0.0
+    for category, seconds in stages:
+        start, finish = finish, finish + float(seconds)
+        if finish - start > 0:
+            out[category] = out.get(category, 0.0) + (finish - start)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -311,47 +319,95 @@ class PerfEstimate:
 # --------------------------------------------------------------------------
 
 
-def _leader_mask(mi: ModelInputs) -> np.ndarray:
-    wid = np.arange(mi.N)
-    return wid % mi.cfg.cluster.machine.gpus == 0
+def _bsp_local_agg(mi: ModelInputs) -> np.ndarray:
+    """When each entry's group mean is complete on the worst machine:
+    g−1 peer copies of the entry drain over the bus, and the leader
+    holds the mean when the slowest copy lands."""
+    o, b = mi.entry_offset, mi.entry_bytes
+    if mi.g == 1:
+        return o * mi.cmax
+    # A peer shares its machine with the worker before it.
+    peers = np.diff(mi.machine_of, prepend=-1) == 0
+    cbar_peer = float(mi.c[peers].mean()) * mi.Ej
+    complete = np.empty(len(b))
+    busfin = 0.0
+    for e in range(len(b)):
+        busfin = max(o[e] * cbar_peer, busfin) + (mi.g - 1) * b[e] / mi.beta
+        complete[e] = max(busfin, o[e] * mi.cmax + b[e] / mi.beta) + mi.ilat
+    return complete
+
+
+def _bsp_leader_tx(
+    mi: ModelInputs, complete: np.ndarray, frac_remote: float
+) -> tuple[np.ndarray, float]:
+    """A leader's NIC serialises the ``frac_remote`` share of each entry
+    that leaves its machine, in plan order: when each entry starts
+    transmitting at the slowest leader, and when the last one ends."""
+    b = mi.entry_bytes
+    dep = np.empty(len(b))
+    txfin = 0.0
+    for e in range(len(b)):
+        dep[e] = start = max(complete[e], txfin)
+        txfin = start + frac_remote * b[e] / mi.r
+    return dep, txfin
+
+
+def _bsp_shard_fold(mi: ModelInputs, arrive: np.ndarray, fan_in: int) -> np.ndarray:
+    """When each shard has applied the round: ``fan_in`` copies of each
+    entry arrive from ``arrive`` on, fan_in − 1 of them serialise into
+    the shard machine's NIC, and the shard folds every copy at the PS
+    aggregation rate."""
+    b, sid = mi.entry_bytes, mi.entry_shard
+    rxdone = np.zeros(mi.S)
+    sdone = np.zeros(mi.S)
+    for e in range(len(b)):
+        s = sid[e]
+        first_del = max(rxdone[s], arrive[e]) + b[e] / mi.r
+        rxdone[s] = max(rxdone[s], arrive[e]) + (fan_in - 1) * b[e] / mi.r
+        proc = mi.ov + b[e] * mi.agg
+        sdone[s] = max(max(sdone[s], first_del) + fan_in * proc, rxdone[s] + proc)
+    return sdone + mi.ov + mi.B * mi.agg  # apply step
+
+
+def _bsp_estimate(
+    mi: ModelInputs, complete: np.ndarray, t_out: float, bound: str
+) -> PerfEstimate:
+    """The round after its global stage ends at ``t_out``: the leaders
+    broadcast the new model over the bus, and the four stages make the
+    estimate."""
+    cmax = mi.cmax
+    bcast = (mi.g - 1) * mi.M / mi.beta + mi.ilat if mi.g > 1 else 0.0
+    T = t_out + bcast
+    local_done = float(complete[-1])
+    return PerfEstimate(
+        algorithm="bsp",
+        round_time=T,
+        throughput=mi.N * mi.cfg.batch_size / T,
+        regime="compute-bound" if T < 2 * cmax else "network-bound",
+        breakdown=_chain_breakdown(
+            ("compute", cmax),
+            ("local_agg", max(0.0, local_done - cmax)),
+            ("global_agg", max(0.0, t_out - local_done)),
+            ("local_agg", bcast),
+        ),
+        bounds={"round": T, "compute": cmax, bound: t_out},
+    )
 
 
 def _predict_bsp(mi: ModelInputs) -> PerfEstimate:
     if mi.cfg.ps_topology == "tree":
         return _predict_bsp_tree(mi)
     E = len(mi.entry_bytes)
-    o, b, sid = mi.entry_offset, mi.entry_bytes, mi.entry_shard
-    g, L, S = mi.g, mi.L, mi.S
-    leaders = _leader_mask(mi)
-    peers = ~leaders
-    c_all_max = mi.cmax
-    cbar_peer = float(mi.c[peers].mean()) * mi.Ej if peers.any() else 0.0
-
-    # Phase 1 — local aggregation on the worst machine: g−1 peer copies
-    # of each entry drain over the bus; the leader holds the complete
-    # group mean when the slowest copy lands.
-    complete = np.empty(E)
-    busfin = 0.0
-    for e in range(E):
-        if g > 1:
-            busfin = max(o[e] * cbar_peer, busfin) + (g - 1) * b[e] / mi.beta
-            last_copy = max(busfin, o[e] * c_all_max + b[e] / mi.beta) + mi.ilat
-            complete[e] = last_copy
-        else:
-            complete[e] = o[e] * c_all_max
+    b, sid = mi.entry_bytes, mi.entry_shard
+    L, S = mi.L, mi.S
+    # Phase 1 — local aggregation on the worst machine.
+    complete = _bsp_local_agg(mi)
 
     xlat = mi.xlat()
     if L > 1:
-        # Phase 2 — each leader's NIC serialises its remote-bound
-        # forwards in plan order; dep[e] is when entry e's copy starts
-        # transmitting at the slowest leader.
-        frac_remote = (L - 1) / L if S > 1 else (L - 1) / L if S == 1 else 0.0
-        dep = np.empty(E)
-        txfin = 0.0
-        for e in range(E):
-            start = max(complete[e], txfin)
-            txfin = start + frac_remote * b[e] / mi.r
-            dep[e] = start
+        # Phase 2 — each leader's NIC carries the (L−1)/L share of
+        # every entry that is bound for other machines' shards.
+        dep, txfin = _bsp_leader_tx(mi, complete, (L - 1) / L)
         arr = dep + xlat
         if mi.hierarchical:
             # The rack's ToR uplink carries every leader-in-rack copy of
@@ -363,21 +419,8 @@ def _predict_bsp(mi: ModelInputs) -> PerfEstimate:
                 upfin = max(dep[e] + mi.lat, upfin) + lpr * frac_cross * b[e] / mi.r_up
                 arr[e] = max(arr[e], upfin + mi.spine)
 
-        # Phase 3 — per-shard ingress + processing: L−1 remote copies
-        # serialise into the shard machine's NIC; the shard folds all L
-        # copies at the PS aggregation rate.
-        rxdone = np.zeros(S)
-        sdone = np.zeros(S)
-        for e in range(E):
-            s = sid[e]
-            first_del = max(rxdone[s], arr[e]) + b[e] / mi.r
-            rxdone[s] = max(rxdone[s], arr[e]) + (L - 1) * b[e] / mi.r
-            proc = mi.ov + b[e] * mi.agg
-            sdone[s] = max(
-                max(sdone[s], first_del) + L * proc,
-                rxdone[s] + proc,
-            )
-        shard_done = sdone + mi.ov + mi.B * mi.agg  # apply step
+        # Phase 3 — each shard takes one copy from every leader.
+        shard_done = _bsp_shard_fold(mi, arr, L)
 
         # Phase 4 — replies. Every shard replies to the leaders in the
         # same order (the order the leaders' forwards arrived), so the
@@ -424,34 +467,7 @@ def _predict_bsp(mi: ModelInputs) -> PerfEstimate:
         shard_done = sdone + mi.ov + mi.B * mi.agg
         t_replies = float(np.max(shard_done + mi.B / mi.beta)) + mi.ilat
 
-    bcast = (g - 1) * mi.M / mi.beta + mi.ilat if g > 1 else 0.0
-    T = t_replies + bcast
-
-    dag = IterationDag()
-    dag.span("compute", c_all_max, category="compute")
-    dag.span(
-        "local_agg",
-        max(0.0, float(complete[-1]) - c_all_max),
-        after=("compute",),
-        category="local_agg",
-    )
-    dag.span(
-        "ps_round",
-        max(0.0, t_replies - float(complete[-1])),
-        after=("local_agg",),
-        category="global_agg",
-    )
-    dag.span("broadcast", bcast, after=("ps_round",), category="local_agg")
-    comm_time = T - c_all_max
-    regime = "compute-bound" if comm_time < c_all_max else "network-bound"
-    return PerfEstimate(
-        algorithm="bsp",
-        round_time=T,
-        throughput=mi.N * mi.cfg.batch_size / T,
-        regime=regime,
-        dag=dag,
-        bounds={"round": T, "compute": c_all_max, "replies": t_replies},
-    )
+    return _bsp_estimate(mi, complete, t_replies, "replies")
 
 
 def _predict_bsp_tree(mi: ModelInputs) -> PerfEstimate:
@@ -462,31 +478,14 @@ def _predict_bsp_tree(mi: ModelInputs) -> PerfEstimate:
     fan-in drops to the rack count; replies retrace the tree.
     """
     E = len(mi.entry_bytes)
-    o, b, sid = mi.entry_offset, mi.entry_bytes, mi.entry_shard
-    g, L, S = mi.g, mi.L, mi.S
+    b, L = mi.entry_bytes, mi.L
     R = mi.racks if mi.hierarchical else 1
     lpr = min(mi.mpr, L) if mi.hierarchical else L
-    c_all_max = mi.cmax
-    peers = ~_leader_mask(mi)
-    cbar_peer = float(mi.c[peers].mean()) * mi.Ej if peers.any() else 0.0
-
-    complete = np.empty(E)
-    busfin = 0.0
-    for e in range(E):
-        if g > 1:
-            busfin = max(o[e] * cbar_peer, busfin) + (g - 1) * b[e] / mi.beta
-            complete[e] = max(busfin, o[e] * c_all_max + b[e] / mi.beta) + mi.ilat
-        else:
-            complete[e] = o[e] * c_all_max
+    complete = _bsp_local_agg(mi)
 
     # Leaders → rack aggregator (intra-rack hop, lpr−1 remote copies),
     # with the aggregator paying the PS agg rate per received copy.
-    dep = np.empty(E)
-    txfin = 0.0
-    for e in range(E):
-        start = max(complete[e], txfin)
-        txfin = start + b[e] / mi.r
-        dep[e] = start
+    dep, _ = _bsp_leader_tx(mi, complete, 1.0)
     ragg_rx = 0.0
     ragg_done = np.empty(E)
     for e in range(E):
@@ -494,47 +493,13 @@ def _predict_bsp_tree(mi: ModelInputs) -> PerfEstimate:
         ragg_done[e] = ragg_rx + lpr * (mi.ov + b[e] * mi.agg)
 
     # Rack aggregators → shards: fan-in R, spine-crossing hop.
-    rxdone = np.zeros(S)
-    sdone = np.zeros(S)
     xlat = mi.lat + (mi.spine if R > 1 else 0.0)
-    for e in range(E):
-        s = sid[e]
-        arrive = ragg_done[e] + xlat
-        first_del = max(rxdone[s], arrive) + b[e] / mi.r
-        rxdone[s] = max(rxdone[s], arrive) + max(R - 1, 0) * b[e] / mi.r
-        proc = mi.ov + b[e] * mi.agg
-        sdone[s] = max(max(sdone[s], first_del) + R * proc, rxdone[s] + proc)
-    shard_done = sdone + mi.ov + mi.B * mi.agg
+    shard_done = _bsp_shard_fold(mi, ragg_done + xlat, R)
 
     # Replies retrace the tree: shard → R aggregators → lpr leaders.
     t_shard_out = float(np.max(shard_done + max(R - 1, 0) * mi.B / mi.r)) + xlat
     t_ragg_out = t_shard_out + max(lpr - 1, 0) * mi.M / mi.r + mi.lat
-    bcast = (g - 1) * mi.M / mi.beta + mi.ilat if g > 1 else 0.0
-    T = t_ragg_out + bcast
-
-    dag = IterationDag()
-    dag.span("compute", c_all_max, category="compute")
-    dag.span(
-        "local_agg",
-        max(0.0, float(complete[-1]) - c_all_max),
-        after=("compute",),
-        category="local_agg",
-    )
-    dag.span(
-        "tree_round",
-        max(0.0, t_ragg_out - float(complete[-1])),
-        after=("local_agg",),
-        category="global_agg",
-    )
-    dag.span("broadcast", bcast, after=("tree_round",), category="local_agg")
-    return PerfEstimate(
-        algorithm="bsp",
-        round_time=T,
-        throughput=mi.N * mi.cfg.batch_size / T,
-        regime="network-bound" if T > 2 * c_all_max else "compute-bound",
-        dag=dag,
-        bounds={"round": T, "compute": c_all_max, "tree_out": t_ragg_out},
-    )
+    return _bsp_estimate(mi, complete, t_ragg_out, "tree_out")
 
 
 def _ring_step_costs(mi: ModelInputs, step_bytes: float) -> float:
@@ -560,10 +525,13 @@ def _predict_arsgd(mi: ModelInputs) -> PerfEstimate:
     N = mi.N
     if N == 1:
         T = mi.cmax
-        dag = IterationDag()
-        dag.span("compute", T, category="compute")
         return PerfEstimate(
-            "ar-sgd", T, mi.cfg.batch_size / T, "compute-bound", dag, {"round": T}
+            "ar-sgd",
+            T,
+            mi.cfg.batch_size / T,
+            "compute-bound",
+            _chain_breakdown(("compute", T)),
+            {"round": T},
         )
     # All per-entry rings run concurrently over the same ports: in
     # steady state each of the 2(N−1) step slots moves the summed
@@ -588,11 +556,6 @@ def _predict_arsgd(mi: ModelInputs) -> PerfEstimate:
     )
     T = max(start + t_comm, tail)
 
-    dag = IterationDag()
-    dag.span("compute", mi.cmax, category="compute")
-    dag.span(
-        "allreduce", max(0.0, T - mi.cmax), after=("compute",), category="global_agg"
-    )
     regime = "latency-bound" if hop > 4 * step_bytes / mi.r else (
         "compute-bound" if T < 2 * mi.cmax else "network-bound"
     )
@@ -601,7 +564,9 @@ def _predict_arsgd(mi: ModelInputs) -> PerfEstimate:
         round_time=T,
         throughput=N * mi.cfg.batch_size / T,
         regime=regime,
-        dag=dag,
+        breakdown=_chain_breakdown(
+            ("compute", mi.cmax), ("global_agg", max(0.0, T - mi.cmax))
+        ),
         bounds={"round": T, "compute": mi.cmax, "ring": t_comm},
     )
 
@@ -636,17 +601,14 @@ def _predict_arsgd_hier(mi: ModelInputs, scheme: str) -> PerfEstimate:
     t3 = (g - 1) * total / mi.beta + mi.ilat if g > 1 else 0.0
     T = mi.cmax + t1 + t2 + t3
 
-    dag = IterationDag()
-    dag.span("compute", mi.cmax, category="compute")
-    dag.span("intra_reduce", t1, after=("compute",), category="local_agg")
-    dag.span(f"{scheme}_combine", t2, after=("intra_reduce",), category="global_agg")
-    dag.span("intra_bcast", t3, after=(f"{scheme}_combine",), category="local_agg")
     return PerfEstimate(
         algorithm="ar-sgd",
         round_time=T,
         throughput=mi.N * mi.cfg.batch_size / T,
         regime="network-bound" if (t1 + t2 + t3) > mi.cmax else "compute-bound",
-        dag=dag,
+        breakdown=_chain_breakdown(
+            ("compute", mi.cmax), ("local_agg", t1), ("global_agg", t2), ("local_agg", t3)
+        ),
         bounds={"round": T, "compute": mi.cmax, "combine": t2},
     )
 
@@ -739,7 +701,7 @@ def _rate_estimate(
     bounds: dict[str, float],
     *,
     algorithm: str,
-    cycle_spans: list[tuple[str, float, str]],
+    cycle_stages: list[tuple[str, float]],
 ) -> PerfEstimate:
     """Combine per-worker cycle rates with station capacity bounds."""
     compute_rate = float(np.sum(1.0 / cycle))
@@ -755,11 +717,6 @@ def _rate_estimate(
         if compute_rate <= cap
         else min(bounds, key=lambda k: bounds[k])
     )
-    dag = IterationDag()
-    prev: tuple[str, ...] = ()
-    for name, dur, cat in cycle_spans:
-        dag.span(name, dur, after=prev, category=cat)
-        prev = (name,)
     all_bounds = dict(bounds)
     all_bounds["compute"] = compute_rate
     return PerfEstimate(
@@ -767,15 +724,14 @@ def _rate_estimate(
         round_time=mi.N / rate,
         throughput=rate * mi.cfg.batch_size,
         regime=f"{binding}-bound",
-        dag=dag,
+        breakdown=_chain_breakdown(*cycle_stages),
         bounds=all_bounds,
     )
 
 
 def _worker_machine_arrays(mi: ModelInputs) -> tuple[np.ndarray, np.ndarray]:
     """Per-worker (remote_push_bytes, local_push_bytes) to the shards."""
-    machine_of = np.arange(mi.N) // mi.cfg.cluster.machine.gpus
-    Bm_w = mi.Bm[machine_of]
+    Bm_w = mi.Bm[mi.machine_of]
     return mi.M - Bm_w, Bm_w
 
 
@@ -806,9 +762,9 @@ def _predict_asp(mi: ModelInputs) -> PerfEstimate:
         cycle,
         bounds,
         algorithm="asp",
-        cycle_spans=[
-            ("compute", float(np.mean(mi.c)) * mi.Ej, "compute"),
-            ("push_pull", float(np.mean(cycle - mi.c * mi.Ej)) + push, "global_agg"),
+        cycle_stages=[
+            ("compute", float(np.mean(mi.c)) * mi.Ej),
+            ("global_agg", float(np.mean(cycle - mi.c * mi.Ej)) + push),
         ],
     )
 
@@ -863,10 +819,10 @@ def _predict_ssp(mi: ModelInputs) -> PerfEstimate:
         cycle,
         bounds,
         algorithm="ssp",
-        cycle_spans=[
-            ("compute", float(np.mean(mi.c)) * mi.Ej, "compute"),
-            ("push", float(np.mean(tx_block)), "global_agg"),
-            ("fetch", float(np.mean(fetch)) * pull_freq, "global_agg"),
+        cycle_stages=[
+            ("compute", float(np.mean(mi.c)) * mi.Ej),
+            ("global_agg", float(np.mean(tx_block))),
+            ("global_agg", float(np.mean(fetch)) * pull_freq),
         ],
     )
 
@@ -881,8 +837,7 @@ def _predict_easgd(mi: ModelInputs) -> PerfEstimate:
     # bus: a worker waits behind (g−1)/2 peer serialisations on
     # average, in both directions (engine: +5..10 % cycle at 10 Gbps,
     # growing with the remote fraction, invisible at 56 Gbps).
-    machine_of = np.arange(mi.N) // mi.cfg.cluster.machine.gpus
-    convoy = 1.0 + (mi.gm[machine_of].astype(float) - 1.0) / 2.0
+    convoy = 1.0 + (mi.gm[mi.machine_of].astype(float) - 1.0) / 2.0
     exchange = (
         convoy * (2 * remote / mi.r + 2 * local / mi.beta)
         + 2 * mi.xlat()
@@ -898,17 +853,16 @@ def _predict_easgd(mi: ModelInputs) -> PerfEstimate:
         cycle,
         bounds,
         algorithm="easgd",
-        cycle_spans=[
-            ("compute", float(np.mean(mi.c)) * mi.Ej, "compute"),
-            ("exchange", float(np.mean(exchange)) / tau, "global_agg"),
+        cycle_stages=[
+            ("compute", float(np.mean(mi.c)) * mi.Ej),
+            ("global_agg", float(np.mean(exchange)) / tau),
         ],
     )
 
 
 def _predict_gosgd(mi: ModelInputs) -> PerfEstimate:
     p = float(mi.cfg.algorithm_params.get("p", 0.01))
-    machine_of = np.arange(mi.N) // mi.cfg.cluster.machine.gpus
-    gm_w = mi.gm[machine_of].astype(float)
+    gm_w = mi.gm[mi.machine_of].astype(float)
     if mi.N > 1:
         frac_remote = (mi.N - gm_w) / (mi.N - 1)
     else:
@@ -928,9 +882,9 @@ def _predict_gosgd(mi: ModelInputs) -> PerfEstimate:
         cycle,
         bounds,
         algorithm="gosgd",
-        cycle_spans=[
-            ("compute", float(np.mean(mi.c)) * mi.Ej, "compute"),
-            ("gossip", float(np.mean(p * push)), "global_agg"),
+        cycle_stages=[
+            ("compute", float(np.mean(mi.c)) * mi.Ej),
+            ("global_agg", float(np.mean(p * push))),
         ],
     )
 
@@ -945,7 +899,7 @@ def _predict_adpsgd(mi: ModelInputs) -> PerfEstimate:
         cycle,
         {},
         algorithm="ad-psgd",
-        cycle_spans=[("compute", float(np.mean(cycle)), "compute")],
+        cycle_stages=[("compute", float(np.mean(cycle)))],
     )
 
 

@@ -23,6 +23,7 @@ from repro.core.config import RunConfig
 from repro.core.history import ThroughputResult
 from repro.core.runner import execute_run, timing_profile
 from repro.perf.models import PerfEstimate, estimate_iteration
+from repro.sim.costmodel import base_iteration_time
 
 __all__ = ["Prediction", "predict_run", "prediction_to_result", "cross_validate", "CrossValidation"]
 
@@ -40,22 +41,21 @@ class Prediction:
     throughput: float  # images/s, cluster aggregate
     speedup: float  # vs the ideal single-worker throughput
     regime: str
-    breakdown: dict[str, float]  # critical-path seconds by category
+    breakdown: dict[str, float]  # seconds by category along the iteration
     bounds: dict[str, float] = field(default_factory=dict)
     elapsed_s: float = 0.0  # wall time spent producing this prediction
 
 
 def ideal_single_worker_throughput(config: RunConfig) -> float:
-    """images/s of one jitter-free full-speed worker (fig-2 baseline)."""
-    profile = timing_profile(config.profile_name)
-    if config.compute_time_override is not None:
-        base = config.compute_time_override
-    else:
-        base = (
-            profile.train_flops
-            * config.batch_size
-            / config.cluster.machine.gpu.effective_flops
-        )
+    """Images/s of one jitter-free full-speed worker with no
+    communication: the paper's normalisation baseline ("the throughput
+    of a single worker", Fig 2)."""
+    base = base_iteration_time(
+        timing_profile(config.profile_name),
+        config.batch_size,
+        config.cluster.machine.gpu,
+        config.compute_time_override,
+    )
     return config.batch_size / base
 
 
@@ -93,7 +93,7 @@ def predict_run(config: RunConfig, *, strict: bool = False) -> Prediction:
         throughput=est.throughput,
         speedup=est.throughput / baseline if baseline else 0.0,
         regime=est.regime,
-        breakdown=est.dag.breakdown(),
+        breakdown=est.breakdown,
         bounds=est.bounds,
         elapsed_s=elapsed,
     )

@@ -27,7 +27,7 @@ from repro.nn.zoo import ModelProfile
 from repro.sim.cluster import GPUSpec
 from repro.sim.engine import Timeout
 
-__all__ = ["ComputeModel", "CommModel"]
+__all__ = ["ComputeModel", "CommModel", "base_iteration_time"]
 
 
 @dataclass
@@ -104,6 +104,22 @@ class CommModel:
         return t
 
 
+def base_iteration_time(
+    profile: ModelProfile,
+    batch_size: int,
+    gpu: GPUSpec,
+    override: float | None = None,
+) -> float:
+    """Seconds of one jitter-free iteration of a full-speed worker: the
+    profile's FLOPs at the GPU's effective rate, unless ``override``
+    fixes it (full-mode runs, DESIGN.md §6)."""
+    if override is not None:
+        if override <= 0:
+            raise ValueError("base_time_override must be positive")
+        return override
+    return profile.train_flops * batch_size / gpu.effective_flops
+
+
 class ComputeModel:
     """Per-worker iteration compute-time sampler.
 
@@ -157,10 +173,6 @@ class ComputeModel:
         # Persistent speeds uniform in [1 - spread, 1]: worker ranks keep
         # stable fast/slow identities across the whole run.
         self.speeds = 1.0 - self._rng.uniform(0.0, speed_spread, size=num_workers)
-        # Per-worker base durations, precomputed after base_time is set
-        # (see end of __init__): iteration_time is called once per
-        # iteration per worker and must not redo the division.
-        self._base_by_worker: np.ndarray | None = None
         # Lognormal jitter is drawn in prefilled blocks consumed in call
         # order. Block draws are bitwise-identical to scalar draws
         # (``rng.normal(0, s, size=n)`` advances the stream exactly like
@@ -178,12 +190,9 @@ class ComputeModel:
         # the profile's FLOP count — full-mode runs use it to give the
         # tiny trainable models the compute/communication time *ratio*
         # of the paper's real models (DESIGN.md §6).
-        if base_time_override is not None:
-            if base_time_override <= 0:
-                raise ValueError("base_time_override must be positive")
-            self.base_time = base_time_override
-        else:
-            self.base_time = profile.train_flops * batch_size / gpu.effective_flops
+        self.base_time = base_iteration_time(profile, batch_size, gpu, base_time_override)
+        # Per-worker base durations: iteration_time is called once per
+        # iteration per worker and must not redo the division.
         self._base_by_worker = (self.base_time / self.speeds).tolist()
 
     _JITTER_BLOCK = 512

@@ -105,6 +105,32 @@ class TestGlobalParamsReadsReplicas:
         assert np.any(average != runner.runtime.workers[0].comp.model.get_flat_parameters())
 
 
+class TestWaitFreeAspReplies:
+    def test_per_layer_replies_scatter_into_the_replica_without_a_copy(self, monkeypatch):
+        """Each per-layer reply of wait-free ASP is written into the
+        replica in place; applying replies copies no replica."""
+        copies = []
+        get_params = LocalComputation.get_params
+
+        def counted(self):
+            copies.append(self)
+            return get_params(self)
+
+        monkeypatch.setattr(LocalComputation, "get_params", counted)
+        runner = DistributedRunner(
+            small_full_config("asp", num_ps_shards=2, epochs=1.0, wait_free_bp=True)
+        )
+        assert len(runner.runtime.comm_plan.entries) > runner.runtime.sharding.num_shards
+        # An ASP replica moves only by the replies folded into it.
+        before = [slot.comp.params.copy() for slot in runner.runtime.workers]
+        runner.run()
+        assert copies == []
+        assert all(
+            np.any(slot.comp.params != start)
+            for slot, start in zip(runner.runtime.workers, before)
+        )
+
+
 class TestVelocityReset:
     def test_crash_rejoin_restore_zeroes_momentum(self, monkeypatch):
         base = small_full_config("ad-psgd", epochs=4.0)
