@@ -79,13 +79,6 @@ class BSPShard(PSShard):
 
     def serve(self) -> Generator[Any, Any, None]:
         rt = self.runtime
-        if self.entries_per_sender == 0:
-            # More shards than layers (layerwise sharding cannot split a
-            # layer, so S > L leaves S − L shards empty): no gradient
-            # will ever arrive and no leader waits on a reply from this
-            # shard. Park instead of looping — the round loop below
-            # would otherwise spin through zero-message "rounds".
-            return
         get_req = Get(self.mailbox("req"))
         while not rt.stopping:
             # Per round: membership eviction may have shrunk the leader
@@ -239,7 +232,7 @@ def _rack_aggregator(
         )
         if rt.stopping:
             return
-        for _ in rt.active_shards:
+        for _ in rt.ps_nodes:
             msg = yield get_reply
             for slot in leader_slots:
                 payload = msg.payload

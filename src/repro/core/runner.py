@@ -182,8 +182,6 @@ class Runtime:
         self.tracer = ctx.tracer
         self.workers: list[WorkerSlot] = []
         self.ps_nodes: list[PSShard] = []
-        # The shards a PS pull waits on (see create_ps_shards).
-        self.active_shards: list[PSShard] = []
         self.nodes_by_id: dict[int, Node] = {}
         self.stopping = False
         self.total_elements = profile.total_params
@@ -255,12 +253,9 @@ class Runtime:
             shards.append(shard)
             self.nodes_by_id[shard.node_id] = shard
             self.spawn_shard_lanes(shard)
+        # Every plan shard owns an element, so each receives gradients
+        # and replies: a PS pull waits on all of them.
         self.ps_nodes = shards
-        # Only shards owning ≥ 1 comm-plan entry receive gradients and
-        # reply. Layer-wise sharding cannot split a layer, so S shards
-        # over L < S layers leave S − L of them empty; nobody waits on those.
-        per_shard = self.comm_plan.entries_per_shard
-        self.active_shards = [shard for shard in shards if per_shard[shard.shard_id]]
         return shards
 
     # -- comm-plan geometry -------------------------------------------------
@@ -376,7 +371,7 @@ class DistributedRunner:
             tracer=tracer,
             observer=self.observer,
         )
-        self._eval_model = None
+        self._model: Module | None = None
         self._test_data: Dataset | None = None
         self._history: TrainingHistory | None = None
         self._next_eval_epoch = 0.0
@@ -442,14 +437,13 @@ class DistributedRunner:
                 drop_remainder=True,
             )
             # One compute model per run: a replica is the flat vectors
-            # on its LocalComputation, each a copy of this seeded draw
-            # (DESIGN §3). Evaluation has a model of its own.
+            # on its LocalComputation, each a copy of this seeded draw,
+            # and evaluation loads the global parameters into it too
+            # (DESIGN §3).
             model = build_model(cfg.model_name, seed=cfg.seed, **cfg.model_kwargs)
             self._refuse_misfit(model, dataset)
+            self._model = model
             init_params = model.get_flat_parameters()
-            self._eval_model = build_model(
-                cfg.model_name, params=init_params, **cfg.model_kwargs
-            )
             decay_mask = weight_decay_mask(model)
             profile = mini_profile_from_model(model, name=cfg.model_name)
             dataset_size = sum(len(s) for s in shards)
@@ -594,7 +588,7 @@ class DistributedRunner:
 
     # -- evaluation ----------------------------------------------------------
     def _evaluate(self, epoch: float) -> None:
-        assert self._eval_model is not None and self._test_data is not None
+        assert self._model is not None and self._test_data is not None
         params = self.algorithm.global_params()
         if params is None:
             return
@@ -602,12 +596,12 @@ class DistributedRunner:
             self._history = TrainingHistory(
                 algorithm=self.algorithm.describe(), num_workers=self.config.num_workers
             )
-        self._eval_model.set_flat_parameters(params)
+        self._model.set_flat_parameters(params)
         # Batch-norm models evaluate with the statistics of each EVAL_CHUNK.
         correct = 0
         x, y = self._test_data.x, self._test_data.y
         for start in range(0, len(self._test_data), EVAL_CHUNK):
-            out = self._eval_model.predict(x[start : start + EVAL_CHUNK])
+            out = self._model.predict(x[start : start + EVAL_CHUNK])
             correct += int((out.argmax(axis=1) == y[start : start + EVAL_CHUNK]).sum())
         accuracy = correct / len(self._test_data)
         losses = [

@@ -64,8 +64,8 @@ class LocalComputation:
     ``gradient``/``apply_gradient`` are its interface. ``model`` only
     computes: a run builds one and every worker's ``LocalComputation``
     shares it, loading its own ``params`` for the length of one
-    :meth:`gradient` call (DESIGN §3). Do not read replica state from
-    ``model`` — it holds whichever replica computed last.
+    :meth:`gradient` call (DESIGN §3); evaluation loads the global ones.
+    Do not read replica state from ``model``.
     """
 
     def __init__(
@@ -513,11 +513,11 @@ def ps_pull(
     request: Callable[[PSShard], dict[str, Any]] | None = None,
 ) -> Generator[Any, Any, list[Any]]:
     """One blocking pull from the PS: the worker waits for one reply
-    from every active shard (:attr:`Runtime.active_shards`) and installs
-    the parameters they carry.
+    from every shard (:attr:`Runtime.ps_nodes`) and installs the
+    parameters they carry.
 
     Holds the ``global_agg`` span. With ``request`` it first sends each
-    active shard one ``req``, ``request(shard)`` giving the send's
+    shard one ``req``, ``request(shard)`` giving the send's
     ``nbytes``/``payload``/``meta`` (SSP's fetch, EASGD's push); without
     it the gradients already sent are the request (ASP, BSP's leader).
     Each reply — a slice or a DGC delta — is folded into a copy of the
@@ -529,12 +529,12 @@ def ps_pull(
     tracer.begin(slot.wid, "global_agg", rt.engine.now)
     node = slot.node
     if request is not None:
-        for shard in rt.active_shards:
+        for shard in rt.ps_nodes:
             node.send_nowait(shard, "req", trace_worker=slot.wid, **request(shard))
     flat = slot.comp.get_params() if slot.comp is not None else None
     get_reply = Get(node.mailbox("reply"))
     replies = []
-    for _ in rt.active_shards:
+    for _ in rt.ps_nodes:
         msg = yield get_reply
         apply_reply_payload(rt, flat, msg)
         replies.append(msg)

@@ -209,20 +209,10 @@ def arguments_to_fit(
     return lacking or None
 
 
-class _Undrawn:
-    """Stands in for the generator of a replica whose weights are loaded."""
-
-    @staticmethod
-    def normal(loc: float, scale: float, size: tuple[int, ...]) -> np.ndarray:
-        return np.zeros(size)
-
-
-def build_model(name: str, *, seed: int = 0, params: np.ndarray | None = None, **kwargs) -> Module:
+def build_model(name: str, *, seed: int = 0, **kwargs) -> Module:
     """Factory used by experiment configs: the same seed constructs
-    bit-identical initial parameters. Further replicas of a built model
-    pass its flat ``params`` instead and draw nothing (the paper
-    broadcasts worker 0's initial model)."""
-    rng = np.random.default_rng(seed) if params is None else _Undrawn()
+    bit-identical initial parameters."""
+    rng = np.random.default_rng(seed)
     name = name.lower()
     if name == "mlp":
         kwargs = dict(in_features=32, hidden=(64, 64), num_classes=10) | kwargs
@@ -233,6 +223,4 @@ def build_model(name: str, *, seed: int = 0, params: np.ndarray | None = None, *
         model = MiniVGG(rng=rng, **kwargs)
     else:
         raise ValueError(f"unknown model {name!r}; expected mlp/miniresnet/minivgg")
-    if params is not None:
-        model.set_flat_parameters(params)
     return model

@@ -40,8 +40,6 @@ Ranges = tuple[tuple[int, int], ...]
 def gather_ranges(flat: np.ndarray, ranges: Ranges) -> np.ndarray:
     """The elements of ``flat`` inside ``ranges``, concatenated in order
     into a new vector (a shard's slice, a comm-plan entry's payload)."""
-    if not ranges:
-        return np.zeros(0, dtype=flat.dtype)
     return np.concatenate([flat[start:stop] for start, stop in ranges])
 
 
@@ -85,8 +83,6 @@ class ShardAssignment:
 
     def global_indices(self) -> np.ndarray:
         """Flat-vector index of every element of the gathered slice."""
-        if not self.ranges:
-            return np.zeros(0, dtype=np.int64)
         return np.concatenate(
             [np.arange(start, stop, dtype=np.int64) for start, stop in self.ranges]
         )
@@ -167,10 +163,13 @@ def make_sharding_plan(
     *,
     strategy: str = "layerwise-greedy",
 ) -> ShardingPlan:
-    """Build a sharding plan for ``profile`` over ``num_shards`` shards.
+    """Build a sharding plan for ``profile`` over at most ``num_shards``
+    shards, every one of which owns an element.
 
-    With ``num_shards == 1`` every strategy degenerates to the single-PS
-    (unsharded) configuration.
+    A layer-wise plan cannot split a layer, so it builds at most one
+    shard per layer: ``min(num_shards, layers)``; ``element-balanced``
+    at most one per element. With ``num_shards == 1`` every strategy
+    degenerates to the single-PS (unsharded) configuration.
     """
     if num_shards <= 0:
         raise ValueError("num_shards must be positive")
@@ -178,6 +177,7 @@ def make_sharding_plan(
     total = profile.total_params
 
     if strategy == "element-balanced":
+        num_shards = min(num_shards, total)
         bounds = np.linspace(0, total, num_shards + 1).astype(int)
         shards = tuple(
             ShardAssignment(
@@ -193,6 +193,7 @@ def make_sharding_plan(
         plan.validate()
         return plan
 
+    num_shards = min(num_shards, len(profile.layers))
     assignment: list[list[int]] = [[] for _ in range(num_shards)]
     if strategy == "layerwise-rr":
         for idx in range(len(profile.layers)):

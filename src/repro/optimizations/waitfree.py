@@ -57,8 +57,7 @@ class CommPlan:
 
     Entries are sorted by ``ready_offset`` so a worker can walk the
     plan while its backward pass advances. ``entries_per_shard[s]`` is
-    how many of them each sender directs at shard ``s`` (0 for a shard
-    that owns no layer).
+    how many of them each sender directs at shard ``s``.
     """
 
     entries: tuple[CommPlanEntry, ...]
@@ -101,7 +100,6 @@ def make_comm_plan(
                 ranges=s.ranges,
             )
             for s in plan.shards
-            if s.num_elements > 0
         ]
     else:
         # Map layer index -> (owning shard, start inside its gathered

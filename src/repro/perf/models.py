@@ -227,10 +227,9 @@ def build_inputs(cfg: RunConfig) -> ModelInputs:
             "(dgc/robust/faults need the discrete-event engine)"
         )
 
-    centralized = is_centralized(algo)
-    num_shards = cfg.num_ps_shards if centralized else 1
+    requested = cfg.num_ps_shards if is_centralized(algo) else 1
     profile, sharding, plan = timing_plans(
-        cfg.profile_name, num_shards, cfg.sharding_strategy, cfg.wait_free_bp
+        cfg.profile_name, requested, cfg.sharding_strategy, cfg.wait_free_bp
     )
 
     cluster = cfg.cluster
@@ -247,8 +246,9 @@ def build_inputs(cfg: RunConfig) -> ModelInputs:
     entry_bytes = np.array([e.nbytes for e in entries], dtype=float)
     entry_offset = np.array([e.ready_offset for e in entries], dtype=float)
     entry_shard = np.array([e.shard_id for e in entries], dtype=np.int64)
+    S = sharding.num_shards
     B = np.array(sharding.shard_bytes(), dtype=float)
-    shard_machine = np.array(place_shards(num_shards, cluster.machines), dtype=np.int64)
+    shard_machine = np.array(place_shards(S, cluster.machines), dtype=np.int64)
     Bm = np.zeros(cluster.machines, dtype=float)
     np.add.at(Bm, shard_machine, B)
 
@@ -263,7 +263,7 @@ def build_inputs(cfg: RunConfig) -> ModelInputs:
         g=int(gm[:L].max()) if L else 1,
         gm=gm,
         machine_of=np.arange(N) // g_cfg,
-        S=num_shards,
+        S=S,
         r=cluster.network_bytes_per_s,
         beta=cluster.intra_bytes_per_s,
         lat=cluster.network_latency_s,
@@ -675,8 +675,7 @@ def _ps_station_bounds(
     # PS shard lanes: aggregation seconds per worker gradient set.
     proc = _shard_proc_seconds(mi) * proc_freq
     with np.errstate(divide="ignore"):
-        shard = np.where(proc > 0, lanes / proc, np.inf)
-    bounds["shard"] = float(shard.min()) if proc.size else math.inf
+        bounds["shard"] = float((lanes / proc).min())
     # ToR uplinks: cross-rack pushes and replies.
     if mi.hierarchical:
         racks = mi.racks

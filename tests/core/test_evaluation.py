@@ -51,12 +51,12 @@ class TestInitialParameters:
         assert np.any(drawn != 0.0)
         for slot in runner.runtime.workers:
             assert np.array_equal(slot.comp.get_params(), drawn)
-        assert np.array_equal(runner._eval_model.get_flat_parameters(), drawn)
+        assert np.array_equal(runner._model.get_flat_parameters(), drawn)
         assert np.array_equal(runner.runtime.init_params, drawn)
 
     def test_replicas_do_not_share_storage(self):
         """A replica is its own flat vectors; the compute model is the
-        run's one, and no replica's state (DESIGN §3)."""
+        run's one, evaluation's too, and no replica's state (DESIGN §3)."""
         runner = DistributedRunner(conv_config("minivgg"))
         first, second = (slot.comp for slot in runner.runtime.workers[:2])
         before = second.get_params()
@@ -65,8 +65,7 @@ class TestInitialParameters:
         assert np.array_equal(second.get_params(), before) and np.any(before != 0.0)
         assert not np.shares_memory(first.params, second.params)
         assert not np.shares_memory(first.velocity, second.velocity)
-        assert len({id(s.comp.model) for s in runner.runtime.workers}) == 1
-        assert runner._eval_model is not first.model
+        assert {id(s.comp.model) for s in runner.runtime.workers} == {id(runner._model)}
 
 
 class TestModelFitsDataset:
@@ -95,7 +94,7 @@ class TestModelFitsDataset:
 
     def test_any_image_size_fits_a_model_that_pools_globally(self):
         cfg = conv_config("miniresnet", dataset_kwargs={"num_samples": 2000, "hw": 12})
-        assert DistributedRunner(cfg)._eval_model.input_shape == (3, None, None)
+        assert DistributedRunner(cfg)._model.input_shape == (3, None, None)
 
     def test_channels(self):
         cfg = conv_config("miniresnet", dataset_kwargs={"num_samples": 2000, "channels": 1})
@@ -153,13 +152,13 @@ class TestEvaluationKeepsNothing:
         assert len(runner._test_data) == 400
         runner._evaluate(0.0)
         assert len(runner._history.test_accuracy) == 1
-        for module in runner._eval_model.modules():
+        for module in runner._model.modules():
             own = sum(p.size for p in module._parameters.values())
             for array in arrays_held(module):
                 assert array.size <= max(own, module.num_parameters()), type(module).__name__
 
     def test_compute_model_keeps_caches_for_backward(self):
-        """Unlike the evaluation model: ``backward`` reads what
+        """Unlike evaluation's pass: ``backward`` reads what
         ``forward`` cached, so the compute model holds one set."""
         runner = DistributedRunner(conv_config("miniresnet"))
         comp = runner.runtime.workers[0].comp

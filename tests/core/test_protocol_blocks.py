@@ -657,11 +657,6 @@ def test_ring_allgather_returns_the_blocks_in_step_order():
 # -- (d) BSP's entry-mean fold vs the old leader and rack loops -------------
 
 
-def reference_active_shards(rt):
-    """BSP's old ``_active_shards``: shards owning a comm-plan entry."""
-    return len({e.shard_id for e in rt.comm_plan.entries})
-
-
 def reference_collect(rt, slot, count):
     """The old ``collect_shard_replies``: ``count`` replies folded into a
     copy of the replica, returned (``None`` in timing mode)."""
@@ -682,7 +677,7 @@ def reference_rack_aggregator(rt, node, leader_slots, workers):
     owner = leader_slots[0].wid
     get_req = Get(node.mailbox("req"))
     get_reply = Get(node.mailbox("reply"))
-    num_shards = reference_active_shards(rt)
+    num_shards = rt.sharding.num_shards
     while not rt.stopping:
         counts = [0] * len(entries)
         sums = [None] * len(entries)
@@ -767,7 +762,7 @@ def reference_leader_worker(rt, slot, peers, agg_node=None):
                 meta={"op": "grad", "worker": slot.wid, "count": group_size},
             )
         tracer.begin(slot.wid, "global_agg", rt.engine.now)
-        flat = yield from reference_collect(rt, slot, reference_active_shards(rt))
+        flat = yield from reference_collect(rt, slot, rt.sharding.num_shards)
         tracer.end(slot.wid, "global_agg", rt.engine.now)
         if slot.comp is not None and flat is not None:
             slot.comp.set_params(flat)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.zoo import resnet50_profile, vgg16_profile
+from repro.nn.zoo import LayerProfile, ModelProfile, resnet50_profile, vgg16_profile
 from repro.optimizations.sharding import make_sharding_plan
 
 
@@ -14,6 +14,14 @@ class TestPlanValidity:
         plan = make_sharding_plan(resnet50_profile(), shards, strategy=strategy)
         plan.validate()  # raises on overlap/gap
         assert sum(s.num_elements for s in plan.shards) == plan.total_elements
+
+    @pytest.mark.parametrize("strategy", ["layerwise-rr", "layerwise-greedy", "element-balanced"])
+    def test_builds_no_shard_it_cannot_fill(self, strategy):
+        """At most one shard per layer (layer-wise) or per element."""
+        layers = (LayerProfile("a", "fc", 2, 4), LayerProfile("b", "fc", 3, 6))
+        plan = make_sharding_plan(ModelProfile("tiny", layers), 10, strategy=strategy)
+        assert plan.num_shards == len(plan.shards) == (5 if strategy == "element-balanced" else 2)
+        assert all(shard.num_elements > 0 for shard in plan.shards)
 
     def test_single_shard_owns_everything(self):
         plan = make_sharding_plan(resnet50_profile(), 1)

@@ -14,7 +14,9 @@ flat fabric; and on a leaf/spine fabric at N = 256 (64 machines, 16
 per rack), BSP flat and tree and AR-SGD's ring, hring and tree.
 
 A deliberate change to a model re-pins with
-``PYTHONPATH=src python tests/perf/test_prediction_pins.py``.
+``PYTHONPATH=src python tests/perf/test_prediction_pins.py``, which
+prints every case it moves: old -> new throughput and the fields that
+changed.
 """
 
 from __future__ import annotations
@@ -103,7 +105,41 @@ def test_grid_matches_its_pins():
     )
 
 
+def report_moves(old: dict[str, dict], new: dict[str, dict]) -> list[str]:
+    """One line per case whose record moved: old -> new throughput and
+    the fields that changed, or that the case is new or dropped."""
+    lines = [f"{name}: dropped" for name in sorted(set(old) - set(new))]
+    for name in sorted(new):
+        before = old.get(name)
+        if before == new[name]:
+            continue
+        if before is None:
+            lines.append(f"{name}: new case")
+            continue
+        fields = [key for key in new[name] if before.get(key) != new[name][key]]
+        lines.append(
+            f"{name}: throughput {float.fromhex(before['throughput'])!r} -> "
+            f"{float.fromhex(new[name]['throughput'])!r}; changed {', '.join(fields)}"
+        )
+    return lines
+
+
+def test_a_repin_reports_each_moved_case():
+    same = {"throughput": (3.0).hex(), "regime": "compute-bound"}
+    old = {"a": {"throughput": (1.0).hex(), "regime": "compute-bound"}, "b": same, "gone": same}
+    new = {"a": {"throughput": (2.0).hex(), "regime": "compute-bound"}, "b": same, "c": same}
+    assert report_moves(old, new) == [
+        "gone: dropped",
+        "a: throughput 1.0 -> 2.0; changed throughput",
+        "c: new case",
+    ]
+
+
 if __name__ == "__main__":
-    lines = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in sorted(record_grid().items())]
+    old = json.loads(PINS_PATH.read_text()) if PINS_PATH.exists() else {}
+    new = record_grid()
+    for line in report_moves(old, new):
+        print(line)
+    lines = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in sorted(new.items())]
     PINS_PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n")
-    print(f"wrote {len(pinned_grid())} cases to {PINS_PATH}", file=sys.stderr)
+    print(f"wrote {len(new)} cases to {PINS_PATH}", file=sys.stderr)
