@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from repro.experiments.artefact import Artefact, recovery_notes
 from repro.experiments.config import timing_config
-from repro.faults.config import FaultConfig, FaultEvent
+from repro.faults.config import FAULT_TABLE, FaultConfig, FaultEvent
 from repro.sim.cluster import hierarchical_cluster
 
 __all__ = [
@@ -59,16 +59,17 @@ __all__ = [
 FAULT_ALGORITHMS = ("bsp", "asp", "ssp", "easgd", "ar-sgd", "gosgd", "ad-psgd")
 
 
-def _one_event(kind: str, target: str | None, **fields: float):
+def _one_event(kind: str, **fields: float):
     """A scenario of one event: ``time``, ``duration`` and
     ``rejoin_after`` are fractions of the baseline duration ``t0``, and
-    ``target`` (worker, machine or rack) is the last of its kind."""
+    the kind's target (worker, machine or rack) is the last of its kind."""
+    scope = FAULT_TABLE[kind].scope
 
     def events(t0: float, *counts: int) -> tuple[FaultEvent, ...]:
         event = {k: v * t0 if k in ("time", "duration", "rejoin_after") else v
                  for k, v in fields.items()}
-        if target is not None:
-            event[target] = counts[1 if target == "machine" else 0] - 1
+        if scope is not None:
+            event[scope] = counts[1 if scope == "machine" else 0] - 1
         return (FaultEvent(kind=kind, **event),)
 
     return events
@@ -76,11 +77,11 @@ def _one_event(kind: str, target: str | None, **fields: float):
 
 #: scenario name -> (baseline_duration, num_workers, machines) -> events
 FAULT_SCENARIOS = {
-    "crash": _one_event("crash", "worker", time=0.4),
-    "crash-rejoin": _one_event("crash", "worker", time=0.3, rejoin_after=0.2),
-    "degrade": _one_event("link_degrade", "machine", time=0.3, duration=0.3, rate_fraction=0.25),
-    "partition": _one_event("partition", "machine", time=0.4, duration=0.08),
-    "flaky": _one_event("drop", "machine", time=0.3, duration=0.3, drop_prob=0.3),
+    "crash": _one_event("crash", time=0.4),
+    "crash-rejoin": _one_event("crash", time=0.3, rejoin_after=0.2),
+    "degrade": _one_event("link_degrade", time=0.3, duration=0.3, rate_fraction=0.25),
+    "partition": _one_event("partition", time=0.4, duration=0.08),
+    "flaky": _one_event("drop", time=0.3, duration=0.3, drop_prob=0.3),
 }
 
 #: rack-scale scenario name -> (baseline_duration, num_racks) -> events.
@@ -88,13 +89,11 @@ FAULT_SCENARIOS = {
 #: monitor lives on machine 0 (rack 0), so hitting the far rack tests
 #: the partition-and-evict path rather than fencing off the monitor.
 RACK_FAULT_SCENARIOS = {
-    "rack-outage": _one_event("rack_outage", "rack", time=0.4),
-    "tor-outage": _one_event("tor_outage", "rack", time=0.3, duration=0.25),
-    "uplink-degrade": _one_event(
-        "uplink_degrade", "rack", time=0.3, duration=0.3, rate_fraction=0.1
-    ),
-    "uplink-flap": _one_event("uplink_flap", "rack", time=0.3, duration=0.3, drop_prob=0.3),
-    "spine-degrade": _one_event("spine_degrade", None, time=0.3, duration=0.3, rate_fraction=0.25),
+    "rack-outage": _one_event("rack_outage", time=0.4),
+    "tor-outage": _one_event("tor_outage", time=0.3, duration=0.25),
+    "uplink-degrade": _one_event("uplink_degrade", time=0.3, duration=0.3, rate_fraction=0.1),
+    "uplink-flap": _one_event("uplink_flap", time=0.3, duration=0.3, drop_prob=0.3),
+    "spine-degrade": _one_event("spine_degrade", time=0.3, duration=0.3, rate_fraction=0.25),
 }
 
 #: Chaos-matrix columns: label -> (algorithm, config overrides). One per

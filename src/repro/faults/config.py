@@ -7,71 +7,41 @@ Fault randomness (retransmission draws for probabilistic message drops)
 comes from a dedicated RNG stream derived from ``(run seed, fault
 seed)`` so it never perturbs the data/compute/jitter streams.
 
-Fault taxonomy (``FaultEvent.kind``):
+Fault taxonomy (``FaultEvent.kind``), one line per kind; ``FAULT_TABLE``
+below states each kind's effect, scope and fields:
 
-* ``crash``          — one worker process dies; with ``rejoin_after``
-                       it later restores a snapshot and re-enters.
+* ``crash``          — one worker dies (with ``rejoin_after``, it re-enters).
 * ``machine_outage`` — every worker on a machine crashes at once.
-* ``link_degrade``   — a machine's NIC drops to ``rate_fraction`` of
-                       nominal bandwidth for ``duration`` seconds.
-* ``partition``      — a machine is unreachable for ``duration``
-                       seconds; in-flight and new messages are held up
-                       until the partition heals (plus one RTO).
-* ``drop``           — messages touching ``machine`` are each lost with
-                       ``drop_prob`` and retransmitted, for ``duration``
-                       seconds. Loss manifests as TCP-style
-                       retransmission latency, never as silent
-                       disappearance.
+* ``link_degrade``   — a machine's NIC runs at ``rate_fraction`` of nominal.
+* ``partition``      — a machine's messages are held until it heals (+ one RTO).
+* ``drop``           — a machine's messages are each lost with ``drop_prob``.
+* ``rack_outage``    — every worker of a rack crashes at once.
+* ``tor_outage``     — a rack's inter-rack messages are held until it heals.
+* ``uplink_degrade`` — a rack's ToR uplink runs at ``rate_fraction`` of nominal.
+* ``uplink_flap``    — a rack's inter-rack messages are each lost with ``drop_prob``.
+* ``spine_degrade``  — every rack's uplink is scaled by ``rate_fraction``, on top of its own.
+* ``bitflip``        — the worker's next gradient has one random bit flipped.
+* ``nan_inject``     — the worker's next gradient has one element set to NaN.
+* ``grad_scale``     — the worker's gradients are multiplied by ``scale`` (100).
+* ``sign_flip``      — the worker's gradients are negated.
+* ``byzantine``      — the worker sends ``-scale * grad`` (scale 10) from then on.
 
-Fabric faults — rack- and spine-scoped events for hierarchical
-clusters (``ClusterSpec.machines_per_rack`` set). They model the
-correlated failure domains a leaf/spine deployment actually has: the
-blast radius of a ToR is its whole rack, and intra-rack traffic rides
-the non-blocking leaf backplane, so it keeps flowing while the rack's
-*uplink* misbehaves:
-
-* ``rack_outage``    — the ToR's power domain dies: every worker on
-                       every machine of ``rack`` crashes at once (the
-                       correlated analogue of ``machine_outage``).
-* ``tor_outage``     — the ToR's uplink dies for ``duration`` seconds:
-                       the rack is partitioned from the rest of the
-                       fabric (inter-rack messages held until heal +
-                       RTO) while intra-rack traffic is unaffected.
-* ``uplink_degrade`` — the rack's ToR uplink/downlink throttle to
-                       ``rate_fraction`` of nominal for ``duration``.
-* ``uplink_flap``    — the rack's uplink flaps: inter-rack messages
-                       touching the rack are each lost with
-                       ``drop_prob`` and retransmitted, for
-                       ``duration`` seconds.
-* ``spine_degrade``  — spine-tier contention: *every* rack's uplink
-                       throttles to ``rate_fraction`` for ``duration``
-                       (no ``rack``; the scope is the whole spine).
-
-Gradient (data-plane) faults — silent corruption of the gradients a
-worker produces, applied at the gradient-production hook so every
-algorithm is corruptible without per-algorithm code:
-
-* ``bitflip``        — one-shot: the worker's next gradient has one
-                       random bit of one random element flipped.
-* ``nan_inject``     — one-shot: the worker's next gradient has one
-                       random element replaced by NaN.
-* ``grad_scale``     — for ``duration`` seconds the worker's gradients
-                       are multiplied by ``scale`` (default 100).
-* ``sign_flip``      — for ``duration`` seconds the worker's gradients
-                       are negated.
-* ``byzantine``      — from ``time`` on (or for ``duration`` if given)
-                       the worker is adversarial: it sends
-                       ``-scale * grad`` (default scale 10), the
-                       classic inner-product attack on mean
-                       aggregation.
+Windowed kinds last ``duration`` seconds (``byzantine`` too, if given).
+A lost message is retransmitted after a timeout: loss shows as latency,
+never as silent disappearance. Rack- and spine-scoped kinds need a
+hierarchical cluster (``ClusterSpec.machines_per_rack`` set); a rack's
+leaf backplane keeps its intra-rack traffic flowing while its uplink
+misbehaves. Gradient kinds act at the gradient-production hook, so
+every algorithm is corruptible without per-algorithm code.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from repro.io import atomic_write_text, from_jsonable, to_jsonable
 
@@ -81,35 +51,71 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "FaultEvent",
     "FaultConfig",
+    "FaultKind",
     "FaultSchedule",
+    "FAULT_TABLE",
     "FAULT_KINDS",
     "GRAD_FAULT_KINDS",
     "FABRIC_FAULT_KINDS",
     "check_fault_targets",
 ]
 
-#: Data-plane fault kinds, applied to the gradients a worker produces.
-GRAD_FAULT_KINDS = ("bitflip", "grad_scale", "sign_flip", "nan_inject", "byzantine")
+#: The effects a fault has on its scope: its workers crash, its messages
+#: are held or dropped (and retransmitted), its links are degraded, or
+#: its worker's gradients are corrupted.
+CRASH, HOLD, DROP, DEGRADE, GRAD = "crash", "hold", "drop", "degrade", "grad"
 
+
+class FaultKind(NamedTuple):
+    """What one fault kind does, where, and which event fields it takes."""
+
+    effect: str
+    #: The field naming the target: ``"worker"``, ``"machine"`` or
+    #: ``"rack"``; None for the whole spine.
+    scope: str | None
+    #: Fields the kind needs besides its scope field.
+    requires: tuple[str, ...] = ()
+    #: Fields the kind may leave unset; every other field must be.
+    accepts: tuple[str, ...] = ()
+
+
+#: kind -> effect, scope and fields. Validation, target checks, the
+#: controller's injection and records, and the arming of the link and
+#: gradient models all read this table.
+FAULT_TABLE = {
+    "crash": FaultKind(CRASH, "worker", accepts=("rejoin_after",)),
+    "machine_outage": FaultKind(CRASH, "machine"),
+    "link_degrade": FaultKind(DEGRADE, "machine", ("duration", "rate_fraction")),
+    "partition": FaultKind(HOLD, "machine", ("duration",)),
+    "drop": FaultKind(DROP, "machine", ("duration", "drop_prob")),
+    "rack_outage": FaultKind(CRASH, "rack"),
+    "tor_outage": FaultKind(HOLD, "rack", ("duration",)),
+    "uplink_degrade": FaultKind(DEGRADE, "rack", ("duration", "rate_fraction")),
+    "uplink_flap": FaultKind(DROP, "rack", ("duration", "drop_prob")),
+    "spine_degrade": FaultKind(DEGRADE, None, ("duration", "rate_fraction")),
+    "bitflip": FaultKind(GRAD, "worker"),
+    "grad_scale": FaultKind(GRAD, "worker", ("duration",), ("scale",)),
+    "sign_flip": FaultKind(GRAD, "worker", ("duration",)),
+    "nan_inject": FaultKind(GRAD, "worker"),
+    "byzantine": FaultKind(GRAD, "worker", accepts=("duration", "scale")),
+}
+
+FAULT_KINDS = tuple(FAULT_TABLE)
+#: Data-plane fault kinds, applied to the gradients a worker produces.
+GRAD_FAULT_KINDS = tuple(k for k, spec in FAULT_TABLE.items() if spec.effect == GRAD)
 #: Rack/spine-scoped fabric fault kinds; they require a hierarchical
 #: cluster (``ClusterSpec.machines_per_rack`` set).
-FABRIC_FAULT_KINDS = (
-    "rack_outage",
-    "tor_outage",
-    "uplink_degrade",
-    "uplink_flap",
-    "spine_degrade",
-)
+FABRIC_FAULT_KINDS = tuple(k for k, spec in FAULT_TABLE.items() if spec.scope in ("rack", None))
 
-FAULT_KINDS = (
-    "crash",
-    "machine_outage",
-    "link_degrade",
-    "partition",
-    "drop",
-    *FABRIC_FAULT_KINDS,
-    *GRAD_FAULT_KINDS,
-)
+#: field -> what a kind that takes it needs, and the test a set value
+#: must pass. Target ranges depend on the run: ``check_fault_targets``.
+_VALUES = {
+    "duration": ("a positive duration", lambda v: v > 0),
+    "rate_fraction": ("rate_fraction in (0, 1]", lambda v: 0 < v <= 1),
+    "drop_prob": ("drop_prob in [0, 1)", lambda v: 0 <= v < 1),
+    "rejoin_after": ("a positive rejoin_after", lambda v: v > 0),
+    "scale": ("a finite, non-zero scale", lambda v: math.isfinite(v) and v != 0),
+}
 
 
 @dataclass(frozen=True)
@@ -135,59 +141,21 @@ class FaultEvent:
     def __post_init__(self) -> None:
         if self.time < 0:
             raise ValueError("fault time must be non-negative")
-        if self.kind not in FAULT_KINDS:
+        spec = FAULT_TABLE.get(self.kind)
+        if spec is None:
             raise ValueError(f"unknown fault kind {self.kind!r}; expected {FAULT_KINDS}")
-        if self.kind == "crash" and self.worker is None:
-            raise ValueError("crash events need a worker")
-        if self.kind in GRAD_FAULT_KINDS and self.worker is None:
-            raise ValueError(f"{self.kind} events need a worker")
-        if self.kind in ("machine_outage", "link_degrade", "partition", "drop") and (
-            self.machine is None
-        ):
-            raise ValueError(f"{self.kind} events need a machine")
-        if self.kind in FABRIC_FAULT_KINDS:
-            if self.kind == "spine_degrade":
-                if self.rack is not None:
-                    raise ValueError(
-                        "spine_degrade is fabric-wide; it takes no rack"
-                    )
-            elif self.rack is None:
-                raise ValueError(f"{self.kind} events need a rack")
-        elif self.rack is not None:
-            raise ValueError("rack only applies to fabric fault events")
-        if self.kind in (
-            "link_degrade",
-            "partition",
-            "drop",
-            "tor_outage",
-            "uplink_degrade",
-            "uplink_flap",
-            "spine_degrade",
-            "grad_scale",
-            "sign_flip",
-        ):
-            if self.duration is None or self.duration <= 0:
-                raise ValueError(f"{self.kind} events need a positive duration")
-        if self.kind == "byzantine" and self.duration is not None and self.duration <= 0:
-            raise ValueError("byzantine duration, when given, must be positive")
-        if self.kind in ("link_degrade", "uplink_degrade", "spine_degrade"):
-            if self.rate_fraction is None or not 0 < self.rate_fraction <= 1:
-                raise ValueError(f"{self.kind} needs rate_fraction in (0, 1]")
-        if self.kind in ("drop", "uplink_flap"):
-            if self.drop_prob is None or not 0 <= self.drop_prob < 1:
-                raise ValueError(f"{self.kind} needs drop_prob in [0, 1)")
-        if self.rejoin_after is not None:
-            if self.kind != "crash":
-                raise ValueError("rejoin_after only applies to crash events")
-            if self.rejoin_after <= 0:
-                raise ValueError("rejoin_after must be positive")
-        if self.scale is not None:
-            if self.kind not in ("grad_scale", "byzantine"):
-                raise ValueError("scale only applies to grad_scale/byzantine events")
-            if not (self.scale == self.scale and abs(self.scale) != float("inf")):
-                raise ValueError("scale must be finite")
-            if self.scale == 0:
-                raise ValueError("scale must be non-zero")
+        takes = (spec.scope,) + spec.requires + spec.accepts
+        for name in (f.name for f in fields(self)[2:]):  # all but time and kind
+            value = getattr(self, name)
+            need, valid = _VALUES.get(name, (f"a {name}", None))
+            if name not in takes:
+                if value is not None:
+                    raise ValueError(f"{self.kind} events take no {name}")
+            elif value is None:
+                if name not in spec.accepts:
+                    raise ValueError(f"{self.kind} events need {need}")
+            elif valid is not None and not valid(value):
+                raise ValueError(f"{self.kind} events need {need}")
 
 
 @dataclass(frozen=True)
@@ -250,26 +218,25 @@ def check_fault_targets(
 ) -> None:
     """Reject an event whose worker, machine or rack is not in the run,
     or a fabric event on a flat cluster."""
+    sizes = {
+        "worker": ("run", num_workers),
+        "machine": ("cluster", cluster.machines),
+        "rack": ("cluster", cluster.num_racks),
+    }
     for event in events:
-        if event.worker is not None and not 0 <= event.worker < num_workers:
-            raise ValueError(
-                f"fault event targets worker {event.worker}, but the run "
-                f"has {num_workers} workers"
-            )
-        if event.machine is not None and not 0 <= event.machine < cluster.machines:
-            raise ValueError(
-                f"fault event targets machine {event.machine}, but the "
-                f"cluster has {cluster.machines} machines"
-            )
+        scope = FAULT_TABLE[event.kind].scope
         if event.kind in FABRIC_FAULT_KINDS and not cluster.hierarchical:
             raise ValueError(
                 f"{event.kind} fault events need a hierarchical "
                 "cluster (machines_per_rack set, more than one rack)"
             )
-        if event.rack is not None and not 0 <= event.rack < cluster.num_racks:
+        if scope is None:
+            continue
+        owner, size = sizes[scope]
+        target = getattr(event, scope)
+        if not 0 <= target < size:
             raise ValueError(
-                f"fault event targets rack {event.rack}, but the "
-                f"cluster has {cluster.num_racks} racks"
+                f"fault event targets {scope} {target}, but the {owner} has {size} {scope}s"
             )
 
 

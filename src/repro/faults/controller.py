@@ -38,7 +38,12 @@ import numpy as np
 from repro.comm.endpoints import HEARTBEAT_BYTES, Node
 from repro.faults.checkpoint import capture_snapshot, restore_snapshot
 from repro.faults.config import (
-    GRAD_FAULT_KINDS,
+    CRASH,
+    DEGRADE,
+    DROP,
+    FAULT_TABLE,
+    GRAD,
+    HOLD,
     FaultConfig,
     FaultEvent,
     FaultSchedule,
@@ -59,10 +64,6 @@ __all__ = ["FaultController"]
 # Mixed into the RNG seed sequence so the fault stream never collides
 # with the data/compute/jitter streams derived from the run seed.
 _RNG_STREAM_TAG = 0xFA017
-
-# Event kinds that arm the link-fault model on the network (anything
-# that manifests as held or retransmitted messages).
-_LINK_FAULT_KINDS = ("partition", "drop", "tor_outage", "uplink_flap")
 
 # The failure detector's monitor runs on machine 0: heartbeats travel
 # there over the control plane.
@@ -102,13 +103,14 @@ class FaultController:
         cluster = runtime.config.cluster
         if cluster.hierarchical:
             self.link_model.rack_of = cluster.rack_of_machine
-        # Only schedules containing link events can ever arm the model;
-        # leaving ``network.fault_model`` unset otherwise keeps every
-        # transfer on the bare (faults-off) guard. Same idea for the
-        # per-gradient corruption hook.
-        if any(e.kind in _LINK_FAULT_KINDS for e in self.schedule):
+        # Only schedules that hold or drop messages can ever arm the
+        # model; leaving ``network.fault_model`` unset otherwise keeps
+        # every transfer on the bare (faults-off) guard. Same idea for
+        # the per-gradient corruption hook.
+        effects = {FAULT_TABLE[e.kind].effect for e in self.schedule}
+        if effects & {HOLD, DROP}:
             runtime.ctx.network.fault_model = self.link_model
-        self._grad_armed = any(e.kind in GRAD_FAULT_KINDS for e in self.schedule)
+        self._grad_armed = GRAD in effects
         # Processes owned by the training protocol: killed wholesale on
         # membership changes; a crash kills only its worker's entries.
         self._procs: list[tuple[Process, int | None]] = []
@@ -128,8 +130,8 @@ class FaultController:
         self.quarantines: list[dict] = []
         self.events_applied: list[FaultEvent] = []
         self.iterations_lost = 0
-        # (kind, machine or rack) -> rate fractions of its open degrade windows.
-        self._degraded: dict[tuple[str, int | None], list[float]] = {}
+        # (scope, target) -> rate fractions of its open degrade windows.
+        self._degraded: dict[tuple[str | None, int | None], list[float]] = {}
 
     def _validate_events(self, runtime: "Runtime") -> None:
         """Reject events that cannot touch this cluster.
@@ -141,23 +143,31 @@ class FaultController:
         no-op-by-construction event is a spec bug, never a silent pass.
         """
         cfg = runtime.config
-        cluster = cfg.cluster
-        check_fault_targets(self.schedule, cfg.num_workers, cluster)
+        check_fault_targets(self.schedule, cfg.num_workers, cfg.cluster)
         for event in self.schedule:
-            if event.kind == "machine_outage" and not any(
-                slot.machine == event.machine for slot in runtime.workers
-            ):
+            spec = FAULT_TABLE[event.kind]
+            if spec.effect == CRASH and spec.scope != "worker" and not self._workers_of(event):
                 raise ValueError(
-                    f"machine_outage targets machine {event.machine}, which "
-                    "hosts no workers — the event would be a silent no-op"
+                    f"{event.kind} targets {spec.scope} {getattr(event, spec.scope)}, "
+                    "which hosts no workers — the event would be a silent no-op"
                 )
-            if event.kind == "rack_outage":
-                machines = set(cluster.machines_of_rack(event.rack))
-                if not any(slot.machine in machines for slot in runtime.workers):
-                    raise ValueError(
-                        f"rack_outage targets rack {event.rack}, which hosts "
-                        "no workers — the event would be a silent no-op"
-                    )
+
+    def _workers_of(self, event: FaultEvent) -> list[int]:
+        """The workers in a crash event's scope, in worker order."""
+        scope = FAULT_TABLE[event.kind].scope
+        if scope == "worker":
+            return [event.worker]
+        if scope == "machine":
+            machines = {event.machine}
+        else:
+            machines = set(self.rt.config.cluster.machines_of_rack(event.rack))
+        return [slot.wid for slot in self.rt.workers if slot.machine in machines]
+
+    @staticmethod
+    def _target(event: FaultEvent) -> tuple[str | None, int | None]:
+        """``(scope, index)``: ``("rack", 2)``, or ``(None, None)`` for the spine."""
+        scope = FAULT_TABLE[event.kind].scope
+        return scope, None if scope is None else getattr(event, scope)
 
     # -- registration ----------------------------------------------------
     def register(self, process: Process, owner: int | None) -> None:
@@ -305,121 +315,70 @@ class FaultController:
 
     def _apply(self, event: FaultEvent) -> None:
         self.events_applied.append(event)
-        if event.kind in GRAD_FAULT_KINDS:
-            assert event.worker is not None
-            self.grad_model.arm(event, self.rt.engine.now)
-            self._record(
-                f"arm_{event.kind}",
-                worker=event.worker,
-                machine=self.rt.workers[event.worker].machine,
-            )
-        elif event.kind == "crash":
-            assert event.worker is not None
-            self._crash(event.worker, rejoin_after=event.rejoin_after)
-        elif event.kind == "machine_outage":
-            self._record("machine_outage", machine=event.machine)
-            for slot in self.rt.workers:
-                if slot.machine == event.machine:
-                    self._crash(slot.wid, rejoin_after=event.rejoin_after)
-        elif event.kind == "link_degrade":
-            assert event.machine is not None and event.rate_fraction is not None
-            self._record(
-                "link_degrade",
-                machine=event.machine,
-                detail=f"fraction={event.rate_fraction}",
-            )
-            self._degrade(event, event.machine)
-        elif event.kind == "partition":
-            assert event.machine is not None and event.duration is not None
-            self._record(
-                "partition", machine=event.machine, detail=f"duration={event.duration}"
-            )
-            self.link_model.partition(
-                event.machine, self.rt.engine.now + event.duration
-            )
-        elif event.kind == "drop":
-            assert event.drop_prob is not None and event.duration is not None
-            self._record(
-                "drop", machine=event.machine, detail=f"prob={event.drop_prob}"
-            )
-            self.link_model.set_drop(
-                event.machine, self.rt.engine.now + event.duration, event.drop_prob
-            )
-        elif event.kind == "rack_outage":
-            # Correlated crash: every worker under the ToR dies at once.
-            # Detection is honest, like a single crash — the whole
-            # rack's heartbeats go silent and the monitor evicts the
-            # batch within one suspicion cycle.
-            assert event.rack is not None
-            self._record("rack_outage", detail=f"rack={event.rack}")
-            machines = set(self.rt.config.cluster.machines_of_rack(event.rack))
-            for slot in self.rt.workers:
-                if slot.machine in machines:
-                    self._crash(slot.wid)
-        elif event.kind == "tor_outage":
-            assert event.rack is not None and event.duration is not None
-            self._record(
-                "tor_outage",
-                detail=f"rack={event.rack} duration={event.duration}",
-            )
-            self.link_model.rack_partition(
-                event.rack, self.rt.engine.now + event.duration
-            )
-        elif event.kind == "uplink_degrade":
-            assert event.rack is not None and event.rate_fraction is not None
-            self._record(
-                "uplink_degrade",
-                detail=f"rack={event.rack} fraction={event.rate_fraction}",
-            )
-            self._degrade(event, event.rack)
-        elif event.kind == "uplink_flap":
-            assert event.rack is not None and event.drop_prob is not None
-            assert event.duration is not None
-            self._record(
-                "uplink_flap",
-                detail=f"rack={event.rack} prob={event.drop_prob}",
-            )
-            self.link_model.set_rack_drop(
-                event.rack, self.rt.engine.now + event.duration, event.drop_prob
-            )
-        elif event.kind == "spine_degrade":
-            assert event.rate_fraction is not None
-            self._record(
-                "spine_degrade", detail=f"fraction={event.rate_fraction}"
-            )
-            self._degrade(event, None)
+        self._EFFECTS[FAULT_TABLE[event.kind].effect](self, event)
 
-    def _degrade(self, event: FaultEvent, target: int | None) -> None:
+    def _outage(self, event: FaultEvent) -> None:
+        """Crash every worker in the scope at once. Detection is honest,
+        like a single crash: the monitor evicts the silent batch."""
+        if FAULT_TABLE[event.kind].scope != "worker":  # a worker's is its crash record
+            self._record_scoped(event.kind, event)
+        for wid in self._workers_of(event):
+            self._crash(wid, rejoin_after=event.rejoin_after)
+
+    def _hold(self, event: FaultEvent) -> None:
+        self._record_scoped(event.kind, event, f"duration={event.duration}")
+        self.link_model.hold(*self._target(event), self.rt.engine.now + event.duration)
+
+    def _drop(self, event: FaultEvent) -> None:
+        self._record_scoped(event.kind, event, f"prob={event.drop_prob}")
+        self.link_model.drop(
+            *self._target(event), self.rt.engine.now + event.duration, event.drop_prob
+        )
+
+    def _degrade(self, event: FaultEvent) -> None:
         """Open one degrade window. Overlapping windows on one target
         each close only themselves, and the slowest open one sets the
         rate: the max-severity rule partitions follow."""
-        assert event.duration is not None
-        fractions = self._degraded.setdefault((event.kind, target), [])
+        self._record_scoped(event.kind, event, f"fraction={event.rate_fraction}")
+        target = self._target(event)
+        fractions = self._degraded.setdefault(target, [])
         fractions.append(event.rate_fraction)
-        self._set_rate(event.kind, target, min(fractions))
-        self.rt.engine._at(
-            event.duration, self._restore, (event.kind, target, event.rate_fraction)
-        )
+        self._set_rate(target, min(fractions))
+        self.rt.engine._at(event.duration, self._restore, (event,))
 
-    def _restore(self, kind: str, target: int | None, fraction: float) -> None:
-        fractions = self._degraded[kind, target]
-        fractions.remove(fraction)
-        self._set_rate(kind, target, min(fractions, default=1.0))
-        if kind == "link_degrade":
-            self._record("link_restore", machine=target)
-        elif kind == "uplink_degrade":
-            self._record("uplink_restore", detail=f"rack={target}")
-        else:
-            self._record("spine_restore")
+    def _restore(self, event: FaultEvent) -> None:
+        """Close one degrade window, recorded as the kind's first word + ``_restore``."""
+        target = self._target(event)
+        fractions = self._degraded[target]
+        fractions.remove(event.rate_fraction)
+        self._set_rate(target, min(fractions, default=1.0))
+        self._record_scoped(f"{event.kind.partition('_')[0]}_restore", event)
 
-    def _set_rate(self, kind: str, target: int | None, fraction: float) -> None:
+    def _set_rate(self, target: tuple[str | None, int | None], fraction: float) -> None:
         network = self.rt.ctx.network
-        if kind == "link_degrade":
-            network.scale_machine_rate(target, fraction)
-        elif kind == "uplink_degrade":
-            network.scale_rack_uplink(target, fraction)
+        scope, index = target
+        if scope == "machine":
+            network.scale_machine_rate(index, fraction)
+        elif scope == "rack":
+            network.scale_rack_uplink(index, fraction)
         else:
             network.scale_spine(fraction)
+
+    def _arm_gradient(self, event: FaultEvent) -> None:
+        self.grad_model.arm(event, self.rt.engine.now)
+        self._record(
+            f"arm_{event.kind}",
+            worker=event.worker,
+            machine=self.rt.workers[event.worker].machine,
+        )
+
+    _EFFECTS = {
+        CRASH: _outage,
+        HOLD: _hold,
+        DROP: _drop,
+        DEGRADE: _degrade,
+        GRAD: _arm_gradient,
+    }
 
     # -- gradient corruption ---------------------------------------------
     def corrupt_gradient(self, slot: "WorkerSlot", grad):
@@ -603,6 +562,17 @@ class FaultController:
                 machine=machine,
                 detail=detail,
             )
+
+    def _record_scoped(self, name: str, event: FaultEvent, param: str = "") -> None:
+        """A machine-, rack- or spine-scoped event's record: ``machine=``
+        for a machine, a ``rack=`` detail for a rack, then ``param``."""
+        scope, target = self._target(event)
+        rack = f"rack={target}" if scope == "rack" else ""
+        self._record(
+            name,
+            machine=target if scope == "machine" else None,
+            detail=" ".join(part for part in (rack, param) if part),
+        )
 
     def summary(self) -> dict:
         """Fault outcome, attached to result metadata."""

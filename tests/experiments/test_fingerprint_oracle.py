@@ -190,7 +190,14 @@ fault_events = st.one_of(
     st.builds(
         FaultEvent,
         time=st.floats(0, 10),
-        kind=st.sampled_from(["partition", "drop"]),
+        kind=st.just("partition"),
+        machine=st.integers(0, 3),
+        duration=st.floats(0.01, 5),
+    ),
+    st.builds(
+        FaultEvent,
+        time=st.floats(0, 10),
+        kind=st.just("drop"),
         machine=st.integers(0, 3),
         duration=st.floats(0.01, 5),
         drop_prob=st.just(0.1),
@@ -206,10 +213,17 @@ fault_events = st.one_of(
     st.builds(
         FaultEvent,
         time=st.floats(0, 10),
-        kind=st.sampled_from(["uplink_flap", "uplink_degrade"]),
+        kind=st.just("uplink_flap"),
         rack=st.integers(0, 3),
         duration=st.floats(0.01, 5),
         drop_prob=st.just(0.2),
+    ),
+    st.builds(
+        FaultEvent,
+        time=st.floats(0, 10),
+        kind=st.just("uplink_degrade"),
+        rack=st.integers(0, 3),
+        duration=st.floats(0.01, 5),
         rate_fraction=st.just(0.5),
     ),
 )

@@ -1,6 +1,10 @@
 """FaultConfig / FaultEvent / FaultSchedule validation and round-trips."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults.config import (
     FABRIC_FAULT_KINDS,
@@ -72,6 +76,94 @@ class TestFaultEventValidation:
         with pytest.raises(ValueError):
             FaultEvent(time=1.0, kind="partition", machine=0, duration=1.0,
                        rejoin_after=2.0)
+
+    @pytest.mark.parametrize(
+        "kind,fields,ignored",
+        [
+            ("crash", dict(worker=0), dict(duration=1.0)),
+            ("partition", dict(machine=0, duration=1.0), dict(worker=1)),
+            ("link_degrade", dict(machine=0, duration=1.0, rate_fraction=0.5), dict(drop_prob=0.1)),
+            ("tor_outage", dict(rack=0, duration=1.0), dict(machine=1)),
+            ("bitflip", dict(worker=0), dict(duration=1.0)),
+            ("machine_outage", dict(machine=0), dict(duration=1.0)),
+            ("drop", dict(machine=0, duration=1.0, drop_prob=0.1), dict(rate_fraction=0.5)),
+            ("uplink_flap", dict(rack=0, duration=1.0, drop_prob=0.1), dict(rate_fraction=0.5)),
+            ("spine_degrade", dict(duration=1.0, rate_fraction=0.5), dict(machine=0)),
+            ("byzantine", dict(worker=0), dict(drop_prob=0.1)),
+        ],
+    )
+    def test_field_the_kind_ignores_rejected(self, kind, fields, ignored):
+        FaultEvent(time=1.0, kind=kind, **fields)  # ok
+        (name,) = ignored
+        with pytest.raises(ValueError, match=f"{kind} events take no {name}"):
+            FaultEvent(time=1.0, kind=kind, **fields, **ignored)
+
+
+# The validator's contract, written out by hand (not read from the kind
+# table): kind -> (fields it needs, fields it may leave unset). Any other
+# field set is an error.
+TAKES = {
+    "crash": ({"worker"}, {"rejoin_after"}),
+    "machine_outage": ({"machine"}, set()),
+    "link_degrade": ({"machine", "duration", "rate_fraction"}, set()),
+    "partition": ({"machine", "duration"}, set()),
+    "drop": ({"machine", "duration", "drop_prob"}, set()),
+    "rack_outage": ({"rack"}, set()),
+    "tor_outage": ({"rack", "duration"}, set()),
+    "uplink_degrade": ({"rack", "duration", "rate_fraction"}, set()),
+    "uplink_flap": ({"rack", "duration", "drop_prob"}, set()),
+    "spine_degrade": ({"duration", "rate_fraction"}, set()),
+    "bitflip": ({"worker"}, set()),
+    "nan_inject": ({"worker"}, set()),
+    "grad_scale": ({"worker", "duration"}, {"scale"}),
+    "sign_flip": ({"worker", "duration"}, set()),
+    "byzantine": ({"worker"}, {"duration", "scale"}),
+}
+
+# field -> (values in range, values out of range). Worker, machine and
+# rack ranges belong to the run (check_fault_targets), not to the event.
+VALUES = {
+    "worker": ([0, 3], []),
+    "machine": ([0, 2], []),
+    "rack": ([0, 1], []),
+    "duration": ([1e-9, 0.5, 30.0], [0.0, -1.0, math.nan]),
+    "rate_fraction": ([1e-9, 0.25, 1.0], [0.0, 1.5, -0.5, math.nan]),
+    "drop_prob": ([0.0, 0.5, 0.999], [1.0, -0.1, math.nan]),
+    "rejoin_after": ([0.1, 5.0], [0.0, -1.0, math.nan]),
+    "scale": ([-3.0, 1e-9, 100.0], [0.0, math.inf, -math.inf, math.nan]),
+}
+
+
+def test_contract_covers_every_kind():
+    assert set(TAKES) == set(FAULT_KINDS)
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(sorted(TAKES)), data=st.data())
+def test_validator_accepts_exactly_the_contract(kind, data):
+    """Kind x any subset of the eight optional fields x in- and
+    out-of-range values: an event is built exactly when the hand-written
+    contract accepts it."""
+    required, optional = TAKES[kind]
+    chosen = required | {name for name in sorted(optional) if data.draw(st.booleans())}
+    # Some events stay inside the contract; the others may leave out
+    # needed fields, set foreign ones and take out-of-range values.
+    perturb = data.draw(st.booleans())
+    if perturb:
+        chosen = set(data.draw(st.sets(st.sampled_from(sorted(VALUES)))))
+    fields, in_range = {}, True
+    for name in sorted(chosen):
+        good, bad = VALUES[name]
+        ok = not (perturb and bad) or data.draw(st.booleans())
+        fields[name] = data.draw(st.sampled_from(good if ok else bad))
+        in_range &= ok
+    expected = in_range and required <= chosen <= required | optional
+    try:
+        FaultEvent(time=1.0, kind=kind, **fields)
+    except ValueError:
+        assert not expected, fields
+    else:
+        assert expected, fields
 
 
 class TestFaultConfigValidation:

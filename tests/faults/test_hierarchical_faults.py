@@ -210,7 +210,7 @@ class TestRackLinkModel:
 
     def test_tor_partition_delays_cross_rack_only(self):
         model = self.make()
-        model.rack_partition(1, until=5.0)
+        model.hold("rack", 1, until=5.0)
         # machine 0 (rack 0) -> machine 2 (rack 1): held until heal + rto
         assert model.delivery_delay(0, 2, 100, now=2.0, rto=0.5) == pytest.approx(
             5.0 - 2.0 + 0.5
@@ -220,13 +220,13 @@ class TestRackLinkModel:
 
     def test_expired_rack_window_purged(self):
         model = self.make()
-        model.rack_partition(1, until=5.0)
+        model.hold("rack", 1, until=5.0)
         assert model.delivery_delay(0, 2, 100, now=6.0, rto=0.5) == 0.0
-        assert 1 not in model.rack_partitioned_until
+        assert ("rack", 1) not in model.held_until
 
     def test_rack_drop_retransmits_cross_rack_only(self):
         model = self.make()
-        model.set_rack_drop(0, until=10.0, prob=0.95)
+        model.drop("rack", 0, until=10.0, prob=0.95)
         delay = model.delivery_delay(0, 2, 100, now=1.0, rto=0.25)
         assert delay > 0.0
         assert model.retransmits == round(delay / 0.25)
@@ -235,15 +235,15 @@ class TestRackLinkModel:
     def test_rack_windows_arm_the_fast_path(self):
         model = self.make()
         assert model.armed_until == float("-inf")
-        model.rack_partition(0, until=3.0)
-        model.set_rack_drop(1, until=7.0, prob=0.5)
+        model.hold("rack", 0, until=3.0)
+        model.drop("rack", 1, until=7.0, prob=0.5)
         assert model.armed_until == 7.0
 
     def test_unresolvable_racks_are_ignored(self):
         """Without a rack resolver (flat fabric) rack windows are inert —
         they can only be armed through validated fabric events anyway."""
         model = LinkFaultModel(np.random.default_rng(0))
-        model.rack_partition(1, until=5.0)
+        model.hold("rack", 1, until=5.0)
         assert model.delivery_delay(0, 2, 100, now=2.0, rto=0.5) == 0.0
 
 

@@ -115,35 +115,35 @@ class TestLinkDegrade:
 class TestPartition:
     def test_delay_is_heal_plus_rto(self):
         model = LinkFaultModel(np.random.default_rng(0))
-        model.partition(1, until=5.0)
+        model.hold("machine", 1, until=5.0)
         delay = model.delivery_delay(0, 1, 100, now=2.0, rto=0.5)
         assert delay == pytest.approx(5.0 - 2.0 + 0.5)
         assert model.messages_delayed == 1
 
     def test_src_or_dst_partitioned_both_count(self):
         model = LinkFaultModel(np.random.default_rng(0))
-        model.partition(0, until=3.0)
+        model.hold("machine", 0, until=3.0)
         assert model.delivery_delay(0, 2, 100, now=1.0, rto=0.1) > 0
-        model.partition(2, until=3.0)
+        model.hold("machine", 2, until=3.0)
         assert model.delivery_delay(1, 2, 100, now=1.0, rto=0.1) > 0
 
     def test_healed_window_purged(self):
         model = LinkFaultModel(np.random.default_rng(0))
-        model.partition(1, until=5.0)
+        model.hold("machine", 1, until=5.0)
         assert model.delivery_delay(0, 1, 100, now=6.0, rto=0.5) == 0.0
-        assert 1 not in model.partitioned_until
+        assert ("machine", 1) not in model.held_until
 
     def test_overlapping_partitions_keep_latest_heal(self):
         model = LinkFaultModel(np.random.default_rng(0))
-        model.partition(1, until=5.0)
-        model.partition(1, until=3.0)  # shorter window must not shrink it
-        assert model.partitioned_until[1] == 5.0
+        model.hold("machine", 1, until=5.0)
+        model.hold("machine", 1, until=3.0)  # shorter window must not shrink it
+        assert model.held_until["machine", 1] == 5.0
 
 
 class TestDrop:
     def test_delay_is_multiple_of_rto(self):
         model = LinkFaultModel(np.random.default_rng(7))
-        model.set_drop(0, until=10.0, prob=0.9)
+        model.drop("machine", 0, until=10.0, prob=0.9)
         delay = model.delivery_delay(0, 1, 100, now=1.0, rto=0.25)
         assert delay >= 0.0
         assert delay / 0.25 == pytest.approx(round(delay / 0.25))
@@ -157,23 +157,14 @@ class TestDrop:
 
     def test_expired_window_purged(self):
         model = LinkFaultModel(np.random.default_rng(7))
-        model.set_drop(0, until=2.0, prob=0.9)
+        model.drop("machine", 0, until=2.0, prob=0.9)
         assert model.delivery_delay(0, 1, 100, now=3.0, rto=0.25) == 0.0
-        assert 0 not in model.drop_until
-
-    def test_global_scope_applies_to_every_link(self):
-        model = LinkFaultModel(np.random.default_rng(3))
-        model.set_drop(None, until=10.0, prob=0.99)
-        total = sum(
-            model.delivery_delay(src, dst, 100, now=1.0, rto=0.25)
-            for src, dst in [(0, 1), (1, 2), (2, 0)]
-        )
-        assert total > 0.0
+        assert ("machine", 0) not in model.drop_until
 
     def test_seeded_rng_is_deterministic(self):
         def draws(seed):
             model = LinkFaultModel(np.random.default_rng(seed))
-            model.set_drop(0, until=100.0, prob=0.5)
+            model.drop("machine", 0, until=100.0, prob=0.5)
             return [
                 model.delivery_delay(0, 1, 100, now=1.0, rto=0.25) for _ in range(32)
             ]
@@ -182,7 +173,7 @@ class TestDrop:
 
     def test_retries_are_bounded(self):
         model = LinkFaultModel(np.random.default_rng(0))
-        model.set_drop(0, until=10.0, prob=0.999999999)
+        model.drop("machine", 0, until=10.0, prob=0.999999999)
         delay = model.delivery_delay(0, 1, 100, now=1.0, rto=1.0)
         assert delay <= 64.0  # _MAX_RETRIES cap
 
@@ -214,7 +205,7 @@ class TestOutOfBand:
         failure detector could never notice them."""
         eng, spec, net = make_net()
         model = LinkFaultModel(np.random.default_rng(0))
-        model.partition(1, until=0.5)
+        model.hold("machine", 1, until=0.5)
         net.fault_model = model
         t = run_oob(eng, net, 0, 1, 32)
         assert t > 0.5
@@ -278,9 +269,9 @@ class TestOverlappingWindows:
     def test_drop_windows_close_only_themselves(self, rack_scope):
         model = LinkFaultModel(np.random.default_rng(0))
         model.rack_of = lambda machine: machine // 2
-        arm = model.set_rack_drop if rack_scope else model.set_drop
-        arm(1, until=0.7, prob=0.999999999)  # long, all but certain loss
-        arm(1, until=0.3, prob=1e-9)  # short, all but harmless
+        scope = "rack" if rack_scope else "machine"
+        model.drop(scope, 1, until=0.7, prob=0.999999999)  # long, all but certain loss
+        model.drop(scope, 1, until=0.3, prob=1e-9)  # short, all but harmless
         rto = 0.25
         delays = [model.delivery_delay(1, 2, 100, now=t, rto=rto) for t in (0.2, 0.5, 0.8)]
         assert delays == [64 * rto, 64 * rto, 0.0]  # _MAX_RETRIES cap, then healed
