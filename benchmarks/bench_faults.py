@@ -24,9 +24,9 @@ in ``benchmarks/BENCH_faults.json``.
 Marked ``slow``: a wall-clock measurement, not a tier-1 test.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``, used by CI): fewer workers and
-iterations, single repeat, fast detection, written to a throwaway
-file — asserts only that the benches complete and the rack outage
-actually evicts the rack.
+iterations, fast detection, written to a throwaway file. Smoke runs
+are best of 3 too: a ratio over one tens-of-milliseconds run is at
+the mercy of host load.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ BENCH_FILE = (
     if SMOKE
     else Path(__file__).parent / "BENCH_faults.json"
 )
-REPEATS = 1 if SMOKE else 3
+REPEATS = 3
 
 # Sized for the ~25 virtual-second bench run: heartbeat cost scales
 # with virtual-time / interval, so a production-style coarse period is
@@ -105,7 +105,8 @@ def test_fault_overhead():
     crash_s = _best_of(lambda: execute_run(bench_config(faults=crash)))
 
     records = json.loads(BENCH_FILE.read_text()) if BENCH_FILE.exists() else []
-    baseline = min((r["off_s"] for r in records), default=None)
+    # The hierarchical bench appends records of its own, without off_s.
+    baseline = min((r["off_s"] for r in records if "off_s" in r), default=None)
 
     record = {
         "run": "bsp 16w resnet50 10Gbps 20 iters, best of 3",

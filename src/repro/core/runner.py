@@ -644,11 +644,7 @@ class DistributedRunner:
         )
         self.engine.run(until=horizon, max_events=max_events)
         if self.observer is not None:
-            self.observer.finalize(
-                engine=self.engine,
-                network=self.network,
-                runtime=self.runtime,
-            )
+            self.observer.finalize(engine=self.engine, runtime=self.runtime)
         metadata = self._result_metadata()
         if self.config.mode == "full":
             if self.fault_controller is None and not self.runtime.stopping:

@@ -41,11 +41,10 @@ made the simulated cluster:
   a clean stop (finished cells cached, journal flushed, resume command
   printed), the second hard-exits.
 
-Session lifecycle events are counted in a
-:class:`~repro.obs.metrics.MetricsRegistry` (``session.*`` counters)
-and the journal converts to a Perfetto trace via
-:func:`repro.obs.perfetto.build_session_trace` (``repro sweep show
---trace-out``).
+A session counts its journal's records by kind (``events`` in
+:meth:`SweepSession.to_dict`), and the journal converts to a Perfetto
+trace via :func:`repro.obs.perfetto.build_session_trace` (``repro
+sweep show --trace-out``).
 """
 
 from __future__ import annotations
@@ -272,9 +271,8 @@ class SweepSession:
         self.recovery = {"torn_tail": 0, "corrupt": 0}
         self._preempt = False
         self._journal_fh: Any = None
-        from repro.obs.metrics import MetricsRegistry
-
-        self.registry = MetricsRegistry()
+        # Journal records by kind, replayed and appended alike.
+        self.events: dict[str, int] = {}
 
     # -- construction ---------------------------------------------------
 
@@ -289,7 +287,6 @@ class SweepSession:
         require_existing: bool = False,
         cache_dir: str | None = None,
         cache: bool = True,
-        priority: int = 0,
     ) -> "SweepSession":
         """Create the session for this grid, or resume it if its
         directory already exists (same grid ⇒ same id ⇒ same session)."""
@@ -309,7 +306,6 @@ class SweepSession:
             "name": name,
             "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "repro_version": __version__,
-            "priority": priority,
             "cache": cache,
             "cache_dir": cache_dir,
             "runs": [
@@ -429,19 +425,20 @@ class SweepSession:
         return self._journal_fh
 
     def event(self, kind: str, *, fsync: bool = False, **data) -> None:
-        """Append one lifecycle record and count it in the registry."""
+        """Append one lifecycle record and fold it into the session."""
         record = {"ev": kind, "t": round(time.time(), 6), **data}
         fh = self._journal_handle()
         fh.write(json.dumps(record, separators=(",", ":")) + "\n")
         fh.flush()
         if fsync:
             os.fsync(fh.fileno())
-        self.registry.counter(f"session.{kind}").inc()
         self._fold(kind, data.get("fp"), data.get("attempt"))
 
     def _fold(self, kind: Any, fp: Any, attempt: Any) -> None:
         """Apply one record — just appended, or replayed from disk and
-        so of unchecked shape — to the run states."""
+        so of unchecked shape — to the event counts and run states."""
+        if isinstance(kind, str):
+            self.events[kind] = self.events.get(kind, 0) + 1
         if fp not in self.states:
             return
         state = _TRANSITIONS.get(kind)
@@ -487,12 +484,11 @@ class SweepSession:
             "session": self.id,
             "name": self.name,
             "created": self.manifest.get("created"),
-            "priority": self.manifest.get("priority", 0),
             "runs": len(self.fingerprints),
             "counts": counts,
             "completed": self.completed,
             "recovery": dict(self.recovery),
-            "metrics": self.registry.snapshot(),
+            "events": dict(sorted(self.events.items())),
             "labels": {
                 entry["fingerprint"]: entry["label"]
                 for entry in self.manifest["runs"]

@@ -1,17 +1,15 @@
-"""Run-level observability: metrics, event recording, trace export.
+"""Run-level observability: event recording, trace export, analysis.
 
 The simulator's result objects compress a whole run down to a handful
 of aggregates (five phase totals, final byte counts). This package
 keeps the rest — the per-event timeline that makes bottleneck
 attribution credible:
 
-* :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges, and
-  virtual-time series (event-queue depth, PS inbox depth, per-link
-  bytes and busy time, per-worker staleness, straggler-jitter draws,
-  iteration timestamps);
 * :class:`~repro.obs.recorder.RunObserver` — the structured run-event
   recorder the instrumented stack reports into (phase spans, comm
-  messages, engine process lifetimes, metric samples);
+  messages, engine process lifetimes, fault events, iteration marks,
+  and virtual-time :class:`~repro.obs.recorder.Series` such as queue
+  depth, per-link bytes and per-worker staleness);
 * :mod:`repro.obs.perfetto` — export of one observed run as
   Chrome/Perfetto trace-event JSON (``repro trace``, ``--trace-out``);
 * :mod:`repro.obs.spans` / :mod:`repro.obs.critpath` — post-hoc causal
@@ -29,7 +27,7 @@ with::
     from repro.obs import ObsConfig
     runner = DistributedRunner(config, obs=ObsConfig(enabled=True))
     result = runner.run()
-    runner.observer.registry.snapshot()
+    runner.observer.series["engine.queue_depth"].values
 """
 
 from repro._lazy import lazy_exports
@@ -38,8 +36,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "config": ("ObsConfig",),
-        "metrics": ("Counter", "Gauge", "Series", "MetricsRegistry"),
-        "recorder": ("FaultEventRecord", "MessageEvent", "ProcessSpan", "RunObserver"),
+        "recorder": ("FaultEventRecord", "MessageEvent", "ProcessSpan", "RunObserver", "Series"),
         "spans": ("SpanDAG", "build_span_dag"),
         "critpath": (
             "analyze_dag",

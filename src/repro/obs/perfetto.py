@@ -13,8 +13,9 @@ Track layout (``pid`` = process lane, ``tid`` = thread lane):
   ``-1``, i.e. BSP's ``agg_wait``).
 * pid ``M+1`` — the network: one ``X`` event per delivered message,
   on the sending machine's ``tid``.
-* pid ``M+2`` — metrics: every registry series as a counter track
-  (``ph: "C"``), plus engine process lifetimes as ``X`` events.
+* pid ``M+2`` — metrics: every observer series and the iteration
+  marks (``progress.iterations``) as counter tracks (``ph: "C"``),
+  plus engine process lifetimes as ``X`` events.
 * pid ``M+3`` — the critical path (only when a critical-path report is
   passed): the extracted per-iteration path as ``X`` events named by
   attribution category (``compute``/``comm``/``wait``).
@@ -208,8 +209,8 @@ def _event_streams(
                 },
             }
 
-    def counter_events(name: str, series) -> Iterator[dict[str, Any]]:
-        for t, v in zip(series.times, series.values):
+    def counter_events(name: str, samples) -> Iterator[dict[str, Any]]:
+        for t, v in samples:
             yield {
                 "ph": "C",
                 "name": name,
@@ -227,8 +228,13 @@ def _event_streams(
         instant_events(observer.fault_events, "fault"),
         instant_events(observer.robust_events, "robust"),
     ]
-    for name, series in sorted(observer.registry.all_series().items()):
-        streams.append(counter_events(name, series))
+    tracks = {name: zip(s.times, s.values) for name, s in observer.series.items()}
+    if observer.iteration_marks:
+        tracks["progress.iterations"] = (
+            (float(t), float(n)) for _, t, n in observer.iteration_marks
+        )
+    for name in sorted(tracks):
+        streams.append(counter_events(name, tracks[name]))
 
     if critpath is not None:
         segments = sorted(critpath.get("segments", ()), key=lambda s: s["start"])

@@ -8,15 +8,19 @@ code holds a plain ``observer-or-None`` reference and guards each hook
 with ``if obs is not None`` — when observability is off there is no
 observer object anywhere and the hot paths run the seed instructions.
 
-The observer collects four things:
+The observer stores each observed fact once:
 
-* **metrics** — counters/gauges/virtual-time series in ``registry``;
 * **phase spans** — one :class:`~repro.sim.trace.Span` per finished
   phase, appended by the run's :class:`~repro.sim.trace.PhaseTracer`;
 * **comm messages** — one :class:`MessageEvent` per delivered message;
-* **process lifetimes** — one :class:`ProcessSpan` per engine process.
+* **process lifetimes** — one :class:`ProcessSpan` per engine process;
+* **fault/robust events** and **iteration marks**, in time order;
+* **series** — one :class:`Series` per sampled quantity (queue and
+  inbox depths, per-link bytes and busy time, staleness, compute
+  draws), plus per-worker gradient bytes, the one total no list holds.
 
-Everything is virtual-time-stamped and feeds
+Counts and totals are read from these lists, or from the engine and
+network themselves. Everything is virtual-time-stamped and feeds
 :func:`repro.obs.perfetto.build_trace`.
 """
 
@@ -25,14 +29,45 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.obs.metrics import MetricsRegistry
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine, Process
-    from repro.sim.network import Network, Port
+    from repro.sim.network import Port
     from repro.sim.trace import Span
 
-__all__ = ["FaultEventRecord", "MessageEvent", "ProcessSpan", "RunObserver"]
+__all__ = ["FaultEventRecord", "MessageEvent", "ProcessSpan", "RunObserver", "Series"]
+
+
+class Series:
+    """A virtual-time series of scalar samples.
+
+    Sample times must be non-decreasing, which the engine's causal
+    event order guarantees for every instrumented site — a violation
+    indicates a recording bug, so it raises.
+    """
+
+    __slots__ = ("name", "times", "values")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.times: list[float] = []
+        self.values: list[float] = []
+
+    def observe(self, t: float, value: float) -> None:
+        if self.times and t < self.times[-1]:
+            raise ValueError(
+                f"series {self.name!r}: sample at t={t} precedes t={self.times[-1]}"
+            )
+        self.times.append(float(t))
+        self.values.append(float(value))
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    @property
+    def last(self) -> float:
+        if not self.values:
+            raise ValueError(f"series {self.name!r} has no samples")
+        return self.values[-1]
 
 
 @dataclass(frozen=True)
@@ -85,7 +120,6 @@ class RunObserver:
     """
 
     def __init__(self) -> None:
-        self.registry = MetricsRegistry()
         # The run's one list of phase spans: the tracer appends to it.
         self.spans: list[Span] = []
         self.messages: list[MessageEvent] = []
@@ -95,21 +129,27 @@ class RunObserver:
         # One (worker, time, global iteration count) mark per completed
         # training iteration — the analyzer's round boundaries.
         self.iteration_marks: list[tuple[int, float, int]] = []
+        self.series: dict[str, Series] = {}
+        self.worker_grad_bytes: dict[int, int] = {}
         # node_id -> {"kind": "worker"|"ps", "index": wid|shard_id,
         # "machine": int}; filled by finalize(runtime=...).
         self.node_table: dict[int, dict] = {}
         self.num_workers: int | None = None
         self._live_processes: dict[int, ProcessSpan] = {}
-        # Metric-object caches for the hot hooks: registry lookups are
-        # get-or-create by formatted name, too slow for per-message and
+        # Bound ``observe`` caches for the hot hooks: formatting a
+        # series name per sample is too slow for per-message and
         # per-reservation call rates.
         self._port_series: dict[str, tuple] = {}
         self._compute_series: dict[int, object] = {}
         self._inbox_series: dict[int, object] = {}
         self._staleness_series: dict[tuple[int, int], object] = {}
-        self._grad_counters: dict[int, object] = {}
-        self._msg_count_inc = self.registry.counter("comm.messages").inc
-        self._msg_bytes_inc = self.registry.counter("comm.bytes").inc
+
+    def sampler(self, name: str):
+        """The ``observe`` method of series ``name``, created on first use."""
+        series = self.series.get(name)
+        if series is None:
+            series = self.series[name] = Series(name)
+        return series.observe
 
     # -- engine ---------------------------------------------------------
     def process_started(self, process: "Process", now: float) -> None:
@@ -129,8 +169,8 @@ class RunObserver:
         pair = self._port_series.get(port.name)
         if pair is None:
             pair = (
-                self.registry.series(f"net.{port.name}.bytes").observe,
-                self.registry.series(f"net.{port.name}.busy_time").observe,
+                self.sampler(f"net.{port.name}.bytes"),
+                self.sampler(f"net.{port.name}.busy_time"),
             )
             self._port_series[port.name] = pair
         pair[0](now, float(port.bytes_served))
@@ -148,8 +188,6 @@ class RunObserver:
         src_node: int = -1,
         dst_node: int = -1,
     ) -> None:
-        self._msg_count_inc()
-        self._msg_bytes_inc(nbytes)
         self.messages.append(
             MessageEvent(
                 src_machine, dst_machine, kind, nbytes, t_send, t_recv, src_node, dst_node
@@ -160,7 +198,7 @@ class RunObserver:
     def ps_inbox_sample(self, shard_id: int, now: float, depth: int) -> None:
         observe = self._inbox_series.get(shard_id)
         if observe is None:
-            observe = self.registry.series(f"ps{shard_id}.inbox_depth").observe
+            observe = self.sampler(f"ps{shard_id}.inbox_depth")
             self._inbox_series[shard_id] = observe
         observe(now, float(depth))
 
@@ -171,7 +209,7 @@ class RunObserver:
         parameter pulls — the observed staleness of that pull."""
         observe = self._staleness_series.get((shard_id, worker))
         if observe is None:
-            observe = self.registry.series(f"ps{shard_id}.staleness.w{worker}").observe
+            observe = self.sampler(f"ps{shard_id}.staleness.w{worker}")
             self._staleness_series[(shard_id, worker)] = observe
         observe(now, float(staleness))
 
@@ -180,20 +218,14 @@ class RunObserver:
         """One straggler-jitter draw: the sampled compute duration."""
         observe = self._compute_series.get(worker)
         if observe is None:
-            observe = self.registry.series(f"w{worker}.compute_time").observe
+            observe = self.sampler(f"w{worker}.compute_time")
             self._compute_series[worker] = observe
         observe(now, duration)
 
     def grad_bytes(self, worker: int, nbytes: int) -> None:
-        inc = self._grad_counters.get(worker)
-        if inc is None:
-            inc = self.registry.counter(f"w{worker}.grad_bytes").inc
-            self._grad_counters[worker] = inc
-        inc(nbytes)
+        self.worker_grad_bytes[worker] = self.worker_grad_bytes.get(worker, 0) + nbytes
 
     def iteration_sample(self, worker: int, now: float, total_iterations: int) -> None:
-        self.registry.series("progress.iterations").observe(now, float(total_iterations))
-        self.registry.counter(f"w{worker}.iterations").inc()
         self.iteration_marks.append((worker, now, total_iterations))
 
     # -- faults -----------------------------------------------------------
@@ -207,8 +239,7 @@ class RunObserver:
         detail: str = "",
     ) -> None:
         """One fault injection/detection/recovery event from the fault
-        controller; counted per kind and kept for the Perfetto trace."""
-        self.registry.counter(f"faults.{kind}").inc()
+        controller, kept for the Perfetto trace."""
         self.fault_events.append(
             FaultEventRecord(
                 time=now, kind=kind, worker=worker, machine=machine, detail=detail
@@ -225,26 +256,17 @@ class RunObserver:
         detail: str = "",
     ) -> None:
         """One robust-layer event (rejection, detection, rollback,
-        checkpoint, quarantine request); counted per kind and kept for
-        the Perfetto trace."""
-        self.registry.counter(f"robust.{kind}").inc()
+        checkpoint, quarantine request), kept for the Perfetto trace."""
         self.robust_events.append(
             FaultEventRecord(time=now, kind=kind, worker=worker, detail=detail)
         )
 
     # -- end of run -------------------------------------------------------
-    def finalize(
-        self,
-        *,
-        engine: "Engine | None" = None,
-        network: "Network | None" = None,
-        runtime=None,
-    ) -> None:
-        """Record the end-of-run aggregates (final port utilisation,
-        engine totals, span counts) as counters/gauges, close any
-        process spans still alive when the event queue drained, and —
-        given the runtime — snapshot the node table (node id → worker /
-        PS shard / machine) the span-DAG reconstruction needs."""
+    def finalize(self, *, engine: "Engine | None" = None, runtime=None) -> None:
+        """Close any process spans still alive when the event queue
+        drained and — given the runtime — snapshot the node table
+        (node id → worker / PS shard / machine) the span-DAG
+        reconstruction needs."""
         if runtime is not None:
             self.num_workers = runtime.config.num_workers
             for slot in runtime.workers:
@@ -263,19 +285,3 @@ class RunObserver:
             for span in self._live_processes.values():
                 span.end = engine.now
             self._live_processes.clear()
-            self.registry.counter("engine.events_processed").inc(
-                engine.events_processed
-            )
-            self.registry.gauge("engine.queue_high_water").set(
-                engine.queue_high_water
-            )
-            self.registry.gauge("engine.final_time").set(engine.now)
-        if network is not None:
-            self.registry.counter("net.total_bytes").inc(network.total_bytes)
-            self.registry.counter("net.total_messages").inc(network.total_messages)
-            horizon = max(network.engine.now, 1e-12)
-            for port in [*network.tx, *network.rx, *network.intra]:
-                self.registry.gauge(f"net.{port.name}.utilization").set(
-                    port.utilization(horizon)
-                )
-        self.registry.counter("trace.spans").inc(len(self.spans))

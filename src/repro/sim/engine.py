@@ -410,11 +410,11 @@ class Engine:
         self._live: dict[Process, None] = {}
         # Observability is opt-in: with no observer these stay None and
         # the run loop takes the exact uninstrumented path.
-        self._depth_series = None
+        self._depth_sample = None
         self._obs_proc_started = None
         self._obs_proc_finished = None
         if observer is not None:
-            self._depth_series = observer.registry.series("engine.queue_depth")
+            self._depth_sample = observer.sampler("engine.queue_depth")
             self._obs_proc_started = observer.process_started
             self._obs_proc_finished = observer.process_finished
 
@@ -480,7 +480,7 @@ class Engine:
         heap = queue._heap
         lane = queue._lane
         heappop = heapq.heappop
-        depth_series = self._depth_series
+        depth_sample = self._depth_sample
         events = self._events_processed
         try:
             while not self._stopped:
@@ -507,8 +507,8 @@ class Engine:
                 self.now = now
                 entry[2](*entry[3])
                 events += 1
-                if depth_series is not None and events % DEPTH_SAMPLE_EVERY == 0:
-                    depth_series.observe(now, float(queue._live))
+                if depth_sample is not None and events % DEPTH_SAMPLE_EVERY == 0:
+                    depth_sample(now, float(queue._live))
                 if events >= max_events:
                     names = [process.name for process in self._live]
                     more = ", ..." if len(names) > 10 else ""

@@ -96,12 +96,6 @@ class Port:
         self.transfers += 1
         return start, end
 
-    def utilization(self, horizon: float) -> float:
-        """Fraction of ``[0, horizon]`` the port spent serving."""
-        if horizon <= 0:
-            return 0.0
-        return min(self.busy_time / horizon, 1.0)
-
 
 class Network:
     """All ports of a cluster plus the transfer state machine."""

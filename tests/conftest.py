@@ -67,11 +67,11 @@ def push_sum_mass(algorithm) -> float:
 
 
 def port_stats(network) -> dict[str, dict[str, float]]:
-    """Utilisation snapshot of every port of ``network``."""
-    horizon = max(network.engine.now, 1e-12)
+    """Served bytes, transfers, busy and queue time of every port of
+    ``network``."""
     return {
         port.name: {
-            "utilization": port.utilization(horizon),
+            "busy_time": port.busy_time,
             "bytes": float(port.bytes_served),
             "transfers": float(port.transfers),
             "queue_time": port.queue_time,

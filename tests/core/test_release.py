@@ -229,10 +229,8 @@ class TestStillInspectableAfterRelease:
         assert [e["worker"] for e in summary["evictions"]] == [3]
         assert [r["worker"] for r in summary["rejoins"]] == [3]
         assert runner.runtime.live_worker_ids() == [0, 1, 2, 3]
-        registry = runner.observer.registry
-        assert registry.counter("engine.events_processed").value == (
-            runner.engine.events_processed
-        )
+        kinds = {e.kind for e in runner.observer.fault_events}
+        assert {"crash", "evict", "rejoin"} <= kinds
         assert runner.observer.node_table
 
 

@@ -15,6 +15,7 @@ file covers the session mechanics in-process:
 
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
@@ -235,9 +236,29 @@ class TestSessionLifecycle:
         ex = durable_executor(tmp_path)
         grid = tiny_grid()
         ex.map(grid)
-        snapshot = ex.last_session.registry.snapshot()
-        assert snapshot["counters"]["session.run_done"] == len(grid)
-        assert snapshot["counters"]["session.session_complete"] == 1
+        events = ex.last_session.to_dict()["events"]
+        assert events["run_done"] == len(grid)
+        assert events["session_complete"] == 1
+
+    def test_reopened_and_listed_sessions_count_the_whole_journal(self, tmp_path):
+        ex = durable_executor(tmp_path)
+        ex.map(tiny_grid()[:3])
+        root = tmp_path / "sessions"
+        session = SweepSession.open(ex.last_session.id, root=root)
+        journal = Counter(r["ev"] for r in session.records())
+        assert {"session_start", "run_start", "run_done", "session_complete"} <= set(journal)
+        assert session.to_dict()["events"] == dict(journal)
+        [listed] = list_sessions(root)
+        assert listed["events"] == dict(journal)
+
+    def test_manifest_without_priority_and_old_with_it_both_load(self, tmp_path):
+        ex = durable_executor(tmp_path)
+        ex.map(tiny_grid()[:1])
+        session = ex.last_session
+        assert "priority" not in session.manifest
+        grid = session.dir / "grid.json"
+        grid.write_text(json.dumps({**session.manifest, "priority": 0}))
+        assert SweepSession.load(session.dir).to_dict()["counts"]["done"] == 1
 
 
 class TestSessionDiscovery:

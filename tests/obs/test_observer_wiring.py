@@ -1,4 +1,4 @@
-"""End-to-end wiring: an instrumented run populates every metric family."""
+"""End-to-end wiring: an instrumented run populates every stream."""
 
 import dataclasses
 
@@ -24,18 +24,10 @@ def observed_bsp():
 
 class TestEngineSignals:
     def test_queue_depth_sampled(self, observed_bsp):
-        reg = observed_bsp.observer.registry
-        depth = reg.series("engine.queue_depth")
+        depth = observed_bsp.observer.series["engine.queue_depth"]
         assert len(depth) > 0
         assert all(v >= 0 for v in depth.values)
-
-    def test_finalize_records_engine_totals(self, observed_bsp):
-        reg = observed_bsp.observer.registry
-        assert reg.counter("engine.events_processed").value > 0
-        assert reg.gauge("engine.queue_high_water").value > 0
-        assert reg.gauge("engine.final_time").value == pytest.approx(
-            observed_bsp.engine.now
-        )
+        assert max(depth.values) <= observed_bsp.engine.queue_high_water
 
     def test_process_spans_all_closed(self, observed_bsp):
         processes = observed_bsp.observer.processes
@@ -45,34 +37,34 @@ class TestEngineSignals:
 
 class TestNetworkSignals:
     def test_message_events_and_counters_agree(self, observed_bsp):
+        """The observer's message list and the network's own counters
+        see the same deliveries."""
         obs = observed_bsp.observer
+        net = observed_bsp.network
         assert obs.messages
-        assert obs.registry.counter("comm.messages").value == len(obs.messages)
-        assert obs.registry.counter("comm.bytes").value == sum(
-            m.nbytes for m in obs.messages
-        )
+        assert len(obs.messages) == net.total_messages
+        assert sum(m.nbytes for m in obs.messages) == net.total_bytes
         assert all(m.t_recv >= m.t_send for m in obs.messages)
 
     def test_network_totals_match(self, observed_bsp):
-        reg = observed_bsp.observer.registry
+        """Each link's last sample is its port's final total."""
+        series = observed_bsp.observer.series
         net = observed_bsp.network
-        assert reg.counter("net.total_bytes").value == net.total_bytes
-        assert reg.counter("net.total_messages").value == net.total_messages
+        sampled = [p for p in [*net.tx, *net.rx, *net.intra] if f"net.{p.name}.bytes" in series]
+        assert sampled
+        for port in sampled:
+            assert series[f"net.{port.name}.bytes"].last == port.bytes_served
+            assert series[f"net.{port.name}.busy_time"].last == port.busy_time
 
-    def test_link_utilization_gauges(self, observed_bsp):
-        reg = observed_bsp.observer.registry
-        utils = {
-            name: g.value
-            for name, g in reg.gauges().items()
-            if name.startswith("net.") and name.endswith(".utilization")
-        }
-        assert utils
-        assert all(0.0 <= v <= 1.0 for v in utils.values())
+    def test_link_busy_time_within_run(self, observed_bsp):
+        net = observed_bsp.network
+        busy = [p.busy_time for p in [*net.tx, *net.rx, *net.intra]]
+        assert any(busy)
+        assert all(0.0 <= b <= observed_bsp.engine.now for b in busy)
 
     def test_per_link_series_cumulative(self, observed_bsp):
-        reg = observed_bsp.observer.registry
         byte_series = [
-            s for name, s in reg.all_series().items()
+            s for name, s in observed_bsp.observer.series.items()
             if name.startswith("net.") and name.endswith(".bytes") and len(s)
         ]
         assert byte_series
@@ -84,33 +76,36 @@ class TestNetworkSignals:
 
 class TestWorkerAndPSSignals:
     def test_ps_inbox_depth_sampled(self, observed_bsp):
-        reg = observed_bsp.observer.registry
-        assert len(reg.series("ps0.inbox_depth")) > 0
+        assert len(observed_bsp.observer.series["ps0.inbox_depth"]) > 0
 
     def test_staleness_sampled_per_worker(self, observed_bsp):
-        reg = observed_bsp.observer.registry
-        staleness = [
-            name for name in reg.all_series() if ".staleness.w" in name
-        ]
+        series = observed_bsp.observer.series
+        staleness = [name for name in series if ".staleness.w" in name]
         assert staleness
         for name in staleness:
-            assert all(v >= 0 for v in reg.series(name).values)
+            assert all(v >= 0 for v in series[name].values)
 
     def test_compute_draws_positive(self, observed_bsp):
-        reg = observed_bsp.observer.registry
+        series = observed_bsp.observer.series
         cfg = observed_bsp.config
         for w in range(cfg.num_workers):
-            draws = reg.series(f"w{w}.compute_time")
+            draws = series[f"w{w}.compute_time"]
             assert len(draws) > 0
             assert all(v > 0 for v in draws.values)
 
     def test_iteration_progress_monotone(self, observed_bsp):
-        reg = observed_bsp.observer.registry
-        progress = reg.series("progress.iterations")
-        assert len(progress) > 0
-        assert all(
-            b >= a for a, b in zip(progress.values, progress.values[1:])
-        )
+        marks = observed_bsp.observer.iteration_marks
+        assert marks
+        times = [t for _, t, _ in marks]
+        totals = [n for _, _, n in marks]
+        assert times == sorted(times)
+        assert totals == sorted(totals)
+        per_worker = {w: 0 for w in range(observed_bsp.config.num_workers)}
+        for w, _, _ in marks:
+            per_worker[w] += 1
+        assert per_worker == {
+            slot.wid: slot.iterations for slot in observed_bsp.runtime.workers
+        }
 
 
 class TestFullModeWiring:
@@ -119,16 +114,13 @@ class TestFullModeWiring:
             small_full_config("asp"), obs=ObsConfig(enabled=True)
         )
         runner.run()
-        reg = runner.observer.registry
-        assert any(".staleness.w" in name for name in reg.all_series())
-        assert reg.counter("trace.spans").value == len(runner.observer.spans)
-        # ASP workers ship gradients through the comm plan, so the
-        # per-worker gradient-byte counters are populated.
-        total = sum(
-            c.value for name, c in reg.counters().items()
-            if name.endswith(".grad_bytes")
-        )
-        assert total > 0
+        obs = runner.observer
+        assert any(".staleness.w" in name for name in obs.series)
+        assert obs.spans
+        # ASP workers ship gradients through the comm plan, so every
+        # worker's gradient bytes are counted.
+        assert sorted(obs.worker_grad_bytes) == list(range(runner.config.num_workers))
+        assert all(n > 0 for n in obs.worker_grad_bytes.values())
 
 
 class TestEveryStream:
@@ -146,16 +138,14 @@ class TestEveryStream:
         runner = DistributedRunner(cfg, obs=ObsConfig(enabled=True))
         runner.run()
         obs = runner.observer
-        reg = obs.registry
-        assert reg.counter("comm.messages").value > 0
-        assert len(reg.series("engine.queue_depth")) > 0
-        net = [s for name, s in reg.all_series().items() if name.startswith("net.")]
+        assert len(obs.series["engine.queue_depth"]) > 0
+        net = [s for name, s in obs.series.items() if name.startswith("net.")]
         assert net and all(len(s) > 0 for s in net)
         assert obs.messages
         assert obs.processes
         assert obs.iteration_marks
         assert obs.fault_events
-        assert len(runner.observer.spans) == reg.counter("trace.spans").value > 0
+        assert obs.spans
         assert [f.name for f in dataclasses.fields(ObsConfig)] == ["enabled"]
 
 
@@ -167,5 +157,5 @@ class TestSpanCount:
         tracer.begin(1, "compute", 0.0)
         tracer.end(1, "compute", 2.0)
         observer.finalize()
-        assert observer.registry.counter("trace.spans").value == 2
+        assert len(observer.spans) == 2
         assert [s.phase for s in observer.spans] == ["comm", "compute"]

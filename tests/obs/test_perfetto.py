@@ -97,12 +97,15 @@ class TestSpanAccounting:
         assert len(comm) == len(runner.observer.messages)
         assert comm, "a PS run sends messages"
 
-    def test_counter_samples_match_registry(self, observed_run, trace):
+    def test_counter_samples_match_series(self, observed_run, trace):
         _, runner = observed_run
+        obs = runner.observer
         counters = [e for e in trace["traceEvents"] if e["ph"] == "C"]
-        expected = sum(
-            len(s) for s in runner.observer.registry.all_series().values()
-        )
+        progress = [e for e in counters if e["name"] == "progress.iterations"]
+        assert [e["args"]["value"] for e in progress] == [
+            float(n) for _, _, n in obs.iteration_marks
+        ]
+        expected = sum(len(s) for s in obs.series.values()) + len(obs.iteration_marks)
         assert len(counters) == expected
         assert counters, "instrumented runs sample series"
         for event in counters:

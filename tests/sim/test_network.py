@@ -28,11 +28,6 @@ class TestPort:
         assert (s, e) == (5.0, 6.0)
         assert port.busy_time == pytest.approx(2.0)
 
-    def test_utilization(self):
-        port = Port("p", rate=100.0)
-        port.reserve(0.0, 100)
-        assert port.utilization(4.0) == pytest.approx(0.25)
-
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             Port("p", rate=0)
