@@ -2,16 +2,20 @@
 
 One controller per faulty run. It owns:
 
-* the **injector** process — replays the :class:`FaultSchedule` at its
-  virtual-time stamps (crashes kill processes, outages crash whole
-  machines, link events arm the :class:`LinkFaultModel`);
+* **injection** — the :class:`FaultSchedule` is replayed at its
+  virtual-time stamps, one fault queued at a time (crashes kill
+  processes, outages crash whole machines, link events arm the
+  :class:`LinkFaultModel`);
 * the **failure detector** — every worker announces liveness to the
-  monitor on machine 0 on a fixed beat (a self-rescheduling callback
-  chain — no generator, no per-beat process machinery); the
-  monitor evicts a worker whose heartbeats stop, after
-  ``max_suspect_rounds`` of exponentially backed-off suspicion. A crash
-  is detected *honestly*: the controller kills the worker's processes
-  and lets the silence be noticed, it never short-circuits detection;
+  monitor on machine 0 on a fixed beat. Workers that started beating
+  together (all of them at ``start()``, or one rejoin) form a cohort
+  that ticks on one queue event per period; a beat's arrival is folded
+  in arithmetically, with no delivery event. The start cohort's tick
+  also scans for silence: a worker whose heartbeats stop is evicted
+  after ``max_suspect_rounds`` of exponentially backed-off suspicion. A
+  crash is detected *honestly*: the controller kills the worker's
+  processes and lets the silence be noticed, it never short-circuits
+  detection;
 * **membership changes** — on every eviction or rejoin the comm epoch
   is bumped (in-flight messages from the old view drop at delivery),
   every algorithm process is killed, mailboxes are flushed, and
@@ -31,6 +35,8 @@ given ``(RunConfig, FaultConfig)`` pair is bit-deterministic.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -68,6 +74,18 @@ _RNG_STREAM_TAG = 0xFA017
 # The failure detector's monitor runs on machine 0: heartbeats travel
 # there over the control plane.
 _MONITOR_MACHINE = 0
+
+
+@dataclass(slots=True, eq=False)
+class _Cohort:
+    """Workers that started beating together (all at ``start()``, or one
+    rejoin), in worker order, and their newest tick whose beats have all
+    landed but are not yet written into the last-seen times."""
+
+    wids: list[int]
+    nodes: list[Node]
+    scans: bool  # the start cohort's tick also runs the detector's scan
+    landed: tuple | None = None
 
 
 class FaultController:
@@ -108,17 +126,20 @@ class FaultController:
         # every transfer on the bare (faults-off) guard. Same idea for
         # the per-gradient corruption hook.
         effects = {FAULT_TABLE[e.kind].effect for e in self.schedule}
-        if effects & {HOLD, DROP}:
+        self._delays_vary = bool(effects & {HOLD, DROP})
+        if self._delays_vary:
             runtime.ctx.network.fault_model = self.link_model
         self._grad_armed = GRAD in effects
         # Processes owned by the training protocol: killed wholesale on
         # membership changes; a crash kills only its worker's entries.
         self._procs: list[tuple[Process, int | None]] = []
-        # Heartbeat cancellation tokens: a beat carries the token it was
-        # started under and goes silent the moment the slot's token moves
-        # on (crash/evict/quarantine bump it; rejoin starts a new chain).
-        self._hb_token: dict[int, int] = {}
-        self._hb_inline = False  # set for real in start()
+        self._cohorts: list[_Cohort] = []
+        self._cohort_of: dict[int, _Cohort] = {}
+        # Beats on the wire, one entry per tick (see ``_fold``), and the
+        # arrival times of those an epoch bump made stale.
+        self._flight: list[tuple] = []
+        self._stale: list[float] = []
+        self._bumped_at = -float("inf")
         self._last_seen: dict[int, float] = {}
         self._suspicion: dict[int, int] = {}
         #: Workers whose processes are gone (crashed or fenced).
@@ -132,6 +153,10 @@ class FaultController:
         self.iterations_lost = 0
         # (scope, target) -> rate fractions of its open degrade windows.
         self._degraded: dict[tuple[str | None, int | None], list[float]] = {}
+        # The schedule's next fault, and when the start cohort scans next.
+        self._next_fault = 0
+        self._fault_queued = False
+        self._scan_at = 0.0
 
     def _validate_events(self, runtime: "Runtime") -> None:
         """Reject events that cannot touch this cluster.
@@ -179,139 +204,195 @@ class FaultController:
             self._procs = [(p, o) for p, o in self._procs if p.alive]
 
     def start(self) -> None:
-        """Spawn the detector and injector (after algorithm setup)."""
-        rt = self.rt
-        # Armed-but-idle fast path: with no scheduled faults, no robust
-        # layer (quarantines), no observer, and beat delivery faster
-        # than the beat period, nothing can ever go overdue — the epoch
-        # never bumps and the monitor never suspects, under either
-        # delivery semantics. A beat may then record its own arrival
-        # inline (one queue event per beat) instead of scheduling a
-        # delivery callback.
-        net = rt.ctx.network
-        self._hb_inline = (
-            len(self.schedule) == 0
-            and rt.robust is None
-            and rt.obs is None
-            and max(net._latency, net._intra_latency)
-            < self.config.heartbeat_interval
-        )
-        if self._hb_inline:
-            # The live set is provably constant, so all beat chains
-            # collapse into one group tick per period: one queue event
-            # where the per-worker chains would cost ``num_workers``.
-            # And since nothing can ever go overdue, the monitor's scan
-            # can never reach a suspicion — it has no observable effect
-            # and is elided entirely.
-            self._hb_slots = [
-                (wid, rt.workers[wid].node)
-                for wid in self.membership.live_sorted()
-            ]
-            rt.engine._at(self.config.heartbeat_interval, self._hb_tick_all, ())
-        else:
-            for wid in self.membership.live_sorted():
-                self._start_heartbeat(wid)
-            rt.engine.spawn(self._monitor(), name="fd.monitor")
-        if len(self.schedule):
-            rt.engine.spawn(self._injector(), name="fault.injector")
+        """Start the detector and queue the first fault (after algorithm setup)."""
+        now = self.rt.engine.now
+        live = self.membership.live_sorted()
+        self._last_seen = dict.fromkeys(live, now)
+        self._scan_at = now + self.config.heartbeat_interval
+        self._start_cohort(live, scans=True)
+        self._queue_fault()
 
-    def _start_heartbeat(self, wid: int) -> None:
-        token = self._hb_token.get(wid, 0) + 1
-        self._hb_token[wid] = token
-        self.rt.engine._at(
-            self.config.heartbeat_interval, self._hb_tick, (wid, token)
-        )
+    # -- failure detection -----------------------------------------------
+    def _start_cohort(self, wids: list[int], *, scans: bool = False) -> None:
+        """Start ``wids`` beating together, on one tick per period."""
+        cohort = _Cohort(wids, [self.rt.workers[wid].node for wid in wids], scans)
+        self._cohorts.append(cohort)
+        for wid in wids:
+            self._cohort_of[wid] = cohort
+        self.rt.engine._at(self.config.heartbeat_interval, self._tick, (cohort,))
 
-    def _stop_heartbeat(self, wid: int) -> None:
-        """Invalidate the worker's beat chain: the next tick sees a
-        stale token and falls silent — a dead worker never announces
-        its own death."""
-        if wid in self._hb_token:
-            self._hb_token[wid] += 1
+    def _silence(self, wid: int) -> None:
+        """Stop the worker's beat: a dead worker never announces its own death."""
+        cohort = self._cohort_of.pop(wid, None)
+        if cohort is not None:
+            self._seen(cohort)  # new lists: beats in flight keep the old ones
+            i = cohort.wids.index(wid)
+            cohort.wids = cohort.wids[:i] + cohort.wids[i + 1 :]
+            cohort.nodes = cohort.nodes[:i] + cohort.nodes[i + 1 :]
 
-    def _hb_tick(self, wid: int, token: int) -> None:
-        """One beat: wire accounting, schedule the delivery, reschedule.
-
-        This is the armed-but-idle hot path — a plain callback chain,
-        two queue events per beat (tick + delivery) and nothing else.
+    def _tick(self, cohort: _Cohort) -> None:
+        """One beat period of a cohort: land the beats due by now, send
+        each member's beat, and (on the start cohort) scan for silence.
+        A beat's delay is drawn at its send instant, so drop windows draw
+        the shared fault stream in order; its arrival is folded in later.
+        The start cohort ticks until the run stops: it carries the scan.
         """
         rt = self.rt
-        if token != self._hb_token.get(wid) or rt.stopping:
-            return
-        node = rt.workers[wid].node
-        node.sent_messages += 1
-        node.sent_bytes += HEARTBEAT_BYTES
         engine = rt.engine
-        delay = rt.ctx.network.oob_delay(node.machine, _MONITOR_MACHINE, HEARTBEAT_BYTES)
-        engine._at(delay, self._hb_arrival, (wid, rt.ctx.epoch, engine.now))
-        engine._at(self.config.heartbeat_interval, self._hb_tick, (wid, token))
-
-    def _hb_tick_all(self) -> None:
-        """One beat for every worker at once — the armed-but-idle path.
-
-        Valid only under the ``_hb_inline`` proof in ``start``: the
-        live set never changes, the epoch never bumps, and nothing can
-        go overdue, so each arrival folds into the beat itself (the
-        same wire accounting and ``last_seen`` values the per-worker
-        chains produce, in the same worker order) and the whole
-        cluster's beats ride a single queue event per period.
-        """
-        rt = self.rt
-        if rt.stopping:
-            return
-        engine = rt.engine
-        network = rt.ctx.network
         now = engine.now
-        last_seen = self._last_seen
-        for wid, node in self._hb_slots:
-            node.sent_messages += 1
-            node.sent_bytes += HEARTBEAT_BYTES
-            last_seen[wid] = now + network.oob_delay(
-                node.machine, _MONITOR_MACHINE, HEARTBEAT_BYTES
-            )
-        engine._at(self.config.heartbeat_interval, self._hb_tick_all, ())
-
-    def _hb_arrival(self, wid: int, epoch: int, send_time: float) -> None:
-        """Slim heartbeat delivery: the detector's arrival hook.
-
-        Replicates what a mailbox'd heartbeat would have done by the
-        next monitor tick — stale-epoch drop accounting, liveness
-        timestamp, suspicion clearing, observer message record — without
-        the Message/Signal/mailbox event chain. Detection decisions read
-        this state only at monitor ticks, so updating it at delivery
-        time is behaviourally identical to draining a mailbox at the
-        tick.
-        """
-        rt = self.rt
-        ctx = rt.ctx
-        if ctx.epoch != epoch:
-            ctx.dropped_messages += 1
+        interval = self.config.heartbeat_interval
+        if rt.stopping:
+            if cohort.scans:
+                # Beats still on the wire land after the stop, and the
+                # latest of them can set the run's final virtual time.
+                self._fold()
+                pending = [entry[1] for entry in self._flight] + self._stale
+                if pending:
+                    engine._at_time(max(pending), self._fold, ())
             return
+        self._fold()
+        # With every earlier beat landed, none made stale in two periods,
+        # nobody suspect and every live worker beating, each live worker
+        # was last seen within a period: the scan (timeout >= 2 periods)
+        # could find nobody overdue.
+        quiet = (
+            not self._flight
+            and not self._suspicion
+            and self._bumped_at < now - 2 * interval
+            and self.dead.isdisjoint(self.membership.live)
+        )
+        oob_delay = rt.ctx.network.oob_delay
+        arrivals: list[float] = []
+        arrive = arrivals.append
+        nbytes, monitor = HEARTBEAT_BYTES, _MONITOR_MACHINE
+        for node in cohort.nodes:
+            node.sent_messages += 1
+            node.sent_bytes += nbytes
+            arrive(now + oob_delay(node.machine, monitor, nbytes))
+        if arrivals:
+            self._flight.append((now, max(arrivals), cohort, cohort.wids, arrivals))
+        if cohort.scans:
+            # A fault due by the next scan goes into the queue ahead of it.
+            self._scan_at = now + interval
+            self._queue_fault()
+        if arrivals or cohort.scans:
+            engine._at(interval, self._tick, (cohort,))
+        if cohort.scans and not quiet:
+            self._scan()
+
+    def _fold(self) -> None:
+        """Land every beat whose arrival time has passed: a live beat
+        refreshes its sender's last-seen time, clears its suspicion and
+        records the message; a stale one counts as a stale-epoch drop.
+        A flight entry is one tick's (send time, latest arrival, cohort,
+        wids, arrivals)."""
+        rt = self.rt
         now = rt.engine.now
-        if now > self._last_seen.get(wid, -1.0):
-            self._last_seen[wid] = now
-        self._suspicion.pop(wid, None)
+        if self._stale:
+            in_flight = [arrival for arrival in self._stale if arrival > now]
+            rt.ctx.dropped_messages += len(self._stale) - len(in_flight)
+            self._stale = in_flight
+        if not self._flight:
+            return
+        landed, waiting = [], []
+        for entry in self._flight:
+            if entry[1] <= now:
+                landed.append(entry)
+            elif min(entry[4]) > now:
+                waiting.append(entry)
+            else:  # part of the tick has landed: split it in two
+                time, _, cohort, wids, arrivals = entry
+                for part, due in ((landed, True), (waiting, False)):
+                    ids, times = zip(*[(w, a) for w, a in zip(wids, arrivals) if (a <= now) is due])
+                    part.append((time, max(times), cohort, ids, times))
+        self._flight = waiting
+        per_beat = self._delays_vary or self._suspicion or rt.obs is not None
+        last_seen = self._last_seen
+        for _, _, cohort, wids, arrivals in landed:
+            if not per_beat and wids is cohort.wids:
+                cohort.landed = wids, arrivals  # each beat of a worker takes one delay
+                continue
+            self._seen(cohort)
+            for wid, arrival in zip(wids, arrivals):
+                if arrival > last_seen.get(wid, -1.0):
+                    last_seen[wid] = arrival
+                self._suspicion.pop(wid, None)
         obs = rt.obs
         if obs is not None:
-            obs.on_message(
-                src_machine=rt.workers[wid].machine,
-                dst_machine=_MONITOR_MACHINE,
-                kind="hb",
-                nbytes=HEARTBEAT_BYTES,
-                t_send=send_time,
-                t_recv=now,
-            )
+            # In landing order, as the deliveries would have come.
+            beats = [
+                (arrival, time, wid)
+                for time, _, _, wids, arrivals in landed
+                for wid, arrival in zip(wids, arrivals)
+            ]
+            beats.sort(key=itemgetter(0))
+            workers = rt.workers
+            for arrival, time, wid in beats:
+                obs.on_message(
+                    src_machine=workers[wid].machine,
+                    dst_machine=_MONITOR_MACHINE,
+                    kind="hb",
+                    nbytes=HEARTBEAT_BYTES,
+                    t_send=time,
+                    t_recv=arrival,
+                )
+
+    def _seen(self, *cohorts: _Cohort) -> None:
+        """Write the cohorts' (default: all) landed ticks into the last-seen times."""
+        for cohort in cohorts or self._cohorts:
+            if cohort.landed is not None:
+                self._last_seen.update(zip(*cohort.landed))
+                cohort.landed = None
+
+    def _scan(self) -> None:
+        """Suspicion with exponential backoff.
+
+        A worker overdue past ``heartbeat_timeout`` becomes suspect;
+        each further overdue scan multiplies the deadline by
+        ``backoff_factor``; past ``max_suspect_rounds`` the worker is
+        declared dead and evicted (with a fencing kill first — STONITH
+        — so a merely-partitioned worker cannot resurface in the old
+        epoch).
+        """
+        cfg = self.config
+        now = self.rt.engine.now
+        self._seen()
+        for wid in self.membership.live_sorted():
+            last = self._last_seen.get(wid, now)
+            rounds = self._suspicion.get(wid, 0)
+            deadline = cfg.heartbeat_timeout * (cfg.backoff_factor**rounds)
+            if now - last <= deadline:
+                continue
+            rounds += 1
+            self._suspicion[wid] = rounds
+            self._record("suspect", worker=wid, detail=f"round={rounds}")
+            if rounds > cfg.max_suspect_rounds:
+                self._suspicion.pop(wid, None)
+                self._evict(wid)
 
     # -- fault injection -------------------------------------------------
-    def _injector(self):
+    def _queue_fault(self) -> None:
+        """Queue the next fault once its predecessor has fired and it is
+        due by the next scan: after the predecessor's effects, and never
+        one that a stopped run falls short of."""
+        events = self.schedule.events
+        i = self._next_fault
+        if not self._fault_queued and i < len(events) and events[i].time <= self._scan_at:
+            self._fault_queued = True
+            self.rt.engine._at_time(events[i].time, self._inject, ())
+
+    def _inject(self) -> None:
+        """Apply the queued fault and every later one that shares its stamp."""
         rt = self.rt
-        step = max(4 * self.config.heartbeat_interval, 1e-6)
-        for event in self.schedule:
-            while rt.engine.now < event.time and not rt.stopping:
-                yield Timeout(min(step, event.time - rt.engine.now))
-            if rt.stopping:
-                return
-            self._apply(event)
+        events = self.schedule.events
+        i = self._next_fault
+        while not rt.stopping and i < len(events) and events[i].time <= rt.engine.now:
+            self._apply(events[i])
+            i += 1
+        self._next_fault = i
+        self._fault_queued = False
+        if not rt.stopping:
+            self._queue_fault()
 
     def _apply(self, event: FaultEvent) -> None:
         self.events_applied.append(event)
@@ -400,7 +481,7 @@ class FaultController:
         self.dead.add(wid)
         self.iterations_lost += slot.iterations
         self._kill_owned(wid)
-        self._stop_heartbeat(wid)
+        self._silence(wid)
         slot.node.flush()
         rt.tracer.flush_open(rt.engine.now, worker=wid)
         self._record("crash", worker=wid, machine=slot.machine)
@@ -422,38 +503,6 @@ class FaultController:
             if owner == wid and process.alive:
                 process.kill()
 
-    # -- failure detection -----------------------------------------------
-    def _monitor(self):
-        """Heartbeat monitor: suspicion with exponential backoff.
-
-        A worker overdue past ``heartbeat_timeout`` becomes suspect;
-        each further overdue check multiplies the deadline by
-        ``backoff_factor``; past ``max_suspect_rounds`` the worker is
-        declared dead and evicted (with a fencing kill first — STONITH
-        — so a merely-partitioned worker cannot resurface in the old
-        epoch).
-        """
-        rt = self.rt
-        cfg = self.config
-        self._last_seen = {wid: rt.engine.now for wid in self.membership.live_sorted()}
-        while not rt.stopping:
-            yield Timeout(cfg.heartbeat_interval)
-            if rt.stopping:
-                return
-            now = rt.engine.now
-            for wid in self.membership.live_sorted():
-                last = self._last_seen.get(wid, now)
-                rounds = self._suspicion.get(wid, 0)
-                deadline = cfg.heartbeat_timeout * (cfg.backoff_factor**rounds)
-                if now - last <= deadline:
-                    continue
-                rounds += 1
-                self._suspicion[wid] = rounds
-                self._record("suspect", worker=wid, detail=f"round={rounds}")
-                if rounds > cfg.max_suspect_rounds:
-                    self._suspicion.pop(wid, None)
-                    self._evict(wid)
-
     def _evict(self, wid: int, kind: str = "evict") -> None:
         """Fence ``wid`` and restart the protocol without it.
 
@@ -471,7 +520,7 @@ class FaultController:
         # Fencing: even if the worker is only partitioned, its processes
         # die now — it must not keep mutating state in the old epoch.
         self._kill_owned(wid)
-        self._stop_heartbeat(wid)
+        self._silence(wid)
         self.dead.add(wid)
         rt.tracer.flush_open(rt.engine.now, worker=wid)
         log = self.quarantines if kind == "quarantine" else self.evictions
@@ -499,6 +548,11 @@ class FaultController:
         set. Shard parameters and worker models persist; round state and
         in-flight messages do not."""
         rt = self.rt
+        # Beats that landed before the bump count; the rest go stale.
+        self._fold()
+        self._stale += [arrival for entry in self._flight for arrival in entry[4]]
+        self._flight = []
+        self._bumped_at = rt.engine.now
         rt.ctx.epoch += 1
         procs, self._procs = self._procs, []
         for process, _owner in procs:
@@ -540,9 +594,10 @@ class FaultController:
             {"time": rt.engine.now, "worker": wid, "iterations": snapshot.iterations}
         )
         self._record("rejoin", worker=wid, machine=slot.machine)
+        self._seen()
         self._last_seen[wid] = rt.engine.now
         self._membership_changed()
-        self._start_heartbeat(wid)
+        self._start_cohort([wid])
 
     # -- reporting -------------------------------------------------------
     def _record(
@@ -575,7 +630,9 @@ class FaultController:
         )
 
     def summary(self) -> dict:
-        """Fault outcome, attached to result metadata."""
+        """Fault outcome, attached to result metadata. Beats that landed
+        by the end of the run count, also on a run cut at its horizon."""
+        self._fold()
         return {
             "events_applied": len(self.events_applied),
             "evictions": self.evictions,

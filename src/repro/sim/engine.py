@@ -426,6 +426,11 @@ class Engine:
         """
         self._queue.push_call(self.now + delay, fn, args)
 
+    def _at_time(self, time: float, fn: Callable[..., None], args: tuple) -> None:
+        """Schedule ``fn(*args)`` at ``time >= now``, a stamp known in
+        advance: ``now + (time - now)`` can round off it."""
+        self._queue.push_call(time, fn, args)
+
     def _immediate(self, fn: Callable[..., None], args: tuple) -> None:
         """Schedule ``fn(*args)`` at the current time on the FIFO lane."""
         self._queue.push_lane(self.now, fn, args)

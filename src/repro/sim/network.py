@@ -407,8 +407,8 @@ class Network:
         data-plane traffic on the NIC ports. Partitions and outages
         still apply — the management network of a partitioned machine is
         unreachable too, which is what lets the failure detector notice.
-        The caller schedules the delivery itself: one queue event per
-        message, which keeps an armed-but-idle detector cheap.
+        The caller folds the arrival in itself, with no queue event,
+        which keeps an armed-but-idle detector cheap.
         """
         self.total_bytes += nbytes
         self.total_messages += 1

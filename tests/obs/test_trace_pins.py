@@ -36,7 +36,7 @@ CASES = {
     "bsp-crash-rejoin": (
         small_timing_config("bsp", trace=True, faults=CRASH),
         False,
-        "cbb511ab1160c6ed29cd4920a0af6761e4f47ebf2e31da05332dcb6dd7567c7b",
+        "e7bdfef60bbf186ed2be2e08d4d242b59f3681659c309c8ad6d7ef7eba36e747",
     ),
     "asp-full": (
         small_full_config("asp"),
