@@ -393,22 +393,23 @@ class DistributedRunner:
         if cfg.dgc and not info.supports_dgc:
             raise ValueError(f"{info.name} sends parameters; DGC does not apply")
 
-    def _refuse_misfit(self, model: Module, dataset: Dataset) -> None:
+    def _refuse_misfit(
+        self, model: Module, sample_shape: tuple[int, ...], num_classes: int
+    ) -> None:
         """Fail the build when the model was not built for the dataset's
         samples; left alone, the run dies at its first batch inside a
         layer ("expected 64 features, got 256")."""
         from repro.nn.models import arguments_to_fit
 
         cfg = self.config
-        sample_shape = dataset.x.shape[1:]
-        lacking = arguments_to_fit(model, sample_shape, dataset.num_classes)
+        lacking = arguments_to_fit(model, sample_shape, num_classes)
         if lacking is None:
             return
         fix = f": build it with model_kwargs={cfg.model_kwargs | lacking}" if lacking else ""
         raise ValueError(
             f"model {cfg.model_name!r} takes {model.input_shape} samples in "
             f"{model.num_classes} classes, dataset {cfg.dataset_name!r} has "
-            f"{sample_shape} samples in {dataset.num_classes} classes{fix}"
+            f"{sample_shape} samples in {num_classes} classes{fix}"
         )
 
     def _build(self) -> None:
@@ -427,8 +428,12 @@ class DistributedRunner:
 
             make_dataset = getattr(synthetic, f"make_{cfg.dataset_name}")
             dataset = make_dataset(seed=cfg.seed, **cfg.dataset_kwargs)
+            sample_shape, num_classes = dataset.x.shape[1:], dataset.num_classes
             split_rng = np.random.default_rng(cfg.seed + 1)
             train, test = dataset.split(cfg.test_fraction, rng=split_rng)
+            # The run keeps only the test split and the worker shards;
+            # each copy goes as soon as the next one exists (DESIGN §10).
+            del dataset
             self._test_data = test
             shards = partition_dataset(
                 train,
@@ -436,12 +441,13 @@ class DistributedRunner:
                 rng=np.random.default_rng(cfg.seed + 2),
                 drop_remainder=True,
             )
+            del train
             # One compute model per run: a replica is the flat vectors
             # on its LocalComputation, each a copy of this seeded draw,
             # and evaluation loads the global parameters into it too
             # (DESIGN §3).
             model = build_model(cfg.model_name, seed=cfg.seed, **cfg.model_kwargs)
-            self._refuse_misfit(model, dataset)
+            self._refuse_misfit(model, sample_shape, num_classes)
             self._model = model
             init_params = model.get_flat_parameters()
             decay_mask = weight_decay_mask(model)

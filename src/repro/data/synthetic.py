@@ -151,7 +151,7 @@ def make_synthetic_images(
             )
             prototypes[cls, ch] = pattern
     y = rng.integers(0, num_classes, size=num_samples)
-    x = prototypes[y]
-    x = x + rng.normal(0.0, noise, size=x.shape)
-    x = x + rng.normal(0.0, 0.1, size=(num_samples, 1, 1, 1))  # brightness jitter
+    x = prototypes[y]  # a copy: the noise goes on in place
+    x += rng.normal(0.0, noise, size=x.shape)
+    x += rng.normal(0.0, 0.1, size=(num_samples, 1, 1, 1))  # brightness jitter
     return Dataset(x=x, y=y, num_classes=num_classes, name="synthetic_images")

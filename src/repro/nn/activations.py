@@ -22,6 +22,7 @@ class ReLU(Module):
         return np.fmax(x, 0.0)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        mask, self._mask = self._mask, None
+        if mask is None:
             raise RuntimeError("backward called before forward")
-        return grad_out * self._mask
+        return grad_out * mask

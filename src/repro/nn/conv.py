@@ -169,10 +169,11 @@ class Conv2d(Module):
         return _images(out, self.out_channels, oh, ow, n)
 
     def backward_params(self, grad_out: np.ndarray) -> None:
-        if self._patches is None or self._x_shape is None:
+        patches, self._patches = self._patches, None
+        if patches is None or self._x_shape is None:
             raise RuntimeError("backward called before forward")
         g2d = _rows(grad_out)
-        self.weight.grad += (g2d @ self._patches.T).reshape(self.weight.shape)
+        self.weight.grad += (g2d @ patches.T).reshape(self.weight.shape)
         if self.bias is not None:
             self.bias.grad += g2d.sum(axis=1)
 
@@ -224,10 +225,11 @@ class MaxPool2d(Module):
         return _images(out, *self._out_shape)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._winner is None:
+        winner, self._winner = self._winner, None
+        if winner is None:
             raise RuntimeError("backward called before forward")
         k = self.kernel_size
-        grad_entries = self._winner * _rows(grad_out).reshape(-1)
+        grad_entries = winner * _rows(grad_out).reshape(-1)
         patches = grad_entries.reshape(k, k, *self._out_shape).transpose(2, 0, 1, 3, 4, 5)
         return _scatter(patches, self._x_shape, self.stride, self.padding)
 

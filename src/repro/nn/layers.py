@@ -62,9 +62,10 @@ class Dense(Module):
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x is None:
+        x, self._x = self._x, None
+        if x is None:
             raise RuntimeError("backward called before forward")
-        self.weight.grad += self._x.T @ grad_out
+        self.weight.grad += x.T @ grad_out
         if self.bias is not None:
             self.bias.grad += grad_out.sum(axis=0)
         return grad_out @ self.weight.value.T

@@ -64,8 +64,9 @@ class Module:
     Subclasses implement :meth:`forward` and :meth:`backward`. The
     backward pass receives the gradient of the loss with respect to the
     module output and must (a) accumulate gradients into its
-    parameters' ``grad`` buffers and (b) return the gradient with
-    respect to its input.
+    parameters' ``grad`` buffers, (b) return the gradient with respect
+    to its input and (c) drop what ``forward`` kept for it: one
+    ``backward`` per ``forward``.
     """
 
     #: False only inside :meth:`predict`: layers then keep nothing for

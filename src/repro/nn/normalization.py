@@ -58,17 +58,20 @@ class BatchNorm2d(Module):
         return self._unrows(out, x.shape)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
+        cache, self._cache = self._cache, None
+        if cache is None:
             raise RuntimeError("backward called before forward")
-        x_hat, inv_std = self._cache
+        x_hat, inv_std = cache
         g = self._rows(grad_out)
         count = g.shape[1]
         g_xhat = np.einsum("ij,ij->i", g, x_hat)
         g_sum = g.sum(axis=1)
         self.gamma.grad += g_xhat
         self.beta.grad += g_sum
-        # gamma*inv_std * (g - mean(g) - x_hat*mean(g*x_hat)), built in place.
-        grad = x_hat * (-g_xhat / count)[:, None]
+        # gamma*inv_std * (g - mean(g) - x_hat*mean(g*x_hat)), built in
+        # place in x_hat, which nothing else holds now.
+        grad = x_hat
+        grad *= (-g_xhat / count)[:, None]
         grad += g
         grad -= (g_sum / count)[:, None]
         grad *= (self.gamma.value * inv_std)[:, None]

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from repro.core.runner import DistributedRunner, RunConfig
+from repro.data.synthetic import make_synthetic_images
+from repro.experiments.config import MINI_DATASET, MINI_MODEL
 from repro.nn import build_model
 from repro.sim.cluster import paper_cluster
 
@@ -157,13 +159,25 @@ class TestEvaluationKeepsNothing:
             for array in arrays_held(module):
                 assert array.size <= max(own, module.num_parameters()), type(module).__name__
 
-    def test_compute_model_keeps_caches_for_backward(self):
-        """Unlike evaluation's pass: ``backward`` reads what
-        ``forward`` cached, so the compute model holds one set."""
-        runner = DistributedRunner(conv_config("miniresnet"))
-        comp = runner.runtime.workers[0].comp
-        comp.gradient()
-        assert comp.model.stem._patches is not None  # backward needs them
+    def test_gradient_leaves_no_cache(self):
+        """Each layer drops what its ``backward`` read as soon as it has
+        read it, so the run's one compute model carries no activations
+        from a ``gradient()`` into the events and evaluations after it.
+        Parent: a full set (``stem._patches`` alone 9x the batch)."""
+        configs = (
+            conv_config("miniresnet"),
+            conv_config("minivgg"),
+            conv_config(**MINI_MODEL, **MINI_DATASET),  # the 64x64 MLP on spirals
+        )
+        for cfg in configs:
+            comp = DistributedRunner(cfg).runtime.workers[0].comp
+            comp.gradient()
+            for module in comp.model.modules():
+                for attribute in ("_patches", "_cache", "_mask", "_x", "_winner"):
+                    held = getattr(module, attribute, None)
+                    assert held is None, (cfg.model_name, type(module).__name__, attribute)
+            with pytest.raises(RuntimeError, match="before forward"):
+                comp.model.backward(np.ones((cfg.batch_size, comp.model.num_classes)))
 
     @staticmethod
     def evaluation_peak(hw: int, num_samples: int) -> int:
@@ -192,6 +206,30 @@ class TestEvaluationKeepsNothing:
     def test_evaluate_on_16x16_images_peaks_under_50_megabytes(self):
         # 36.7 MB; parent 111.3 MB.
         assert self.evaluation_peak(16, 4000) < 50e6
+
+    def test_build_keeps_no_dataset_copy(self):
+        """The CI N=64 cell's data: ``_build`` lets the generated samples
+        and the train split go once the test split and the shards
+        exist, and the noise goes on in place. 2.0x the samples' bytes;
+        parent 3.7x (23.0 MB)."""
+        cfg = conv_config(
+            "miniresnet",
+            algorithm="ad-psgd",
+            cluster=paper_cluster(bandwidth_gbps=56.0, machines=16, gpus_per_machine=4),
+            num_workers=64,
+            dataset_kwargs={"num_samples": 4000},
+            epochs=0.1,
+        )
+        samples = make_synthetic_images(num_samples=4000).x.nbytes
+        DistributedRunner(cfg)  # one-off imports and caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            DistributedRunner(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * samples, (peak, samples)
 
     def test_memory_peak_does_not_grow_cell_over_cell(self):
         """With the cycle collector off: a finished cell's replicas and

@@ -96,7 +96,9 @@ def test_conv2d_matches_loop_reference(
     if bias:
         np.testing.assert_allclose(conv.bias.grad, ref_gb, rtol=0, atol=1e-10)
 
-    # Parameter gradients alone (a first layer's backward) agree too.
+    # Parameter gradients alone (a first layer's backward) agree too,
+    # after a forward of their own: backward dropped the patches.
+    conv.forward(in_layout(x))
     conv.zero_grad()
     conv.backward_params(in_layout(grad_out))
     np.testing.assert_allclose(conv.weight.grad, ref_gw, rtol=0, atol=1e-10)
